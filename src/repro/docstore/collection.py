@@ -367,13 +367,8 @@ class Collection:
             and hint is not None
             and hint in self._indexes
         ):
-            bounds, n_bounded = plan_bounds
-            plan: IndexScanPlan | CollScanPlan = IndexScanPlan(
-                index=self._indexes[hint],
-                bounds=bounds,
-                estimated_cost=0.0,
-                estimated_keys=0.0,
-                n_bounded_fields=n_bounded,
+            plan: IndexScanPlan | CollScanPlan = IndexScanPlan.from_bounds(
+                self._indexes[hint], plan_bounds
             )
         elif planning == "trial" and hint is None:
             from repro.docstore.trial import plan_query_by_trial
@@ -407,7 +402,7 @@ class Collection:
         return FindResult([copy_doc(d) for d in docs], stats, plan)
 
     def hinted_bounds(self, hint: str, shape, max_geo_ranges=None):
-        """``(bounds, n_bounded)`` for the hinted index, or None.
+        """``(bounds, n_bounded, exact_paths)`` for the hint, or None.
 
         Bounds depend only on the index definition and the query
         shape — both identical on every shard of a collection — so the
@@ -456,13 +451,21 @@ class Collection:
         """MongoDB-flavoured explain output with execution stats.
 
         Includes ``rejectedPlans`` — the candidate plans the optimizer
-        considered but did not pick, as MongoDB's explain does.
+        considered but did not pick, as MongoDB's explain does — and,
+        on the winning plan, ``coveredPaths`` (proved by exact index
+        bounds) beside ``residualPaths`` (what FETCH still filters on).
         """
         from repro.docstore.planner import plan_candidates
 
-        result = self.find_with_stats(query, hint=hint)
+        matcher = Matcher(query)
+        result = self.find_with_stats(query, hint=hint, matcher=matcher)
         shape = analyze_query(query)
         winner = result.plan.describe()
+        # MongoDB's FETCH `filter`: what is left once the winning
+        # plan's exact bounds have proved their paths.
+        winner["residualPaths"] = matcher.residual_paths(
+            result.plan.covered_paths
+        )
         # Identity is (stage, index), not the full description: the
         # winning plan's cost estimates are advisory and may be zeroed
         # (hinted or single-candidate planning) while the re-ranked

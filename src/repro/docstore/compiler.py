@@ -45,6 +45,7 @@ from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.docstore import bson
 from repro.docstore.document import MISSING, get_path
+from repro.docstore.planner import BOUND_OPS
 from repro.geo.geojson import parse_geometry
 from repro.geo.geometry import BoundingBox, LineString, Point, Polygon
 
@@ -63,21 +64,84 @@ _FALLBACK = 2  # type_rank fine, sort_key raises lazily: keep interpreter
 
 _Test = Callable[[Any], bool]
 _Pred = Callable[[Mapping[str, Any]], bool]
+#: ``(cost, predicate, label, droppable)``: ``label`` is the path the
+#: predicate constrains (the operator name for ``$or``/``$nor``);
+#: ``droppable`` is True when exact index bounds on that path prove it.
+_Tagged = Tuple[int, _Pred, str, bool]
 
 
 class CompiledPredicateList:
     """A compiled conjunction: documents match when every closure does."""
 
-    __slots__ = ("predicates",)
+    __slots__ = ("predicates", "paths", "_droppable", "_residuals")
 
-    def __init__(self, predicates: List[_Pred]) -> None:
-        self.predicates = predicates
+    def __init__(self, tagged: List[_Tagged]) -> None:
+        tagged = sorted(tagged, key=lambda item: item[0])  # cheapest first
+        self.predicates = [item[1] for item in tagged]
+        self.paths = [item[2] for item in tagged]
+        self._droppable = [item[3] for item in tagged]
+        self._residuals: dict = {}
 
     def __call__(self, document: Mapping[str, Any]) -> bool:
         for predicate in self.predicates:
             if not predicate(document):
                 return False
         return True
+
+    def residual(self, covered) -> "CompiledPredicateList":
+        """The conjunction minus predicates index bounds already proved.
+
+        ``covered`` is the set of paths whose bounds the planner found
+        exact (:attr:`IndexScanPlan.covered_paths`): every fetched
+        document satisfies the droppable predicates on those paths, so
+        FETCH evaluates only the rest.  Memoised per covered set — one
+        matcher serves every targeted shard of a query.
+        """
+        rest = self._residuals.get(covered)
+        if rest is None:
+            rest = CompiledPredicateList(
+                [
+                    (0, predicate, path, droppable)
+                    for predicate, path, droppable in zip(
+                        self.predicates, self.paths, self._droppable
+                    )
+                    if not (droppable and path in covered)
+                ]
+            )
+            self._residuals[covered] = rest
+        return rest
+
+
+def _tag_path_tests(path: str, ops, tests: List[_Test]) -> _Tagged:
+    """The tagged document predicate for one path's operator tests.
+
+    The single construction site for path predicates: both
+    :func:`compile_matcher` and the parameterized-plan binder call it,
+    so the droppable tag cannot drift between the two.
+    """
+    if len(tests) == 1:
+        only = tests[0]
+
+        def predicate(document: Mapping[str, Any]) -> bool:
+            return only(get_path(document, path))
+
+    else:
+
+        def predicate(document: Mapping[str, Any]) -> bool:
+            actual = get_path(document, path)
+            for test in tests:
+                if not test(actual):
+                    return False
+            return True
+
+    geo = "$geoWithin" in ops or "$geoIntersects" in ops
+    cost = _COST_GEO if geo else _COST_SCALAR
+    return cost, predicate, path, BOUND_OPS.issuperset(ops)
+
+
+def _tag_interval_set(interval_set: Any) -> _Tagged:
+    """The tagged predicate for a single-path ``$or`` interval set."""
+    return _COST_INTERVAL_SET, interval_set.matches, interval_set.path, True
 
 
 def _prepare_arg(arg: Any) -> Tuple[int, Any]:
@@ -427,51 +491,18 @@ def _compile_operator(op: str, arg: Any) -> Optional[_Test]:
     return None  # unsupported: the interpreter raises per call
 
 
-def _operator_cost(ops: Mapping[str, Any]) -> int:
-    if "$geoWithin" in ops or "$geoIntersects" in ops:
-        return _COST_GEO
-    return _COST_SCALAR
-
-
-def _compile_path_predicate(
-    path: str, value: Any
-) -> Optional[Tuple[int, _Pred]]:
-    """One ``path: value`` item → a document predicate."""
+def _compile_path_predicate(path: str, value: Any) -> Optional[_Tagged]:
+    """One ``path: value`` item → a tagged document predicate."""
     from repro.docstore.matcher import is_operator_expression
 
-    if is_operator_expression(value):
-        tests: List[_Test] = []
-        for op, arg in value.items():
-            test = _compile_operator(op, arg)
-            if test is None:
-                return None
-            tests.append(test)
-
-        if len(tests) == 1:
-            only = tests[0]
-
-            def predicate(document: Mapping[str, Any]) -> bool:
-                return only(get_path(document, path))
-
-        else:
-
-            def predicate(document: Mapping[str, Any]) -> bool:
-                actual = get_path(document, path)
-                for test in tests:
-                    if not test(actual):
-                        return False
-                return True
-
-        return _operator_cost(value), predicate
-
-    eq_test = _compile_eq_test(value, negate=False)
-    if eq_test is None:
-        return None
-
-    def eq_predicate(document: Mapping[str, Any]) -> bool:
-        return eq_test(get_path(document, path))
-
-    return _COST_SCALAR, eq_predicate
+    ops = value if is_operator_expression(value) else {"$eq": value}
+    tests: List[_Test] = []
+    for op, arg in ops.items():
+        test = _compile_operator(op, arg)
+        if test is None:
+            return None
+        tests.append(test)
+    return _tag_path_tests(path, ops, tests)
 
 
 def _compile_clause_list(
@@ -480,42 +511,36 @@ def _compile_clause_list(
     """Each clause of a logical operator → one conjunction predicate."""
     out: List[_Pred] = []
     for clause in clauses:
-        pairs = _compile_query(clause, compiled_ors)
-        if pairs is None:
+        tagged = _compile_query(clause, compiled_ors)
+        if tagged is None:
             return None
-        pairs.sort(key=lambda pair: pair[0])
-        predicates = [predicate for _cost, predicate in pairs]
-
-        def clause_predicate(
-            document: Mapping[str, Any], predicates=predicates
-        ) -> bool:
-            for predicate in predicates:
-                if not predicate(document):
-                    return False
-            return True
-
-        out.append(clause_predicate)
+        out.append(CompiledPredicateList(tagged))
     return out
 
 
 def _compile_query(
     query: Mapping[str, Any], compiled_ors: Mapping[int, Any]
-) -> Optional[List[Tuple[int, _Pred]]]:
-    """A (validated) query document → list of (cost, predicate)."""
+) -> Optional[List[_Tagged]]:
+    """A (validated) query document → its tagged top-level predicates.
+
+    ``$and`` clauses flatten into the list (they stay droppable);
+    anything under ``$or``/``$nor`` collapses into one undroppable
+    predicate, so nested tags never reach the residual decision.
+    """
     if not isinstance(query, Mapping):
         return None
-    pairs: List[Tuple[int, _Pred]] = []
+    tagged: List[_Tagged] = []
     for key, value in query.items():
         if key == "$and":
             for clause in value:
                 sub = _compile_query(clause, compiled_ors)
                 if sub is None:
                     return None
-                pairs.extend(sub)
+                tagged.extend(sub)
         elif key == "$or":
             interval_set = compiled_ors.get(id(value))
             if interval_set is not None:
-                pairs.append((_COST_INTERVAL_SET, interval_set.matches))
+                tagged.append(_tag_interval_set(interval_set))
                 continue
             clause_preds = _compile_clause_list(value, compiled_ors)
             if clause_preds is None:
@@ -529,7 +554,7 @@ def _compile_query(
                         return True
                 return False
 
-            pairs.append((_COST_CLAUSES, any_predicate))
+            tagged.append((_COST_CLAUSES, any_predicate, key, False))
         elif key == "$nor":
             clause_preds = _compile_clause_list(value, compiled_ors)
             if clause_preds is None:
@@ -543,13 +568,13 @@ def _compile_query(
                         return False
                 return True
 
-            pairs.append((_COST_CLAUSES, none_predicate))
+            tagged.append((_COST_CLAUSES, none_predicate, key, False))
         else:
-            pair = _compile_path_predicate(key, value)
-            if pair is None:
+            item = _compile_path_predicate(key, value)
+            if item is None:
                 return None
-            pairs.append(pair)
-    return pairs
+            tagged.append(item)
+    return tagged
 
 
 def compile_matcher(
@@ -562,8 +587,7 @@ def compile_matcher(
     interval-set compilation and agree on which ``$or`` forms are
     bisectable.
     """
-    pairs = _compile_query(query, compiled_ors)
-    if pairs is None:
+    tagged = _compile_query(query, compiled_ors)
+    if tagged is None:
         return None
-    pairs.sort(key=lambda pair: pair[0])
-    return CompiledPredicateList([predicate for _cost, predicate in pairs])
+    return CompiledPredicateList(tagged)

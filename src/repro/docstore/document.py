@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import copy
 import datetime as _dt
-from typing import Any, Iterator, Mapping, MutableMapping, Sequence, Tuple
+from collections.abc import Mapping, MutableMapping, Sequence
+from typing import Any, Iterator, Tuple
+
+from repro.docstore.bson import ObjectId
 
 __all__ = [
     "MISSING",
@@ -48,6 +51,8 @@ def get_path(document: Mapping[str, Any], path: str) -> Any:
     Numeric path components index into arrays, mirroring MongoDB
     (``coordinates.0`` is the longitude of a GeoJSON point).
     """
+    if type(document) is dict and "." not in path:
+        return document.get(path, MISSING)
     current: Any = document
     for part in path.split("."):
         if isinstance(current, Mapping):
@@ -116,6 +121,7 @@ _IMMUTABLE_SCALARS = (
     type(None),
     _dt.datetime,
     _dt.date,
+    ObjectId,
 )
 
 
@@ -130,14 +136,13 @@ def fast_copy_document(document: Mapping[str, Any]) -> dict:
     cost of the read hot path, which is why the fast query path
     (``fast_path=True``) uses this instead.
     """
-    # Scalars are filtered inline: one membership test instead of a
-    # Python-level call per field, on documents that are mostly flat.
-    return {
-        key: value
-        if type(value) in _IMMUTABLE_SCALAR_SET
-        else _fast_copy_value(value)
-        for key, value in document.items()
-    }
+    # One C-level shallow copy, then only the (few) container values
+    # are replaced: documents are mostly flat scalars.
+    out = dict(document)
+    for key, value in out.items():
+        if type(value) not in _IMMUTABLE_SCALAR_SET:
+            out[key] = _fast_copy_value(value)
+    return out
 
 
 _IMMUTABLE_SCALAR_SET = frozenset(_IMMUTABLE_SCALARS)
@@ -170,9 +175,5 @@ def _fast_copy_value(value: Any) -> Any:
         return [_fast_copy_value(v) for v in value]
     if isinstance(value, tuple):
         return tuple(_fast_copy_value(v) for v in value)
-    from repro.docstore.bson import ObjectId
-
-    if isinstance(value, ObjectId):
-        return value
     # Unknown (possibly mutable) type: stay safe.
     return copy.deepcopy(value)

@@ -220,6 +220,8 @@ def execute_plan(
 
     Returns matching documents (storage references, *not* copies — the
     collection layer copies before handing to callers) plus stats.
+    Every fetched document counts in ``docsExamined`` whatever the
+    residual filter still has to test.
     """
     stats = ExecutionStats()
     out: List[Mapping[str, Any]] = []
@@ -239,12 +241,17 @@ def execute_plan(
     started = time.perf_counter()
     rids = run_index_scan(plan, stats, fast_path=fast_path)
     scanned = time.perf_counter()
+    # FETCH applies only what the index bounds have not already proved;
+    # the interpreter (fast_path=False) stays whole as the oracle.
+    matches = (
+        matcher.residual(plan.covered_paths) if fast_path else matcher.matches
+    )
     for rid in rids:
         doc = records.get(rid)
         if doc is None:
             continue
         stats.docs_examined += 1
-        if matcher.matches(doc):
+        if matches(doc):
             out.append(doc)
     stats.stage_times_ms["scan"] = (scanned - started) * 1000.0
     stats.stage_times_ms["filter"] = (

@@ -137,6 +137,8 @@ class Index:
         # Expanded raw key tuples per rid (several when multikey), kept
         # so removals need not re-extract from the document.
         self._raw_keys: dict[int, List[Tuple[Any, ...]]] = {}
+        # How many rids hold more than one raw key (is_multikey in O(1)).
+        self._multikey_rids = 0
         if definition.unique:
             self._seen: dict[Tuple, int] = {}
         else:
@@ -271,12 +273,16 @@ class Index:
                     if num < lo or num > hi:
                         self._field_stats[i] = (min(lo, num), max(hi, num))
         self._raw_keys[rid] = raws
+        if len(raws) > 1:
+            self._multikey_rids += 1
 
     def remove_document(self, rid: int, document: Mapping[str, Any]) -> None:
         """Remove a document's key(s) from the index."""
         raws = self._raw_keys.pop(rid, None)
         if raws is None:
             raws = self._expand_multikey(self.extract_raw(document))
+        elif len(raws) > 1:
+            self._multikey_rids -= 1
         for raw in raws:
             canon = self.canonical_key(raw)
             self.tree.remove(canon + ((RID_RANK, rid),), rid)
@@ -305,7 +311,7 @@ class Index:
 
     def is_multikey(self) -> bool:
         """Whether any entry came from an array expansion."""
-        return any(len(raws) > 1 for raws in self._raw_keys.values())
+        return self._multikey_rids > 0
 
     def iter_storage_keys(self):
         """Yield full canonical storage keys in index order (sizing)."""

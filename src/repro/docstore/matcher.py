@@ -250,6 +250,23 @@ class Matcher:
             return self._compiled(document)
         return self._match_query(self._query, document)
 
+    def residual(self, covered_paths):
+        """The per-document FETCH filter, given index-proved paths.
+
+        With a compiled conjunction, the predicates that exact index
+        bounds on ``covered_paths`` already imply are dropped (MongoDB's
+        FETCH ``filter``); the interpreter always tests the whole query.
+        """
+        if self._compiled is None:
+            return self.matches
+        return self._compiled.residual(covered_paths)
+
+    def residual_paths(self, covered_paths) -> list:
+        """Sorted paths (or logical operators) :meth:`residual` tests."""
+        if self._compiled is None:
+            return sorted(set(_top_level_paths(self._query)))
+        return sorted(set(self._compiled.residual(covered_paths).paths))
+
     # -- internals ----------------------------------------------------------
 
     def _match_query(
@@ -417,6 +434,15 @@ class Matcher:
                 return geometry.intersects_box(box)
             return all(region.contains(p) for p in geometry.ring)
         return False
+
+
+def _top_level_paths(query: Mapping[str, Any]):
+    for key, value in query.items():
+        if key == "$and":
+            for clause in value:
+                yield from _top_level_paths(clause)
+        else:
+            yield key
 
 
 def _geo_region(arg: Any):

@@ -46,16 +46,13 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.docstore import bson
 from repro.docstore.compiler import (
-    _COST_GEO,
-    _COST_INTERVAL_SET,
-    _COST_SCALAR,
     CompiledPredicateList,
-    _compile_eq_test,
-    _compile_in_test,
-    _compile_order_test,
+    _compile_operator,
     _geo_test_from_region,
+    _tag_interval_set,
+    _tag_path_tests,
+    _Tagged,
 )
-from repro.docstore.document import get_path
 from repro.docstore.matcher import (
     Matcher,
     _geo_region,
@@ -66,8 +63,7 @@ from repro.docstore.planner import (
     Interval,
     PathPredicate,
     QueryShape,
-    _tighten_gt,
-    _tighten_lt,
+    _absorb_operators,
 )
 
 __all__ = ["param_shape_key", "bind_plan"]
@@ -79,8 +75,6 @@ _PARAM_OPS = frozenset(
     ("$eq", "$in", "$gt", "$gte", "$lt", "$lte", "$geoWithin", "$geoIntersects")
 )
 _GEO_OPS = frozenset(("$geoWithin", "$geoIntersects"))
-
-_ORDER_OPS = frozenset(("$gt", "$gte", "$lt", "$lte"))
 
 
 def _is_plain_sequence(value: Any) -> bool:
@@ -192,34 +186,12 @@ def _bind_ops_slot(
     path: str,
     value: Mapping[str, Any],
     predicate: PathPredicate,
-) -> Optional[Tuple[int, Any]]:
+) -> Optional[_Tagged]:
     """Bind one operator-document slot: tests + shape, fused."""
     tests: List[Any] = []
-    cost = _COST_SCALAR
+    absorbed = value
     for op, arg in value.items():
-        if op == "$eq":
-            test = _compile_eq_test(arg, negate=False)
-            if test is None:
-                return None
-            predicate.eq_values.append(arg)
-        elif op == "$in":
-            test = _compile_in_test(arg, negate=False)
-            if test is None:
-                return None
-            predicate.in_values.extend(arg)
-        elif op in _ORDER_OPS:
-            test = _compile_order_test(op, arg)
-            if test is None:
-                return None
-            if op == "$gt":
-                _tighten_gt(predicate, arg, inclusive=False)
-            elif op == "$gte":
-                _tighten_gt(predicate, arg, inclusive=True)
-            elif op == "$lt":
-                _tighten_lt(predicate, arg, inclusive=False)
-            else:
-                _tighten_lt(predicate, arg, inclusive=True)
-        else:  # $geoWithin / $geoIntersects, by key construction
+        if op in _GEO_OPS:
             try:
                 region = _geo_region(arg)
             except Exception:
@@ -227,26 +199,16 @@ def _bind_ops_slot(
             test = _geo_test_from_region(
                 region, intersects=op == "$geoIntersects"
             )
-            predicate.geo_region = region
-            cost = _COST_GEO
+            # The planner shape takes the parsed region, not the raw
+            # argument, so the GeoJSON is parsed once per query.
+            absorbed = {**absorbed, op: region}
+        else:  # $eq / $in / $gt / $gte / $lt / $lte, by key construction
+            test = _compile_operator(op, arg)
+            if test is None:
+                return None
         tests.append(test)
-
-    if len(tests) == 1:
-        only = tests[0]
-
-        def doc_predicate(document: Mapping[str, Any]) -> bool:
-            return only(get_path(document, path))
-
-    else:
-
-        def doc_predicate(document: Mapping[str, Any]) -> bool:
-            actual = get_path(document, path)
-            for test in tests:
-                if not test(actual):
-                    return False
-            return True
-
-    return cost, doc_predicate
+    _absorb_operators(predicate, absorbed)
+    return _tag_path_tests(path, value, tests)
 
 
 def _bind_orset_slot(
@@ -313,7 +275,7 @@ def bind_plan(
     analyze + compile path for exact parity.
     """
     predicates: Dict[str, PathPredicate] = {}
-    pairs: List[Tuple[int, Any]] = []
+    tagged: List[_Tagged] = []
     compiled_ors: dict = {}
 
     def pred(path: str) -> PathPredicate:
@@ -322,40 +284,26 @@ def bind_plan(
         return predicates[path]
 
     for slot in template:
-        kind = slot[0]
-        if kind == "eq":
-            path = slot[1]
-            value = query[path]
-            eq_test = _compile_eq_test(value, negate=False)
-            if eq_test is None:
-                return None
-
-            def eq_predicate(
-                document: Mapping[str, Any], eq_test=eq_test, path=path
-            ) -> bool:
-                return eq_test(get_path(document, path))
-
-            pred(path).eq_values.append(value)
-            pairs.append((_COST_SCALAR, eq_predicate))
-        elif kind == "ops":
-            path = slot[1]
-            bound = _bind_ops_slot(path, query[path], pred(path))
-            if bound is None:
-                return None
-            pairs.append(bound)
-        else:  # "orset"
-            path = slot[1]
+        kind, path = slot[0], slot[1]
+        if kind == "orset":
             clauses = query["$or"]
             folded = _bind_orset_slot(path, clauses)
             if folded is None:
                 return None
             interval_set, intervals = folded
             compiled_ors[id(clauses)] = interval_set
-            pairs.append((_COST_INTERVAL_SET, interval_set.matches))
-            pred(path).or_intervals.extend(intervals)
+            tagged.append(_tag_interval_set(interval_set))
+            pred(path).absorb_or(intervals)
+            continue
+        value = query[path]
+        bound = _bind_ops_slot(
+            path, value if kind == "ops" else {"$eq": value}, pred(path)
+        )
+        if bound is None:
+            return None
+        tagged.append(bound)
 
-    pairs.sort(key=lambda pair: pair[0])
-    compiled = CompiledPredicateList([p for _cost, p in pairs])
+    compiled = CompiledPredicateList(tagged)
     shape = QueryShape(
         predicates=predicates, residual_query=query, opaque_or=False
     )

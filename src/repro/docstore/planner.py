@@ -24,7 +24,16 @@ Supported bound sources, matching the paper's workloads:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.docstore import bson
 from repro.docstore.index import (
@@ -48,8 +57,13 @@ __all__ = [
     "CollScanPlan",
     "plan_query",
     "analyze_query",
+    "BOUND_OPS",
     "SEEK_COST",
 ]
+
+#: Operators the planner turns into index bounds.  A compiled predicate
+#: built only from these is implied by exact bounds on its path.
+BOUND_OPS = frozenset(("$eq", "$in", "$gt", "$gte", "$lt", "$lte"))
 
 #: Cost (in key-comparison units) charged per index seek.  Calibrated so
 #: many-range scans (e.g. a big `$geoWithin` covering) lose to a single
@@ -140,6 +154,44 @@ class PathPredicate:
     geo_region: Optional[Any] = None  # Polygon or BoundingBox
     #: Interval unions contributed by a single-path $or (Hilbert ranges).
     or_intervals: List[Interval] = field(default_factory=list)
+    #: Bounds-contributing operators absorbed ($eq/$in/range ends/folded
+    #: $or).  Tightening and unioning lose what each one accepted, so
+    #: only the one-operator forms can be proved exact.
+    n_bound_ops: int = 0
+    _exact: Optional[bool] = field(default=None, repr=False, compare=False)
+
+    def absorb_or(self, intervals: List[Interval]) -> None:
+        """Record the interval union of one folded single-path ``$or``."""
+        self.or_intervals.extend(intervals)
+        self.n_bound_ops += 1
+
+    def bounds_exact(self) -> bool:
+        """Whether plain-field index bounds admit only matching values.
+
+        True for the three forms whose bounds are provably a subset of
+        what every bounds-derivable predicate on the path accepts: one
+        closed range, one ``$eq``/``$in``, or one folded ``$or`` — each
+        with scalar, non-null, NaN-free endpoints inside one type
+        bracket (a sentinel end admits other BSON types that the
+        type-bracketed operators reject).  Mixed forms are unioned or
+        over-kept by :meth:`plain_intervals`/:func:`build_bounds_for_index`
+        and stay in the FETCH filter.  Memoised: one shape is planned
+        against every index of every targeted shard.
+        """
+        if self._exact is None:
+            if self.n_bound_ops == 1:
+                one_form = not self.has_range()
+            else:
+                one_form = (
+                    self.n_bound_ops == 2
+                    and self.gt is not None
+                    and self.lt is not None
+                )
+            self._exact = one_form and all(
+                _exact_end(iv.lo) and _exact_end(iv.hi) and iv.lo[0] == iv.hi[0]
+                for iv in self.or_intervals or self.plain_intervals()
+            )
+        return self._exact
 
     def has_range(self) -> bool:
         """Whether any range operator constrains the path."""
@@ -182,6 +234,18 @@ class PathPredicate:
             ]
             out = points if points else [ranges[0]]
         return _normalize_intervals(out)
+
+
+_CONTAINER_RANKS = (bson.type_rank({}), bson.type_rank([]))
+
+
+def _exact_end(canon: Tuple) -> bool:
+    """A scalar, non-null, NaN-free canonical endpoint (no sentinel)."""
+    return (
+        len(canon) > 1
+        and canon[0] not in _CONTAINER_RANKS
+        and canon[1] == canon[1]
+    )
 
 
 def _interval_contains(interval: Interval, canon: Tuple) -> bool:
@@ -253,7 +317,7 @@ def analyze_query(query: Mapping[str, Any]) -> QueryShape:
                     opaque_or = True
                 else:
                     path, intervals = folded
-                    pred(path).or_intervals.extend(intervals)
+                    pred(path).absorb_or(intervals)
             elif key == "$nor":
                 opaque_or = True
             elif key.startswith("$"):
@@ -261,7 +325,7 @@ def analyze_query(query: Mapping[str, Any]) -> QueryShape:
             elif is_operator_expression(value):
                 _absorb_operators(pred(key), value)
             else:
-                pred(key).eq_values.append(value)
+                _absorb_operators(pred(key), {"$eq": value})
 
     absorb(query)
     return QueryShape(
@@ -271,6 +335,8 @@ def analyze_query(query: Mapping[str, Any]) -> QueryShape:
 
 def _absorb_operators(p: PathPredicate, ops: Mapping[str, Any]) -> None:
     for op, arg in ops.items():
+        if op in BOUND_OPS:
+            p.n_bound_ops += 1
         if op == "$eq":
             p.eq_values.append(arg)
         elif op == "$in":
@@ -338,9 +404,8 @@ def _fold_or(
             return None
         sub = PathPredicate(cpath)
         if is_operator_expression(value):
-            for op in value:
-                if op not in ("$eq", "$in", "$gt", "$gte", "$lt", "$lte"):
-                    return None
+            if not BOUND_OPS.issuperset(value):
+                return None
             _absorb_operators(sub, value)
         else:
             sub.eq_values.append(value)
@@ -364,11 +429,35 @@ class IndexScanPlan:
     estimated_cost: float
     estimated_keys: float
     n_bounded_fields: int
+    #: Paths whose bounds are exact (see :func:`build_bounds_for_index`).
+    exact_paths: FrozenSet[str] = frozenset()
+
+    @classmethod
+    def from_bounds(
+        cls, index: Index, built: Tuple, cost: float = 0.0, keys: float = 0.0
+    ) -> "IndexScanPlan":
+        """A plan over ``built`` = :func:`build_bounds_for_index`'s result.
+
+        The estimates are advisory only — no executor or counter reads
+        them — so hinted and single-candidate plans leave them zero.
+        """
+        bounds, n_bounded, exact_paths = built
+        return cls(index, bounds, cost, keys, n_bounded, exact_paths)
 
     @property
     def index_name(self) -> str:
         """Name of the index this plan scans."""
         return self.index.name
+
+    @property
+    def covered_paths(self) -> FrozenSet[str]:
+        """Paths whose droppable predicates FETCH need not re-check.
+
+        Empty while the index holds a multikey entry: exactness is
+        argued per scalar key, and multikey-ness is per shard, so it is
+        read at execution time rather than baked into shared bounds.
+        """
+        return frozenset() if self.index.is_multikey() else self.exact_paths
 
     @property
     def kind(self) -> str:
@@ -384,6 +473,7 @@ class IndexScanPlan:
             "intervalCounts": [len(b) for b in self.bounds],
             "estimatedCost": round(self.estimated_cost, 2),
             "estimatedKeys": round(self.estimated_keys, 2),
+            "coveredPaths": sorted(self.covered_paths),
         }
 
 
@@ -392,6 +482,8 @@ class CollScanPlan:
     """Full collection scan fallback."""
 
     estimated_cost: float
+    #: A collection scan proves nothing: FETCH filters the whole query.
+    covered_paths = frozenset()
 
     @property
     def kind(self) -> str:
@@ -403,19 +495,25 @@ class CollScanPlan:
         return {
             "stage": "COLLSCAN",
             "estimatedCost": round(self.estimated_cost, 2),
+            "coveredPaths": sorted(self.covered_paths),
         }
 
 
 def build_bounds_for_index(
     index: Index, shape: QueryShape, max_geo_ranges: Optional[int] = None
-) -> Optional[Tuple[List[List[Interval]], int]]:
-    """Index bounds for a query, or None when the index is unusable.
+) -> Optional[Tuple[List[List[Interval]], int, FrozenSet[str]]]:
+    """``(bounds, n_bounded, exact_paths)``, or None when unusable.
 
     Bounds are generated for the longest constrained field prefix.  The
     first field must be constrained — exactly the rule Section 3.1
-    explains for compound-index traversal.
+    explains for compound-index traversal.  ``exact_paths`` names the
+    bounded plain fields whose bounds admit only values the path's
+    bounds-derivable predicates accept
+    (:meth:`PathPredicate.bounds_exact`); 2dsphere coverings
+    over-approximate and hashed bounds collide, so neither qualifies.
     """
     bounds: List[List[Interval]] = []
+    exact_paths = set()
     for position, f in enumerate(index.definition.fields):
         p = shape.predicate(f.path)
         intervals: List[Interval] = []
@@ -440,12 +538,14 @@ def build_bounds_for_index(
                     intervals = _normalize_intervals(
                         intervals + list(p.or_intervals)
                     ) if intervals else list(p.or_intervals)
+                if intervals and p.bounds_exact():
+                    exact_paths.add(f.path)
         if not intervals:
             break
         bounds.append(intervals)
     if not bounds:
         return None
-    return bounds, len(bounds)
+    return bounds, len(bounds), frozenset(exact_paths)
 
 
 def _geo_intervals(
@@ -504,17 +604,8 @@ def plan_candidates(
         built = build_bounds_for_index(index, shape, max_geo_ranges)
         if built is None:
             continue
-        bounds, n_bounded = built
-        cost, keys = estimate_plan(index, bounds)
-        candidates.append(
-            IndexScanPlan(
-                index=index,
-                bounds=bounds,
-                estimated_cost=cost,
-                estimated_keys=keys,
-                n_bounded_fields=n_bounded,
-            )
-        )
+        cost, keys = estimate_plan(index, built[0])
+        candidates.append(IndexScanPlan.from_bounds(index, built, cost, keys))
     return candidates
 
 
@@ -530,57 +621,31 @@ def plan_query(
         # A hint pins a unique index name, so there is nothing to rank:
         # skip cost estimation (whose per-interval selectivity sweep is
         # expensive for fragmented geo coverings) and return the single
-        # usable plan directly.  The estimates are advisory only — no
-        # executor or counter reads them — so zeros are safe here.
+        # usable plan directly.
         for index in indexes:
             if index.name != hint:
                 continue
             built = build_bounds_for_index(index, shape, max_geo_ranges)
             if built is None:
                 break
-            bounds, n_bounded = built
-            return IndexScanPlan(
-                index=index,
-                bounds=bounds,
-                estimated_cost=0.0,
-                estimated_keys=0.0,
-                n_bounded_fields=n_bounded,
-            )
+            return IndexScanPlan.from_bounds(index, built)
         raise PlanError("hinted index %r is not usable for this query" % hint)
-    usable: List[Tuple[Index, List[List[Interval]], int]] = []
+    usable: List[Tuple[Index, Tuple]] = []
     for index in indexes:
         built = build_bounds_for_index(index, shape, max_geo_ranges)
-        if built is None:
-            continue
-        bounds, n_bounded = built
-        usable.append((index, bounds, n_bounded))
+        if built is not None:
+            usable.append((index, built))
     if not usable:
         return CollScanPlan(estimated_cost=float(collection_size))
     if len(usable) == 1:
         # A single usable plan has no race to rank: skip the cost
         # estimate (a per-interval selectivity sweep that is expensive
-        # for fragmented geo/Hilbert coverings).  As on the hint path,
-        # the estimates are advisory only, so zeros are safe.
-        index, bounds, n_bounded = usable[0]
-        return IndexScanPlan(
-            index=index,
-            bounds=bounds,
-            estimated_cost=0.0,
-            estimated_keys=0.0,
-            n_bounded_fields=n_bounded,
-        )
-    candidates: List[IndexScanPlan] = []
-    for index, bounds, n_bounded in usable:
-        cost, keys = estimate_plan(index, bounds)
-        candidates.append(
-            IndexScanPlan(
-                index=index,
-                bounds=bounds,
-                estimated_cost=cost,
-                estimated_keys=keys,
-                n_bounded_fields=n_bounded,
-            )
-        )
+        # for fragmented geo/Hilbert coverings).
+        return IndexScanPlan.from_bounds(*usable[0])
+    candidates = [
+        IndexScanPlan.from_bounds(index, built, *estimate_plan(index, built[0]))
+        for index, built in usable
+    ]
     cheapest = min(p.estimated_cost for p in candidates)
     # MongoDB's trial-based ranking effectively treats plans of similar
     # productivity as ties and prefers the more specific one (more

@@ -1,8 +1,14 @@
 """Tests for dotted-path document helpers."""
 
+import collections
+import datetime as dt
+
+from repro.datagen import FleetConfig, FleetGenerator
+from repro.docstore.bson import ObjectId
 from repro.docstore.document import (
     MISSING,
     deep_copy_document,
+    fast_copy_document,
     get_path,
     has_path,
     iter_paths,
@@ -44,6 +50,16 @@ class TestGetPath:
         doc = {"location": {"type": "Point", "coordinates": [23.7, 37.9]}}
         assert get_path(doc, "location.coordinates.0") == 23.7
         assert get_path(doc, "location.coordinates.1") == 37.9
+
+
+    def test_flat_path_on_non_dict_mapping_takes_the_general_walk(self):
+        ordered = collections.OrderedDict(a=1)
+        assert get_path(ordered, "a") == 1
+        assert get_path(ordered, "b") is MISSING
+        assert get_path(collections.ChainMap({"a": {"b": 2}}), "a.b") == 2
+
+    def test_dotted_key_is_a_path_not_a_field_name(self):
+        assert get_path({"a.b": 1}, "a.b") is MISSING
 
 
 class TestHasPath:
@@ -106,3 +122,64 @@ class TestDeepCopy:
         from repro.docstore.document import _Missing
 
         assert _Missing() is MISSING
+
+
+class TestFastCopy:
+    def _fleet_document(self):
+        (doc,) = FleetGenerator(FleetConfig(n_vehicles=2)).generate_list(1)
+        return {**doc, "_id": ObjectId(), "hilbertIndex": 123456789}
+
+    def test_equals_deep_copy_on_the_fleet_shape(self):
+        doc = self._fleet_document()
+        copied = fast_copy_document(doc)
+        assert copied == deep_copy_document(doc) == doc
+        assert list(copied) == list(doc)  # field order survives
+        assert type(copied) is dict and copied is not doc
+
+    def test_nested_containers_are_new_objects(self):
+        doc = self._fleet_document()
+        copied = fast_copy_document(doc)
+        assert copied["location"] is not doc["location"]
+        assert (
+            copied["location"]["coordinates"]
+            is not doc["location"]["coordinates"]
+        )
+        copied["location"]["coordinates"][0] = 0.0
+        copied["weather"]["added"] = True
+        assert doc == self._fleet_document() | {"_id": doc["_id"]}
+
+    def test_immutable_scalars_are_shared(self):
+        doc = self._fleet_document()
+        copied = fast_copy_document(doc)
+        assert copied["_id"] is doc["_id"]
+        assert copied["date"] is doc["date"]
+        assert isinstance(doc["date"], dt.datetime)
+
+    def test_tuples_and_unknown_mutables_still_deep_copy(self):
+        class Box:
+            def __init__(self):
+                self.items = [1]
+
+            def __eq__(self, other):
+                return self.items == other.items
+
+        doc = {"t": ([1, 2], {"k": [3]}), "box": Box(), "s": {1, 2}}
+        copied = fast_copy_document(doc)
+        assert copied == deep_copy_document(doc)
+        assert copied["t"][0] is not doc["t"][0]
+        assert copied["t"][1]["k"] is not doc["t"][1]["k"]
+        assert copied["box"] is not doc["box"]
+        assert copied["box"].items is not doc["box"].items
+        assert copied["s"] is not doc["s"]
+
+    def test_scalar_subclasses_are_shared_not_copied(self):
+        class Tagged(str):
+            pass
+
+        class Oid(ObjectId):
+            pass
+
+        doc = {"s": Tagged("x"), "nested": {"o": Oid()}}
+        copied = fast_copy_document(doc)
+        assert copied["s"] is doc["s"]
+        assert copied["nested"]["o"] is doc["nested"]["o"]

@@ -47,6 +47,50 @@ class TestArrayMultikey:
         assert len(idx.tree) == 2
 
 
+class TestIsMultikeyTracksContent:
+    """is_multikey() is a maintained count, not a walk over the records."""
+
+    def test_false_again_after_the_last_array_document_is_removed(self):
+        idx = Index(IndexDefinition.from_spec([("tags", 1)]))
+        docs = {1: {"tags": ["a", "b"]}, 2: {"tags": "c"}, 3: {"tags": [1, 2]}}
+        for rid, doc in docs.items():
+            idx.insert_document(rid, doc)
+        assert idx.is_multikey()
+        idx.remove_document(1, docs[1])
+        assert idx.is_multikey()  # rid 3 still expands to two keys
+        idx.remove_document(2, docs[2])
+        idx.remove_document(3, docs[3])
+        assert not idx.is_multikey()
+
+    def test_single_element_and_empty_arrays_are_not_multikey(self):
+        idx = Index(IndexDefinition.from_spec([("tags", 1)]))
+        idx.insert_document(1, {"tags": ["a"]})
+        idx.insert_document(2, {"tags": []})
+        assert not idx.is_multikey()
+
+    def test_update_many_set_back_to_scalar(self):
+        col = Collection("t")
+        col.create_index([("tags", 1)], name="tags_1")
+        col.insert_many({"_id": i, "tags": i} for i in range(5))
+        index = col.get_index("tags_1")
+        assert not index.is_multikey()
+        col.update_many({"_id": 2}, {"$set": {"tags": [7, 8, 9]}})
+        assert index.is_multikey()
+        col.update_many({"_id": 2}, {"$set": {"tags": 7}})
+        assert not index.is_multikey()
+        col.update_many({"_id": 3}, {"$push": {"tags": 1}})  # [1]
+        col.update_many({"_id": 3}, {"$push": {"tags": 2}})  # [1, 2]
+        assert index.is_multikey()
+        assert col.delete_many({"_id": 3}) == 1
+        assert not index.is_multikey()
+
+    def test_failed_unique_insert_does_not_leak_a_count(self):
+        idx = Index(IndexDefinition.from_spec([("a", 1)], unique=True))
+        with pytest.raises(IndexError_):
+            idx.insert_document(1, {"a": [1, 2]})
+        assert not idx.is_multikey()
+
+
 class TestMultikeyQueries:
     def test_range_scan_finds_any_element(self):
         col = Collection("t")

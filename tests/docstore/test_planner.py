@@ -162,10 +162,13 @@ class TestBounds:
         )
         built = build_bounds_for_index(compound, shape)
         assert built is not None
-        bounds, n_bounded = built
+        bounds, n_bounded, exact_paths = built
         assert n_bounded == 2
         assert len(bounds[0]) >= 1  # geohash covering ranges
         assert len(bounds[1]) == 1  # one date interval
+        # The covering over-approximates the box; the closed date range
+        # is enforced exactly by its interval.
+        assert exact_paths == {"date"}
 
     def test_first_field_unconstrained_unusable(self):
         compound, _ = _make_indexes(_docs())
@@ -177,8 +180,9 @@ class TestBounds:
         shape = analyze_query({"date": {"$gte": T1, "$lte": T2}})
         built = build_bounds_for_index(date_idx, shape)
         assert built is not None
-        bounds, n_bounded = built
+        bounds, n_bounded, exact_paths = built
         assert n_bounded == 1
+        assert exact_paths == {"date"}
 
     def test_or_intervals_fold_into_first_field(self):
         idx = Index(
@@ -197,9 +201,10 @@ class TestBounds:
         )
         built = build_bounds_for_index(idx, shape)
         assert built is not None
-        bounds, n_bounded = built
+        bounds, n_bounded, exact_paths = built
         assert n_bounded == 2
         assert len(bounds[0]) == 2
+        assert exact_paths == {"h", "date"}
 
     def test_geo_field_without_geo_predicate_unusable(self):
         compound, _ = _make_indexes(_docs())

@@ -8,7 +8,7 @@ metric explains it — rather than absolute numbers.
 import pytest
 
 from repro.cluster.cluster import ClusterTopology
-from repro.core.approaches import deploy_approach, make_approach
+from repro.core.approaches import COLLECTION, deploy_approach, make_approach
 from repro.core.benchmark import measure_query
 from repro.core.zoning import configure_zones
 from repro.datagen.datasets import ReproScale, load_r_dataset, load_s_dataset
@@ -189,3 +189,62 @@ class TestSDataset:
         total = dep.totals()["count"]
         got = len(dep.execute(big_queries()[3])[0])
         assert got > total * 0.05
+
+
+class TestFetchFilterPerApproach:
+    """What FETCH still tests once the winning plan's bounds are exact.
+
+    MongoDB applies only the residual predicate in FETCH; the paper's
+    four query shapes leave it ``location $geoWithin`` alone.
+    """
+
+    def _explain(self, deployment, query, hint=None):
+        rendered, _ = deployment.approach.render_query(query)
+        result = deployment.cluster.find(COLLECTION, rendered)
+        shard = deployment.cluster.shards[result.stats.targeted_shards[0]]
+        plan = shard.collection(COLLECTION).explain(rendered, hint=hint)
+        return plan["queryPlanner"]["winningPlan"]
+
+    @pytest.mark.parametrize("name", ["hil", "hilstar"])
+    def test_hilbert_approaches_filter_location_only(
+        self, name, deployments, r_docs, r_info
+    ):
+        deployment = deployments.get(name) or deploy_approach(
+            make_approach(name, dataset_bbox=r_info.bbox),
+            r_docs[:1500],
+            topology=ClusterTopology(n_shards=3),
+            chunk_max_bytes=CHUNK_BYTES,
+        )
+        for query in small_queries()[:2] + big_queries()[:2]:
+            winner = self._explain(deployment, query)
+            assert winner["indexName"] == "shardkey_hilbertIndex_date"
+            assert winner["coveredPaths"] == ["date", "hilbertIndex"]
+            assert winner["residualPaths"] == ["location"]
+
+    def test_bsl_ts_covers_date_and_filters_location(self, deployments):
+        winner = self._explain(
+            deployments["bslTS"], big_queries()[0], hint="date_location"
+        )
+        assert winner["boundedFields"] == 2
+        assert winner["coveredPaths"] == ["date"]
+        assert winner["residualPaths"] == ["location"]
+
+    def test_bsl_st_covering_is_approximate_so_location_stays(
+        self, deployments
+    ):
+        winner = self._explain(
+            deployments["bslST"], big_queries()[0], hint="location_date"
+        )
+        assert winner["boundedFields"] == 2
+        assert winner["coveredPaths"] == ["date"]
+        assert winner["residualPaths"] == ["location"]
+
+    def test_collscan_filters_the_whole_query(self, deployments):
+        # hil has no index a bare (location, date) query can use.
+        rendered = big_queries()[0].to_baseline_query()
+        shard = next(iter(deployments["hil"].cluster.shards.values()))
+        plan = shard.collection(COLLECTION).explain(rendered)
+        winner = plan["queryPlanner"]["winningPlan"]
+        assert winner["stage"] == "COLLSCAN"
+        assert winner["coveredPaths"] == []
+        assert winner["residualPaths"] == ["date", "location"]
