@@ -80,7 +80,6 @@ def service_config(backend: str, workers: int, **overrides) -> ServiceConfig:
         max_workers=workers,
         max_concurrent_queries=workers,
         max_queue_depth=workers * 4,
-        plan_cache_enabled=True,
         simulate_shard_latency=True,
         simulated_latency_scale=LATENCY_SCALE,
     )
@@ -199,11 +198,10 @@ def main(argv=None) -> int:
         choices=("qb", "randomized"),
         default="qb",
         help=(
-            "qb replays the paper's four fixed Q^b queries (every "
-            "repeat is an exact plan-cache hit); randomized replays a "
-            "seeded jittered Q^s/Q^b stream where no literal repeats, "
-            "so reuse comes from shape-keyed plans — planOutcomes in "
-            "the report separates exactHits / shapeHits / misses"
+            "qb replays the paper's four fixed Q^b queries; randomized "
+            "replays a seeded jittered Q^s/Q^b stream where no literal "
+            "repeats — planOutcomes in the report separates shapeHits "
+            "(bound) from misses (analyzed)"
         ),
     )
     parser.add_argument(

@@ -10,8 +10,8 @@ Public API layers, bottom-up:
   (B-tree indexes, query planner, aggregation, storage sizing);
 * :mod:`repro.cluster` — sharding: chunks, balancer, zones, router;
 * :mod:`repro.service` — the concurrent query-serving frontend:
-  parallel scatter-gather, plan cache, admission control, load
-  generation;
+  parallel scatter-gather, parameterized planning, admission
+  control, load generation;
 * :mod:`repro.core` — the paper's contribution: Hilbert-keyed
   spatio-temporal indexing/sharding, the four evaluated approaches,
   and the measurement methodology;

@@ -1,7 +1,7 @@
 """Static dataflow over cache-coherence effects (the stale-cache model).
 
-PR 4 grew a web of derived-state caches — the plan cache, the
-targeting cache, the Hilbert range-decomposition memo — each kept
+PR 4 grew a web of derived-state caches — the targeting cache, the
+Hilbert range-decomposition memo, later the statistics catalog — each kept
 coherent with its source of truth by a *version token*: a monotonic
 counter (``metadata_version``, the storage epoch) bumped on every
 mutation of the state the cached values derive from.  A missing bump,
@@ -158,7 +158,7 @@ class VersionToken:
 class CacheClassInfo:
     """One discovered cache class and its classified methods."""
 
-    #: Bare class name (``PlanCache``).
+    #: Bare class name (``TargetingCache``).
     name: str
     class_symbol: str
     #: Dict-like store attribute names.
@@ -427,7 +427,7 @@ def _stamp_sources(
 ) -> Set[str]:
     """Instance attrs a read method compares the got entry against.
 
-    The plan cache's shape: ``written - entry.writes_at_creation >=
+    The write-volume shape: ``written - entry.writes_at_creation >=
     self.write_invalidation_threshold`` — a Compare whose subtree
     touches both the entry local (via attribute access) and other
     ``self`` state (directly or through a tainted local).

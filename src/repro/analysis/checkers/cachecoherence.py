@@ -8,7 +8,7 @@ PR 4 established by hand:
 
 * **CC001** — a cache read with no version token in its key and no
   other freshness story.  Pure memos (keys capture the full input),
-  stamp-validated reads (the plan cache's write-volume rule), and
+  stamp-validated reads (the statistics catalog's version stamp), and
   push-invalidated caches (an owner explicitly drops entries on every
   mutation) are exempt; everything else is a stale hit waiting for
   the first metadata change.
@@ -535,10 +535,10 @@ def _cache_by_name(model: CacheModel, name: str):
 def _push_invalidated_caches(model: CacheModel) -> Set[str]:
     """Cache names some *owner* (outside the class) invalidates.
 
-    The plan cache's coherence story: the service calls
-    ``invalidate_collection`` on every DDL and the write counter feeds
-    ``note_writes`` — invalidation is pushed at mutation sites rather
-    than pulled from a key.
+    The statistics catalog's storage-event story: the service calls
+    ``invalidate_collection`` on every flush and compaction —
+    invalidation is pushed at mutation sites rather than pulled from
+    a key.
     """
     out: Set[str] = set()
     for summary in model.summaries.values():

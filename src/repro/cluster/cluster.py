@@ -457,8 +457,8 @@ class ShardedCluster:
         matches in wall-clock shape.
 
         ``shape``/``matcher``/``targeting`` accept precomputed plan
-        pieces (the service's compiled-plan cache supplies them), which
-        must correspond to the same ``query``.  ``fast_path=False``
+        pieces (the service binds or analyzes them once per query),
+        which must correspond to the same ``query``.  ``fast_path=False``
         forces the uncached, interpreter-only execution everywhere —
         the paper-faithful configuration.
         """

@@ -114,10 +114,10 @@ def measure_query(
 
     When ``service`` (a :class:`repro.service.QueryService` over the
     deployment's cluster) is given, execution goes through the
-    concurrent serving frontend — parallel scatter-gather, plan cache,
-    admission control — instead of the sequential library path.  The
-    reported metrics are identical by construction; wall-clock then
-    reflects the serving path.
+    concurrent serving frontend — parallel scatter-gather, plan
+    binding, admission control — instead of the sequential library
+    path.  The reported metrics are identical by construction;
+    wall-clock then reflects the serving path.
     """
     if runs < 1:
         raise ValueError("runs must be positive")

@@ -27,7 +27,6 @@ from repro.docstore.snapshot import (
     load_collection,
 )
 from repro.docstore.storage import StorageModel
-from repro.docstore.trial import plan_query_by_trial, run_trial
 
 __all__ = [
     "MAXKEY",
@@ -52,6 +51,4 @@ __all__ = [
     "collection_to_snapshot",
     "dump_collection",
     "load_collection",
-    "plan_query_by_trial",
-    "run_trial",
 ]

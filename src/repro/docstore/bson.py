@@ -207,6 +207,12 @@ def type_rank(value: Any) -> int:
     raise TypeError("unorderable BSON value of type %s" % type(value).__name__)
 
 
+#: NaN's one place in the order: below every number (``-inf``
+#: included), as MongoDB sorts it.  A raw ``nan`` inside a key would
+#: compare neither below nor above anything and break every bisection.
+_NAN_KEY = (_TYPE_RANKS["number"], float("-inf"), -1.0)
+
+
 def sort_key(value: Any) -> Tuple:
     """A tuple that sorts like MongoDB sorts the value.
 
@@ -217,7 +223,10 @@ def sort_key(value: Any) -> Tuple:
     if rank in (_TYPE_RANKS["minkey"], _TYPE_RANKS["maxkey"], _TYPE_RANKS["null"]):
         return (rank,)
     if rank == _TYPE_RANKS["number"]:
-        return (rank, float(value), 0.0)
+        number = float(value)
+        if number != number:
+            return _NAN_KEY
+        return (rank, number, 0.0)
     if rank == _TYPE_RANKS["string"]:
         return (rank, value)
     if rank == _TYPE_RANKS["date"]:

@@ -334,7 +334,6 @@ class Collection:
         query: Mapping[str, Any],
         hint: Optional[str] = None,
         max_geo_ranges: Optional[int] = None,
-        planning: str = "estimate",
         matcher: Optional[Matcher] = None,
         shape=None,
         fast_path: bool = True,
@@ -342,10 +341,8 @@ class Collection:
     ) -> FindResult:
         """Execute a query, returning documents + plan + stats.
 
-        ``planning`` selects the optimizer mode: ``"estimate"`` ranks
-        candidate plans by cost estimates (fast, deterministic) while
-        ``"trial"`` races them for a short work budget, as MongoDB's
-        optimizer does.  ``matcher``/``shape`` accept pre-compiled
+        Candidate plans are ranked by cost estimates (fast,
+        deterministic).  ``matcher``/``shape`` accept pre-compiled
         forms of the same query (the mongos router analyses once and
         shares with every targeted shard).  ``plan_bounds`` is the
         third sharable piece: hinted index bounds depend only on the
@@ -370,28 +367,13 @@ class Collection:
             plan: IndexScanPlan | CollScanPlan = IndexScanPlan.from_bounds(
                 self._indexes[hint], plan_bounds
             )
-        elif planning == "trial" and hint is None:
-            from repro.docstore.trial import plan_query_by_trial
-
-            plan = plan_query_by_trial(
-                shape,
-                list(self._indexes.values()),
-                self._records,
-                matcher,
-                collection_size=len(self._records),
-                max_geo_ranges=max_geo_ranges,
-            )
-        elif planning in ("estimate", "trial"):
+        else:
             plan = plan_query(
                 shape,
                 list(self._indexes.values()),
                 collection_size=len(self._records),
                 hint=hint,
                 max_geo_ranges=max_geo_ranges,
-            )
-        else:
-            raise DocumentStoreError(
-                "unknown planning mode %r" % (planning,)
             )
         plan_ms = (_time.perf_counter() - plan_started) * 1000.0
         docs, stats = execute_plan(

@@ -163,19 +163,12 @@ def _prepare_arg(arg: Any) -> Tuple[int, Any]:
         return _FALLBACK, None
 
 
-def _canon_contains_nan(canon: Any) -> bool:
-    """Whether a canonical key holds a NaN anywhere (breaks bisection)."""
-    if isinstance(canon, tuple):
-        return any(_canon_contains_nan(part) for part in canon)
-    return isinstance(canon, float) and canon != canon
-
-
 def _canon_eq(a: Tuple, b: Tuple) -> bool:
     """Equality under ``bson.compare`` (neither orders before the other).
 
-    Deliberately not ``==``: NaN-bearing canons compare unequal under
-    tuple equality yet tie under BSON ordering, and the interpreter's
-    ``_values_equal`` uses the ordering.
+    Deliberately not ``==``: the interpreter's ``_values_equal`` uses
+    the ordering, whose ``TypeError`` on unorderable nested parts must
+    propagate here exactly as it does there.
     """
     return not a < b and not b < a
 
@@ -238,14 +231,9 @@ def _compile_in_test(arg: Any, negate: bool) -> Optional[_Test]:
             continue  # never equals any document value
         canons.append(canon)
     ranks = frozenset(c[0] for c in canons)
-    # NaN members poison sorted order; fall back to a linear scan.
-    linear = any(_canon_contains_nan(c) for c in canons)
-    if not linear:
-        canons.sort()
+    canons.sort()
 
     def member_hit(c: Tuple) -> bool:
-        if linear:
-            return any(_canon_eq(c, m) for m in canons)
         position = bisect_left(canons, c)
         return position < len(canons) and _canon_eq(canons[position], c)
 

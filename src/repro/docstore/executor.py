@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.docstore.index import SCAN_TOP
 from repro.docstore.matcher import Matcher
 from repro.docstore.planner import CollScanPlan, IndexScanPlan, Interval
+from repro.errors import DocumentStoreError
 
 __all__ = ["ExecutionStats", "execute_plan", "run_index_scan"]
 
@@ -141,6 +142,21 @@ class _BoundsChecker:
         return "above", None
 
 
+def _advancing(target: Tuple, key: Tuple) -> Tuple:
+    """``target``, once checked to lie strictly past the key it skips.
+
+    A seek that does not advance would land on the same key and loop
+    forever; it can only come from keys or bounds outside the index's
+    total order, so fail loudly instead.
+    """
+    if not target > key:
+        raise DocumentStoreError(
+            "index scan cannot advance: seek target %r is not past key %r"
+            % (target, key)
+        )
+    return target
+
+
 def run_index_scan(
     plan: IndexScanPlan, stats: ExecutionStats, fast_path: bool = True
 ) -> List[int]:
@@ -183,7 +199,7 @@ def run_index_scan(
                 if verdict == "seek":
                     # The failing key stays unconsumed; the next seek
                     # (strictly greater target) skips past it.
-                    next_seek = target
+                    next_seek = _advancing(target, key)
                 break
             seek_key = next_seek
     else:
@@ -199,7 +215,7 @@ def run_index_scan(
                         rids.append(rid)
                     continue
                 if verdict == "seek":
-                    next_seek = target
+                    next_seek = _advancing(target, key)
                 break  # "seek" or "done" both leave the inner walk
             else:
                 next_seek = None  # cursor exhausted the tree

@@ -1,10 +1,10 @@
 """Parameterized plans: structural shape keys + bind-time compilation.
 
-The PR-4 compiled-plan cache is keyed on the *exact* query document, so
-a workload of millions of distinct boxes sharing a handful of query
-shapes misses almost every lookup and pays full analysis + predicate
-compilation per query.  This module splits that work along the
-MongoDB parameterized-plan line:
+A workload of millions of distinct boxes shares a handful of query
+shapes, and anything keyed on the *exact* query document misses almost
+every lookup and pays full analysis + predicate compilation per query.
+This module splits that work along the MongoDB parameterized-plan
+line:
 
 * :func:`param_shape_key` computes a value-free *structural* key in one
   cheap walk (no :func:`~repro.docstore.planner.analyze_query`, no
@@ -12,7 +12,7 @@ MongoDB parameterized-plan line:
   kinds, in which order.  Box corners, date bounds, ``$in`` members and
   Hilbert-range endpoints are erased — they are the plan's *bind
   slots*.
-* :func:`bind_plan` takes a cached plan template (the key's slot list)
+* :func:`bind_plan` takes a plan template (the key's slot list)
   and a concrete query and produces the analyzed
   :class:`~repro.docstore.planner.QueryShape` and a compiled
   :class:`~repro.docstore.matcher.Matcher` in a single fused walk —
@@ -146,8 +146,8 @@ def param_shape_key(
     The key is ``(collection, slots)`` where ``slots`` records, in
     query order, each constrained path with its operator-kind tuple.
     Two queries share a key exactly when :func:`bind_plan` would walk
-    them identically, so a cached plan's hint and template are valid
-    for every query that hits the key.  Returns None for any structure
+    them identically, so the slot tuple is a valid bind template for
+    every query that produces the key.  Returns None for any structure
     outside the parameterizable subset (logical operators other than
     the single-path ``$or``, unsupported operators, empty ``$in``
     lists whose emptiness would change index-bound usability).
@@ -172,8 +172,8 @@ def param_shape_key(
                     not _is_plain_sequence(arg) or not len(arg)
                 ):
                     # An empty $in yields no index bounds, flipping
-                    # which hinted plans are usable; keep it off the
-                    # shared key rather than poison cached hints.
+                    # which plans are usable; keep it off the shared
+                    # key and let the analyzed path handle it.
                     return None
                 ops.append(op)
             slots.append(("ops", key, tuple(ops)))
@@ -266,7 +266,7 @@ def _bind_orset_slot(
 def bind_plan(
     query: Mapping[str, Any], template: Tuple[Tuple, ...]
 ) -> Optional[Tuple[QueryShape, Matcher]]:
-    """Bind a query's values into a cached plan template.
+    """Bind a query's values into its plan template.
 
     ``template`` is the slot tuple of the query's own
     :func:`param_shape_key`, so the walk below cannot encounter a

@@ -171,7 +171,7 @@ class PathPredicate:
         True for the three forms whose bounds are provably a subset of
         what every bounds-derivable predicate on the path accepts: one
         closed range, one ``$eq``/``$in``, or one folded ``$or`` — each
-        with scalar, non-null, NaN-free endpoints inside one type
+        with scalar, non-null endpoints inside one type
         bracket (a sentinel end admits other BSON types that the
         type-bracketed operators reject).  Mixed forms are unioned or
         over-kept by :meth:`plain_intervals`/:func:`build_bounds_for_index`
@@ -240,12 +240,8 @@ _CONTAINER_RANKS = (bson.type_rank({}), bson.type_rank([]))
 
 
 def _exact_end(canon: Tuple) -> bool:
-    """A scalar, non-null, NaN-free canonical endpoint (no sentinel)."""
-    return (
-        len(canon) > 1
-        and canon[0] not in _CONTAINER_RANKS
-        and canon[1] == canon[1]
-    )
+    """A scalar, non-null canonical endpoint (no sentinel)."""
+    return len(canon) > 1 and canon[0] not in _CONTAINER_RANKS
 
 
 def _interval_contains(interval: Interval, canon: Tuple) -> bool:

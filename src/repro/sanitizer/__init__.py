@@ -22,7 +22,6 @@ from repro.sanitizer.cachetrace import (
     CACHE_INSTRUMENTED_PATHS,
     CacheTracer,
     CacheViolation,
-    instrument_plan_cache,
     instrument_stats_catalog,
     instrument_targeting_cache,
 )
@@ -56,7 +55,6 @@ from repro.sanitizer.instrument import (
     LSM_INSTRUMENTED_KEYS,
     LSM_MANIFEST_LOCK_KEY,
     LSM_WRITE_LOCK_KEY,
-    PLAN_CACHE_LOCK_KEY,
     SHARD_LOCKS_KEY,
     TARGETING_CACHE_LOCK_KEY,
     WAL_LOCK_KEY,
@@ -88,7 +86,6 @@ __all__ = [
     "LockOrderSanitizer",
     "MUTATING_OPS",
     "ObservedEdge",
-    "PLAN_CACHE_LOCK_KEY",
     "SHARD_LOCKS_KEY",
     "SanitizedLock",
     "SanitizedReadWriteLock",
@@ -100,7 +97,6 @@ __all__ = [
     "cross_validate_cache",
     "cross_validate_fs",
     "instrument_lsm_engine",
-    "instrument_plan_cache",
     "instrument_query_service",
     "instrument_stats_catalog",
     "instrument_targeting_cache",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import ShardedCluster
 from repro.service.service import QueryService
@@ -34,7 +34,6 @@ __all__ = [
     "CACHE_INSTRUMENTED_PATHS",
     "CacheTracer",
     "CacheViolation",
-    "instrument_plan_cache",
     "instrument_stats_catalog",
     "instrument_targeting_cache",
 ]
@@ -43,7 +42,6 @@ __all__ = [
 #: handed to :func:`~repro.sanitizer.crossval.cross_validate_cache` so
 #: static CC findings outside the traced surface are not demanded back.
 CACHE_INSTRUMENTED_PATHS = (
-    "src/repro/service/plan_cache.py",
     "src/repro/cluster/router.py",
     "src/repro/cluster/cluster.py",
     "src/repro/service/service.py",
@@ -244,111 +242,6 @@ def instrument_targeting_cache(
     return tracer
 
 
-def instrument_plan_cache(
-    service: QueryService,
-    tracer: CacheTracer,
-    label: str = "plan",
-) -> CacheTracer:
-    """Wire a service's PlanCache into a tracer.
-
-    Two domains govern every entry, keyed by the entry's collection
-    (``key[0]`` for both the shape and the exact-query key spaces):
-    ``"ddl:<collection>"`` advances when the service's
-    ``create_index``/``drop_index`` run, *before* the catalog mutates;
-    ``"storage:<collection>"`` advances when a storage event (memtable
-    flush, compaction) fires for the collection.  Write-volume
-    invalidation is deliberately *not* a domain — the cache checks it
-    itself, stamp-style, on every read.
-    """
-    cache = service.plan_cache
-    if cache is None:
-        return tracer
-
-    def domains_for(key: Tuple[Any, ...]) -> Tuple[str, str]:
-        collection = key[0]
-        return ("ddl:%s" % collection, "storage:%s" % collection)
-
-    orig_get = cache.get
-    orig_put = cache.put
-    orig_get_compiled = cache.get_compiled
-    orig_put_compiled = cache.put_compiled
-    orig_get_shape_plan = cache.get_shape_plan
-    orig_put_shape_plan = cache.put_shape_plan
-
-    def traced_get(key):  # type: ignore[no-untyped-def]
-        result = orig_get(key)
-        if result is not None:
-            tracer.check_hit(
-                label, ("shape", key), domains_for(key), family="CC003"
-            )
-        return result
-
-    def traced_put(key, index_name):  # type: ignore[no-untyped-def]
-        tracer.record_fill(label, ("shape", key), domains_for(key))
-        orig_put(key, index_name)
-
-    def traced_get_compiled(key):  # type: ignore[no-untyped-def]
-        result = orig_get_compiled(key)
-        if result is not None:
-            tracer.check_hit(
-                label, ("exact", key), domains_for(key), family="CC003"
-            )
-        return result
-
-    def traced_put_compiled(  # type: ignore[no-untyped-def]
-        key, shape_key, shape, matcher, hint
-    ):
-        tracer.record_fill(label, ("exact", key), domains_for(key))
-        orig_put_compiled(key, shape_key, shape, matcher, hint)
-
-    def traced_get_shape_plan(key):  # type: ignore[no-untyped-def]
-        result = orig_get_shape_plan(key)
-        if result is not None:
-            tracer.check_hit(
-                label,
-                ("shape-plan", key),
-                domains_for(key),
-                family="CC003",
-            )
-        return result
-
-    def traced_put_shape_plan(key, template):  # type: ignore[no-untyped-def]
-        tracer.record_fill(label, ("shape-plan", key), domains_for(key))
-        orig_put_shape_plan(key, template)
-
-    cache.get = traced_get  # type: ignore[method-assign]
-    cache.put = traced_put  # type: ignore[method-assign]
-    cache.get_compiled = traced_get_compiled  # type: ignore[method-assign]
-    cache.put_compiled = traced_put_compiled  # type: ignore[method-assign]
-    cache.get_shape_plan = traced_get_shape_plan  # type: ignore[method-assign]
-    cache.put_shape_plan = traced_put_shape_plan  # type: ignore[method-assign]
-
-    orig_create = service.create_index
-    orig_drop = service.drop_index
-
-    def traced_create_index(collection, *args, **kwargs):  # type: ignore[no-untyped-def]
-        tracer.advance("ddl:%s" % collection)
-        return orig_create(collection, *args, **kwargs)
-
-    def traced_drop_index(collection, *args, **kwargs):  # type: ignore[no-untyped-def]
-        tracer.advance("ddl:%s" % collection)
-        return orig_drop(collection, *args, **kwargs)
-
-    service.create_index = traced_create_index  # type: ignore[method-assign]
-    service.drop_index = traced_drop_index  # type: ignore[method-assign]
-
-    def on_storage_event(event) -> None:  # type: ignore[no-untyped-def]
-        if event.collection is not None:
-            tracer.advance("storage:%s" % event.collection)
-
-    # Registered *after* the service's own listener, so the service's
-    # invalidation runs first and a correct implementation leaves no
-    # entry for the advanced generation to catch.
-    for shard in service.cluster.shards.values():
-        shard.database.add_storage_listener(on_storage_event)
-    return tracer
-
-
 def instrument_stats_catalog(
     service: QueryService,
     tracer: CacheTracer,
@@ -368,10 +261,10 @@ def instrument_stats_catalog(
     (the CC002 discipline).  A stale hit can therefore only mean the
     read path's stamp validation failed — the CC001 family.
 
-    Composes with :func:`instrument_targeting_cache` and
-    :func:`instrument_plan_cache` on the same tracer: the shared
-    domains may then advance more than once per mutation, which is
-    harmless — generations only ever need to be monotonic.
+    Composes with :func:`instrument_targeting_cache` on the same
+    tracer: the shared ``"metadata"`` domain then advances more than
+    once per mutation, which is harmless — generations only ever need
+    to be monotonic.
     """
     catalog = service.stats_catalog
     cluster = service.cluster

@@ -26,7 +26,6 @@ from repro.service.service import QueryService
 
 __all__ = [
     "SHARD_LOCKS_KEY",
-    "PLAN_CACHE_LOCK_KEY",
     "TARGETING_CACHE_LOCK_KEY",
     "EXECUTOR_CLIENT_LOCK_KEY",
     "WORKER_HOST_LOCK_KEY",
@@ -44,7 +43,6 @@ __all__ = [
 #: must match what :mod:`repro.analysis.lockgraph` derives from the
 #: source, or cross-validation would compare disjoint graphs.
 SHARD_LOCKS_KEY = "repro.service.service.QueryService._shard_locks"
-PLAN_CACHE_LOCK_KEY = "repro.service.plan_cache.PlanCache._lock"
 TARGETING_CACHE_LOCK_KEY = "repro.cluster.router.TargetingCache._lock"
 EXECUTOR_CLIENT_LOCK_KEY = "repro.service.executors._WorkerClient._lock"
 WORKER_HOST_LOCK_KEY = "repro.service.executors._WorkerHost._lock"
@@ -56,7 +54,6 @@ WAL_LOCK_KEY = "repro.docstore.lsm.wal.WriteAheadLog._lock"
 #: hand :func:`~repro.sanitizer.crossval.cross_validate`.
 INSTRUMENTED_KEYS = (
     SHARD_LOCKS_KEY,
-    PLAN_CACHE_LOCK_KEY,
     TARGETING_CACHE_LOCK_KEY,
     EXECUTOR_CLIENT_LOCK_KEY,
 )
@@ -74,10 +71,10 @@ def instrument_query_service(
 ) -> QueryService:
     """Replace the service's locks with sanitized wrappers.
 
-    Covers the per-shard RW locks plus the fast-path cache locks (plan
-    cache, cluster targeting cache), whose contract is to never nest
-    inside a shard lock — instrumenting them makes any regression of
-    that contract an observed edge the static graph must explain.  The
+    Covers the per-shard RW locks plus the cluster targeting cache's
+    lock, whose contract is to never nest inside a shard lock —
+    instrumenting it makes any regression of that contract an observed
+    edge the static graph must explain.  The
     process-global ``DEFAULT_RANGE_CACHE`` lock is deliberately left
     alone: wiring a per-test sanitizer into global state would leak
     across services, and that lock is only taken during query
@@ -89,10 +86,6 @@ def instrument_query_service(
     for rank, shard_id in enumerate(sorted(service._shard_locks)):
         service._shard_locks[shard_id] = SanitizedReadWriteLock(
             sanitizer, SHARD_LOCKS_KEY, rank
-        )
-    if service.plan_cache is not None:
-        service.plan_cache._lock = SanitizedLock(
-            sanitizer, PLAN_CACHE_LOCK_KEY
         )
     service.cluster.targeting_cache._lock = SanitizedLock(
         sanitizer, TARGETING_CACHE_LOCK_KEY

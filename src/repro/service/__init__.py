@@ -11,8 +11,9 @@ from a single-caller library into a query *server*:
   :class:`ShardWorkerPool` (per-shard worker processes fed
   shape-batched picklable plan messages, see
   :mod:`repro.service.wire`);
-* :class:`PlanCache` — MongoDB's query-shape → winning-index cache
-  with DDL and write-volume invalidation;
+* :func:`query_shape_key` — the value-free key the process backend
+  batches subqueries on (no plan is cached: every read binds its
+  parameterized shape or is analyzed);
 * :class:`ServiceMetrics` — latency percentiles, queue wait, and
   throughput for the serving path;
 * :class:`LoadGenerator` — closed-/open-loop replay of the paper's
@@ -29,7 +30,7 @@ from repro.service.executors import (
 from repro.service.loadgen import LoadGenerator, LoadReport, render_workload
 from repro.service.locks import ReadWriteLock
 from repro.service.metrics import MetricsSnapshot, ServiceMetrics, percentile
-from repro.service.plan_cache import PlanCache, PlanCacheEntry, query_shape_key
+from repro.service.plan_cache import query_shape_key
 from repro.service.service import (
     QueryService,
     ServiceConfig,
@@ -45,8 +46,6 @@ __all__ = [
     "SubquerySpec",
     "Deadline",
     "resolve_backend",
-    "PlanCache",
-    "PlanCacheEntry",
     "query_shape_key",
     "ServiceMetrics",
     "MetricsSnapshot",

@@ -140,8 +140,8 @@ class Deadline:
 class SubquerySpec:
     """Everything an executor needs to run one query's shard fan-out.
 
-    ``hint`` is the *effective* hint (explicit or plan-cache supplied)
-    and ``shape`` the already-analyzed query shape — the same objects
+    ``hint`` is the caller's explicit hint (or None) and ``shape``
+    the already-analyzed query shape — the same objects
     the service hands to :meth:`ShardedCluster.find`, so both backends
     execute the identical plan.
     """

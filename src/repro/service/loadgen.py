@@ -77,13 +77,11 @@ class LoadReport:
     mean_queue_wait_ms: float
     rejected_at_generator: int = 0
     executor: str = "thread"
-    plan_cache: Dict[str, float] = field(default_factory=dict)
-    #: How the service's plan cache resolved the queries it served over
-    #: this generator's lifetime: "exactHits" (fully compiled plan
-    #: reused), "shapeHits" (parameters bound into a shape-keyed plan),
-    #: "misses" (full analysis + compilation).  Cumulative over the
-    #: service, so warmup passes issued through the same service are
-    #: included.
+    #: How the service planned the queries it served over this
+    #: generator's lifetime: "shapeHits" (values bound into the
+    #: parameterized shape), "misses" (full analysis + compilation).
+    #: Cumulative over the service, so warmup passes issued through
+    #: the same service are included.
     plan_outcomes: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -105,7 +103,6 @@ class LoadReport:
             "p95LatencyMs": round(self.p95_latency_ms, 3),
             "p99LatencyMs": round(self.p99_latency_ms, 3),
             "meanQueueWaitMs": round(self.mean_queue_wait_ms, 3),
-            "planCache": self.plan_cache,
             "planOutcomes": self.plan_outcomes,
         }
 
@@ -198,11 +195,6 @@ class LoadGenerator:
         self, mode: str, clients: int, tally: _RunTally, duration_s: float
     ) -> LoadReport:
         lat = tally.latencies_ms
-        cache_stats = (
-            self.service.plan_cache.stats()
-            if self.service.plan_cache is not None
-            else {}
-        )
         return LoadReport(
             mode=mode,
             clients=clients,
@@ -226,7 +218,6 @@ class LoadGenerator:
             ),
             rejected_at_generator=tally.rejected_at_generator,
             executor=self.service.executor_backend,
-            plan_cache=cache_stats,
             plan_outcomes=dict(
                 self.service.metrics_snapshot().plan_outcomes
             ),

@@ -44,7 +44,6 @@ class MetricsSnapshot:
     mean_queue_wait_ms: float
     max_queue_wait_ms: float
     throughput_qps: float
-    plan_cache: Dict[str, float] = field(default_factory=dict)
     #: Cumulative wall-clock per pipeline stage (plan/scan/filter/
     #: merge) across every recorded query.
     stage_totals_ms: Dict[str, float] = field(default_factory=dict)
@@ -54,9 +53,8 @@ class MetricsSnapshot:
     #: Process-executor counters: subqueries shipped to shard workers,
     #: worker-side result-cache hits, and replica snapshot syncs.
     executor: Dict[str, int] = field(default_factory=dict)
-    #: How served queries resolved against the plan cache: reused a
-    #: fully compiled exact-query plan ("exactHits"), bound parameters
-    #: into a shape-keyed plan ("shapeHits"), or paid full analysis +
+    #: How served queries were planned: values bound into the
+    #: parameterized shape ("shapeHits"), or full analysis +
     #: compilation ("misses").
     plan_outcomes: Dict[str, int] = field(default_factory=dict)
 
@@ -75,7 +73,6 @@ class MetricsSnapshot:
             "meanQueueWaitMs": round(self.mean_queue_wait_ms, 3),
             "maxQueueWaitMs": round(self.max_queue_wait_ms, 3),
             "throughputQps": round(self.throughput_qps, 2),
-            "planCache": self.plan_cache,
             "stages": {
                 stage: round(ms, 3)
                 for stage, ms in sorted(self.stage_totals_ms.items())
@@ -107,7 +104,6 @@ class ServiceMetrics:
         self.remote_subqueries = 0
         self.remote_cache_hits = 0
         self.replica_syncs = 0
-        self.exact_hits = 0
         self.shape_hits = 0
         self.plan_misses = 0
         self._first_at: float | None = None
@@ -125,9 +121,8 @@ class ServiceMetrics:
         ``stage_times`` carries the per-stage wall-clock breakdown
         (plan/scan/filter/merge) the execution layer measured; it
         accumulates into the snapshot's stage totals.  ``cache_outcome``
-        is ``"exact"`` / ``"shape"`` / ``"miss"`` — how the query
-        resolved against the plan cache (None leaves the outcome
-        counters untouched, for callers without a plan cache).
+        is ``"shape"`` (bound) or ``"miss"`` (analyzed); None — hinted
+        and interpreter reads — leaves the outcome counters untouched.
         """
         now = time.perf_counter()
         with self._lock:
@@ -138,9 +133,7 @@ class ServiceMetrics:
                     self._stage_totals_ms[stage] = (
                         self._stage_totals_ms.get(stage, 0.0) + ms
                     )
-            if cache_outcome == "exact":
-                self.exact_hits += 1
-            elif cache_outcome == "shape":
+            if cache_outcome == "shape":
                 self.shape_hits += 1
             elif cache_outcome == "miss":
                 self.plan_misses += 1
@@ -191,22 +184,18 @@ class ServiceMetrics:
             self.remote_subqueries = 0
             self.remote_cache_hits = 0
             self.replica_syncs = 0
-            self.exact_hits = 0
             self.shape_hits = 0
             self.plan_misses = 0
             self._first_at = None
             self._last_at = None
 
     def snapshot(
-        self,
-        plan_cache_stats: Dict | None = None,
-        caches: Dict[str, Dict] | None = None,
+        self, caches: Dict[str, Dict] | None = None
     ) -> MetricsSnapshot:
         """Summarize everything recorded so far.
 
         ``caches`` takes per-cache counter mappings (e.g. targeting
-        and range-decomposition caches) to surface alongside the plan
-        cache's.
+        and range-decomposition caches) to surface in the snapshot.
         """
         with self._lock:
             lat = list(self._latencies_ms)
@@ -233,7 +222,6 @@ class ServiceMetrics:
                 mean_queue_wait_ms=sum(waits) / len(waits) if waits else 0.0,
                 max_queue_wait_ms=max(waits) if waits else 0.0,
                 throughput_qps=qps,
-                plan_cache=dict(plan_cache_stats or {}),
                 stage_totals_ms=stages,
                 caches=dict(caches or {}),
                 executor={
@@ -242,7 +230,6 @@ class ServiceMetrics:
                     "replicaSyncs": self.replica_syncs,
                 },
                 plan_outcomes={
-                    "exactHits": self.exact_hits,
                     "shapeHits": self.shape_hits,
                     "misses": self.plan_misses,
                 },

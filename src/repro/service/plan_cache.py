@@ -1,39 +1,25 @@
-"""MongoDB-style plan cache: normalized query shape → winning index.
+"""Hashable keys for queries: by value-free shape, and by exact document.
 
-MongoDB caches the winning plan of multi-plan races keyed by the
-*query shape* — the query with constants abstracted away, so
-``{date: {$gte: <a>, $lt: <b>}}`` hits the same entry for every
-``(a, b)``.  The cache is invalidated when indexes are created or
-dropped and when enough writes accumulate that the cached choice may
-have gone stale (mongod re-plans after a write-volume threshold).
-
-This module reproduces that mechanism for the serving frontend: the
-:class:`~repro.service.service.QueryService` consults the cache before
-planning, and on a hit passes the cached index name as a *hint*, which
-short-circuits candidate enumeration on every shard.  Entries record
-the index that every shard's optimizer agreed on; shapes on which
-shards disagree (or that fall back to collection scans) are left
-uncached, so a hit can never change a query's results or statistics.
+Nothing here stores a plan.  :class:`~repro.service.service.QueryService`
+plans every read from the query itself (bind the parameterized shape,
+or analyze it), so there is no plan cache to fill, evict or invalidate
+— DESIGN.md §8 records the measurements and the counter-parity bug
+that retired the three stores this module used to hold.  What is left
+are the two key functions the process backend
+(:mod:`repro.service.executors`) batches and addresses on:
+:func:`query_shape_key` groups subqueries that share a plan skeleton,
+:func:`exact_query_key` addresses a worker's epoch-validated result
+cache.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional, Tuple
 
 from repro.docstore.planner import QueryShape, analyze_query
 
-__all__ = [
-    "PlanCache",
-    "PlanCacheEntry",
-    "CompiledPlan",
-    "ShapePlan",
-    "query_shape_key",
-    "exact_query_key",
-]
+__all__ = ["query_shape_key", "exact_query_key"]
 
 
 def _predicate_signature(path: str, predicate) -> Tuple:
@@ -55,8 +41,7 @@ def query_shape_key(
     """A hashable, value-free key identifying a query's shape.
 
     Two queries share a key when they constrain the same paths with
-    the same operator kinds — the normalization MongoDB applies before
-    consulting its plan cache.
+    the same operator kinds — MongoDB's query-shape normalization.
     """
     if isinstance(query_or_shape, QueryShape):
         shape = query_or_shape
@@ -93,7 +78,7 @@ def _freeze(value: Any) -> Tuple:
 
     Tags every leaf with its type name so ``1``, ``1.0``, and ``True``
     (equal and hash-equal in Python, but matched differently by the
-    type-bracketed BSON comparison) can never share a cache entry.
+    type-bracketed BSON comparison) can never share a key.
     Raises TypeError for unhashable leaves.
     """
     kind = type(value)
@@ -127,337 +112,11 @@ def exact_query_key(
 
     Unlike :func:`query_shape_key` this keeps the constants: two
     queries share a key only when byte-for-byte equivalent, which is
-    what lets the fast path reuse a compiled matcher and analyzed
-    shape outright.  Queries holding unhashable custom values are
-    simply uncacheable (returns None).
+    what lets a shard worker resend a result it already computed at
+    the same storage epoch.  Queries holding unhashable custom values
+    have no key (returns None).
     """
     try:
         return (collection, _freeze(query))
     except TypeError:
         return None
-
-
-@dataclass
-class CompiledPlan:
-    """A fully prepared repeat-query execution: everything the serving
-    path computes per query *before* touching a shard.
-
-    ``matcher`` is a compiled :class:`~repro.docstore.matcher.Matcher`
-    (stateless after construction, safe to share across threads),
-    ``shape`` the analyzed :class:`~repro.docstore.planner.QueryShape`,
-    and ``hint`` the winning index name when one is known.  Targeting
-    is *not* stored here — it depends on chunk placement and lives in
-    the cluster's version-keyed
-    :class:`~repro.cluster.router.TargetingCache`.
-    """
-
-    shape_key: Tuple
-    shape: QueryShape
-    matcher: Any
-    hint: Optional[str]
-    writes_at_creation: int
-    hits: int = 0
-
-
-@dataclass
-class ShapePlan:
-    """A parameterized plan: a structural bind template.
-
-    Keyed by :func:`repro.docstore.paramplan.param_shape_key`, so one
-    entry serves every query sharing the structure — millions of
-    distinct boxes bind into it instead of recompiling.  ``template``
-    is the key's slot tuple, handed to
-    :func:`repro.docstore.paramplan.bind_plan` at execute time.
-
-    Deliberately *no* cached index hint: the per-shard optimizer ranks
-    plans with per-shard field statistics, so the winner for one set of
-    bound values is not the winner for another, and forcing it would
-    change ``keysExamined``/``docsExamined`` against the interpreter.
-    A bind skips analysis and compilation only; per-shard planning runs
-    exactly as it would uncached.
-    """
-
-    template: Tuple
-    writes_at_creation: int
-    hits: int = 0
-
-
-@dataclass
-class PlanCacheEntry:
-    """One cached winning plan."""
-
-    index_name: str
-    #: Collection write counter at creation; the entry dies once the
-    #: collection absorbs ``write_invalidation_threshold`` more writes.
-    writes_at_creation: int
-    hits: int = 0
-
-
-class PlanCache:
-    """Bounded, thread-safe shape → winning-index cache with LRU eviction."""
-
-    def __init__(
-        self,
-        max_entries: int = 256,
-        write_invalidation_threshold: int = 1000,
-    ) -> None:
-        self.max_entries = max_entries
-        self.write_invalidation_threshold = write_invalidation_threshold
-        self._entries: "OrderedDict[Tuple, PlanCacheEntry]" = OrderedDict()
-        self._compiled: "OrderedDict[Tuple, CompiledPlan]" = OrderedDict()
-        self._shape_plans: "OrderedDict[Tuple, ShapePlan]" = OrderedDict()
-        self._writes: Dict[str, int] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.compiled_hits = 0
-        self.compiled_misses = 0
-        self.shape_hits = 0
-        self.shape_misses = 0
-        # Exact-store admission control: under a workload of ever-
-        # distinct queries the exact store is a miss machine — every
-        # lookup pays full-document canonicalization and every fill
-        # churns the LRU for nothing.  Lookups are windowed; a window
-        # with (almost) no hits suppresses the store, after which only
-        # every ``_EXACT_PROBE_EVERY``-th query probes it so a shift
-        # back to repeat traffic lifts the suppression.
-        self._exact_window_lookups = 0
-        self._exact_window_hits = 0
-        self._exact_suppressed = False
-        self._exact_probe_clock = 0
-        self.exact_bypasses = 0
-
-    _EXACT_WINDOW = 256
-    _EXACT_WINDOW_MIN_HITS = 3
-    _EXACT_PROBE_EVERY = 32
-
-    def exact_admission(self) -> bool:
-        """Whether the exact store is worth consulting for this query.
-
-        Perf-only: a ``False`` skips a cache *read* (and the matching
-        fill), which can never serve stale data — it only spares the
-        canonicalization cost when the store has stopped paying for
-        itself.
-        """
-        with self._lock:
-            if not self._exact_suppressed:
-                return True
-            self._exact_probe_clock += 1
-            if self._exact_probe_clock % self._EXACT_PROBE_EVERY == 0:
-                return True
-            self.exact_bypasses += 1
-            return False
-
-    def get(self, key: Tuple) -> Optional[str]:
-        """The cached winning index name for a shape key, or None.
-
-        Entries whose collection has absorbed more writes than the
-        invalidation threshold since caching are dropped on access.
-        """
-        collection = key[0]
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                written = self._writes.get(collection, 0)
-                if (
-                    written - entry.writes_at_creation
-                    >= self.write_invalidation_threshold
-                ):
-                    del self._entries[key]
-                    self.evictions += 1
-                    entry = None
-            if entry is None:
-                self.misses += 1
-                return None
-            entry.hits += 1
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return entry.index_name
-
-    def put(self, key: Tuple, index_name: str) -> None:
-        """Cache a winning index for a shape key."""
-        collection = key[0]
-        with self._lock:
-            self._entries[key] = PlanCacheEntry(
-                index_name=index_name,
-                writes_at_creation=self._writes.get(collection, 0),
-            )
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def get_compiled(self, key: Tuple) -> Optional[CompiledPlan]:
-        """The compiled plan for an exact query key, or None.
-
-        A hit also counts as a plan-cache hit proper (the compiled
-        entry subsumes the shape entry's winning index), so hit-rate
-        accounting stays comparable with the shape-only cache.  The
-        write-volume invalidation rule applies exactly as for shape
-        entries.
-        """
-        collection = key[0]
-        with self._lock:
-            plan = self._compiled.get(key)
-            if plan is not None:
-                written = self._writes.get(collection, 0)
-                if (
-                    written - plan.writes_at_creation
-                    >= self.write_invalidation_threshold
-                ):
-                    del self._compiled[key]
-                    self.evictions += 1
-                    plan = None
-            self._exact_window_lookups += 1
-            if plan is not None:
-                self._exact_window_hits += 1
-                if self._exact_suppressed:
-                    # A probe hit means repeat traffic is back: lift
-                    # the suppression immediately, don't wait out a
-                    # probe-paced window.
-                    self._exact_suppressed = False
-                    self._exact_window_lookups = 0
-                    self._exact_window_hits = 0
-            if self._exact_window_lookups >= self._EXACT_WINDOW:
-                self._exact_suppressed = (
-                    self._exact_window_hits < self._EXACT_WINDOW_MIN_HITS
-                )
-                self._exact_window_lookups = 0
-                self._exact_window_hits = 0
-            if plan is None:
-                self.compiled_misses += 1
-                return None
-            plan.hits += 1
-            self.compiled_hits += 1
-            self.hits += 1
-            self._compiled.move_to_end(key)
-            return plan
-
-    def put_compiled(
-        self,
-        key: Tuple,
-        shape_key: Tuple,
-        shape: QueryShape,
-        matcher: Any,
-        hint: Optional[str],
-    ) -> None:
-        """Cache a fully prepared plan for an exact query key."""
-        collection = key[0]
-        with self._lock:
-            self._compiled[key] = CompiledPlan(
-                shape_key=shape_key,
-                shape=shape,
-                matcher=matcher,
-                hint=hint,
-                writes_at_creation=self._writes.get(collection, 0),
-            )
-            self._compiled.move_to_end(key)
-            while len(self._compiled) > self.max_entries:
-                self._compiled.popitem(last=False)
-                self.evictions += 1
-
-    def get_shape_plan(self, key: Tuple) -> Optional[ShapePlan]:
-        """The parameterized plan for a structural key, or None.
-
-        The template is purely structural and cannot go stale, but the
-        entry follows the same write-volume lifecycle as the shape and
-        compiled stores so a single invalidation invariant governs all
-        three (and the coherence oracles can check them uniformly).
-        """
-        collection = key[0]
-        with self._lock:
-            plan = self._shape_plans.get(key)
-            if plan is not None:
-                written = self._writes.get(collection, 0)
-                if (
-                    written - plan.writes_at_creation
-                    >= self.write_invalidation_threshold
-                ):
-                    del self._shape_plans[key]
-                    self.evictions += 1
-                    plan = None
-            if plan is None:
-                self.shape_misses += 1
-                return None
-            plan.hits += 1
-            self.shape_hits += 1
-            self.hits += 1
-            self._shape_plans.move_to_end(key)
-            return plan
-
-    def put_shape_plan(self, key: Tuple, template: Tuple) -> None:
-        """Cache a parameterized plan for a structural key."""
-        collection = key[0]
-        with self._lock:
-            self._shape_plans[key] = ShapePlan(
-                template=template,
-                writes_at_creation=self._writes.get(collection, 0),
-            )
-            self._shape_plans.move_to_end(key)
-            while len(self._shape_plans) > self.max_entries:
-                self._shape_plans.popitem(last=False)
-                self.evictions += 1
-
-    def note_writes(self, collection: str, n: int = 1) -> None:
-        """Record write volume against a collection."""
-        with self._lock:
-            self._writes[collection] = self._writes.get(collection, 0) + n
-
-    def invalidate_collection(self, collection: str) -> int:
-        """Drop every entry for a collection (index create/drop).
-
-        Compiled plans go too: a dropped index invalidates their hint,
-        and a created one may change the winner.
-        """
-        with self._lock:
-            doomed = [k for k in self._entries if k[0] == collection]
-            for k in doomed:
-                del self._entries[k]
-            doomed_compiled = [
-                k for k in self._compiled if k[0] == collection
-            ]
-            for k in doomed_compiled:
-                del self._compiled[k]
-            doomed_shapes = [
-                k for k in self._shape_plans if k[0] == collection
-            ]
-            for k in doomed_shapes:
-                del self._shape_plans[k]
-            total = len(doomed) + len(doomed_compiled) + len(doomed_shapes)
-            self.evictions += total
-            return total
-
-    def clear(self) -> None:
-        """Drop every entry (counters survive)."""
-        with self._lock:
-            self._entries.clear()
-            self._compiled.clear()
-            self._shape_plans.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> dict:
-        """Counters as a readable mapping."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "hitRate": round(self.hit_rate, 4),
-                "compiledEntries": len(self._compiled),
-                "compiledHits": self.compiled_hits,
-                "compiledMisses": self.compiled_misses,
-                "shapeEntries": len(self._shape_plans),
-                "shapeHits": self.shape_hits,
-                "shapeMisses": self.shape_misses,
-                "exactBypasses": self.exact_bypasses,
-            }

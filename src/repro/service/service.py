@@ -4,8 +4,7 @@
 ``find`` and per-shard subqueries run one after another.  A real
 mongos is a *server* — many clients in flight at once, per-shard
 subqueries dispatched concurrently, bounded queues in front of the
-executor, and a plan cache so repeated query shapes skip optimization.
-:class:`QueryService` adds exactly that layer:
+executor.  :class:`QueryService` adds exactly that layer:
 
 * **Parallel scatter-gather** — per-shard subqueries run on an
   executor backend (:mod:`repro.service.executors`): a thread pool by
@@ -22,9 +21,10 @@ executor, and a plan cache so repeated query shapes skip optimization.
   ``metadata_version`` after lock acquisition, so a migration sliding
   between targeting and execution cannot strand a query on stale
   routing.
-* **Plan cache** — normalized query shape → winning index
-  (:mod:`repro.service.plan_cache`), invalidated by DDL and write
-  volume.
+* **One planning path** — a read binds its parameterized shape
+  (:mod:`repro.docstore.paramplan`) or, when the structure is not
+  parameterizable, is analyzed; nothing is stored between queries, so
+  nothing needs invalidating (DESIGN.md §8).
 * **Admission control** — a bounded wait queue and a concurrency
   limit; requests beyond both fail fast with
   :class:`~repro.errors.ServiceOverloadedError`, and a per-query
@@ -46,7 +46,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cluster.cluster import ClusterFindResult, ShardedCluster
+from repro.cluster.cluster import ShardedCluster
 from repro.docstore.matcher import Matcher
 from repro.docstore.paramplan import bind_plan, param_shape_key
 from repro.docstore.planner import analyze_query
@@ -69,11 +69,6 @@ from repro.service.executors import (
 )
 from repro.service.locks import ReadWriteLock
 from repro.service.metrics import ServiceMetrics
-from repro.service.plan_cache import (
-    PlanCache,
-    exact_query_key,
-    query_shape_key,
-)
 
 __all__ = ["ServiceConfig", "ServiceFindResult", "QueryService"]
 
@@ -94,23 +89,11 @@ class ServiceConfig:
     #: When False, shard subqueries run inline on the calling thread
     #: (the sequential baseline the benchmarks compare against).
     parallel_scatter_gather: bool = True
-    #: Enable the shape → winning-index plan cache.
-    plan_cache_enabled: bool = True
-    #: Plan cache capacity (LRU beyond this).
-    plan_cache_size: int = 256
-    #: Writes per collection that invalidate its cached plans.
-    plan_cache_write_threshold: int = 1000
-    #: Enable shape-keyed parameterized plans: structurally identical
-    #: queries with different box/date constants bind into one cached
-    #: template instead of re-running analysis and compilation.
-    #: ``False`` restricts the plan cache to exact-query entries (the
-    #: A/B baseline ``benchmarks/bench_planner.py`` measures against).
-    shape_plans_enabled: bool = True
-    #: Enable the compiled query fast path end to end: compiled-plan
-    #: entries in the plan cache, targeting/range-decomposition memos,
-    #: compiled matchers, multi-range index scans, and structural
-    #: result copies.  ``False`` reproduces the paper-faithful
-    #: interpreter path for A/B comparison.
+    #: Enable the compiled query fast path end to end: parameterized
+    #: plan binding, targeting/range-decomposition memos, compiled
+    #: matchers, multi-range index scans, and structural result
+    #: copies.  ``False`` reproduces the paper-faithful interpreter
+    #: path, the oracle the differential suites compare against.
     fast_path: bool = True
     #: Sleep each shard subquery for its cost-model time, so
     #: wall-clock matches the modelled deployment's shape.
@@ -164,7 +147,6 @@ class ServiceFindResult:
         stats,
         latency_ms: float,
         queue_wait_ms: float,
-        plan_cache_hit: bool,
         hint_used: Optional[str],
         cache_outcome: Optional[str] = None,
     ) -> None:
@@ -172,12 +154,12 @@ class ServiceFindResult:
         self.stats = stats
         self.latency_ms = latency_ms
         self.queue_wait_ms = queue_wait_ms
-        self.plan_cache_hit = plan_cache_hit
+        #: The caller's explicit ``hint=``; the service never adds one.
         self.hint_used = hint_used
-        #: How the query resolved against the plan cache: ``"exact"``
-        #: (reused a compiled exact-query plan), ``"shape"`` (bound
-        #: parameters into a shape-keyed plan or reused its hint), or
-        #: ``"miss"``; None when the plan cache was bypassed.
+        #: How the query was planned: ``"shape"`` (values bound into
+        #: its parameterized shape), ``"miss"`` (analyzed: the
+        #: structure is not parameterizable, or the bind refused these
+        #: values); None for hinted and interpreter reads.
         self.cache_outcome = cache_outcome
 
     def __iter__(self):
@@ -205,16 +187,6 @@ class QueryService:
         self.cluster = cluster
         self.config = config or ServiceConfig()
         self.metrics = ServiceMetrics()
-        self.plan_cache: Optional[PlanCache] = (
-            PlanCache(
-                max_entries=self.config.plan_cache_size,
-                write_invalidation_threshold=(
-                    self.config.plan_cache_write_threshold
-                ),
-            )
-            if self.config.plan_cache_enabled
-            else None
-        )
         # The shard fan-out backend.  Exactly one of the typed
         # attributes is populated; call sites branch on it explicitly
         # so the static lockgraph resolves each mapper unambiguously.
@@ -244,19 +216,14 @@ class QueryService:
         self.stats_catalog = StatsCatalogCache()
         # Storage-epoch contract (PR-5): a memtable flush or a
         # compaction changes which storage structures back a
-        # collection, so cached compiled plans are invalidated exactly
-        # like the write-threshold and DDL paths.  Storage listeners
-        # fire with no engine lock held, so calling into the plan cache
-        # here adds no lock-order edge.
+        # collection.  Storage listeners fire with no engine lock held,
+        # so calling into the catalog here adds no lock-order edge.
         for shard in cluster.shards.values():
             shard.database.add_storage_listener(self._on_storage_event)
 
     def _on_storage_event(self, event) -> None:
-        if event.collection is None:
-            return
-        if self.plan_cache is not None:
-            self.plan_cache.invalidate_collection(event.collection)
-        self.stats_catalog.invalidate_collection(event.collection)
+        if event.collection is not None:
+            self.stats_catalog.invalidate_collection(event.collection)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -287,10 +254,7 @@ class QueryService:
             "rangeDecomposition": DEFAULT_RANGE_CACHE.stats(),
             "statsCatalog": self.stats_catalog.stats(),
         }
-        plan_stats = (
-            self.plan_cache.stats() if self.plan_cache is not None else None
-        )
-        return self.metrics.snapshot(plan_stats, caches=caches)
+        return self.metrics.snapshot(caches=caches)
 
     # -- admission -------------------------------------------------------------
 
@@ -328,7 +292,7 @@ class QueryService:
     ) -> ServiceFindResult:
         """Serve one read query through the concurrent frontend.
 
-        Admission, queueing, per-shard read locks, plan-cache lookup,
+        Admission, queueing, per-shard read locks, plan binding,
         parallel scatter-gather, and metrics recording wrap the same
         execution :meth:`ShardedCluster.find` performs; documents and
         cluster statistics are identical to the library path.
@@ -370,81 +334,30 @@ class QueryService:
         queue_wait_ms: float,
     ) -> ServiceFindResult:
         fast = self.config.fast_path
-        compiled = None
-        exact_key = None
-        cache_key = None
-        param_key = None
-        shape_plan = None
         bound = None
-        cached_hint: Optional[str] = None
         cache_outcome: Optional[str] = None
-        if fast and hint is None and self.plan_cache is not None:
-            cache_outcome = "miss"
-            if self.plan_cache.exact_admission():
-                exact_key = exact_query_key(collection, query)
-                if exact_key is not None:
-                    compiled = self.plan_cache.get_compiled(exact_key)
-        if compiled is not None:
-            shape = compiled.shape
-            matcher = compiled.matcher
-            cache_key = compiled.shape_key
-            effective_hint = hint if hint is not None else compiled.hint
-            cache_outcome = "exact"
-        else:
-            # Exact miss: try the parameterized shape-keyed plan.  A
-            # hit binds this query's box/date/range values into the
-            # cached template — no analyze_query, no recompilation.
-            # No index hint is ever reused across a value-free key:
-            # per-shard plan ranking depends on per-shard field
-            # statistics and on the bound values, so a forced winner
+        if fast and hint is None:
+            # Bind this query's box/date/range values into its
+            # parameterized shape — no analyze_query, no compilation —
+            # and emit exactly the predicate objects the analyzed path
+            # would.  No index choice is carried from one query to the
+            # next: per-shard plan ranking depends on per-shard field
+            # statistics and on the bound values, so a replayed winner
             # would change keysExamined/docsExamined against the
-            # interpreter.  Binding keeps per-shard planning intact.
-            if (
-                fast
-                and hint is None
-                and self.plan_cache is not None
-                and self.config.shape_plans_enabled
-            ):
-                param_key = param_shape_key(collection, query)
-                if param_key is not None:
-                    shape_plan = self.plan_cache.get_shape_plan(param_key)
-            if shape_plan is not None:
-                cache_outcome = "shape"
-                bound = bind_plan(query, shape_plan.template)
-            if bound is not None:
-                shape, matcher = bound
-                cache_key = param_key
-            else:
-                shape = analyze_query(query)
-                if param_key is not None:
-                    # Parameterizable structure: first sighting, or a
-                    # value-level bind refusal (e.g. null $or points).
-                    # Pay the full analyze + compile, never a hint.
-                    cache_key = param_key
-                elif (
-                    hint is None
-                    and self.plan_cache is not None
-                    and self.config.shape_plans_enabled
-                ):
-                    # Legacy value-free path, for structures the
-                    # parameterizer does not cover ($ne, $exists,
-                    # multi-path $or, ...): reuse the unanimous
-                    # winner as a hint, as PR-4 shipped it.
-                    cache_key = query_shape_key(collection, shape)
-                    cached_hint = self.plan_cache.get(cache_key)
-                    if cached_hint is not None:
-                        cache_outcome = "shape"
-                elif exact_key is not None:
-                    # Exact-only mode (shape plans disabled) still
-                    # files compiled entries under a shape key; the
-                    # analyzed shape makes it a cheap derivation.
-                    cache_key = query_shape_key(collection, shape)
-                matcher = Matcher(query, fast_path=fast)
-            effective_hint = hint if hint is not None else cached_hint
+            # interpreter.
+            param_key = param_shape_key(collection, query)
+            if param_key is not None:
+                bound = bind_plan(query, param_key[1])
+            cache_outcome = "shape" if bound is not None else "miss"
+        if bound is not None:
+            shape, matcher = bound
+        else:
+            shape = analyze_query(query)
+            matcher = Matcher(query, fast_path=fast)
         spec = SubquerySpec(
             collection=collection,
             query=query,
-            hint=effective_hint,
+            hint=hint,
             max_geo_ranges=max_geo_ranges,
             fast_path=fast,
             shape=shape,
@@ -462,7 +375,7 @@ class QueryService:
                 result = self.cluster.find(
                     collection,
                     query,
-                    hint=effective_hint,
+                    hint=hint,
                     max_geo_ranges=max_geo_ranges,
                     shard_mapper=self._worker_pool.shard_mapper(
                         spec, deadline
@@ -477,7 +390,7 @@ class QueryService:
                 result = self.cluster.find(
                     collection,
                     query,
-                    hint=effective_hint,
+                    hint=hint,
                     max_geo_ranges=max_geo_ranges,
                     shard_mapper=self._threaded.shard_mapper(
                         spec, deadline
@@ -490,44 +403,6 @@ class QueryService:
         finally:
             for lock in locks:
                 lock.release_read()
-        winner: Optional[str] = None
-        if compiled is None and hint is None and self.plan_cache is not None:
-            if (
-                cached_hint is None
-                and param_key is None
-                and shape_plan is None
-                and cache_key is not None
-                and self.config.shape_plans_enabled
-            ):
-                # Legacy value-free store: cache the unanimous winner
-                # for the non-parameterizable structures only.
-                winner = self._maybe_cache_plan(cache_key, result)
-            else:
-                # The unanimous winner (when there is one) is still
-                # recorded on the exact-query compiled plan below —
-                # replaying the byte-identical query re-picks it.
-                winner = self._plan_winner(result)
-            if shape_plan is None and param_key is not None:
-                # First sighting of a parameterizable structure: seed
-                # the shape-keyed plan so every later query of this
-                # shape binds instead of recompiling.
-                self.plan_cache.put_shape_plan(
-                    param_key, template=param_key[1]
-                )
-        if (
-            compiled is None
-            and exact_key is not None
-            and cache_key is not None
-            and self.plan_cache is not None
-        ):
-            plan_hint = effective_hint if effective_hint else winner
-            self.plan_cache.put_compiled(
-                exact_key,
-                shape_key=cache_key,
-                shape=shape,
-                matcher=matcher,
-                hint=plan_hint,
-            )
         latency_ms = (time.perf_counter() - started) * 1000.0
         self.metrics.record_query(
             latency_ms,
@@ -540,12 +415,7 @@ class QueryService:
             stats=result.stats,
             latency_ms=latency_ms,
             queue_wait_ms=queue_wait_ms,
-            plan_cache_hit=(
-                compiled is not None
-                or shape_plan is not None
-                or cached_hint is not None
-            ),
-            hint_used=effective_hint,
+            hint_used=hint,
             cache_outcome=cache_outcome,
         )
 
@@ -598,41 +468,6 @@ class QueryService:
                 )
         raise ServiceError("routing metadata kept changing during targeting")
 
-    @staticmethod
-    def _plan_winner(result: ClusterFindResult) -> Optional[str]:
-        """The index name every shard agreed on, or None.
-
-        COLLSCAN shards (empty index name) and disagreements yield
-        None — caching such a "winner" as a hint could change results
-        on a shard whose optimizer would have chosen differently.
-        """
-        if not result.stats.per_shard:
-            return None
-        names = {
-            stats.index_name
-            for stats in result.stats.per_shard.values()
-        }
-        if len(names) != 1:
-            return None
-        (winner,) = names
-        return winner or None
-
-    def _maybe_cache_plan(
-        self, cache_key, result: ClusterFindResult
-    ) -> Optional[str]:
-        """Cache the winning index when every shard agreed on one.
-
-        Returns the winner so the caller can seed a compiled plan with
-        the same hint, or None when the shape stays uncached.
-        """
-        if self.plan_cache is None:
-            return None
-        winner = self._plan_winner(result)
-        if winner is None:
-            return None
-        self.plan_cache.put(cache_key, winner)
-        return winner
-
     # -- convenience reads -----------------------------------------------------
 
     def count_documents(
@@ -684,12 +519,9 @@ class QueryService:
     ) -> int:
         """Insert documents under exclusive access; returns the count."""
         docs = list(documents)
-        inserted = self._run_exclusive(
+        return self._run_exclusive(
             lambda: self.cluster.insert_many(collection, docs)
         )
-        if self.plan_cache is not None:
-            self.plan_cache.note_writes(collection, inserted)
-        return inserted
 
     def update_many(
         self,
@@ -698,23 +530,17 @@ class QueryService:
         update: Mapping[str, Any],
     ) -> int:
         """Update matching documents under exclusive access."""
-        updated = self._run_exclusive(
+        return self._run_exclusive(
             lambda: self.cluster.update_many(collection, query, update)
         )
-        if self.plan_cache is not None:
-            self.plan_cache.note_writes(collection, max(updated, 1))
-        return updated
 
     def delete_many(
         self, collection: str, query: Mapping[str, Any]
     ) -> int:
         """Delete matching documents under exclusive access."""
-        deleted = self._run_exclusive(
+        return self._run_exclusive(
             lambda: self.cluster.delete_many(collection, query)
         )
-        if self.plan_cache is not None:
-            self.plan_cache.note_writes(collection, max(deleted, 1))
-        return deleted
 
     # -- DDL -------------------------------------------------------------------
 
@@ -725,22 +551,18 @@ class QueryService:
         name: str = "",
         geohash_bits: int = 26,
     ) -> None:
-        """Create an index on every shard; invalidates cached plans."""
+        """Create an index on every shard under exclusive access."""
         self._run_exclusive(
             lambda: self.cluster.create_index(
                 collection, spec, name=name, geohash_bits=geohash_bits
             )
         )
-        if self.plan_cache is not None:
-            self.plan_cache.invalidate_collection(collection)
 
     def drop_index(self, collection: str, name: str) -> None:
-        """Drop an index from every shard; invalidates cached plans."""
+        """Drop an index from every shard under exclusive access."""
         self._run_exclusive(
             lambda: self.cluster.drop_index(collection, name)
         )
-        if self.plan_cache is not None:
-            self.plan_cache.invalidate_collection(collection)
 
     # -- statistics (ANALYZE) --------------------------------------------------
 

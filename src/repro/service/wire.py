@@ -7,7 +7,7 @@ property — decode(encode(x)) reproduces x byte-for-byte — can be
 tested exhaustively against the differential query corpus:
 
 * :class:`PlanMessage` — one compiled subquery: the raw query document
-  plus the PR-4 plan-cache keys (shape key for batching, exact key for
+  plus its two query keys (shape key for batching, exact key for
   the worker-side result cache) and the replica epoch it must execute
   against;
 * :class:`BatchFrame` — what one pipe write carries: any replica
@@ -67,7 +67,7 @@ WIRE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 class PlanMessage:
     """One shard subquery, compact enough to pickle per request.
 
-    ``shape_key``/``exact_key`` reuse the plan cache's key functions
+    ``shape_key``/``exact_key`` come from the query key functions
     (:func:`repro.service.plan_cache.query_shape_key` /
     :func:`~repro.service.plan_cache.exact_query_key`): the shape key
     groups batched subqueries that share a plan skeleton, the exact

@@ -304,13 +304,10 @@ class RangeDecompositionCache:
     result can be handed to any number of readers.
     """
 
-    def __init__(
-        self, max_entries: int = 512, use_skeleton: bool = True
-    ) -> None:
+    def __init__(self, max_entries: int = 512) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be positive")
         self._max_entries = max_entries
-        self._use_skeleton = use_skeleton
         self._entries: "collections.OrderedDict" = collections.OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -345,10 +342,7 @@ class RangeDecompositionCache:
         # part, and duplicate concurrent work is harmless (last write
         # wins with an identical value).  A miss still reuses the
         # per-curve cell-walk skeleton, so only the box-dependent part
-        # of the quadtree walk is recomputed for a new rectangle
-        # (``use_skeleton=False`` keeps the cache purely value-keyed,
-        # the A/B baseline ``benchmarks/bench_planner.py`` measures
-        # against).
+        # of the quadtree walk is recomputed for a new rectangle.
         result = covering_range_set(
             curve,
             min_x,
@@ -356,7 +350,7 @@ class RangeDecompositionCache:
             max_x,
             max_y,
             max_ranges,
-            skeleton=curve_skeleton(curve) if self._use_skeleton else None,
+            skeleton=curve_skeleton(curve),
         )
         with self._lock:
             self._entries[key] = result

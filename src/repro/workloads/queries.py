@@ -104,10 +104,10 @@ def randomized_queries(
 ) -> List[SpatioTemporalQuery]:
     """A seeded stream of jittered Q^s/Q^b-style queries.
 
-    The paper's eight fixed queries repeat verbatim under load, so an
-    exact-match plan cache answers all of them after one pass — which
-    says nothing about plan caching for real traffic, where every
-    request differs in its literals.  This stream keeps the workload's
+    The paper's eight fixed queries repeat verbatim under load, so
+    anything keyed on the exact query answers all of them after one
+    pass — which says nothing about real traffic, where every request
+    differs in its literals.  This stream keeps the workload's
     *shape* (small or big box, fixed-length window, each with p=0.5)
     while randomizing every literal: the box is the Q^s or Q^b
     rectangle shifted by up to ±0.3 of its own dimensions and scaled

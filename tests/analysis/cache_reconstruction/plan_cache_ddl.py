@@ -1,9 +1,10 @@
 """Bug class 1: plan cache survives a DDL that changed the catalog.
 
-The shipped service invalidates the plan cache on every
-``create_index``/``drop_index``; the historical bug dropped an index
-without either bumping the plan generation or invalidating, so cached
-plans kept hinting an index that no longer existed.  Here
+The service used to keep a plan cache it invalidated on every
+``create_index``/``drop_index`` (it now plans each read from the query
+and stores nothing); the historical bug dropped an index without
+either bumping the plan generation or invalidating, so cached plans
+kept hinting an index that no longer existed.  Here
 ``drop_index`` mutates the catalog with no bump — CC003 statically,
 a stale hit under the ``ddl`` domain at runtime.
 """

@@ -22,7 +22,6 @@ from repro.docstore import bson
 from repro.sanitizer import (
     CacheTracer,
     cross_validate_cache,
-    instrument_plan_cache,
     instrument_stats_catalog,
     instrument_targeting_cache,
 )
@@ -431,7 +430,6 @@ class TestShippedCaches:
         cluster.shard_collection("t", [("k", 1)])
         with QueryService(cluster) as service:
             instrument_targeting_cache(cluster, tracer)
-            instrument_plan_cache(service, tracer)
             instrument_stats_catalog(service, tracer)
             rng = random.Random(11)
             docs = [

@@ -210,14 +210,16 @@ class TestShippedModel:
         model = context.cache_model
         cache_names = {c.name for c in model.caches.values()}
         assert {
-            "PlanCache",
             "TargetingCache",
             "RangeDecompositionCache",
+            "StatsCatalogCache",
         } <= cache_names
-        plan = next(
-            c for c in model.caches.values() if c.name == "PlanCache"
+        catalog = next(
+            c
+            for c in model.caches.values()
+            if c.name == "StatsCatalogCache"
         )
-        assert plan.stamp_validated
+        assert catalog.stamp_validated
         memo = next(
             c
             for c in model.caches.values()

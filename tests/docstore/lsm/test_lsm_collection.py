@@ -109,7 +109,7 @@ class TestDatabaseIntegration:
 
 
 class TestServiceCacheEpoch:
-    def test_flush_invalidates_cached_plans(self, tmp_path):
+    def test_flush_invalidates_statistics_catalog(self, tmp_path):
         cluster = ShardedCluster(
             topology=ClusterTopology(n_shards=2),
             durability=DurabilityConfig(
@@ -122,22 +122,17 @@ class TestServiceCacheEpoch:
         cluster.insert_many("traces", [{"x": i} for i in range(10)])
         config = ServiceConfig(max_workers=2, simulate_shard_latency=False)
         with QueryService(cluster, config) as service:
-            service.find("traces", {"x": {"$gte": 3}})
-            service.find("traces", {"x": {"$gte": 3}})
-            stats = service.plan_cache.stats()
-            assert stats["hits"] >= 1
-            assert stats["compiledEntries"] > 0
-            assert stats["shapeEntries"] > 0
+            service.analyze_collection("traces")
+            assert service.collection_stats("traces") is not None
+            before = service.stats_catalog.stats()["invalidations"]
             # Pad documents force memtable overflow -> flush events on
-            # every shard -> the cached plans for "traces" must go.
+            # every shard -> the catalog entry for "traces" must go.
             cluster.insert_many(
                 "traces",
                 [{"x": i, "pad": "p" * 200} for i in range(10, 60)],
             )
-            after = service.plan_cache.stats()
-            assert after["compiledEntries"] == 0
-            assert after["shapeEntries"] == 0
-            assert after["evictions"] > stats["evictions"]
+            assert service.stats_catalog.stats()["invalidations"] > before
+            assert service.collection_stats("traces") is None
         cluster.close()
 
 

@@ -115,6 +115,18 @@ class TestTypeOrdering:
         aware = dt.datetime(2018, 7, 1, tzinfo=UTC)
         assert compare(naive, aware) == 0
 
+    def test_nan_has_one_place_below_every_number(self):
+        nan = float("nan")
+        assert bson.sort_key(nan) == bson.sort_key(float("nan"))
+        assert bson.compare(nan, nan) == 0
+        assert bson.compare(nan, float("-inf")) == -1
+        assert bson.compare(None, nan) == -1  # still inside its bracket
+        ordered = sorted([1, nan, float("-inf"), -3.5], key=bson.sort_key)
+        assert ordered[1:] == [float("-inf"), -3.5, 1]
+        assert bson.canonical_key_bytes(
+            [bson.sort_key(nan)]
+        ) < bson.canonical_key_bytes([bson.sort_key(float("-inf"))])
+
     def test_array_and_object_ordering(self):
         assert compare([1, 2], [1, 3]) == -1
         assert compare({"a": 1}, {"a": 2}) == -1

@@ -1,9 +1,14 @@
 """Tests for plan execution and its statistics."""
 
 import datetime as dt
+import threading
 
+import pytest
+
+from repro.docstore import executor
 from repro.docstore.collection import Collection
 from repro.docstore.matcher import Matcher, matches
+from repro.errors import DocumentStoreError
 
 UTC = dt.timezone.utc
 T0 = dt.datetime(2018, 7, 1, tzinfo=UTC)
@@ -135,3 +140,68 @@ class TestExecutionStats:
             "docsExamined",
             "nReturned",
         }
+
+
+NAN = float("nan")
+
+#: (documents' ``v`` in insertion order, query) pairs that never
+#: returned while a stored NaN had no place in the index's total order.
+NAN_REPRODUCERS = [
+    ([-1, NAN, None, 1, "a"], {"v": {"$gt": 2.5, "$lte": None}}),
+    ([[1, NAN], True, 0.0, -1, NAN], {"v": {"$gt": 0.0, "$lte": False}}),
+]
+
+
+class TestScanAlwaysAdvances:
+    @pytest.mark.parametrize("values, query", NAN_REPRODUCERS)
+    def test_stored_nan_does_not_spin_the_scan(self, values, query):
+        col = Collection("c")
+        col.create_index([("v", 1)])
+        for i, value in enumerate(values):
+            col.insert_one({"_id": i, "v": value})
+        results = {}
+
+        def run():
+            for fast_path in (True, False):
+                results[fast_path] = col.find_with_stats(
+                    query, fast_path=fast_path
+                )
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "index scan did not return"
+        fast, slow = results[True], results[False]
+        assert fast.stats.stage == "IXSCAN"
+        assert fast.documents == slow.documents == []
+        assert fast.stats.as_dict() == slow.stats.as_dict()
+
+    def test_nan_key_is_found_where_it_sorts(self):
+        col = Collection("c")
+        col.create_index([("v", 1)])
+        for i, value in enumerate([3, NAN, float("-inf"), -2]):
+            col.insert_one({"_id": i, "v": value})
+        for fast_path in (True, False):
+            below = col.find_with_stats(
+                {"v": {"$lt": float("-inf")}}, fast_path=fast_path
+            )
+            assert [d["_id"] for d in below.documents] == [1]
+            numbers = col.find_with_stats(
+                {"v": {"$gte": float("-inf")}}, fast_path=fast_path
+            )
+            assert [d["_id"] for d in numbers.documents] == [2, 3, 0]
+
+    @pytest.mark.parametrize("fast_path", [True, False])
+    def test_seek_that_does_not_advance_raises(self, monkeypatch, fast_path):
+        col = build_collection(20)
+        monkeypatch.setattr(
+            executor._BoundsChecker,
+            "check",
+            lambda self, key: ("seek", key),
+        )
+        with pytest.raises(DocumentStoreError, match="cannot advance"):
+            col.find_with_stats(
+                {"h": {"$gte": 5, "$lte": 15}},
+                hint="h_date",
+                fast_path=fast_path,
+            )

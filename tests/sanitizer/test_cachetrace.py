@@ -12,10 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.cluster import ClusterTopology, ShardedCluster
-from repro.errors import PlanError
 from repro.sanitizer import (
     CacheTracer,
-    instrument_plan_cache,
+    instrument_stats_catalog,
     instrument_targeting_cache,
 )
 from repro.service.service import QueryService
@@ -132,41 +131,36 @@ class TestInstrumentation:
         service.cluster._bump_metadata_version()
         assert tracer.generation("metadata") == before + 1
 
-    def test_plan_cache_roundtrip_is_clean(self, service):
-        tracer = instrument_plan_cache(service, CacheTracer())
+    def test_stats_catalog_roundtrip_is_clean(self, service):
+        tracer = instrument_stats_catalog(service, CacheTracer())
         service.insert_many(
             "t", [{"_id": i, "k": i, "v": i % 3} for i in range(20)]
         )
+        service.analyze_collection("t")
+        assert service.collection_stats("t") is not None
+        before = tracer.generation("metadata")
         service.create_index("t", [("v", 1)], name="v_idx")
-        for _ in range(3):
-            service.find("t", {"v": 1})
-        assert tracer.generation("ddl:t") == 1
-        service.drop_index("t", "v_idx")
-        assert tracer.generation("ddl:t") == 2
-        service.find("t", {"v": 1})
+        assert tracer.generation("metadata") > before
+        assert service.collection_stats("t") is None  # stamp moved
+        service.analyze_collection("t")
+        assert service.collection_stats("t") is not None
         tracer.assert_clean()
 
     def test_broken_invalidation_would_be_caught(self, service):
-        """Disable the plan cache's DDL invalidation: the tracer trips.
+        """Read the catalog with a stale version stamp: the tracer trips.
 
         This is the tracer's reason to exist — it advances the domain
-        at the service entry point, independently of the cache's own
-        plumbing, so severing that plumbing turns the next hit stale.
+        inside the metadata bump, independently of the catalog's own
+        stamp check, so a reader that validates against the version it
+        remembered (not the live one) turns the next hit stale.
         """
-        tracer = instrument_plan_cache(service, CacheTracer())
+        tracer = instrument_stats_catalog(service, CacheTracer())
         service.insert_many(
             "t", [{"_id": i, "k": i, "v": i % 3} for i in range(20)]
         )
+        service.analyze_collection("t")
+        remembered = service.cluster.metadata_version
         service.create_index("t", [("v", 1)], name="v_idx")
-        for _ in range(2):
-            service.find("t", {"v": 1})
-        assert service.plan_cache is not None
-        service.plan_cache.invalidate_collection = lambda collection: 0
-        service.drop_index("t", "v_idx")
-        # The stale entry still hints the dropped index; the tracer
-        # records the stale hit at lookup time, before the planner
-        # discovers the hint is unusable and raises.
-        with pytest.raises(PlanError):
-            service.find("t", {"v": 1})
-        assert tracer.violations(), "severed invalidation must surface"
-        assert {v.family for v in tracer.violations()} == {"CC003"}
+        assert service.stats_catalog.get("t", remembered) is not None
+        assert tracer.violations(), "stale stamp check must surface"
+        assert {v.family for v in tracer.violations()} == {"CC001"}

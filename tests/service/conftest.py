@@ -10,7 +10,6 @@ from repro.cluster.cluster import ClusterTopology, ShardedCluster
 from repro.sanitizer import (
     CacheTracer,
     LockOrderSanitizer,
-    instrument_plan_cache,
     instrument_query_service,
     instrument_stats_catalog,
     instrument_targeting_cache,
@@ -69,8 +68,7 @@ def cache_epoch_tracer(monkeypatch):
     """Run every service test under the cache epoch tracer.
 
     Each QueryService constructed during the test gets its targeting
-    cache, plan cache (shape, exact, and parameterized-plan stores),
-    and statistics catalog wired into one :class:`CacheTracer`;
+    cache and statistics catalog wired into one :class:`CacheTracer`;
     teardown fails the test if any cache served a hit whose fill
     predates a governing mutation — the runtime half of the
     CC001–CC004 rules, checked across the whole suite's workloads for
@@ -82,7 +80,6 @@ def cache_epoch_tracer(monkeypatch):
     def instrumented_init(self, *args, **kwargs):
         original_init(self, *args, **kwargs)
         instrument_targeting_cache(self.cluster, tracer)
-        instrument_plan_cache(self, tracer)
         instrument_stats_catalog(self, tracer)
 
     monkeypatch.setattr(QueryService, "__init__", instrumented_init)

@@ -1,8 +1,7 @@
 """Cache coherence of the live service, checked by the epoch tracer.
 
 The ISSUE-8 satellite: drive the TargetingCache through interleaved
-chunk splits and zone updates, and the plan cache through DDL on a
-*different* collection, with the autouse ``cache_epoch_tracer``
+chunk splits and zone updates, with the autouse ``cache_epoch_tracer``
 fixture (tests/service/conftest.py) recording every fill and hit.
 Correctness here means two things at once: answers stay right, and
 the tracer's teardown ``assert_clean`` finds no hit whose fill
@@ -98,57 +97,3 @@ class TestTargetingUnderInterleavedMutations:
                 service.find("t", {"k": {"$gte": 0, "$lt": 2_000}})
             stats = cluster.targeting_cache.stats()
             assert stats["hits"] >= 3
-
-
-class TestPlanCacheAcrossCollections:
-    def test_entries_survive_unrelated_ddl(
-        self, cluster_factory, cache_epoch_tracer
-    ):
-        """DDL on one collection must not stale-out another's plans.
-
-        The tracer's domains are per-collection (``ddl:t`` vs
-        ``ddl:u``), so if the plan cache over-shared state across
-        collections — or under-invalidated its own — teardown's
-        ``assert_clean`` would name the stale hit.
-        """
-        cluster = cluster_factory(n_docs=200)
-        cluster.shard_collection("u", [("k", 1)])
-        cluster.insert_many(
-            "u",
-            [
-                {"_id": i, "k": i * 11, "v": i % 5, "pad": "x" * 64}
-                for i in range(200)
-            ],
-        )
-        with QueryService(cluster) as service:
-            service.create_index("t", [("group", 1)], name="g_idx")
-            service.create_index("u", [("v", 1)], name="v_idx")
-            t_query = {"group": 3}
-            u_query = {"v": 2}
-            t_expected = sorted(
-                d["_id"] for d in service.find("t", t_query)
-            )
-            u_expected = sorted(
-                d["_id"] for d in service.find("u", u_query)
-            )
-            before = service.plan_cache.stats()["hits"]
-            # DDL churn on "u" only; "t" entries must stay live and
-            # keep hitting.
-            service.drop_index("u", "v_idx")
-            service.create_index("u", [("v", 1), ("k", 1)], name="v_idx")
-            for _ in range(2):
-                got = sorted(d["_id"] for d in service.find("t", t_query))
-                assert got == t_expected
-            assert service.plan_cache.stats()["hits"] > before
-            # And "u" itself replans correctly after its churn.
-            got = sorted(d["_id"] for d in service.find("u", u_query))
-            assert got == u_expected
-
-    def test_tracer_generations_are_per_collection(
-        self, cluster_factory, cache_epoch_tracer
-    ):
-        cluster = cluster_factory(n_docs=50)
-        with QueryService(cluster) as service:
-            service.create_index("t", [("group", 1)], name="g_idx")
-            assert cache_epoch_tracer.generation("ddl:t") == 1
-            assert cache_epoch_tracer.generation("ddl:u") == 0

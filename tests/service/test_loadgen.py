@@ -29,7 +29,7 @@ class TestClosedLoop:
         assert report.p99_latency_ms >= report.p50_latency_ms > 0
         payload = report.as_dict()
         assert payload["completed"] == 40
-        assert payload["planCache"]["hits"] > 0
+        assert payload["planOutcomes"] == {"shapeHits": 40, "misses": 0}
 
     def test_single_client_is_serial(self, seeded_cluster):
         config = ServiceConfig(parallel_scatter_gather=False)

@@ -1,6 +1,6 @@
-"""Plan cache: shape normalization, invalidation, LRU, statistics."""
+"""Query keys: shape normalization."""
 
-from repro.service.plan_cache import PlanCache, query_shape_key
+from repro.service.plan_cache import query_shape_key
 
 
 class TestShapeKey:
@@ -30,113 +30,3 @@ class TestShapeKey:
             "t", {"$or": [{"h": {"$gte": 5, "$lte": 8}}, {"h": {"$in": [4]}}]}
         )
         assert a == b
-
-
-class TestCacheBehaviour:
-    def test_miss_then_hit(self):
-        cache = PlanCache()
-        key = query_shape_key("t", {"k": 3})
-        assert cache.get(key) is None
-        cache.put(key, "idx")
-        assert cache.get(key) == "idx"
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 1
-
-    def test_lru_eviction(self):
-        cache = PlanCache(max_entries=2)
-        k1 = query_shape_key("t", {"a": 1})
-        k2 = query_shape_key("t", {"b": 1})
-        k3 = query_shape_key("t", {"c": 1})
-        cache.put(k1, "i1")
-        cache.put(k2, "i2")
-        assert cache.get(k1) == "i1"  # freshens k1
-        cache.put(k3, "i3")  # evicts k2, the least recent
-        assert cache.get(k2) is None
-        assert cache.get(k1) == "i1"
-        assert cache.get(k3) == "i3"
-
-    def test_write_volume_invalidation(self):
-        cache = PlanCache(write_invalidation_threshold=10)
-        key = query_shape_key("t", {"k": 3})
-        cache.put(key, "idx")
-        cache.note_writes("t", 9)
-        assert cache.get(key) == "idx"  # below threshold
-        cache.note_writes("t", 1)
-        assert cache.get(key) is None  # threshold reached
-        assert cache.evictions == 1
-
-    def test_write_invalidation_is_per_collection(self):
-        cache = PlanCache(write_invalidation_threshold=5)
-        key = query_shape_key("t", {"k": 3})
-        cache.put(key, "idx")
-        cache.note_writes("other", 100)
-        assert cache.get(key) == "idx"
-
-    def test_invalidate_collection(self):
-        cache = PlanCache()
-        k1 = query_shape_key("t", {"k": 3})
-        k2 = query_shape_key("u", {"k": 3})
-        cache.put(k1, "i1")
-        cache.put(k2, "i2")
-        assert cache.invalidate_collection("t") == 1
-        assert cache.get(k1) is None
-        assert cache.get(k2) == "i2"
-
-    def test_hit_rate(self):
-        cache = PlanCache()
-        key = query_shape_key("t", {"k": 3})
-        cache.get(key)  # miss
-        cache.put(key, "idx")
-        for _ in range(9):
-            cache.get(key)  # hits
-        assert cache.hit_rate == 0.9
-
-
-class TestExactAdmission:
-    """The exact store's admission control under ever-distinct traffic."""
-
-    def _drive_miss_window(self, cache):
-        for i in range(PlanCache._EXACT_WINDOW):
-            cache.get_compiled(("t", "q%d" % i))
-
-    def test_admits_by_default(self):
-        cache = PlanCache()
-        assert all(cache.exact_admission() for _ in range(10))
-        assert cache.exact_bypasses == 0
-
-    def test_hitless_window_suppresses_store(self):
-        cache = PlanCache()
-        self._drive_miss_window(cache)
-        decisions = [cache.exact_admission() for _ in range(64)]
-        # Suppressed: only every _EXACT_PROBE_EVERY-th lookup probes.
-        assert decisions.count(True) == 64 // PlanCache._EXACT_PROBE_EVERY
-        assert cache.exact_bypasses == 64 - decisions.count(True)
-
-    def test_probe_hit_lifts_suppression(self):
-        cache = PlanCache()
-        cache.put_compiled(("t", "warm"), ("t", "shape"), None, None, None)
-        self._drive_miss_window(cache)
-        # Wait out bypasses until a probe is granted, then hit on it.
-        while not cache.exact_admission():
-            pass
-        assert cache.get_compiled(("t", "warm")) is not None
-        # Repeat traffic is back: admission is unconditional again.
-        assert all(cache.exact_admission() for _ in range(10))
-
-    def test_sparse_hits_keep_store_admitted(self):
-        cache = PlanCache()
-        cache.put_compiled(("t", "warm"), ("t", "shape"), None, None, None)
-        # A window with just enough hits stays admitted.
-        for i in range(PlanCache._EXACT_WINDOW):
-            if i % 64 == 0:
-                cache.get_compiled(("t", "warm"))
-            else:
-                cache.get_compiled(("t", "q%d" % i))
-        assert cache.exact_admission()
-        assert cache.exact_bypasses == 0
-
-    def test_bypasses_reported_in_stats(self):
-        cache = PlanCache()
-        self._drive_miss_window(cache)
-        cache.exact_admission()
-        assert cache.stats()["exactBypasses"] == cache.exact_bypasses

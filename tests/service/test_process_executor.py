@@ -144,8 +144,7 @@ class TestReplicaSync:
                 assert canonical_docs(later.documents) == first
                 assert later.stats.as_dict() == results[0].stats.as_dict()
             executor = service.metrics_snapshot().as_dict()["executor"]
-            # Query 1 misses (no hint in the key), query 2 carries the
-            # winning hint (new key: miss + insert), queries 3+ hit.
+            # Query 1 misses and fills; the identical queries 2+ hit.
             assert executor["remoteCacheHits"] > 0
             assert executor["remoteSubqueries"] >= executor["remoteCacheHits"]
 

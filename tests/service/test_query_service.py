@@ -1,10 +1,11 @@
-"""QueryService: parity with the library path, admission, plan cache."""
+"""QueryService: parity with the library path, planning, admission."""
 
 import threading
 import time
 
 import pytest
 
+from repro.cluster.cluster import ClusterTopology, ShardedCluster
 from repro.errors import (
     QueryTimeoutError,
     ServiceError,
@@ -26,17 +27,17 @@ class TestResultParity:
         ]
         assert served.stats.as_dict() == base.stats.as_dict()
 
-    def test_parity_holds_on_plan_cache_hit(self, seeded_cluster):
+    def test_parity_holds_on_repeated_query(self, seeded_cluster):
         base = seeded_cluster.find("t", QUERY)
         with QueryService(seeded_cluster) as service:
             first = service.find("t", QUERY)
             second = service.find("t", QUERY)
-        assert not first.plan_cache_hit
-        assert second.plan_cache_hit
-        assert second.stats.as_dict() == base.stats.as_dict()
-        assert [d["_id"] for d in second.documents] == [
-            d["_id"] for d in base.documents
-        ]
+        for served in (first, second):
+            assert served.cache_outcome == "shape"
+            assert served.stats.as_dict() == base.stats.as_dict()
+            assert [d["_id"] for d in served.documents] == [
+                d["_id"] for d in base.documents
+            ]
 
     def test_broadcast_parity(self, seeded_cluster):
         base = seeded_cluster.find("t", BROADCAST)
@@ -60,82 +61,58 @@ class TestResultParity:
             assert service.count_documents("t", QUERY) == expected
 
 
-class TestPlanCacheIntegration:
-    def test_repeated_shape_hits_with_different_constants(
-        self, seeded_cluster
-    ):
+def _two_index_cluster() -> ShardedCluster:
+    cluster = ShardedCluster(topology=ClusterTopology(n_shards=3))
+    cluster.shard_collection("t", [("_id", 1)])
+    cluster.insert_many(
+        "t",
+        [
+            {"_id": i, "a": i % 1000, "b": (i * 7) % 1000, "c": 1}
+            for i in range(3000)
+        ],
+    )
+    cluster.create_index("t", [("a", 1)], name="a_1")
+    cluster.create_index("t", [("b", 1)], name="b_1")
+    return cluster
+
+
+def _ne_query(a, b):
+    """Two ranged paths plus a ``$ne``: not parameterizable."""
+    return {
+        "a": {"$gte": a[0], "$lte": a[1]},
+        "b": {"$gte": b[0], "$lte": b[1]},
+        "c": {"$ne": 0},
+    }
+
+
+class TestOnePlanningPath:
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_no_winner_is_replayed_across_a_value_free_shape(self, flip):
+        # Same value-free shape, opposite selectivities: a_1 wins the
+        # first query, b_1 the second.  Replaying the first winner as a
+        # hint made the second scan 3 000 keys where the library path
+        # scans 36.
+        cluster = _two_index_cluster()
+        pair = [((10, 20), (0, 999)), ((0, 999), (10, 20))]
+        if flip:
+            pair.reverse()
+        with QueryService(cluster) as service:
+            for a, b in pair:
+                served = service.find("t", _ne_query(a, b))
+                base = cluster.find("t", _ne_query(a, b))
+                assert served.hint_used is None
+                assert served.cache_outcome == "miss"
+                assert served.stats.as_dict() == base.stats.as_dict()
+                assert served.documents == base.documents
+
+    def test_explicit_hint_passes_through(self, seeded_cluster):
+        seeded_cluster.create_index("t", [("group", 1)], name="group_1")
+        base = seeded_cluster.find("t", BROADCAST, hint="group_1")
         with QueryService(seeded_cluster) as service:
-            service.find("t", {"k": {"$gte": 0, "$lt": 100}})
-            for lo in range(100, 1000, 100):
-                r = service.find("t", {"k": {"$gte": lo, "$lt": lo + 100}})
-                assert r.plan_cache_hit
-            assert service.plan_cache.hit_rate > 0.85
-
-    def test_write_volume_invalidates(self, seeded_cluster):
-        config = ServiceConfig(plan_cache_write_threshold=10)
-        with QueryService(seeded_cluster, config) as service:
-            service.find("t", QUERY)
-            assert service.find("t", QUERY).plan_cache_hit
-            service.insert_many(
-                "t",
-                [
-                    {"_id": 10_000 + i, "k": i, "group": 0, "counter": 0}
-                    for i in range(10)
-                ],
-            )
-            assert not service.find("t", QUERY).plan_cache_hit
-
-    def test_index_ddl_invalidates(self, seeded_cluster):
-        with QueryService(seeded_cluster) as service:
-            service.find("t", QUERY)
-            assert service.find("t", QUERY).plan_cache_hit
-            service.create_index("t", [("group", 1)], name="group_1")
-            assert not service.find("t", QUERY).plan_cache_hit
-            assert service.find("t", QUERY).plan_cache_hit
-            service.drop_index("t", "group_1")
-            assert not service.find("t", QUERY).plan_cache_hit
-
-    def test_compiled_plan_not_served_across_drop_index(
-        self, seeded_cluster
-    ):
-        # The exact-query compiled plan carries the winning index as
-        # its hint; serving it after that index is dropped would hint
-        # a nonexistent index (PlanError) or, worse, replay stale
-        # bounds.  DDL must retire compiled entries with the shapes.
-        with QueryService(seeded_cluster) as service:
-            service.create_index("t", [("group", 1)], name="group_1")
-            first = service.find("t", BROADCAST)
-            assert service.find("t", BROADCAST).plan_cache_hit
-            assert service.plan_cache.stats()["compiledEntries"] >= 1
-            service.drop_index("t", "group_1")
-            assert service.plan_cache.stats()["compiledEntries"] == 0
-            after = service.find("t", BROADCAST)
-            assert not after.plan_cache_hit
-            assert [d["_id"] for d in after.documents] == [
-                d["_id"] for d in first.documents
-            ]
-            # And the rebuilt compiled plan serves hits again.
-            assert service.find("t", BROADCAST).plan_cache_hit
-
-    def test_compiled_hit_reuses_exact_query(self, seeded_cluster):
-        with QueryService(seeded_cluster) as service:
-            service.find("t", QUERY)
-            before = service.plan_cache.stats()["compiledHits"]
-            repeat = service.find("t", QUERY)
-            assert repeat.plan_cache_hit
-            assert service.plan_cache.stats()["compiledHits"] == before + 1
-            # Same shape, different constants: not an exact hit, but
-            # still a shape-level hit.
-            other = service.find("t", {"k": {"$gte": 1001, "$lt": 5001}})
-            assert other.plan_cache_hit
-            assert service.plan_cache.stats()["compiledHits"] == before + 1
-
-    def test_cache_disabled(self, seeded_cluster):
-        config = ServiceConfig(plan_cache_enabled=False)
-        with QueryService(seeded_cluster, config) as service:
-            assert service.plan_cache is None
-            service.find("t", QUERY)
-            assert not service.find("t", QUERY).plan_cache_hit
+            served = service.find("t", BROADCAST, hint="group_1")
+        assert served.hint_used == "group_1"
+        assert served.cache_outcome is None
+        assert served.stats.as_dict() == base.stats.as_dict()
 
 
 class TestAdmissionControl:
@@ -251,13 +228,14 @@ class TestServiceMetrics:
         with QueryService(seeded_cluster) as service:
             for _ in range(5):
                 service.find("t", QUERY)
-            snap = service.metrics.snapshot(service.plan_cache.stats())
+            snap = service.metrics_snapshot()
             assert snap.completed == 5
             assert snap.p50_latency_ms > 0
             assert snap.p99_latency_ms >= snap.p50_latency_ms
-            assert snap.plan_cache["hits"] == 4
+            assert snap.plan_outcomes == {"shapeHits": 5, "misses": 0}
             payload = snap.as_dict()
             assert payload["completed"] == 5
+            assert payload["planOutcomes"] == snap.plan_outcomes
 
 
 class TestServiceBackedMeasurement:
