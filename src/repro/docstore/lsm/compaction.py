@@ -1,12 +1,17 @@
 """Size-tiered compaction: pick similarly-sized runs, k-way merge them.
 
 The policy mirrors Cassandra's size-tiered strategy: runs are bucketed
-by ``log2(size)`` band, and any band holding at least ``min_runs``
-members is a merge candidate (oldest band first, so the write
-amplification stays bottom-heavy).  The merge itself is a streaming
-k-way union where the *newest* run wins on key collisions; tombstones
-are dropped only when the merge includes the oldest run in the store —
-otherwise an older, unmerged run could still resurrect the key.
+by ``log2(size)`` band, and any stretch of at least ``min_runs``
+age-adjacent runs in one band is a merge candidate (smallest band
+first, so the write amplification stays bottom-heavy).  Only adjacent
+runs may merge: the merged run takes the oldest input's place, so a
+skipped run in between would end up *newer* than data written after it
+— its stale versions would shadow the merged ones, and a tombstone
+dropped by the merge would resurrect the key it still holds.  The merge
+itself is a streaming k-way union where the *newest* run wins on key
+collisions; tombstones are dropped only when the merge includes the
+oldest run in the store — otherwise an older, unmerged run could still
+resurrect the key.
 
 Merging runs only ever touches immutable inputs, so the engine runs it
 without holding any lock and swaps the manifest afterwards.
@@ -29,22 +34,21 @@ def pick_compaction(
     """Indices (oldest-first positions) of runs to merge, or ``None``.
 
     ``runs`` is ordered oldest → newest, the order the engine keeps its
-    manifest in.  Buckets are ``int(log2(size))`` bands; the first band
-    (scanning from the small/new end would favour hot data, but size
-    tiers are age-correlated here, so plain band order suffices) with
-    ``min_runs`` members is returned.
+    manifest in.  Bands are ``int(log2(size))``; the first stretch of
+    ``min_runs`` or more consecutive runs in one band — smallest band
+    first, oldest stretch first within it — is returned.
     """
     if len(runs) < min_runs:
         return None
-    buckets: dict = {}
+    stretches: List[Tuple[int, List[int]]] = []
     for position, run in enumerate(runs):
         band = int(math.log2(max(run.size_bytes, 1)))
-        buckets.setdefault(band, []).append(position)
-    for band in sorted(buckets):
-        members = buckets[band]
-        if len(members) >= min_runs:
-            return sorted(members)
-    return None
+        if stretches and stretches[-1][0] == band:
+            stretches[-1][1].append(position)
+        else:
+            stretches.append((band, [position]))
+    eligible = [s for s in stretches if len(s[1]) >= min_runs]
+    return min(eligible)[1] if eligible else None
 
 
 def merge_runs(

@@ -9,11 +9,10 @@ subquery execution to an *executor*:
 * :class:`ShardWorkerPool` — process-parallel serving: each shard (or
   shard group) is assigned to a worker *process* hosting read replicas
   of its collections.  Subqueries travel as compact picklable plan
-  messages (:mod:`repro.service.wire`), queued subqueries sharing a
-  shape are coalesced into one batch frame per worker round-trip, and
-  each worker keeps an epoch-validated plan/result cache so repeated
-  subqueries skip plan binding, B-tree descent, and re-pickling
-  entirely.
+  messages (:mod:`repro.service.wire`), queued subqueries are
+  coalesced into one batch frame per worker round-trip, and each
+  worker keeps an epoch-validated result cache so repeated subqueries
+  skip analysis, B-tree descent, and re-pickling entirely.
 
 Replication contract (what makes results byte-identical):
 
@@ -59,7 +58,6 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.plan_cache import exact_query_key, query_shape_key
 from repro.service.wire import (
     BatchFrame,
-    BatchGroup,
     PlanMessage,
     ResultFrame,
     ShutdownFrame,
@@ -95,6 +93,9 @@ ENV_BACKEND = "REPRO_EXECUTOR_BACKEND"
 #: a worker-local lock-order sanitizer and report violations with
 #: every reply.
 ENV_WORKER_SANITIZE = "REPRO_WORKER_SANITIZE"
+
+#: Entries in each worker process's epoch-validated result cache.
+WORKER_CACHE_SIZE = 512
 
 #: Worker-side instrumentation hook, filled in by
 #: ``repro.sanitizer.instrument`` when that package is imported.  The
@@ -179,27 +180,15 @@ class ThreadedExecutor:
         """The fan-out hook passed to :meth:`ShardedCluster.find`."""
         del spec  # threaded subqueries close over the live collections
 
-        def run_one(fn, shard_id):
-            pair = fn(shard_id)
-            if self.config.simulate_shard_latency:
-                _shard_id, result = pair
-                ms = self.cluster.cost_model.shard_time_ms(result.stats)
-                time.sleep(
-                    ms * self.config.simulated_latency_scale / 1000.0
-                )
-            return pair
-
         def mapper(fn, shard_ids):
             ids = list(shard_ids)
             if not self.config.parallel_scatter_gather or len(ids) <= 1:
                 out = []
                 for shard_id in ids:
                     deadline.remaining()  # raises when expired
-                    out.append(run_one(fn, shard_id))
+                    out.append(fn(shard_id))
                 return out
-            futures = [
-                self._pool.submit(run_one, fn, shard_id) for shard_id in ids
-            ]
+            futures = [self._pool.submit(fn, shard_id) for shard_id in ids]
             try:
                 while True:
                     remaining = deadline.remaining()
@@ -308,21 +297,10 @@ class _WorkerClient:
     construction.
     """
 
-    def __init__(
-        self,
-        ctx,
-        worker_index: int,
-        cost_model,
-        config: "ServiceConfig",
-        sanitize: bool,
-    ) -> None:
+    def __init__(self, ctx, worker_index: int, sanitize: bool) -> None:
         self.worker_index = worker_index
         self._lock = threading.Lock()
         self._ctx = ctx
-        self._cost_model = cost_model
-        self._simulate = config.simulate_shard_latency
-        self._scale = config.simulated_latency_scale
-        self._cache_size = config.worker_cache_size
         self._sanitize = sanitize
         self._ids = itertools.count()
         self._pending: Dict[int, _PendingReply] = {}
@@ -391,7 +369,7 @@ class _WorkerClient:
         return pending
 
     def flush(self) -> None:
-        """Send everything queued as one shape-grouped batch frame.
+        """Send everything queued as one batch frame, in arrival order.
 
         Whoever flushes first drains the *whole* outbox — including
         requests other threads enqueued since — so concurrent queries
@@ -405,26 +383,8 @@ class _WorkerClient:
                 return
             syncs = tuple(self._sync_outbox.values())
             self._sync_outbox.clear()
-            requests = self._outbox
+            frame = BatchFrame(syncs=syncs, requests=tuple(self._outbox))
             self._outbox = []
-            by_shape: Dict[Any, List[SubqueryRequest]] = {}
-            order: List[Any] = []
-            for request in requests:
-                group_key = request.plan.shape_key
-                if group_key not in by_shape:
-                    by_shape[group_key] = []
-                    order.append(group_key)
-                by_shape[group_key].append(request)
-            frame = BatchFrame(
-                syncs=syncs,
-                groups=tuple(
-                    BatchGroup(
-                        shape_key=group_key,
-                        requests=tuple(by_shape[group_key]),
-                    )
-                    for group_key in order
-                ),
-            )
             try:
                 self._conn.send(frame)
             except (BrokenPipeError, OSError):
@@ -463,14 +423,7 @@ class _WorkerClient:
         self._conn = parent_conn
         self._proc = self._ctx.Process(
             target=_worker_main,
-            args=(
-                child_conn,
-                self._cost_model,
-                self._simulate,
-                self._scale,
-                self._cache_size,
-                self._sanitize,
-            ),
+            args=(child_conn, self._sanitize),
             daemon=True,
             name="repro-shard-worker-%d" % self.worker_index,
         )
@@ -561,7 +514,7 @@ class ShardWorkerPool:
         sanitize = os.environ.get(ENV_WORKER_SANITIZE, "") not in ("", "0")
         ctx = multiprocessing.get_context("fork")
         self._workers: List[_WorkerClient] = [
-            _WorkerClient(ctx, index, cluster.cost_model, config, sanitize)
+            _WorkerClient(ctx, index, sanitize)
             for index in range(workers)
         ]
         self._clients: Dict[str, _WorkerClient] = {}
@@ -650,12 +603,11 @@ class ShardWorkerPool:
 class _CachedResult:
     """One epoch-stamped entry of a worker's result cache."""
 
-    __slots__ = ("epoch", "payload", "cost_ms")
+    __slots__ = ("epoch", "payload")
 
-    def __init__(self, epoch: int, payload: bytes, cost_ms: float) -> None:
+    def __init__(self, epoch: int, payload: bytes) -> None:
         self.epoch = epoch
         self.payload = payload
-        self.cost_ms = cost_ms
 
 
 class _WorkerHost:
@@ -670,18 +622,8 @@ class _WorkerHost:
     instead of corrupting a replica silently.
     """
 
-    def __init__(
-        self,
-        cost_model,
-        simulate: bool,
-        scale: float,
-        cache_size: int,
-    ) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._cost_model = cost_model
-        self._simulate = simulate
-        self._scale = scale
-        self._cache_size = max(0, cache_size)
         self._replicas: Dict[Tuple[str, str], Collection] = {}
         self._epochs: Dict[Tuple[str, str], int] = {}
         #: Result LRU: dicts preserve insertion order, and hits
@@ -699,13 +641,12 @@ class _WorkerHost:
         )
 
     def handle_batch(self, frame: BatchFrame):
-        """Apply syncs, then serve each grouped request in order."""
+        """Apply syncs, then serve each request in arrival order."""
         for sync in frame.syncs:
             with self._lock:
                 self._apply_sync_locked(sync)
-        for group in frame.groups:
-            for request in group.requests:
-                yield self._serve(request)
+        for request in frame.requests:
+            yield self._serve(request)
 
     def _serve(self, request: SubqueryRequest) -> ResultFrame:
         plan = request.plan
@@ -713,7 +654,7 @@ class _WorkerHost:
             time.sleep(plan.stall_ms / 1000.0)
         try:
             with self._lock:
-                payload, cost_ms, cached = self._execute_locked(
+                payload, cached = self._execute_locked(
                     request.shard_id, plan
                 )
         except Exception as exc:
@@ -722,13 +663,6 @@ class _WorkerHost:
                 error=encode_error(exc),
                 violations=self.violations(),
             )
-        if self._simulate and not cached:
-            # The sleep models the shard-side B-tree work the cost
-            # model prices.  A cache hit resends stored reply bytes
-            # without performing that work, so it owes none of the
-            # modelled time either — this is exactly the amortization
-            # the process backend is built to exploit.
-            time.sleep(cost_ms * self._scale / 1000.0)
         return ResultFrame(
             request_id=request.request_id,
             payload=payload,
@@ -746,7 +680,7 @@ class _WorkerHost:
 
     def _execute_locked(
         self, shard_id: str, plan: PlanMessage
-    ) -> Tuple[bytes, float, bool]:
+    ) -> Tuple[bytes, bool]:
         key = (shard_id, plan.collection)
         replica = self._replicas.get(key)
         if replica is None or self._epochs.get(key) != plan.epoch:
@@ -757,7 +691,7 @@ class _WorkerHost:
                    plan.epoch)
             )
         cache_key = None
-        if plan.exact_key is not None and self._cache_size > 0:
+        if plan.exact_key is not None:
             cache_key = (
                 shard_id,
                 plan.collection,
@@ -773,7 +707,7 @@ class _WorkerHost:
                 # means re-execution would produce these exact bytes.
                 del self._results[cache_key]
                 self._results[cache_key] = entry
-                return entry.payload, entry.cost_ms, True
+                return entry.payload, True
         shape = analyze_query(plan.query)
         matcher = Matcher(plan.query, fast_path=plan.fast_path)
         plan_bounds = None
@@ -791,27 +725,17 @@ class _WorkerHost:
             plan_bounds=plan_bounds,
         )
         payload = encode_result(result.documents, result.stats)
-        cost_ms = self._cost_model.shard_time_ms(result.stats)
         if cache_key is not None:
-            self._results[cache_key] = _CachedResult(
-                plan.epoch, payload, cost_ms
-            )
-            while len(self._results) > self._cache_size:
+            self._results[cache_key] = _CachedResult(plan.epoch, payload)
+            while len(self._results) > WORKER_CACHE_SIZE:
                 oldest = next(iter(self._results))
                 del self._results[oldest]
-        return payload, cost_ms, False
+        return payload, False
 
 
-def _worker_main(
-    conn,
-    cost_model,
-    simulate: bool,
-    scale: float,
-    cache_size: int,
-    sanitize: bool,
-) -> None:
+def _worker_main(conn, sanitize: bool) -> None:
     """The worker process's event loop: recv frames, send replies."""
-    host = _WorkerHost(cost_model, simulate, scale, cache_size)
+    host = _WorkerHost()
     if sanitize:
         # Registered by repro.sanitizer.instrument in the parent and
         # inherited through fork; _ensure_worker_locked refused to

@@ -11,10 +11,16 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Deque, Dict, List
 
 __all__ = ["ServiceMetrics", "MetricsSnapshot", "percentile"]
+
+#: Most recent query latencies the percentiles are read from; counts,
+#: sums and maxima are exact over the whole run, so a long-running
+#: service holds a bounded number of samples.
+SAMPLE_WINDOW = 8192
 
 
 def percentile(values: List[float], fraction: float) -> float:
@@ -89,13 +95,18 @@ class ServiceMetrics:
     Queries record their end-to-end latency and queue wait on
     completion; admission rejections and deadline expiries bump
     counters.  Throughput is measured over the span between the first
-    and last recorded completion.
+    and last recorded completion.  Means and maxima are running values
+    over every recorded query; the latency percentiles describe the
+    last :data:`SAMPLE_WINDOW` of them.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._latencies_ms: List[float] = []
-        self._queue_waits_ms: List[float] = []
+        self._latencies_ms: Deque[float] = deque(maxlen=SAMPLE_WINDOW)
+        self._latency_sum_ms = 0.0
+        self._latency_max_ms = 0.0
+        self._queue_wait_sum_ms = 0.0
+        self._queue_wait_max_ms = 0.0
         self._stage_totals_ms: Dict[str, float] = {}
         self.completed = 0
         self.rejected = 0
@@ -127,7 +138,12 @@ class ServiceMetrics:
         now = time.perf_counter()
         with self._lock:
             self._latencies_ms.append(latency_ms)
-            self._queue_waits_ms.append(queue_wait_ms)
+            self._latency_sum_ms += latency_ms
+            self._latency_max_ms = max(self._latency_max_ms, latency_ms)
+            self._queue_wait_sum_ms += queue_wait_ms
+            self._queue_wait_max_ms = max(
+                self._queue_wait_max_ms, queue_wait_ms
+            )
             if stage_times:
                 for stage, ms in stage_times.items():
                     self._stage_totals_ms[stage] = (
@@ -175,7 +191,10 @@ class ServiceMetrics:
         """Forget everything recorded so far."""
         with self._lock:
             self._latencies_ms.clear()
-            self._queue_waits_ms.clear()
+            self._latency_sum_ms = 0.0
+            self._latency_max_ms = 0.0
+            self._queue_wait_sum_ms = 0.0
+            self._queue_wait_max_ms = 0.0
             self._stage_totals_ms.clear()
             self.completed = 0
             self.rejected = 0
@@ -198,29 +217,35 @@ class ServiceMetrics:
         and range-decomposition caches) to surface in the snapshot.
         """
         with self._lock:
-            lat = list(self._latencies_ms)
-            waits = list(self._queue_waits_ms)
+            # Sorted once here; percentile()'s own sort of an ordered
+            # list is a single linear pass.
+            lat = sorted(self._latencies_ms)
+            completed = self.completed
             stages = dict(self._stage_totals_ms)
             span = 0.0
             if self._first_at is not None and self._last_at is not None:
                 span = self._last_at - self._first_at
             qps = 0.0
-            if span > 0 and len(lat) > 1:
+            if span > 0 and completed > 1:
                 # First completion anchors the window, so it is not an
                 # arrival *within* the window.
-                qps = (len(lat) - 1) / span
+                qps = (completed - 1) / span
             return MetricsSnapshot(
-                completed=self.completed,
+                completed=completed,
                 rejected=self.rejected,
                 timed_out=self.timed_out,
                 writes=self.writes,
-                mean_latency_ms=sum(lat) / len(lat) if lat else 0.0,
+                mean_latency_ms=(
+                    self._latency_sum_ms / completed if completed else 0.0
+                ),
                 p50_latency_ms=percentile(lat, 0.50),
                 p95_latency_ms=percentile(lat, 0.95),
                 p99_latency_ms=percentile(lat, 0.99),
-                max_latency_ms=max(lat) if lat else 0.0,
-                mean_queue_wait_ms=sum(waits) / len(waits) if waits else 0.0,
-                max_queue_wait_ms=max(waits) if waits else 0.0,
+                max_latency_ms=self._latency_max_ms,
+                mean_queue_wait_ms=(
+                    self._queue_wait_sum_ms / completed if completed else 0.0
+                ),
+                max_queue_wait_ms=self._queue_wait_max_ms,
                 throughput_qps=qps,
                 stage_totals_ms=stages,
                 caches=dict(caches or {}),

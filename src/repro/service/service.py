@@ -11,9 +11,7 @@ executor.  :class:`QueryService` adds exactly that layer:
   default, or per-shard worker *processes* when
   ``ServiceConfig.executor`` selects the ``process`` backend; merged
   documents and :class:`~repro.cluster.metrics.ClusterQueryStats` are
-  identical to the sequential path (the cost model's
-  ``max(shard_time)`` reading of Section 5 now matches real
-  wall-clock shape).
+  identical to the sequential path.
 * **Reader-writer locking** — per-shard shared/exclusive locks let any
   number of reads proceed concurrently while inserts, updates, and
   deletes (whose chunk splits and migrations can touch any shard) take
@@ -29,14 +27,6 @@ executor.  :class:`QueryService` adds exactly that layer:
   limit; requests beyond both fail fast with
   :class:`~repro.errors.ServiceOverloadedError`, and a per-query
   deadline turns into :class:`~repro.errors.QueryTimeoutError`.
-
-Optionally the service *simulates* per-shard service time by sleeping
-each subquery for its cost-model duration
-(``simulate_shard_latency``).  The in-process store executes a shard's
-work in microseconds where a real mongod pays network and disk; with
-simulation on, wall-clock behaves like the modelled deployment —
-sequential fan-out pays the *sum* of shard times, parallel fan-out the
-*max* — which is what the throughput benchmarks measure.
 """
 
 from __future__ import annotations
@@ -87,7 +77,7 @@ class ServiceConfig:
     #: Default per-query deadline; None means no deadline.
     default_timeout_ms: Optional[float] = None
     #: When False, shard subqueries run inline on the calling thread
-    #: (the sequential baseline the benchmarks compare against).
+    #: (the sequential reference the differential suites run on).
     parallel_scatter_gather: bool = True
     #: Enable the compiled query fast path end to end: parameterized
     #: plan binding, targeting/range-decomposition memos, compiled
@@ -95,11 +85,6 @@ class ServiceConfig:
     #: copies.  ``False`` reproduces the paper-faithful interpreter
     #: path, the oracle the differential suites compare against.
     fast_path: bool = True
-    #: Sleep each shard subquery for its cost-model time, so
-    #: wall-clock matches the modelled deployment's shape.
-    simulate_shard_latency: bool = False
-    #: Multiplier on the simulated per-shard milliseconds.
-    simulated_latency_scale: float = 1.0
     #: Execution backend for the shard fan-out: ``"thread"`` (the
     #: in-process pool), ``"process"`` (the :class:`ShardWorkerPool`
     #: of per-shard worker processes), or ``"auto"`` (consult the
@@ -109,9 +94,6 @@ class ServiceConfig:
     #: Worker *processes* for the process backend (shards are assigned
     #: round-robin); defaults to ``max_workers``.
     executor_workers: Optional[int] = None
-    #: Entries in each worker process's epoch-validated result cache;
-    #: 0 disables worker-side result caching.
-    worker_cache_size: int = 512
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:
@@ -127,8 +109,6 @@ class ServiceConfig:
             )
         if self.executor_workers is not None and self.executor_workers < 1:
             raise ServiceError("executor_workers must be positive")
-        if self.worker_cache_size < 0:
-            raise ServiceError("worker_cache_size must be >= 0")
 
     @property
     def effective_concurrency(self) -> int:

@@ -7,13 +7,11 @@ property — decode(encode(x)) reproduces x byte-for-byte — can be
 tested exhaustively against the differential query corpus:
 
 * :class:`PlanMessage` — one compiled subquery: the raw query document
-  plus its two query keys (shape key for batching, exact key for
-  the worker-side result cache) and the replica epoch it must execute
-  against;
+  plus its two query keys (the exact key addresses the worker-side
+  result cache) and the replica epoch it must execute against;
 * :class:`BatchFrame` — what one pipe write carries: any replica
   snapshots the worker is missing (:class:`SyncFrame`), then the
-  queued subqueries grouped by shape key (:class:`BatchGroup`), so one
-  round-trip amortizes plan binding and scheduling across every
+  queued subqueries in arrival order, so one round-trip carries every
   coalesced query;
 * :class:`ResultFrame` — one subquery's reply: an encoded
   (documents, counters) payload on success, a pickled exception on
@@ -42,7 +40,6 @@ from repro.docstore.executor import ExecutionStats
 __all__ = [
     "PlanMessage",
     "SubqueryRequest",
-    "BatchGroup",
     "SyncFrame",
     "BatchFrame",
     "ShutdownFrame",
@@ -69,12 +66,12 @@ class PlanMessage:
 
     ``shape_key``/``exact_key`` come from the query key functions
     (:func:`repro.service.plan_cache.query_shape_key` /
-    :func:`~repro.service.plan_cache.exact_query_key`): the shape key
-    groups batched subqueries that share a plan skeleton, the exact
-    key addresses the worker's epoch-validated result cache.  ``epoch``
-    is the source collection's ``mutation_count`` at send time, read
-    under the shard read lock — the worker refuses to serve a cached
-    result (or a stale replica) whose epoch does not match.
+    :func:`~repro.service.plan_cache.exact_query_key`): the exact key
+    addresses the worker's epoch-validated result cache; the worker
+    does not read the shape key.  ``epoch`` is the source collection's
+    ``mutation_count`` at send time, read under the shard read lock —
+    the worker refuses to serve a cached result (or a stale replica)
+    whose epoch does not match.
     """
 
     collection: str
@@ -100,19 +97,6 @@ class SubqueryRequest:
 
 
 @dataclass(frozen=True)
-class BatchGroup:
-    """Queued subqueries that share one query shape.
-
-    The worker binds the plan skeleton once per group (and once per
-    exact key via its LRU), so coalescing N same-shape subqueries into
-    one group pays one round-trip and one binding instead of N.
-    """
-
-    shape_key: Optional[Tuple[Any, ...]]
-    requests: Tuple[SubqueryRequest, ...]
-
-
-@dataclass(frozen=True)
 class SyncFrame:
     """A full replica snapshot for one ``(shard, collection)``.
 
@@ -131,10 +115,10 @@ class SyncFrame:
 
 @dataclass(frozen=True)
 class BatchFrame:
-    """One pipe write: missing snapshots first, then grouped requests."""
+    """One pipe write: missing snapshots first, then the requests."""
 
     syncs: Tuple[SyncFrame, ...]
-    groups: Tuple[BatchGroup, ...]
+    requests: Tuple[SubqueryRequest, ...]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ the paper's range queries between batches, and reports
 
 With a :class:`~repro.docstore.lsm.DurabilityConfig` mounted under the
 deployment, every batch also exercises the WAL/flush/compaction write
-path, which is what ``benchmarks/bench_ingest.py`` measures.
+path (measured by the ``ingest_mixed`` workload of ``benchmarks/perf``).
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class IngestReport:
         return out
 
     def as_dict(self) -> dict:
-        """JSON-ready view, as written into ``BENCH_ingest.json``."""
+        """JSON-ready view of the report."""
         return {
             "docsIngested": self.docs_ingested,
             "ingestSeconds": round(self.ingest_seconds, 6),

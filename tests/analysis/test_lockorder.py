@@ -344,7 +344,6 @@ class TestShippedTree:
             "ThreadedExecutor._drain_futures",
             "ThreadedExecutor.shard_mapper.mapper",
             "ThreadedExecutor.shard_mapper.mapper",
-            "ThreadedExecutor.shard_mapper.run_one",
         ]
 
 

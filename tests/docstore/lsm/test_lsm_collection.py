@@ -120,7 +120,7 @@ class TestServiceCacheEpoch:
         )
         cluster.shard_collection("traces", [("x", 1)], strategy="range")
         cluster.insert_many("traces", [{"x": i} for i in range(10)])
-        config = ServiceConfig(max_workers=2, simulate_shard_latency=False)
+        config = ServiceConfig(max_workers=2)
         with QueryService(cluster, config) as service:
             service.analyze_collection("traces")
             assert service.collection_stats("traces") is not None

@@ -51,6 +51,26 @@ class TestPickCompaction:
         for run in small + big:
             run.close()
 
+    def test_only_age_adjacent_runs_are_picked(self, tmp_path):
+        # A big run sitting between small ones must not be skipped
+        # over: the merged run would land *older* than it, and a
+        # dropped tombstone would resurrect what the big run holds.
+        def small(name):
+            return make_run(tmp_path, name, [(name.encode(), b"v")])
+
+        big = make_run(
+            tmp_path,
+            "big.sst",
+            [(b"key-%d" % j, b"v" * 400) for j in range(50)],
+        )
+        runs = [small("s0.sst"), big] + [
+            small("s%d.sst" % i) for i in range(1, 4)
+        ]
+        assert pick_compaction(runs, min_runs=4) is None
+        assert pick_compaction(runs, min_runs=3) == [2, 3, 4]
+        for run in runs:
+            run.close()
+
 
 class TestMergeRuns:
     def test_newest_version_wins(self, tmp_path):

@@ -158,6 +158,35 @@ class TestCompaction:
         assert all(key.startswith(b"new-") for key in live)
         engine.close()
 
+    def test_compaction_never_resurrects_a_deleted_key(self, tmp_path):
+        # Regression: the picker used to take every run of a size band,
+        # adjacent or not.  Here the victim's put sits in a big run
+        # between small ones and its tombstone in a later small run;
+        # merging the small runs around the big one (oldest included,
+        # so tombstones dropped) brought the victim back — seen as
+        # migrated-away documents reappearing after shard recovery.
+        engine = make_engine(
+            tmp_path, memtable_max_bytes=1 << 20, compaction_min_runs=4
+        )
+        engine.put_one(b"small-0", b"v")
+        engine.checkpoint()
+        engine.put_one(b"victim", b"v")
+        fill(engine, 200)
+        engine.checkpoint()
+        engine.delete_one(b"victim")
+        engine.checkpoint()
+        for i in (1, 2):
+            engine.put_one(b"small-%d" % i, b"v")
+            engine.checkpoint()
+        while engine.compact_now():
+            pass
+        assert engine.get(b"victim") is None
+        assert b"victim" not in dict(engine.scan())
+        engine.close()
+        reopened = make_engine(tmp_path, memtable_max_bytes=1 << 20)
+        assert reopened.get(b"victim") is None
+        reopened.close()
+
     def test_retired_runs_stay_readable_for_snapshots(self, tmp_path):
         # Regression: compaction retires inputs by unlinking only, so
         # a reader that snapshotted the run list just before the swap

@@ -1,5 +1,7 @@
 """Load generator: closed loop, open-loop overload, workload rendering."""
 
+import threading
+
 import pytest
 
 from repro.errors import ServiceError
@@ -53,20 +55,33 @@ class TestClosedLoop:
 
 class TestOpenLoop:
     def test_overload_produces_rejections(self, seeded_cluster):
-        # Tiny service, big offered rate with simulated shard latency:
-        # the bounded queue must shed load rather than grow unboundedly.
+        # Tiny service, big offered rate, and an exclusive writer parked
+        # for the whole run so every admitted read waits (and expires)
+        # on its shard lock: the bounded queue must shed load rather
+        # than grow unboundedly.
         config = ServiceConfig(
             max_workers=1,
             max_concurrent_queries=1,
             max_queue_depth=1,
-            simulate_shard_latency=True,
-            simulated_latency_scale=50.0,
+            default_timeout_ms=100.0,
         )
         with QueryService(seeded_cluster, config) as service:
-            gen = LoadGenerator(service, "t", WORKLOAD)
-            report = gen.run_open_loop(
-                target_qps=200, duration_s=0.5, clients=4
+            release = threading.Event()
+            entered = threading.Event()
+            writer = threading.Thread(
+                target=service._run_exclusive,
+                args=(lambda: (entered.set(), release.wait(10)),),
             )
+            writer.start()
+            assert entered.wait(timeout=5)
+            try:
+                gen = LoadGenerator(service, "t", WORKLOAD)
+                report = gen.run_open_loop(
+                    target_qps=200, duration_s=0.5, clients=4
+                )
+            finally:
+                release.set()
+                writer.join()
         assert report.mode == "open"
         assert report.offered > report.completed
         assert report.rejected > 0

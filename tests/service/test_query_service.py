@@ -12,6 +12,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.service import QueryService, ServiceConfig
+from repro.service.metrics import SAMPLE_WINDOW, ServiceMetrics
 
 QUERY = {"k": {"$gte": 1000, "$lt": 5000}}
 BROADCAST = {"group": 3}  # does not constrain the shard key
@@ -236,6 +237,36 @@ class TestServiceMetrics:
             payload = snap.as_dict()
             assert payload["completed"] == 5
             assert payload["planOutcomes"] == snap.plan_outcomes
+
+    def test_samples_are_bounded_and_totals_stay_exact(self):
+        # A long-running service must not keep one float per query
+        # forever: only the percentile window holds samples, while the
+        # count, means and maxima cover every query recorded.
+        metrics = ServiceMetrics()
+        n = 100_000
+        latencies = [float(i % 1000) for i in range(n)]
+        waits = [float(i % 7) for i in range(n)]
+        for latency, wait in zip(latencies, waits):
+            metrics.record_query(latency, wait)
+        held = sum(
+            len(value)
+            for value in vars(metrics).values()
+            if hasattr(value, "__len__")
+        )
+        assert held <= SAMPLE_WINDOW
+        snap = metrics.snapshot()
+        assert snap.completed == n
+        assert snap.mean_latency_ms == sum(latencies) / n
+        assert snap.max_latency_ms == max(latencies)
+        assert snap.mean_queue_wait_ms == sum(waits) / n
+        assert snap.max_queue_wait_ms == max(waits)
+        # The percentiles describe the most recent window.
+        assert snap.p50_latency_ms == sorted(latencies[-SAMPLE_WINDOW:])[
+            round(0.5 * (SAMPLE_WINDOW - 1))
+        ]
+        # Throughput counts every completion, not the samples kept.
+        span = metrics._last_at - metrics._first_at
+        assert snap.throughput_qps == (n - 1) / span
 
 
 class TestServiceBackedMeasurement:

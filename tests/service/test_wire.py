@@ -22,7 +22,6 @@ from repro.service.plan_cache import exact_query_key, query_shape_key
 from repro.service.wire import (
     WIRE_PROTOCOL,
     BatchFrame,
-    BatchGroup,
     PlanMessage,
     ResultFrame,
     ShutdownFrame,
@@ -140,6 +139,9 @@ class TestPlanMessageRoundTrip:
                 epoch=0,
             ),
         )
+        later = SubqueryRequest(
+            request_id=4, shard_id="shard02", plan=request.plan
+        )
         frame = BatchFrame(
             syncs=(
                 SyncFrame(
@@ -149,15 +151,12 @@ class TestPlanMessageRoundTrip:
                     payload=b"opaque",
                 ),
             ),
-            groups=(
-                BatchGroup(
-                    shape_key=request.plan.shape_key, requests=(request,)
-                ),
-            ),
+            requests=(request, later),
         )
-        assert pickle.loads(pickle.dumps(frame, protocol=WIRE_PROTOCOL)) == (
-            frame
-        )
+        clone = pickle.loads(pickle.dumps(frame, protocol=WIRE_PROTOCOL))
+        assert clone == frame
+        # Requests travel flat, in arrival order, after the syncs.
+        assert [r.request_id for r in clone.requests] == [3, 4]
         shutdown = ShutdownFrame()
         assert isinstance(
             pickle.loads(pickle.dumps(shutdown, protocol=WIRE_PROTOCOL)),
