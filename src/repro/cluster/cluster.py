@@ -22,6 +22,7 @@ Write path mechanics reproduce MongoDB's:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -50,6 +51,7 @@ from repro.cluster.shard import Shard, shard_key_index_name
 from repro.cluster.zones import Zone, ZoneSet
 from repro.docstore.bson import bson_document_size
 from repro.docstore.lsm import DurabilityConfig
+from repro.docstore.matcher import Matcher
 from repro.docstore.planner import analyze_query
 from repro.docstore.storage import StorageModel
 from repro.errors import ShardingError
@@ -129,7 +131,7 @@ class ShardedCluster:
         #: validate that targeting computed before lock acquisition is
         #: still current.
         self.metadata_version = 0
-        #: Routing-decision memo for the query fast path.  Keys embed
+        #: Routing-decision memo for the read path.  Keys embed
         #: ``metadata_version``, so every bump above implicitly
         #: invalidates all cached targeting.
         self.targeting_cache = TargetingCache()
@@ -441,7 +443,6 @@ class ShardedCluster:
         shape=None,
         matcher=None,
         targeting: Optional[TargetingResult] = None,
-        fast_path: bool = True,
     ) -> ClusterFindResult:
         """Route, execute on targeted shards, merge, and account time.
 
@@ -458,32 +459,17 @@ class ShardedCluster:
 
         ``shape``/``matcher``/``targeting`` accept precomputed plan
         pieces (the service binds or analyzes them once per query),
-        which must correspond to the same ``query``.  ``fast_path=False``
-        forces the uncached, interpreter-only execution everywhere —
-        the paper-faithful configuration.
+        which must correspond to the same ``query``.
         """
-        import time as _time
-
-        from repro.docstore.matcher import Matcher
-
-        plan_started = _time.perf_counter()
-        metadata = self.catalog.get(collection)
+        plan_started = time.perf_counter()
         if shape is None:
             shape = analyze_query(query)
         if matcher is None:
-            matcher = Matcher(query, fast_path=fast_path)
+            matcher = Matcher(query)
         if targeting is None:
-            if fast_path:
-                targeting = target_chunks_cached(
-                    metadata,
-                    shape,
-                    self.targeting_cache,
-                    self.metadata_version,
-                )
-            else:
-                targeting = target_chunks(metadata, shape)
+            targeting = self.targeting_for(collection, shape=shape)
         plan_bounds = None
-        if fast_path and hint is not None and targeting.shard_ids:
+        if hint is not None and targeting.shard_ids:
             # Hinted index bounds are shard-independent (definition +
             # shape only): build them once here instead of once per
             # targeted shard.
@@ -491,7 +477,7 @@ class ShardedCluster:
             plan_bounds = first.collection(collection).hinted_bounds(
                 hint, shape, max_geo_ranges
             )
-        plan_ms = (_time.perf_counter() - plan_started) * 1000.0
+        plan_ms = (time.perf_counter() - plan_started) * 1000.0
         stats = ClusterQueryStats(
             targeted_shards=list(targeting.shard_ids),
             broadcast=targeting.broadcast,
@@ -505,7 +491,6 @@ class ShardedCluster:
                 max_geo_ranges=max_geo_ranges,
                 matcher=matcher,
                 shape=shape,
-                fast_path=fast_path,
                 plan_bounds=plan_bounds,
             )
             return shard_id, result
@@ -514,7 +499,7 @@ class ShardedCluster:
             pairs = [run_shard(s) for s in targeting.shard_ids]
         else:
             pairs = list(shard_mapper(run_shard, targeting.shard_ids))
-        merge_started = _time.perf_counter()
+        merge_started = time.perf_counter()
         by_shard = dict(pairs)
         documents: List[dict] = []
         for shard_id in targeting.shard_ids:
@@ -524,7 +509,7 @@ class ShardedCluster:
         stats.execution_time_ms = self.cost_model.query_time_ms(
             stats.per_shard
         )
-        merge_ms = (_time.perf_counter() - merge_started) * 1000.0
+        merge_ms = (time.perf_counter() - merge_started) * 1000.0
         stage_totals = {"plan": plan_ms, "merge": merge_ms}
         for shard_stats in stats.per_shard.values():
             for stage, ms in shard_stats.stage_times_ms.items():

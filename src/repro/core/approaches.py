@@ -68,12 +68,13 @@ class Approach:
         return dict(document)
 
     def render_query(
-        self, query: SpatioTemporalQuery, fast_path: bool = True
+        self, query: SpatioTemporalQuery
     ) -> Tuple[Dict[str, Any], float]:
         """(query document, cell-identification time in ms).
 
-        ``fast_path=False`` disables any rendering-level memoization so
-        the decomposition time reflects the real computation (Table 8).
+        The time is what this call spent, which for hil/hil* is a memo
+        lookup when the rectangle repeats; Table 8's uncached figures
+        come from :meth:`SpatioTemporalQuery.hilbert_ranges`.
         """
         raise NotImplementedError
 
@@ -97,7 +98,7 @@ class BaselineST(Approach):
         return [([("location", "2dsphere"), ("date", 1)], "location_date")]
 
     def render_query(
-        self, query: SpatioTemporalQuery, fast_path: bool = True
+        self, query: SpatioTemporalQuery
     ) -> Tuple[Dict[str, Any], float]:
         """The baseline query document (no 1D clauses)."""
         return query.to_baseline_query(), 0.0
@@ -122,7 +123,7 @@ class BaselineTS(Approach):
         return [([("date", 1), ("location", "2dsphere")], "date_location")]
 
     def render_query(
-        self, query: SpatioTemporalQuery, fast_path: bool = True
+        self, query: SpatioTemporalQuery
     ) -> Tuple[Dict[str, Any], float]:
         """The baseline query document (no 1D clauses)."""
         return query.to_baseline_query(), 0.0
@@ -176,13 +177,11 @@ class HilbertApproach(Approach):
         return self.encoder.enrich(document)
 
     def render_query(
-        self, query: SpatioTemporalQuery, fast_path: bool = True
+        self, query: SpatioTemporalQuery
     ) -> Tuple[Dict[str, Any], float]:
         """Query with the $or of Hilbert ranges."""
         rendering = query.to_hilbert_query(
-            self.encoder,
-            max_ranges=self.max_query_ranges,
-            fast_path=fast_path,
+            self.encoder, max_ranges=self.max_query_ranges
         )
         return rendering.query, rendering.decomposition_ms
 
@@ -221,16 +220,10 @@ class Deployment:
     collection: str = COLLECTION
     zones_enabled: bool = False
 
-    def execute(
-        self, query: SpatioTemporalQuery, fast_path: bool = True
-    ):
+    def execute(self, query: SpatioTemporalQuery):
         """Run a spatio-temporal query; returns (result, decomposition_ms)."""
-        rendered, decomposition_ms = self.approach.render_query(
-            query, fast_path=fast_path
-        )
-        result = self.cluster.find(
-            self.collection, rendered, fast_path=fast_path
-        )
+        rendered, decomposition_ms = self.approach.render_query(query)
+        result = self.cluster.find(self.collection, rendered)
         return result, decomposition_ms
 
     def totals(self) -> dict:

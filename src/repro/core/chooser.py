@@ -204,17 +204,13 @@ class AdaptiveDeployment:
     )
 
     def render(
-        self,
-        query: SpatioTemporalQuery,
-        decision: ChooserDecision,
-        fast_path: bool = True,
+        self, query: SpatioTemporalQuery, decision: ChooserDecision
     ) -> Tuple[Dict[str, Any], float]:
         """(query document, decomposition ms) for a chosen strategy."""
         if decision.name == "hil":
             rendering = query.to_hilbert_query(
                 self.encoder,
                 max_ranges=decision.max_ranges,
-                fast_path=fast_path,
                 cache=self.range_cache,
             )
             return rendering.query, rendering.decomposition_ms

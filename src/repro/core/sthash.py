@@ -19,6 +19,7 @@ the most significant interleaved bits.  The ablation bench
 from __future__ import annotations
 
 import datetime as _dt
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -156,20 +157,18 @@ class STHashApproach:
         return self.encoder.enrich(document)
 
     def render_query(
-        self, query: SpatioTemporalQuery, fast_path: bool = True
+        self, query: SpatioTemporalQuery
     ) -> Tuple[Dict[str, Any], float]:
         """Query with the $or of ST-Hash string ranges.
 
-        ST-Hash range computation is not memoized; ``fast_path`` is
-        accepted for signature parity with the other approaches.
+        ST-Hash range computation is never memoized, so the time is
+        always the real computation.
         """
-        import time as _time
-
-        started = _time.perf_counter()
+        started = time.perf_counter()
         ranges = self.encoder.query_ranges(
             query, max_ranges_per_year=self.max_ranges_per_year
         )
-        elapsed_ms = (_time.perf_counter() - started) * 1000.0
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
         rendered: Dict[str, Any] = {
             query.location_field: query.spatial_predicate(),
             query.date_field: query.temporal_predicate(),

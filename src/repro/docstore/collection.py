@@ -10,6 +10,7 @@ cluster metrics the paper reports.
 from __future__ import annotations
 
 import itertools
+import time
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.docstore.aggregation import run_pipeline
@@ -336,7 +337,6 @@ class Collection:
         max_geo_ranges: Optional[int] = None,
         matcher: Optional[Matcher] = None,
         shape=None,
-        fast_path: bool = True,
         plan_bounds=None,
     ) -> FindResult:
         """Execute a query, returning documents + plan + stats.
@@ -348,15 +348,11 @@ class Collection:
         third sharable piece: hinted index bounds depend only on the
         index *definition* and the query shape, so the router builds
         them once (see :meth:`hinted_bounds`) instead of once per
-        shard.  ``fast_path=False`` forces the legacy interpreter +
-        per-seek descents (identical results and counters; used for
-        A/B measurement).
+        shard.
         """
-        import time as _time
-
-        plan_started = _time.perf_counter()
+        plan_started = time.perf_counter()
         if matcher is None:
-            matcher = Matcher(query, fast_path=fast_path)
+            matcher = Matcher(query)
         if shape is None:
             shape = analyze_query(query)
         if (
@@ -375,13 +371,10 @@ class Collection:
                 hint=hint,
                 max_geo_ranges=max_geo_ranges,
             )
-        plan_ms = (_time.perf_counter() - plan_started) * 1000.0
-        docs, stats = execute_plan(
-            plan, self._records, matcher, fast_path=fast_path
-        )
+        plan_ms = (time.perf_counter() - plan_started) * 1000.0
+        docs, stats = execute_plan(plan, self._records, matcher)
         stats.stage_times_ms["plan"] = plan_ms
-        copy_doc = fast_copy_document if fast_path else deep_copy_document
-        return FindResult([copy_doc(d) for d in docs], stats, plan)
+        return FindResult([fast_copy_document(d) for d in docs], stats, plan)
 
     def hinted_bounds(self, hint: str, shape, max_geo_ranges=None):
         """``(bounds, n_bounded, exact_paths)`` for the hint, or None.
@@ -410,8 +403,6 @@ class Collection:
         result = self.find_with_stats(query or {}, hint=hint)
         documents = result.documents
         if projection:
-            from repro.docstore.aggregation import run_pipeline
-
             documents = run_pipeline(documents, [{"$project": projection}])
         return Cursor(documents)
 

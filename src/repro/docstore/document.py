@@ -133,8 +133,8 @@ def fast_copy_document(document: Mapping[str, Any]) -> dict:
     containers (dicts, lists, tuples); scalars — including datetimes
     and ObjectIds, which are immutable — are shared by reference.
     ``copy.deepcopy``'s generic memo machinery is the single largest
-    cost of the read hot path, which is why the fast query path
-    (``fast_path=True``) uses this instead.
+    cost of the read hot path, which is why query results are copied
+    with this instead.
     """
     # One C-level shallow copy, then only the (few) container values
     # are replaced: documents are mostly flat scalars.

@@ -157,69 +157,45 @@ def _advancing(target: Tuple, key: Tuple) -> Tuple:
     return target
 
 
-def run_index_scan(
-    plan: IndexScanPlan, stats: ExecutionStats, fast_path: bool = True
-) -> List[int]:
+def run_index_scan(plan: IndexScanPlan, stats: ExecutionStats) -> List[int]:
     """Record ids matching the plan's index bounds, deduplicated.
 
     Deduplication mirrors MongoDB's OR/interval stages: a record id is
-    returned once even when several intervals could cover it.
-
-    Both paths examine the identical key sequence — same
-    ``keysExamined``, same ``seeks`` — but the fast path drives one
-    persistent :class:`~repro.docstore.btree.BTreeCursor` across the
-    whole multi-range scan (one descent, then leaf-to-leaf skips)
-    where the legacy path re-descends from the root on every seek.
+    returned once even when several intervals could cover it.  One
+    persistent :class:`~repro.docstore.btree.BTreeCursor` drives the
+    whole multi-range scan (one descent, then leaf-to-leaf skips);
+    :func:`repro.reference.reference_index_scan` re-descends per seek
+    and must examine the identical keys (``keysExamined``, ``seeks``).
     """
-    tree = plan.index.tree
     checker = _BoundsChecker(plan.bounds)
     rids: List[int] = []
     seen: set = set()
 
+    cursor = plan.index.tree.cursor()
     seek_key: Optional[Tuple] = checker.start_key()
-    if fast_path:
-        cursor = tree.cursor()
-        while seek_key is not None:
-            stats.seeks += 1
-            cursor.seek(seek_key)
-            next_seek: Optional[Tuple] = None
-            while True:
-                entry = cursor.peek()
-                if entry is None:
-                    break  # cursor exhausted the tree
-                key, rid = entry
-                stats.keys_examined += 1
-                verdict, target = checker.check(key)
-                if verdict == "match":
-                    if rid not in seen:
-                        seen.add(rid)
-                        rids.append(rid)
-                    cursor.advance()
-                    continue
-                if verdict == "seek":
-                    # The failing key stays unconsumed; the next seek
-                    # (strictly greater target) skips past it.
-                    next_seek = _advancing(target, key)
-                break
-            seek_key = next_seek
-    else:
-        while seek_key is not None:
-            stats.seeks += 1
-            next_seek = None
-            for key, rid in tree.seek(seek_key):
-                stats.keys_examined += 1
-                verdict, target = checker.check(key)
-                if verdict == "match":
-                    if rid not in seen:
-                        seen.add(rid)
-                        rids.append(rid)
-                    continue
-                if verdict == "seek":
-                    next_seek = _advancing(target, key)
-                break  # "seek" or "done" both leave the inner walk
-            else:
-                next_seek = None  # cursor exhausted the tree
-            seek_key = next_seek
+    while seek_key is not None:
+        stats.seeks += 1
+        cursor.seek(seek_key)
+        next_seek: Optional[Tuple] = None
+        while True:
+            entry = cursor.peek()
+            if entry is None:
+                break  # cursor exhausted the tree
+            key, rid = entry
+            stats.keys_examined += 1
+            verdict, target = checker.check(key)
+            if verdict == "match":
+                if rid not in seen:
+                    seen.add(rid)
+                    rids.append(rid)
+                cursor.advance()
+                continue
+            if verdict == "seek":
+                # The failing key stays unconsumed; the next seek
+                # (strictly greater target) skips past it.
+                next_seek = _advancing(target, key)
+            break
+        seek_key = next_seek
 
     stats.stage = "IXSCAN"
     stats.index_name = plan.index_name
@@ -230,7 +206,6 @@ def execute_plan(
     plan: IndexScanPlan | CollScanPlan,
     records: Mapping[int, Mapping[str, Any]],
     matcher: Matcher,
-    fast_path: bool = True,
 ) -> Tuple[List[Mapping[str, Any]], ExecutionStats]:
     """Execute a plan against the record store and filter residually.
 
@@ -255,13 +230,10 @@ def execute_plan(
         return out, stats
 
     started = time.perf_counter()
-    rids = run_index_scan(plan, stats, fast_path=fast_path)
+    rids = run_index_scan(plan, stats)
     scanned = time.perf_counter()
-    # FETCH applies only what the index bounds have not already proved;
-    # the interpreter (fast_path=False) stays whole as the oracle.
-    matches = (
-        matcher.residual(plan.covered_paths) if fast_path else matcher.matches
-    )
+    # FETCH applies only what the index bounds have not already proved.
+    matches = matcher.residual(plan.covered_paths)
     for rid in rids:
         doc = records.get(rid)
         if doc is None:

@@ -186,9 +186,7 @@ class Matcher:
     when the executor filters thousands of fetched documents.
     """
 
-    def __init__(
-        self, query: Mapping[str, Any], fast_path: bool = True
-    ) -> None:
+    def __init__(self, query: Mapping[str, Any]) -> None:
         if not isinstance(query, Mapping):
             raise QueryError("query must be a mapping, got %r" % (query,))
         self._query = query
@@ -199,12 +197,23 @@ class Matcher:
                 compiled = _compile_or_intervals(value)
                 if compiled is not None:
                     self._compiled_ors[id(value)] = compiled
-        self._compiled = None
-        if fast_path:
-            # Imported lazily: the compiler module depends on this one.
-            from repro.docstore.compiler import compile_matcher
+        # Imported lazily: the compiler module depends on this one.
+        from repro.docstore.compiler import compile_matcher
 
-            self._compiled = compile_matcher(query, self._compiled_ors)
+        # All-or-nothing: None leaves the interpreter in charge.
+        self._compiled = compile_matcher(query, self._compiled_ors)
+
+    @classmethod
+    def interpreted(cls, query: Mapping[str, Any]) -> "Matcher":
+        """The same matcher with its compiled form discarded.
+
+        The tree-walking interpreter then tests the whole query on
+        every document and :meth:`residual` drops nothing — what the
+        oracle (:mod:`repro.reference`) filters with.
+        """
+        self = cls(query)
+        self._compiled = None
+        return self
 
     @classmethod
     def from_compiled(

@@ -51,8 +51,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.docstore.collection import Collection
-from repro.docstore.matcher import Matcher
-from repro.docstore.planner import analyze_query
 from repro.errors import QueryTimeoutError, ServiceError
 from repro.service.metrics import ServiceMetrics
 from repro.service.plan_cache import exact_query_key, query_shape_key
@@ -114,6 +112,10 @@ def resolve_backend(configured: str) -> str:
     value = os.environ.get(ENV_BACKEND, "").strip().lower()
     if value in ("thread", "process"):
         return value
+    if value:
+        raise ServiceError(
+            "%s must be 'thread' or 'process', got %r" % (ENV_BACKEND, value)
+        )
     return "thread"
 
 
@@ -151,7 +153,6 @@ class SubquerySpec:
     query: Mapping[str, Any]
     hint: Optional[str]
     max_geo_ranges: Optional[int]
-    fast_path: bool
     shape: Any = None
 
 
@@ -355,7 +356,7 @@ class _WorkerClient:
                 query=spec.query,
                 hint=spec.hint,
                 max_geo_ranges=spec.max_geo_ranges,
-                fast_path=spec.fast_path,
+                fast_path=True,  # read by no worker; see PlanMessage
                 shape_key=shape_key,
                 exact_key=exact_key,
                 epoch=epoch,
@@ -698,7 +699,6 @@ class _WorkerHost:
                 plan.exact_key,
                 plan.hint,
                 plan.max_geo_ranges,
-                plan.fast_path,
             )
             entry = self._results.get(cache_key)
             if entry is not None and entry.epoch == plan.epoch:
@@ -708,21 +708,8 @@ class _WorkerHost:
                 del self._results[cache_key]
                 self._results[cache_key] = entry
                 return entry.payload, True
-        shape = analyze_query(plan.query)
-        matcher = Matcher(plan.query, fast_path=plan.fast_path)
-        plan_bounds = None
-        if plan.fast_path and plan.hint is not None:
-            plan_bounds = replica.hinted_bounds(
-                plan.hint, shape, plan.max_geo_ranges
-            )
         result = replica.find_with_stats(
-            plan.query,
-            hint=plan.hint,
-            max_geo_ranges=plan.max_geo_ranges,
-            matcher=matcher,
-            shape=shape,
-            fast_path=plan.fast_path,
-            plan_bounds=plan_bounds,
+            plan.query, hint=plan.hint, max_geo_ranges=plan.max_geo_ranges
         )
         payload = encode_result(result.documents, result.stats)
         if cache_key is not None:

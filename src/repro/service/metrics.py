@@ -53,7 +53,7 @@ class MetricsSnapshot:
     #: Cumulative wall-clock per pipeline stage (plan/scan/filter/
     #: merge) across every recorded query.
     stage_totals_ms: Dict[str, float] = field(default_factory=dict)
-    #: Hit/miss counters of the fast-path caches (targeting, range
+    #: Hit/miss counters of the read-path caches (targeting, range
     #: decomposition, ...), keyed by cache name.
     caches: Dict[str, Dict] = field(default_factory=dict)
     #: Process-executor counters: subqueries shipped to shard workers,

@@ -79,12 +79,6 @@ class ServiceConfig:
     #: When False, shard subqueries run inline on the calling thread
     #: (the sequential reference the differential suites run on).
     parallel_scatter_gather: bool = True
-    #: Enable the compiled query fast path end to end: parameterized
-    #: plan binding, targeting/range-decomposition memos, compiled
-    #: matchers, multi-range index scans, and structural result
-    #: copies.  ``False`` reproduces the paper-faithful interpreter
-    #: path, the oracle the differential suites compare against.
-    fast_path: bool = True
     #: Execution backend for the shard fan-out: ``"thread"`` (the
     #: in-process pool), ``"process"`` (the :class:`ShardWorkerPool`
     #: of per-shard worker processes), or ``"auto"`` (consult the
@@ -139,7 +133,7 @@ class ServiceFindResult:
         #: How the query was planned: ``"shape"`` (values bound into
         #: its parameterized shape), ``"miss"`` (analyzed: the
         #: structure is not parameterizable, or the bind refused these
-        #: values); None for hinted and interpreter reads.
+        #: values); None for hinted reads.
         self.cache_outcome = cache_outcome
 
     def __iter__(self):
@@ -226,7 +220,7 @@ class QueryService:
     # -- metrics ---------------------------------------------------------------
 
     def metrics_snapshot(self):
-        """A metrics snapshot bundling every fast-path cache's counters."""
+        """A metrics snapshot bundling every read-path cache's counters."""
         from repro.sfc.ranges import DEFAULT_RANGE_CACHE
 
         caches = {
@@ -313,10 +307,9 @@ class QueryService:
         started: float,
         queue_wait_ms: float,
     ) -> ServiceFindResult:
-        fast = self.config.fast_path
         bound = None
         cache_outcome: Optional[str] = None
-        if fast and hint is None:
+        if hint is None:
             # Bind this query's box/date/range values into its
             # parameterized shape — no analyze_query, no compilation —
             # and emit exactly the predicate objects the analyzed path
@@ -324,7 +317,7 @@ class QueryService:
             # next: per-shard plan ranking depends on per-shard field
             # statistics and on the bound values, so a replayed winner
             # would change keysExamined/docsExamined against the
-            # interpreter.
+            # reference (repro.reference).
             param_key = param_shape_key(collection, query)
             if param_key is not None:
                 bound = bind_plan(query, param_key[1])
@@ -333,17 +326,16 @@ class QueryService:
             shape, matcher = bound
         else:
             shape = analyze_query(query)
-            matcher = Matcher(query, fast_path=fast)
+            matcher = Matcher(query)
         spec = SubquerySpec(
             collection=collection,
             query=query,
             hint=hint,
             max_geo_ranges=max_geo_ranges,
-            fast_path=fast,
             shape=shape,
         )
         locks, targeting = self._read_lock_targeted_shards(
-            collection, query, deadline, shape=shape, fast_path=fast
+            collection, query, deadline, shape=shape
         )
         try:
             # The two branches differ only in which executor builds the
@@ -363,7 +355,6 @@ class QueryService:
                     shape=shape,
                     matcher=matcher,
                     targeting=targeting,
-                    fast_path=fast,
                 )
             else:
                 assert self._threaded is not None
@@ -378,7 +369,6 @@ class QueryService:
                     shape=shape,
                     matcher=matcher,
                     targeting=targeting,
-                    fast_path=fast,
                 )
         finally:
             for lock in locks:
@@ -405,7 +395,6 @@ class QueryService:
         query: Mapping[str, Any],
         deadline: Deadline,
         shape=None,
-        fast_path: bool = True,
     ) -> Tuple[List[ReadWriteLock], Any]:
         """Shared-lock the shards a query targets, consistently.
 
@@ -421,7 +410,7 @@ class QueryService:
         for _attempt in range(16):
             version = self.cluster.metadata_version
             targeting = self.cluster.targeting_for(
-                collection, query, shape=shape, fast_path=fast_path
+                collection, query, shape=shape
             )
             acquired: List[ReadWriteLock] = []
             ok = True

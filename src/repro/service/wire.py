@@ -78,6 +78,9 @@ class PlanMessage:
     query: Mapping[str, Any]
     hint: Optional[str]
     max_geo_ranges: Optional[int]
+    #: Always True and read by no worker: there is one execution path.
+    #: The benchmark harness builds this message by keyword, so the
+    #: field goes with ROADMAP item 1(d), not before.
     fast_path: bool
     shape_key: Optional[Tuple[Any, ...]]
     exact_key: Optional[Tuple[Any, ...]]

@@ -376,10 +376,10 @@ class RangeDecompositionCache:
             self._entries.clear()
 
 
-#: Process-wide memo used by the query fast path
-#: (:meth:`repro.core.query.SpatioTemporalQuery.to_hilbert_query` with
-#: ``fast_path=True``).  Benchmarks that must time raw decomposition
-#: (Table 8) call the uncached functions directly.
+#: Process-wide memo behind
+#: :meth:`repro.core.query.SpatioTemporalQuery.to_hilbert_query`.
+#: Benchmarks that must time raw decomposition (Table 8) call the
+#: uncached functions directly.
 DEFAULT_RANGE_CACHE = RangeDecompositionCache()
 
 __all__.extend(

@@ -44,7 +44,6 @@ class IngestConfig:
     #: Vehicles in the emitting fleet.
     n_vehicles: int = 40
     seed: int = 20181001
-    fast_path: bool = True
 
 
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -143,9 +142,7 @@ class StreamingIngest:
 
     def _run_query(self, query: SpatioTemporalQuery, report: IngestReport):
         start = time.perf_counter()
-        result, _ = self.deployment.execute(
-            query, fast_path=self.config.fast_path
-        )
+        result, _ = self.deployment.execute(query)
         elapsed_ms = (time.perf_counter() - start) * 1e3
         report.read_latency_ms.setdefault(query.label, []).append(elapsed_ms)
         report.live_counts[query.label] = len(result)
@@ -187,8 +184,6 @@ class StreamingIngest:
         # documents that arrived after a query ran — re-running now
         # closes that window).
         for query in self.queries:
-            result, _ = self.deployment.execute(
-                query, fast_path=cfg.fast_path
-            )
+            result, _ = self.deployment.execute(query)
             report.final_counts[query.label] = len(result)
         return report

@@ -1,13 +1,13 @@
 """Targeting-cache correctness across routing-metadata changes.
 
-The fast path memoizes routing decisions in
+The read path memoizes routing decisions in
 :class:`~repro.cluster.router.TargetingCache`.  Cache keys embed the
 cluster's ``metadata_version``, so every chunk split, chunk migration,
 zone update, and DDL bump retires all prior entries *implicitly*: a
 stale cached decision can never be served because its key can never be
 looked up again.  These tests pin that contract by forcing each
 metadata mutation and asserting the cached answer retargets — and that
-the cached fast path always agrees with the uncached router.
+the cached path always agrees with the uncached router.
 """
 
 import random
@@ -21,6 +21,7 @@ from repro.cluster.router import (
 )
 from repro.docstore import bson
 from repro.docstore.planner import analyze_query
+from repro.reference import reference_cluster_find
 
 
 def build_cluster(n_shards: int = 4) -> ShardedCluster:
@@ -41,7 +42,7 @@ def build_cluster(n_shards: int = 4) -> ShardedCluster:
 
 
 def cached_targeting(cluster, query):
-    return cluster.targeting_for("t", query=query, fast_path=True)
+    return cluster.targeting_for("t", query=query)
 
 
 def uncached_targeting(cluster, query):
@@ -95,9 +96,10 @@ class TestVersionKeyedInvalidation:
         assert after.shard_ids == control.shard_ids
         assert dest in after.shard_ids
         # Same documents either way, and no stale shard consulted.
-        docs_fast = cluster.find("t", query, fast_path=True).documents
-        docs_slow = cluster.find("t", query, fast_path=False).documents
-        assert docs_fast == docs_slow
+        fast = cluster.find("t", query)
+        slow = reference_cluster_find(cluster, "t", query)
+        assert fast.documents == slow.documents
+        assert fast.stats.targeted_shards == slow.stats.targeted_shards
 
     def test_update_zones_retargets_cached_query(self):
         from repro.cluster.zones import Zone

@@ -9,6 +9,10 @@ from repro.docstore import executor
 from repro.docstore.collection import Collection
 from repro.docstore.matcher import Matcher, matches
 from repro.errors import DocumentStoreError
+from repro.reference import reference_find
+
+#: The production loop and the reference loop, called alike.
+FIND_PATHS = [Collection.find_with_stats, reference_find]
 
 UTC = dt.timezone.utc
 T0 = dt.datetime(2018, 7, 1, tzinfo=UTC)
@@ -162,16 +166,14 @@ class TestScanAlwaysAdvances:
         results = {}
 
         def run():
-            for fast_path in (True, False):
-                results[fast_path] = col.find_with_stats(
-                    query, fast_path=fast_path
-                )
+            for find in FIND_PATHS:
+                results[find] = find(col, query)
 
         worker = threading.Thread(target=run, daemon=True)
         worker.start()
         worker.join(timeout=10)
         assert not worker.is_alive(), "index scan did not return"
-        fast, slow = results[True], results[False]
+        fast, slow = (results[find] for find in FIND_PATHS)
         assert fast.stats.stage == "IXSCAN"
         assert fast.documents == slow.documents == []
         assert fast.stats.as_dict() == slow.stats.as_dict()
@@ -181,18 +183,15 @@ class TestScanAlwaysAdvances:
         col.create_index([("v", 1)])
         for i, value in enumerate([3, NAN, float("-inf"), -2]):
             col.insert_one({"_id": i, "v": value})
-        for fast_path in (True, False):
-            below = col.find_with_stats(
-                {"v": {"$lt": float("-inf")}}, fast_path=fast_path
-            )
+        for find in FIND_PATHS:
+            below = find(col, {"v": {"$lt": float("-inf")}})
             assert [d["_id"] for d in below.documents] == [1]
-            numbers = col.find_with_stats(
-                {"v": {"$gte": float("-inf")}}, fast_path=fast_path
-            )
+            numbers = find(col, {"v": {"$gte": float("-inf")}})
             assert [d["_id"] for d in numbers.documents] == [2, 3, 0]
 
-    @pytest.mark.parametrize("fast_path", [True, False])
-    def test_seek_that_does_not_advance_raises(self, monkeypatch, fast_path):
+    @pytest.mark.parametrize("production", [True, False])
+    def test_seek_that_does_not_advance_raises(self, monkeypatch, production):
+        find = Collection.find_with_stats if production else reference_find
         col = build_collection(20)
         monkeypatch.setattr(
             executor._BoundsChecker,
@@ -200,8 +199,4 @@ class TestScanAlwaysAdvances:
             lambda self, key: ("seek", key),
         )
         with pytest.raises(DocumentStoreError, match="cannot advance"):
-            col.find_with_stats(
-                {"h": {"$gte": 5, "$lte": 15}},
-                hint="h_date",
-                fast_path=fast_path,
-            )
+            find(col, {"h": {"$gte": 5, "$lte": 15}}, hint="h_date")

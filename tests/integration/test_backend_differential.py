@@ -3,8 +3,9 @@
 Two checks that have no twin elsewhere at the paper's deployment (the
 *hil* approach, rendered Q^s + Q^b plus a seeded randomized stream):
 
-* **backends** — the library path (``ShardedCluster.find``), the
-  thread-pool executor and the worker-process executor return
+* **backends** — ``repro.reference``, the library path
+  (``ShardedCluster.find``), the thread-pool executor and the
+  worker-process executor return
   per-document byte-identical results and equal counter frames, on a
   first pass and on a second one that the process backend serves from
   its workers' result caches;
@@ -27,6 +28,7 @@ from repro.core.approaches import COLLECTION, deploy_approach, make_approach
 from repro.datagen import FleetConfig, FleetGenerator
 from repro.docstore.database import Database
 from repro.docstore.lsm import DurabilityConfig
+from repro.reference import reference_cluster_find
 from repro.service import QueryService, ServiceConfig, render_workload
 from repro.service.wire import WIRE_PROTOCOL
 from repro.workloads.queries import (
@@ -81,6 +83,13 @@ class TestBackends:
             for query in workload
         ]
         assert any(documents for documents, _stats in reference)
+        # Anchor the library frames, and so both backends, to the oracle.
+        assert reference == [
+            canonical(
+                reference_cluster_find(deployment.cluster, COLLECTION, query)
+            )
+            for query in workload
+        ]
         config = ServiceConfig(executor=backend, executor_workers=2)
         with QueryService(deployment.cluster, config) as service:
             for _pass in range(2):

@@ -1,18 +1,19 @@
-"""Differential testing: compiled fast path vs the legacy interpreter.
+"""Differential testing: the production read path vs ``repro.reference``.
 
-Hundreds of randomized spatio-temporal queries run twice through the
-same deployed cluster — once with ``fast_path=True`` (compiled
-matchers, shared hinted bounds, targeting/decomposition memos,
-multi-range scans) and once with ``fast_path=False`` (the
-paper-faithful interpreter).  Every query must produce byte-identical
-documents AND identical execution counters (``keysExamined``,
-``docsExamined``, ``nReturned``, per shard): the fast path is a pure
-performance transform with no observable semantic surface.
+Hundreds of randomized spatio-temporal queries run twice over the same
+deployed cluster — once through ``ShardedCluster.find`` (compiled
+matchers, shared hinted bounds, targeting/decomposition memos, one
+persistent cursor) and once through ``reference_cluster_find`` (the
+paper-faithful interpreter, uncached, one descent per seek).  Every
+query must produce byte-identical documents AND identical execution
+counters (``keysExamined``, ``docsExamined``, ``nReturned``, per
+shard): the production path is a pure performance transform with no
+observable semantic surface.
 
-:class:`TestResidualFilter` widens that to three arms — interpreter,
+:class:`TestResidualFilter` widens that to three arms — reference,
 compiled, shape-bound — over the query forms the residual FETCH
 filter's exactness rule turns on: the compiled arms drop the predicates
-exact index bounds already prove, the interpreter never does.
+exact index bounds already prove, the reference never does.
 """
 
 import datetime as _dt
@@ -34,6 +35,7 @@ from repro.docstore.paramplan import bind_plan, param_shape_key
 from repro.docstore.planner import analyze_query, plan_query
 from repro.errors import PlanError
 from repro.geo.geometry import BoundingBox
+from repro.reference import reference_cluster_find, reference_find
 from repro.workloads.queries import QUERY_WINDOWS, SpatioTemporalQuery
 
 N_DOCS = 1_200
@@ -107,20 +109,20 @@ def deployment(request, docs):
 
 
 def _assert_identical(deployment, query):
-    rendered_fast, _ = deployment.approach.render_query(
-        query, fast_path=True
-    )
-    rendered_slow, _ = deployment.approach.render_query(
-        query, fast_path=False
-    )
-    # The decomposition memo must not change what is rendered.
-    assert rendered_fast == rendered_slow, query.label
-    fast = deployment.cluster.find(
-        COLLECTION, rendered_fast, fast_path=True
-    )
-    slow = deployment.cluster.find(
-        COLLECTION, rendered_slow, fast_path=False
-    )
+    approach = deployment.approach
+    rendered, _ = approach.render_query(query)
+    if approach.name == "hil":
+        # The decomposition memo must not change what is rendered.
+        uncached, _ = query.hilbert_ranges(
+            approach.encoder, approach.max_query_ranges
+        )
+        memoized = query.to_hilbert_query(
+            approach.encoder, approach.max_query_ranges
+        )
+        assert memoized.range_set == uncached, query.label
+        assert memoized.query == rendered, query.label
+    fast = deployment.cluster.find(COLLECTION, rendered)
+    slow = reference_cluster_find(deployment.cluster, COLLECTION, rendered)
     assert fast.documents == slow.documents, query.label
     assert fast.stats.as_dict() == slow.stats.as_dict(), query.label
 
@@ -149,18 +151,18 @@ class TestCompiledVsInterpreter:
 
 
 def _three_way(cluster, query, hint=None, label=""):
-    """Interpreter vs compiled vs shape-bound on one raw query document.
+    """Reference vs compiled vs shape-bound on one raw query document.
 
-    Returns the interpreter's result and whether the shape-bound arm ran
+    Returns the reference's result and whether the shape-bound arm ran
     (the binder refuses structures outside its parameterizable subset).
     """
     try:
-        slow = cluster.find(COLLECTION, query, hint=hint, fast_path=False)
+        slow = reference_cluster_find(cluster, COLLECTION, query, hint=hint)
     except PlanError:
         with pytest.raises(PlanError):
-            cluster.find(COLLECTION, query, hint=hint, fast_path=True)
+            cluster.find(COLLECTION, query, hint=hint)
         return None, False
-    arms = [cluster.find(COLLECTION, query, hint=hint, fast_path=True)]
+    arms = [cluster.find(COLLECTION, query, hint=hint)]
     key = param_shape_key(COLLECTION, query)
     bound = bind_plan(query, key[1]) if key is not None else None
     if bound is not None:
@@ -444,7 +446,7 @@ _query = st.one_of(
 def test_key_within_exact_bounds_implies_dropped_predicates(values, query):
     """Random stored values x random bounds: whatever the planner calls
     covered, every document the bounds admit satisfies the predicates
-    the residual dropped — and the compiled scan equals the interpreter.
+    the residual dropped — and the compiled scan equals the reference.
     """
     col = Collection("t")
     col.create_index([("v", 1), ("w", 1)], name="v_w")
@@ -460,6 +462,6 @@ def test_key_within_exact_bounds_implies_dropped_predicates(values, query):
         for rid in run_index_scan(plan, ExecutionStats()):
             assert residual(records[rid]) == matcher.matches(records[rid])
     fast = col.find_with_stats(query)
-    slow = col.find_with_stats(query, fast_path=False)
+    slow = reference_find(col, query)
     assert fast.documents == slow.documents
     assert fast.stats.as_dict() == slow.stats.as_dict()

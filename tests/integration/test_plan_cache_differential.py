@@ -7,8 +7,8 @@ performance transform: it must produce exactly what full analysis +
 compilation produces.  ~200 randomized calls run through three arms
 over the same deployed cluster —
 
-* **interpreter** — the service with ``fast_path=False`` (the
-  paper-faithful reference);
+* **reference** — ``repro.reference.reference_cluster_find`` (the
+  paper-faithful interpreter, uncached);
 * **service** — the default configuration: every call binds;
 * **library** — ``ShardedCluster.find``, which analyzes and compiles
   each query without binding.
@@ -18,7 +18,7 @@ counters (``keysExamined``/``docsExamined``, per shard) for every
 query, and the outcome counters must show the service arm bound every
 call (the differential covered what it claims to).  The remaining
 classes pin what having no plan store buys: non-parameterizable
-structures are analyzed and still match the interpreter, a shape's
+structures are analyzed and still match the reference, a shape's
 first-ever query binds, and nothing a write, DDL or storage flush does
 between two identical queries can make the second one differ from a
 fresh service's answer.
@@ -41,6 +41,7 @@ from repro.datagen import FleetConfig, FleetGenerator
 from repro.datagen.datasets import ReproScale, load_r_dataset
 from repro.docstore.lsm import DurabilityConfig
 from repro.geo import BoundingBox
+from repro.reference import reference_cluster_find
 from repro.service import QueryService, ServiceConfig
 from repro.sfc.ranges import RangeDecompositionCache
 from repro.workloads.queries import randomized_queries
@@ -90,8 +91,12 @@ def workload(deployment):
     return rendered + rendered
 
 
-def run_service_arm(deployment, workload, **config_overrides):
-    config = ServiceConfig(**SEQUENTIAL, **config_overrides)
+def reference_frame(cluster, query):
+    return frame(reference_cluster_find(cluster, COLLECTION, query))
+
+
+def run_service_arm(deployment, workload):
+    config = ServiceConfig(**SEQUENTIAL)
     with QueryService(deployment.cluster, config) as service:
         frames = [
             frame(service.find(COLLECTION, query)) for query in workload
@@ -107,16 +112,17 @@ class TestThreeWayDifferential:
             frame(deployment.cluster.find(COLLECTION, query))
             for query in workload
         ]
+        reference = [
+            reference_frame(deployment.cluster, query) for query in workload
+        ]
         return {
-            "interpreter": run_service_arm(
-                deployment, workload, fast_path=False
-            ),
+            "reference": (reference, None),
             "service": run_service_arm(deployment, workload),
             "library": (library, None),
         }
 
     def test_documents_and_counters_identical(self, arm_results):
-        reference, _ = arm_results["interpreter"]
+        reference, _ = arm_results["reference"]
         for name in ("service", "library"):
             frames, _ = arm_results[name]
             for i, (got, ref) in enumerate(zip(frames, reference)):
@@ -128,10 +134,7 @@ class TestThreeWayDifferential:
                 )
 
     def test_each_arm_exercised_its_path(self, arm_results, workload):
-        _, interp = arm_results["interpreter"]
         _, service = arm_results["service"]
-        # The interpreter arm never binds or compiles.
-        assert interp == {"shapeHits": 0, "misses": 0}
         # The service arm bound every call, first sightings included.
         assert service == {"shapeHits": len(workload), "misses": 0}
 
@@ -182,10 +185,7 @@ class TestEveryApproachBinds:
             dep.approach.render_query(q)[0]
             for q in [WIDE] + randomized_queries(12, seed=11)
         ]
-        with QueryService(
-            dep.cluster, ServiceConfig(**SEQUENTIAL, fast_path=False)
-        ) as oracle:
-            expected = [frame(oracle.find(COLLECTION, q)) for q in rendered]
+        expected = [reference_frame(dep.cluster, q) for q in rendered]
         with QueryService(
             dep.cluster, ServiceConfig(**SEQUENTIAL)
         ) as service:
@@ -217,11 +217,9 @@ class TestAnalyzedStructures:
     @pytest.mark.parametrize("label", sorted(NOT_PARAMETERIZABLE))
     def test_miss_matches_the_interpreter(self, deployment, label):
         query = NOT_PARAMETERIZABLE[label]
-        with QueryService(
-            deployment.cluster, ServiceConfig(**SEQUENTIAL, fast_path=False)
-        ) as oracle:
-            expected = oracle.find(COLLECTION, query)
-        assert expected.cache_outcome is None
+        expected = reference_cluster_find(
+            deployment.cluster, COLLECTION, query
+        )
         with QueryService(
             deployment.cluster, ServiceConfig(**SEQUENTIAL)
         ) as service:

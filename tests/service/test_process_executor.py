@@ -8,6 +8,7 @@ that stalls mid-subquery must produce a clean ``QueryTimeoutError`` —
 not a leaked read lock, a poisoned pool, or an orphaned worker.
 """
 
+import os
 import pickle
 
 import pytest
@@ -44,6 +45,33 @@ def canonical_docs(documents):
     each document alone removes the memo from the comparison.
     """
     return [pickle.dumps(d, protocol=WIRE_PROTOCOL) for d in documents]
+
+
+class TestBackendSelection:
+    def test_environment_selects_the_backend_it_names(self, cluster_factory):
+        # CI's "service suite on the process executor" step sets the
+        # variable; this is what proves the suite ran on that backend.
+        wanted = os.environ.get(executors.ENV_BACKEND)
+        if not wanted:
+            pytest.skip("%s is not set" % executors.ENV_BACKEND)
+        with QueryService(cluster_factory(), ServiceConfig()) as service:
+            assert service.executor_backend == wanted
+
+    @pytest.mark.parametrize(
+        "value, backend",
+        [("", "thread"), (" Process ", "process"), ("thread", "thread")],
+    )
+    def test_auto_resolves_from_the_environment(
+        self, monkeypatch, value, backend
+    ):
+        monkeypatch.setenv(executors.ENV_BACKEND, value)
+        assert executors.resolve_backend("auto") == backend
+        assert executors.resolve_backend("thread") == "thread"
+
+    def test_unrecognised_backend_name_is_refused(self, monkeypatch):
+        monkeypatch.setenv(executors.ENV_BACKEND, "proces")
+        with pytest.raises(ServiceError, match="proces"):
+            executors.resolve_backend("auto")
 
 
 class TestBackendParity:

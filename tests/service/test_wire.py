@@ -133,7 +133,7 @@ class TestPlanMessageRoundTrip:
                 query=query,
                 hint=None,
                 max_geo_ranges=None,
-                fast_path=False,
+                fast_path=True,
                 shape_key=query_shape_key("t", query),
                 exact_key=exact_query_key("t", query),
                 epoch=0,

@@ -1,8 +1,15 @@
 """The public API surface: imports, __all__ hygiene, version."""
 
+import dataclasses
 import importlib
+import inspect
+import os
+import subprocess
+import sys
 
 import pytest
+
+from tests.test_documentation import MODULES
 
 PACKAGES = [
     "repro",
@@ -58,3 +65,57 @@ def test_errors_hierarchy():
     assert issubclass(errors.DocumentStoreError, errors.ReproError)
     assert issubclass(errors.ZoneError, errors.ShardingError)
     assert issubclass(errors.ShardingError, errors.ReproError)
+
+
+#: The two spellings ``benchmarks/perf`` pins (ROADMAP item 5a): the
+#: targeting-cache bypass and a wire field no worker reads.
+FAST_PATH_ALLOWED = {
+    "repro.cluster.cluster.ShardedCluster.targeting_for",
+    "repro.service.wire.PlanMessage",
+}
+
+
+def _named_parameters(module):
+    """``(qualified name, parameter or field names)`` a module defines."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        qualname = "%s.%s" % (module.__name__, name)
+        if inspect.isfunction(obj):
+            yield qualname, inspect.signature(obj).parameters
+        elif inspect.isclass(obj):
+            if dataclasses.is_dataclass(obj):
+                yield qualname, [f.name for f in dataclasses.fields(obj)]
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)
+                if inspect.isfunction(member):
+                    yield (
+                        "%s.%s" % (qualname, attr),
+                        inspect.signature(member).parameters,
+                    )
+
+
+def test_no_execution_path_switch_outside_the_pinned_spellings():
+    # There is one execution path; the interpreter lives in
+    # repro.reference.  A parameter or dataclass field named fast_path
+    # anywhere else is the old switch coming back.
+    offenders = {
+        qualname.removesuffix(".__init__")
+        for module in MODULES
+        for qualname, names in _named_parameters(module)
+        if "fast_path" in names
+    }
+    assert offenders == FAST_PATH_ALLOWED
+
+
+def test_production_imports_leave_the_reference_module_out():
+    code = (
+        "import sys, repro, repro.service, repro.core, repro.workloads\n"
+        "sys.exit('repro.reference' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, timeout=120
+    )
+    assert done.returncode == 0
