@@ -34,8 +34,7 @@ def hashed_deployment(cache):
         "traces", [("hilbertIndex", 1), ("date", 1)], name="hil_date"
     )
     loader = BulkLoader(batch_size=5000, transform=approach.transform)
-    loader.load(cluster, "traces", docs)
-    cluster.run_balancer("traces")
+    loader.load(cluster, "traces", docs)  # ends balanced
     return Deployment(approach=approach, cluster=cluster)
 
 

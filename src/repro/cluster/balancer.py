@@ -11,7 +11,7 @@ under default balancing; contiguous ranges per shard under zones).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.cluster.catalog import CollectionMetadata
 from repro.cluster.chunk import Chunk
@@ -37,25 +37,40 @@ class Balancer:
     def balance(self, metadata: CollectionMetadata) -> int:
         """Run rounds until balanced; returns the number of migrations."""
         moved = 0
-        if metadata.zone_set is not None:
-            moved += self._enforce_zones(metadata)
-        moved += self._even_out(metadata)
+        for chunk, dest in self.moves(metadata):
+            self._migrate(metadata, chunk, dest)
+            moved += 1
         return moved
+
+    def moves(
+        self, metadata: CollectionMetadata
+    ) -> Iterator[Tuple[Chunk, str]]:
+        """The ``(chunk, destination shard)`` migrations of one balance.
+
+        Decided one at a time: each decision reads the placement the
+        previous one left, so the consumer must give the chunk its new
+        ``shard_id`` before asking for the next.  :meth:`balance` does
+        so by migrating the data; planning a bulk load
+        (``ShardedCluster._plan_layout``) re-labels chunks that hold no
+        data yet.
+        """
+        if metadata.zone_set is not None:
+            yield from self._enforce_zones(metadata)
+        yield from self._even_out(metadata)
 
     # -- zone enforcement --------------------------------------------------------
 
-    def _enforce_zones(self, metadata: CollectionMetadata) -> int:
+    def _enforce_zones(
+        self, metadata: CollectionMetadata
+    ) -> Iterator[Tuple[Chunk, str]]:
         """Move every chunk fully covered by a zone onto its shard."""
-        moved = 0
         assert metadata.zone_set is not None
         for chunk in list(metadata.chunks):
             zone = metadata.zone_set.zone_for_range(
                 chunk.min_key, chunk.max_key
             )
             if zone is not None and zone.shard_id != chunk.shard_id:
-                self._migrate(metadata, chunk, zone.shard_id)
-                moved += 1
-        return moved
+                yield chunk, zone.shard_id
 
     # -- count evening ------------------------------------------------------------
 
@@ -71,8 +86,9 @@ class Balancer:
             return True
         return zone.shard_id == dest
 
-    def _even_out(self, metadata: CollectionMetadata) -> int:
-        moved = 0
+    def _even_out(
+        self, metadata: CollectionMetadata
+    ) -> Iterator[Tuple[Chunk, str]]:
         # Cap the rounds defensively; each migration strictly reduces
         # the count spread, so this terminates far earlier in practice.
         for _round in range(len(metadata.chunks) + len(self._shard_ids)):
@@ -85,9 +101,7 @@ class Balancer:
             candidate = self._pick_chunk(metadata, donor, recipient)
             if candidate is None:
                 break
-            self._migrate(metadata, candidate, recipient)
-            moved += 1
-        return moved
+            yield candidate, recipient
 
     def _pick_chunk(
         self, metadata: CollectionMetadata, donor: str, recipient: str

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.chunk import Chunk, KeyBound, ShardKeyPattern
@@ -18,6 +19,8 @@ from repro.cluster.zones import ZoneSet
 from repro.errors import ShardingError
 
 __all__ = ["CollectionMetadata", "ConfigCatalog"]
+
+_MIN_KEY = attrgetter("min_key")
 
 
 @dataclass
@@ -40,12 +43,9 @@ class CollectionMetadata:
 
     # -- chunk lookup ---------------------------------------------------------
 
-    def _chunk_mins(self) -> List[KeyBound]:
-        return [c.min_key for c in self.chunks]
-
     def chunk_for_key(self, key: KeyBound) -> Chunk:
         """The chunk covering a canonical key."""
-        idx = bisect.bisect_right(self._chunk_mins(), key) - 1
+        idx = bisect.bisect_right(self.chunks, key, key=_MIN_KEY) - 1
         if idx < 0:
             raise ShardingError("key %r below the chunk map" % (key,))
         chunk = self.chunks[idx]
@@ -55,7 +55,7 @@ class CollectionMetadata:
 
     def chunk_index(self, chunk: Chunk) -> int:
         """Position of a chunk in the ordered map."""
-        idx = bisect.bisect_left(self._chunk_mins(), chunk.min_key)
+        idx = bisect.bisect_left(self.chunks, chunk.min_key, key=_MIN_KEY)
         if idx >= len(self.chunks) or self.chunks[idx] is not chunk:
             raise ShardingError("chunk not present in the catalog")
         return idx

@@ -18,10 +18,19 @@ Write path mechanics reproduce MongoDB's:
   migrates to the least-loaded shard (MongoDB's auto-balancing), which
   is what scatters adjacent key ranges across shards under "default"
   distribution — the effect the paper's zone experiments remove.
+
+``insert_many`` applies these per document to live shards.  The initial
+load of an empty collection (``bulk_load``) makes the same decisions —
+the same ``_choose_split_key``, ``_relief_shard`` and
+:meth:`Balancer.moves` — on ``(shard key, BSON size)`` pairs alone,
+where a migration only re-labels a chunk, then places every document
+once on the shard its chunk ended on and builds that shard's indexes
+bottom-up.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import (
@@ -50,6 +59,7 @@ from repro.cluster.router import (
 from repro.cluster.shard import Shard, shard_key_index_name
 from repro.cluster.zones import Zone, ZoneSet
 from repro.docstore.bson import bson_document_size
+from repro.docstore.collection import own_document
 from repro.docstore.lsm import DurabilityConfig
 from repro.docstore.matcher import Matcher
 from repro.docstore.planner import analyze_query
@@ -222,6 +232,114 @@ class ShardedCluster:
                 self._split_chunk(metadata, chunk)
         return inserted
 
+    def is_empty(self, collection: str) -> bool:
+        """Whether no shard holds a document of the collection."""
+        return not any(
+            len(shard.collection(collection)) for shard in self.shards.values()
+        )
+
+    def bulk_load(
+        self, collection: str, documents: Iterable[Mapping[str, Any]]
+    ) -> int:
+        """Load an empty collection: plan on keys, place once, build.
+
+        Ends where ``insert_many(documents)`` followed by
+        ``run_balancer`` ends — the same chunk boundaries, placement,
+        ``doc_count``, ``byte_size`` and ``jumbo`` flags, the same
+        documents on the same shards — without inserting, sizing or
+        moving any document twice: each document's shard key and BSON
+        size are computed once, :meth:`_plan_layout` replays the split,
+        relief and balancer decisions on those pairs, and each shard
+        then receives its documents in arrival order through
+        :meth:`Collection.bulk_load` (one bottom-up build per index,
+        one WAL batch on durable deployments).  One
+        ``metadata_version`` bump.  A duplicate key raises with the
+        collection still empty.
+        """
+        metadata = self.catalog.get(collection)
+        if not self.is_empty(collection):
+            raise ShardingError(
+                "bulk_load needs an empty collection; insert_many is the "
+                "path into %r once it holds documents" % collection
+            )
+        docs = [own_document(document) for document in documents]
+        placed = []
+        try:
+            chunks, members = self._plan_layout(
+                metadata,
+                [metadata.pattern.extract_canonical(doc) for doc in docs],
+                [bson_document_size(doc) for doc in docs],
+            )
+            arrivals: Dict[str, List[int]] = {}
+            for chunk in chunks:
+                arrivals.setdefault(chunk.shard_id, []).extend(
+                    members.pop(chunk.min_key)
+                )
+            for shard_id, seqs in arrivals.items():
+                if not seqs:
+                    continue
+                seqs.sort()
+                shard_collection = self.shards[shard_id].collection(collection)
+                placed.append(shard_collection)
+                shard_collection.bulk_load([docs[seq] for seq in seqs])
+            metadata.chunks[:] = chunks
+        except BaseException:
+            # Documents the catalog does not route to must not stay.
+            for shard_collection in placed:
+                shard_collection.delete_many({})
+            raise
+        finally:
+            self._bump_metadata_version()
+        return len(docs)
+
+    def _plan_layout(
+        self,
+        metadata: CollectionMetadata,
+        keys: List[KeyBound],
+        sizes: List[int],
+    ) -> Tuple[List[Chunk], Dict[KeyBound, List[int]]]:
+        """The chunk map an empty collection reaches by ``insert_many``
+        of documents with these shard keys and sizes, then a balancer
+        round — computed on a copy of the metadata, touching no shard.
+
+        Returns the planned chunks and, per chunk ``min_key``, the
+        arrival numbers of its documents in arrival order.
+        """
+        plan = dataclasses.replace(
+            metadata, chunks=[dataclasses.replace(c) for c in metadata.chunks]
+        )
+        members: Dict[KeyBound, List[int]] = {
+            chunk.min_key: [] for chunk in plan.chunks
+        }
+        for seq, key in enumerate(keys):
+            chunk = plan.chunk_for_key(key)
+            inside = members[chunk.min_key]
+            inside.append(seq)
+            chunk.doc_count += 1
+            chunk.byte_size += sizes[seq]
+            if chunk.byte_size <= plan.chunk_max_bytes or chunk.jumbo:
+                continue
+            split_key = self._choose_split_key(
+                sorted(keys[i] for i in inside), chunk
+            )
+            if split_key is None:
+                plan.mark_jumbo(chunk)
+                continue
+            left, right = plan.split_chunk(chunk, split_key)
+            members[left.min_key] = [i for i in inside if keys[i] < split_key]
+            members[right.min_key] = [
+                i for i in inside if not keys[i] < split_key
+            ]
+            for part in (left, right):
+                part.doc_count = len(members[part.min_key])
+                part.byte_size = sum(sizes[i] for i in members[part.min_key])
+            if self.auto_balance:
+                # A migration while planning re-labels: no data to move.
+                right.shard_id = self._relief_shard(plan, right)
+        for chunk, dest in self.balancer.moves(plan):
+            chunk.shard_id = dest
+        return plan.chunks, members
+
     def delete_many(
         self, collection: str, query: Mapping[str, Any]
     ) -> int:
@@ -295,7 +413,9 @@ class ShardedCluster:
             # boundaries visible under the old metadata_version.
             self._bump_metadata_version()
         if self.auto_balance:
-            self._post_split_balance(metadata, right)
+            self._migrate_chunk(
+                metadata, right, self._relief_shard(metadata, right)
+            )
 
     @staticmethod
     def _choose_split_key(
@@ -326,27 +446,25 @@ class ShardedCluster:
         chunk.doc_count = count
         chunk.byte_size = size
 
-    def _post_split_balance(
+    def _relief_shard(
         self, metadata: CollectionMetadata, new_chunk: Chunk
-    ) -> None:
-        """MongoDB-style top-chunk relief: after a split, offload the new
-        chunk when its shard holds noticeably more chunks than the
-        emptiest shard."""
+    ) -> str:
+        """MongoDB-style top-chunk relief: the shard a just-split chunk
+        belongs on — another one when its own holds noticeably more
+        chunks than the emptiest shard."""
         counts = {s: 0 for s in self.shards}
         counts.update(metadata.chunk_counts())
         donor = new_chunk.shard_id
         recipient = min(counts, key=lambda s: (counts[s], s))
         if counts[donor] - counts[recipient] <= 1:
-            return
+            return donor
         if metadata.zone_set is not None:
             zone = metadata.zone_set.zone_for_range(
                 new_chunk.min_key, new_chunk.max_key
             )
             if zone is not None:
-                if zone.shard_id != donor:
-                    self._migrate_chunk(metadata, new_chunk, zone.shard_id)
-                return
-        self._migrate_chunk(metadata, new_chunk, recipient)
+                return zone.shard_id
+        return recipient
 
     def _migrate_chunk(
         self, metadata: CollectionMetadata, chunk: Chunk, dest_shard_id: str

@@ -28,7 +28,7 @@ from repro.cluster.cluster import (
 )
 from repro.cluster.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.core.encoder import DEFAULT_HILBERT_ORDER, SpatioTemporalEncoder
-from repro.core.loader import BulkLoader
+from repro.core.loader import BulkLoader, load_transformed
 from repro.core.query import SpatioTemporalQuery
 from repro.core.zoning import configure_zones
 from repro.docstore.lsm import DurabilityConfig
@@ -261,15 +261,9 @@ def deploy_approach(
     )
     for spec, name in approach.index_specs():
         cluster.create_index(COLLECTION, spec, name=name)
-    loader = loader or BulkLoader()
-    loader = BulkLoader(
-        batch_size=loader.batch_size,
-        docs_per_second=loader.docs_per_second,
-        start_time=loader.start_time,
-        transform=approach.transform,
+    load_transformed(
+        cluster, COLLECTION, documents, approach.transform, loader
     )
-    loader.load(cluster, COLLECTION, documents)
-    cluster.run_balancer(COLLECTION)
     if use_zones:
         configure_zones(cluster, COLLECTION, approach.zone_field())
     return Deployment(

@@ -35,7 +35,7 @@ from repro.cluster.cluster import (
 )
 from repro.cluster.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.core.encoder import DEFAULT_HILBERT_ORDER, SpatioTemporalEncoder
-from repro.core.loader import BulkLoader
+from repro.core.loader import BulkLoader, load_transformed
 from repro.core.query import SpatioTemporalQuery
 from repro.docstore.stats import CollectionStats
 from repro.sfc.ranges import RangeDecompositionCache
@@ -254,13 +254,5 @@ def deploy_adaptive(
         [(encoder.index_field, 1), ("date", 1)],
         name=ADAPTIVE_INDEXES["hil"],
     )
-    loader = loader or BulkLoader()
-    loader = BulkLoader(
-        batch_size=loader.batch_size,
-        docs_per_second=loader.docs_per_second,
-        start_time=loader.start_time,
-        transform=encoder.enrich,
-    )
-    loader.load(cluster, COLLECTION, documents)
-    cluster.run_balancer(COLLECTION)
+    load_transformed(cluster, COLLECTION, documents, encoder.enrich, loader)
     return AdaptiveDeployment(cluster=cluster, encoder=encoder)

@@ -13,14 +13,16 @@ order exactly as they would in a real ingest.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as _dt
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from repro.cluster.cluster import ShardedCluster
 from repro.docstore.bson import ObjectId
 
-__all__ = ["BulkLoader", "DEFAULT_BATCH_SIZE"]
+__all__ = ["BulkLoader", "DEFAULT_BATCH_SIZE", "load_transformed"]
 
 #: The batch size the paper uses for bulk insertion.
 DEFAULT_BATCH_SIZE = 15_000
@@ -28,12 +30,23 @@ DEFAULT_BATCH_SIZE = 15_000
 
 @dataclass
 class BulkLoader:
-    """Loads documents into a sharded collection in batches.
+    """Loads documents into a sharded collection, then balances it.
+
+    Into a collection that holds no documents — every fresh deployment
+    — the load is the cluster's bulk path
+    (:meth:`ShardedCluster.bulk_load`): the chunk layout is planned on
+    shard keys, each document is placed once on its final shard, the
+    indexes are built bottom-up.  Into one that already holds
+    documents it is the live path: ``insert_many`` batch by batch, then
+    a balancer round.  Both end in the same state.
 
     Parameters
     ----------
     batch_size:
-        Documents per bulk insert (paper: 15 000).
+        Documents per ``insert_many`` call on the live path (paper:
+        15 000), which is also how many prepared documents are in
+        flight at once there.  The bulk path plans the whole stream
+        and does not batch.
     docs_per_second:
         Simulated driver ingest rate; controls how fast ObjectId
         timestamps advance during the load.
@@ -56,15 +69,24 @@ class BulkLoader:
         collection: str,
         documents: Iterable[Mapping],
     ) -> int:
-        """Insert all documents; returns the count loaded."""
+        """Insert all documents and balance; returns the count loaded."""
+        prepared = self._prepared(documents)
+        if cluster.is_empty(collection):
+            return cluster.bulk_load(collection, prepared)
+        loaded = 0
+        while batch := list(itertools.islice(prepared, self.batch_size)):
+            loaded += cluster.insert_many(collection, batch)
+        cluster.run_balancer(collection)
+        return loaded
+
+    def _prepared(self, documents: Iterable[Mapping]) -> Iterator[dict]:
+        """Transformed copies with driver-clock ``_id``s, in order."""
         start = self.start_time or _dt.datetime(
             2018, 12, 1, tzinfo=_dt.timezone.utc
         )
         base_ts = start.timestamp()
         rng_bytes = b"\x51\x1e\x77\xab\x09"  # fixed driver "machine id"
-        loaded = 0
-        batch: List[dict] = []
-        for doc in documents:
+        for loaded, doc in enumerate(documents):
             prepared = dict(self.transform(doc)) if self.transform else dict(doc)
             if "_id" not in prepared:
                 prepared["_id"] = ObjectId(
@@ -72,11 +94,17 @@ class BulkLoader:
                     random_bytes=rng_bytes,
                     counter=loaded,
                 )
-            batch.append(prepared)
-            loaded += 1
-            if len(batch) >= self.batch_size:
-                cluster.insert_many(collection, batch)
-                batch = []
-        if batch:
-            cluster.insert_many(collection, batch)
-        return loaded
+            yield prepared
+
+
+def load_transformed(
+    cluster: ShardedCluster,
+    collection: str,
+    documents: Iterable[Mapping],
+    transform: Callable[[Mapping], dict],
+    loader: Optional[BulkLoader] = None,
+) -> int:
+    """Load with a deployment's own ``transform``, keeping the other
+    settings of ``loader`` (the defaults when None)."""
+    loader = dataclasses.replace(loader or BulkLoader(), transform=transform)
+    return loader.load(cluster, collection, documents)

@@ -261,14 +261,33 @@ def compare(a: Any, b: Any) -> int:
 
 
 def _element_size(name: str, value: Any) -> int:
-    """Size in bytes of one BSON element (type byte + cstring name + value)."""
+    """Size in bytes of one BSON element (type byte + cstring name + value).
+
+    Exact built-in types — what loaded documents are made of — are
+    dispatched on ``type(value)``; anything else (None, subclasses,
+    ObjectId, bytes, Min/MaxKey, other mappings and sequences) takes
+    the ``isinstance`` chain below, which alone decides the semantics.
+    """
     overhead = 1 + len(name.encode("utf-8")) + 1
+    kind = type(value)
+    if kind is float or kind is _dt.datetime:
+        return overhead + 8
+    if kind is str:
+        return overhead + 4 + len(value.encode("utf-8")) + 1
+    if kind is int:
+        # int32 when it fits, else int64
+        return overhead + (4 if -(2**31) <= value < 2**31 else 8)
+    if kind is bool:
+        return overhead + 1
+    if kind is dict:
+        return overhead + bson_document_size(value)
+    if kind is list:
+        return overhead + _array_size(value)
     if value is None or isinstance(value, (MinKey, MaxKey)):
         return overhead
     if isinstance(value, bool):
         return overhead + 1
     if isinstance(value, int):
-        # int32 when it fits, else int64
         return overhead + (4 if -(2**31) <= value < 2**31 else 8)
     if isinstance(value, float):
         return overhead + 8
@@ -283,9 +302,13 @@ def _element_size(name: str, value: Any) -> int:
     if isinstance(value, Mapping):
         return overhead + bson_document_size(value)
     if isinstance(value, Sequence):
-        as_doc = {str(i): v for i, v in enumerate(value)}
-        return overhead + bson_document_size(as_doc)
+        return overhead + _array_size(value)
     raise TypeError("unsizable BSON value of type %s" % type(value).__name__)
+
+
+def _array_size(values: Sequence) -> int:
+    """An array is the document of its elements keyed "0", "1", ..."""
+    return bson_document_size({str(i): v for i, v in enumerate(values)})
 
 
 def bson_document_size(document: Mapping[str, Any]) -> int:
@@ -294,7 +317,10 @@ def bson_document_size(document: Mapping[str, Any]) -> int:
     4-byte length prefix + elements + trailing NUL, exactly as the wire
     format defines, so Table 4/6 size accounting is credible.
     """
-    return 4 + sum(_element_size(k, v) for k, v in document.items()) + 1
+    total = 5
+    for name, value in document.items():
+        total += _element_size(name, value)
+    return total
 
 
 def canonical_key_bytes(elements: Iterable[Tuple]) -> bytes:

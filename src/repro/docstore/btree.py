@@ -26,6 +26,11 @@ Entry = Tuple[Any, Any]  # (comparable key, payload)
 #: O(skipped leaves); far targets stay O(height).
 _MAX_LEAF_SKIPS = 4
 
+#: Node fill of a bottom-up build, as a fraction of ``order``: above the
+#: 1/2 (ascending) to ~2/3 (random) that one-by-one insertion leaves, with
+#: room for a live insert to land in a node before that node must split.
+_BULK_FILL = 0.75
+
 
 class _Leaf:
     __slots__ = ("keys", "payloads", "next", "prev")
@@ -96,6 +101,48 @@ class BPlusTree:
         return node.keys[-1] if node.keys else None
 
     # -- mutation ----------------------------------------------------------
+
+    def bulk_build(self, keys: List[Any], payloads: List[Any]) -> None:
+        """Fill an empty tree bottom-up from entries in ascending key order.
+
+        ``keys[i]`` pairs with ``payloads[i]``; duplicate keys keep the
+        given order.  The result answers every read exactly as the same
+        entries inserted one by one would, and accepts later inserts
+        and removals: each separator is the smallest key of the subtree
+        to its right, which is what a leaf split promotes.  One pass per
+        level, no descent and no split.
+        """
+        if self._size:
+            raise ValueError("bulk_build needs an empty tree")
+        if not keys:
+            return
+        per_node = int(self._order * _BULK_FILL)
+        level: List[Any] = []
+        for start, stop in _even_slices(len(keys), per_node):
+            leaf = _Leaf()
+            leaf.keys = keys[start:stop]
+            leaf.payloads = payloads[start:stop]
+            if level:
+                leaf.prev = level[-1]
+                level[-1].next = leaf
+            level.append(leaf)
+        self._first_leaf = level[0]
+        mins = [leaf.keys[0] for leaf in level]
+        height = 1
+        while len(level) > 1:
+            parents: List[Any] = []
+            parent_mins: List[Any] = []
+            for start, stop in _even_slices(len(level), per_node):
+                node = _Internal()
+                node.children = level[start:stop]
+                node.keys = mins[start + 1 : stop]
+                parents.append(node)
+                parent_mins.append(mins[start])
+            level, mins = parents, parent_mins
+            height += 1
+        self._root = level[0]
+        self._height = height
+        self._size = len(keys)
 
     def insert(self, key: Any, payload: Any) -> None:
         """Insert an entry; duplicate keys are allowed and preserved."""
@@ -266,8 +313,30 @@ class BPlusTree:
         )
 
     def validate(self) -> None:
-        """Check structural invariants; raises AssertionError on damage."""
-        expected = self._size
+        """Check structural invariants; raises AssertionError on damage.
+
+        Checked: every internal node has one more child than
+        separators; every separator bounds its subtrees (largest key
+        on its left <= separator <= smallest key on its right — equal
+        keys may sit on the left, which is why :meth:`_find_leaf`
+        descends left on equality); every leaf sits at ``height``; the
+        ``next``/``prev`` chain from the first leaf visits exactly the
+        leaves of an in-order walk; keys ascend along it; and the entry
+        count matches ``len``.  Leaves emptied by lazy deletion are
+        legal and bound nothing.
+        """
+        in_order: List[_Leaf] = []
+        self._validate_node(self._root, 1, in_order)
+        chain: List[_Leaf] = []
+        leaf: Optional[_Leaf] = self._first_leaf
+        while leaf is not None:
+            before = chain[-1] if chain else None
+            assert leaf.prev is before, "leaf prev pointer off the chain"
+            chain.append(leaf)
+            leaf = leaf.next
+        assert len(chain) == len(in_order) and all(
+            a is b for a, b in zip(chain, in_order)
+        ), "leaf chain differs from the in-order walk"
         seen = 0
         last = None
         for key, _ in self.scan_all():
@@ -275,14 +344,49 @@ class BPlusTree:
                 assert not key < last, "leaf chain out of order"
             last = key
             seen += 1
-        assert seen == expected, "size %d != walked %d" % (expected, seen)
-        self._validate_node(self._root)
+        assert seen == self._size, "size %d != walked %d" % (self._size, seen)
 
-    def _validate_node(self, node: Any) -> None:
-        if isinstance(node, _Internal):
-            assert len(node.children) == len(node.keys) + 1
-            for child in node.children:
-                self._validate_node(child)
+    def _validate_node(
+        self, node: Any, depth: int, in_order: List[_Leaf]
+    ) -> Optional[Tuple[Any, Any]]:
+        """Validate a subtree; returns its (min, max) key, None if empty."""
+        if isinstance(node, _Leaf):
+            assert depth == self._height, "leaf at depth %d, height %d" % (
+                depth,
+                self._height,
+            )
+            assert len(node.keys) == len(node.payloads)
+            in_order.append(node)
+            return (node.keys[0], node.keys[-1]) if node.keys else None
+        assert len(node.children) == len(node.keys) + 1
+        spans = [
+            self._validate_node(child, depth + 1, in_order)
+            for child in node.children
+        ]
+        for i, sep in enumerate(node.keys):
+            if i:
+                assert not sep < node.keys[i - 1], "separators out of order"
+            left = next((s for s in reversed(spans[: i + 1]) if s), None)
+            right = next((s for s in spans[i + 1 :] if s), None)
+            assert left is None or not sep < left[1], (
+                "separator %r below a key on its left" % (sep,)
+            )
+            assert right is None or not right[0] < sep, (
+                "separator %r above a key on its right" % (sep,)
+            )
+        filled = [s for s in spans if s]
+        return (filled[0][0], filled[-1][1]) if filled else None
+
+
+def _even_slices(n: int, cap: int) -> Iterator[Tuple[int, int]]:
+    """``(start, stop)`` of the fewest near-equal runs of at most ``cap``."""
+    groups = -(-n // cap)
+    base, extra = divmod(n, groups)
+    start = 0
+    for i in range(groups):
+        stop = start + base + (1 if i < extra else 0)
+        yield start, stop
+        start = stop
 
 
 class BTreeCursor:

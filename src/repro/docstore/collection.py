@@ -41,7 +41,7 @@ from repro.docstore.lsm.wal import OP_DELETE, OP_PUT
 from repro.docstore.storage import StorageModel
 from repro.errors import DocumentStoreError, IndexError_
 
-__all__ = ["Collection", "FindResult"]
+__all__ = ["Collection", "FindResult", "own_document"]
 
 
 class FindResult:
@@ -62,6 +62,14 @@ class FindResult:
 
     def __len__(self) -> int:
         return len(self.documents)
+
+
+def own_document(document: Mapping[str, Any]) -> dict:
+    """A private copy with an ``_id`` (a fresh ObjectId when absent)."""
+    doc = dict(document)
+    if "_id" not in doc:
+        doc["_id"] = ObjectId()
+    return doc
 
 
 class Collection:
@@ -88,11 +96,10 @@ class Collection:
         self.storage_model = storage_model or StorageModel()
         # The _id index exists on every MongoDB collection and cannot
         # be dropped (Section 3.1).
-        self._id_index = Index(
+        self._indexes["_id_"] = Index(
             IndexDefinition.from_spec([("_id", 1)], name="_id_", unique=True),
             order=btree_order,
         )
-        self._indexes["_id_"] = self._id_index
         # Durable write path (ISSUE PR-5): a WAL+LSM engine beneath the
         # in-memory structures.  The default (None) leaves the original
         # purely in-memory engine untouched.
@@ -102,8 +109,9 @@ class Collection:
             self._engine = LSMEngine(durability)
             self._engine.add_listener(self._forward_storage_event)
             self._engine.recover()
-            for _, raw in self._engine.scan():
-                self._insert_local(decode_document(raw))
+            self._load_local(
+                [decode_document(raw) for _, raw in self._engine.scan()]
+            )
 
     @classmethod
     def from_snapshot(
@@ -121,7 +129,8 @@ class Collection:
         are inserted in the given (rid) order, so replica rids are a
         monotone remap of the source's: index scan order, collection
         scan order, and every executionStats counter match the source
-        collection exactly.
+        collection exactly.  Every index is built bottom-up
+        (:meth:`_load_local`).
         """
         replica = cls(name)
         for definition in definitions:
@@ -130,8 +139,7 @@ class Collection:
             replica._indexes[definition.name] = Index(
                 definition, order=replica._btree_order
             )
-        for document in documents:
-            replica._insert_local(document)
+        replica._load_local([own_document(d) for d in documents])
         # A replica starts at epoch 0 like any fresh collection; the
         # executor layer tracks the *source* epoch per snapshot.
         return replica
@@ -145,14 +153,63 @@ class Collection:
         result afterwards, recovery replays the engine's state through
         here without re-persisting it.
         """
-        doc = dict(document)
-        if "_id" not in doc:
-            doc["_id"] = ObjectId()
+        doc = own_document(document)
         rid = next(self._rid_counter)
         for index in self._indexes.values():
             index.insert_document(rid, doc)
         self._records[rid] = doc
         return doc
+
+    def _load_local(self, documents: Sequence[dict]) -> None:
+        """Apply many inserts to the empty in-memory structures at once.
+
+        The bulk form of :meth:`_insert_local` behind the initial
+        load, replica sync, snapshot restore and engine recovery:
+        rids follow the given order and every index is built bottom-up
+        (:meth:`Index.build`).  The dicts are adopted, not copied —
+        each must be the collection's own and carry an ``_id``.
+        Nothing changes if an index build raises (duplicate key): the
+        built indexes replace the empty ones only once all succeeded.
+        """
+        if self._records:
+            raise DocumentStoreError(
+                "bulk build needs an empty collection, %r holds %d documents"
+                % (self.name, len(self._records))
+            )
+        records = {next(self._rid_counter): doc for doc in documents}
+        built = {
+            name: self._built_index(index.definition, records)
+            for name, index in self._indexes.items()
+        }
+        self._indexes.update(built)
+        self._records.update(records)
+
+    def _built_index(
+        self, definition: IndexDefinition, records: Mapping[int, dict]
+    ) -> Index:
+        index = Index(definition, order=self._btree_order)
+        index.build(records.items())
+        return index
+
+    def bulk_load(self, documents: Sequence[dict]) -> None:
+        """Insert documents into this empty collection in one step.
+
+        The sharded cluster's initial load hands every shard its
+        documents through here, in arrival order.  Observably the same
+        as :meth:`insert_many` on an empty collection — except that a
+        duplicate key raises before anything is inserted, and that the
+        dicts are adopted (see :meth:`_load_local`).  With durability
+        on, the load is one WAL batch.
+        """
+        self._mutations += 1
+        self._load_local(documents)
+        if self._engine is not None:
+            self._engine.apply_batch(
+                [
+                    (OP_PUT, key_bytes([doc["_id"]]), encode_document(doc))
+                    for doc in documents
+                ]
+            )
 
     def insert_one(self, document: Mapping[str, Any]) -> Any:
         """Insert one document; returns its ``_id``.
@@ -301,10 +358,9 @@ class Collection:
         )
         if definition.name in self._indexes:
             raise IndexError_("index %r already exists" % definition.name)
-        index = Index(definition, order=self._btree_order)
-        for rid, doc in self._records.items():
-            index.insert_document(rid, doc)
-        self._indexes[definition.name] = index
+        self._indexes[definition.name] = self._built_index(
+            definition, self._records
+        )
         self._mutations += 1
         return definition.name
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.docstore import bson
 from repro.docstore.btree import BPlusTree
@@ -244,23 +244,44 @@ class Index:
 
     def insert_document(self, rid: int, document: Mapping[str, Any]) -> None:
         """Add a document's key(s) to the index."""
+        for key in self._admit(rid, document):
+            self.tree.insert(key, rid)
+
+    def build(self, records: Iterable[Tuple[int, Mapping[str, Any]]]) -> None:
+        """Index ``(rid, document)`` pairs into this empty index at once.
+
+        Leaves the index as :meth:`insert_document` on each pair would
+        (same entries, uniqueness check, multikey and field statistics)
+        but sorts the storage keys once and builds the B-tree bottom-up
+        instead of descending it per key.  An error (duplicate key,
+        unindexable value) leaves the index half-filled: build a fresh
+        ``Index`` and discard it on failure.
+        """
+        keys: List[Tuple[Tuple, ...]] = []
+        for rid, document in records:
+            keys.extend(self._admit(rid, document))
+        keys.sort()
+        self.tree.bulk_build(keys, [key[-1][1] for key in keys])
+
+    def _admit(
+        self, rid: int, document: Mapping[str, Any]
+    ) -> List[Tuple[Tuple, ...]]:
+        """Record a document in everything but the tree; its storage keys."""
         raws = self._expand_multikey(self.extract_raw(document))
+        canons = [self.canonical_key(raw) for raw in raws]
         if self.definition.unique:
             if len(raws) != 1:
                 raise IndexError_(
                     "unique index %r cannot be multikey"
                     % self.definition.name
                 )
-            canon = self.canonical_key(raws[0])
-            if canon in self._seen:
+            if canons[0] in self._seen:
                 raise DuplicateKeyError(
                     "duplicate key for unique index %r: %r"
                     % (self.definition.name, raws[0])
                 )
-            self._seen[canon] = rid
+            self._seen[canons[0]] = rid
         for raw in raws:
-            canon = self.canonical_key(raw)
-            self.tree.insert(canon + ((RID_RANK, rid),), rid)
             for i, value in enumerate(raw):
                 num = _as_float(value)
                 if num is None:
@@ -275,6 +296,8 @@ class Index:
         self._raw_keys[rid] = raws
         if len(raws) > 1:
             self._multikey_rids += 1
+        rid_key = ((RID_RANK, rid),)
+        return [canon + rid_key for canon in canons]
 
     def remove_document(self, rid: int, document: Mapping[str, Any]) -> None:
         """Remove a document's key(s) from the index."""

@@ -102,19 +102,22 @@ def collection_to_snapshot(collection) -> Dict[str, Any]:
 def collection_from_snapshot(snapshot: Mapping[str, Any]):
     """Rebuild a collection (documents + indexes) from a snapshot."""
     from repro.docstore.collection import Collection
+    from repro.docstore.index import IndexDefinition
 
-    collection = Collection(snapshot["name"])
-    for index in snapshot.get("indexes", []):
-        collection.create_index(
+    definitions = [
+        IndexDefinition.from_spec(
             [(path, kind) for path, kind in index["fields"]],
             name=index["name"],
             unique=index.get("unique", False),
             geohash_bits=index.get("geohash_bits", 26),
         )
-    collection.insert_many(
-        value_from_jsonable(doc) for doc in snapshot.get("documents", [])
+        for index in snapshot.get("indexes", [])
+    ]
+    return Collection.from_snapshot(
+        snapshot["name"],
+        definitions,
+        (value_from_jsonable(doc) for doc in snapshot.get("documents", [])),
     )
-    return collection
 
 
 def dump_collection(collection, path: str) -> None:

@@ -130,3 +130,40 @@ class TestZoneEnforcement:
         # The zoned chunk stayed.
         zoned = [c for c in meta.chunks if c.min_key == key(0)][0]
         assert zoned.shard_id == "s0"
+
+
+class TestMoves:
+    """``moves`` decides; the consumer applies (data or label)."""
+
+    def layout(self):
+        meta = build_meta(
+            [
+                (None, 0, "s0"),
+                (0, 10, "s0"),
+                (10, 20, "s0"),
+                (20, 30, "s0"),
+                (30, None, "s0"),
+            ]
+        )
+        meta.zone_set = ZoneSet([Zone("z", key(0), key(10), "s1")])
+        return meta
+
+    def test_relabelling_reaches_what_balance_migrates(self):
+        migrated = self.layout()
+        log = []
+        moved = Balancer(["s0", "s1", "s2"], recording_migrate(log)).balance(
+            migrated
+        )
+
+        def never(*_args):
+            raise AssertionError("moves must not migrate")
+
+        planned = self.layout()
+        decisions = []
+        for chunk, dest in Balancer(["s0", "s1", "s2"], never).moves(planned):
+            decisions.append((chunk.min_key, chunk.shard_id, dest))
+            chunk.shard_id = dest
+        assert decisions == log and len(log) == moved > 0
+        assert [c.shard_id for c in planned.chunks] == [
+            c.shard_id for c in migrated.chunks
+        ]

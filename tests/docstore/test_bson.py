@@ -1,6 +1,7 @@
 """Tests for BSON primitives: ObjectId, ordering, sizing, key bytes."""
 
 import datetime as dt
+import types
 
 import pytest
 from hypothesis import given
@@ -175,6 +176,88 @@ class TestDocumentSize:
         doc = {"location": {"type": "Point", "coordinates": [23.7, 37.9]}}
         size = bson_document_size(doc)
         assert 50 < size < 100
+
+
+class _IntSubclass(int):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+def spec_document_size(document):
+    """BSON size read straight off the specification (bsonspec.org).
+
+    ``document ::= int32 e_list "\\x00"``; ``element ::= type-byte
+    e_name value`` with ``e_name`` a cstring.  Written without looking
+    at the implementation's dispatch: subclasses size as their base
+    type, any mapping is a document, any other sequence an array — the
+    document of its elements keyed "0", "1", ...
+    """
+    total = 4 + 1
+    for name, value in document.items():
+        total += 1 + len(name.encode("utf-8")) + 1
+        if value is None or value is MINKEY or value is MAXKEY:
+            total += 0
+        elif isinstance(value, bool):
+            total += 1
+        elif isinstance(value, int):
+            total += 4 if -(2**31) <= value <= 2**31 - 1 else 8
+        elif isinstance(value, (float, dt.datetime)):
+            total += 8
+        elif isinstance(value, str):
+            total += 4 + len(value.encode("utf-8")) + 1
+        elif isinstance(value, ObjectId):
+            total += 12
+        elif isinstance(value, bytes):
+            total += 4 + 1 + len(value)
+        elif isinstance(value, dict) or hasattr(value, "items"):
+            total += spec_document_size(value)
+        else:
+            total += spec_document_size(
+                {str(i): element for i, element in enumerate(value)}
+            )
+    return total
+
+
+_SIZED_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.integers(min_value=-5, max_value=5).map(_IntSubclass),
+    st.sampled_from([2**31 - 1, 2**31, -(2**31), -(2**31) - 1]),
+    st.floats(allow_nan=True),
+    st.text(max_size=8),
+    st.binary(max_size=8),
+    st.datetimes(),
+    st.builds(
+        ObjectId,
+        timestamp=st.integers(min_value=0, max_value=2**31),
+        random_bytes=st.binary(min_size=5, max_size=5),
+        counter=st.integers(min_value=0, max_value=2**24 - 1),
+    ),
+    st.sampled_from([MINKEY, MAXKEY]),
+)
+
+_SIZED_VALUES = st.recursive(
+    _SIZED_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.lists(children, max_size=3).map(_Tuple),
+        st.dictionaries(st.text(max_size=5), children, max_size=4),
+        st.dictionaries(st.text(max_size=5), children, max_size=3).map(
+            types.MappingProxyType
+        ),
+    ),
+    max_leaves=12,
+)
+
+
+@given(document=st.dictionaries(st.text(max_size=6), _SIZED_VALUES, max_size=6))
+def test_document_size_matches_the_specification(document):
+    assert bson_document_size(document) == spec_document_size(document)
 
 
 @st.composite

@@ -311,3 +311,194 @@ class TestCursor:
         cur.seek(1)
         cur.seek(4998)  # beyond _MAX_LEAF_SKIPS leaf hops
         assert cur.peek() == (4998, 4998)
+
+
+def bulk(entries, order=8):
+    """Bottom-up build from ``(key, payload)`` pairs already in key order."""
+    tree = BPlusTree(order=order)
+    tree.bulk_build([k for k, _ in entries], [v for _, v in entries])
+    return tree
+
+
+class TestBulkBuild:
+    def test_empty_input_leaves_an_empty_tree(self):
+        tree = bulk([])
+        assert len(tree) == 0 and tree.height == 1
+        tree.insert(3, "x")
+        assert list(tree.scan_all()) == [(3, "x")]
+        tree.validate()
+
+    def test_needs_an_empty_tree(self):
+        tree = build([(1, 1)])
+        with pytest.raises(ValueError):
+            tree.bulk_build([2], [2])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 10, 27, 28, 1000])
+    def test_every_size_is_valid_and_complete(self, n):
+        entries = [(k, k * 10) for k in range(n)]
+        tree = bulk(entries, order=4)
+        tree.validate()
+        assert len(tree) == n
+        assert list(tree.scan_all()) == entries
+        assert tree.min_key() == 0 and tree.max_key() == n - 1
+
+    def test_nodes_are_three_quarters_full_and_shallower(self):
+        entries = [(k, k) for k in range(10_000)]
+        built = bulk(entries, order=64)
+        inserted = build(entries, order=64)
+        leaf = built._first_leaf
+        fills = []
+        while leaf is not None:
+            fills.append(len(leaf.keys))
+            leaf = leaf.next
+        assert max(fills) == 48 and min(fills) >= 47
+        assert built.height <= inserted.height
+
+    def test_duplicates_straddling_leaves_are_all_found(self):
+        # order 4 -> 3 entries per leaf: thirty 5s span ten leaves, and
+        # the separators between them all equal 5.
+        entries = [(3, "y")] + [(5, i) for i in range(30)] + [(7, "x")]
+        tree = bulk(entries, order=4)
+        tree.validate()
+        assert [p for _, p in tree.seek(5)] == list(range(30)) + ["x"]
+        assert list(tree.scan_ranges([(5, 5, True, True)])) == entries[1:31]
+        assert tree.count_range(5, 5) == 30
+        assert tree.count_range(3, 7, lo_inclusive=False) == 31
+        for i in range(0, 30, 4):
+            assert tree.remove(5, i)
+        tree.insert(5, "new")
+        tree.insert(4, "gap")
+        tree.validate()
+        assert tree.count_range(5, 5) == 30 - 8 + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(
+        st.integers(min_value=0, max_value=40), min_size=0, max_size=160
+    ),
+    order=st.integers(min_value=4, max_value=12),
+    probes=st.lists(
+        st.integers(min_value=-2, max_value=42), min_size=1, max_size=6
+    ),
+    suffix=st.lists(
+        st.tuples(st.booleans(), st.integers(min_value=0, max_value=40)),
+        max_size=80,
+    ),
+)
+def test_property_bulk_build_equals_one_by_one(keys, order, probes, suffix):
+    """Bottom-up build ≡ inserting the same sorted entries one by one,
+    on every read, and both stay equivalent under later mutation."""
+    entries = [(k, i) for i, k in enumerate(sorted(keys))]
+    built = bulk(entries, order=order)
+    inserted = build(entries, order=order)
+    built.validate()
+    assert len(built) == len(inserted)
+    assert list(built.scan_all()) == list(inserted.scan_all()) == entries
+    assert built.min_key() == inserted.min_key()
+    assert built.max_key() == inserted.max_key()
+    for probe in probes:
+        assert list(built.seek(probe)) == list(inserted.seek(probe))
+    cuts = sorted(set(probes))
+    ranges = [
+        (lo, hi, lo % 2 == 0, hi % 2 == 1) for lo, hi in zip(cuts, cuts[1:])
+    ][::2]
+    assert list(built.scan_ranges(ranges)) == list(inserted.scan_ranges(ranges))
+    for lo, hi, lo_inc, hi_inc in ranges:
+        assert built.count_range(lo, hi, lo_inc, hi_inc) == inserted.count_range(
+            lo, hi, lo_inc, hi_inc
+        )
+    # Equal keys may land on either side of an equal separator, so the
+    # two trees agree as multisets of entries, not on tie order.
+    live = list(entries)
+    for step, (is_insert, key) in enumerate(suffix):
+        if is_insert:
+            payload = "s%d" % step
+            built.insert(key, payload)
+            inserted.insert(key, payload)
+            live.append((key, payload))
+            continue
+        victim = next((e for e in live if e[0] == key), None)
+        payload = victim[1] if victim else "absent"
+        assert built.remove(key, payload) == (victim is not None)
+        assert inserted.remove(key, payload) == (victim is not None)
+        if victim:
+            live.remove(victim)
+    built.validate()
+    inserted.validate()
+    expected = sorted(live, key=lambda e: (e[0], str(e[1])))
+    for tree in (built, inserted):
+        got = list(tree.scan_all())
+        assert [k for k, _ in got] == [k for k, _ in expected]
+        assert sorted(got, key=lambda e: (e[0], str(e[1]))) == expected
+    for probe in probes:
+        assert [k for k, _ in built.seek(probe)] == [
+            k for k, _ in inserted.seek(probe)
+        ]
+
+
+class TestValidate:
+    """``validate`` must see a mis-built tree, not only a mis-ordered
+    leaf chain."""
+
+    def tree(self):
+        tree = build([(k, k) for k in range(200)], order=4)
+        tree.validate()
+        return tree
+
+    def test_corrupt_separator_is_caught(self):
+        tree = self.tree()
+        root = tree._root
+        # Still one separator per child boundary and the leaf chain is
+        # untouched — all the old check looked at — but descents for
+        # keys below the true separator now go to the wrong subtree:
+        # an entry that is there cannot be removed.
+        present = root.keys[0] - 1
+        root.keys[0] = -1
+        assert (present, present) in list(tree.scan_all())
+        assert not tree.remove(present, present)
+        with pytest.raises(AssertionError, match="separator"):
+            tree.validate()
+
+    def test_separator_above_its_right_subtree_is_caught(self):
+        tree = self.tree()
+        tree._root.keys[-1] = 10_000
+        with pytest.raises(AssertionError, match="separator"):
+            tree.validate()
+
+    def test_equal_keys_left_of_a_separator_are_legal(self):
+        tree = build([(7, i) for i in range(40)], order=4)
+        tree.validate()
+
+    def test_leaf_off_the_chain_is_caught(self):
+        tree = self.tree()
+        first = tree._first_leaf
+        # Unlink the second leaf: its keys vanish from every scan.
+        first.next = first.next.next
+        first.next.prev = first
+        with pytest.raises(AssertionError):
+            tree.validate()
+
+    def test_broken_prev_pointer_is_caught(self):
+        tree = self.tree()
+        tree._first_leaf.next.prev = None
+        with pytest.raises(AssertionError, match="prev"):
+            tree.validate()
+
+    def test_wrong_height_is_caught(self):
+        tree = self.tree()
+        tree._height += 1
+        with pytest.raises(AssertionError, match="height"):
+            tree.validate()
+
+    def test_wrong_size_is_caught(self):
+        tree = self.tree()
+        tree._size += 1
+        with pytest.raises(AssertionError, match="size"):
+            tree.validate()
+
+    def test_emptied_leaves_are_legal(self):
+        tree = self.tree()
+        for k in range(40, 120):
+            assert tree.remove(k, k)
+        tree.validate()

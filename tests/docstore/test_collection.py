@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.docstore.bson import ObjectId
 from repro.docstore.collection import Collection
 from repro.docstore.matcher import matches
-from repro.errors import DuplicateKeyError, IndexError_
+from repro.errors import DocumentStoreError, DuplicateKeyError, IndexError_
 
 UTC = dt.timezone.utc
 
@@ -42,6 +42,66 @@ class TestInsert:
         doc = {"a": 1}
         col.insert_one(doc)
         assert "_id" not in doc  # caller's dict untouched
+
+
+class TestBulkLoad:
+    def docs(self, n=50):
+        return [{"_id": i, "a": i % 7, "b": "x%d" % i} for i in range(n)]
+
+    def test_equals_insert_many_on_an_empty_collection(self):
+        bulk = Collection("t", btree_order=4)
+        bulk.create_index([("a", 1), ("b", 1)], name="ab")
+        bulk.bulk_load(self.docs())
+        live = Collection("t", btree_order=4)
+        live.create_index([("a", 1), ("b", 1)], name="ab")
+        live.insert_many(self.docs())
+        assert list(bulk.all_documents()) == list(live.all_documents())
+        for name in live.list_indexes():
+            tree = bulk.get_index(name).tree
+            tree.validate()
+            assert list(tree.scan_all()) == list(
+                live.get_index(name).tree.scan_all()
+            )
+        query = {"a": {"$gte": 2, "$lte": 4}}
+        got, want = (c.find_with_stats(query, hint="ab") for c in (bulk, live))
+        assert got.documents == want.documents
+        assert got.stats.as_dict() == want.stats.as_dict()
+        assert bulk.mutation_count == 2  # the DDL and the load
+
+    def test_then_behaves_like_any_collection(self):
+        col = Collection("t", btree_order=4)
+        col.bulk_load(self.docs())
+        col.insert_one({"_id": 50, "a": 1})
+        assert col.delete_many({"a": 1}) == 8
+        with pytest.raises(DuplicateKeyError):
+            col.insert_one({"_id": 3})
+        assert len(col) == 43
+        col.get_index("_id_").tree.validate()
+
+    def test_duplicate_key_leaves_the_collection_empty(self):
+        col = Collection("t")
+        col.create_index([("a", 1)], name="a_1")
+        with pytest.raises(DuplicateKeyError):
+            col.bulk_load(self.docs() + [{"_id": 7, "a": 0}])
+        assert len(col) == 0
+        assert all(len(col.get_index(n)) == 0 for n in col.list_indexes())
+        col.bulk_load(self.docs())
+        assert len(col) == 50
+
+    def test_needs_an_empty_collection(self):
+        col = Collection("t")
+        col.insert_one({"_id": 1})
+        with pytest.raises(DocumentStoreError):
+            col.bulk_load([{"_id": 2}])
+
+    def test_from_snapshot_copies_its_documents(self):
+        source = Collection("t")
+        source.insert_many(self.docs(5))
+        replica = Collection.from_snapshot(
+            "t", source.index_definitions(), source.all_documents()
+        )
+        replica.update_many({"_id": 1}, {"$set": {"b": "changed"}})
+        assert source.find_one({"_id": 1})["b"] == "x1"
 
 
 class TestFind:
@@ -135,6 +195,13 @@ class TestIndexManagement:
         col.create_index([("i", 1)], name="i_1")
         result = col.find_with_stats({"i": {"$gte": 5, "$lte": 9}}, hint="i_1")
         assert len(result) == 5
+
+    def test_failed_unique_backfill_registers_nothing(self):
+        col = Collection("t")
+        col.insert_many({"i": i % 3} for i in range(6))
+        with pytest.raises(DuplicateKeyError):
+            col.create_index([("i", 1)], name="i_1", unique=True)
+        assert col.list_indexes() == ["_id_"]
 
     def test_duplicate_name_rejected(self):
         col = Collection("t")

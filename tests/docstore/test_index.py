@@ -190,3 +190,64 @@ class TestFieldStats:
         idx = Index(IndexDefinition.from_spec([("name", 1)]))
         idx.insert_document(0, {"name": "abc"})
         assert idx.field_stats(0) is None
+
+
+class TestBuild:
+    """``Index.build`` leaves what ``insert_document`` per pair leaves."""
+
+    SPECS = [
+        ([("v", 1)], False),
+        ([("_id", 1)], True),
+        ([("tags", 1), ("v", 1)], False),  # multikey on tags
+        ([("location", "2dsphere"), ("date", 1)], False),
+        ([("v", "hashed")], False),
+    ]
+
+    def records(self):
+        out = []
+        for rid in range(120):
+            doc = make_doc(
+                lon=23.0 + (rid * 7 % 50) / 50,
+                lat=37.5 + (rid * 3 % 40) / 40,
+                date=dt.datetime(2018, 8, 1 + rid % 20, tzinfo=UTC),
+                _id=rid,
+                v=rid * 13 % 17,
+                tags=["t%d" % (rid % 4), "t%d" % (rid % 3)],
+            )
+            out.append((rid * 2, doc))  # rids need not be dense
+        return out
+
+    @pytest.mark.parametrize("spec,unique", SPECS)
+    def test_equals_one_by_one_insertion(self, spec, unique):
+        definition = IndexDefinition.from_spec(spec, unique=unique)
+        built = Index(definition, order=8)
+        built.build(self.records())
+        inserted = Index(definition, order=8)
+        for rid, doc in self.records():
+            inserted.insert_document(rid, doc)
+        built.tree.validate()
+        assert list(built.tree.scan_all()) == list(inserted.tree.scan_all())
+        assert built._raw_keys == inserted._raw_keys
+        assert built._seen == inserted._seen
+        assert built._field_stats == inserted._field_stats
+        assert built.is_multikey() == inserted.is_multikey()
+        # ... and it is an ordinary index afterwards.
+        rid, doc = self.records()[5]
+        built.remove_document(rid, doc)
+        inserted.remove_document(rid, doc)
+        built.insert_document(999, dict(doc, _id=999))
+        inserted.insert_document(999, dict(doc, _id=999))
+        built.tree.validate()
+        assert list(built.tree.scan_all()) == list(inserted.tree.scan_all())
+
+    def test_duplicate_in_unique_index_raises(self):
+        idx = Index(IndexDefinition.from_spec([("v", 1)], unique=True))
+        with pytest.raises(DuplicateKeyError):
+            idx.build([(0, {"v": 1}), (1, {"v": 2}), (2, {"v": 1})])
+
+    def test_empty_build(self):
+        idx = Index(IndexDefinition.from_spec([("v", 1)]))
+        idx.build([])
+        assert len(idx) == 0
+        idx.insert_document(0, {"v": 1})
+        assert len(idx) == 1

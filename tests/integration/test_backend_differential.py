@@ -40,11 +40,14 @@ from repro.workloads.queries import (
 N_DOCS = 2_000
 
 
-def deploy_hil(n_shards, durability=None):
-    docs = FleetGenerator(FleetConfig(n_vehicles=40)).generate_list(N_DOCS)
+def fleet_documents():
+    return FleetGenerator(FleetConfig(n_vehicles=40)).generate_list(N_DOCS)
+
+
+def deploy_hil(n_shards, durability=None, docs=None):
     return deploy_approach(
         make_approach("hil"),
-        docs,
+        fleet_documents() if docs is None else docs,
         topology=ClusterTopology(n_shards=n_shards),
         chunk_max_bytes=32 * 1024,
         durability=durability,
@@ -109,12 +112,22 @@ class TestBackends:
 
 class TestDurableReopen:
     def test_unchecked_close_and_reopen_answers_the_same(self, tmp_path):
+        docs = fleet_documents()
         deployment = deploy_hil(
             n_shards=4,
             durability=DurabilityConfig(
                 directory=str(tmp_path), memtable_max_bytes=64 * 1024
             ),
+            docs=docs[: N_DOCS // 2],
         )
+        # The initial load is one WAL batch per shard.  The second half
+        # arrives live, which is what leaves the storage states this
+        # gate needs: flushes as memtables fill, splits, and migrations
+        # whose tombstones recovery must honour.
+        deployment.cluster.insert_many(
+            COLLECTION, map(deployment.approach.transform, docs[N_DOCS // 2 :])
+        )
+        deployment.cluster.run_balancer(COLLECTION)
         workload = rendered_workload(deployment)
 
         def frames(collection):
@@ -146,8 +159,8 @@ class TestDurableReopen:
             deployment.cluster.close()
         # The gate needs both storage states: flushed runs (merged by
         # the background compactor as it gets to them) and —
-        # un-checkpointed — a tail of the load and of the balancer's
-        # migrations that is still only in the WAL.
+        # un-checkpointed — a tail of the live inserts and of the
+        # balancer's migrations that is still only in the WAL.
         assert flushed and unflushed
         assert sum(len(docs) for f in before.values() for docs, _ in f) > 0
 
