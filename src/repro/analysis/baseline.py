@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.findings import Finding
+from repro.analysis.findings import Finding, rule_selected
 
 __all__ = ["Baseline", "BaselineEntry", "PLACEHOLDER_JUSTIFICATION"]
 
@@ -89,12 +89,17 @@ class Baseline:
         )
 
     def split(
-        self, findings: Sequence[Finding]
+        self,
+        findings: Sequence[Finding],
+        select: Optional[Sequence[str]] = None,
     ) -> Tuple[List[Finding], List[Finding], List[BaselineEntry]]:
         """Partition findings into ``(new, suppressed, stale_entries)``.
 
         New findings have no baseline entry; suppressed findings match
-        one; stale entries match no current finding.
+        one; stale entries match no current finding.  ``select`` is the
+        run's rule selection: a run that never looked for a rule says
+        nothing about its entries, so only selected rules' entries can
+        be stale.
         """
         new: List[Finding] = []
         suppressed: List[Finding] = []
@@ -108,7 +113,7 @@ class Baseline:
         stale = [
             entry
             for fingerprint, entry in sorted(self.entries.items())
-            if fingerprint not in seen
+            if fingerprint not in seen and rule_selected(entry.rule, select)
         ]
         return new, suppressed, stale
 
@@ -138,14 +143,23 @@ class Baseline:
             if entry.path and not (root / entry.path).exists()
         ]
 
-    def updated(self, findings: Sequence[Finding]) -> "Baseline":
+    def updated(
+        self,
+        findings: Sequence[Finding],
+        select: Optional[Sequence[str]] = None,
+    ) -> "Baseline":
         """A baseline accepting exactly the given findings.
 
         Justifications of entries that still match are preserved; new
         entries get :data:`PLACEHOLDER_JUSTIFICATION` for a human to
-        replace.
+        replace.  Entries of rules outside the run's ``select`` are
+        carried over untouched — the run did not judge them.
         """
-        entries = []
+        entries = [
+            entry
+            for entry in self.entries.values()
+            if not rule_selected(entry.rule, select)
+        ]
         for finding in findings:
             existing = self.entries.get(finding.fingerprint)
             entries.append(

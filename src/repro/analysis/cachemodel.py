@@ -29,7 +29,8 @@ The model discovers three kinds of declaration:
   parameter flowing into their return value
   (:func:`repro.cluster.router.targeting_cache_key`).
 
-Per function, the model records an ordered :class:`CacheEffect`
+Per function, the model records an ordered
+:class:`~repro.analysis.effects.Effect`
 sequence — cache ``read``/``fill``/``invalidate`` operations with
 their key classification, version ``bump``\\ s, explicit version
 ``vcheck`` comparisons, ``mutate``\\ s of instance state, and resolved
@@ -56,20 +57,12 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.astutil import (
-    collect_lock_attrs,
     dotted_name,
+    expr_text,
+    self_attr,
     walk_within_function,
 )
 from repro.analysis.callgraph import (
@@ -78,10 +71,10 @@ from repro.analysis.callgraph import (
     build_call_graph,
 )
 from repro.analysis.checker import ModuleInfo
+from repro.analysis.effects import Effect, EffectModel, EffectWalker
 
 __all__ = [
     "CacheClassInfo",
-    "CacheEffect",
     "CacheFunctionSummary",
     "CacheModel",
     "VersionToken",
@@ -104,40 +97,6 @@ _MUTATING_CONTAINER_METHODS = {
     "remove",
     "clear",
 }
-
-
-@dataclass(frozen=True)
-class CacheEffect:
-    """One cache-coherence effect (or resolved call site) in order."""
-
-    #: ``read`` / ``fill`` / ``invalidate`` / ``bump`` / ``vcheck`` /
-    #: ``mutate`` / ``call``.
-    kind: str
-    #: Cache class name, token key, mutated field, or callee text.
-    target: str
-    line: int
-    col: int
-    #: Inside an ``except`` handler (failure-path compensation).
-    in_handler: bool = False
-    #: Inside a ``finally`` block — runs on unwind too.
-    in_finally: bool = False
-    #: Kind-specific detail: ``bump`` token key, ``mutate`` owner text
-    #: (``"fresh"`` for mutation of a just-constructed local), ``call``
-    #: callee symbols (comma-joined).
-    detail: str = ""
-    #: Spliced in from a callee by :meth:`CacheModel.inlined_effects`.
-    inlined: bool = False
-    #: Lock attribute whose ``with self.X:`` encloses the effect.
-    under_lock: str = ""
-    #: Splice depth: 0 in the function itself, +1 per inlining level.
-    depth: int = 0
-    #: Symbol of the function the effect was extracted from.
-    origin: str = ""
-    #: For ``read``/``fill``: whether the key expression carries a
-    #: version token, and where it came from (``"param"`` or
-    #: ``"attr:<line>"`` of the ``v = self.token`` capture).
-    keyed: bool = False
-    key_source: str = ""
 
 
 @dataclass
@@ -183,7 +142,7 @@ class CacheFunctionSummary:
 
     symbol: str
     info: FunctionInfo
-    effects: List[CacheEffect] = field(default_factory=list)
+    effects: List[Effect] = field(default_factory=list)
     #: Every attribute load (self or not): ``(attr, line)``.
     field_reads: List[Tuple[str, int]] = field(default_factory=list)
     #: Locals derived from one shard's state but referenced inside a
@@ -193,7 +152,7 @@ class CacheFunctionSummary:
     )
 
 
-class CacheModel:
+class CacheModel(EffectModel[CacheFunctionSummary]):
     """The project-wide cache-coherence model."""
 
     def __init__(
@@ -203,10 +162,9 @@ class CacheModel:
         caches: Dict[str, CacheClassInfo],
         callgraph: CallGraph,
     ) -> None:
-        self.summaries = summaries
+        super().__init__(summaries, callgraph)
         self.tokens = tokens
         self.caches = caches
-        self.callgraph = callgraph
         #: Field name → keys of tokens governing it.
         self.governing_tokens: Dict[str, Set[str]] = {}
         for token in tokens.values():
@@ -214,65 +172,6 @@ class CacheModel:
                 self.governing_tokens.setdefault(fname, set()).add(
                     token.key
                 )
-
-    def inlined_effects(
-        self, symbol: str, depth: int = 3
-    ) -> List[CacheEffect]:
-        """The function's effect sequence with resolved calls expanded.
-
-        ``call`` effects whose callee has a summary are replaced by the
-        callee's own (recursively inlined) effects, spliced at the call
-        position.  Cycles and unknown callees keep the call marker —
-        load-bearing for the unwind-window rule, which needs to know a
-        *call* (a potential raise) sits between a mutation and its
-        bump.
-        """
-        return self._inline(symbol, depth, frozenset((symbol,)))
-
-    def _inline(
-        self, symbol: str, depth: int, seen: FrozenSet[str]
-    ) -> List[CacheEffect]:
-        summary = self.summaries.get(symbol)
-        if summary is None:
-            return []
-        out: List[CacheEffect] = []
-        for effect in summary.effects:
-            if effect.kind != "call" or depth <= 0:
-                out.append(effect)
-                continue
-            spliced = False
-            for callee in effect.detail.split(","):
-                if not callee or callee in seen:
-                    continue
-                inner = self._inline(callee, depth - 1, seen | {callee})
-                for inner_effect in inner:
-                    out.append(
-                        CacheEffect(
-                            kind=inner_effect.kind,
-                            target=inner_effect.target,
-                            line=effect.line,
-                            col=effect.col,
-                            in_handler=(
-                                effect.in_handler
-                                or inner_effect.in_handler
-                            ),
-                            in_finally=(
-                                effect.in_finally
-                                or inner_effect.in_finally
-                            ),
-                            detail=inner_effect.detail,
-                            inlined=True,
-                            under_lock=effect.under_lock,
-                            depth=inner_effect.depth + 1,
-                            origin=inner_effect.origin,
-                            keyed=inner_effect.keyed,
-                            key_source=inner_effect.key_source,
-                        )
-                    )
-                    spliced = True
-            if not spliced:
-                out.append(effect)
-        return out
 
     def callers_of(self, symbol: str) -> List[str]:
         """Distinct caller symbols with a summary, via call effects."""
@@ -308,30 +207,55 @@ def _method_defs(cls: ast.ClassDef) -> List[ast.FunctionDef]:
     ]
 
 
+def _is_store_call(
+    node: ast.AST, stores: Set[str], methods: Sequence[str]
+) -> bool:
+    """``self.<store>.<method>(...)`` for one of ``methods``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in methods
+        and self_attr(node.func.value) in stores
+    )
+
+
+def _is_store_item(node: ast.AST, stores: Set[str]) -> bool:
+    """``self.<store>[...]``."""
+    return (
+        isinstance(node, ast.Subscript)
+        and self_attr(node.value) in stores
+    )
+
+
+def _assign_targets(node: ast.AST) -> List[ast.expr]:
+    """Targets of a plain or augmented assignment (else none)."""
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, ast.AugAssign):
+        return [node.target]
+    return []
+
+
+def _name_assigns(func: ast.AST) -> List[Tuple[str, ast.expr]]:
+    """``(name, value)`` for every ``name = value`` in the subtree."""
+    return [
+        (node.targets[0].id, node.value)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+    ]
+
+
 def _store_get_locals(
     func: ast.FunctionDef, stores: Set[str]
 ) -> Set[str]:
     """Locals assigned from ``self.<store>.get(...)``."""
-    out: Set[str] = set()
-    for node in ast.walk(func):
-        if not (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-        ):
-            continue
-        value = node.value
-        if (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and value.func.attr == "get"
-            and isinstance(value.func.value, ast.Attribute)
-            and isinstance(value.func.value.value, ast.Name)
-            and value.func.value.value.id == "self"
-            and value.func.value.attr in stores
-        ):
-            out.add(node.targets[0].id)
-    return out
+    return {
+        name
+        for name, value in _name_assigns(func)
+        if _is_store_call(value, stores, ("get",))
+    }
 
 
 def _returns_name(func: ast.FunctionDef, names: Set[str]) -> bool:
@@ -353,45 +277,21 @@ def _returns_store_get(
     func: ast.FunctionDef, stores: Set[str]
 ) -> bool:
     """``return self.<store>.get(...)`` directly."""
-    for node in ast.walk(func):
-        if not (
-            isinstance(node, ast.Return) and node.value is not None
-        ):
-            continue
-        value = node.value
-        if (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and value.func.attr == "get"
-            and isinstance(value.func.value, ast.Attribute)
-            and isinstance(value.func.value.value, ast.Name)
-            and value.func.value.value.id == "self"
-            and value.func.value.attr in stores
-        ):
-            return True
-    return False
+    return any(
+        isinstance(node, ast.Return)
+        and node.value is not None
+        and _is_store_call(node.value, stores, ("get",))
+        for node in ast.walk(func)
+    )
 
 
 def _fills_store(func: ast.FunctionDef, stores: Set[str]) -> bool:
     """``self.<store>[key] = value`` anywhere in the method."""
-    for node in ast.walk(func):
-        if not isinstance(node, (ast.Assign, ast.AugAssign)):
-            continue
-        targets = (
-            node.targets
-            if isinstance(node, ast.Assign)
-            else [node.target]
-        )
-        for target in targets:
-            if (
-                isinstance(target, ast.Subscript)
-                and isinstance(target.value, ast.Attribute)
-                and isinstance(target.value.value, ast.Name)
-                and target.value.value.id == "self"
-                and target.value.attr in stores
-            ):
-                return True
-    return False
+    return any(
+        _is_store_item(target, stores)
+        for node in ast.walk(func)
+        for target in _assign_targets(node)
+    )
 
 
 def _invalidates_store(
@@ -399,25 +299,11 @@ def _invalidates_store(
 ) -> bool:
     """``del``/``clear``/``pop``/``popitem`` on a store attribute."""
     for node in ast.walk(func):
-        if isinstance(node, ast.Delete):
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.value, ast.Attribute)
-                    and isinstance(target.value.value, ast.Name)
-                    and target.value.value.id == "self"
-                    and target.value.attr in stores
-                ):
-                    return True
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("clear", "pop", "popitem")
-            and isinstance(node.func.value, ast.Attribute)
-            and isinstance(node.func.value.value, ast.Name)
-            and node.func.value.value.id == "self"
-            and node.func.value.attr in stores
+        if isinstance(node, ast.Delete) and any(
+            _is_store_item(target, stores) for target in node.targets
         ):
+            return True
+        if _is_store_call(node, stores, ("clear", "pop", "popitem")):
             return True
     return False
 
@@ -435,20 +321,11 @@ def _stamp_sources(
     # Locals assigned from a self attribute (``written = self._writes
     # .get(...)`` taints ``written`` with ``_writes``).
     tainted: Dict[str, str] = {}
-    for node in ast.walk(func):
-        if not (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-        ):
-            continue
-        for sub in ast.walk(node.value):
-            if (
-                isinstance(sub, ast.Attribute)
-                and isinstance(sub.value, ast.Name)
-                and sub.value.id == "self"
-            ):
-                tainted[node.targets[0].id] = sub.attr
+    for name, value in _name_assigns(func):
+        for sub in ast.walk(value):
+            attr = self_attr(sub)
+            if attr is not None:
+                tainted[name] = attr
                 break
     sources: Set[str] = set()
     for node in ast.walk(func):
@@ -463,11 +340,7 @@ def _stamp_sources(
                 and sub.value.id in got_locals
             ):
                 touches_entry = True
-            elif (
-                isinstance(sub, ast.Attribute)
-                and isinstance(sub.value, ast.Name)
-                and sub.value.id == "self"
-            ):
+            elif isinstance(sub, ast.Attribute) and self_attr(sub):
                 compared.add(sub.attr)
             elif isinstance(sub, ast.Name) and sub.id in tainted:
                 compared.add(tainted[sub.id])
@@ -479,23 +352,9 @@ def _stamp_sources(
 def _feeds_attrs(func: ast.FunctionDef, attrs: Set[str]) -> bool:
     """Assign/subscript/augassign of one of ``attrs`` on ``self``."""
     for node in ast.walk(func):
-        if not isinstance(node, (ast.Assign, ast.AugAssign)):
-            continue
-        targets = (
-            node.targets
-            if isinstance(node, ast.Assign)
-            else [node.target]
-        )
-        for target in targets:
-            base = target
-            if isinstance(base, ast.Subscript):
-                base = base.value
-            if (
-                isinstance(base, ast.Attribute)
-                and isinstance(base.value, ast.Name)
-                and base.value.id == "self"
-                and base.attr in attrs
-            ):
+        for target in _assign_targets(node):
+            base = target.value if isinstance(target, ast.Subscript) else target
+            if self_attr(base) in attrs:
                 return True
     return False
 
@@ -834,8 +693,8 @@ def _compute_governed_fields(
 # -- effect extraction -------------------------------------------------------
 
 
-class _CacheEffectExtractor:
-    """Walks one function body in source order, emitting cache effects."""
+class _CacheEffectExtractor(EffectWalker):
+    """The CC vocabulary: cache ops, version bumps/checks, mutations."""
 
     def __init__(
         self,
@@ -847,20 +706,15 @@ class _CacheEffectExtractor:
         builders: Dict[str, int],
         globals_map: Dict[str, str],
     ) -> None:
-        self.info = info
-        self.graph = graph
+        super().__init__(info, graph)
         self.caches = caches
         self.tokens = tokens
         self.token_attrs = token_attrs
         self.builders = builders
         self.globals_map = globals_map
         self.summary = CacheFunctionSummary(
-            symbol=info.symbol, info=info
+            symbol=info.symbol, info=info, effects=self.effects
         )
-        self._handler_depth = 0
-        self._finally_depth = 0
-        self._lock_attrs = self._owner_lock_attrs()
-        self._lock_stack: List[str] = []
         #: TOKEN_RE-named parameters of this function.
         self._version_params: Set[str] = {
             name for name in info.params if TOKEN_RE.search(name)
@@ -880,101 +734,26 @@ class _CacheEffectExtractor:
             else None
         )
 
-    def _owner_lock_attrs(self) -> Set[str]:
-        node = self.info.node
-        if self.info.class_symbol is None:
-            return set()
-        for candidate in ast.walk(self.info.module.tree):
-            if isinstance(candidate, ast.ClassDef) and any(
-                item is node for item in ast.walk(candidate)
-            ):
-                return collect_lock_attrs(candidate)
-        return set()
-
-    # -- driver ----------------------------------------------------------------
-
     def run(self) -> CacheFunctionSummary:
-        node = self.info.node
-        assert not isinstance(node, ast.Lambda)
-        self._visit_body(node.body)
-        self._collect_field_reads(node)
-        self._collect_shared_shard_derived(node)
+        self.walk()
+        self._collect_field_reads(self.info.node)
+        self._collect_shared_shard_derived(self.info.node)
         return self.summary
-
-    def _visit_body(self, body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            self._visit_stmt(stmt)
-
-    def _visit_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return  # nested scopes are separate summaries
-        if isinstance(stmt, ast.ClassDef):
-            return
-        if isinstance(stmt, ast.With):
-            self._visit_with(stmt)
-            return
-        if isinstance(stmt, ast.Try):
-            self._visit_body(stmt.body)
-            for handler in stmt.handlers:
-                self._handler_depth += 1
-                self._visit_body(handler.body)
-                self._handler_depth -= 1
-            self._visit_body(stmt.orelse)
-            self._finally_depth += 1
-            self._visit_body(stmt.finalbody)
-            self._finally_depth -= 1
-            return
-        if isinstance(stmt, (ast.If, ast.While)):
-            self._scan_expr(stmt.test)
-            self._visit_body(stmt.body)
-            self._visit_body(stmt.orelse)
-            return
-        if isinstance(stmt, ast.For):
-            self._scan_expr(stmt.iter)
-            self._visit_body(stmt.body)
-            self._visit_body(stmt.orelse)
-            return
-        if isinstance(stmt, ast.Assign):
-            self._visit_assign(stmt)
-            return
-        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            self._scan_expr(stmt.value)
-            return
-        if isinstance(stmt, ast.AugAssign):
-            self._visit_augassign(stmt)
-            return
-        if isinstance(stmt, ast.Expr):
-            self._scan_expr(stmt.value)
-            return
-        if isinstance(stmt, ast.Return) and stmt.value is not None:
-            self._scan_expr(stmt.value)
-            return
-        if isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                self._note_subscript_mutation(target, stmt)
-            return
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.expr):
-                self._scan_expr(child)
 
     # -- statement shapes --------------------------------------------------------
 
-    def _visit_with(self, stmt: ast.With) -> None:
-        locks_here = 0
-        for item in stmt.items:
-            ctx = item.context_expr
-            if (
-                isinstance(ctx, ast.Attribute)
-                and isinstance(ctx.value, ast.Name)
-                and ctx.value.id == "self"
-                and ctx.attr in self._lock_attrs
-            ):
-                self._lock_stack.append(ctx.attr)
-                locks_here += 1
-            self._scan_expr(ctx)
-        self._visit_body(stmt.body)
-        for _ in range(locks_here):
-            self._lock_stack.pop()
+    def visit_simple(self, stmt: ast.stmt) -> None:
+        if isinstance(stmt, ast.Assign):
+            self._visit_assign(stmt)
+        elif isinstance(stmt, ast.AugAssign):
+            self._visit_augassign(stmt)
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            self.scan(stmt.value)
+        elif isinstance(stmt, ast.Delete):
+            for target in stmt.targets:
+                self._note_subscript_mutation(target, stmt)
+        else:
+            self.scan_children(stmt)
 
     def _visit_assign(self, stmt: ast.Assign) -> None:
         value = stmt.value
@@ -992,7 +771,7 @@ class _CacheEffectExtractor:
             for target in stmt.targets:
                 self._note_attr_mutation(target, stmt)
                 self._note_subscript_mutation(target, stmt)
-        self._scan_expr(value)
+        self.scan(value)
 
     def _visit_augassign(self, stmt: ast.AugAssign) -> None:
         target = stmt.target
@@ -1005,19 +784,19 @@ class _CacheEffectExtractor:
         ):
             token_key = self._token_key_for(target.attr)
             if token_key is not None:
-                self._emit(
+                self.emit(
                     "bump",
                     target.attr,
                     stmt.lineno,
                     stmt.col_offset,
                     detail=token_key,
                 )
-                self._scan_expr(stmt.value)
+                self.scan(stmt.value)
                 return
         if not self._in_init():
             self._note_attr_mutation(target, stmt)
             self._note_subscript_mutation(target, stmt)
-        self._scan_expr(stmt.value)
+        self.scan(stmt.value)
 
     def _token_key_for(self, attr: str) -> Optional[str]:
         own = self._own_class
@@ -1121,7 +900,7 @@ class _CacheEffectExtractor:
         if target.attr in self.token_attrs and owner == "self":
             return  # plain (non-aug) token rebinds are init shapes
         detail = "fresh" if owner in self._fresh_locals else owner
-        self._emit(
+        self.emit(
             "mutate",
             target.attr,
             stmt.lineno,
@@ -1138,12 +917,12 @@ class _CacheEffectExtractor:
         base = target.value
         if not isinstance(base, ast.Attribute):
             return
-        owner_text = _expr_text(base.value)
+        owner_text = expr_text(base.value)
         owner_root = owner_text.split(".")[0].split("[")[0]
         detail = (
             "fresh" if owner_root in self._fresh_locals else owner_text
         )
-        self._emit(
+        self.emit(
             "mutate",
             base.attr,
             stmt.lineno,
@@ -1153,10 +932,9 @@ class _CacheEffectExtractor:
 
     # -- expression scanning -----------------------------------------------------
 
-    def _scan_expr(self, expr: ast.expr) -> None:
+    def scan(self, expr: ast.expr) -> None:
         self._note_vchecks(expr)
-        for node in _ordered_calls(expr):
-            self._visit_call(node)
+        super().scan(expr)
 
     def _note_vchecks(self, expr: ast.expr) -> None:
         for node in ast.walk(expr):
@@ -1173,9 +951,9 @@ class _CacheEffectExtractor:
                         or sub.id in self._version_params
                     )
                 ):
-                    self._emit(
+                    self.emit(
                         "vcheck",
-                        _expr_text(node),
+                        expr_text(node),
                         node.lineno,
                         node.col_offset,
                     )
@@ -1188,7 +966,7 @@ class _CacheEffectExtractor:
             for token in self.tokens.values()
         )
 
-    def _visit_call(self, call: ast.Call) -> None:
+    def visit_call(self, call: ast.Call) -> None:
         func = call.func
         line, col = call.lineno, call.col_offset
 
@@ -1199,7 +977,7 @@ class _CacheEffectExtractor:
                 method = func.attr
                 if method in cache.read_methods:
                     keyed, source = self._call_key(call)
-                    self._emit(
+                    self.emit(
                         "read",
                         cache.name,
                         line,
@@ -1210,7 +988,7 @@ class _CacheEffectExtractor:
                     return
                 if method in cache.fill_methods:
                     keyed, source = self._call_key(call)
-                    self._emit(
+                    self.emit(
                         "fill",
                         cache.name,
                         line,
@@ -1220,10 +998,10 @@ class _CacheEffectExtractor:
                     )
                     return
                 if method in cache.invalidate_methods:
-                    self._emit("invalidate", cache.name, line, col)
+                    self.emit("invalidate", cache.name, line, col)
                     return
                 if method in cache.stamp_feeder_methods:
-                    self._emit(
+                    self.emit(
                         "invalidate",
                         cache.name,
                         line,
@@ -1240,7 +1018,7 @@ class _CacheEffectExtractor:
             and not self._in_init()
         ):
             base = func.value
-            owner_text = _expr_text(base.value)
+            owner_text = expr_text(base.value)
             owner_root = owner_text.split(".")[0].split("[")[0]
             cache = self._receiver_cache(base.value)
             if cache is None:
@@ -1249,32 +1027,26 @@ class _CacheEffectExtractor:
                     if owner_root in self._fresh_locals
                     else owner_text
                 )
-                self._emit(
+                self.emit(
                     "mutate", base.attr, line, col, detail=detail
                 )
                 # fall through: the call may also resolve in-graph
 
         # Resolved project call → bump (when the callee is a bump
         # method) or call marker for inlining.
-        resolved = self.graph.resolved.get(id(call))
-        if resolved is not None and resolved.callees:
-            bump_token = self._bump_callee_token(resolved.callees)
+        callees = self.resolved_callees(call)
+        if callees:
+            bump_token = self._bump_callee_token(callees)
             if bump_token is not None:
-                self._emit(
+                self.emit(
                     "bump",
                     dotted_name(func) or "?",
                     line,
                     col,
                     detail=bump_token,
                 )
-                return
-            self._emit(
-                "call",
-                dotted_name(func) or "?",
-                line,
-                col,
-                detail=",".join(resolved.callees),
-            )
+            else:
+                self.emit_call(call, callees)
 
     def _bump_callee_token(
         self, callees: Sequence[str]
@@ -1422,55 +1194,3 @@ class _CacheEffectExtractor:
                     entry = (leaf.id, derived[leaf.id])
                     if entry not in self.summary.shared_shard_derived:
                         self.summary.shared_shard_derived.append(entry)
-
-    def _emit(
-        self,
-        kind: str,
-        target: str,
-        line: int,
-        col: int,
-        detail: str = "",
-        keyed: bool = False,
-        key_source: str = "",
-    ) -> None:
-        self.summary.effects.append(
-            CacheEffect(
-                kind=kind,
-                target=target,
-                line=line,
-                col=col,
-                in_handler=self._handler_depth > 0,
-                in_finally=self._finally_depth > 0,
-                detail=detail,
-                under_lock=(
-                    self._lock_stack[-1] if self._lock_stack else ""
-                ),
-                origin=self.info.symbol,
-                keyed=keyed,
-                key_source=key_source,
-            )
-        )
-
-
-# -- small AST utilities -----------------------------------------------------
-
-
-def _ordered_calls(expr: ast.expr) -> Iterator[ast.Call]:
-    """Calls within one expression, in (line, col) source order.
-
-    Lambda bodies are included: a call inside ``lambda: self.f(...)``
-    resolves through the global call-resolution table, and the effect
-    belongs at the lambda's use site in this function.
-    """
-    calls = [
-        node for node in ast.walk(expr) if isinstance(node, ast.Call)
-    ]
-    calls.sort(key=lambda c: (c.lineno, c.col_offset))
-    return iter(calls)
-
-
-def _expr_text(expr: ast.expr) -> str:
-    try:
-        return ast.unparse(expr)
-    except Exception:  # pragma: no cover - unparse is total on 3.10+
-        return "<expr>"

@@ -34,12 +34,14 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.astutil import (
     dotted_name,
     iter_classes,
     iter_functions,
+    ordered_calls,
+    owner_lock_attrs,
     walk_within_function,
 )
 from repro.analysis.checker import ModuleInfo
@@ -282,6 +284,17 @@ class CallGraph:
         #: Function symbol → its resolver (kept for the lock analysis,
         #: which reuses receiver-type inference for lock attributes).
         self.resolvers: Dict[str, "_FunctionResolver"] = {}
+        #: Module path → :func:`owner_lock_attrs` index, built on first
+        #: use (the FS model only ever asks about the durable modules).
+        self._lock_attrs: Dict[str, Dict[int, FrozenSet[str]]] = {}
+
+    def owner_lock_attrs(self, info: FunctionInfo) -> FrozenSet[str]:
+        """Lock attributes of the class that owns ``info`` (may be empty)."""
+        index = self._lock_attrs.get(info.module.path)
+        if index is None:
+            index = owner_lock_attrs(info.module.tree)
+            self._lock_attrs[info.module.path] = index
+        return index.get(id(info.node), frozenset())
 
     def callees(self, symbol: str) -> List[CallEdge]:
         """Outgoing edges of one function."""
@@ -500,18 +513,8 @@ class _FunctionResolver:
     def iter_calls(self) -> List[ast.Call]:
         node = self.info.node
         if isinstance(node, ast.Lambda):
-            calls = [
-                sub
-                for sub in ast.walk(node.body)
-                if isinstance(sub, ast.Call)
-            ]
-        else:
-            calls = [
-                sub
-                for sub in walk_within_function(node)
-                if isinstance(sub, ast.Call)
-            ]
-        return sorted(calls, key=lambda c: (c.lineno, c.col_offset))
+            return ordered_calls(ast.walk(node.body))
+        return ordered_calls(walk_within_function(node))
 
     # -- resolution pieces -----------------------------------------------------
 

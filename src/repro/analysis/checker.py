@@ -3,27 +3,42 @@
 A :class:`Checker` receives one parsed module at a time as a
 :class:`ModuleInfo` and returns :class:`~repro.analysis.findings.Finding`
 objects; :func:`run_analysis` walks the requested paths, parses every
-Python file once, and fans each module out to every registered
-checker.  Checkers register themselves with the :func:`register`
+Python file once, and fans each module out to every *selected*
+checker — a checker none of whose rules the selection names does not
+run at all.  Checkers register themselves with the :func:`register`
 decorator so the CLI and tests discover them the same way.
 
 Project-wide checkers share one :class:`ProjectContext` per run: the
-call graph and lock analysis are computed lazily, once, and handed to
-every :class:`ProjectChecker` — the lock-order and fs-consistency
-families both walk the PR-3 call graph, and resolving it twice would
-double the most expensive phase of the run.
+call graph and the models over it are computed lazily, once, by the
+first selected rule that reads them — the lock-order, fs-consistency
+and cache-coherence families all walk the PR-3 call graph, and
+resolving it twice would double the most expensive phase of the run.
 """
 
 from __future__ import annotations
 
 import ast
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+)
 
-from repro.analysis.findings import Finding, Severity, assign_ordinals
+from repro.analysis.findings import (
+    Finding,
+    Severity,
+    assign_ordinals,
+    rule_selected,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.cachemodel import CacheModel
@@ -36,6 +51,7 @@ __all__ = [
     "ModuleInfo",
     "ProjectChecker",
     "ProjectContext",
+    "analyze",
     "register",
     "registered_checkers",
     "run_analysis",
@@ -81,48 +97,41 @@ class Checker:
 class ProjectContext:
     """Lazily-computed whole-project analyses, shared per run.
 
-    Each property is computed on first use and cached, so a run where
-    no project checker is selected pays nothing, and a run with several
-    resolves the call graph exactly once.
+    Each model is computed on first use and cached, so a run pays only
+    for what its selected rules read, and a run with several project
+    checkers resolves the call graph exactly once.
     """
 
     def __init__(self, modules: Sequence[ModuleInfo]) -> None:
         self.modules = list(modules)
-        self._locks: Optional["LockAnalysis"] = None
-        self._fs: Optional["FsModel"] = None
-        self._cache: Optional["CacheModel"] = None
 
-    @property
+    @cached_property
+    def callgraph(self) -> "CallGraph":
+        """The resolved project call graph every model walks."""
+        from repro.analysis.callgraph import build_call_graph
+
+        return build_call_graph(self.modules)
+
+    @cached_property
     def locks(self) -> "LockAnalysis":
         """The PR-3 lock analysis (registry, held sets, order graph)."""
-        if self._locks is None:
-            from repro.analysis.lockgraph import analyze_locks
+        from repro.analysis.lockgraph import analyze_locks
 
-            self._locks = analyze_locks(self.modules)
-        return self._locks
+        return analyze_locks(self.modules, self.callgraph)
 
-    @property
-    def callgraph(self) -> "CallGraph":
-        """The resolved project call graph (owned by the lock pass)."""
-        return self.locks.callgraph
-
-    @property
+    @cached_property
     def fs_model(self) -> "FsModel":
         """Filesystem-effect summaries over the shared call graph."""
-        if self._fs is None:
-            from repro.analysis.fsmodel import build_fs_model
+        from repro.analysis.fsmodel import build_fs_model
 
-            self._fs = build_fs_model(self.modules, self.callgraph)
-        return self._fs
+        return build_fs_model(self.modules, self.callgraph)
 
-    @property
+    @cached_property
     def cache_model(self) -> "CacheModel":
         """Cache-coherence summaries over the shared call graph."""
-        if self._cache is None:
-            from repro.analysis.cachemodel import build_cache_model
+        from repro.analysis.cachemodel import build_cache_model
 
-            self._cache = build_cache_model(self.modules, self.callgraph)
-        return self._cache
+        return build_cache_model(self.modules, self.callgraph)
 
 
 class ProjectChecker(Checker):
@@ -219,130 +228,90 @@ def load_module(path: Path, root: Path) -> ModuleInfo | Finding:
     )
 
 
-def _analyze_one(
-    path_str: str, root_str: str, checker_names: Sequence[str]
-) -> Tuple[Optional[ModuleInfo], List[Finding]]:
-    """Parse one file and run the per-module checkers on it.
+def analyze(
+    paths: Sequence[str],
+    root: str | Path = ".",
+    select: Optional[Sequence[str]] = None,
+    stats_out: Optional[Dict[str, float]] = None,
+) -> Tuple[List[Finding], ProjectContext]:
+    """Run the selected checkers; ordered findings plus the context.
 
-    Module-level (and argument-picklable) so ``--jobs`` can ship it to
-    a worker process; the parsed :class:`ModuleInfo` travels back for
-    the project checkers, so each file is still parsed exactly once.
+    ``select`` is a list of rule-id prefixes (e.g. ``["LD", "DT001"]``).
+    It decides what *runs*, not only what is reported: a checker whose
+    ``rules`` hold no selected id is never instantiated, and the
+    project models (call graph, lock simulation, FS and cache effect
+    summaries) are built by the first selected checker that reads
+    them, or not at all.  Findings of a running checker that fall
+    outside the selection (``DT001`` selected, ``DT002`` found) are
+    dropped.
+
+    Every file is parsed exactly once up front and the shared ASTs are
+    handed to every checker phase: per-module checkers iterate the
+    parsed modules, project checkers receive them all together with
+    the returned :class:`ProjectContext`.
+
+    ``stats_out``, when given a dict, is filled with wall-clock
+    seconds per phase: one ``"<parse>"`` entry plus one entry per
+    checker that ran.  A shared model is charged to the checker that
+    asked for it first.
     """
-    registry = registered_checkers()
-    loaded = load_module(Path(path_str), Path(root_str))
-    if isinstance(loaded, Finding):
-        return None, [loaded]
+    root_path = Path(root).resolve()
+    checkers = [
+        cls()
+        for _name, cls in sorted(registered_checkers().items())
+        if any(rule_selected(rule, select) for rule in cls.rules)
+    ]
     findings: List[Finding] = []
-    for name in checker_names:
-        checker = registry[name]()
-        if not isinstance(checker, ProjectChecker):
-            findings.extend(checker.check(loaded))
-    return loaded, findings
+    modules: List[ModuleInfo] = []
+
+    def _note(phase: str, started: float) -> None:
+        if stats_out is not None:
+            stats_out[phase] = time.perf_counter() - started
+
+    started = time.perf_counter()
+    for path in iter_python_files(paths, root_path):
+        loaded = load_module(path, root_path)
+        if isinstance(loaded, Finding):
+            findings.append(loaded)
+        else:
+            modules.append(loaded)
+    _note("<parse>", started)
+    context = ProjectContext(modules)
+    # Per-module checkers first, then the project checkers, each group
+    # in name order (the sort is stable).
+    checkers.sort(key=lambda checker: isinstance(checker, ProjectChecker))
+    for checker in checkers:
+        started = time.perf_counter()
+        if isinstance(checker, ProjectChecker):
+            findings.extend(checker.check_project(modules, context))
+        else:
+            for module in modules:
+                findings.extend(checker.check(module))
+        _note(checker.name, started)
+    findings = [f for f in findings if rule_selected(f.rule_id, select)]
+    return assign_ordinals(findings), context
 
 
 def run_analysis(
     paths: Sequence[str],
     root: str | Path = ".",
     select: Optional[Sequence[str]] = None,
-    checker_names: Optional[Sequence[str]] = None,
-    jobs: int = 1,
     changed_scope: Optional[Sequence[str]] = None,
     stats_out: Optional[Dict[str, float]] = None,
 ) -> List[Finding]:
-    """Run checkers over the given paths and return ordered findings.
-
-    ``select`` keeps only rule ids starting with one of the given
-    prefixes (e.g. ``["LD", "DT001"]``); ``checker_names`` restricts
-    which checkers run.  ``jobs > 1`` fans the per-file phase (parse +
-    per-module checkers) out to that many worker processes; project
-    checkers always run in-process afterwards, over the shared
-    :class:`ProjectContext`.
-
-    The serial path parses every file exactly once up front and hands
-    the shared ASTs to every checker phase — per-module checkers are
-    instantiated once per run and iterate the parsed modules, not the
-    other way around, so no phase ever re-parses a file.
+    """:func:`analyze`, reduced to its findings.
 
     ``changed_scope`` (a list of repo-relative changed paths) keeps
     only findings in those files or their transitive call-graph
-    dependents; the analysis itself still covers everything, so
-    project checkers see the same world as a full run and surviving
-    fingerprints are bit-identical to the full run's.
-
-    ``stats_out``, when given a dict, is filled with wall-clock
-    seconds per phase: one ``"<parse>"`` entry plus one entry per
-    checker name (per-module and project time combined) — the
-    ``--stats`` CLI surface CI uses to spot slow rules.
+    dependents.  It is a report filter, not a speed-up: the analysis
+    still covers everything, so project checkers see the same world as
+    a full run and surviving fingerprints are bit-identical to the
+    full run's.
     """
-    root_path = Path(root).resolve()
-    registry = registered_checkers()
-    if checker_names is not None:
-        unknown = set(checker_names) - set(registry)
-        if unknown:
-            raise ValueError("unknown checkers: %s" % sorted(unknown))
-        registry = {name: registry[name] for name in checker_names}
-    selected_names = sorted(registry)
-    files = list(iter_python_files(paths, root_path))
-    findings: List[Finding] = []
-    modules: List[ModuleInfo] = []
-
-    def _note(phase: str, seconds: float) -> None:
-        if stats_out is not None:
-            stats_out[phase] = stats_out.get(phase, 0.0) + seconds
-
-    if jobs > 1 and len(files) > 1:
-        started = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(
-                _analyze_one,
-                [str(p) for p in files],
-                [str(root_path)] * len(files),
-                [selected_names] * len(files),
-            )
-            for module, module_findings in results:
-                findings.extend(module_findings)
-                if module is not None:
-                    modules.append(module)
-        _note("<parse+module-checkers>", time.perf_counter() - started)
-        checkers = {
-            name: registry[name]() for name in selected_names
-        }
-    else:
-        started = time.perf_counter()
-        for path in files:
-            loaded = load_module(path, root_path)
-            if isinstance(loaded, Finding):
-                findings.append(loaded)
-            else:
-                modules.append(loaded)
-        _note("<parse>", time.perf_counter() - started)
-        checkers = {
-            name: registry[name]() for name in selected_names
-        }
-        for name in selected_names:
-            checker = checkers[name]
-            if isinstance(checker, ProjectChecker):
-                continue
-            started = time.perf_counter()
-            for module in modules:
-                findings.extend(checker.check(module))
-            _note(name, time.perf_counter() - started)
-    context = ProjectContext(modules)
-    for name in selected_names:
-        checker = checkers[name]
-        if isinstance(checker, ProjectChecker):
-            started = time.perf_counter()
-            findings.extend(checker.check_project(modules, context))
-            _note(name, time.perf_counter() - started)
-    if select:
-        findings = [
-            f
-            for f in findings
-            if any(f.rule_id.startswith(prefix) for prefix in select)
-        ]
+    findings, context = analyze(paths, root, select, stats_out)
     if changed_scope is not None:
         from repro.analysis.changed import dependent_modules
 
         scope = dependent_modules(changed_scope, context.callgraph)
         findings = [f for f in findings if f.path in scope]
-    return assign_ordinals(findings)
+    return findings

@@ -40,17 +40,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.cachemodel import (
-    CacheEffect,
-    CacheFunctionSummary,
-    CacheModel,
-)
+from repro.analysis.cachemodel import CacheFunctionSummary, CacheModel
 from repro.analysis.checker import (
     ModuleInfo,
     ProjectChecker,
     ProjectContext,
     register,
 )
+from repro.analysis.effects import Effect
 from repro.analysis.findings import Finding, Severity
 
 __all__ = ["CacheCoherenceChecker"]
@@ -332,7 +329,7 @@ class CacheCoherenceChecker(ProjectChecker):
         self,
         model: CacheModel,
         summary: CacheFunctionSummary,
-        inlined: List[CacheEffect],
+        inlined: List[Effect],
     ) -> List[Finding]:
         findings: List[Finding] = []
         reported: Set[Tuple[int, int]] = set()
@@ -402,7 +399,7 @@ class CacheCoherenceChecker(ProjectChecker):
         self,
         model: CacheModel,
         summary: CacheFunctionSummary,
-        inlined: List[CacheEffect],
+        inlined: List[Effect],
     ) -> List[Finding]:
         findings: List[Finding] = []
         reported: Set[Tuple[int, int]] = set()
@@ -554,7 +551,7 @@ def _push_invalidated_caches(model: CacheModel) -> Set[str]:
 
 
 def _covered_after(
-    inlined: List[CacheEffect],
+    inlined: List[Effect],
     line: int,
     col: int,
     tokens: Set[str],
@@ -580,7 +577,7 @@ def _covered_after(
 
 
 def _bumped_before(
-    inlined: List[CacheEffect],
+    inlined: List[Effect],
     line: int,
     col: int,
     tokens: Set[str],
@@ -603,7 +600,7 @@ def _bumped_before(
 
 
 def _site_end(
-    inlined: List[CacheEffect], line: int, col: int
+    inlined: List[Effect], line: int, col: int
 ) -> Optional[int]:
     """Index just past the last inlined effect at a source position."""
     last: Optional[int] = None

@@ -14,17 +14,14 @@ from typing import List, Optional, Set
 
 from repro.analysis.astutil import (
     FunctionNode,
-    collect_lock_attrs,
     dotted_name,
-    iter_classes,
     iter_functions,
+    iter_lock_owner_methods,
+    iter_lock_scoped_statements,
+    owned_attr,
     walk_within_function,
 )
 from repro.analysis.checker import Checker, ModuleInfo, register
-from repro.analysis.checkers.lock_discipline import (
-    _lock_guard_in_with_item,
-    _owned_attr,
-)
 from repro.analysis.findings import Finding, Severity
 
 __all__ = ["ConcurrencyChecker"]
@@ -107,87 +104,20 @@ class ConcurrencyChecker(Checker):
 
     def _check_guarded_patterns(self, module: ModuleInfo) -> List[Finding]:
         findings: List[Finding] = []
-        for cls_qual, cls in iter_classes(module.tree):
-            lock_attrs = collect_lock_attrs(cls)
-            if not lock_attrs:
-                continue
-            owners = {"self", "cls", cls.name}
-            for child in cls.body:
-                if not isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
+        for qual, method, lock_attrs, owners in iter_lock_owner_methods(
+            module.tree
+        ):
+            for stmt, scope, guarded in iter_lock_scoped_statements(
+                method.body, qual, lock_attrs
+            ):
+                if guarded or not isinstance(stmt, ast.If):
                     continue
-                if child.name in ("__init__", "__new__", "__post_init__"):
-                    continue
-                qual = "%s.%s" % (cls_qual, child.name)
-                self._visit(
-                    child.body,
-                    guarded=False,
-                    lock_attrs=lock_attrs,
-                    owners=owners,
-                    module=module,
-                    qual=qual,
-                    findings=findings,
-                )
-        return findings
-
-    def _visit(
-        self,
-        stmts: List[ast.stmt],
-        guarded: bool,
-        lock_attrs: Set[str],
-        owners: Set[str],
-        module: ModuleInfo,
-        qual: str,
-        findings: List[Finding],
-    ) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                now_guarded = guarded or any(
-                    _lock_guard_in_with_item(item.context_expr, lock_attrs)
-                    for item in stmt.items
-                )
-                self._visit(
-                    stmt.body,
-                    now_guarded,
-                    lock_attrs,
-                    owners,
-                    module,
-                    qual,
-                    findings,
-                )
-                continue
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._visit(
-                    stmt.body,
-                    False,
-                    lock_attrs,
-                    owners,
-                    module,
-                    "%s.%s" % (qual, stmt.name),
-                    findings,
-                )
-                continue
-            if isinstance(stmt, ast.If) and not guarded:
                 finding = self._check_if_statement(
-                    stmt, lock_attrs, owners, module, qual
+                    stmt, lock_attrs, owners, module, scope
                 )
                 if finding is not None:
                     findings.append(finding)
-            for field in ("body", "orelse", "finalbody"):
-                value = getattr(stmt, field, None)
-                if isinstance(value, list) and value and isinstance(
-                    value[0], ast.stmt
-                ):
-                    self._visit(
-                        value, guarded, lock_attrs, owners, module, qual,
-                        findings,
-                    )
-            for handler in getattr(stmt, "handlers", []):
-                self._visit(
-                    handler.body, guarded, lock_attrs, owners, module, qual,
-                    findings,
-                )
+        return findings
 
     def _check_if_statement(
         self,
@@ -241,7 +171,7 @@ class ConcurrencyChecker(Checker):
                 continue
             for op, comparator in zip(sub.ops, sub.comparators):
                 if isinstance(op, (ast.In, ast.NotIn)):
-                    attr = _owned_attr(comparator, owners)
+                    attr = owned_attr(comparator, owners)
                     if attr is not None:
                         return attr
         return None
@@ -254,14 +184,14 @@ class ConcurrencyChecker(Checker):
             for sub in ast.walk(stmt):
                 if isinstance(sub, ast.Assign):
                     if any(
-                        _owned_attr(t, owners) == attr
+                        owned_attr(t, owners) == attr
                         and isinstance(t, ast.Subscript)
                         for t in sub.targets
                     ):
                         return True
                 elif isinstance(sub, ast.Delete):
                     if any(
-                        _owned_attr(t, owners) == attr
+                        owned_attr(t, owners) == attr
                         and isinstance(t, ast.Subscript)
                         for t in sub.targets
                     ):
@@ -271,7 +201,7 @@ class ConcurrencyChecker(Checker):
                     and isinstance(sub.func, ast.Attribute)
                     and sub.func.attr
                     in ("pop", "setdefault", "update", "clear", "popitem")
-                    and _owned_attr(sub.func.value, owners) == attr
+                    and owned_attr(sub.func.value, owners) == attr
                 ):
                     return True
         return False
@@ -290,13 +220,13 @@ class ConcurrencyChecker(Checker):
             and test.comparators[0].value is None
         ):
             return None
-        attr = _owned_attr(test.left, owners)
+        attr = owned_attr(test.left, owners)
         if attr is None:
             return None
         for sub in stmt.body:
             for node in ast.walk(sub):
                 if isinstance(node, ast.Assign) and any(
-                    _owned_attr(t, owners) == attr
+                    owned_attr(t, owners) == attr
                     and not isinstance(t, ast.Subscript)
                     for t in node.targets
                 ):

@@ -44,7 +44,8 @@ from repro.analysis.checker import (
     register,
 )
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.fsmodel import FsEffect, FsFunctionSummary, FsModel
+from repro.analysis.effects import Effect
+from repro.analysis.fsmodel import FsFunctionSummary, FsModel
 
 __all__ = ["FsConsistencyChecker"]
 
@@ -209,10 +210,10 @@ class FsConsistencyChecker(ProjectChecker):
     # -- FS002: replace without dirfsync before dependent deletes ----------------
 
     def _fs002(
-        self, summary: FsFunctionSummary, inlined: List[FsEffect]
+        self, summary: FsFunctionSummary, inlined: List[Effect]
     ) -> List[Finding]:
         findings: List[Finding] = []
-        pending: Optional[FsEffect] = None
+        pending: Optional[Effect] = None
         for effect in inlined:
             if effect.in_handler:
                 continue
@@ -255,7 +256,7 @@ class FsConsistencyChecker(ProjectChecker):
 
     def _fs003(self, summary: FsFunctionSummary) -> List[Finding]:
         findings: List[Finding] = []
-        closed_visible: Dict[str, FsEffect] = {}
+        closed_visible: Dict[str, Effect] = {}
         for effect in summary.effects:
             if effect.in_handler:
                 continue
@@ -299,7 +300,7 @@ class FsConsistencyChecker(ProjectChecker):
     # -- FS004: state swap before the commit point -------------------------------
 
     def _fs004(
-        self, summary: FsFunctionSummary, inlined: List[FsEffect]
+        self, summary: FsFunctionSummary, inlined: List[Effect]
     ) -> List[Finding]:
         replace_lines = [
             effect.line
@@ -420,10 +421,10 @@ class FsConsistencyChecker(ProjectChecker):
         self,
         symbol: str,
         summary: FsFunctionSummary,
-        fsyncs: List[FsEffect],
+        fsyncs: List[Effect],
         contended: Set[str],
         held_in: Dict[str, Set[Tuple[str, str]]],
-    ) -> Optional[Tuple[str, FsEffect]]:
+    ) -> Optional[Tuple[str, Effect]]:
         """(lock, witness effect) when an fsync runs under a hot lock."""
         class_symbol = summary.info.class_symbol
         for effect in fsyncs:

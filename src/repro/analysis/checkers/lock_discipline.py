@@ -14,10 +14,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.astutil import (
     FunctionNode,
-    collect_lock_attrs,
     dotted_name,
-    iter_classes,
     iter_functions,
+    iter_lock_owner_methods,
+    iter_lock_scoped_statements,
+    owned_attr,
+    unwind_release_names,
     walk_within_function,
 )
 from repro.analysis.checker import Checker, ModuleInfo, register
@@ -30,10 +32,6 @@ ACQUIRE_TO_RELEASE: Dict[str, Tuple[str, ...]] = {
     "acquire": ("release",),
     "acquire_read": ("release_read",),
     "acquire_write": ("release_write",),
-}
-
-RELEASE_METHODS: Set[str] = {
-    name for names in ACQUIRE_TO_RELEASE.values() for name in names
 }
 
 #: Method calls that mutate a container in place.
@@ -73,19 +71,7 @@ def _releases_on_unwind_paths(func: FunctionNode) -> Set[str]:
     """
     protected: Set[str] = set()
     for node in ast.walk(func):
-        if not isinstance(node, ast.Try):
-            continue
-        unwind_stmts = list(node.finalbody)
-        for handler in node.handlers:
-            unwind_stmts.extend(handler.body)
-        for stmt in unwind_stmts:
-            for sub in ast.walk(stmt):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in RELEASE_METHODS
-                ):
-                    protected.add(sub.func.attr)
+        protected |= unwind_release_names(node)
     return protected
 
 
@@ -111,42 +97,6 @@ def _walk_outside_nested_loops(stmt: ast.stmt) -> List[ast.AST]:
                 continue
             stack.append(child)
     return out
-
-
-def _lock_guard_in_with_item(
-    expr: ast.expr, lock_attrs: Set[str]
-) -> bool:
-    """Whether a ``with`` item expression references a known lock attr.
-
-    Matches ``with self._lock:``, ``with ObjectId._counter_lock:``,
-    and context-manager accessors like ``with lock.read_locked():``.
-    """
-    for sub in ast.walk(expr):
-        if isinstance(sub, ast.Attribute) and sub.attr in lock_attrs:
-            return True
-        if isinstance(sub, ast.Attribute) and sub.attr in (
-            "read_locked",
-            "write_locked",
-        ):
-            return True
-        if isinstance(sub, ast.Name) and sub.id in lock_attrs:
-            return True
-    return False
-
-
-def _owned_attr(
-    node: ast.expr, owners: Set[str]
-) -> Optional[str]:
-    """Attribute name when ``node`` is ``<owner>.X`` or ``<owner>.X[...]``."""
-    if isinstance(node, ast.Subscript):
-        node = node.value
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id in owners
-    ):
-        return node.attr
-    return None
 
 
 @register
@@ -305,109 +255,41 @@ class LockDisciplineChecker(Checker):
 
     def _check_guarded_mutation(self, module: ModuleInfo) -> List[Finding]:
         findings: List[Finding] = []
-        for cls_qual, cls in iter_classes(module.tree):
-            lock_attrs = collect_lock_attrs(cls)
-            if not lock_attrs:
-                continue
-            owners = {"self", "cls", cls.name}
-            for child in cls.body:
-                if not isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
+        for qual, method, lock_attrs, owners in iter_lock_owner_methods(
+            module.tree
+        ):
+            # The ``_locked`` suffix is the repo's calling convention
+            # for "caller holds the class lock"; the runtime sanitizer
+            # still observes the real acquisition order, so a
+            # convention-violating caller is caught by the dynamic
+            # oracle rather than silently trusted.
+            for stmt, scope, guarded in iter_lock_scoped_statements(
+                method.body,
+                qual,
+                lock_attrs,
+                guarded=method.name.endswith("_locked"),
+            ):
+                if guarded:
                     continue
-                if child.name in ("__init__", "__new__", "__post_init__"):
+                attr = self._mutated_attr(stmt, owners)
+                if attr is None or attr in lock_attrs:
                     continue
-                qual = "%s.%s" % (cls_qual, child.name)
-                # The ``_locked`` suffix is the repo's calling
-                # convention for "caller holds the class lock"; the
-                # runtime sanitizer still observes the real acquisition
-                # order, so a convention-violating caller is caught by
-                # the dynamic oracle rather than silently trusted.
-                self._visit_guarded(
-                    child.body,
-                    guarded=child.name.endswith("_locked"),
-                    lock_attrs=lock_attrs,
-                    owners=owners,
-                    module=module,
-                    qual=qual,
-                    findings=findings,
+                findings.append(
+                    Finding(
+                        rule_id="LD003",
+                        severity=Severity.WARNING,
+                        message=(
+                            "mutation of shared attribute %r outside "
+                            "a lock-holding scope in a lock-owning "
+                            "class" % attr
+                        ),
+                        path=module.path,
+                        line=stmt.lineno,
+                        col=stmt.col_offset,
+                        symbol=scope,
+                    )
                 )
         return findings
-
-    def _visit_guarded(
-        self,
-        stmts: List[ast.stmt],
-        guarded: bool,
-        lock_attrs: Set[str],
-        owners: Set[str],
-        module: ModuleInfo,
-        qual: str,
-        findings: List[Finding],
-    ) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                now_guarded = guarded or any(
-                    _lock_guard_in_with_item(item.context_expr, lock_attrs)
-                    for item in stmt.items
-                )
-                self._visit_guarded(
-                    stmt.body,
-                    now_guarded,
-                    lock_attrs,
-                    owners,
-                    module,
-                    qual,
-                    findings,
-                )
-                continue
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                # A closure may run later on another thread; judge its
-                # body on its own (unguarded) terms.
-                self._visit_guarded(
-                    stmt.body,
-                    False,
-                    lock_attrs,
-                    owners,
-                    module,
-                    "%s.%s" % (qual, stmt.name),
-                    findings,
-                )
-                continue
-            if not guarded:
-                attr = self._mutated_attr(stmt, owners)
-                if attr is not None and attr not in lock_attrs:
-                    findings.append(
-                        Finding(
-                            rule_id="LD003",
-                            severity=Severity.WARNING,
-                            message=(
-                                "mutation of shared attribute %r outside "
-                                "a lock-holding scope in a lock-owning "
-                                "class" % attr
-                            ),
-                            path=module.path,
-                            line=stmt.lineno,
-                            col=stmt.col_offset,
-                            symbol=qual,
-                        )
-                    )
-            for body in self._nested_bodies(stmt):
-                self._visit_guarded(
-                    body, guarded, lock_attrs, owners, module, qual, findings
-                )
-
-    @staticmethod
-    def _nested_bodies(stmt: ast.stmt) -> List[List[ast.stmt]]:
-        bodies: List[List[ast.stmt]] = []
-        for field in ("body", "orelse", "finalbody"):
-            value = getattr(stmt, field, None)
-            if isinstance(value, list) and value and isinstance(
-                value[0], ast.stmt
-            ):
-                bodies.append(value)
-        for handler in getattr(stmt, "handlers", []):
-            bodies.append(handler.body)
-        return bodies
 
     @staticmethod
     def _mutated_attr(
@@ -416,19 +298,19 @@ class LockDisciplineChecker(Checker):
         """The owned attribute a statement mutates, if any."""
         if isinstance(stmt, ast.Assign):
             for target in stmt.targets:
-                attr = _owned_attr(target, owners)
+                attr = owned_attr(target, owners)
                 if attr is not None:
                     return attr
         elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
             target = stmt.target
-            attr = _owned_attr(target, owners)
+            attr = owned_attr(target, owners)
             if attr is not None and not (
                 isinstance(stmt, ast.AnnAssign) and stmt.value is None
             ):
                 return attr
         elif isinstance(stmt, ast.Delete):
             for target in stmt.targets:
-                attr = _owned_attr(target, owners)
+                attr = owned_attr(target, owners)
                 if attr is not None:
                     return attr
         elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
@@ -437,5 +319,5 @@ class LockDisciplineChecker(Checker):
                 isinstance(call.func, ast.Attribute)
                 and call.func.attr in MUTATOR_METHODS
             ):
-                return _owned_attr(call.func.value, owners)
+                return owned_attr(call.func.value, owners)
         return None

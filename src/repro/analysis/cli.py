@@ -68,23 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select",
         default=None,
-        help="comma-separated rule-id prefixes to keep (e.g. LD,DT001)",
-    )
-    parser.add_argument(
-        "--checker",
-        action="append",
-        dest="checkers",
-        default=None,
-        help="run only this checker (repeatable)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
         help=(
-            "parse files and run per-module checkers in N worker "
-            "processes (default: 1)"
+            "comma-separated rule-id prefixes (e.g. LD,DT001): only "
+            "checkers owning a selected rule run, and the baseline is "
+            "judged on the selected rules' entries only"
         ),
     )
     parser.add_argument(
@@ -241,8 +228,6 @@ def main(
         args.paths,
         root=root,
         select=select,
-        checker_names=args.checkers,
-        jobs=args.jobs,
         changed_scope=changed_scope,
         stats_out=timings,
     )
@@ -253,9 +238,9 @@ def main(
         if not baseline_path.is_absolute():
             baseline_path = root / baseline_path
         baseline = Baseline.load(baseline_path)
-    new, suppressed, stale_entries = baseline.split(findings)
-    # A scoped run never saw the out-of-scope files, so their baseline
-    # entries are not evidence of staleness.
+    new, suppressed, stale_entries = baseline.split(findings, select)
+    # A changed-only run never reported the out-of-scope files, so
+    # their baseline entries are not evidence of staleness.
     stale = (
         []
         if args.changed_only
@@ -274,13 +259,14 @@ def main(
         # ``updated`` keeps only entries matching a current finding,
         # which also drops the missing-file ones: a file the analyzer
         # never parsed cannot produce findings.
-        baseline.updated(findings).save(baseline_path)
+        rewritten = baseline.updated(findings, select)
+        rewritten.save(baseline_path)
         stream.write(
             "baseline rewritten: %d entr%s (%d new, %d stale dropped, "
             "%d for missing files)\n"
             % (
-                len(findings),
-                "y" if len(findings) == 1 else "ies",
+                len(rewritten),
+                "y" if len(rewritten) == 1 else "ies",
                 len(new),
                 len(stale),
                 len(missing),

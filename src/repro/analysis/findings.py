@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, List
+from typing import Dict, List, Optional, Sequence
 
-__all__ = ["Finding", "Severity", "assign_ordinals"]
+__all__ = ["Finding", "Severity", "assign_ordinals", "rule_selected"]
 
 
 class Severity(str, Enum):
@@ -90,3 +90,8 @@ def assign_ordinals(findings: List[Finding]) -> List[Finding]:
         counters[key] = ordinal + 1
         out.append(replace(finding, ordinal=ordinal))
     return out
+
+
+def rule_selected(rule_id: str, select: Optional[Sequence[str]]) -> bool:
+    """Whether a ``--select`` prefix list names the rule (none = all)."""
+    return not select or any(rule_id.startswith(p) for p in select)

@@ -9,7 +9,8 @@ the AST so the FS checkers (:mod:`repro.analysis.checkers.fsconsistency`)
 can judge orderings the same way the lock-order analysis judges
 acquisition orders.
 
-Per function, the model records an ordered :class:`FsEffect` sequence:
+Per function, the model records an ordered
+:class:`~repro.analysis.effects.Effect` sequence:
 
 * ``open``      — ``open(path, mode)`` / ``os.open`` (mode recorded);
 * ``write``     — ``handle.write(...)`` on a tracked handle;
@@ -45,27 +46,18 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.astutil import collect_lock_attrs, dotted_name
+from repro.analysis.astutil import dotted_name, expr_text, self_attr
 from repro.analysis.callgraph import (
     CallGraph,
     FunctionInfo,
     build_call_graph,
 )
 from repro.analysis.checker import ModuleInfo
+from repro.analysis.effects import Effect, EffectModel, EffectWalker
 
 __all__ = [
-    "FsEffect",
     "FsFunctionSummary",
     "FsModel",
     "HandleState",
@@ -109,28 +101,6 @@ def module_in_domain(module: ModuleInfo) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class FsEffect:
-    """One filesystem effect (or resolved call site) in source order."""
-
-    kind: str
-    #: Handle variable, path expression text, or attribute name.
-    target: str
-    line: int
-    col: int
-    #: Inside an ``except`` handler (failure-path compensation).
-    in_handler: bool = False
-    #: Kind-specific detail: ``open`` mode, ``replace`` source text,
-    #: ``call`` callee symbols (comma-joined).
-    detail: str = ""
-    #: Spliced in from a callee by :meth:`FsModel.inlined_effects`
-    #: (line/col then point at the call site in this function).
-    inlined: bool = False
-    #: Lock attribute of the owning class whose ``with self.X:`` block
-    #: syntactically encloses the effect ("" when none does).
-    under_lock: str = ""
-
-
 @dataclass
 class HandleState:
     """Lifecycle of one locally-opened write handle (feeds FS001)."""
@@ -155,7 +125,7 @@ class FsFunctionSummary:
 
     symbol: str
     info: FunctionInfo
-    effects: List[FsEffect] = field(default_factory=list)
+    effects: List[Effect] = field(default_factory=list)
     handles: List[HandleState] = field(default_factory=list)
     #: Temp-file suffix literals used in paths opened for write.
     temp_suffixes: List[Tuple[str, int]] = field(default_factory=list)
@@ -173,85 +143,16 @@ class FsFunctionSummary:
     is_dirfsync_helper: bool = False
 
 
-class FsModel:
+class FsModel(EffectModel[FsFunctionSummary]):
     """The project-wide filesystem-effect model."""
 
-    def __init__(
-        self,
-        summaries: Dict[str, FsFunctionSummary],
-        callgraph: CallGraph,
-    ) -> None:
-        self.summaries = summaries
-        self.callgraph = callgraph
-
-    def inlined_effects(
-        self, symbol: str, depth: int = 3
-    ) -> List[FsEffect]:
-        """The function's effect sequence with resolved calls expanded.
-
-        ``call`` effects whose callee has a summary are replaced by the
-        callee's own (recursively inlined) effects, spliced at the call
-        position, so orderings that span functions are judged as one
-        sequence.  Cycles and unknown callees keep the call marker.
-        """
-        return self._inline(symbol, depth, frozenset((symbol,)))
-
-    def _inline(
-        self, symbol: str, depth: int, seen: FrozenSet[str]
-    ) -> List[FsEffect]:
-        summary = self.summaries.get(symbol)
-        if summary is None:
-            return []
-        out: List[FsEffect] = []
-        for effect in summary.effects:
-            if effect.kind != "call" or depth <= 0:
-                out.append(effect)
-                continue
-            spliced = False
-            for callee in effect.detail.split(","):
-                if not callee or callee in seen:
-                    continue
-                callee_summary = self.summaries.get(callee)
-                if callee_summary is None:
-                    continue
-                if callee_summary.is_dirfsync_helper:
-                    out.append(
-                        FsEffect(
-                            kind="dirfsync",
-                            target=effect.target,
-                            line=effect.line,
-                            col=effect.col,
-                            in_handler=effect.in_handler,
-                            inlined=True,
-                            under_lock=effect.under_lock,
-                        )
-                    )
-                    spliced = True
-                    continue
-                inner = self._inline(
-                    callee, depth - 1, seen | {callee}
-                )
-                if inner:
-                    for inner_effect in inner:
-                        out.append(
-                            FsEffect(
-                                kind=inner_effect.kind,
-                                target=inner_effect.target,
-                                line=effect.line,
-                                col=effect.col,
-                                in_handler=(
-                                    effect.in_handler
-                                    or inner_effect.in_handler
-                                ),
-                                detail=inner_effect.detail,
-                                inlined=True,
-                                under_lock=effect.under_lock,
-                            )
-                        )
-                    spliced = True
-            if not spliced:
-                out.append(effect)
-        return out
+    def stand_in(
+        self, callee: FsFunctionSummary, call: Effect
+    ) -> Optional[Effect]:
+        """A call to a directory-fsync helper *is* a ``dirfsync``."""
+        if not callee.is_dirfsync_helper:
+            return None
+        return Effect("dirfsync", call.target, call.line, call.col)
 
 
 def build_fs_model(
@@ -277,13 +178,14 @@ def build_fs_model(
     return FsModel(summaries, graph)
 
 
-class _EffectExtractor:
-    """Walks one function body in source order, emitting effects."""
+class _EffectExtractor(EffectWalker):
+    """The FS vocabulary: which calls and assignments are FS effects."""
 
     def __init__(self, info: FunctionInfo, graph: CallGraph) -> None:
-        self.info = info
-        self.graph = graph
-        self.summary = FsFunctionSummary(symbol=info.symbol, info=info)
+        super().__init__(info, graph)
+        self.summary = FsFunctionSummary(
+            symbol=info.symbol, info=info, effects=self.effects
+        )
         #: Local name → HandleState for write handles opened here.
         self._handles: Dict[str, HandleState] = {}
         #: Local fd aliases: ``fd = fh.fileno()`` / ``fd = os.open(...)``.
@@ -295,135 +197,73 @@ class _EffectExtractor:
         self._visible_collections: Set[str] = set()
         #: Local string vars built from a path + temp-suffix literal.
         self._temp_paths: Dict[str, str] = {}
-        self._handler_depth = 0
-        self._lock_attrs = self._owner_lock_attrs()
-        self._class_has_lock = bool(self._lock_attrs)
-        #: Innermost-first ``with self.X:`` lock attrs enclosing the
-        #: statement currently being visited.
-        self._lock_stack: List[str] = []
         self._saw_dir_open = False
         self._saw_fsync_of_dir_fd = False
 
-    def _owner_lock_attrs(self) -> Set[str]:
-        node = self.info.node
-        if self.info.class_symbol is None:
-            return set()
-        # Find the owning ClassDef in the module to inspect its locks.
-        for candidate in ast.walk(self.info.module.tree):
-            if isinstance(candidate, ast.ClassDef) and any(
-                item is node for item in ast.walk(candidate)
-            ):
-                return collect_lock_attrs(candidate)
-        return set()
-
-    # -- driver ------------------------------------------------------------------
-
     def run(self) -> FsFunctionSummary:
-        node = self.info.node
-        assert not isinstance(node, ast.Lambda)
-        self._visit_body(node.body)
-        for handle in self._handles.values():
-            self.summary.handles.append(handle)
+        self.walk()
+        self.summary.handles.extend(self._handles.values())
         # A helper whose whole job is os.open(dir) + os.fsync(fd) is a
         # directory-fsync primitive: calls to it become ``dirfsync``.
-        if self._saw_dir_open and self._saw_fsync_of_dir_fd:
-            self.summary.is_dirfsync_helper = True
+        self.summary.is_dirfsync_helper = (
+            self._saw_dir_open and self._saw_fsync_of_dir_fd
+        )
         return self.summary
 
-    def _visit_body(self, body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            self._visit_stmt(stmt)
+    # -- statement shapes --------------------------------------------------------
 
-    def _visit_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return  # nested scopes are separate summaries
-        if isinstance(stmt, ast.ClassDef):
-            return
-        if isinstance(stmt, ast.With):
-            self._visit_with(stmt)
-            return
-        if isinstance(stmt, ast.Try):
-            self._visit_body(stmt.body)
-            for handler in stmt.handlers:
-                self._handler_depth += 1
-                self._visit_body(handler.body)
-                self._handler_depth -= 1
-            self._visit_body(stmt.orelse)
-            self._visit_body(stmt.finalbody)
-            return
-        if isinstance(stmt, (ast.If, ast.While)):
-            self._note_attr_read_in(stmt.test)
-            self._scan_expr(stmt.test)
-            self._visit_body(stmt.body)
-            self._visit_body(stmt.orelse)
-            return
-        if isinstance(stmt, ast.For):
-            self._scan_expr(stmt.iter)
-            self._track_for_target(stmt)
-            self._visit_body(stmt.body)
-            self._visit_body(stmt.orelse)
-            return
+    def visit_test(self, test: ast.expr) -> None:
+        self._note_attr_read_in(test)
+        self.scan(test)
+
+    def visit_for(self, stmt: ast.For) -> None:
+        self.scan(stmt.iter)
+        self._track_for_target(stmt)
+
+    def visit_simple(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Assign):
             self._visit_assign(stmt)
-            return
-        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            self._scan_expr(stmt.value)
-            self._note_attr_read_in(stmt.value)
-            return
-        if isinstance(stmt, ast.AugAssign):
+        elif isinstance(stmt, ast.AugAssign):
             # Counter bumps are not the state-swap shape; only note
             # the read side.
             self._note_attr_read_in(stmt.value)
             self._note_attr_read_in(stmt.target)
-            return
-        if isinstance(stmt, ast.Expr):
+        elif (
+            isinstance(stmt, (ast.AnnAssign, ast.Expr, ast.Return))
+            and stmt.value is not None
+        ):
             self._note_attr_read_in(stmt.value)
-            self._scan_expr(stmt.value)
-            return
-        if isinstance(stmt, ast.Return) and stmt.value is not None:
-            self._note_attr_read_in(stmt.value)
-            self._mark_escapes(stmt.value)
-            self._scan_expr(stmt.value)
-            return
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.expr):
-                self._scan_expr(child)
+            if isinstance(stmt, ast.Return):
+                self._mark_escapes(stmt.value)
+            self.scan(stmt.value)
+        else:
+            self.scan_children(stmt)
 
-    # -- statement shapes --------------------------------------------------------
+    def visit_with_item(self, item: ast.withitem) -> bool:
+        ctx = item.context_expr
+        if not (
+            isinstance(ctx, ast.Call)
+            and isinstance(item.optional_vars, ast.Name)
+        ):
+            return False
+        mode = self._open_call_mode(ctx)
+        if mode is None:
+            return False
+        self._register_open(item.optional_vars.id, ctx, mode or "r")
+        return True
 
-    def _visit_with(self, stmt: ast.With) -> None:
-        opened_here: List[str] = []
-        locks_here = 0
-        for item in stmt.items:
-            ctx = item.context_expr
-            if (
-                isinstance(ctx, ast.Call)
-                and self._open_call_mode(ctx) is not None
-                and isinstance(item.optional_vars, ast.Name)
-            ):
-                mode = self._open_call_mode(ctx) or "r"
-                self._register_open(item.optional_vars.id, ctx, mode)
-                opened_here.append(item.optional_vars.id)
-                continue
-            if (
-                isinstance(ctx, ast.Attribute)
-                and isinstance(ctx.value, ast.Name)
-                and ctx.value.id == "self"
-                and ctx.attr in self._lock_attrs
-            ):
-                self._lock_stack.append(ctx.attr)
-                locks_here += 1
-            self._scan_expr(ctx)
-        self._visit_body(stmt.body)
-        for _ in range(locks_here):
-            self._lock_stack.pop()
-        for name in opened_here:
+    def leave_with(
+        self, stmt: ast.With, claimed: Sequence[ast.withitem]
+    ) -> None:
+        """``with open(...) as fh:`` closes the handle at block exit."""
+        line = stmt.end_lineno or stmt.lineno
+        for item in claimed:
+            assert isinstance(item.optional_vars, ast.Name)
+            name = item.optional_vars.id
             handle = self._handles.get(name)
             if handle is not None and handle.closed_line is None:
-                handle.closed_line = stmt.end_lineno or stmt.lineno
-                self._emit(
-                    "close", name, stmt.end_lineno or stmt.lineno, 0
-                )
+                handle.closed_line = line
+                self.emit("close", name, line, 0)
 
     def _visit_assign(self, stmt: ast.Assign) -> None:
         value = stmt.value
@@ -436,27 +276,22 @@ class _EffectExtractor:
         )
         # self.X = <expr> rebinds: the FS004 mutation shape.
         for target in targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
+            attr = self_attr(target)
+            if attr is not None:
                 self.summary.attr_writes.append(
                     (
-                        target.attr,
+                        attr,
                         stmt.lineno,
                         stmt.col_offset,
                         self._handler_depth > 0,
                     )
                 )
-                self._emit(
-                    "mutate", target.attr, stmt.lineno, stmt.col_offset
-                )
+                self.emit("mutate", attr, stmt.lineno, stmt.col_offset)
                 if isinstance(
                     value, ast.Call
                 ) and self._open_call_mode(value) is not None:
                     # self._file = open(...): obligation escapes.
-                    self._scan_expr(value)
+                    self.scan(value)
                     return
         if name_target is not None and isinstance(value, ast.Call):
             mode = self._open_call_mode(value)
@@ -466,10 +301,10 @@ class _EffectExtractor:
             called = dotted_name(value.func)
             if called == "os.open":
                 self._fd_aliases[name_target] = "os.open:%s" % (
-                    _expr_text(value.args[0]) if value.args else "?"
+                    expr_text(value.args[0]) if value.args else "?"
                 )
                 self._saw_dir_open = True
-                self._emit(
+                self.emit(
                     "open",
                     name_target,
                     stmt.lineno,
@@ -504,7 +339,7 @@ class _EffectExtractor:
                     self._visible_collections.add(name_target)
                 else:
                     self._visible.add(name_target)
-        self._scan_expr(value)
+        self.scan(value)
 
     def _track_for_target(self, stmt: ast.For) -> None:
         if not isinstance(stmt.target, ast.Name):
@@ -527,11 +362,7 @@ class _EffectExtractor:
 
     # -- expression scanning -----------------------------------------------------
 
-    def _scan_expr(self, expr: ast.expr) -> None:
-        for node in _ordered_calls(expr):
-            self._visit_call(node)
-
-    def _visit_call(self, call: ast.Call) -> None:
+    def visit_call(self, call: ast.Call) -> None:
         func = call.func
         called = dotted_name(func)
         line, col = call.lineno, call.col_offset
@@ -551,26 +382,26 @@ class _EffectExtractor:
                 if bare in _OS_EFFECTS:
                     kind = _OS_EFFECTS[bare]
                     target = (
-                        _expr_text(call.args[-1])
+                        expr_text(call.args[-1])
                         if kind == "replace" and len(call.args) >= 2
-                        else _expr_text(call.args[0])
+                        else expr_text(call.args[0])
                         if call.args
                         else "?"
                     )
                     detail = (
-                        _expr_text(call.args[0])
+                        expr_text(call.args[0])
                         if kind == "replace" and call.args
                         else ""
                     )
-                    self._emit(kind, target, line, col, detail=detail)
+                    self.emit(kind, target, line, col, detail=detail)
                     return
                 if bare == "open":
                     self._saw_dir_open = True
                     return
                 if bare == "pread":
-                    self._emit(
+                    self.emit(
                         "pread",
-                        _expr_text(call.args[0]) if call.args else "?",
+                        expr_text(call.args[0]) if call.args else "?",
                         line,
                         col,
                     )
@@ -589,18 +420,18 @@ class _EffectExtractor:
                     handle.writes += 1
                     handle.last_write_line = line
                     handle.fsynced_after_write = False
-                    self._emit("write", owner, line, col)
+                    self.emit("write", owner, line, col)
                     return
                 if method == "flush":
-                    self._emit("flush", owner, line, col)
+                    self.emit("flush", owner, line, col)
                     return
                 if method == "close":
                     handle.closed_line = line
-                    self._emit("close", owner, line, col)
+                    self.emit("close", owner, line, col)
                     return
             if owner in self._visible:
                 if method == "close":
-                    self._emit(
+                    self.emit(
                         "close",
                         owner,
                         line,
@@ -609,7 +440,7 @@ class _EffectExtractor:
                     )
                     return
                 if method == "remove":
-                    self._emit(
+                    self.emit(
                         "unlink",
                         owner,
                         line,
@@ -635,21 +466,15 @@ class _EffectExtractor:
                     self.summary.temp_suffixes.append((suffix, line))
             # An un-named open (not assigned/with-bound) is still an
             # open effect.
-            self._emit("open", _expr_text(first), line, col, detail=mode)
+            self.emit("open", expr_text(first), line, col, detail=mode)
             for arg in call.args:
                 self._mark_escapes(arg)
             return
 
         # Resolved project call → call marker for inlining.
-        resolved = self.graph.resolved.get(id(call))
-        if resolved is not None and resolved.callees:
-            self._emit(
-                "call",
-                called or "?",
-                line,
-                col,
-                detail=",".join(resolved.callees),
-            )
+        callees = self.resolved_callees(call)
+        if callees:
+            self.emit_call(call, callees)
         # Any handle passed onward escapes its durability obligation.
         for arg in call.args:
             self._mark_escapes(arg)
@@ -670,21 +495,21 @@ class _EffectExtractor:
             handle = self._handles.get(owner)
             if handle is not None:
                 handle.fsynced_after_write = True
-            self._emit("fsync", owner, line, col)
+            self.emit("fsync", owner, line, col)
             return
         if isinstance(arg, ast.Name):
             alias = self._fd_aliases.get(arg.id)
             if alias is not None and alias.startswith("os.open:"):
                 self._saw_fsync_of_dir_fd = True
-                self._emit(
+                self.emit(
                     "dirfsync", alias.split(":", 1)[1], line, col
                 )
                 return
             if alias is not None and alias in self._handles:
                 self._handles[alias].fsynced_after_write = True
-                self._emit("fsync", alias, line, col)
+                self.emit("fsync", alias, line, col)
                 return
-        self._emit("fsync", _expr_text(arg) if arg else "?", line, col)
+        self.emit("fsync", expr_text(arg) if arg else "?", line, col)
 
     # -- helpers -----------------------------------------------------------------
 
@@ -711,7 +536,7 @@ class _EffectExtractor:
         self, name: str, call: ast.Call, mode: str
     ) -> None:
         writable = bool(set(mode) & _WRITE_MODE_CHARS)
-        path_text = _expr_text(call.args[0]) if call.args else ""
+        path_text = expr_text(call.args[0]) if call.args else ""
         if writable:
             self._handles[name] = HandleState(
                 name=name,
@@ -731,17 +556,12 @@ class _EffectExtractor:
                     self.summary.temp_suffixes.append(
                         (suffix, call.lineno)
                     )
-        self._emit(
+        self.emit(
             "open", name, call.lineno, call.col_offset, detail=mode
         )
 
     def _is_shared_collection(self, expr: ast.expr) -> bool:
-        return (
-            self._class_has_lock
-            and isinstance(expr, ast.Attribute)
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id == "self"
-        )
+        return bool(self._lock_attrs) and self_attr(expr) is not None
 
     def _is_visible_source(self, expr: ast.expr) -> bool:
         """Whether ``expr`` draws objects out of a shared collection."""
@@ -775,9 +595,8 @@ class _EffectExtractor:
         for node in ast.walk(expr):
             if (
                 isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "self"
                 and isinstance(node.ctx, ast.Load)
+                and self_attr(node) is not None
             ):
                 self.summary.attr_reads.setdefault(
                     node.attr, node.lineno
@@ -791,48 +610,8 @@ class _EffectExtractor:
                 # durability obligation with it.
                 self._handles[node.id].escaped = True
 
-    def _emit(
-        self,
-        kind: str,
-        target: str,
-        line: int,
-        col: int,
-        detail: str = "",
-    ) -> None:
-        self.summary.effects.append(
-            FsEffect(
-                kind=kind,
-                target=target,
-                line=line,
-                col=col,
-                in_handler=self._handler_depth > 0,
-                detail=detail,
-                under_lock=(
-                    self._lock_stack[-1] if self._lock_stack else ""
-                ),
-            )
-        )
-
 
 # -- small AST utilities -----------------------------------------------------
-
-
-def _ordered_calls(expr: ast.expr) -> Iterator[ast.Call]:
-    """Calls within one expression, in (line, col) source order."""
-    calls = [
-        node
-        for node in ast.walk(expr)
-        if isinstance(node, ast.Call)
-    ]
-    calls.sort(key=lambda c: (c.lineno, c.col_offset))
-    return iter(calls)
-
-
-def _expr_text(expr: ast.expr) -> str:
-    try:
-        return ast.unparse(expr)
-    except Exception:  # pragma: no cover - unparse is total on 3.10+
-        return "<expr>"
 
 
 def _string_constants(args: Sequence[ast.expr]) -> List[str]:

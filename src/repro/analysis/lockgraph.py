@@ -45,6 +45,8 @@ from repro.analysis.astutil import (
     dotted_name,
     iter_classes,
     iter_functions,
+    ordered_calls,
+    unwind_release_names,
     walk_within_function,
 )
 from repro.analysis.callgraph import (
@@ -596,7 +598,7 @@ class _Simulator:
         for position, stmt in enumerate(stmts):
             following = stmts[position + 1 : position + 2]
             self._followup_names = (
-                _unwind_release_names(following[0])
+                unwind_release_names(following[0])
                 if following and isinstance(following[0], ast.Try)
                 else set()
             )
@@ -742,7 +744,7 @@ class _Simulator:
         self.held = merged
 
     def _visit_try(self, stmt: ast.Try) -> None:
-        self._protect_stack.append(_unwind_release_names(stmt))
+        self._protect_stack.append(unwind_release_names(stmt))
         finally_releases = self._finally_release_effects(stmt)
         if finally_releases:
             self._finally_stack.append(finally_releases)
@@ -812,14 +814,7 @@ class _Simulator:
     # -- expression / call handling --------------------------------------------
 
     def _process_expr(self, expr: ast.expr) -> None:
-        calls = [
-            node
-            for node in _walk_expr(expr)
-            if isinstance(node, ast.Call)
-        ]
-        for call in sorted(
-            calls, key=lambda c: (c.lineno, c.col_offset)
-        ):
+        for call in ordered_calls(_walk_expr(expr)):
             self._handle_call(call)
 
     def _handle_call(self, call: ast.Call) -> None:
@@ -1119,25 +1114,6 @@ def _terminates(body: Sequence[ast.stmt]) -> bool:
     )
 
 
-def _unwind_release_names(stmt: ast.stmt) -> Set[str]:
-    """Release-method names in a try's finally/except bodies."""
-    if not isinstance(stmt, ast.Try):
-        return set()
-    names: Set[str] = set()
-    unwind = list(stmt.finalbody)
-    for handler in stmt.handlers:
-        unwind.extend(handler.body)
-    for node in unwind:
-        for sub in ast.walk(node):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr in RELEASE_MODES
-            ):
-                names.add(sub.func.attr)
-    return names
-
-
 def _future_evidence(node: ast.AST) -> Tuple[Set[str], Set[str]]:
     """Names bound to futures / lists of futures in one scope."""
     future_lists: Set[str] = set()
@@ -1190,10 +1166,19 @@ def _future_evidence(node: ast.AST) -> Tuple[Set[str], Set[str]]:
 _FIXPOINT_LIMIT = 12
 
 
-def analyze_locks(modules: Sequence[ModuleInfo]) -> LockAnalysis:
-    """Run the full interprocedural lock analysis over the modules."""
+def analyze_locks(
+    modules: Sequence[ModuleInfo],
+    callgraph: Optional[CallGraph] = None,
+) -> LockAnalysis:
+    """Run the full interprocedural lock analysis over the modules.
+
+    ``callgraph`` may be shared (see
+    :class:`repro.analysis.checker.ProjectContext`) so every project
+    model pays for call resolution once.
+    """
     registry = LockRegistry.build(modules)
-    callgraph = build_call_graph(modules)
+    if callgraph is None:
+        callgraph = build_call_graph(modules)
     summaries: Dict[str, FunctionLockSummary] = {}
     # Phase 1: iterate local summaries to a fixpoint so escaping
     # acquisitions and external releases flow through call chains.
@@ -1268,16 +1253,9 @@ def analyze_locks(modules: Sequence[ModuleInfo]) -> LockAnalysis:
                     note="%s-mode acquisition" % event.mode,
                 )
                 for source, _mode in sorted(effective_held):
-                    if source == target:
-                        graph.add_edge(
-                            LockEdge(source, target, ordered=False),
-                            witness,
-                        )
-                    else:
-                        graph.add_edge(
-                            LockEdge(source, target, ordered=False),
-                            witness,
-                        )
+                    graph.add_edge(
+                        LockEdge(source, target, ordered=False), witness
+                    )
                 if event.looped:
                     graph.add_edge(
                         LockEdge(

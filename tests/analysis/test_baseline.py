@@ -106,3 +106,44 @@ def test_fingerprint_is_line_independent():
 def test_missing_baseline_file_is_empty(tmp_path):
     loaded = Baseline.load(tmp_path / "nope.json")
     assert len(loaded) == 0
+
+
+def _entry(fingerprint, justification):
+    rule, path, symbol, _ordinal = fingerprint.split("::")
+    return BaselineEntry(fingerprint, rule, path, symbol, justification)
+
+
+def test_scoped_run_only_judges_its_own_rules_entries():
+    # A CC-only run looked for no LD finding: the LD entry it did not
+    # match is not stale, the CC entry it did not match is.
+    baseline = Baseline(
+        [
+            _entry("LD001::a.py::serve::0", "handoff, released by b()"),
+            _entry("CC006::a.py::find::0", "value is shard-independent"),
+        ]
+    )
+    _new, _suppressed, stale = baseline.split([], select=["CC"])
+    assert [e.rule for e in stale] == ["CC006"]
+    _new, _suppressed, stale = baseline.split([])
+    assert [e.rule for e in stale] == ["CC006", "LD001"]
+
+
+def test_scoped_rewrite_leaves_other_families_untouched():
+    findings = _findings(BAD)  # one LD001
+    baseline = Baseline(
+        [
+            _entry("CC006::a.py::find::0", "value is shard-independent"),
+            _entry("LD003::gone.py::old::0", "no longer matches"),
+        ]
+    )
+    rewritten = baseline.updated(findings, select=["LD"])
+    assert sorted(rewritten.entries) == [
+        "CC006::a.py::find::0",
+        findings[0].fingerprint,
+    ]
+    kept = rewritten.entries["CC006::a.py::find::0"]
+    assert kept.justification == "value is shard-independent"
+    # Unscoped, the same rewrite accepts exactly the findings.
+    assert list(baseline.updated(findings).entries) == [
+        findings[0].fingerprint
+    ]

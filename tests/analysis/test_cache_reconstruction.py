@@ -470,11 +470,11 @@ class TestShippedCaches:
             for _ in range(2):
                 service.find("t", {"v": 2})
 
-    def test_shipped_tree_cross_validates_clean(self):
+    def test_shipped_tree_cross_validates_clean(self, shipped_findings):
         tracer = CacheTracer()
         self._workload(tracer)
         tracer.assert_clean()
-        findings = run_analysis(["src"], root=REPO_ROOT, select=["CC"])
+        findings = shipped_findings("CC")
         # The only finding the shipped tree carries is the justified
         # CC006 sharing note, which has no runtime shape and is out of
         # cross-validation scope by design.

@@ -2,17 +2,7 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.analysis.cachemodel import build_cache_model
-from repro.analysis.checker import (
-    ModuleInfo,
-    ProjectContext,
-    iter_python_files,
-    load_module,
-)
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def build(parse_modules, sources):
@@ -200,13 +190,8 @@ class TestInlining:
 class TestShippedModel:
     """Anchor the discovery results on the real tree."""
 
-    def test_shipped_caches_tokens_and_governance(self):
-        modules = []
-        for path in iter_python_files(["src"], REPO_ROOT):
-            loaded = load_module(path, REPO_ROOT)
-            if isinstance(loaded, ModuleInfo):
-                modules.append(loaded)
-        context = ProjectContext(modules)
+    def test_shipped_caches_tokens_and_governance(self, shipped):
+        _findings, context = shipped
         model = context.cache_model
         cache_names = {c.name for c in model.caches.values()}
         assert {

@@ -201,25 +201,10 @@ class TestChangedOnlyCli:
         assert "--changed-only" in output
 
 
-def _shipped_src_graph():
-    from pathlib import Path
-
-    from repro.analysis.checker import (
-        ModuleInfo,
-        iter_python_files,
-        load_module,
-    )
-
-    root = Path(__file__).resolve().parents[2]
-    modules = [
-        loaded
-        for loaded in (
-            load_module(path, root)
-            for path in iter_python_files(["src"], root)
-        )
-        if isinstance(loaded, ModuleInfo)
-    ]
-    return build_call_graph(modules)
+@pytest.fixture
+def src_graph(shipped):
+    """The shipped tree's call graph, from the session's one analysis."""
+    return shipped[1].callgraph
 
 
 class TestRealTreeStatsScope:
@@ -229,20 +214,20 @@ class TestRealTreeStatsScope:
     prices plans from it, the load generator that reports plan
     outcomes, and the stats CLI."""
 
-    def test_stats_edit_pulls_in_catalog_consumers(self):
+    def test_stats_edit_pulls_in_catalog_consumers(self, src_graph):
         scope = dependent_modules(
-            ["src/repro/docstore/stats.py"], _shipped_src_graph()
+            ["src/repro/docstore/stats.py"], src_graph
         )
         assert "src/repro/service/service.py" in scope
         assert "src/repro/core/chooser.py" in scope
         assert "src/repro/cli.py" in scope
         assert "src/repro/service/loadgen.py" in scope
 
-    def test_chooser_is_a_leaf_of_the_src_graph(self):
+    def test_chooser_is_a_leaf_of_the_src_graph(self, src_graph):
         # The chooser's consumers are benchmarks and tests, outside
         # the src tree: editing it re-analyzes only itself.
         scope = dependent_modules(
-            ["src/repro/core/chooser.py"], _shipped_src_graph()
+            ["src/repro/core/chooser.py"], src_graph
         )
         assert scope == {"src/repro/core/chooser.py"}
 
@@ -254,29 +239,9 @@ class TestRealTreeExecutorScope:
     that labels runs with the backend, and the sanitizer bridge that
     registers the worker instrumenter."""
 
-    def _src_graph(self):
-        from pathlib import Path
-
-        from repro.analysis.checker import (
-            ModuleInfo,
-            iter_python_files,
-            load_module,
-        )
-
-        root = Path(__file__).resolve().parents[2]
-        modules = [
-            loaded
-            for loaded in (
-                load_module(path, root)
-                for path in iter_python_files(["src"], root)
-            )
-            if isinstance(loaded, ModuleInfo)
-        ]
-        return build_call_graph(modules)
-
-    def test_executors_edit_pulls_in_the_service_layer(self):
+    def test_executors_edit_pulls_in_the_service_layer(self, src_graph):
         scope = dependent_modules(
-            ["src/repro/service/executors.py"], self._src_graph()
+            ["src/repro/service/executors.py"], src_graph
         )
         assert "src/repro/service/service.py" in scope
         assert "src/repro/service/loadgen.py" in scope
@@ -285,9 +250,9 @@ class TestRealTreeExecutorScope:
         # cannot change, so it must stay out of scope.
         assert not any("repro/docstore/" in path for path in scope)
 
-    def test_wire_edit_reaches_the_executors(self):
+    def test_wire_edit_reaches_the_executors(self, src_graph):
         scope = dependent_modules(
-            ["src/repro/service/wire.py"], self._src_graph()
+            ["src/repro/service/wire.py"], src_graph
         )
         assert "src/repro/service/executors.py" in scope
         assert "src/repro/service/service.py" in scope

@@ -256,7 +256,9 @@ class TestShippedEngine:
         assert reopened.get(b"key-0001") is not None
         reopened.close()
 
-    def test_full_lifecycle_is_clean_and_explained(self, tmp_path):
+    def test_full_lifecycle_is_clean_and_explained(
+        self, tmp_path, shipped_findings
+    ):
         tracer = FsTracer()
         with tracer:
             self._drive(str(tmp_path))
@@ -275,7 +277,7 @@ class TestShippedEngine:
             "close",
             "pread",
         } <= observed
-        static = run_analysis(["src"], root=REPO_ROOT, select=["FS"])
+        static = shipped_findings("FS")
         report = cross_validate_fs(
             static, tracer.violations(), LSM_FS_PATHS
         )

@@ -428,17 +428,10 @@ class TestFS006FsyncUnderContendedLock:
 
 
 class TestShippedEngineIsClean:
-    def test_src_tree_has_no_fs_error_findings(self, rule_ids):
+    def test_src_tree_has_no_fs_error_findings(self, shipped_findings):
         # The real engine must satisfy every ordering rule; only the
         # justified FS006 perf notes (baselined) may remain.
-        from pathlib import Path
-
-        from repro.analysis.checker import run_analysis
-
-        repo_root = Path(__file__).resolve().parents[2]
-        findings = run_analysis(
-            ["src"], root=repo_root, select=["FS"]
-        )
+        findings = shipped_findings("FS")
         assert sorted(
             {f.rule_id for f in findings}
         ) == ["FS006"], [f.message for f in findings]

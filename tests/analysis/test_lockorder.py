@@ -330,16 +330,16 @@ class TestSpawnBoundary:
 class TestShippedTree:
     """The analysis against the real src tree — the acceptance bar."""
 
-    def test_src_lock_order_graph_is_acyclic(self):
-        findings = run_analysis(["src"], root=REPO_ROOT, select=["LK001"])
-        assert findings == []
+    def test_src_lock_order_graph_is_acyclic(self, shipped_findings):
+        assert shipped_findings("LK001") == []
 
-    def test_src_has_no_unprotected_escapes(self):
-        findings = run_analysis(["src"], root=REPO_ROOT, select=["LK003"])
-        assert findings == []
+    def test_src_has_no_unprotected_escapes(self, shipped_findings):
+        assert shipped_findings("LK003") == []
 
-    def test_src_blocking_calls_are_exactly_the_baselined_ones(self):
-        findings = run_analysis(["src"], root=REPO_ROOT, select=["LK002"])
+    def test_src_blocking_calls_are_exactly_the_baselined_ones(
+        self, shipped_findings
+    ):
+        findings = shipped_findings("LK002")
         assert sorted(f.symbol for f in findings) == [
             "ThreadedExecutor._drain_futures",
             "ThreadedExecutor.shard_mapper.mapper",

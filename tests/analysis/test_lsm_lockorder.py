@@ -107,7 +107,7 @@ class TestShippedEngine:
         assert engine.get(b"key-0000") is None
         list(engine.scan())
 
-    def test_engine_lifecycle_is_clean_and_explained(self, tmp_path):
+    def test_engine_lifecycle_is_clean_and_explained(self, tmp_path, shipped):
         san = LockOrderSanitizer()
         config = DurabilityConfig(
             directory=str(tmp_path),
@@ -123,7 +123,7 @@ class TestShippedEngine:
         san.assert_clean()
         # Every observed edge must be one the analyzer derived from
         # the source: an unexplained edge is an analyzer blind spot.
-        graph = build_lock_order_graph(["src"], REPO_ROOT)
+        graph = shipped[1].locks.graph
         report = cross_validate(graph, san, LSM_INSTRUMENTED_KEYS)
         assert report.ok, report.render()
 

@@ -3,7 +3,9 @@
 Regression net for the shared-AST restructure: per-module checkers
 iterate the parsed modules instead of re-loading files, and the
 project checkers receive the same objects through
-:class:`~repro.analysis.checker.ProjectContext`.
+:class:`~repro.analysis.checker.ProjectContext`.  ``select`` decides
+what runs: unselected checkers are never called and a project model
+is built only when a selected checker reads it.
 """
 
 from __future__ import annotations
@@ -11,11 +13,15 @@ from __future__ import annotations
 import ast
 import io
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from repro.analysis.checker import run_analysis
+from repro.analysis.checker import analyze, run_analysis
 from repro.analysis.cli import main
+from repro.analysis.findings import rule_selected
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 SOURCES = {
     "alpha.py": """
@@ -99,3 +105,43 @@ def test_cli_without_stats_stays_quiet(tree):
     code = main(["src", "--root", str(tree)], out=out)
     assert code == 0
     assert "per-checker timing" not in out.getvalue()
+
+
+def test_select_prunes_the_checkers_that_run(tree):
+    timings = {}
+    run_analysis(["src"], root=tree, select=["LK"], stats_out=timings)
+    assert set(timings) == {"<parse>", "lock-order"}
+    timings = {}
+    run_analysis(["src"], root=tree, select=["CC", "DT001"], stats_out=timings)
+    assert set(timings) == {"<parse>", "cache-coherence", "determinism"}
+
+
+@pytest.mark.parametrize(
+    "select, built",
+    [
+        (["LD", "CH", "DT", "DS"], set()),
+        (["LK"], {"callgraph", "locks"}),
+        (["CC"], {"callgraph", "cache_model"}),
+        # No module of this tree is on the durable path, so FS006
+        # never gets to ask for the lock simulation.
+        (["FS"], {"callgraph", "fs_model"}),
+    ],
+)
+def test_select_builds_only_the_models_its_rules_read(tree, select, built):
+    _findings, context = analyze(["src"], root=tree, select=select)
+    assert set(vars(context)) - {"modules"} == built
+
+
+@pytest.mark.parametrize(
+    "fixture, select",
+    [
+        ("tests/analysis/cache_reconstruction", ["CC", "LD003"]),
+        ("tests/analysis/fs_reconstruction", ["FS"]),
+        ("tests/analysis/lockorder_reconstruction.py", ["LK001"]),
+    ],
+)
+def test_scoped_run_equals_the_filtered_full_run(fixture, select):
+    full = run_analysis([fixture], root=REPO_ROOT)
+    scoped = run_analysis([fixture], root=REPO_ROOT, select=select)
+    assert scoped
+    assert scoped == [f for f in full if rule_selected(f.rule_id, select)]

@@ -14,21 +14,20 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.baseline import PLACEHOLDER_JUSTIFICATION, Baseline
-from repro.analysis.checker import run_analysis
 from repro.analysis.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 BASELINE = REPO_ROOT / "analysis-baseline.json"
 
 
-@pytest.fixture(scope="module")
-def findings():
-    return run_analysis(["src"], root=REPO_ROOT)
+@pytest.fixture
+def findings(shipped_findings):
+    return shipped_findings()
 
 
-def test_shipped_tree_passes_with_committed_baseline():
+def test_shipped_tree_passes_with_committed_baseline(shipped_main):
     out = io.StringIO()
-    code = main(
+    code = shipped_main(
         ["src", "--root", str(REPO_ROOT), "--baseline", str(BASELINE)],
         out=out,
     )
@@ -164,9 +163,9 @@ class TestSarifFormat:
             ), rule["id"]
             assert rule["helpUri"].startswith("DESIGN.md#"), rule["id"]
 
-    def test_baselined_findings_are_suppressed_results(self):
+    def test_baselined_findings_are_suppressed_results(self, shipped_main):
         out = io.StringIO()
-        main(
+        shipped_main(
             [
                 "src",
                 "--root",
@@ -356,10 +355,10 @@ class TestBaselineHygiene:
             e.justification for e in rewritten.entries.values()
         ] == ["fine"]
 
-    def test_self_baseline_is_hygienic(self):
+    def test_self_baseline_is_hygienic(self, shipped_main):
         # The committed baseline must survive its own strictest flags.
         out = io.StringIO()
-        code = main(
+        code = shipped_main(
             [
                 "src",
                 "--root",
@@ -372,3 +371,47 @@ class TestBaselineHygiene:
             out=out,
         )
         assert code == 0, out.getvalue()
+
+    def test_scoped_gate_passes_on_the_shipped_tree(self, shipped_main):
+        # A CC-only run must not call the other families' 14 entries
+        # stale: CI can gate a single family with the strictest flags.
+        out = io.StringIO()
+        code = shipped_main(
+            [
+                "src",
+                "--root",
+                str(REPO_ROOT),
+                "--baseline",
+                str(BASELINE),
+                "--select",
+                "CC",
+                "--fail-on-stale",
+                "--require-justification",
+            ],
+            out=out,
+        )
+        assert code == 0, out.getvalue()
+        assert "1 baselined, 0 stale" in out.getvalue()
+
+    def test_scoped_rewrite_keeps_the_other_families(
+        self, tmp_path, shipped_main
+    ):
+        copy = tmp_path / "baseline.json"
+        copy.write_text(BASELINE.read_text(encoding="utf-8"))
+        out = io.StringIO()
+        code = shipped_main(
+            [
+                "src",
+                "--root",
+                str(REPO_ROOT),
+                "--baseline",
+                str(copy),
+                "--select",
+                "CC",
+                "--write-baseline",
+            ],
+            out=out,
+        )
+        assert code == 0, out.getvalue()
+        assert "baseline rewritten: 15 entries" in out.getvalue()
+        assert Baseline.load(copy).entries == Baseline.load(BASELINE).entries

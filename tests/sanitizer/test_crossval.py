@@ -58,6 +58,12 @@ def reconstruction_graph():
     return build_lock_order_graph([str(RECONSTRUCTION)], REPO_ROOT)
 
 
+@pytest.fixture(scope="module")
+def shipped_graph():
+    """The shipped tree's static lock-order graph, built once."""
+    return build_lock_order_graph(["src"], REPO_ROOT)
+
+
 class TestReconstructionRuntime:
     """The runtime half of the acceptance criterion."""
 
@@ -199,7 +205,7 @@ class TestServiceWorkload:
         )
         return cluster
 
-    def test_workload_matches_static_graph(self):
+    def test_workload_matches_static_graph(self, shipped_graph):
         san = LockOrderSanitizer()
         with QueryService(self._small_cluster()) as service:
             instrument_query_service(service, san)
@@ -213,12 +219,13 @@ class TestServiceWorkload:
         # The workload walks the shard locks in sorted order, so the
         # only runtime edge is the ordered self-edge — which the static
         # graph must (and does) explain.
-        static = build_lock_order_graph(["src"], REPO_ROOT)
-        report = cross_validate(static, san, [SHARD_LOCKS_KEY])
+        report = cross_validate(shipped_graph, san, [SHARD_LOCKS_KEY])
         assert report.ok, report.render()
         assert san.observed_edges() != set()
 
-    def test_process_backend_workload_matches_static_graph(self):
+    def test_process_backend_workload_matches_static_graph(
+        self, shipped_graph
+    ):
         # The new parent-side topology: the serving path nests each
         # worker client's lock under the shard read locks, never the
         # other way around, and never client under client.  The same
@@ -235,9 +242,8 @@ class TestServiceWorkload:
             )
             service.delete_many("t", {"group": 3})
         assert san.violations() == []
-        static = build_lock_order_graph(["src"], REPO_ROOT)
         report = cross_validate(
-            static, san, [SHARD_LOCKS_KEY, EXECUTOR_CLIENT_LOCK_KEY]
+            shipped_graph, san, [SHARD_LOCKS_KEY, EXECUTOR_CLIENT_LOCK_KEY]
         )
         assert report.ok, report.render()
         # The defining edge of the process topology must actually have
