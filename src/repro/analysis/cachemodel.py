@@ -11,7 +11,7 @@ results.  This module extracts the vocabulary those bugs are made of,
 so the CC checkers (:mod:`repro.analysis.checkers.cachecoherence`) can
 judge orderings the same way the FS rules judge the write path.
 
-The model discovers three kinds of declaration:
+The model discovers two kinds of declaration:
 
 * **version tokens** — a ``self`` attribute whose name mentions
   ``version``/``epoch``/``generation`` and that some method bumps with
@@ -22,12 +22,11 @@ The model discovers three kinds of declaration:
   a fill method (subscript assignment), and optionally invalidation
   methods (``del``/``clear``/``pop`` on the store).  A method that is
   both read and fill marks the cache *pure-memo* (keys capture the
-  full input, like the range LRU); a read method that compares the
-  entry against other instance state is *stamp-validated* (the plan
-  cache's write-volume rule);
-* **key builders** — module-level functions with a version-named
-  parameter flowing into their return value
-  (:func:`repro.cluster.router.targeting_cache_key`).
+  full input); a read method that compares the got entry against
+  other state is *stamp-validated* (:class:`repro.cache.StampedLRUCache`,
+  the store behind every shipped memo).  A version reaches a read or
+  fill either in its key tuple or as an argument — the primitive's
+  ``stamp=``.
 
 Per function, the model records an ordered
 :class:`~repro.analysis.effects.Effect`
@@ -117,7 +116,7 @@ class VersionToken:
 class CacheClassInfo:
     """One discovered cache class and its classified methods."""
 
-    #: Bare class name (``TargetingCache``).
+    #: Bare class name (``StampedLRUCache``).
     name: str
     class_symbol: str
     #: Dict-like store attribute names.
@@ -493,57 +492,6 @@ def _method_symbol(
     return None
 
 
-def _discover_builders(
-    modules: Sequence[ModuleInfo], graph: CallGraph
-) -> Dict[str, int]:
-    """Version-key builders: function symbol → version-param index.
-
-    A builder is a module-level function with a TOKEN_RE-named
-    parameter whose value flows (through simple local assignment or a
-    tuple literal) into a returned expression.
-    """
-    builders: Dict[str, int] = {}
-    for symbol, info in graph.functions.items():
-        node = info.node
-        if isinstance(node, ast.Lambda) or info.class_symbol is not None:
-            continue
-        if "." in info.qual:
-            continue  # nested functions are not shared key builders
-        version_params = [
-            (index, name)
-            for index, name in enumerate(info.params)
-            if TOKEN_RE.search(name)
-        ]
-        if not version_params:
-            continue
-        param_names = {name for _, name in version_params}
-        # Locals tainted by a version param through assignment.
-        tainted = set(param_names)
-        for sub in ast.walk(node):
-            if (
-                isinstance(sub, ast.Assign)
-                and len(sub.targets) == 1
-                and isinstance(sub.targets[0], ast.Name)
-            ):
-                for leaf in ast.walk(sub.value):
-                    if (
-                        isinstance(leaf, ast.Name)
-                        and leaf.id in tainted
-                    ):
-                        tainted.add(sub.targets[0].id)
-                        break
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Return) and sub.value is not None:
-                for leaf in ast.walk(sub.value):
-                    if (
-                        isinstance(leaf, ast.Name)
-                        and leaf.id in tainted
-                    ):
-                        builders[symbol] = version_params[0][0]
-                        break
-    return builders
-
-
 def _module_global_caches(
     modules: Sequence[ModuleInfo],
     caches: Dict[str, CacheClassInfo],
@@ -586,7 +534,6 @@ def build_cache_model(
     graph = callgraph if callgraph is not None else build_call_graph(modules)
     caches = _discover_cache_classes(modules, graph)
     tokens = _discover_tokens(modules, graph)
-    builders = _discover_builders(modules, graph)
     globals_map = _module_global_caches(modules, caches)
     token_attrs = {token.attr for token in tokens.values()}
     summaries: Dict[str, CacheFunctionSummary] = {}
@@ -599,7 +546,6 @@ def build_cache_model(
             caches,
             tokens,
             token_attrs,
-            builders,
             globals_map,
         )
         summaries[symbol] = extractor.run()
@@ -703,14 +649,12 @@ class _CacheEffectExtractor(EffectWalker):
         caches: Dict[str, CacheClassInfo],
         tokens: Dict[str, VersionToken],
         token_attrs: Set[str],
-        builders: Dict[str, int],
         globals_map: Dict[str, str],
     ) -> None:
         super().__init__(info, graph)
         self.caches = caches
         self.tokens = tokens
         self.token_attrs = token_attrs
-        self.builders = builders
         self.globals_map = globals_map
         self.summary = CacheFunctionSummary(
             symbol=info.symbol, info=info, effects=self.effects
@@ -721,8 +665,8 @@ class _CacheEffectExtractor(EffectWalker):
         }
         #: Local ``v = <obj>.token_attr`` captures: name → line.
         self._version_locals: Dict[str, int] = {}
-        #: Locals keyed by a version (builder result / version tuple):
-        #: name → key source string.
+        #: Locals keyed by a version (a tuple carrying one): name → key
+        #: source string.
         self._keyed_locals: Dict[str, str] = {}
         #: Locals constructed fresh in this function (mutations of
         #: them are pre-publication and carry no bump obligation).
@@ -825,52 +769,14 @@ class _CacheEffectExtractor(EffectWalker):
         # metadata = CollectionMetadata(...) — fresh construction.
         if isinstance(value, ast.Call):
             called = dotted_name(value.func)
-            if called is not None:
-                bare = called.split(".")[-1]
-                if bare[:1].isupper():
-                    self._fresh_locals.add(name)
-            resolved = self.graph.resolved.get(id(value))
-            builder_callee: Optional[str] = None
-            if resolved is not None:
-                for callee in resolved.callees:
-                    if callee in self.builders:
-                        builder_callee = callee
-                        break
-            if builder_callee is None and called is not None:
-                bare = called.split(".")[-1]
-                candidates = self.graph.types.functions_by_name.get(
-                    bare, []
-                )
-                if (
-                    len(candidates) == 1
-                    and candidates[0] in self.builders
-                ):
-                    builder_callee = candidates[0]
-            if builder_callee is not None:
-                index = self.builders[builder_callee]
-                source = self._version_arg_source(value, index)
-                if source is not None:
-                    self._keyed_locals[name] = source
-                return
+            if called is not None and called.split(".")[-1][:1].isupper():
+                self._fresh_locals.add(name)
+            return
         # key = (collection, version, ...) — tuple carrying a version.
         if isinstance(value, ast.Tuple):
             source = self._version_expr_source(value)
             if source is not None:
                 self._keyed_locals[name] = source
-
-    def _version_arg_source(
-        self, call: ast.Call, index: int
-    ) -> Optional[str]:
-        """Key source when the builder's version argument is versioned."""
-        args: List[ast.expr] = list(call.args)
-        if 0 <= index < len(args):
-            return self._version_expr_source(args[index])
-        for keyword in call.keywords:
-            if keyword.arg is not None and TOKEN_RE.search(keyword.arg):
-                return self._version_expr_source(keyword.value)
-        # Builder declared a version param; a call that omits it is
-        # not keyed.
-        return None
 
     def _version_expr_source(self, expr: ast.expr) -> Optional[str]:
         for node in ast.walk(expr):

@@ -8,7 +8,7 @@ PR 4 established by hand:
 
 * **CC001** — a cache read with no version token in its key and no
   other freshness story.  Pure memos (keys capture the full input),
-  stamp-validated reads (the statistics catalog's version stamp), and
+  stamp-validated reads (the ``stamp=`` of ``StampedLRUCache``), and
   push-invalidated caches (an owner explicitly drops entries on every
   mutation) are exempt; everything else is a stale hit waiting for
   the first metadata change.
@@ -532,10 +532,9 @@ def _cache_by_name(model: CacheModel, name: str):
 def _push_invalidated_caches(model: CacheModel) -> Set[str]:
     """Cache names some *owner* (outside the class) invalidates.
 
-    The statistics catalog's storage-event story: the service calls
-    ``invalidate_collection`` on every flush and compaction —
-    invalidation is pushed at mutation sites rather than pulled from
-    a key.
+    An owner that drops entries at its mutation sites (``clear()``
+    from outside the class) — invalidation pushed at the writer rather
+    than pulled from a key or a stamp.
     """
     out: Set[str] = set()
     for summary in model.summaries.values():

@@ -27,6 +27,7 @@ __all__ = ["DocstoreInvariantsChecker", "LAYERS"]
 #: service (layer 5) is the canonical violation.
 LAYERS: Dict[str, int] = {
     "repro.errors": 0,
+    "repro.cache": 0,
     "repro.geo": 1,
     "repro.sfc": 1,
     "repro.docstore": 2,

@@ -45,13 +45,13 @@ from typing import (
     Tuple,
 )
 
+from repro.cache import StampedLRUCache
 from repro.cluster.balancer import Balancer
 from repro.cluster.catalog import CollectionMetadata, ConfigCatalog
 from repro.cluster.chunk import Chunk, KeyBound, ShardKeyPattern
 from repro.cluster.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.cluster.metrics import ClusterQueryStats
 from repro.cluster.router import (
-    TargetingCache,
     TargetingResult,
     target_chunks,
     target_chunks_cached,
@@ -141,10 +141,11 @@ class ShardedCluster:
         #: validate that targeting computed before lock acquisition is
         #: still current.
         self.metadata_version = 0
-        #: Routing-decision memo for the read path.  Keys embed
-        #: ``metadata_version``, so every bump above implicitly
-        #: invalidates all cached targeting.
-        self.targeting_cache = TargetingCache()
+        #: Routing-decision memo for the read path, keyed by
+        #: (collection, interval box) and stamped with
+        #: ``metadata_version``: after any bump above, a lookup misses
+        #: as stale and its refill replaces the entry in place.
+        self.targeting_cache = StampedLRUCache()
 
     def _bump_metadata_version(self) -> None:
         self.metadata_version += 1
@@ -577,7 +578,11 @@ class ShardedCluster:
 
         ``shape``/``matcher``/``targeting`` accept precomputed plan
         pieces (the service binds or analyzes them once per query),
-        which must correspond to the same ``query``.
+        which must correspond to the same ``query``.  Missing targeting
+        is routed afresh with :func:`target_chunks`: the targeting memo
+        is the service's, consulted by :meth:`targeting_for` *before*
+        it takes the shard read locks this method then runs under, so
+        no cache lock is ever reachable from under a shard lock.
         """
         plan_started = time.perf_counter()
         if shape is None:
@@ -585,7 +590,7 @@ class ShardedCluster:
         if matcher is None:
             matcher = Matcher(query)
         if targeting is None:
-            targeting = self.targeting_for(collection, shape=shape)
+            targeting = target_chunks(self.catalog.get(collection), shape)
         plan_bounds = None
         if hint is not None and targeting.shard_ids:
             # Hinted index bounds are shard-independent (definition +

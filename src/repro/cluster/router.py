@@ -12,10 +12,9 @@ shard-key field become *broadcast* operations, the behaviour Section
 
 from __future__ import annotations
 
-import collections
-import threading
 from typing import List, Optional, Sequence, Tuple
 
+from repro.cache import StampedLRUCache
 from repro.cluster.catalog import CollectionMetadata
 from repro.cluster.chunk import Chunk, KeyBound, ShardKeyPattern
 from repro.docstore.planner import Interval, QueryShape
@@ -27,7 +26,6 @@ __all__ = [
     "target_chunks",
     "target_chunks_cached",
     "targeting_cache_key",
-    "TargetingCache",
     "TargetingResult",
 ]
 
@@ -205,16 +203,17 @@ def _target_from_intervals(
 
 def targeting_cache_key(
     collection: str,
-    metadata_version: int,
     intervals: Optional[List[List[Interval]]],
 ) -> Optional[Tuple]:
     """Hashable identity of a routing decision, or None if uncacheable.
 
-    The key binds the collection, the catalog's ``metadata_version``
-    (so any split/migration/DDL/zone change starts a fresh key space),
-    and the shard-key interval box the query constrains.  Canonical
-    bounds are tuples of scalars and therefore hashable; exotic values
-    that are not simply make the decision uncacheable.
+    The key binds the collection and the shard-key interval box the
+    query constrains; the ``metadata_version`` the decision was derived
+    under is the entry's *stamp*, not part of the key, so a split,
+    migration, DDL or zone change makes the next lookup a stale miss
+    whose refill replaces the entry in place.  Canonical bounds are
+    tuples of scalars and therefore hashable; exotic values that are
+    not simply make the decision uncacheable.
     """
     if intervals is None:
         parts: Optional[Tuple] = None
@@ -226,7 +225,7 @@ def targeting_cache_key(
             )
             for ivs in intervals
         )
-    key = (collection, metadata_version, parts)
+    key = (collection, parts)
     try:
         hash(key)
     except TypeError:
@@ -234,87 +233,29 @@ def targeting_cache_key(
     return key
 
 
-class TargetingCache:
-    """Bounded LRU memo for routing decisions.
-
-    Targeting cost scales with chunk count times interval count — on a
-    balanced cluster serving a fragmented Hilbert covering it is a real
-    slice of per-query overhead, and workloads repeat the same shard-key
-    boxes constantly.  Keys come from :func:`targeting_cache_key`;
-    because they embed the ``metadata_version``, entries for routing
-    state that no longer exists can never be returned — a chunk
-    split/migration or zone update simply makes every subsequent lookup
-    miss and repopulate under the new version.
-
-    Cached :class:`TargetingResult` objects are shared between callers
-    and must be treated as read-only.
-    """
-
-    def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self._max_entries = max_entries
-        self._entries: "collections.OrderedDict" = collections.OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key: Tuple) -> Optional[TargetingResult]:
-        """The cached routing decision for a key, or None."""
-        with self._lock:
-            result = self._entries.get(key)
-            if result is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return result
-
-    def put(self, key: Tuple, result: TargetingResult) -> None:
-        """Cache a routing decision, evicting LRU entries beyond bound."""
-        with self._lock:
-            self._entries[key] = result
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def stats(self) -> dict:
-        """Hit/miss/size counters for metrics surfaces."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-    def clear(self) -> None:
-        """Drop every entry (counters keep accumulating)."""
-        with self._lock:
-            self._entries.clear()
-
-
 def target_chunks_cached(
     metadata: CollectionMetadata,
     shape: QueryShape,
-    cache: TargetingCache,
+    cache: StampedLRUCache,
     metadata_version: int,
 ) -> TargetingResult:
-    """:func:`target_chunks` through a :class:`TargetingCache`.
+    """:func:`target_chunks` memoized in ``cache``, stamped with the version.
 
-    Interval extraction always runs (it is cheap and yields the cache
-    key); the chunk-intersection sweep — the expensive part — is what
-    a hit skips.
+    ``metadata_version`` must be read before ``metadata.chunks`` is:
+    a split sliding in between then stamps the stale decision with the
+    old version, and no later lookup accepts it.  Interval extraction
+    always runs (it is cheap and yields the key); the chunk-intersection
+    sweep — the expensive part — is what a hit skips.  Cached
+    :class:`TargetingResult` objects are shared between callers and
+    must be treated as read-only.
     """
     intervals = shard_key_intervals(metadata.pattern, shape)
-    key = targeting_cache_key(metadata.name, metadata_version, intervals)
+    key = targeting_cache_key(metadata.name, intervals)
     if key is not None:
-        cached = cache.get(key)
+        cached = cache.get(key, stamp=metadata_version)
         if cached is not None:
             return cached
     result = _target_from_intervals(metadata, intervals)
     if key is not None:
-        cache.put(key, result)
+        cache.put(key, result, stamp=metadata_version)
     return result

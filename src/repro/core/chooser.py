@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
+from repro.cache import StampedLRUCache
 from repro.cluster.cluster import (
     DEFAULT_CHUNK_MAX_BYTES,
     ClusterTopology,
@@ -38,7 +39,6 @@ from repro.core.encoder import DEFAULT_HILBERT_ORDER, SpatioTemporalEncoder
 from repro.core.loader import BulkLoader, load_transformed
 from repro.core.query import SpatioTemporalQuery
 from repro.docstore.stats import CollectionStats
-from repro.sfc.ranges import RangeDecompositionCache
 
 __all__ = [
     "ADAPTIVE_INDEXES",
@@ -199,7 +199,7 @@ class AdaptiveDeployment:
     cluster: ShardedCluster
     encoder: SpatioTemporalEncoder
     collection: str = COLLECTION
-    range_cache: Optional[RangeDecompositionCache] = field(
+    range_cache: Optional[StampedLRUCache] = field(
         default=None, repr=False
     )
 

@@ -21,14 +21,15 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.cache import StampedLRUCache
 from repro.core.encoder import SpatioTemporalEncoder
 from repro.geo.geojson import polygon_to_geojson
 from repro.geo.geometry import BoundingBox
 from repro.sfc.ranges import (
     DEFAULT_RANGE_CACHE,
-    RangeDecompositionCache,
     RangeSet,
     covering_range_set,
+    memoized_covering_range_set,
 )
 
 __all__ = ["SpatioTemporalQuery", "HilbertQueryRendering"]
@@ -89,26 +90,28 @@ class SpatioTemporalQuery:
         self,
         encoder: SpatioTemporalEncoder,
         max_ranges: Optional[int] = None,
-        cache: Optional[RangeDecompositionCache] = None,
+        cache: Optional[StampedLRUCache] = None,
     ) -> Tuple[RangeSet, float]:
         """Covering cells for this query's rectangle, with timing (ms).
 
         Uncached by default so Table 8 measurements keep timing the
-        real decomposition; pass a
-        :class:`~repro.sfc.ranges.RangeDecompositionCache` to memoize.
+        real decomposition; pass a cache to memoize
+        (:func:`~repro.sfc.ranges.memoized_covering_range_set`).
         """
-        decompose = (
-            covering_range_set if cache is None else cache.covering_range_set
-        )
-        started = time.perf_counter()
-        range_set = decompose(
+        box = (
             encoder.curve,
             self.bbox.min_lon,
             self.bbox.min_lat,
             self.bbox.max_lon,
             self.bbox.max_lat,
-            max_ranges=max_ranges,
         )
+        started = time.perf_counter()
+        if cache is None:
+            range_set = covering_range_set(*box, max_ranges=max_ranges)
+        else:
+            range_set = memoized_covering_range_set(
+                cache, *box, max_ranges=max_ranges
+            )
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         return range_set, elapsed_ms
 
@@ -116,7 +119,7 @@ class SpatioTemporalQuery:
         self,
         encoder: SpatioTemporalEncoder,
         max_ranges: Optional[int] = None,
-        cache: Optional[RangeDecompositionCache] = None,
+        cache: Optional[StampedLRUCache] = None,
     ) -> HilbertQueryRendering:
         """The query document the hil/hil* approaches execute.
 

@@ -19,14 +19,15 @@ estimates come from:
   per shard and per chunk, the two sketches, and the cluster
   ``metadata_version`` observed *before* any data was scanned.
 
-:class:`StatsCatalogCache` holds one :class:`CollectionStats` per
-collection.  Its read is version-keyed — callers pass the current
-``metadata_version`` and a stamp mismatch is a miss — and its owners
-push-invalidate on storage events, the same two freshness stories the
-cache-coherence checkers (CC001–CC006) audit for every other cache in
-the tree.  The version is captured before the scan so a split sliding
-into the ANALYZE window can never be stored under the fresh version's
-key (the CC002 discipline).
+The service keeps one :class:`CollectionStats` per collection in a
+:class:`~repro.cache.StampedLRUCache` stamped with the
+``metadata_version`` it was built under, and reads it back only under
+the live version.  That stamp is the catalog's one freshness rule: a
+split, migration, zone change or DDL retires the entry, a memtable
+flush or compaction (which changes no count, histogram or sketch) does
+not, and re-ANALYZE is explicit.  The version is captured before the
+scan so a split sliding into the ANALYZE window can never be stored
+under the fresh version's stamp (the CC002 discipline).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import bisect
 import datetime as _dt
 import math
-import threading
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -45,7 +45,6 @@ __all__ = [
     "FieldHistogram",
     "CellDensitySketch",
     "CollectionStats",
-    "StatsCatalogCache",
     "analyze_collection",
 ]
 
@@ -339,72 +338,6 @@ class CollectionStats:
         }
 
 
-class StatsCatalogCache:
-    """Per-collection statistics keyed by collection name, validated
-    against the cluster ``metadata_version`` on every read.
-
-    Freshness contract (what CC001 audits): the read takes the
-    *current* version from the caller and treats a stamp mismatch as
-    a miss, so a catalog built before a split/migration/DDL can never
-    satisfy a read issued after it.  Owners additionally
-    push-invalidate on storage events, covering compactions that
-    change storage state without touching the chunk map.
-    """
-
-    def __init__(self) -> None:
-        self._stats: Dict[str, CollectionStats] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.stale_rejections = 0
-        self.fills = 0
-        self.invalidations = 0
-
-    def get(
-        self, collection: str, metadata_version: int
-    ) -> Optional[CollectionStats]:
-        """The catalog entry, or None when absent or stale."""
-        with self._lock:
-            entry = self._stats.get(collection)
-            if entry is None:
-                self.misses += 1
-                return None
-            if entry.metadata_version != metadata_version:
-                self.stale_rejections += 1
-                return None
-            self.hits += 1
-            return entry
-
-    def put(self, collection: str, stats: CollectionStats) -> None:
-        """Install a freshly built catalog entry."""
-        with self._lock:
-            self._stats[collection] = stats
-            self.fills += 1
-
-    def invalidate_collection(self, collection: str) -> None:
-        """Drop one collection's entry (storage-event push path)."""
-        with self._lock:
-            if self._stats.pop(collection, None) is not None:
-                self.invalidations += 1
-
-    def clear(self) -> None:
-        """Drop every entry."""
-        with self._lock:
-            self._stats.clear()
-
-    def stats(self) -> dict:
-        """Hit/miss/staleness counters for reports."""
-        with self._lock:
-            return {
-                "entries": len(self._stats),
-                "hits": self.hits,
-                "misses": self.misses,
-                "staleRejections": self.stale_rejections,
-                "fills": self.fills,
-                "invalidations": self.invalidations,
-            }
-
-
 def _point_of(value: Any) -> Optional[Tuple[float, float]]:
     """``(lon, lat)`` from a GeoJSON Point, or None."""
     if not isinstance(value, Mapping):
@@ -434,8 +367,8 @@ def analyze_collection(
 
     The ``metadata_version`` stamp is read before the chunk map or any
     document, so a concurrent split lands the entry under the *old*
-    version and the next :meth:`StatsCatalogCache.get` rejects it
-    (never a fresh-keyed stale catalog).  Callers wanting a fully
+    version and the next catalog read rejects it as stale (never a
+    freshly stamped stale catalog).  Callers wanting a fully
     consistent scan run this under the service's exclusive section.
     """
     version = cluster.metadata_version

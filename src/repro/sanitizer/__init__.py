@@ -24,6 +24,7 @@ from repro.sanitizer.cachetrace import (
     CacheViolation,
     instrument_stats_catalog,
     instrument_targeting_cache,
+    trace_cache,
 )
 from repro.sanitizer.core import (
     LockOrderSanitizer,
@@ -103,4 +104,5 @@ __all__ = [
     "instrument_worker_host",
     "lsm_fs_modules",
     "sweep_crash_boundaries",
+    "trace_cache",
 ]

@@ -4,9 +4,10 @@ The static cache-coherence pass (:mod:`repro.analysis.cachemodel`,
 rules CC001–CC006) proves invalidation discipline over every path the
 call graph admits; this module is its runtime counterpart.  A
 :class:`CacheTracer` keeps one monotonically increasing *generation*
-per invalidation **domain** (``"metadata"`` for chunk topology,
-``"ddl:<collection>"`` for index create/drop, ``"storage:<collection>"``
-for the PR-5 flush/compaction epoch).  Every cache fill is stamped
+per invalidation **domain** (``"metadata"`` for chunk topology and
+DDL — the one domain the shipped caches are governed by — and any
+other name a test declares, such as ``"ddl"`` or ``"storage"`` in the
+reconstruction fixtures).  Every cache fill is stamped
 with the generation vector in force at fill time — or, via the ``at=``
 snapshot, at *derivation* time, which is what catches keys computed
 from a different version than the data they guard (CC002).  Every hit
@@ -15,7 +16,7 @@ any declared domain is a **stale hit**, recorded as a
 :class:`CacheViolation` carrying the CC rule family it manifests.
 
 Domains advance at the *mutation* sites, independently of the caches'
-own invalidation plumbing — that independence is the point: the tracer
+own stamp checks — that independence is the point: the tracer
 is ground truth the plumbing must keep up with, and
 :func:`~repro.sanitizer.crossval.cross_validate_cache` holds the trace
 and the static findings to account for each other.
@@ -25,8 +26,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.cache import StampedLRUCache
 from repro.cluster.cluster import ShardedCluster
 from repro.service.service import QueryService
 
@@ -36,12 +38,14 @@ __all__ = [
     "CacheViolation",
     "instrument_stats_catalog",
     "instrument_targeting_cache",
+    "trace_cache",
 ]
 
 #: The source files whose caches the tracer can observe — the scope
 #: handed to :func:`~repro.sanitizer.crossval.cross_validate_cache` so
 #: static CC findings outside the traced surface are not demanded back.
 CACHE_INSTRUMENTED_PATHS = (
+    "src/repro/cache.py",
     "src/repro/cluster/router.py",
     "src/repro/cluster/cluster.py",
     "src/repro/service/service.py",
@@ -204,41 +208,67 @@ class CacheTracer:
 # -- instrumentation of the shipped caches -----------------------------------
 
 
-def instrument_targeting_cache(
-    cluster: ShardedCluster,
+def trace_cache(
+    cache: StampedLRUCache,
     tracer: CacheTracer,
-    label: str = "targeting",
-) -> CacheTracer:
-    """Wire the cluster's TargetingCache into a tracer.
+    label: str,
+    family: str,
+    at: Optional[Callable[[Hashable], Optional[Dict[str, int]]]] = None,
+) -> None:
+    """Wire one :class:`~repro.cache.StampedLRUCache` into a tracer.
 
-    The ``"metadata"`` domain advances inside
-    ``_bump_metadata_version`` — the same event that retires every
-    version-keyed entry — so a later *hit* of an entry filled before
-    the bump can only mean a read path whose key failed to incorporate
-    the new version.
+    Every ``put`` stamps the entry with the ``"metadata"`` generation
+    (the one domain the stamped memos are governed by) — or, when
+    ``at(key)`` returns a snapshot, with the generation in force when
+    the value's derivation started — and every hit rechecks that
+    stamp, reporting a lagging one as a stale hit of ``family``.
     """
-    cache = cluster.targeting_cache
     orig_get = cache.get
     orig_put = cache.put
+
+    def traced_get(key, stamp=None):  # type: ignore[no-untyped-def]
+        value = orig_get(key, stamp)
+        if value is not None:
+            tracer.check_hit(label, key, ("metadata",), family=family)
+        return value
+
+    def traced_put(key, value, stamp=None):  # type: ignore[no-untyped-def]
+        snapshot = at(key) if at is not None else None
+        tracer.record_fill(label, key, ("metadata",), at=snapshot)
+        orig_put(key, value, stamp)
+
+    cache.get = traced_get  # type: ignore[method-assign]
+    cache.put = traced_put  # type: ignore[method-assign]
+
+
+def _advance_metadata_on_bump(
+    cluster: ShardedCluster, tracer: CacheTracer
+) -> None:
+    """Advance ``"metadata"`` inside ``_bump_metadata_version``."""
     orig_bump = cluster._bump_metadata_version
-
-    def traced_get(key):  # type: ignore[no-untyped-def]
-        result = orig_get(key)
-        if result is not None:
-            tracer.check_hit(label, key, ("metadata",), family="CC003")
-        return result
-
-    def traced_put(key, result):  # type: ignore[no-untyped-def]
-        tracer.record_fill(label, key, ("metadata",))
-        orig_put(key, result)
 
     def traced_bump():  # type: ignore[no-untyped-def]
         tracer.advance("metadata")
         return orig_bump()
 
-    cache.get = traced_get  # type: ignore[method-assign]
-    cache.put = traced_put  # type: ignore[method-assign]
     cluster._bump_metadata_version = traced_bump  # type: ignore[method-assign]
+
+
+def instrument_targeting_cache(
+    cluster: ShardedCluster,
+    tracer: CacheTracer,
+    label: str = "targeting",
+) -> CacheTracer:
+    """Wire the cluster's targeting memo into a tracer.
+
+    The ``"metadata"`` domain advances inside
+    ``_bump_metadata_version`` — the same event that moves every
+    entry's stamp out of date — so a later *hit* of an entry filled
+    before the bump can only mean a read path that failed to pass the
+    live version as its stamp.
+    """
+    trace_cache(cluster.targeting_cache, tracer, label, "CC003")
+    _advance_metadata_on_bump(cluster, tracer)
     return tracer
 
 
@@ -247,37 +277,26 @@ def instrument_stats_catalog(
     tracer: CacheTracer,
     label: str = "stats-catalog",
 ) -> CacheTracer:
-    """Wire a service's StatsCatalogCache into a tracer.
+    """Wire a service's statistics catalog into a tracer.
 
-    Two domains govern every catalog entry: ``"metadata"`` advances
-    inside the cluster's ``_bump_metadata_version`` (splits, moves,
-    DDL) — the same stamp the catalog validates at read time — and
-    ``"storage:<collection>"`` advances on flush/compaction events,
-    mirroring the push invalidation in ``_on_storage_event``.  Fills
-    are stamped with a *derivation-time* snapshot taken when
-    ``analyze_collection`` starts: a catalog built from data read
-    before a concurrent bump then carries the old vector, exactly as
-    the version stamp captured at the top of the ANALYZE pass demands
-    (the CC002 discipline).  A stale hit can therefore only mean the
-    read path's stamp validation failed — the CC001 family.
+    ``"metadata"`` governs every catalog entry: it advances inside the
+    cluster's ``_bump_metadata_version`` (splits, moves, zones, DDL) —
+    the version the catalog is stamped with.  Fills are stamped with a
+    *derivation-time* snapshot taken when ``analyze_collection``
+    starts: a catalog built from data read before a concurrent bump
+    then carries the old vector, exactly as the version stamp captured
+    at the top of the ANALYZE pass demands (the CC002 discipline).  A
+    stale hit can therefore only mean the read path's stamp validation
+    failed — the CC001 family.
 
     Composes with :func:`instrument_targeting_cache` on the same
     tracer: the shared ``"metadata"`` domain then advances more than
     once per mutation, which is harmless — generations only ever need
     to be monotonic.
     """
-    catalog = service.stats_catalog
-    cluster = service.cluster
-    orig_get = catalog.get
-    orig_put = catalog.put
-    orig_bump = cluster._bump_metadata_version
     orig_analyze = service.analyze_collection
-
-    def domains_for(collection: str) -> Tuple[str, str]:
-        return ("metadata", "storage:%s" % collection)
-
     #: collection → generation vector at the start of its ANALYZE.
-    deriving: Dict[str, Dict[str, int]] = {}
+    deriving: Dict[Hashable, Dict[str, int]] = {}
 
     def traced_analyze(collection, **kwargs):  # type: ignore[no-untyped-def]
         deriving[collection] = tracer.snapshot()
@@ -286,41 +305,7 @@ def instrument_stats_catalog(
         finally:
             deriving.pop(collection, None)
 
-    def traced_get(collection, metadata_version):  # type: ignore[no-untyped-def]
-        entry = orig_get(collection, metadata_version)
-        if entry is not None:
-            tracer.check_hit(
-                label,
-                collection,
-                domains_for(collection),
-                family="CC001",
-            )
-        return entry
-
-    def traced_put(collection, stats):  # type: ignore[no-untyped-def]
-        tracer.record_fill(
-            label,
-            collection,
-            domains_for(collection),
-            at=deriving.get(collection),
-        )
-        orig_put(collection, stats)
-
-    def traced_bump():  # type: ignore[no-untyped-def]
-        tracer.advance("metadata")
-        return orig_bump()
-
-    catalog.get = traced_get  # type: ignore[method-assign]
-    catalog.put = traced_put  # type: ignore[method-assign]
     service.analyze_collection = traced_analyze  # type: ignore[method-assign]
-    cluster._bump_metadata_version = traced_bump  # type: ignore[method-assign]
-
-    def on_storage_event(event) -> None:  # type: ignore[no-untyped-def]
-        if event.collection is not None:
-            tracer.advance("storage:%s" % event.collection)
-
-    # After the service's own listener: push invalidation runs first,
-    # so a correct catalog leaves no entry for the advance to catch.
-    for shard in cluster.shards.values():
-        shard.database.add_storage_listener(on_storage_event)
+    trace_cache(service.stats_catalog, tracer, label, "CC001", deriving.get)
+    _advance_metadata_on_bump(service.cluster, tracer)
     return tracer

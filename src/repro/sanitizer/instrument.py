@@ -43,7 +43,7 @@ __all__ = [
 #: must match what :mod:`repro.analysis.lockgraph` derives from the
 #: source, or cross-validation would compare disjoint graphs.
 SHARD_LOCKS_KEY = "repro.service.service.QueryService._shard_locks"
-TARGETING_CACHE_LOCK_KEY = "repro.cluster.router.TargetingCache._lock"
+TARGETING_CACHE_LOCK_KEY = "repro.cache.StampedLRUCache._lock"
 EXECUTOR_CLIENT_LOCK_KEY = "repro.service.executors._WorkerClient._lock"
 WORKER_HOST_LOCK_KEY = "repro.service.executors._WorkerHost._lock"
 LSM_WRITE_LOCK_KEY = "repro.docstore.lsm.engine.LSMEngine._write_lock"
@@ -71,14 +71,14 @@ def instrument_query_service(
 ) -> QueryService:
     """Replace the service's locks with sanitized wrappers.
 
-    Covers the per-shard RW locks plus the cluster targeting cache's
-    lock, whose contract is to never nest inside a shard lock —
-    instrumenting it makes any regression of that contract an observed
-    edge the static graph must explain.  The
-    process-global ``DEFAULT_RANGE_CACHE`` lock is deliberately left
-    alone: wiring a per-test sanitizer into global state would leak
-    across services, and that lock is only taken during query
-    *rendering*, before the service is ever entered.
+    Covers the per-shard RW locks plus the lock of the cluster's
+    targeting memo (a :class:`~repro.cache.StampedLRUCache`), whose
+    contract is to never nest inside a shard lock — instrumenting it
+    makes any regression of that contract an observed edge the static
+    graph must explain.  The process-global ``DEFAULT_RANGE_CACHE``
+    lock is deliberately left alone: wiring a per-test sanitizer into
+    global state would leak across services, and that lock is only
+    taken during query *rendering*, before the service is ever entered.
 
     Must run before the service is used — swapping a lock someone
     already holds would split its waiters across two objects.

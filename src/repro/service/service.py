@@ -36,15 +36,12 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.cache import StampedLRUCache
 from repro.cluster.cluster import ShardedCluster
 from repro.docstore.matcher import Matcher
 from repro.docstore.paramplan import bind_plan, param_shape_key
 from repro.docstore.planner import analyze_query
-from repro.docstore.stats import (
-    CollectionStats,
-    StatsCatalogCache,
-    analyze_collection as _build_collection_stats,
-)
+from repro.docstore.stats import CollectionStats, analyze_collection
 from repro.errors import (
     QueryTimeoutError,
     ServiceError,
@@ -184,20 +181,11 @@ class QueryService:
             shard_id: ReadWriteLock() for shard_id in cluster.shards
         }
         self._closed = False
-        #: ANALYZE output per collection, version-stamped; reads pass
-        #: the live ``metadata_version`` so splits/DDL evict by stamp,
-        #: and storage events push-invalidate below.
-        self.stats_catalog = StatsCatalogCache()
-        # Storage-epoch contract (PR-5): a memtable flush or a
-        # compaction changes which storage structures back a
-        # collection.  Storage listeners fire with no engine lock held,
-        # so calling into the catalog here adds no lock-order edge.
-        for shard in cluster.shards.values():
-            shard.database.add_storage_listener(self._on_storage_event)
-
-    def _on_storage_event(self, event) -> None:
-        if event.collection is not None:
-            self.stats_catalog.invalidate_collection(event.collection)
+        #: ANALYZE output per collection, stamped with the
+        #: ``metadata_version`` captured before the scan; reads pass
+        #: the live version, so a split, migration, zone change or DDL
+        #: retires an entry and nothing else does.
+        self.stats_catalog = StampedLRUCache()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -403,9 +391,8 @@ class QueryService:
         the cluster's ``metadata_version`` once the locks are held and
         retries when routing moved underneath it.  Returns the held
         locks *and* the validated targeting, which the caller passes
-        into :meth:`ShardedCluster.find` — recomputing it there would
-        take the targeting cache's lock while shard locks are held,
-        an ordering the lock sanitizer (rightly) refuses.
+        into :meth:`ShardedCluster.find` — so the targeting memo's lock
+        is only ever taken here, before any shard lock is held.
         """
         for _attempt in range(16):
             version = self.cluster.metadata_version
@@ -544,23 +531,22 @@ class QueryService:
     ) -> CollectionStats:
         """Rebuild the statistics catalog for one collection.
 
-        Runs under the exclusive section so the scan sees a frozen
+        The scan runs under the exclusive section so it sees a frozen
         chunk map; the version stamp is still captured before any data
         is read, so the entry self-identifies as stale if built
-        against a version that moved.
+        against a version that moved.  The catalog is filled after the
+        shard locks are released: its lock never nests under them.
         """
-
-        def _analyze() -> CollectionStats:
-            stats = _build_collection_stats(
+        stats = self._run_exclusive(
+            lambda: analyze_collection(  # the module's ANALYZE pass
                 self.cluster,
                 collection,
                 histogram_buckets=histogram_buckets,
                 sketch_order=sketch_order,
             )
-            self.stats_catalog.put(collection, stats)
-            return stats
-
-        return self._run_exclusive(_analyze)
+        )
+        self.stats_catalog.put(collection, stats, stamp=stats.metadata_version)
+        return stats
 
     def collection_stats(
         self, collection: str
@@ -568,5 +554,5 @@ class QueryService:
         """The catalog entry for a collection, or None when absent
         or built under an older ``metadata_version``."""
         return self.stats_catalog.get(
-            collection, self.cluster.metadata_version
+            collection, stamp=self.cluster.metadata_version
         )

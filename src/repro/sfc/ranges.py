@@ -18,10 +18,10 @@ proportional to the rectangle perimeter, not its area.
 
 from __future__ import annotations
 
-import collections
-import threading
 from dataclasses import dataclass
 from typing import List, Protocol, Sequence, Tuple
+
+from repro.cache import StampedLRUCache
 
 __all__ = [
     "CurveRange",
@@ -288,61 +288,39 @@ def covering_range_set(
     )
 
 
-class RangeDecompositionCache:
-    """A bounded LRU memo for curve range decompositions.
+def memoized_covering_range_set(
+    cache: StampedLRUCache,
+    curve: Quadtree2DCurve,
+    min_x: float,
+    min_y: float,
+    max_x: float,
+    max_y: float,
+    max_ranges: int | None = None,
+) -> RangeSet:
+    """:func:`covering_range_set` memoized in ``cache``.
 
     Decomposition cost is proportional to the query-rectangle
     perimeter (Table 8 measures it at milliseconds for large boxes),
-    yet workloads re-issue the same rectangles constantly.  Entries
-    are keyed by ``(curve, quantized cell box, max_ranges)`` — every
-    curve is a frozen dataclass, so the key captures its type, order,
-    and domain by value, and the quantized box (not the float box)
-    lets two rectangles covering the same cells share one entry.  The
-    cache can never conflate curves or precisions.
-
-    Thread-safe; :class:`RangeSet` values are frozen, so a cached
-    result can be handed to any number of readers.
+    yet workloads re-issue the same rectangles constantly.  Entries are
+    keyed by ``(curve, quantized cell box, max_ranges)`` and carry no
+    stamp — every curve is a frozen dataclass, so the key captures its
+    type, order and domain by value, and the quantized box (not the
+    float box) lets two rectangles covering the same cells share one
+    entry; nothing the value derives from can change.  A miss
+    decomposes outside the cache's lock (duplicate concurrent work is
+    harmless: the last put wins with an identical, frozen value) and
+    reuses the curve's cell-walk skeleton, so only the box-dependent
+    part of the quadtree walk is recomputed.
     """
-
-    def __init__(self, max_entries: int = 512) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self._max_entries = max_entries
-        self._entries: "collections.OrderedDict" = collections.OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def covering_range_set(
-        self,
-        curve: Quadtree2DCurve,
-        min_x: float,
-        min_y: float,
-        max_x: float,
-        max_y: float,
-        max_ranges: int | None = None,
-    ) -> RangeSet:
-        """Cached equivalent of :func:`covering_range_set`."""
-        if min_x > max_x or min_y > max_y:
-            raise ValueError("empty query rectangle")
-        key = (
-            curve,
-            curve.cell_range_for_box(min_x, min_y, max_x, max_y),
-            max_ranges,
-        )
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return cached
-            self.misses += 1
-        # Decompose outside the lock: the computation is the expensive
-        # part, and duplicate concurrent work is harmless (last write
-        # wins with an identical value).  A miss still reuses the
-        # per-curve cell-walk skeleton, so only the box-dependent part
-        # of the quadtree walk is recomputed for a new rectangle.
+    if min_x > max_x or min_y > max_y:
+        raise ValueError("empty query rectangle")
+    key = (
+        curve,
+        curve.cell_range_for_box(min_x, min_y, max_x, max_y),
+        max_ranges,
+    )
+    result = cache.get(key)
+    if result is None:
         result = covering_range_set(
             curve,
             min_x,
@@ -352,36 +330,16 @@ class RangeDecompositionCache:
             max_ranges,
             skeleton=curve_skeleton(curve),
         )
-        with self._lock:
-            self._entries[key] = result
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-        return result
-
-    def stats(self) -> dict:
-        """Hit/miss/size counters for metrics surfaces."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
-
-    def clear(self) -> None:
-        """Drop every entry (counters keep accumulating)."""
-        with self._lock:
-            self._entries.clear()
+        cache.put(key, result)
+    return result
 
 
 #: Process-wide memo behind
 #: :meth:`repro.core.query.SpatioTemporalQuery.to_hilbert_query`.
 #: Benchmarks that must time raw decomposition (Table 8) call the
 #: uncached functions directly.
-DEFAULT_RANGE_CACHE = RangeDecompositionCache()
+DEFAULT_RANGE_CACHE = StampedLRUCache(max_entries=512)
 
 __all__.extend(
-    ["covering_range_set", "RangeDecompositionCache", "DEFAULT_RANGE_CACHE"]
+    ["covering_range_set", "memoized_covering_range_set", "DEFAULT_RANGE_CACHE"]
 )

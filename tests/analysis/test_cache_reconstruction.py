@@ -1,4 +1,4 @@
-"""The three stale-cache bug classes, checked from both sides.
+"""The stale-cache bug classes, checked from both sides.
 
 Tentpole of the cache-coherence PR: each reconstructed invalidation
 bug must be caught *statically* (a CC finding on the fixture) and *at
@@ -24,10 +24,12 @@ from repro.sanitizer import (
     cross_validate_cache,
     instrument_stats_catalog,
     instrument_targeting_cache,
+    trace_cache,
 )
 from repro.service.service import QueryService
 from tests.analysis.cache_reconstruction import (
     plan_cache_ddl,
+    stamp_after_read,
     stats_catalog_split,
     storage_epoch_swap,
     targeting_version,
@@ -35,12 +37,14 @@ from tests.analysis.cache_reconstruction import (
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).with_name("cache_reconstruction")
+#: The shipped cache primitive, analyzed beside fixtures that use it.
+PRIMITIVE = "src/repro/cache.py"
 
 
-def analyze(name):
+def analyze(name, *extra):
     """Static CC findings for one reconstruction fixture."""
     return run_analysis(
-        [str(FIXTURES / name)], root=REPO_ROOT, select=["CC"]
+        [str(FIXTURES / name), *extra], root=REPO_ROOT, select=["CC"]
     )
 
 
@@ -144,27 +148,36 @@ class TestPlanCacheDdl:
         assert justified.ok
 
 
-class _RacyTopology(targeting_version.Topology):
-    """Fixture topology whose version read can fire a racing mutation.
+class _RacyVersion:
+    """Mixin: a fixture topology whose version read can fire a race.
 
     ``metadata_version`` becomes a property so the test can inject a
     concurrent ``move_chunk`` exactly between the fixture's governed
     data read and its version capture — the CC002 window — while the
-    fixture's own ``route`` body runs unmodified.
+    fixture's own ``route`` body runs unmodified.  The race fires on
+    the read after ``reads_before_race`` others.
     """
 
     race = None
+    reads_before_race = 0
 
     @property
     def metadata_version(self):
         if self.race is not None:
-            race, self.race = self.race, None
-            race()
+            if self.reads_before_race:
+                self.reads_before_race -= 1
+            else:
+                race, self.race = self.race, None
+                race()
         return self._mv
 
     @metadata_version.setter
     def metadata_version(self, value):
         self._mv = value
+
+
+class _RacyTopology(_RacyVersion, targeting_version.Topology):
+    """The version-in-key fixture with a racing version read."""
 
 
 class TestTargetingVersionSkew:
@@ -416,6 +429,79 @@ class TestStatsCatalogSplit:
             justified=[f.fingerprint for f in findings],
         )
         assert justified.ok
+
+
+class _RacyStampTopology(_RacyVersion, stamp_after_read.Topology):
+    """The stamped-primitive fixture with a racing version read."""
+
+
+class TestStampAfterRead:
+    """Bug class 5: the primitive's stamp read after the data it certifies."""
+
+    def test_static_checker_flags_exactly_cc002(self):
+        findings = analyze("stamp_after_read.py", PRIMITIVE)
+        assert {f.rule_id for f in findings} == {"CC002"}
+        (finding,) = findings
+        assert finding.path.endswith("stamp_after_read.py")
+        assert finding.symbol.endswith("route")
+        assert "StampedLRUCache fill keys on a version captured" in (
+            finding.message
+        )
+
+    def test_primitive_alone_is_clean(self):
+        assert analyze("stamp_after_read.py") == []
+        assert run_analysis([PRIMITIVE], root=REPO_ROOT, select=["CC"]) == []
+
+    def _drive(self):
+        tracer = CacheTracer()
+        topo = _RacyStampTopology()
+        orig_bump = topo._bump_metadata_version
+
+        def bump():
+            tracer.advance("metadata")
+            return orig_bump()
+
+        topo._bump_metadata_version = bump
+        topo.move_chunk("c0", "s0")
+        # Derivation-time snapshot: route() starts deriving now.
+        snapshot = tracer.snapshot()
+        trace_cache(
+            topo.routes, tracer, "routes", "CC002", at=lambda key: snapshot
+        )
+        # The first version read stamps the lookup; the racing split
+        # lands on the second — after the chunk-map read, before the
+        # stamp is captured for the fill.
+        topo.reads_before_race = 1
+        topo.race = lambda: topo.move_chunk("c1", "s1")
+        stale = topo.route((0, 10))
+        assert "c1" not in stale  # derived before the split
+        # The live version now matches the stale entry's stamp: a hit.
+        served = topo.route((0, 10))
+        assert served == stale
+        assert topo.routes.stats()["hits"] == 1
+        return tracer
+
+    def test_trace_oracle_observes_the_stale_hit(self):
+        tracer = self._drive()
+        families = {v.family for v in tracer.violations()}
+        assert families == {"CC002"}
+
+    def test_both_verdicts_cross_validate(self):
+        tracer = self._drive()
+        report = cross_validate_cache(
+            analyze("stamp_after_read.py", PRIMITIVE),
+            tracer.violations(),
+            [rel("stamp_after_read.py")],
+        )
+        assert report.ok, report.render()
+
+    def test_runtime_without_static_is_a_blind_spot(self):
+        tracer = self._drive()
+        report = cross_validate_cache(
+            [], tracer.violations(), [rel("stamp_after_read.py")]
+        )
+        assert not report.ok
+        assert "blind spot" in report.render()
 
 
 class TestShippedCaches:

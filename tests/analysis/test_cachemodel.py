@@ -193,24 +193,28 @@ class TestShippedModel:
     def test_shipped_caches_tokens_and_governance(self, shipped):
         _findings, context = shipped
         model = context.cache_model
+        primitive = model.caches["repro.cache.StampedLRUCache"]
+        assert primitive.read_methods == {"get"}
+        assert primitive.fill_methods == {"put"}
+        assert primitive.stamp_validated
+        # The three memos are uses of the primitive, not classes.
         cache_names = {c.name for c in model.caches.values()}
-        assert {
+        assert not {
             "TargetingCache",
             "RangeDecompositionCache",
             "StatsCatalogCache",
-        } <= cache_names
-        catalog = next(
-            c
-            for c in model.caches.values()
-            if c.name == "StatsCatalogCache"
-        )
-        assert catalog.stamp_validated
-        memo = next(
-            c
-            for c in model.caches.values()
-            if c.name == "RangeDecompositionCache"
-        )
-        assert memo.pure_memo
+        } & cache_names
+        ops = {
+            (summary.info.qual, effect.kind, effect.keyed)
+            for summary in model.summaries.values()
+            for effect in summary.effects
+            if effect.target == "StampedLRUCache"
+        }
+        assert ("target_chunks_cached", "read", True) in ops
+        assert ("target_chunks_cached", "fill", True) in ops
+        assert ("QueryService.analyze_collection", "fill", True) in ops
+        assert ("QueryService.collection_stats", "read", True) in ops
+        assert ("memoized_covering_range_set", "read", False) in ops
         assert "ShardedCluster.metadata_version" in model.tokens
         token = model.tokens["ShardedCluster.metadata_version"]
         assert token.governed_fields == {"chunks", "shard_id"}

@@ -1,20 +1,21 @@
 """Targeting-cache correctness across routing-metadata changes.
 
-The read path memoizes routing decisions in
-:class:`~repro.cluster.router.TargetingCache`.  Cache keys embed the
-cluster's ``metadata_version``, so every chunk split, chunk migration,
-zone update, and DDL bump retires all prior entries *implicitly*: a
-stale cached decision can never be served because its key can never be
-looked up again.  These tests pin that contract by forcing each
-metadata mutation and asserting the cached answer retargets — and that
-the cached path always agrees with the uncached router.
+The read path memoizes routing decisions in a
+:class:`~repro.cache.StampedLRUCache` keyed by (collection, interval
+box) and stamped with the cluster's ``metadata_version``, so every
+chunk split, chunk migration, zone update, and DDL bump makes the next
+lookup a stale miss: a stale cached decision can never be served, and
+its refill replaces the entry in place.  These tests pin that contract
+by forcing each metadata mutation and asserting the cached answer
+retargets — and that the cached path always agrees with the uncached
+router.
 """
 
 import random
 
+from repro.cache import StampedLRUCache
 from repro.cluster.cluster import ClusterTopology, ShardedCluster
 from repro.cluster.router import (
-    TargetingCache,
     shard_key_intervals,
     target_chunks_cached,
     targeting_cache_key,
@@ -51,13 +52,22 @@ def uncached_targeting(cluster, query):
 
 class TestVersionKeyedInvalidation:
     def test_cache_key_embeds_metadata_version(self):
+        """The version travels with the entry, as its stamp.
+
+        One key per interval box; a lookup under any other version is
+        a stale miss, never the decision derived under the old one.
+        """
         cluster = build_cluster()
         metadata = cluster.catalog.get("t")
         shape = analyze_query({"k": {"$gte": 10, "$lt": 20}})
-        intervals = shard_key_intervals(metadata.pattern, shape)
-        k1 = targeting_cache_key("t", 1, intervals)
-        k2 = targeting_cache_key("t", 2, intervals)
-        assert k1 is not None and k2 is not None and k1 != k2
+        key = targeting_cache_key(
+            "t", shard_key_intervals(metadata.pattern, shape)
+        )
+        cache = StampedLRUCache()
+        decided = target_chunks_cached(metadata, shape, cache, 1)
+        assert cache.get(key, stamp=1) is decided
+        assert cache.get(key, stamp=2) is None
+        assert cache.stats()["stale"] == 1
 
     def test_split_retargets_cached_query(self):
         cluster = build_cluster()
@@ -164,7 +174,7 @@ class TestCachedMatchesUncached:
 
 class TestCacheMechanics:
     def test_lru_bound(self):
-        cache = TargetingCache(max_entries=4)
+        cache = StampedLRUCache(max_entries=4)
         cluster = build_cluster()
         metadata = cluster.catalog.get("t")
         for i in range(10):
@@ -177,4 +187,92 @@ class TestCacheMechanics:
         assert stats["evictions"] >= 6
 
     def test_unhashable_interval_is_uncacheable(self):
-        assert targeting_cache_key("t", 1, None) is not None  # broadcast
+        assert targeting_cache_key("t", None) is not None  # broadcast
+
+
+def record_lookups(cache):
+    """Wrap ``cache.get`` to log every ``(key, stamp)`` it is asked for."""
+    lookups = []
+    orig_get = cache.get
+
+    def get(key, stamp=None):
+        lookups.append((key, stamp))
+        return orig_get(key, stamp)
+
+    cache.get = get
+    return lookups
+
+
+class TestTargetingUnderChurn:
+    QUERY = {"k": {"$gte": 100, "$lt": 900}}
+
+    def test_repeated_query_across_bumps_leaves_one_entry(self):
+        cluster = build_cluster()
+        cluster.targeting_cache.clear()
+        for _ in range(5):
+            cached_targeting(cluster, self.QUERY)
+            cluster._bump_metadata_version()
+        cached_targeting(cluster, self.QUERY)
+        # Version-in-key would strand one entry per dead version (6).
+        assert cluster.targeting_cache.stats()["entries"] == 1
+
+    def test_post_bump_lookup_is_one_stale_miss_then_hits(self):
+        cluster = build_cluster()
+        cached_targeting(cluster, self.QUERY)
+        for _ in range(3):
+            before = cluster.targeting_cache.stats()
+            cluster._bump_metadata_version()
+            cached_targeting(cluster, self.QUERY)
+            after_bump = cluster.targeting_cache.stats()
+            assert after_bump["stale"] == before["stale"] + 1
+            assert after_bump["misses"] == before["misses"] + 1
+            assert after_bump["hits"] == before["hits"]
+            cached_targeting(cluster, self.QUERY)
+            final = cluster.targeting_cache.stats()
+            assert final["hits"] == before["hits"] + 1
+            assert final["misses"] == after_bump["misses"]
+
+    def test_hits_equal_the_version_in_key_scheme(self):
+        """Seeded splits, inserts and reads; a small bound forces evictions.
+
+        Replaying the recorded lookups through an LRU of the same
+        bound keyed by ``(key, version)`` — the scheme the stamp
+        replaced — must give the same hits: an entry at the current
+        version is only ever evicted behind more recently used entries
+        of that same version, under either scheme.
+        """
+        cluster = build_cluster()
+        cluster.targeting_cache = StampedLRUCache(max_entries=8)
+        lookups = record_lookups(cluster.targeting_cache)
+        rng = random.Random(31)
+        boxes = [rng.randrange(0, 9_000) for _ in range(12)]
+        next_id = 50_000
+        for _ in range(30):
+            if rng.random() < 0.3:
+                k = rng.randrange(0, 10_000)
+                cluster.insert_many(
+                    "t",
+                    [
+                        {"_id": next_id + j, "k": k, "pad": "z" * 256}
+                        for j in range(20)
+                    ],
+                )
+                next_id += 20
+            for _ in range(6):
+                lo = rng.choice(boxes)
+                query = {"k": {"$gte": lo, "$lt": lo + 500}}
+                assert (
+                    cached_targeting(cluster, query).shard_ids
+                    == uncached_targeting(cluster, query).shard_ids
+                )
+        versions = {stamp for _, stamp in lookups}
+        assert len(versions) > 3, "the interleaving must bump the version"
+        keyed = StampedLRUCache(max_entries=8)
+        for key, stamp in lookups:
+            if keyed.get((key, stamp)) is None:
+                keyed.put((key, stamp), True)
+        stamped = cluster.targeting_cache.stats()
+        assert stamped["evictions"] > 0
+        assert stamped["stale"] > 0
+        assert keyed.stats()["hits"] == stamped["hits"]
+        assert keyed.stats()["misses"] == stamped["misses"]

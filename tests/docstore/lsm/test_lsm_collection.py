@@ -3,19 +3,25 @@
 Covers the PR's integration contract: ``durability=`` mounts the LSM
 engine without disturbing the default in-memory behaviour, writes
 survive close-and-reopen, storage events carry the collection name up
-through the database, the query service's plan cache treats a flush
-like any other invalidation, and the storage-size model accounts for
-tombstones (satellite 1).
+through the database, a flush leaves the query service's statistics
+catalog standing (it is stamped by ``metadata_version`` alone, so the
+storage engine cannot change what the chooser sees), and the
+storage-size model accounts for tombstones.
 """
+
+import datetime as dt
 
 import pytest
 
 from repro.cluster.cluster import ClusterTopology, ShardedCluster
+from repro.core.chooser import CostBasedChooser
+from repro.core.query import SpatioTemporalQuery
 from repro.docstore.collection import Collection
 from repro.docstore.database import Database
 from repro.docstore.lsm import DurabilityConfig
 from repro.docstore.storage import StorageModel, collection_data_size
 from repro.errors import DocumentStoreError
+from repro.geo.geometry import BoundingBox
 from repro.service import QueryService, ServiceConfig
 
 
@@ -108,32 +114,91 @@ class TestDatabaseIntegration:
         db.close()
 
 
+def fleet_docs(start, stop, pad=""):
+    """Documents with the shard key, a date and a GeoJSON point."""
+    t0 = dt.datetime(2018, 7, 1, tzinfo=dt.timezone.utc)
+    return [
+        {
+            "x": i,
+            "date": t0 + dt.timedelta(hours=i),
+            "location": {
+                "type": "Point",
+                "coordinates": [22.0 + 0.01 * i, 38.0 + 0.005 * i],
+            },
+            "pad": pad,
+        }
+        for i in range(start, stop)
+    ]
+
+
 class TestServiceCacheEpoch:
-    def test_flush_invalidates_statistics_catalog(self, tmp_path):
+    @staticmethod
+    def _cluster(durability=None):
         cluster = ShardedCluster(
-            topology=ClusterTopology(n_shards=2),
-            durability=DurabilityConfig(
+            topology=ClusterTopology(n_shards=2), durability=durability
+        )
+        cluster.shard_collection("traces", [("x", 1)], strategy="range")
+        cluster.insert_many("traces", fleet_docs(0, 10))
+        return cluster
+
+    def test_flush_keeps_statistics_catalog(self, tmp_path):
+        cluster = self._cluster(
+            DurabilityConfig(
                 directory=str(tmp_path),
                 memtable_max_bytes=2_000,
                 compaction=False,
-            ),
+            )
         )
-        cluster.shard_collection("traces", [("x", 1)], strategy="range")
-        cluster.insert_many("traces", [{"x": i} for i in range(10)])
+        flushes = []
+        for shard in cluster.shards.values():
+            shard.database.add_storage_listener(flushes.append)
         config = ServiceConfig(max_workers=2)
         with QueryService(cluster, config) as service:
-            service.analyze_collection("traces")
-            assert service.collection_stats("traces") is not None
-            before = service.stats_catalog.stats()["invalidations"]
+            stats = service.analyze_collection("traces")
+            version = cluster.metadata_version
             # Pad documents force memtable overflow -> flush events on
-            # every shard -> the catalog entry for "traces" must go.
-            cluster.insert_many(
-                "traces",
-                [{"x": i, "pad": "p" * 200} for i in range(10, 60)],
-            )
-            assert service.stats_catalog.stats()["invalidations"] > before
-            assert service.collection_stats("traces") is None
+            # every shard, but no split: the stamp still matches, so
+            # the catalog entry stands until an explicit re-ANALYZE.
+            cluster.insert_many("traces", fleet_docs(10, 60, pad="p" * 200))
+            assert any(event.kind == "flush" for event in flushes)
+            assert cluster.metadata_version == version
+            assert service.collection_stats("traces") is stats
+            assert service.stats_catalog.stats()["stale"] == 0
         cluster.close()
+
+    def test_memory_and_durable_catalogs_agree(self, tmp_path):
+        """Same inserts plus a forced flush: same catalog, same choice."""
+        memory = self._cluster()
+        durable_cluster = self._cluster(
+            DurabilityConfig(
+                directory=str(tmp_path),
+                memtable_max_bytes=2_000,
+                compaction=False,
+            )
+        )
+        query = SpatioTemporalQuery(
+            bbox=BoundingBox(22.0, 38.0, 22.2, 38.1),
+            time_from=dt.datetime(2018, 7, 1, tzinfo=dt.timezone.utc),
+            time_to=dt.datetime(2018, 7, 2, tzinfo=dt.timezone.utc),
+        )
+        seen = []
+        for cluster in (memory, durable_cluster):
+            with QueryService(cluster, ServiceConfig(max_workers=2)) as service:
+                service.analyze_collection("traces")
+                cluster.insert_many("traces", fleet_docs(10, 60, pad="p" * 200))
+                for shard in cluster.shards.values():
+                    shard.collection("traces").checkpoint()
+                stats = service.collection_stats("traces")
+                assert stats is not None
+                chooser = CostBasedChooser(
+                    lambda: service.collection_stats("traces")
+                )
+                decision = chooser.choose(query)
+                assert decision.used_stats
+                assert chooser.fallbacks == 0
+                seen.append((stats.as_dict(), decision))
+        assert seen[0] == seen[1]
+        durable_cluster.close()
 
 
 class TestStorageSizeAccounting:

@@ -4,6 +4,7 @@ import datetime as _dt
 
 import pytest
 
+from repro.cache import StampedLRUCache
 from repro.cluster.cluster import ClusterTopology
 from repro.core.approaches import COLLECTION, deploy_approach, make_approach
 from repro.datagen import FleetConfig, FleetGenerator
@@ -11,7 +12,6 @@ from repro.docstore.stats import (
     CellDensitySketch,
     CollectionStats,
     FieldHistogram,
-    StatsCatalogCache,
     analyze_collection,
 )
 from repro.geo.geometry import BoundingBox
@@ -138,6 +138,8 @@ class TestCellDensitySketch:
 
 
 class TestStatsCatalogCache:
+    """The catalog is a StampedLRUCache stamped with ``metadata_version``."""
+
     def _stats(self, version=1):
         return CollectionStats(
             collection="traces",
@@ -147,36 +149,47 @@ class TestStatsCatalogCache:
             chunk_docs=(("s0", 10),),
         )
 
+    def _fill(self, cache, stats):
+        cache.put(stats.collection, stats, stamp=stats.metadata_version)
+
     def test_miss_then_hit(self):
-        cache = StatsCatalogCache()
-        assert cache.get("traces", 1) is None
-        cache.put("traces", self._stats(version=1))
-        assert cache.get("traces", 1) is not None
+        cache = StampedLRUCache()
+        assert cache.get("traces", stamp=1) is None
+        self._fill(cache, self._stats(version=1))
+        assert cache.get("traces", stamp=1) is not None
         s = cache.stats()
-        assert s["misses"] == 1 and s["hits"] == 1 and s["fills"] == 1
+        assert s["misses"] == 1 and s["hits"] == 1 and s["entries"] == 1
 
     def test_version_mismatch_is_stale_rejection(self):
-        cache = StatsCatalogCache()
-        cache.put("traces", self._stats(version=1))
-        assert cache.get("traces", 2) is None
-        assert cache.stats()["staleRejections"] == 1
-        # The stale entry stays until a re-ANALYZE or invalidation;
-        # a read at the stamped version still serves it.
-        assert cache.get("traces", 1) is not None
+        cache = StampedLRUCache()
+        self._fill(cache, self._stats(version=1))
+        assert cache.get("traces", stamp=2) is None
+        assert cache.stats()["stale"] == 1
+        # The stale entry stays until a re-ANALYZE replaces it; a read
+        # at the stamped version still serves it.
+        assert cache.get("traces", stamp=1) is not None
 
     def test_invalidate_collection(self):
-        cache = StatsCatalogCache()
-        cache.put("traces", self._stats())
-        cache.invalidate_collection("traces")
-        assert cache.get("traces", 1) is None
-        assert cache.stats()["invalidations"] == 1
-        # Invalidating an absent entry is a no-op, not a counter bump.
-        cache.invalidate_collection("other")
-        assert cache.stats()["invalidations"] == 1
+        """Re-ANALYZE under a new version restamps one collection in place."""
+        cache = StampedLRUCache()
+        self._fill(cache, self._stats(version=1))
+        other = CollectionStats(
+            collection="other",
+            metadata_version=1,
+            total_docs=0,
+            shard_docs={},
+            chunk_docs=(),
+        )
+        self._fill(cache, other)
+        self._fill(cache, self._stats(version=2))
+        assert cache.get("traces", stamp=1) is None
+        assert cache.get("traces", stamp=2).metadata_version == 2
+        assert cache.get("other", stamp=1) is other
+        assert cache.stats()["entries"] == 2
 
     def test_clear(self):
-        cache = StatsCatalogCache()
-        cache.put("traces", self._stats())
+        cache = StampedLRUCache()
+        self._fill(cache, self._stats())
         cache.clear()
         assert cache.stats()["entries"] == 0
 

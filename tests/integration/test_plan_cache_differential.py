@@ -28,6 +28,7 @@ import datetime as dt
 
 import pytest
 
+from repro.cache import StampedLRUCache
 from repro.cluster.cluster import ClusterTopology
 from repro.core.approaches import (
     APPROACH_NAMES,
@@ -43,7 +44,6 @@ from repro.docstore.lsm import DurabilityConfig
 from repro.geo import BoundingBox
 from repro.reference import reference_cluster_find
 from repro.service import QueryService, ServiceConfig
-from repro.sfc.ranges import RangeDecompositionCache
 from repro.workloads.queries import randomized_queries
 
 N_DOCS = 800
@@ -83,7 +83,7 @@ def workload(deployment):
     a first sighting.
     """
     encoder = deployment.approach.encoder
-    cache = RangeDecompositionCache()
+    cache = StampedLRUCache(max_entries=512)
     rendered = [
         st.to_hilbert_query(encoder, cache=cache).query
         for st in randomized_queries(N_DISTINCT, seed=5)
@@ -151,7 +151,7 @@ class TestShapeBindingAcrossConstants:
         compilation without binding.
         """
         encoder = deployment.approach.encoder
-        cache = RangeDecompositionCache()
+        cache = StampedLRUCache(max_entries=512)
         stream = [
             st.to_hilbert_query(encoder, cache=cache).query
             for st in randomized_queries(100, seed=99)

@@ -1,8 +1,8 @@
 """Cache coherence of the live service, checked by the epoch tracer.
 
-The ISSUE-8 satellite: drive the TargetingCache through interleaved
-chunk splits and zone updates, with the autouse ``cache_epoch_tracer``
-fixture (tests/service/conftest.py) recording every fill and hit.
+Drive the targeting memo through interleaved chunk splits and zone
+updates, with the autouse ``cache_epoch_tracer`` fixture
+(tests/service/conftest.py) recording every fill and hit.
 Correctness here means two things at once: answers stay right, and
 the tracer's teardown ``assert_clean`` finds no hit whose fill
 predates a governing mutation.
@@ -26,8 +26,9 @@ class TestTargetingUnderInterleavedMutations:
         """Interleave range reads with splits and two zone layouts.
 
         Every metadata mutation bumps ``metadata_version``; because
-        targeting keys embed the version, each post-mutation read must
-        miss, retarget, and refill — never hit a pre-mutation entry.
+        targeting entries are stamped with the version, each
+        post-mutation read must miss as stale, retarget, and refill —
+        never hit a pre-mutation entry.
         """
         cluster = seeded_cluster
         query = {"k": {"$gte": 100, "$lt": 7_000}}
@@ -97,3 +98,24 @@ class TestTargetingUnderInterleavedMutations:
                 service.find("t", {"k": {"$gte": 0, "$lt": 2_000}})
             stats = cluster.targeting_cache.stats()
             assert stats["hits"] >= 3
+
+
+class TestOneCounterVocabulary:
+    def test_every_cache_reports_the_same_counters(self, seeded_cluster):
+        """Targeting, range and catalog memos: one primitive, one vocabulary."""
+        with QueryService(seeded_cluster) as service:
+            service.find("t", {"k": {"$gte": 0, "$lt": 2_000}})
+            service.analyze_collection("t")
+            assert service.collection_stats("t") is not None
+            caches = service.metrics_snapshot().caches
+        assert set(caches) == {"targeting", "rangeDecomposition", "statsCatalog"}
+        for counters in caches.values():
+            assert set(counters) == {
+                "entries",
+                "hits",
+                "misses",
+                "stale",
+                "evictions",
+            }
+            assert counters["stale"] <= counters["misses"]
+        assert caches["statsCatalog"]["hits"] == 1

@@ -70,7 +70,13 @@ class TestCommands:
         assert payload["totalDocs"] == 400
         assert payload["timeHistogram"]["total"] == 400
         assert payload["cellSketch"]["cells"] > 0
-        assert payload["catalog"]["fills"] == 1
+        assert payload["catalog"] == {
+            "entries": 1,
+            "hits": 0,
+            "misses": 0,
+            "stale": 0,
+            "evictions": 0,
+        }
 
     def test_stats_analyze_unknown_collection(self, capsys):
         assert main(
