@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.cluster.chunk import Chunk, KeyBound, ShardKeyPattern
 from repro.cluster.zones import ZoneSet
@@ -21,6 +21,10 @@ from repro.errors import ShardingError
 __all__ = ["CollectionMetadata", "ConfigCatalog"]
 
 _MIN_KEY = attrgetter("min_key")
+
+
+def _min_first_field(chunk: Chunk) -> Any:
+    return chunk.min_key[0]
 
 
 @dataclass
@@ -52,6 +56,27 @@ class CollectionMetadata:
         if not chunk.contains(key):
             raise ShardingError("key %r not covered by any chunk" % (key,))
         return chunk
+
+    def chunks_spanning(self, spans: Iterable[Tuple[Any, Any]]) -> List[Chunk]:
+        """Chunks whose first-field span can meet one of ``spans``, in map order.
+
+        A chunk holds keys whose first field lies in ``[min_key[0],
+        max_key[0]]``, so on the sorted, contiguous map the chunks that
+        can meet a first-field span ``[lo, hi]`` are one run: from the
+        last chunk with ``min_key < (lo,)`` up to the last chunk with
+        ``min_key[0] <= hi``.  Both ends are bisected.  ``spans`` must
+        ascend by ``lo``; overlapping runs merge, so no chunk repeats.
+        """
+        chunks = self.chunks
+        out: List[Chunk] = []
+        done = 0  # every chunk below this index is already in `out`
+        for lo, hi in spans:
+            start = max(done, bisect.bisect_left(chunks, (lo,), key=_MIN_KEY) - 1)
+            stop = bisect.bisect_right(chunks, hi, key=_min_first_field)
+            if stop > start:
+                out.extend(chunks[start:stop])
+                done = stop
+        return out
 
     def chunk_index(self, chunk: Chunk) -> int:
         """Position of a chunk in the ordered map."""

@@ -346,8 +346,9 @@ class ShardedCluster:
     ) -> int:
         """Delete matching documents on every targeted shard.
 
-        Chunk document/byte counters are recounted afterwards, since a
-        delete can touch any chunk.
+        The targeted chunks' document/byte counters are recounted
+        afterwards: routing is a conservative superset of the matching
+        keys, so every deleted document sat in a targeted chunk.
         """
         metadata = self.catalog.get(collection)
         shape = analyze_query(query)
@@ -358,7 +359,7 @@ class ShardedCluster:
                 query
             )
         if deleted:
-            for chunk in metadata.chunks:
+            for chunk in targeting.chunks:
                 self._recount_chunk(metadata, chunk)
         return deleted
 
@@ -371,7 +372,10 @@ class ShardedCluster:
         """Apply an update on every targeted shard.
 
         Updates must not modify shard-key fields (MongoDB enforces the
-        same restriction for pre-4.2 semantics this model follows).
+        same restriction for pre-4.2 semantics this model follows).  An
+        update can grow or shrink documents, so the targeted chunks'
+        counters are recounted afterwards, as :meth:`delete_many` does;
+        an oversized chunk is not split here.
         """
         metadata = self.catalog.get(collection)
         forbidden = set(metadata.pattern.paths)
@@ -389,6 +393,9 @@ class ShardedCluster:
             updated += self.shards[shard_id].collection(collection).update_many(
                 query, update
             )
+        if updated:
+            for chunk in targeting.chunks:
+                self._recount_chunk(metadata, chunk)
         return updated
 
     # -- chunk surgery --------------------------------------------------------------

@@ -5,18 +5,23 @@ extracts intervals on the shard-key fields from the query (reusing the
 planner's predicate analysis — the same machinery MongoDB shares
 between planning and targeting), then keeps every chunk whose
 lexicographic ``[min, max)`` range can contain a key inside the
-intervals' cartesian box.  Queries that do not constrain the first
-shard-key field become *broadcast* operations, the behaviour Section
-4.1.2 highlights as the baseline's weakness.
+intervals' cartesian box.  Like mongos's range lookup on its sorted
+chunk map, it tests only the chunks that bisection on the first field
+finds (:meth:`CollectionMetadata.chunks_spanning`), never the whole
+map.  Queries that do not constrain the first shard-key field become
+*broadcast* operations, the behaviour Section 4.1.2 highlights as the
+baseline's weakness.
 """
 
 from __future__ import annotations
 
+import bisect
 from typing import List, Optional, Sequence, Tuple
 
 from repro.cache import StampedLRUCache
 from repro.cluster.catalog import CollectionMetadata
 from repro.cluster.chunk import Chunk, KeyBound, ShardKeyPattern
+from repro.docstore.index import hashed_value
 from repro.docstore.planner import Interval, QueryShape
 
 __all__ = [
@@ -61,8 +66,6 @@ def shard_key_intervals(
         intervals: List[Interval] = []
         if predicate is not None and predicate.is_constraining():
             if kind == "hashed":
-                from repro.docstore.index import hashed_value
-
                 for v in predicate.eq_values:
                     intervals.append(Interval.point(hashed_value(v)))
                 for v in predicate.in_values:
@@ -102,8 +105,6 @@ class LexBoxChecker:
         self._highs = [[iv.hi for iv in ivs] for ivs in self._intervals]
 
     def _candidates(self, depth: int, lo_d, hi_d):
-        import bisect
-
         ivs = self._intervals[depth]
         start = 0
         if lo_d is not None:
@@ -190,9 +191,12 @@ def _target_from_intervals(
             intervals=None,
         )
     checker = LexBoxChecker(intervals)
+    # Only a chunk whose first-field span meets a first-field interval
+    # can intersect the box; bisection finds those runs, no sweep.
+    spans = zip(checker._lows[0], checker._highs[0])
     chunks = [
         c
-        for c in metadata.chunks
+        for c in metadata.chunks_spanning(spans)
         if checker.intersects(c.min_key, c.max_key)
     ]
     shard_ids = sorted({c.shard_id for c in chunks})
@@ -244,8 +248,8 @@ def target_chunks_cached(
     ``metadata_version`` must be read before ``metadata.chunks`` is:
     a split sliding in between then stamps the stale decision with the
     old version, and no later lookup accepts it.  Interval extraction
-    always runs (it is cheap and yields the key); the chunk-intersection
-    sweep — the expensive part — is what a hit skips.  Cached
+    always runs (it is cheap and yields the key); the chunk bisection and
+    intersection tests are what a hit skips.  Cached
     :class:`TargetingResult` objects are shared between callers and
     must be treated as read-only.
     """

@@ -3,10 +3,12 @@
 Production reads take one path (:meth:`ShardedCluster.find`: bind or
 analyze, compile, one persistent cursor, residual filter, structural
 copy).  This module answers the same query the slow, obvious way:
-uncached :func:`~repro.cluster.router.target_chunks` routing, every
-shard planning on its own (no shared hinted bounds), one B-tree descent
-per seek, the whole predicate interpreted on every fetched document,
-``copy.deepcopy`` results, shards one after another.  Documents must
+uncached routing that tests every chunk of the map
+(:func:`reference_target_chunks`, where production bisects the chunk
+list first), every shard planning on its own (no shared hinted
+bounds), one B-tree descent per seek, the whole predicate
+interpreted on every fetched document, ``copy.deepcopy`` results,
+shards one after another.  Documents must
 come out byte-identical and ``keysExamined`` / ``docsExamined`` /
 ``seeks`` / targeted shards identical per shard — those counters are
 the paper's results.  Nothing under ``src/`` imports this module; the
@@ -17,16 +19,48 @@ from __future__ import annotations
 
 from typing import Any, List, Mapping, Optional
 
+from repro.cluster.catalog import CollectionMetadata
 from repro.cluster.cluster import ClusterFindResult, ShardedCluster
 from repro.cluster.metrics import ClusterQueryStats
-from repro.cluster.router import target_chunks
+from repro.cluster.router import (
+    LexBoxChecker,
+    TargetingResult,
+    shard_key_intervals,
+)
 from repro.docstore.collection import Collection, FindResult
 from repro.docstore.document import deep_copy_document
 from repro.docstore.executor import ExecutionStats, _advancing, _BoundsChecker
 from repro.docstore.matcher import Matcher
-from repro.docstore.planner import IndexScanPlan, analyze_query, plan_query
+from repro.docstore.planner import (
+    IndexScanPlan,
+    QueryShape,
+    analyze_query,
+    plan_query,
+)
 
-__all__ = ["reference_index_scan", "reference_find", "reference_cluster_find"]
+__all__ = [
+    "reference_target_chunks",
+    "reference_index_scan",
+    "reference_find",
+    "reference_cluster_find",
+]
+
+
+def reference_target_chunks(
+    metadata: CollectionMetadata, shape: QueryShape
+) -> TargetingResult:
+    """:func:`~repro.cluster.router.target_chunks`, testing every chunk."""
+    intervals = shard_key_intervals(metadata.pattern, shape)
+    if intervals is None:
+        return TargetingResult(
+            list(metadata.chunks), metadata.shards_used(), True, None
+        )
+    checker = LexBoxChecker(intervals)
+    chunks = [
+        c for c in metadata.chunks if checker.intersects(c.min_key, c.max_key)
+    ]
+    shard_ids = sorted({c.shard_id for c in chunks})
+    return TargetingResult(chunks, shard_ids, False, intervals)
 
 
 def reference_index_scan(plan: IndexScanPlan, stats: ExecutionStats) -> List[int]:
@@ -95,7 +129,7 @@ def reference_cluster_find(
     max_geo_ranges: Optional[int] = None,
 ) -> ClusterFindResult:
     """:meth:`ShardedCluster.find` through the reference layers."""
-    targeting = target_chunks(
+    targeting = reference_target_chunks(
         cluster.catalog.get(collection), analyze_query(query)
     )
     stats = ClusterQueryStats(
