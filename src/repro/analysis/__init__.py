@@ -3,28 +3,28 @@
 PR 1 turned the reproduction into a concurrent serving system, and its
 review immediately found lock leaks on timeout paths — bugs that are
 mechanically detectable from the source.  This package encodes the
-project's locking, concurrency, determinism, and layering contracts as
+project's locking, crash-consistency, and cache-coherence contracts as
 AST-based checkers and gates CI on them:
 
 * ``lock-discipline`` (LD) — acquisitions must be released on every
   exception path, multi-lock acquisition must be sorted, and shared
   attributes of lock-owning classes must be mutated under their lock.
-* ``concurrency`` (CH) — no unguarded check-then-act or lazy init on
-  shared state, no threads without join/daemon discipline, no
-  unbounded ``Future.result()`` waits.
-* ``determinism`` (DT) — no iteration over sets feeding plan selection
-  or shard targeting without explicit ordering, no arbitrary-element
-  ``set.pop()``, no wall-clock ``time.time()`` for durations.
-* ``docstore-invariants`` (DS) — lower layers must not import upper
-  layers (the docstore never sees the cluster or the service), and
-  public docstore entry points must not mutate caller-supplied
-  documents.
 * ``lock-order`` (LK) — interprocedural: a project call graph
   propagates held-lock sets across call edges, catching lock-order
   cycles split across functions, unbounded blocking calls under locks,
   and acquisitions escaping without a caller-side release.  The
   resulting graph is cross-validated at runtime by
   :mod:`repro.sanitizer`.
+* ``fs-consistency`` (FS) — crash-consistency ordering on the durable
+  write path: fsync coverage, rename / directory-fsync / delete order,
+  the commit point, temp-file recovery, no fsync under a contended
+  lock.
+* ``cache-coherence`` (CC) — every cache is version-keyed, and every
+  mutation of version-governed state reaches a version bump on all
+  paths, unwind included.
+
+The layering contract (the docstore never imports the cluster or the
+service) is a test, ``tests/test_public_api.py``, not a rule.
 
 Pre-existing, deliberately-accepted findings live in
 ``analysis-baseline.json`` with recorded justifications; any *new*

@@ -33,7 +33,6 @@ __all__ = [
     "iter_functions",
     "iter_lock_owner_methods",
     "iter_lock_scoped_statements",
-    "iter_scoped_statements",
     "ordered_calls",
     "owned_attr",
     "owner_lock_attrs",
@@ -175,42 +174,6 @@ def walk_within_function(func: FunctionNode) -> Iterator[ast.AST]:
         if isinstance(
             node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
         ):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def iter_scoped_statements(
-    tree: ast.Module,
-) -> Iterator[Tuple[str, ast.AST]]:
-    """Yield every node with the qualname of its innermost function.
-
-    Module-level nodes are attributed to ``<module>``; a node inside a
-    method of a nested class carries ``Class.method``.
-    """
-    for node in _module_level_nodes(tree):
-        yield ("<module>", node)
-    for qual, func, _cls in iter_functions(tree):
-        for node in walk_within_function(func):
-            yield (qual, node)
-
-
-def _module_level_nodes(tree: ast.Module) -> Iterator[ast.AST]:
-    stack: List[ast.AST] = list(ast.iter_child_nodes(tree))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.ClassDef):
-            # Class bodies are module-level executable code, but their
-            # methods are separate scopes.
-            stack.extend(
-                child
-                for child in ast.iter_child_nodes(node)
-                if not isinstance(
-                    child, (ast.FunctionDef, ast.AsyncFunctionDef)
-                )
-            )
             continue
         yield node
         stack.extend(ast.iter_child_nodes(node))

@@ -1,6 +1,6 @@
 """A best-effort project call graph for interprocedural checkers.
 
-The per-module checkers (LD/CH/DT/DS) judge one function at a time,
+The per-module checker (LD) judges one function at a time,
 which is exactly why the PR-1 lock leak needed a human: the acquire
 lived in ``_read_lock_targeted_shards`` and the release in
 ``_execute_read``.  This module builds the call graph those rules need:

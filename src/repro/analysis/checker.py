@@ -236,13 +236,13 @@ def analyze(
 ) -> Tuple[List[Finding], ProjectContext]:
     """Run the selected checkers; ordered findings plus the context.
 
-    ``select`` is a list of rule-id prefixes (e.g. ``["LD", "DT001"]``).
+    ``select`` is a list of rule-id prefixes (e.g. ``["LD", "FS001"]``).
     It decides what *runs*, not only what is reported: a checker whose
     ``rules`` hold no selected id is never instantiated, and the
     project models (call graph, lock simulation, FS and cache effect
     summaries) are built by the first selected checker that reads
     them, or not at all.  Findings of a running checker that fall
-    outside the selection (``DT001`` selected, ``DT002`` found) are
+    outside the selection (``FS001`` selected, ``FS002`` found) are
     dropped.
 
     Every file is parsed exactly once up front and the shared ASTs are

@@ -3,20 +3,12 @@
 from __future__ import annotations
 
 from repro.analysis.checkers.cachecoherence import CacheCoherenceChecker
-from repro.analysis.checkers.concurrency import ConcurrencyChecker
-from repro.analysis.checkers.determinism import DeterminismChecker
-from repro.analysis.checkers.docstore_invariants import (
-    DocstoreInvariantsChecker,
-)
 from repro.analysis.checkers.fsconsistency import FsConsistencyChecker
 from repro.analysis.checkers.lock_discipline import LockDisciplineChecker
 from repro.analysis.checkers.lockorder import LockOrderChecker
 
 __all__ = [
     "CacheCoherenceChecker",
-    "ConcurrencyChecker",
-    "DeterminismChecker",
-    "DocstoreInvariantsChecker",
     "FsConsistencyChecker",
     "LockDisciplineChecker",
     "LockOrderChecker",

@@ -31,8 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "Project-specific static analysis: lock discipline, "
-            "concurrency hygiene, determinism, and docstore invariants."
+            "Project-specific static analysis: lock discipline, lock "
+            "order, crash consistency, and cache coherence."
         ),
     )
     parser.add_argument(
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         default=None,
         help=(
-            "comma-separated rule-id prefixes (e.g. LD,DT001): only "
+            "comma-separated rule-id prefixes (e.g. LD,FS001): only "
             "checkers owning a selected rule run, and the baseline is "
             "judged on the selected rules' entries only"
         ),

@@ -33,7 +33,6 @@ from repro.docstore.planner import (
 from repro.docstore.lsm import (
     DurabilityConfig,
     LSMEngine,
-    StorageEvent,
     decode_document,
     encode_document,
 )
@@ -65,7 +64,15 @@ class FindResult:
 
 
 def own_document(document: Mapping[str, Any]) -> dict:
-    """A private copy with an ``_id`` (a fresh ObjectId when absent)."""
+    """A private top-level copy with an ``_id`` (a fresh ObjectId when
+    absent).
+
+    Nested containers stay shared with the caller: the bulk paths
+    (initial load, replica sync) take over documents their caller is
+    done with, and copying every nested field of a whole data set would
+    hold it in memory twice.  Single writes copy deeper
+    (:meth:`Collection._insert_local`).
+    """
     doc = dict(document)
     if "_id" not in doc:
         doc["_id"] = ObjectId()
@@ -103,11 +110,9 @@ class Collection:
         # Durable write path (ISSUE PR-5): a WAL+LSM engine beneath the
         # in-memory structures.  The default (None) leaves the original
         # purely in-memory engine untouched.
-        self._storage_listeners: List[Any] = []
         self._engine: Optional[LSMEngine] = None
         if durability is not None:
             self._engine = LSMEngine(durability)
-            self._engine.add_listener(self._forward_storage_event)
             self._engine.recover()
             self._load_local(
                 [decode_document(raw) for _, raw in self._engine.scan()]
@@ -153,7 +158,12 @@ class Collection:
         result afterwards, recovery replays the engine's state through
         here without re-persisting it.
         """
-        doc = own_document(document)
+        # A single write may come from a caller that goes on editing
+        # its document: nested containers are copied too, or those
+        # edits would reach the stored document behind every index.
+        doc = fast_copy_document(document)
+        if "_id" not in doc:
+            doc["_id"] = ObjectId()
         rid = next(self._rid_counter)
         for index in self._indexes.values():
             index.insert_document(rid, doc)
@@ -315,10 +325,16 @@ class Collection:
     @staticmethod
     def _apply_update(doc: dict, update: Mapping[str, Any]) -> None:
         from repro.docstore import bson
-        from repro.docstore.document import MISSING, get_path, set_path
+        from repro.docstore.document import (
+            MISSING,
+            _fast_copy_value,
+            get_path,
+            set_path,
+        )
 
+        # Values are the caller's: every document stores its own copy.
         for path, value in update.get("$set", {}).items():
-            set_path(doc, path, value)
+            set_path(doc, path, _fast_copy_value(value))
         for path in update.get("$unset", {}):
             doc.pop(path, None)
         for path, delta in update.get("$inc", {}).items():
@@ -332,16 +348,16 @@ class Collection:
         for path, value in update.get("$min", {}).items():
             current = get_path(doc, path)
             if current is MISSING or bson.compare(value, current) < 0:
-                set_path(doc, path, value)
+                set_path(doc, path, _fast_copy_value(value))
         for path, value in update.get("$max", {}).items():
             current = get_path(doc, path)
             if current is MISSING or bson.compare(value, current) > 0:
-                set_path(doc, path, value)
+                set_path(doc, path, _fast_copy_value(value))
         for path, value in update.get("$push", {}).items():
             current = get_path(doc, path)
             if current is MISSING or not isinstance(current, list):
                 current = []
-            set_path(doc, path, current + [value])
+            set_path(doc, path, current + [_fast_copy_value(value)])
 
     # -- indexes ---------------------------------------------------------------
 
@@ -576,23 +592,6 @@ class Collection:
         if self._engine is None:
             return 0
         return self._engine.storage_epoch
-
-    def add_storage_listener(self, listener) -> None:
-        """Subscribe to :class:`StorageEvent` notifications.
-
-        Cache layers use this to invalidate on flush/compaction the
-        same way they do on writes and DDL.  Listeners fire with no
-        engine lock held.  No-op registry without durability (events
-        never fire).
-        """
-        self._storage_listeners.append(listener)
-
-    def _forward_storage_event(self, event: StorageEvent) -> None:
-        stamped = StorageEvent(
-            kind=event.kind, epoch=event.epoch, collection=self.name
-        )
-        for listener in list(self._storage_listeners):
-            listener(stamped)
 
     def checkpoint(self) -> None:
         """Flush the memtable so the WAL can be truncated (durable only)."""

@@ -36,10 +36,6 @@ class Database:
         # naming a new collection would otherwise each build one and
         # the loser's documents/indexes would vanish.
         self._create_lock = threading.Lock()
-        # Storage listeners registered before a collection exists are
-        # attached to it at creation time (the query service registers
-        # once per database, up front).
-        self._storage_listeners: List = []
 
     def collection(self, name: str) -> Collection:
         """Get or lazily create a collection (MongoDB semantics)."""
@@ -51,27 +47,15 @@ class Database:
                 durability = None
                 if self.durability is not None:
                     durability = self.durability.subdirectory(name)
-                created = Collection(
+                self._collections[name] = Collection(
                     name,
                     storage_model=self.storage_model,
                     durability=durability,
                 )
-                for listener in self._storage_listeners:
-                    created.add_storage_listener(listener)
-                self._collections[name] = created
             return self._collections[name]
 
     def __getitem__(self, name: str) -> Collection:
         return self.collection(name)
-
-    def add_storage_listener(self, listener) -> None:
-        """Subscribe to storage events of all collections, present and
-        future."""
-        with self._create_lock:
-            self._storage_listeners.append(listener)
-            existing = list(self._collections.values())
-        for collection in existing:
-            collection.add_storage_listener(listener)
 
     def drop_collection(self, name: str) -> None:
         """Remove a collection from the namespace (and its files)."""

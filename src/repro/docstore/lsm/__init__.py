@@ -25,11 +25,7 @@ paper-faithful in-memory behaviour byte for byte.
 """
 
 from repro.docstore.lsm.codec import decode_document, encode_document
-from repro.docstore.lsm.engine import (
-    DurabilityConfig,
-    LSMEngine,
-    StorageEvent,
-)
+from repro.docstore.lsm.engine import DurabilityConfig, LSMEngine
 from repro.docstore.lsm.memtable import Memtable
 from repro.docstore.lsm.sstable import SSTable, write_sstable
 from repro.docstore.lsm.wal import (
@@ -46,7 +42,6 @@ __all__ = [
     "LSMEngine",
     "Memtable",
     "SSTable",
-    "StorageEvent",
     "SYNC_ALWAYS",
     "SYNC_BATCH",
     "SYNC_OFF",

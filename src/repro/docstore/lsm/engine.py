@@ -40,8 +40,7 @@ the manifest while holding the write lock) and ``_write_lock`` ->
 ``WriteAheadLog._lock`` (appending during a write).  The compaction
 worker takes ``_manifest_lock`` alone and performs the actual merge
 with *no* lock held — its inputs are immutable runs — so it can never
-participate in an inversion with the write path.  Storage listeners
-fire with no engine lock held.
+participate in an inversion with the write path.
 
 **Recovery.**  ``recover()`` deletes orphan temp files and runs that a
 crash left outside the manifest, opens the manifest's runs, and
@@ -77,7 +76,7 @@ from repro.docstore.lsm.wal import (
 )
 from repro.errors import DocumentStoreError
 
-__all__ = ["DurabilityConfig", "LSMEngine", "StorageEvent"]
+__all__ = ["DurabilityConfig", "LSMEngine"]
 
 _MANIFEST = "MANIFEST.json"
 
@@ -117,22 +116,6 @@ class DurabilityConfig:
         return dataclasses.replace(
             self, directory=os.path.join(self.directory, *parts)
         )
-
-
-@dataclass(frozen=True)
-class StorageEvent:
-    """A storage-visibility change a cache layer may care about.
-
-    ``kind`` is ``"flush"``, ``"compaction"``, or ``"recovery"``;
-    ``epoch`` is the engine's monotonically increasing storage epoch
-    after the change; ``collection`` is filled in by the collection
-    that forwards the event (the engine itself does not know its
-    name).
-    """
-
-    kind: str
-    epoch: int
-    collection: Optional[str] = None
 
 
 @dataclass
@@ -181,7 +164,6 @@ class LSMEngine:
         self._storage_epoch = 0
         self._flushes = 0
         self._compactions = 0
-        self._listeners: List[Callable[[StorageEvent], None]] = []
         self._compactor: Optional[threading.Thread] = None
         # Set by repro.sanitizer.instrument to hand instrumented locks
         # to WAL segments the engine creates after instrumentation.
@@ -266,8 +248,6 @@ class LSMEngine:
         # acquisition nested inside it.
         if self._compactor is not None:
             self._compactor.start()
-        if replayed:
-            self._emit(StorageEvent("recovery", self._storage_epoch))
         return replayed
 
     def close(self) -> None:
@@ -388,9 +368,7 @@ class LSMEngine:
         if over_budget:
             # Re-checked under the lock inside _flush: if a concurrent
             # writer flushed first, this is a no-op.
-            event = self._flush(force=False)
-            if event is not None:
-                self._emit(event)
+            self._flush(force=False)
 
     def put_one(self, key: bytes, value: bytes) -> None:
         """Durably store one key."""
@@ -403,16 +381,14 @@ class LSMEngine:
     def checkpoint(self) -> None:
         """Flush the memtable (if dirty) so the WAL can be truncated."""
         self._ensure_open()
-        event = self._flush(force=True)
-        if event is not None:
-            self._emit(event)
+        self._flush(force=True)
 
-    def _flush(self, force: bool) -> Optional[StorageEvent]:
+    def _flush(self, force: bool) -> None:
         """Write the memtable out as a new run, then swap engine state.
 
-        Returns the flush event, or None if there was nothing to do —
-        the budget check re-runs under the lock, so concurrent writers
-        racing toward the same trigger produce exactly one flush.
+        A no-op if there is nothing to do: the budget check re-runs
+        under the lock, so concurrent writers racing toward the same
+        trigger produce exactly one flush.
 
         Ordering is failure-first: the run is written and the manifest
         committed while the memtable and WAL segments are still live,
@@ -425,12 +401,12 @@ class LSMEngine:
         with self._write_lock:
             assert self._wal is not None
             if len(self._memtable) == 0:
-                return None
+                return
             if not force and (
                 self._memtable.approximate_bytes
                 < self.config.memtable_max_bytes
             ):
-                return None
+                return
             first = self._allocate_file_numbers(2)
             run_path = os.path.join(
                 self.directory, "run-%08d.sst" % first
@@ -458,7 +434,6 @@ class LSMEngine:
                     self._runs.append(run)
                     self._storage_epoch += 1
                     self._flushes += 1
-                    epoch = self._storage_epoch
                     self._compact_cond.notify_all()
             except BaseException:
                 new_wal.delete()
@@ -477,7 +452,6 @@ class LSMEngine:
             for path in old_segments:
                 if path != old_wal.path and os.path.exists(path):
                     os.remove(path)
-        return StorageEvent("flush", epoch)
 
     # -- read path ---------------------------------------------------------------
 
@@ -526,9 +500,7 @@ class LSMEngine:
                     self._compact_cond.wait(timeout=_COMPACT_WAIT_S)
                 if self._closed:
                     return
-            event = self._compact_once()
-            if event is not None:
-                self._emit(event)
+            self._compact_once()
 
     def compact_now(self) -> bool:
         """Run one compaction if the policy has a candidate.
@@ -543,18 +515,16 @@ class LSMEngine:
                 "compact_now requires compaction=False "
                 "(the background worker owns compaction otherwise)"
             )
-        event = self._compact_once()
-        if event is not None:
-            self._emit(event)
-        return event is not None
+        return self._compact_once()
 
-    def _compact_once(self) -> Optional[StorageEvent]:
+    def _compact_once(self) -> bool:
+        """Merge one picked band of runs; False if none was picked."""
         with self._manifest_lock:
             picked = pick_compaction(
                 self._runs, self.config.compaction_min_runs
             )
             if picked is None:
-                return None
+                return False
             inputs = [self._runs[i] for i in picked]
             # Tombstones may be dropped only when no *older* run could
             # still hold a shadowed version of the key.
@@ -582,7 +552,7 @@ class LSMEngine:
                 # before the unlink is safe here.
                 merged.close()
                 merged.remove()
-                return None
+                return False
             keep_before = [
                 run
                 for i, run in enumerate(self._runs[: positions[0]])
@@ -603,14 +573,13 @@ class LSMEngine:
             self._runs = new_runs
             self._storage_epoch += 1
             self._compactions += 1
-            epoch = self._storage_epoch
         for run in inputs:
             # Unlink without closing: a get()/scan() that snapshotted
             # the run list before the swap may still be pread()ing
             # these files; the descriptors close when the last
             # reference to each reader drops.
             run.remove()
-        return StorageEvent("compaction", epoch)
+        return True
 
     # -- introspection -----------------------------------------------------------
 
@@ -619,21 +588,6 @@ class LSMEngine:
         """Bumped by every flush and compaction."""
         with self._manifest_lock:
             return self._storage_epoch
-
-    def add_listener(
-        self, listener: Callable[[StorageEvent], None]
-    ) -> None:
-        """Subscribe to flush/compaction/recovery events.
-
-        Listeners run with no engine lock held; they may safely call
-        back into the engine or into cache layers.
-        """
-        with self._write_lock:
-            self._listeners.append(listener)
-
-    def _emit(self, event: StorageEvent) -> None:
-        for listener in list(self._listeners):
-            listener(event)
 
     def stats(self) -> _EngineStats:
         """A consistent-enough snapshot for accounting and tests."""

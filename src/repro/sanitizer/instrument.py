@@ -123,10 +123,10 @@ def _default_worker_instrumenter(host):
     return instrument_worker_host(host, LockOrderSanitizer())
 
 
-# Layering (DS001) forbids repro.service.executors from importing this
-# package, so the worker-side hook is registered from above: importing
-# repro.sanitizer arms worker self-instrumentation, and fork-started
-# workers inherit the registration.
+# The layering test (tests/test_public_api.py) forbids executors from
+# importing this package, so the worker hook is registered from above:
+# importing repro.sanitizer arms worker self-instrumentation, and
+# fork-started workers inherit the registration.
 executors.worker_instrumenter = _default_worker_instrumenter
 
 

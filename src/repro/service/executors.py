@@ -97,8 +97,8 @@ WORKER_CACHE_SIZE = 512
 
 #: Worker-side instrumentation hook, filled in by
 #: ``repro.sanitizer.instrument`` when that package is imported.  The
-#: layering rule (DS001) forbids this module from importing the
-#: sanitizer, so the upper layer registers the callable here instead;
+#: layering test (tests/test_public_api.py) forbids importing the
+#: sanitizer here, so the upper layer registers the callable instead;
 #: fork-started workers inherit the registration.  When
 #: ``REPRO_WORKER_SANITIZE`` is set but nothing registered, the pool
 #: refuses to spawn rather than silently serving uninstrumented.

@@ -40,20 +40,21 @@ def helper():
     return 1
 """
 
-# The caller carries a DT001 (iteration over a set expression) so a
-# scoped run has something to report — or suppress.
+# The caller carries an LD001 (an acquire with no release on the
+# unwind path) so a scoped run has something to report — or suppress.
 CALLER = """
 from callee import helper
 
-def use():
-    for item in {1, 2}:
-        helper()
+def use(lock):
+    lock.acquire()
+    helper()
+    lock.release()
 """
 
 UNRELATED = """
-def lonely():
-    for item in {3, 4}:
-        pass
+def lonely(lock):
+    lock.acquire()
+    lock.release()
 """
 
 
@@ -150,22 +151,22 @@ class TestChangedOnlyCli:
         return code, out.getvalue()
 
     def test_full_run_reports_both_findings(self, repo):
-        code, output = self._run(repo, "--select", "DT")
+        code, output = self._run(repo, "--select", "LD")
         assert code == 1
         assert "src/caller.py" in output
         assert "src/unrelated.py" in output
 
     def test_clean_tree_scopes_everything_out(self, repo):
         code, output = self._run(
-            repo, "--select", "DT", "--changed-only", "--changed-ref", "HEAD"
+            repo, "--select", "LD", "--changed-only", "--changed-ref", "HEAD"
         )
         assert code == 0
-        assert "DT001" not in output
+        assert "LD001" not in output
 
     def test_editing_the_callee_surfaces_the_callers_finding(self, repo):
         (repo / "src" / "callee.py").write_text(CALLEE + "\n# edited\n")
         code, output = self._run(
-            repo, "--select", "DT", "--changed-only", "--changed-ref", "HEAD"
+            repo, "--select", "LD", "--changed-only", "--changed-ref", "HEAD"
         )
         assert code == 1
         assert "src/caller.py" in output
@@ -176,7 +177,7 @@ class TestChangedOnlyCli:
             UNRELATED + "\n# edited\n"
         )
         code, output = self._run(
-            repo, "--select", "DT", "--changed-only", "--changed-ref", "HEAD"
+            repo, "--select", "LD", "--changed-only", "--changed-ref", "HEAD"
         )
         assert code == 1
         assert "src/unrelated.py" in output

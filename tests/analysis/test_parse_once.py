@@ -112,14 +112,14 @@ def test_select_prunes_the_checkers_that_run(tree):
     run_analysis(["src"], root=tree, select=["LK"], stats_out=timings)
     assert set(timings) == {"<parse>", "lock-order"}
     timings = {}
-    run_analysis(["src"], root=tree, select=["CC", "DT001"], stats_out=timings)
-    assert set(timings) == {"<parse>", "cache-coherence", "determinism"}
+    run_analysis(["src"], root=tree, select=["CC", "LD001"], stats_out=timings)
+    assert set(timings) == {"<parse>", "cache-coherence", "lock-discipline"}
 
 
 @pytest.mark.parametrize(
     "select, built",
     [
-        (["LD", "CH", "DT", "DS"], set()),
+        (["LD"], set()),
         (["LK"], {"callgraph", "locks"}),
         (["CC"], {"callgraph", "cache_model"}),
         # No module of this tree is on the durable path, so FS006

@@ -274,15 +274,16 @@ class TestCompaction:
 
 class TestEventsAndLifecycle:
     def test_flush_and_compaction_bump_the_epoch(self, tmp_path):
-        events = []
         engine = make_engine(tmp_path, memtable_max_bytes=1 << 20)
-        engine.add_listener(events.append)
         epoch0 = engine.storage_epoch
-        fill(engine, 20)
-        engine.checkpoint()
-        assert engine.storage_epoch > epoch0
-        assert [e.kind for e in events] == ["flush"]
-        assert events[-1].epoch == engine.storage_epoch
+        for start in (0, 20):
+            fill(engine, 20, start)
+            engine.checkpoint()
+        assert engine.stats().flushes == 2
+        assert engine.storage_epoch == epoch0 + 2
+        assert engine.compact_now()
+        assert engine.stats().compactions == 1
+        assert engine.storage_epoch == epoch0 + 3
         engine.close()
 
     def test_double_recover_raises(self, tmp_path):

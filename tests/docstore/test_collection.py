@@ -168,6 +168,25 @@ class TestDeleteUpdate:
         result = col.find_with_stats({"i": {"$gte": 90, "$lte": 100}}, hint="i_1")
         assert len(result) == 1
 
+    def test_update_values_are_copied_per_document(self):
+        # One $set value, many matched documents: each must store its
+        # own copy, or a later dotted update of one document rewrites
+        # the caller's value and every sibling behind the index's back.
+        col = Collection("t")
+        col.insert_many({"_id": k, "k": k} for k in range(3))
+        col.create_index([("meta.x", 1)])
+        value = {"x": 1}
+        col.update_many({}, {"$set": {"meta": value}})
+        col.update_many({"k": 0}, {"$set": {"meta.x": 2}})
+        assert value == {"x": 1}
+        assert sorted((d["_id"], d["meta"]) for d in col.find({})) == [
+            (0, {"x": 2}),
+            (1, {"x": 1}),
+            (2, {"x": 1}),
+        ]
+        assert sorted(d["_id"] for d in col.find({"meta.x": 1})) == [1, 2]
+        assert sorted(d["_id"] for d in col.find({"meta.x": 2})) == [0]
+
     def test_update_unset(self):
         col = Collection("t")
         col.insert_one({"i": 1, "junk": "x"})

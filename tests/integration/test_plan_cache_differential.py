@@ -307,9 +307,14 @@ class TestNothingToInvalidate:
             ),
         )
         query = dep.approach.render_query(WIDE)[0]
-        flushes = []
-        for shard in dep.cluster.shards.values():
-            shard.database.add_storage_listener(flushes.append)
+        def flushes():
+            return sum(
+                shard.database[COLLECTION].stats()["durability"]["flushes"]
+                for shard in dep.cluster.shards.values()
+                if COLLECTION in shard.database.list_collections()
+            )
+
+        flushed_before = flushes()
         try:
             with QueryService(
                 dep.cluster, ServiceConfig(**SEQUENTIAL)
@@ -321,7 +326,9 @@ class TestNothingToInvalidate:
                     [dep.approach.transform(d) for d in docs[200:]],
                 )
                 after = service.find(COLLECTION, query)
-            assert flushes, "the inserts must have flushed a memtable"
+            assert flushes() > flushed_before, (
+                "the inserts must have flushed a memtable"
+            )
             assert len(after.documents) >= len(before.documents)
             assert frame(after) == fresh_frame(dep.cluster, query)
         finally:

@@ -1,11 +1,13 @@
-"""The public API surface: imports, __all__ hygiene, version."""
+"""The public API surface: imports, __all__ hygiene, version, layering."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +121,53 @@ def test_production_imports_leave_the_reference_module_out():
         [sys.executable, "-c", code], env=env, timeout=120
     )
     assert done.returncode == 0
+
+
+#: Architectural layers, lowest first: a module may import only from
+#: its own layer or below.  Unlisted packages fall back to ``repro``,
+#: so ``repro.sanitizer`` and ``repro.reference`` sit on top, where no
+#: lower layer (``service.executors`` included) may import them.
+LAYERS = {
+    "repro.errors": 0,
+    "repro.cache": 0,
+    "repro.geo": 1,
+    "repro.sfc": 1,
+    "repro.docstore": 2,
+    "repro.cluster": 3,
+    "repro.core": 4,
+    "repro.datagen": 4,
+    "repro.workloads": 4,
+    "repro.service": 5,
+    "repro.analysis": 6,
+    "repro.cli": 6,
+    "repro": 6,
+}
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _layer_of(module):
+    parts = module.split(".")
+    for width in (2, 1):
+        if ".".join(parts[:width]) in LAYERS:
+            return LAYERS[".".join(parts[:width])]
+    return -1  # outside the project: always importable
+
+
+def test_no_module_imports_a_higher_layer():
+    violations = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        importer = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            violations += [
+                "%s:%d imports %s" % (importer, node.lineno, name)
+                for name in names
+                if _layer_of(name) > _layer_of(importer)
+            ]
+    assert violations == []
