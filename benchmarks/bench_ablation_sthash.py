@@ -35,12 +35,11 @@ def spatially_selective_long_query():
 
 
 def uncached_hilbert_decomposition_ms(deployment, query, runs=2):
-    """hil's cell-identification time outside ``DEFAULT_RANGE_CACHE``.
+    """hil's cell-identification time, averaged over ``runs`` calls.
 
-    ``measure_query`` reports what ``render_query`` spent, which for
-    hil is a memo lookup on every run after a rectangle's first;
-    ST-Hash is never memoized, so the like-for-like figure is the
-    uncached one (as ``bench_table8_hilbert_timing.py`` takes it).
+    Taken through :meth:`SpatioTemporalQuery.hilbert_ranges`, as
+    ``bench_table8_hilbert_timing.py`` takes it, so the figure times
+    the covering alone, like ST-Hash's range computation.
     """
     approach = deployment.approach
     return statistics.fmean(

@@ -492,31 +492,6 @@ def _method_symbol(
     return None
 
 
-def _module_global_caches(
-    modules: Sequence[ModuleInfo],
-    caches: Dict[str, CacheClassInfo],
-) -> Dict[str, str]:
-    """Module-global name → cache class symbol (``DEFAULT_RANGE_CACHE``)."""
-    by_name = {info.name: symbol for symbol, info in caches.items()}
-    out: Dict[str, str] = {}
-    for module in modules:
-        for stmt in module.tree.body:
-            if not (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Call)
-            ):
-                continue
-            called = dotted_name(stmt.value.func)
-            if called is None:
-                continue
-            bare = called.split(".")[-1]
-            if bare in by_name:
-                out[stmt.targets[0].id] = by_name[bare]
-    return out
-
-
 # -- model construction ------------------------------------------------------
 
 
@@ -534,7 +509,6 @@ def build_cache_model(
     graph = callgraph if callgraph is not None else build_call_graph(modules)
     caches = _discover_cache_classes(modules, graph)
     tokens = _discover_tokens(modules, graph)
-    globals_map = _module_global_caches(modules, caches)
     token_attrs = {token.attr for token in tokens.values()}
     summaries: Dict[str, CacheFunctionSummary] = {}
     for symbol, info in graph.functions.items():
@@ -546,7 +520,6 @@ def build_cache_model(
             caches,
             tokens,
             token_attrs,
-            globals_map,
         )
         summaries[symbol] = extractor.run()
     _compute_governed_fields(summaries, tokens)
@@ -649,13 +622,11 @@ class _CacheEffectExtractor(EffectWalker):
         caches: Dict[str, CacheClassInfo],
         tokens: Dict[str, VersionToken],
         token_attrs: Set[str],
-        globals_map: Dict[str, str],
     ) -> None:
         super().__init__(info, graph)
         self.caches = caches
         self.tokens = tokens
         self.token_attrs = token_attrs
-        self.globals_map = globals_map
         self.summary = CacheFunctionSummary(
             symbol=info.symbol, info=info, effects=self.effects
         )
@@ -992,10 +963,6 @@ class _CacheEffectExtractor(EffectWalker):
         self, node: ast.expr
     ) -> Optional[CacheClassInfo]:
         """The cache class a call receiver names, if any."""
-        if isinstance(node, ast.Name):
-            global_symbol = self.globals_map.get(node.id)
-            if global_symbol is not None:
-                return self.caches.get(global_symbol)
         resolver = self.graph.resolvers.get(self.info.symbol)
         if resolver is None:
             return None

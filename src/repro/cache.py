@@ -1,14 +1,13 @@
 """One bounded, stamp-validated LRU: the store behind every in-process memo.
 
-Three memos sit on the read path — the router's targeting decisions,
-the curve range decompositions, and the service's statistics catalog —
-and all three are instances of :class:`StampedLRUCache`.  An entry is
-stored with a *stamp* (for the targeting memo and the catalog, the
-``metadata_version`` the value was derived under; for the range memo,
-nothing) and a lookup returns it only when the caller's stamp equals
-the stored one.  A mismatch is a miss, counted once more as ``stale``,
-and the entry stays where it is until a ``put`` under the same key
-replaces it in place or the LRU ages it out.
+Two memos sit on the read path — the router's targeting decisions and
+the service's statistics catalog — and both are instances of
+:class:`StampedLRUCache`.  An entry is stored with a *stamp* (the
+``metadata_version`` the value was derived under) and a lookup returns
+it only when the caller's stamp equals the stored one.  A mismatch is
+a miss, counted once more as ``stale``, and the entry stays where it
+is until a ``put`` under the same key replaces it in place or the LRU
+ages it out.
 
 The lock is a leaf: no method calls out while holding it, and callers
 compute a missing value *between* ``get`` and ``put``, never under the

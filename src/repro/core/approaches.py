@@ -72,9 +72,9 @@ class Approach:
     ) -> Tuple[Dict[str, Any], float]:
         """(query document, cell-identification time in ms).
 
-        The time is what this call spent, which for hil/hil* is a memo
-        lookup when the rectangle repeats; Table 8's uncached figures
-        come from :meth:`SpatioTemporalQuery.hilbert_ranges`.
+        For hil/hil* the time is
+        :meth:`SpatioTemporalQuery.hilbert_ranges`' covering time, the
+        figure Table 8 reports.
         """
         raise NotImplementedError
 

@@ -119,9 +119,8 @@ def measure_query(
     path.  The reported metrics are identical by construction;
     wall-clock then reflects the serving path.
 
-    ``decomposition_ms`` averages what ``render_query`` spent; hil/hil*
-    serve a repeated rectangle from the range-decomposition memo, so it
-    is not Table 8's figure (:meth:`SpatioTemporalQuery.hilbert_ranges`).
+    ``decomposition_ms`` averages what ``render_query`` spent computing
+    the hil/hil* covering (:meth:`SpatioTemporalQuery.hilbert_ranges`).
     """
     if runs < 1:
         raise ValueError("runs must be positive")

@@ -25,10 +25,9 @@ to exactly the behaviour the paper measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
-from repro.cache import StampedLRUCache
 from repro.cluster.cluster import (
     DEFAULT_CHUNK_MAX_BYTES,
     ClusterTopology,
@@ -199,9 +198,6 @@ class AdaptiveDeployment:
     cluster: ShardedCluster
     encoder: SpatioTemporalEncoder
     collection: str = COLLECTION
-    range_cache: Optional[StampedLRUCache] = field(
-        default=None, repr=False
-    )
 
     def render(
         self, query: SpatioTemporalQuery, decision: ChooserDecision
@@ -209,9 +205,7 @@ class AdaptiveDeployment:
         """(query document, decomposition ms) for a chosen strategy."""
         if decision.name == "hil":
             rendering = query.to_hilbert_query(
-                self.encoder,
-                max_ranges=decision.max_ranges,
-                cache=self.range_cache,
+                self.encoder, max_ranges=decision.max_ranges
             )
             return rendering.query, rendering.decomposition_ms
         return query.to_baseline_query(), 0.0

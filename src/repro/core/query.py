@@ -21,16 +21,10 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cache import StampedLRUCache
 from repro.core.encoder import SpatioTemporalEncoder
 from repro.geo.geojson import polygon_to_geojson
 from repro.geo.geometry import BoundingBox
-from repro.sfc.ranges import (
-    DEFAULT_RANGE_CACHE,
-    RangeSet,
-    covering_range_set,
-    memoized_covering_range_set,
-)
+from repro.sfc.ranges import RangeSet, covering_range_set
 
 __all__ = ["SpatioTemporalQuery", "HilbertQueryRendering"]
 
@@ -90,28 +84,20 @@ class SpatioTemporalQuery:
         self,
         encoder: SpatioTemporalEncoder,
         max_ranges: Optional[int] = None,
-        cache: Optional[StampedLRUCache] = None,
     ) -> Tuple[RangeSet, float]:
         """Covering cells for this query's rectangle, with timing (ms).
 
-        Uncached by default so Table 8 measurements keep timing the
-        real decomposition; pass a cache to memoize
-        (:func:`~repro.sfc.ranges.memoized_covering_range_set`).
+        The timing is Table 8's cell-identification time.
         """
-        box = (
+        started = time.perf_counter()
+        range_set = covering_range_set(
             encoder.curve,
             self.bbox.min_lon,
             self.bbox.min_lat,
             self.bbox.max_lon,
             self.bbox.max_lat,
+            max_ranges=max_ranges,
         )
-        started = time.perf_counter()
-        if cache is None:
-            range_set = covering_range_set(*box, max_ranges=max_ranges)
-        else:
-            range_set = memoized_covering_range_set(
-                cache, *box, max_ranges=max_ranges
-            )
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         return range_set, elapsed_ms
 
@@ -119,23 +105,14 @@ class SpatioTemporalQuery:
         self,
         encoder: SpatioTemporalEncoder,
         max_ranges: Optional[int] = None,
-        cache: Optional[StampedLRUCache] = None,
     ) -> HilbertQueryRendering:
         """The query document the hil/hil* approaches execute.
 
         Matches the paper's example: ``$geoWithin`` + date range + an
-        ``$or`` of hilbertIndex range/``$in`` clauses.  The range
-        decomposition is memoized through ``cache``, by default
-        :data:`~repro.sfc.ranges.DEFAULT_RANGE_CACHE` (repeated
-        rectangles skip the quadtree walk), so ``decomposition_ms`` is
-        a lookup time on a repeat; Table 8 times the real computation
-        through :meth:`hilbert_ranges`, which is uncached.
+        ``$or`` of hilbertIndex range/``$in`` clauses.
+        ``decomposition_ms`` is :meth:`hilbert_ranges`' timing.
         """
-        range_set, elapsed_ms = self.hilbert_ranges(
-            encoder,
-            max_ranges,
-            cache=cache if cache is not None else DEFAULT_RANGE_CACHE,
-        )
+        range_set, elapsed_ms = self.hilbert_ranges(encoder, max_ranges)
         clauses: List[Dict[str, Any]] = [
             {encoder.index_field: {"$gte": r.lo, "$lte": r.hi}}
             for r in range_set.ranges

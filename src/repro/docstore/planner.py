@@ -47,7 +47,7 @@ from repro.docstore.matcher import is_operator_expression
 from repro.errors import PlanError, QueryError
 from repro.geo.geojson import parse_geometry
 from repro.geo.geometry import BoundingBox, Polygon
-from repro.sfc.ranges import covering_ranges, curve_skeleton
+from repro.sfc.ranges import covering_ranges
 
 __all__ = [
     "Interval",
@@ -548,9 +548,6 @@ def _geo_intervals(
     index: Index, region: Any, max_geo_ranges: Optional[int]
 ) -> List[Interval]:
     bbox = region.bbox if isinstance(region, Polygon) else region
-    # The shared cell-walk skeleton memoizes the box-independent part
-    # of the quadtree walk; the decomposition itself is recomputed per
-    # box, so results are identical to the uncached call.
     ranges = covering_ranges(
         index.grid,
         bbox.min_lon,
@@ -558,7 +555,6 @@ def _geo_intervals(
         bbox.max_lon,
         bbox.max_lat,
         max_ranges=max_geo_ranges,
-        skeleton=curve_skeleton(index.grid),
     )
     return [
         Interval(bson.sort_key(r.lo), bson.sort_key(r.hi))

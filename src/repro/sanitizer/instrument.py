@@ -75,10 +75,7 @@ def instrument_query_service(
     targeting memo (a :class:`~repro.cache.StampedLRUCache`), whose
     contract is to never nest inside a shard lock — instrumenting it
     makes any regression of that contract an observed edge the static
-    graph must explain.  The process-global ``DEFAULT_RANGE_CACHE``
-    lock is deliberately left alone: wiring a per-test sanitizer into
-    global state would leak across services, and that lock is only
-    taken during query *rendering*, before the service is ever entered.
+    graph must explain.
 
     Must run before the service is used — swapping a lock someone
     already holds would split its waiters across two objects.

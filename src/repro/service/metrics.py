@@ -213,8 +213,8 @@ class ServiceMetrics:
     ) -> MetricsSnapshot:
         """Summarize everything recorded so far.
 
-        ``caches`` takes per-cache counter mappings (e.g. targeting
-        and range-decomposition caches) to surface in the snapshot.
+        ``caches`` takes per-cache counter mappings (e.g. the
+        targeting cache) to surface in the snapshot.
         """
         with self._lock:
             # Sorted once here; percentile()'s own sort of an ordered

@@ -7,7 +7,7 @@ or analyze it), so there is no plan cache to fill, evict or invalidate
 that retired the three stores this module used to hold.  What is left
 are the two key functions the process backend
 (:mod:`repro.service.executors`) batches and addresses on:
-:func:`query_shape_key` groups subqueries that share a plan skeleton,
+:func:`query_shape_key` groups subqueries that share a plan shape,
 :func:`exact_query_key` addresses a worker's epoch-validated result
 cache.
 """

@@ -209,11 +209,12 @@ class QueryService:
 
     def metrics_snapshot(self):
         """A metrics snapshot bundling every read-path cache's counters."""
-        from repro.sfc.ranges import DEFAULT_RANGE_CACHE
-
         caches = {
             "targeting": self.cluster.targeting_cache.stats(),
-            "rangeDecomposition": DEFAULT_RANGE_CACHE.stats(),
+            # No such memo; the all-zero key goes with ROADMAP item 1(d).
+            "rangeDecomposition": dict.fromkeys(
+                ("entries", "hits", "misses", "stale", "evictions"), 0
+            ),
             "statsCatalog": self.stats_catalog.stats(),
         }
         return self.metrics.snapshot(caches=caches)

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.sfc.ranges import grid_cell
+
 __all__ = [
     "GEOHASH_BASE32",
     "geohash_encode_int",
@@ -144,6 +146,9 @@ class GeoHashGrid:
 
     bits: int = 26
 
+    #: One orientation state: longitude (x) is the high bit of each pair.
+    QUADRANTS = (((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)),)
+
     def __post_init__(self) -> None:
         if self.bits <= 0 or self.bits % 2 != 0:
             raise ValueError(
@@ -169,12 +174,10 @@ class GeoHashGrid:
 
     def cell_of(self, lon: float, lat: float) -> Tuple[int, int]:
         """Grid cell ``(cx, cy)`` of a point (clamped to the globe)."""
-        n = self.cells_per_side
-        fx = (lon - _LON_RANGE[0]) / (_LON_RANGE[1] - _LON_RANGE[0])
-        fy = (lat - _LAT_RANGE[0]) / (_LAT_RANGE[1] - _LAT_RANGE[0])
-        cx = min(n - 1, max(0, int(fx * n)))
-        cy = min(n - 1, max(0, int(fy * n)))
-        return cx, cy
+        (min_lon, max_lon), (min_lat, max_lat) = _LON_RANGE, _LAT_RANGE
+        return grid_cell(
+            lon, lat, min_lon, min_lat, max_lon, max_lat, 1 << self.order
+        )
 
     def encode(self, lon: float, lat: float) -> int:
         """Integer GeoHash of the cell containing the point."""

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
+from repro.sfc.ranges import grid_cell
+
 __all__ = ["hilbert_xy_to_d", "hilbert_d_to_xy", "HilbertCurve2D"]
 
 
@@ -97,6 +99,17 @@ class HilbertCurve2D:
     max_x: float = 180.0
     max_y: float = 90.0
 
+    #: Child quadrants per orientation state (see
+    #: :data:`repro.sfc.ranges.Quadrants`).  State 0 visits
+    #: (0,0),(0,1),(1,1),(1,0); the other three are its transpose, its
+    #: half-turn and its anti-transpose.
+    QUADRANTS = (
+        ((0, 0, 1), (0, 1, 0), (1, 1, 0), (1, 0, 2)),
+        ((0, 0, 0), (1, 0, 1), (1, 1, 1), (0, 1, 3)),
+        ((1, 1, 3), (0, 1, 2), (0, 0, 2), (1, 0, 0)),
+        ((1, 1, 2), (1, 0, 3), (0, 0, 3), (0, 1, 1)),
+    )
+
     def __post_init__(self) -> None:
         if self.order <= 0:
             raise ValueError("order must be positive, got %r" % self.order)
@@ -127,12 +140,10 @@ class HilbertCurve2D:
         Points outside the domain are clamped to the border cells, which
         matches how a fixed-extent curve must treat stray coordinates.
         """
-        n = self.cells_per_side
-        fx = (x - self.min_x) / (self.max_x - self.min_x)
-        fy = (y - self.min_y) / (self.max_y - self.min_y)
-        cx = min(n - 1, max(0, int(fx * n)))
-        cy = min(n - 1, max(0, int(fy * n)))
-        return cx, cy
+        return grid_cell(
+            x, y, self.min_x, self.min_y, self.max_x, self.max_y,
+            1 << self.order,
+        )
 
     def encode(self, x: float, y: float) -> int:
         """Hilbert distance of the cell containing ``(x, y)``.

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.sfc.ranges import CurveRange
+from repro.sfc.ranges import CurveRange, _coarsen
 
 __all__ = [
     "morton3_interleave",
@@ -125,7 +125,9 @@ def covering_ranges_3d(
 
     Octree recursion: a sub-curve ``[d0, d0 + 8**m)`` occupies an
     axis-aligned cube of side ``2**m``; cubes fully inside the box emit
-    one range, boundary cubes recurse.
+    one range, boundary cubes recurse.  Children are pushed in reverse
+    curve order, so ranges are emitted in order and merge as they come;
+    ``max_ranges`` coarsens exactly as the 2D covering does.
     """
     for l, h in zip(lo, hi):
         if l > h:
@@ -133,7 +135,7 @@ def covering_ranges_3d(
     qlo = curve.cell_of(*lo)
     qhi = curve.cell_of(*hi)
     order = curve.order
-    found: List[Tuple[int, int]] = []
+    merged: List[CurveRange] = []
     stack: List[Tuple[int, int]] = [(0, order)]
     while stack:
         d0, m = stack.pop()
@@ -149,30 +151,15 @@ def covering_ranges_3d(
             qlo[i] <= cube_lo[i] and cube_hi[i] <= qhi[i] for i in range(3)
         )
         if inside or m == 0:
-            found.append((d0, d0 + (1 << (3 * m)) - 1))
+            hi_d = d0 + (1 << (3 * m)) - 1
+            if merged and merged[-1].hi + 1 == d0:
+                merged[-1] = CurveRange(merged[-1].lo, hi_d)
+            else:
+                merged.append(CurveRange(d0, hi_d))
             continue
         step = 1 << (3 * (m - 1))
-        for i in range(8):
+        for i in range(7, -1, -1):
             stack.append((d0 + i * step, m - 1))
-    found.sort()
-    merged: List[CurveRange] = []
-    for lo_d, hi_d in found:
-        if merged and lo_d <= merged[-1].hi + 1:
-            last = merged[-1]
-            merged[-1] = CurveRange(last.lo, max(last.hi, hi_d))
-        else:
-            merged.append(CurveRange(lo_d, hi_d))
     if max_ranges is not None and 1 <= max_ranges < len(merged):
-        gaps = sorted(
-            range(len(merged) - 1),
-            key=lambda i: merged[i + 1].lo - merged[i].hi,
-        )
-        to_merge = set(gaps[: len(merged) - max_ranges])
-        out: List[CurveRange] = []
-        for i, r in enumerate(merged):
-            if out and (i - 1) in to_merge:
-                out[-1] = CurveRange(out[-1].lo, r.hi)
-            else:
-                out.append(r)
-        merged = out
+        merged = _coarsen(merged, max_ranges)
     return merged

@@ -21,20 +21,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Protocol, Sequence, Tuple
 
-from repro.cache import StampedLRUCache
-
 __all__ = [
     "CurveRange",
     "Quadtree2DCurve",
     "covering_ranges",
+    "covering_range_set",
+    "grid_cell",
     "RangeSet",
-    "CellWalkSkeleton",
-    "curve_skeleton",
 ]
+
+#: Per orientation state, the four child quadrants in curve order, each
+#: ``(dx, dy, next_state)``: the child's square sits ``dx``/``dy``
+#: half-sides from its parent's origin and is walked in ``next_state``.
+#: State 0 is the root's.
+Quadrants = Tuple[Tuple[Tuple[int, int, int], ...], ...]
 
 
 class Quadtree2DCurve(Protocol):
     """Interface shared by Hilbert, Z-order, and GeoHash grids."""
+
+    QUADRANTS: Quadrants
 
     @property
     def order(self) -> int:  # bits per dimension
@@ -134,60 +140,35 @@ class RangeSet:
         return any(r.contains(value) for r in self.ranges)
 
 
-class CellWalkSkeleton:
-    """Memo of quadtree-node squares for one curve's cell walk.
+def grid_cell(
+    x: float,
+    y: float,
+    min_x: float,
+    min_y: float,
+    max_x: float,
+    max_y: float,
+    n: int,
+) -> Tuple[int, int]:
+    """Cell ``(cx, cy)`` of point ``(x, y)`` on an ``n``-per-side grid.
 
-    The decomposition DFS is two parts: a *skeleton* — which square of
-    the plane each quadtree node ``(d0, m)`` occupies, a pure function
-    of the (frozen, immutable) curve — and the box tests against the
-    query rectangle, which change per query.  Different query boxes
-    revisit the same high-level nodes constantly, so memoizing the
-    skeleton lets every later decomposition over the same curve skip
-    the per-node ``decode_cell`` bit-twiddling and re-walk only the
-    box-dependent part.
-
-    Deliberately *not* a coherence-governed cache: there is no state to
-    go stale against (the mapping can never be invalidated), so it
-    carries no version stamp.  Writes are idempotent same-value stores
-    into a plain dict, safe under concurrent readers; growth is capped
-    by refusing inserts past ``max_nodes`` rather than evicting.
+    Points outside the domain are clamped to the border cells, which
+    matches how a fixed-extent curve must treat stray coordinates; the
+    clamp happens on the float fraction, so an infinite or huge
+    coordinate clamps instead of overflowing ``int()``.  A NaN
+    coordinate has no cell and raises :class:`ValueError`.
     """
-
-    __slots__ = ("curve", "nodes", "max_nodes")
-
-    def __init__(
-        self, curve: Quadtree2DCurve, max_nodes: int = 1 << 18
-    ) -> None:
-        self.curve = curve
-        self.nodes: dict = {}
-        self.max_nodes = max_nodes
-
-    def node_square(self, d0: int, m: int) -> Tuple[int, int]:
-        """Origin ``(sx0, sy0)`` of the side-``2**m`` node at ``d0``."""
-        square = self.nodes.get((d0, m))
-        if square is None:
-            side = 1 << m
-            cx, cy = self.curve.decode_cell(d0)
-            square = (cx & ~(side - 1), cy & ~(side - 1))
-            if len(self.nodes) < self.max_nodes:
-                self.nodes[(d0, m)] = square
-        return square
+    fx = (x - min_x) / (max_x - min_x)
+    fy = (y - min_y) / (max_y - min_y)
+    # n is a power of two, so f * n < n whenever f < 1.
+    cx = int(fx * n) if 0.0 <= fx < 1.0 else _clamp_fraction(fx, n, "x")
+    cy = int(fy * n) if 0.0 <= fy < 1.0 else _clamp_fraction(fy, n, "y")
+    return cx, cy
 
 
-#: Process-wide skeleton per curve.  Curves are frozen dataclasses, so
-#: identity-by-value keying can never conflate precisions or curve
-#: families; the table is tiny (one entry per distinct curve in use).
-_SKELETONS: dict = {}
-
-
-def curve_skeleton(curve: Quadtree2DCurve) -> CellWalkSkeleton:
-    """The shared :class:`CellWalkSkeleton` for a curve."""
-    skeleton = _SKELETONS.get(curve)
-    if skeleton is None:
-        if len(_SKELETONS) >= 64:
-            _SKELETONS.clear()
-        skeleton = _SKELETONS.setdefault(curve, CellWalkSkeleton(curve))
-    return skeleton
+def _clamp_fraction(f: float, n: int, name: str) -> int:
+    if f != f:
+        raise ValueError("coordinate %s is NaN" % name)
+    return 0 if f < 0.0 else n - 1
 
 
 def covering_ranges(
@@ -197,7 +178,6 @@ def covering_ranges(
     max_x: float,
     max_y: float,
     max_ranges: int | None = None,
-    skeleton: CellWalkSkeleton | None = None,
 ) -> List[CurveRange]:
     """Curve ranges covering every cell intersecting the rectangle.
 
@@ -205,51 +185,57 @@ def covering_ranges(
     are merged).  When ``max_ranges`` is given, the smallest inter-range
     gaps are swallowed until the count fits, trading false positives for
     fewer query clauses (the refinement step removes them later).
-    ``skeleton`` optionally supplies the memoized cell walk for this
-    curve (see :class:`CellWalkSkeleton`); results are identical with or
-    without it.
+
+    One depth-first descent of the curve's quadtree.  Each node carries
+    its square and the curve's orientation state, so a child's square
+    is its parent's plus a quadrant offset read from the curve's
+    ``QUADRANTS`` table — no cell is ever decoded.  Only children that
+    intersect the box are pushed, in reverse curve order, so nodes pop
+    in curve order and each emitted run extends or follows the last:
+    runs merge as they are emitted and nothing is sorted.
     """
     if min_x > max_x or min_y > max_y:
         raise ValueError("empty query rectangle")
     qx0, qy0, qx1, qy1 = curve.cell_range_for_box(min_x, min_y, max_x, max_y)
-    order = curve.order
-    found: List[Tuple[int, int]] = []
-    node_square = skeleton.node_square if skeleton is not None else None
-
-    # Iterative DFS over the quadtree of curve sub-ranges.  Each stack
-    # entry is (d0, m): the sub-curve [d0, d0 + 4**m) occupying an
-    # axis-aligned square of side 2**m.
-    stack: List[Tuple[int, int]] = [(0, order)]
+    quadrants = curve.QUADRANTS
+    los: List[int] = []
+    his: List[int] = []
+    # Stack entry: (d0, m, sx0, sy0, state) — the sub-curve
+    # [d0, d0 + 4**m) occupying the side-2**m square at (sx0, sy0).
+    # The clamped box always meets the root; every pushed node meets it.
+    stack: List[Tuple[int, int, int, int, int]] = [(0, curve.order, 0, 0, 0)]
+    pop = stack.pop
+    push = stack.append
     while stack:
-        d0, m = stack.pop()
-        side = 1 << m
-        if node_square is not None:
-            sx0, sy0 = node_square(d0, m)
-        else:
-            cx, cy = curve.decode_cell(d0)
-            sx0 = cx & ~(side - 1)
-            sy0 = cy & ~(side - 1)
-        sx1 = sx0 + side - 1
-        sy1 = sy0 + side - 1
-        if sx1 < qx0 or sx0 > qx1 or sy1 < qy0 or sy0 > qy1:
-            continue  # disjoint
-        inside = qx0 <= sx0 and sx1 <= qx1 and qy0 <= sy0 and sy1 <= qy1
-        if inside or m == 0:
-            found.append((d0, d0 + (1 << (2 * m)) - 1))
+        d0, m, sx0, sy0, state = pop()
+        last = (1 << m) - 1
+        if (
+            m == 0
+            or qx0 <= sx0 and sx0 + last <= qx1
+            and qy0 <= sy0 and sy0 + last <= qy1
+        ):
+            hi = d0 + (1 << (2 * m)) - 1
+            if his and his[-1] + 1 == d0:
+                his[-1] = hi
+            else:
+                los.append(d0)
+                his.append(hi)
             continue
-        step = 1 << (2 * (m - 1))
-        for i in range(4):
-            stack.append((d0 + i * step, m - 1))
+        m -= 1
+        half = 1 << m
+        step = 1 << (2 * m)
+        children = quadrants[state]
+        for i in (3, 2, 1, 0):
+            dx, dy, nxt = children[i]
+            cx0 = sx0 + dx * half
+            cy0 = sy0 + dy * half
+            if (
+                cx0 <= qx1 and qx0 < cx0 + half
+                and cy0 <= qy1 and qy0 < cy0 + half
+            ):
+                push((d0 + i * step, m, cx0, cy0, nxt))
 
-    found.sort()
-    merged: List[CurveRange] = []
-    for lo, hi in found:
-        if merged and lo <= merged[-1].hi + 1:
-            last = merged[-1]
-            merged[-1] = CurveRange(last.lo, max(last.hi, hi))
-        else:
-            merged.append(CurveRange(lo, hi))
-
+    merged = [CurveRange(lo, hi) for lo, hi in zip(los, his)]
     if max_ranges is not None and max_ranges >= 1 and len(merged) > max_ranges:
         merged = _coarsen(merged, max_ranges)
     return merged
@@ -278,68 +264,9 @@ def covering_range_set(
     max_x: float,
     max_y: float,
     max_ranges: int | None = None,
-    skeleton: CellWalkSkeleton | None = None,
 ) -> RangeSet:
     """Convenience wrapper returning a :class:`RangeSet`."""
     return RangeSet.from_ranges(
-        covering_ranges(
-            curve, min_x, min_y, max_x, max_y, max_ranges, skeleton=skeleton
-        )
+        covering_ranges(curve, min_x, min_y, max_x, max_y, max_ranges)
     )
 
-
-def memoized_covering_range_set(
-    cache: StampedLRUCache,
-    curve: Quadtree2DCurve,
-    min_x: float,
-    min_y: float,
-    max_x: float,
-    max_y: float,
-    max_ranges: int | None = None,
-) -> RangeSet:
-    """:func:`covering_range_set` memoized in ``cache``.
-
-    Decomposition cost is proportional to the query-rectangle
-    perimeter (Table 8 measures it at milliseconds for large boxes),
-    yet workloads re-issue the same rectangles constantly.  Entries are
-    keyed by ``(curve, quantized cell box, max_ranges)`` and carry no
-    stamp — every curve is a frozen dataclass, so the key captures its
-    type, order and domain by value, and the quantized box (not the
-    float box) lets two rectangles covering the same cells share one
-    entry; nothing the value derives from can change.  A miss
-    decomposes outside the cache's lock (duplicate concurrent work is
-    harmless: the last put wins with an identical, frozen value) and
-    reuses the curve's cell-walk skeleton, so only the box-dependent
-    part of the quadtree walk is recomputed.
-    """
-    if min_x > max_x or min_y > max_y:
-        raise ValueError("empty query rectangle")
-    key = (
-        curve,
-        curve.cell_range_for_box(min_x, min_y, max_x, max_y),
-        max_ranges,
-    )
-    result = cache.get(key)
-    if result is None:
-        result = covering_range_set(
-            curve,
-            min_x,
-            min_y,
-            max_x,
-            max_y,
-            max_ranges,
-            skeleton=curve_skeleton(curve),
-        )
-        cache.put(key, result)
-    return result
-
-
-#: Process-wide memo behind
-#: :meth:`repro.core.query.SpatioTemporalQuery.to_hilbert_query`.
-#: Benchmarks that must time raw decomposition (Table 8) call the
-#: uncached functions directly.
-DEFAULT_RANGE_CACHE = StampedLRUCache(max_entries=512)
-
-__all__.extend(
-    ["covering_range_set", "memoized_covering_range_set", "DEFAULT_RANGE_CACHE"]
-)

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.sfc.ranges import grid_cell
+
 __all__ = ["morton_interleave", "morton_deinterleave", "ZOrderCurve2D"]
 
 
@@ -65,6 +67,9 @@ class ZOrderCurve2D:
     max_x: float = 180.0
     max_y: float = 90.0
 
+    #: One orientation state: x is the low bit of each pair.
+    QUADRANTS = (((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)),)
+
     def __post_init__(self) -> None:
         if self.order <= 0:
             raise ValueError("order must be positive, got %r" % self.order)
@@ -93,12 +98,10 @@ class ZOrderCurve2D:
 
     def cell_of(self, x: float, y: float) -> Tuple[int, int]:
         """Grid cell containing continuous point ``(x, y)`` (clamped)."""
-        n = self.cells_per_side
-        fx = (x - self.min_x) / (self.max_x - self.min_x)
-        fy = (y - self.min_y) / (self.max_y - self.min_y)
-        cx = min(n - 1, max(0, int(fx * n)))
-        cy = min(n - 1, max(0, int(fy * n)))
-        return cx, cy
+        return grid_cell(
+            x, y, self.min_x, self.min_y, self.max_x, self.max_y,
+            1 << self.order,
+        )
 
     def encode(self, x: float, y: float) -> int:
         """Morton code of the cell containing ``(x, y)``."""

@@ -197,7 +197,7 @@ class TestShippedModel:
         assert primitive.read_methods == {"get"}
         assert primitive.fill_methods == {"put"}
         assert primitive.stamp_validated
-        # The three memos are uses of the primitive, not classes.
+        # The memos are uses of the primitive, not classes.
         cache_names = {c.name for c in model.caches.values()}
         assert not {
             "TargetingCache",
@@ -214,7 +214,6 @@ class TestShippedModel:
         assert ("target_chunks_cached", "fill", True) in ops
         assert ("QueryService.analyze_collection", "fill", True) in ops
         assert ("QueryService.collection_stats", "read", True) in ops
-        assert ("memoized_covering_range_set", "read", False) in ops
         assert "ShardedCluster.metadata_version" in model.tokens
         token = model.tokens["ShardedCluster.metadata_version"]
         assert token.governed_fields == {"chunks", "shard_id"}

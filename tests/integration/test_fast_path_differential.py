@@ -112,15 +112,15 @@ def _assert_identical(deployment, query):
     approach = deployment.approach
     rendered, _ = approach.render_query(query)
     if approach.name == "hil":
-        # The decomposition memo must not change what is rendered.
-        uncached, _ = query.hilbert_ranges(
+        # The rendering carries exactly the decomposition's ranges.
+        ranges, _ = query.hilbert_ranges(
             approach.encoder, approach.max_query_ranges
         )
-        memoized = query.to_hilbert_query(
+        rendering = query.to_hilbert_query(
             approach.encoder, approach.max_query_ranges
         )
-        assert memoized.range_set == uncached, query.label
-        assert memoized.query == rendered, query.label
+        assert rendering.range_set == ranges, query.label
+        assert rendering.query == rendered, query.label
     fast = deployment.cluster.find(COLLECTION, rendered)
     slow = reference_cluster_find(deployment.cluster, COLLECTION, rendered)
     assert fast.documents == slow.documents, query.label

@@ -28,7 +28,6 @@ import datetime as dt
 
 import pytest
 
-from repro.cache import StampedLRUCache
 from repro.cluster.cluster import ClusterTopology
 from repro.core.approaches import (
     APPROACH_NAMES,
@@ -83,9 +82,8 @@ def workload(deployment):
     a first sighting.
     """
     encoder = deployment.approach.encoder
-    cache = StampedLRUCache(max_entries=512)
     rendered = [
-        st.to_hilbert_query(encoder, cache=cache).query
+        st.to_hilbert_query(encoder).query
         for st in randomized_queries(N_DISTINCT, seed=5)
     ]
     return rendered + rendered
@@ -151,9 +149,8 @@ class TestShapeBindingAcrossConstants:
         compilation without binding.
         """
         encoder = deployment.approach.encoder
-        cache = StampedLRUCache(max_entries=512)
         stream = [
-            st.to_hilbert_query(encoder, cache=cache).query
+            st.to_hilbert_query(encoder).query
             for st in randomized_queries(100, seed=99)
         ]
         with QueryService(

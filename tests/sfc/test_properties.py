@@ -5,8 +5,12 @@ from hypothesis import strategies as st
 
 from repro.sfc.geohash import GeoHashGrid, geohash_encode, geohash_encode_int
 from repro.sfc.hilbert import HilbertCurve2D, hilbert_d_to_xy, hilbert_xy_to_d
-from repro.sfc.ranges import covering_ranges
-from repro.sfc.zorder import morton_deinterleave, morton_interleave
+from repro.sfc.ranges import CurveRange, _coarsen, covering_ranges
+from repro.sfc.zorder import (
+    ZOrderCurve2D,
+    morton_deinterleave,
+    morton_interleave,
+)
 
 ORDER = 6
 SIDE = 1 << ORDER
@@ -70,27 +74,68 @@ def test_geohash_grid_consistency(lon, lat):
 
 box_coords = st.floats(min_value=0.0, max_value=31.999, allow_nan=False)
 
+#: Four curve shapes at order <= 6: Hilbert over an offset, data-sized
+#: domain (the hil* shape), the global Hilbert curve (hil), Z-order,
+#: and the GeoHash grid.
+COVERING_CURVES = [
+    HilbertCurve2D(order=6, min_x=23.5, min_y=37.7, max_x=24.1, max_y=38.2),
+    HilbertCurve2D.global_curve(5),
+    ZOrderCurve2D(order=6),
+    GeoHashGrid(12),
+]
+fractions = st.floats(min_value=-0.25, max_value=1.25, allow_nan=False)
 
-@settings(max_examples=40, deadline=None)
-@given(x0=box_coords, y0=box_coords, x1=box_coords, y1=box_coords)
-def test_covering_matches_brute_force(x0, y0, x1, y1):
-    # The decomposition must cover exactly the intersecting cells, for
-    # arbitrary rectangles.
-    if x0 > x1:
-        x0, x1 = x1, x0
-    if y0 > y1:
-        y0, y1 = y1, y0
-    curve = HilbertCurve2D(order=5, min_x=0, min_y=0, max_x=32, max_y=32)
-    cx0, cy0, cx1, cy1 = curve.cell_range_for_box(x0, y0, x1, y1)
-    expected = {
+
+def _domain(curve):
+    return (
+        getattr(curve, "min_x", -180.0),
+        getattr(curve, "min_y", -90.0),
+        getattr(curve, "max_x", 180.0),
+        getattr(curve, "max_y", 90.0),
+    )
+
+
+def _runs(cells):
+    """Maximal runs of consecutive curve values, in order."""
+    out = []
+    for d in sorted(cells):
+        if out and out[-1].hi + 1 == d:
+            out[-1] = CurveRange(out[-1].lo, d)
+        else:
+            out.append(CurveRange(d, d))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    curve=st.sampled_from(COVERING_CURVES),
+    fx=st.tuples(fractions, fractions),
+    fy=st.tuples(fractions, fractions),
+    limit=st.integers(min_value=1, max_value=8),
+)
+def test_covering_matches_brute_force(curve, fx, fy, limit):
+    # The covering is canonical: exactly the maximal runs of the cells
+    # the rectangle intersects (clamped to the domain), and with
+    # max_ranges, those runs with the smallest gaps swallowed.
+    x0, y0, x1, y1 = _domain(curve)
+    fx0, fx1 = sorted(fx)
+    fy0, fy1 = sorted(fy)
+    box = (
+        x0 + fx0 * (x1 - x0),
+        y0 + fy0 * (y1 - y0),
+        x0 + fx1 * (x1 - x0),
+        y0 + fy1 * (y1 - y0),
+    )
+    cx0, cy0, cx1, cy1 = curve.cell_range_for_box(*box)
+    expected = _runs(
         curve.encode_cell(cx, cy)
         for cx in range(cx0, cx1 + 1)
         for cy in range(cy0, cy1 + 1)
-    }
-    got = set()
-    for r in covering_ranges(curve, x0, y0, x1, y1):
-        got.update(range(r.lo, r.hi + 1))
-    assert got == expected
+    )
+    assert covering_ranges(curve, *box) == expected
+    if len(expected) > limit:
+        expected = _coarsen(expected, limit)
+    assert covering_ranges(curve, *box, max_ranges=limit) == expected
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,8 @@
 """Tests for the rectangle → covering-ranges decomposition."""
 
+import math
+import random
+
 import pytest
 
 from repro.sfc.geohash import GeoHashGrid
@@ -93,6 +96,78 @@ class TestCoveringExactness:
         h_total = sum(len(covering_ranges(h, *b)) for b in boxes)
         z_total = sum(len(covering_ranges(z, *b)) for b in boxes)
         assert h_total <= z_total
+
+
+class TestQuadrants:
+    """Each curve's ``QUADRANTS`` table is its own ``decode_cell``."""
+
+    @staticmethod
+    def _check(curve, rng):
+        def derived(d0, m):
+            side = 1 << m
+            cx, cy = curve.decode_cell(d0)
+            sx0, sy0 = cx & ~(side - 1), cy & ~(side - 1)
+            out = []
+            for i in range(4):
+                x, y = curve.decode_cell(d0 + i * (1 << (2 * (m - 1))))
+                out.append(((x - sx0) >> (m - 1), (y - sy0) >> (m - 1)))
+            return out
+
+        def visit(d0, m, state, depth):
+            table = curve.QUADRANTS[state]
+            assert derived(d0, m) == [(dx, dy) for dx, dy, _ in table]
+            if m == 1:
+                return
+            step = 1 << (2 * (m - 1))
+            if depth < 3:
+                children = range(4)  # every node of the top levels
+            else:
+                children = [rng.randrange(4)]  # then one random path
+            for i in children:
+                visit(d0 + i * step, m - 1, table[i][2], depth + 1)
+
+        visit(0, curve.order, 0, 0)
+
+    @pytest.mark.parametrize("order", range(1, 14))
+    def test_tables_match_decode_cell(self, order):
+        rng = random.Random(order)
+        for curve in (
+            HilbertCurve2D(order=order),
+            HilbertCurve2D(order, 23.5, 37.7, 24.1, 38.2),
+            ZOrderCurve2D(order=order),
+            GeoHashGrid(2 * order),
+        ):
+            self._check(curve, rng)
+
+
+CLAMP_CURVES = [
+    HilbertCurve2D.global_curve(13),
+    ZOrderCurve2D.global_curve(13),
+    GeoHashGrid(26),
+]
+
+
+class TestCellOfClamping:
+    @pytest.mark.parametrize(
+        "curve", CLAMP_CURVES, ids=lambda c: type(c).__name__
+    )
+    @pytest.mark.parametrize("far", [1e308, math.inf])
+    def test_huge_and_infinite_coordinates_clamp(self, curve, far):
+        n = curve.cells_per_side
+        assert curve.cell_of(far, 0.0)[0] == n - 1
+        assert curve.cell_of(-far, 0.0)[0] == 0
+        assert curve.cell_of(0.0, far)[1] == n - 1
+        assert curve.cell_of(0.0, -far)[1] == 0
+        assert covering_ranges(curve, 170.0, 0.0, far, 1.0)
+
+    @pytest.mark.parametrize(
+        "curve", CLAMP_CURVES, ids=lambda c: type(c).__name__
+    )
+    def test_nan_coordinate_names_the_axis(self, curve):
+        with pytest.raises(ValueError, match="coordinate x is NaN"):
+            curve.cell_of(math.nan, 0.0)
+        with pytest.raises(ValueError, match="coordinate y is NaN"):
+            curve.cell_of(0.0, math.nan)
 
 
 class TestCoarsening:
