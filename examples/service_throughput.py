@@ -3,7 +3,7 @@
 Deploys the paper's *hil* approach, wraps the cluster in a
 :class:`~repro.service.QueryService`, and serves a randomized
 Q^s/Q^b-style stream closed-loop — at 1, 2 and 4 clients on the
-thread-pool executor and at 2 clients on the worker-process executor —
+thread executor and at 2 clients on the worker-process executor —
 printing achieved q/s, p50/p95/p99 latency and how the service planned
 the queries (values bound into the parameterized shape, or analyzed).
 

@@ -192,9 +192,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    with QueryService(
-        deployment.cluster, ServiceConfig(parallel_scatter_gather=False)
-    ) as service:
+    with QueryService(deployment.cluster, ServiceConfig()) as service:
         stats = service.analyze_collection(
             args.collection,
             histogram_buckets=args.buckets,

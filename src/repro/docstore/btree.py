@@ -235,17 +235,50 @@ class BPlusTree:
         idx = bisect.bisect_left(node.keys, key)
         return node, idx
 
-    def seek(self, key: Any) -> Iterator[Entry]:
-        """Iterate entries with key >= ``key`` in ascending order."""
+    def locate(self, key: Any) -> Tuple[_Leaf, int]:
+        """Leaf and slot of the first entry with key >= ``key``.
+
+        One root-to-leaf descent, then a back-up: ``bisect_left`` on the
+        leaf already lands at the first entry >= ``key``, but a
+        preceding leaf can also hold equal keys when a split separated
+        them.
+        """
         leaf, idx = self._find_leaf(key)
-        # Duplicates may continue in the previous leaf? No: bisect_left
-        # on the leaf already lands at the first >=; but a preceding
-        # leaf can also contain equal keys when a split separated them.
         prev = leaf.prev
         while prev is not None and prev.keys and prev.keys[-1] >= key:
             idx = bisect.bisect_left(prev.keys, key)
             leaf = prev
             prev = leaf.prev
+        return leaf, idx
+
+    def seek_from(
+        self, leaf: _Leaf, idx: int, key: Any
+    ) -> Tuple[Optional[_Leaf], int]:
+        """Reposition forward from slot ``idx`` of ``leaf``.
+
+        Returns the leaf and slot of the first entry with key >= ``key``
+        at or after the given position, or ``(None, 0)`` when the chain
+        runs out: a bisect when the target is on the same leaf, at most
+        :data:`_MAX_LEAF_SKIPS` next-pointer hops when it is near, a
+        fresh :meth:`locate` otherwise.  A target at or before the
+        position leaves it where it is.
+        """
+        keys = leaf.keys
+        if keys and not keys[-1] < key:
+            return leaf, bisect.bisect_left(keys, key, idx)
+        for _ in range(_MAX_LEAF_SKIPS):
+            leaf = leaf.next
+            if leaf is None:
+                return None, 0
+            keys = leaf.keys
+            if keys and not keys[-1] < key:
+                return leaf, bisect.bisect_left(keys, key)
+        return self.locate(key)
+
+    def seek(self, key: Any) -> Iterator[Entry]:
+        """Iterate entries with key >= ``key`` in ascending order."""
+        leaf: Optional[_Leaf]
+        leaf, idx = self.locate(key)
         while leaf is not None:
             keys = leaf.keys
             payloads = leaf.payloads
@@ -416,38 +449,11 @@ class BTreeCursor:
         """Position at the first unconsumed entry with key >= ``key``."""
         if not self._started:
             self._started = True
-            self._descend(key)
-            return
-        leaf = self._leaf
-        if leaf is None:
-            return  # exhausted: no larger key exists ahead
-        if leaf.keys and not leaf.keys[-1] < key:
-            idx = bisect.bisect_left(leaf.keys, key)
-            if idx > self._idx:
-                self._idx = idx
-            return
-        for _ in range(_MAX_LEAF_SKIPS):
-            leaf = leaf.next
-            if leaf is None:
-                self._leaf = None
-                return
-            if leaf.keys and not leaf.keys[-1] < key:
-                self._leaf = leaf
-                self._idx = bisect.bisect_left(leaf.keys, key)
-                return
-        self._descend(key)
-
-    def _descend(self, key: Any) -> None:
-        leaf, idx = self._tree._find_leaf(key)
-        # Duplicates separated by a split can continue in earlier
-        # leaves; back up exactly as BPlusTree.seek does.
-        prev = leaf.prev
-        while prev is not None and prev.keys and prev.keys[-1] >= key:
-            idx = bisect.bisect_left(prev.keys, key)
-            leaf = prev
-            prev = leaf.prev
-        self._leaf = leaf
-        self._idx = idx
+            self._leaf, self._idx = self._tree.locate(key)
+        elif self._leaf is not None:  # None: exhausted, nothing ahead
+            self._leaf, self._idx = self._tree.seek_from(
+                self._leaf, self._idx, key
+            )
 
     def peek(self) -> Optional[Entry]:
         """The entry under the cursor without consuming it, or None."""

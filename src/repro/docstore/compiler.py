@@ -119,7 +119,16 @@ def _tag_path_tests(path: str, ops, tests: List[_Test]) -> _Tagged:
     :func:`compile_matcher` and the parameterized-plan binder call it,
     so the droppable tag cannot drift between the two.
     """
-    if len(tests) == 1:
+    if len(tests) == 1 and "." not in path:
+        only = tests[0]
+
+        def predicate(document: Mapping[str, Any]) -> bool:
+            # get_path's own first step, without the call.
+            if type(document) is dict:
+                return only(document.get(path, MISSING))
+            return only(get_path(document, path))
+
+    elif len(tests) == 1:
         only = tests[0]
 
         def predicate(document: Mapping[str, Any]) -> bool:

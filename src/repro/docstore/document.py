@@ -156,6 +156,10 @@ def _fast_copy_value(value: Any) -> Any:
     if kind in _IMMUTABLE_SCALAR_SET:
         return value
     if kind is dict:
+        # A flat container (all values immutable scalars) is copied by
+        # one C-level call; the superset test is one C-level pass too.
+        if _IMMUTABLE_SCALAR_SET.issuperset(map(type, value.values())):
+            return dict(value)
         return {
             k: v
             if type(v) in _IMMUTABLE_SCALAR_SET
@@ -163,6 +167,8 @@ def _fast_copy_value(value: Any) -> Any:
             for k, v in value.items()
         }
     if kind is list:
+        if _IMMUTABLE_SCALAR_SET.issuperset(map(type, value)):
+            return list(value)
         return [
             v if type(v) in _IMMUTABLE_SCALAR_SET else _fast_copy_value(v)
             for v in value

@@ -5,7 +5,7 @@ The executor turns a plan into record ids and counters.  The counters —
 plots in every figure (Figs. 5-13), so the scan follows MongoDB's
 *index-bounds checker* mechanics:
 
-* the scan is a single forward cursor walk over the index;
+* the scan is a single forward walk over the index's leaves;
 * every key the cursor lands on counts as examined, pass or fail;
 * when a key falls outside the bounds, the checker computes the next
   possible in-bounds position and the cursor *seeks* there, skipping
@@ -22,14 +22,15 @@ landing key per seek — the asymmetry Figs. 6 and 13 hinge on.
 
 from __future__ import annotations
 
-import bisect
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.docstore.index import SCAN_TOP
+from repro.docstore.compiler import CompiledPredicateList
 from repro.docstore.matcher import Matcher
-from repro.docstore.planner import CollScanPlan, IndexScanPlan, Interval
+from repro.docstore.planner import CollScanPlan, IndexScanPlan
 from repro.errors import DocumentStoreError
 
 __all__ = ["ExecutionStats", "execute_plan", "run_index_scan"]
@@ -62,86 +63,6 @@ class ExecutionStats:
         }
 
 
-class _BoundsChecker:
-    """MongoDB's IndexBoundsChecker: validate keys, compute seek targets.
-
-    ``bounds`` holds one sorted, disjoint interval list per bounded
-    index field (a prefix of the key).  ``check`` returns one of:
-
-    * ``("match", None)`` — the key lies inside every field's bounds;
-    * ``("seek", target)`` — the key fails; resume at ``target``
-      (strictly greater than the key, guaranteeing progress);
-    * ``("done", None)`` — no in-bounds key can follow.
-    """
-
-    def __init__(self, bounds: Sequence[Sequence[Interval]]) -> None:
-        self._bounds = bounds
-        # Interval lists are sorted and disjoint; bisection over their
-        # lower bounds keeps per-key checking O(log n) even when a
-        # fragmented covering contributes thousands of intervals.
-        self._lower_bounds = [
-            [iv.lo for iv in intervals] for intervals in bounds
-        ]
-
-    def start_key(self) -> Tuple:
-        return tuple(ivs[0].lo for ivs in self._bounds)
-
-    def check(self, key: Tuple) -> Tuple[str, Optional[Tuple]]:
-        for depth, intervals in enumerate(self._bounds):
-            value = key[depth]
-            state, interval_lo = self._locate(
-                intervals, self._lower_bounds[depth], value
-            )
-            if state == "inside":
-                continue
-            if state == "gap":
-                # Next valid position: jump this field to the next
-                # interval's lower bound, lowest suffix below it.
-                target = (
-                    key[:depth]
-                    + (interval_lo,)
-                    + self._lowest_suffix(depth + 1)
-                )
-                return "seek", target
-            if state == "on_excluded":
-                # Sitting exactly on an excluded bound: skip every key
-                # sharing this prefix value.
-                return "seek", key[: depth + 1] + (SCAN_TOP,)
-            # state == "above": this field ran past its last interval;
-            # advance the previous field.
-            if depth == 0:
-                return "done", None
-            return "seek", key[:depth] + (SCAN_TOP,)
-        return "match", None
-
-    def _lowest_suffix(self, depth: int) -> Tuple:
-        return tuple(
-            self._bounds[i][0].lo for i in range(depth, len(self._bounds))
-        )
-
-    @staticmethod
-    def _locate(
-        intervals: Sequence[Interval],
-        lower_bounds: Sequence[Tuple],
-        value: Tuple,
-    ) -> Tuple[str, Optional[Tuple]]:
-        """Where ``value`` sits relative to the sorted interval list."""
-        position = bisect.bisect_right(lower_bounds, value)
-        if position == 0:
-            return "gap", intervals[0].lo
-        iv = intervals[position - 1]
-        if value == iv.lo and not iv.lo_inclusive:
-            return "on_excluded", None
-        if value < iv.hi or (value == iv.hi and iv.hi_inclusive):
-            return "inside", None
-        if value == iv.hi:  # exclusive hi
-            return "on_excluded", None
-        # Past this interval: the next one (if any) starts the gap.
-        if position < len(intervals):
-            return "gap", intervals[position].lo
-        return "above", None
-
-
 def _advancing(target: Tuple, key: Tuple) -> Tuple:
     """``target``, once checked to lie strictly past the key it skips.
 
@@ -160,43 +81,117 @@ def _advancing(target: Tuple, key: Tuple) -> Tuple:
 def run_index_scan(plan: IndexScanPlan, stats: ExecutionStats) -> List[int]:
     """Record ids matching the plan's index bounds, deduplicated.
 
-    Deduplication mirrors MongoDB's OR/interval stages: a record id is
-    returned once even when several intervals could cover it.  One
-    persistent :class:`~repro.docstore.btree.BTreeCursor` drives the
-    whole multi-range scan (one descent, then leaf-to-leaf skips);
-    :func:`repro.reference.reference_index_scan` re-descends per seek
-    and must examine the identical keys (``keysExamined``, ``seeks``).
+    MongoDB's index-bounds checker, read straight off the B-tree's
+    leaves.  ``plan.bounds`` holds one sorted, disjoint interval list
+    per bounded index field (a prefix of the key).  Each key the scan
+    lands on is examined with one ``bisect_right`` per bounded field:
+
+    * inside every field's interval — a match, and so is every key up
+      to the end of the *run*: the keys that share the match's prefix
+      and whose last bounded field stays inside the same interval.
+      One ``bisect_left`` on the leaf finds where the run ends; the run
+      is taken as one slice and counts one examined key per entry;
+    * outside — the scan seeks to the next possible in-bounds key,
+      strictly past this one, and the keys in between are never
+      examined;
+    * past the first field's last interval — the scan is done.
+
+    Deduplication mirrors MongoDB's OR/interval stages, and only a
+    multikey index can hold one record id twice.
+    :func:`repro.reference.reference_index_scan` checks key by key and
+    re-descends per seek; it must examine the identical keys
+    (``keysExamined``, ``seeks``).
     """
-    checker = _BoundsChecker(plan.bounds)
-    rids: List[int] = []
+    tree = plan.index.tree
+    top = SCAN_TOP
+    bounds = [
+        [(iv.lo, iv.hi, iv.lo_inclusive, iv.hi_inclusive) for iv in ivs]
+        for ivs in plan.bounds
+    ]
+    lows = [[iv[0] for iv in ivs] for ivs in bounds]
+    width = len(bounds)
+    last = width - 1
+    # suffixes[d]: the lowest key for bounded fields d.. (a seek target's
+    # tail once field d-1 jumps to a new interval).
+    suffixes = [tuple(ivs[0] for ivs in lows[d:]) for d in range(width + 1)]
+    dedupe = plan.index.is_multikey()
     seen: set = set()
-
-    cursor = plan.index.tree.cursor()
-    seek_key: Optional[Tuple] = checker.start_key()
-    while seek_key is not None:
-        stats.seeks += 1
-        cursor.seek(seek_key)
-        next_seek: Optional[Tuple] = None
-        while True:
-            entry = cursor.peek()
-            if entry is None:
-                break  # cursor exhausted the tree
-            key, rid = entry
-            stats.keys_examined += 1
-            verdict, target = checker.check(key)
-            if verdict == "match":
-                if rid not in seen:
-                    seen.add(rid)
-                    rids.append(rid)
-                cursor.advance()
+    rids: List[int] = []
+    examined = 0
+    seeks = 1
+    leaf: Optional[Any]
+    leaf, i = tree.locate(suffixes[0])
+    while leaf is not None:
+        keys = leaf.keys
+        if i >= len(keys):
+            leaf = leaf.next
+            i = 0
+            continue
+        key = keys[i]
+        for depth in range(width):
+            value = key[depth]
+            ivs = bounds[depth]
+            p = bisect_right(lows[depth], value)
+            if not p:
+                target = key[:depth] + (ivs[0][0],) + suffixes[depth + 1]
+                break
+            lo, hi, lo_inclusive, hi_inclusive = ivs[p - 1]
+            if value == lo and not lo_inclusive:
+                # On an excluded bound: skip every key sharing it.
+                target = key[: depth + 1] + (top,)
+                break
+            if value < hi or (hi_inclusive and value == hi):
                 continue
-            if verdict == "seek":
-                # The failing key stays unconsumed; the next seek
-                # (strictly greater target) skips past it.
-                next_seek = _advancing(target, key)
+            if value == hi:  # exclusive hi
+                target = key[: depth + 1] + (top,)
+                break
+            if p < len(ivs):
+                target = key[:depth] + (ivs[p][0],) + suffixes[depth + 1]
+                break
+            if not depth:
+                target = None
+                break
+            # This field ran past its last interval: advance the
+            # previous one.
+            target = key[:depth] + (top,)
             break
-        seek_key = next_seek
+        else:
+            # A match.  The run ends before the first key whose prefix
+            # differs or whose last field leaves the interval (or
+            # reaches the next interval's lower bound, where the check
+            # would judge it against that interval instead).
+            prefix = key[:last]
+            if p < len(ivs) and not hi < lows[last][p]:
+                upper = prefix + (lows[last][p],)
+            elif hi_inclusive:
+                upper = prefix + (hi, top)
+            else:
+                upper = prefix + (hi,)
+            j = bisect_left(keys, upper, i + 1)
+            examined += j - i
+            if dedupe:
+                for rid in leaf.payloads[i:j]:
+                    if rid not in seen:
+                        seen.add(rid)
+                        rids.append(rid)
+            else:
+                rids += leaf.payloads[i:j]
+            i = j
+            continue
+        examined += 1
+        if target is None:
+            break
+        # Seek forward, strictly past the failing key: a bisect when the
+        # target is on this leaf, else a hop or a descent.
+        _advancing(target, key)
+        seeks += 1
+        if not keys[-1] < target:
+            i = bisect_left(keys, target, i + 1)
+        else:
+            leaf, i = tree.seek_from(leaf, i, target)
 
+    stats.keys_examined += examined
+    stats.seeks += seeks
     stats.stage = "IXSCAN"
     stats.index_name = plan.index_name
     return rids
@@ -232,15 +227,14 @@ def execute_plan(
     started = time.perf_counter()
     rids = run_index_scan(plan, stats)
     scanned = time.perf_counter()
-    # FETCH applies only what the index bounds have not already proved.
+    # FETCH applies only what the index bounds have not already proved;
+    # a lone compiled predicate is called directly, not through its list.
     matches = matcher.residual(plan.covered_paths)
-    for rid in rids:
-        doc = records.get(rid)
-        if doc is None:
-            continue
-        stats.docs_examined += 1
-        if matches(doc):
-            out.append(doc)
+    if type(matches) is CompiledPredicateList and len(matches.predicates) == 1:
+        matches = matches.predicates[0]
+    fetched = [doc for doc in map(records.get, rids) if doc is not None]
+    out = [doc for doc in fetched if matches(doc)]
+    stats.docs_examined = len(fetched)
     stats.stage_times_ms["scan"] = (scanned - started) * 1000.0
     stats.stage_times_ms["filter"] = (
         time.perf_counter() - scanned

@@ -1,14 +1,14 @@
 """The paper-faithful reference read path — the differential oracle.
 
 Production reads take one path (:meth:`ShardedCluster.find`: bind or
-analyze, compile, one persistent cursor, residual filter, structural
+analyze, compile, one leaf-run index scan, residual filter, structural
 copy).  This module answers the same query the slow, obvious way:
 uncached routing that tests every chunk of the map
 (:func:`reference_target_chunks`, where production bisects the chunk
 list first), every shard planning on its own (no shared hinted
-bounds), one B-tree descent per seek, the whole predicate
-interpreted on every fetched document, ``copy.deepcopy`` results,
-shards one after another.  Documents must
+bounds), a key-by-key bounds check with one B-tree descent per seek,
+the whole predicate interpreted on every fetched document,
+``copy.deepcopy`` results, shards one after another.  Documents must
 come out byte-identical and ``keysExamined`` / ``docsExamined`` /
 ``seeks`` / targeted shards identical per shard — those counters are
 the paper's results.  Nothing under ``src/`` imports this module; the
@@ -17,7 +17,8 @@ differential suites do (DESIGN.md §8).
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional
+import bisect
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.catalog import CollectionMetadata
 from repro.cluster.cluster import ClusterFindResult, ShardedCluster
@@ -29,10 +30,12 @@ from repro.cluster.router import (
 )
 from repro.docstore.collection import Collection, FindResult
 from repro.docstore.document import deep_copy_document
-from repro.docstore.executor import ExecutionStats, _advancing, _BoundsChecker
+from repro.docstore.executor import ExecutionStats, _advancing
+from repro.docstore.index import SCAN_TOP
 from repro.docstore.matcher import Matcher
 from repro.docstore.planner import (
     IndexScanPlan,
+    Interval,
     QueryShape,
     analyze_query,
     plan_query,
@@ -63,8 +66,90 @@ def reference_target_chunks(
     return TargetingResult(chunks, shard_ids, False, intervals)
 
 
+class _BoundsChecker:
+    """MongoDB's IndexBoundsChecker, one key at a time.
+
+    ``bounds`` holds one sorted, disjoint interval list per bounded
+    index field (a prefix of the key).  ``check`` returns one of:
+
+    * ``("match", None)`` — the key lies inside every field's bounds;
+    * ``("seek", target)`` — the key fails; resume at ``target``
+      (strictly greater than the key, guaranteeing progress);
+    * ``("done", None)`` — no in-bounds key can follow.
+
+    Production inlines this test into its leaf-run kernel
+    (:func:`~repro.docstore.executor.run_index_scan`); the oracle keeps
+    the plain form.
+    """
+
+    def __init__(self, bounds: Sequence[Sequence[Interval]]) -> None:
+        self._bounds = bounds
+        self._lower_bounds = [
+            [iv.lo for iv in intervals] for intervals in bounds
+        ]
+
+    def start_key(self) -> Tuple:
+        return tuple(ivs[0].lo for ivs in self._bounds)
+
+    def check(self, key: Tuple) -> Tuple[str, Optional[Tuple]]:
+        for depth, intervals in enumerate(self._bounds):
+            value = key[depth]
+            state, interval_lo = self._locate(
+                intervals, self._lower_bounds[depth], value
+            )
+            if state == "inside":
+                continue
+            if state == "gap":
+                # Next valid position: jump this field to the next
+                # interval's lower bound, lowest suffix below it.
+                target = (
+                    key[:depth]
+                    + (interval_lo,)
+                    + self._lowest_suffix(depth + 1)
+                )
+                return "seek", target
+            if state == "on_excluded":
+                # Sitting exactly on an excluded bound: skip every key
+                # sharing this prefix value.
+                return "seek", key[: depth + 1] + (SCAN_TOP,)
+            # state == "above": this field ran past its last interval;
+            # advance the previous field.
+            if depth == 0:
+                return "done", None
+            return "seek", key[:depth] + (SCAN_TOP,)
+        return "match", None
+
+    def _lowest_suffix(self, depth: int) -> Tuple:
+        return tuple(
+            self._bounds[i][0].lo for i in range(depth, len(self._bounds))
+        )
+
+    @staticmethod
+    def _locate(
+        intervals: Sequence[Interval],
+        lower_bounds: Sequence[Tuple],
+        value: Tuple,
+    ) -> Tuple[str, Optional[Tuple]]:
+        """Where ``value`` sits relative to the sorted interval list."""
+        position = bisect.bisect_right(lower_bounds, value)
+        if position == 0:
+            return "gap", intervals[0].lo
+        iv = intervals[position - 1]
+        if value == iv.lo and not iv.lo_inclusive:
+            return "on_excluded", None
+        if value < iv.hi or (value == iv.hi and iv.hi_inclusive):
+            return "inside", None
+        if value == iv.hi:  # exclusive hi
+            return "on_excluded", None
+        # Past this interval: the next one (if any) starts the gap.
+        if position < len(intervals):
+            return "gap", intervals[position].lo
+        return "above", None
+
+
 def reference_index_scan(plan: IndexScanPlan, stats: ExecutionStats) -> List[int]:
-    """:func:`~repro.docstore.executor.run_index_scan`, one descent per seek."""
+    """:func:`~repro.docstore.executor.run_index_scan`, key by key, one
+    descent per seek."""
     tree = plan.index.tree
     checker = _BoundsChecker(plan.bounds)
     rids: List[int] = []

@@ -58,6 +58,7 @@ from repro.sanitizer.instrument import (
     LSM_WRITE_LOCK_KEY,
     SHARD_LOCKS_KEY,
     TARGETING_CACHE_LOCK_KEY,
+    TURN_LOCK_KEY,
     WAL_LOCK_KEY,
     WORKER_HOST_LOCK_KEY,
     instrument_lsm_engine,
@@ -92,6 +93,7 @@ __all__ = [
     "SanitizedReadWriteLock",
     "SanitizerViolation",
     "TARGETING_CACHE_LOCK_KEY",
+    "TURN_LOCK_KEY",
     "WAL_LOCK_KEY",
     "WORKER_HOST_LOCK_KEY",
     "cross_validate",

@@ -27,6 +27,7 @@ from repro.service.service import QueryService
 __all__ = [
     "SHARD_LOCKS_KEY",
     "TARGETING_CACHE_LOCK_KEY",
+    "TURN_LOCK_KEY",
     "EXECUTOR_CLIENT_LOCK_KEY",
     "WORKER_HOST_LOCK_KEY",
     "LSM_WRITE_LOCK_KEY",
@@ -44,6 +45,7 @@ __all__ = [
 #: source, or cross-validation would compare disjoint graphs.
 SHARD_LOCKS_KEY = "repro.service.service.QueryService._shard_locks"
 TARGETING_CACHE_LOCK_KEY = "repro.cache.StampedLRUCache._lock"
+TURN_LOCK_KEY = "repro.service.locks.FifoTurn._cond"
 EXECUTOR_CLIENT_LOCK_KEY = "repro.service.executors._WorkerClient._lock"
 WORKER_HOST_LOCK_KEY = "repro.service.executors._WorkerHost._lock"
 LSM_WRITE_LOCK_KEY = "repro.docstore.lsm.engine.LSMEngine._write_lock"
@@ -55,6 +57,7 @@ WAL_LOCK_KEY = "repro.docstore.lsm.wal.WriteAheadLog._lock"
 INSTRUMENTED_KEYS = (
     SHARD_LOCKS_KEY,
     TARGETING_CACHE_LOCK_KEY,
+    TURN_LOCK_KEY,
     EXECUTOR_CLIENT_LOCK_KEY,
 )
 
@@ -71,11 +74,13 @@ def instrument_query_service(
 ) -> QueryService:
     """Replace the service's locks with sanitized wrappers.
 
-    Covers the per-shard RW locks plus the lock of the cluster's
+    Covers the per-shard RW locks, the lock of the cluster's
     targeting memo (a :class:`~repro.cache.StampedLRUCache`), whose
-    contract is to never nest inside a shard lock — instrumenting it
-    makes any regression of that contract an observed edge the static
-    graph must explain.
+    contract is to never nest inside a shard lock, and the lock under
+    the reads' FIFO turn (:class:`~repro.service.locks.FifoTurn`), which
+    is taken before any shard lock and released after all of them —
+    instrumenting both makes any regression of either contract an
+    observed edge the static graph must explain.
 
     Must run before the service is used — swapping a lock someone
     already holds would split its waiters across two objects.
@@ -86,6 +91,9 @@ def instrument_query_service(
         )
     service.cluster.targeting_cache._lock = SanitizedLock(
         sanitizer, TARGETING_CACHE_LOCK_KEY
+    )
+    service._turn._cond = threading.Condition(
+        SanitizedLock(sanitizer, TURN_LOCK_KEY)
     )
     if service._worker_pool is not None:
         # The process backend's parent-side topology: per-worker client

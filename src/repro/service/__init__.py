@@ -3,12 +3,12 @@
 Everything above :mod:`repro.cluster` that turns the sharded cluster
 from a single-caller library into a query *server*:
 
-* :class:`QueryService` — parallel scatter-gather over an executor
-  backend, per-shard reader-writer locking, admission control with
-  bounded queueing and deadlines;
+* :class:`QueryService` — scatter-gather over an executor backend,
+  per-shard reader-writer locking, admission control with bounded
+  queueing and deadlines;
 * :mod:`repro.service.executors` — the execution backends:
-  :class:`ThreadedExecutor` (a thread pool in this process) and
-  :class:`ShardWorkerPool` (per-shard worker processes fed
+  :class:`ThreadedExecutor` (the caller's thread, reads taking FIFO
+  turns) and :class:`ShardWorkerPool` (per-shard worker processes fed
   shape-batched picklable plan messages, see
   :mod:`repro.service.wire`);
 * :func:`query_shape_key` — the value-free key the process backend

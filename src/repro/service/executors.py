@@ -3,9 +3,9 @@
 :class:`~repro.service.service.QueryService` delegates per-shard
 subquery execution to an *executor*:
 
-* :class:`ThreadedExecutor` — the original behaviour: subqueries run
-  on a shared :class:`~concurrent.futures.ThreadPoolExecutor` inside
-  the service process, directly against the cluster's collections.
+* :class:`ThreadedExecutor` — subqueries run in the calling thread,
+  one after another, directly against the cluster's collections; the
+  service hands reads their turns in arrival order.
 * :class:`ShardWorkerPool` — process-parallel serving: each shard (or
   shard group) is assigned to a worker *process* hosting read replicas
   of its collections.  Subqueries travel as compact picklable plan
@@ -33,10 +33,11 @@ Replication contract (what makes results byte-identical):
 
 Deadline semantics: an expired deadline abandons the in-flight
 subqueries (their replies are dropped by request id) and the service
-releases its read locks immediately.  That is safe here, unlike on
-the threaded path, because a remote subquery only touches the worker's
-own replica — it cannot race a parent-side writer that acquires the
-freed locks.  The threaded path keeps its drain-before-release dance.
+releases its read locks immediately.  That is safe because a remote
+subquery only touches the worker's own replica — it cannot race a
+parent-side writer that acquires the freed locks.  The threaded path
+has nothing in flight to abandon: its deadline is checked between
+shards in the caller's own thread.
 """
 
 from __future__ import annotations
@@ -46,11 +47,13 @@ import multiprocessing
 import os
 import threading
 import time
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.docstore.collection import Collection
+from repro.docstore.matcher import Matcher
+from repro.docstore.paramplan import bind_plan, param_shape_key
+from repro.docstore.planner import analyze_query
 from repro.errors import QueryTimeoutError, ServiceError
 from repro.service.metrics import ServiceMetrics
 from repro.service.plan_cache import exact_query_key, query_shape_key
@@ -157,78 +160,31 @@ class SubquerySpec:
 
 
 class ThreadedExecutor:
-    """The in-process backend: a thread pool over the live collections.
+    """The in-process backend: shard subqueries in the caller's thread.
 
-    This is the PR-3 behaviour moved behind the executor seam —
-    subqueries close over the cluster's own collections, so an
-    abandoned fan-out must drain before the caller releases its read
-    locks (see :meth:`_drain_futures`).
+    Under the GIL a pool of threads buys no parallelism, only hand-offs.
+    A read's subqueries run one after another, in targeting order, in
+    the thread that called :meth:`QueryService.find` — which holds the
+    service's FIFO turn, so concurrent reads take turns in arrival
+    order.  An expired deadline stops the fan-out between two shards;
+    nothing else is running on the read's behalf, so the caller can
+    release its read locks at once.
     """
 
     name = "thread"
-
-    def __init__(
-        self, cluster: "ShardedCluster", config: "ServiceConfig"
-    ) -> None:
-        self.cluster = cluster
-        self.config = config
-        self._pool = ThreadPoolExecutor(
-            max_workers=config.max_workers,
-            thread_name_prefix="repro-service",
-        )
 
     def shard_mapper(self, spec: SubquerySpec, deadline: Deadline):
         """The fan-out hook passed to :meth:`ShardedCluster.find`."""
         del spec  # threaded subqueries close over the live collections
 
         def mapper(fn, shard_ids):
-            ids = list(shard_ids)
-            if not self.config.parallel_scatter_gather or len(ids) <= 1:
-                out = []
-                for shard_id in ids:
-                    deadline.remaining()  # raises when expired
-                    out.append(fn(shard_id))
-                return out
-            futures = [self._pool.submit(fn, shard_id) for shard_id in ids]
-            try:
-                while True:
-                    remaining = deadline.remaining()
-                    done, pending = wait(
-                        futures,
-                        timeout=remaining,
-                        return_when=FIRST_EXCEPTION,
-                    )
-                    if not pending:
-                        return [f.result() for f in futures]
-                    if any(f.exception() is not None for f in done):
-                        self._drain_futures(futures)
-                        for f in futures:
-                            if not f.cancelled():
-                                f.result()  # re-raises the shard error
-            except QueryTimeoutError:
-                self._drain_futures(futures)
-                raise
+            out = []
+            for shard_id in shard_ids:
+                deadline.remaining()  # raises when expired
+                out.append(fn(shard_id))
+            return out
 
         return mapper
-
-    @staticmethod
-    def _drain_futures(futures) -> None:
-        """Cancel what hasn't started and wait out what has.
-
-        The caller is about to propagate an exception, after which
-        the service releases the per-shard read locks.  A subquery
-        still running on a pool thread would then race any writer
-        that grabs the freed locks, so abandoning the fan-out must
-        wait for running shards to finish first (cancelled futures
-        never run and need no waiting).
-        """
-        for f in futures:
-            f.cancel()
-        wait([f for f in futures if not f.cancelled()])
-
-    def shutdown(self) -> None:
-        """Release the thread pool."""
-        self._pool.shutdown(wait=True)
 
 
 class _PendingReply:
@@ -642,21 +598,31 @@ class _WorkerHost:
         )
 
     def handle_batch(self, frame: BatchFrame):
-        """Apply syncs, then serve each request in arrival order."""
+        """Apply syncs, then serve each request in arrival order.
+
+        One frame is one pickle, so the shard requests of one query
+        share its query object: each distinct object is planned once
+        per frame, in ``bound``.
+        """
         for sync in frame.syncs:
             with self._lock:
                 self._apply_sync_locked(sync)
+        bound: Dict[tuple, tuple] = {}
         for request in frame.requests:
-            yield self._serve(request)
+            yield self._serve(request, bound)
 
-    def _serve(self, request: SubqueryRequest) -> ResultFrame:
+    def _serve(
+        self,
+        request: SubqueryRequest,
+        bound: Dict[tuple, tuple],
+    ) -> ResultFrame:
         plan = request.plan
         if plan.stall_ms > 0.0:
             time.sleep(plan.stall_ms / 1000.0)
         try:
             with self._lock:
                 payload, cached = self._execute_locked(
-                    request.shard_id, plan
+                    request.shard_id, plan, bound
                 )
         except Exception as exc:
             return ResultFrame(
@@ -680,7 +646,10 @@ class _WorkerHost:
         self._epochs[key] = sync.epoch
 
     def _execute_locked(
-        self, shard_id: str, plan: PlanMessage
+        self,
+        shard_id: str,
+        plan: PlanMessage,
+        bound: Dict[tuple, tuple],
     ) -> Tuple[bytes, bool]:
         key = (shard_id, plan.collection)
         replica = self._replicas.get(key)
@@ -708,8 +677,16 @@ class _WorkerHost:
                 del self._results[cache_key]
                 self._results[cache_key] = entry
                 return entry.payload, True
+        memo = (id(plan.query), plan.collection, plan.hint)
+        if memo not in bound:
+            bound[memo] = _plan_shape(plan)
+        shape, matcher = bound[memo]
         result = replica.find_with_stats(
-            plan.query, hint=plan.hint, max_geo_ranges=plan.max_geo_ranges
+            plan.query,
+            hint=plan.hint,
+            max_geo_ranges=plan.max_geo_ranges,
+            matcher=matcher,
+            shape=shape,
         )
         payload = encode_result(result.documents, result.stats)
         if cache_key is not None:
@@ -718,6 +695,21 @@ class _WorkerHost:
                 oldest = next(iter(self._results))
                 del self._results[oldest]
         return payload, False
+
+
+def _plan_shape(plan: PlanMessage) -> Tuple[Any, Matcher]:
+    """``(shape, matcher)`` for a subquery, planned as the service does.
+
+    An unhinted query binds its values into its parameterized shape;
+    a hinted one, or one the bind refuses, is analyzed and compiled.
+    """
+    if plan.hint is None:
+        key = param_shape_key(plan.collection, plan.query)
+        if key is not None:
+            bound = bind_plan(plan.query, key[1])
+            if bound is not None:
+                return bound
+    return analyze_query(plan.query), Matcher(plan.query)
 
 
 def _worker_main(conn, sanitize: bool) -> None:

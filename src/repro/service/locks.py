@@ -6,14 +6,20 @@ exclusive access.  Python's standard library has no reader-writer
 lock, so this module provides a small writer-preferring one — writers
 park readers once they start waiting, which keeps a write-heavy burst
 from being starved by a steady read stream.
+
+:class:`FifoTurn` is the other primitive: one holder at a time,
+granted strictly in arrival order — what the thread backend's reads
+take turns through.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from contextlib import contextmanager
+from typing import Deque
 
-__all__ = ["ReadWriteLock"]
+__all__ = ["FifoTurn", "ReadWriteLock"]
 
 
 class ReadWriteLock:
@@ -94,3 +100,44 @@ class ReadWriteLock:
             yield
         finally:
             self.release_write()
+
+
+class FifoTurn:
+    """One holder at a time, granted strictly in arrival order.
+
+    A ``Lock`` or ``Semaphore`` is not fair: a thread that releases and
+    asks again at once usually wins before the waiter it woke gets to
+    run, so one busy client can starve another.  Here every acquirer
+    joins a queue and proceeds only from its head, once nobody holds
+    the turn.  A waiter whose timeout expires leaves the queue, and the
+    turn passes to the next.  Not reentrant.
+    """
+
+    def __init__(self) -> None:
+        self._cond = threading.Condition()
+        self._queue: Deque[object] = deque()
+        self._held = False
+
+    def acquire(self, timeout: float | None = None) -> bool:
+        """Wait for this caller's turn; returns False on timeout."""
+        ticket = object()
+        with self._cond:
+            self._queue.append(ticket)
+            granted = self._cond.wait_for(
+                lambda: not self._held and self._queue[0] is ticket,
+                timeout=timeout,
+            )
+            if granted:
+                self._queue.popleft()
+                self._held = True
+            else:
+                self._queue.remove(ticket)
+                # The head may have changed; let the next waiter look.
+                self._cond.notify_all()
+            return granted
+
+    def release(self) -> None:
+        """End the holder's turn; the longest waiter gets the next."""
+        with self._cond:
+            self._held = False
+            self._cond.notify_all()

@@ -6,12 +6,14 @@ mongos is a *server* — many clients in flight at once, per-shard
 subqueries dispatched concurrently, bounded queues in front of the
 executor.  :class:`QueryService` adds exactly that layer:
 
-* **Parallel scatter-gather** — per-shard subqueries run on an
-  executor backend (:mod:`repro.service.executors`): a thread pool by
-  default, or per-shard worker *processes* when
-  ``ServiceConfig.executor`` selects the ``process`` backend; merged
-  documents and :class:`~repro.cluster.metrics.ClusterQueryStats` are
-  identical to the sequential path.
+* **Scatter-gather** — per-shard subqueries run on an executor
+  backend (:mod:`repro.service.executors`): in the caller's thread by
+  default, reads taking turns in arrival order through one
+  :class:`~repro.service.locks.FifoTurn`, or on per-shard worker
+  *processes* when ``ServiceConfig.executor`` selects the ``process``
+  backend; merged documents and
+  :class:`~repro.cluster.metrics.ClusterQueryStats` are identical to
+  the sequential path.
 * **Reader-writer locking** — per-shard shared/exclusive locks let any
   number of reads proceed concurrently while inserts, updates, and
   deletes (whose chunk splits and migrations can touch any shard) take
@@ -54,7 +56,7 @@ from repro.service.executors import (
     ThreadedExecutor,
     resolve_backend,
 )
-from repro.service.locks import ReadWriteLock
+from repro.service.locks import FifoTurn, ReadWriteLock
 from repro.service.metrics import ServiceMetrics
 
 __all__ = ["ServiceConfig", "ServiceFindResult", "QueryService"]
@@ -64,7 +66,8 @@ __all__ = ["ServiceConfig", "ServiceFindResult", "QueryService"]
 class ServiceConfig:
     """Tunables for the serving frontend."""
 
-    #: Threads in the shard fan-out pool.
+    #: The default for ``max_concurrent_queries`` and
+    #: ``executor_workers``.
     max_workers: int = 8
     #: Queries executing at once; defaults to ``max_workers``.
     max_concurrent_queries: Optional[int] = None
@@ -73,11 +76,8 @@ class ServiceConfig:
     max_queue_depth: int = 16
     #: Default per-query deadline; None means no deadline.
     default_timeout_ms: Optional[float] = None
-    #: When False, shard subqueries run inline on the calling thread
-    #: (the sequential reference the differential suites run on).
-    parallel_scatter_gather: bool = True
-    #: Execution backend for the shard fan-out: ``"thread"`` (the
-    #: in-process pool), ``"process"`` (the :class:`ShardWorkerPool`
+    #: Execution backend for the shard fan-out: ``"thread"`` (in the
+    #: caller's thread), ``"process"`` (the :class:`ShardWorkerPool`
     #: of per-shard worker processes), or ``"auto"`` (consult the
     #: ``REPRO_EXECUTOR_BACKEND`` environment variable, defaulting to
     #: ``"thread"``).
@@ -144,7 +144,7 @@ class QueryService:
     """A concurrent query server in front of a :class:`ShardedCluster`.
 
     Use as a context manager (or call :meth:`shutdown`) to release the
-    worker pool::
+    execution backend::
 
         with QueryService(cluster) as service:
             result = service.find("traces", query)
@@ -169,7 +169,7 @@ class QueryService:
                 cluster, self.config, metrics=self.metrics
             )
         else:
-            self._threaded = ThreadedExecutor(cluster, self.config)
+            self._threaded = ThreadedExecutor()
         limit = self.config.effective_concurrency
         #: Total in-flight requests (executing + queued); non-blocking.
         self._admission = threading.Semaphore(
@@ -180,6 +180,10 @@ class QueryService:
         self._shard_locks: Dict[str, ReadWriteLock] = {
             shard_id: ReadWriteLock() for shard_id in cluster.shards
         }
+        #: The thread backend's reads run one at a time, in arrival
+        #: order: under the GIL, taking turns is what hands the
+        #: interpreter from one client to the next.
+        self._turn = FifoTurn()
         self._closed = False
         #: ANALYZE output per collection, stamped with the
         #: ``metadata_version`` captured before the scan; reads pass
@@ -192,8 +196,6 @@ class QueryService:
     def shutdown(self) -> None:
         """Stop accepting work and release the execution backend."""
         self._closed = True
-        if self._threaded is not None:
-            self._threaded.shutdown()
         if self._worker_pool is not None:
             self._worker_pool.shutdown()
 
@@ -202,7 +204,7 @@ class QueryService:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        """Context-manager exit: shut the pool down."""
+        """Context-manager exit: shut the backend down."""
         self.shutdown()
 
     # -- metrics ---------------------------------------------------------------
@@ -255,8 +257,8 @@ class QueryService:
     ) -> ServiceFindResult:
         """Serve one read query through the concurrent frontend.
 
-        Admission, queueing, per-shard read locks, plan binding,
-        parallel scatter-gather, and metrics recording wrap the same
+        Admission, queueing, the read's turn (thread backend), per-shard
+        read locks, plan binding, scatter-gather, and metrics wrap the same
         execution :meth:`ShardedCluster.find` performs; documents and
         cluster statistics are identical to the library path.
         """
@@ -323,45 +325,57 @@ class QueryService:
             max_geo_ranges=max_geo_ranges,
             shape=shape,
         )
-        locks, targeting = self._read_lock_targeted_shards(
-            collection, query, deadline, shape=shape
-        )
+        # The turn is taken before any shard read lock, so no read
+        # ever waits for it under one.
+        threaded = self._threaded is not None
+        if threaded:
+            waited = time.perf_counter()
+            if not self._turn.acquire(timeout=deadline.remaining()):
+                raise QueryTimeoutError("timed out waiting for its turn")
+            queue_wait_ms += (time.perf_counter() - waited) * 1000.0
         try:
-            # The two branches differ only in which executor builds the
-            # mapper; they are spelled out (rather than dispatched via a
-            # shared variable) so the static lockgraph resolves each
-            # closure and models its lock footprint under the held read
-            # locks.
-            if self._worker_pool is not None:
-                result = self.cluster.find(
-                    collection,
-                    query,
-                    hint=hint,
-                    max_geo_ranges=max_geo_ranges,
-                    shard_mapper=self._worker_pool.shard_mapper(
-                        spec, deadline
-                    ),
-                    shape=shape,
-                    matcher=matcher,
-                    targeting=targeting,
-                )
-            else:
-                assert self._threaded is not None
-                result = self.cluster.find(
-                    collection,
-                    query,
-                    hint=hint,
-                    max_geo_ranges=max_geo_ranges,
-                    shard_mapper=self._threaded.shard_mapper(
-                        spec, deadline
-                    ),
-                    shape=shape,
-                    matcher=matcher,
-                    targeting=targeting,
-                )
+            locks, targeting = self._read_lock_targeted_shards(
+                collection, query, deadline, shape=shape
+            )
+            try:
+                # The two branches differ only in which executor builds
+                # the mapper; they are spelled out (rather than
+                # dispatched via a shared variable) so the static
+                # lockgraph resolves each closure and models its lock
+                # footprint under the held read locks.
+                if self._worker_pool is not None:
+                    result = self.cluster.find(
+                        collection,
+                        query,
+                        hint=hint,
+                        max_geo_ranges=max_geo_ranges,
+                        shard_mapper=self._worker_pool.shard_mapper(
+                            spec, deadline
+                        ),
+                        shape=shape,
+                        matcher=matcher,
+                        targeting=targeting,
+                    )
+                else:
+                    assert self._threaded is not None
+                    result = self.cluster.find(
+                        collection,
+                        query,
+                        hint=hint,
+                        max_geo_ranges=max_geo_ranges,
+                        shard_mapper=self._threaded.shard_mapper(
+                            spec, deadline
+                        ),
+                        shape=shape,
+                        matcher=matcher,
+                        targeting=targeting,
+                    )
+            finally:
+                for lock in locks:
+                    lock.release_read()
         finally:
-            for lock in locks:
-                lock.release_read()
+            if threaded:
+                self._turn.release()
         latency_ms = (time.perf_counter() - started) * 1000.0
         self.metrics.record_query(
             latency_ms,

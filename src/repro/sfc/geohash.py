@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.sfc.ranges import grid_cell
-
 __all__ = [
     "GEOHASH_BASE32",
     "geohash_encode_int",
@@ -173,17 +171,25 @@ class GeoHashGrid:
         return (1 << self.bits) - 1
 
     def cell_of(self, lon: float, lat: float) -> Tuple[int, int]:
-        """Grid cell ``(cx, cy)`` of a point (clamped to the globe)."""
-        (min_lon, max_lon), (min_lat, max_lat) = _LON_RANGE, _LAT_RANGE
-        return grid_cell(
-            lon, lat, min_lon, min_lat, max_lon, max_lat, 1 << self.order
-        )
+        """Grid cell ``(cx, cy)`` of a point (clamped to the globe).
+
+        The GeoHash bisection itself: its midpoints are exact binary
+        fractions of the globe, so a point one ulp below a cell edge
+        stays in the cell below.  (The scaled-fraction
+        :func:`~repro.sfc.ranges.grid_cell` can round it across.)
+        :meth:`encode` and the covering's corner cells both come from
+        here, so a stored key always lies in its query's covering.
+        """
+        for name, value in (("x", lon), ("y", lat)):
+            if value != value:
+                raise ValueError("coordinate %s is NaN" % name)
+        lon = min(max(lon, _LON_RANGE[0]), _LON_RANGE[1])
+        lat = min(max(lat, _LAT_RANGE[0]), _LAT_RANGE[1])
+        return self.decode_cell(geohash_encode_int(lon, lat, self.bits))
 
     def encode(self, lon: float, lat: float) -> int:
         """Integer GeoHash of the cell containing the point."""
-        lon = min(max(lon, _LON_RANGE[0]), _LON_RANGE[1])
-        lat = min(max(lat, _LAT_RANGE[0]), _LAT_RANGE[1])
-        return geohash_encode_int(lon, lat, bits=self.bits)
+        return self.encode_cell(*self.cell_of(lon, lat))
 
     def decode_cell(self, d: int) -> Tuple[int, int]:
         """Grid cell of an integer GeoHash.

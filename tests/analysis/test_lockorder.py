@@ -340,11 +340,7 @@ class TestShippedTree:
         self, shipped_findings
     ):
         findings = shipped_findings("LK002")
-        assert sorted(f.symbol for f in findings) == [
-            "ThreadedExecutor._drain_futures",
-            "ThreadedExecutor.shard_mapper.mapper",
-            "ThreadedExecutor.shard_mapper.mapper",
-        ]
+        assert sorted(f.symbol for f in findings) == []
 
 
 class TestReentrantSelfEdges:

@@ -151,9 +151,7 @@ class TestChooserOnAdaptiveCluster:
         )
 
     def test_analyze_then_choose_is_deterministic(self, adaptive):
-        with QueryService(
-            adaptive.cluster, ServiceConfig(parallel_scatter_gather=False)
-        ) as service:
+        with QueryService(adaptive.cluster, ServiceConfig()) as service:
             service.analyze_collection(adaptive.collection)
             chooser = CostBasedChooser(
                 lambda: service.collection_stats(adaptive.collection),
@@ -168,9 +166,7 @@ class TestChooserOnAdaptiveCluster:
             assert chooser.fallbacks == 0
 
     def test_stale_catalog_falls_back_then_recovers(self, adaptive):
-        with QueryService(
-            adaptive.cluster, ServiceConfig(parallel_scatter_gather=False)
-        ) as service:
+        with QueryService(adaptive.cluster, ServiceConfig()) as service:
             service.analyze_collection(adaptive.collection)
             chooser = CostBasedChooser(
                 lambda: service.collection_stats(adaptive.collection),

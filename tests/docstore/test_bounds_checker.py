@@ -1,9 +1,9 @@
-"""Unit tests for the index-bounds checker (executor internals)."""
+"""Unit tests for the reference index-bounds checker."""
 
 from repro.docstore import bson
-from repro.docstore.executor import _BoundsChecker
 from repro.docstore.index import SCAN_BOTTOM, SCAN_TOP
 from repro.docstore.planner import Interval
+from repro.reference import _BoundsChecker
 
 
 def iv(lo, hi, loi=True, hii=True):

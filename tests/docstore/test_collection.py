@@ -142,6 +142,30 @@ class TestFind:
         col = Collection("t")
         assert col.find_one({"a": 1}) is None
 
+    def test_2dsphere_finds_a_point_one_ulp_below_a_cell_edge(self):
+        # 12.45849609375 is a GeoHash row edge; the point sits one ulp
+        # below it, on the query polygon's lower edge.
+        lat = 12.458496093749998
+        point = {"type": "Point", "coordinates": [10.0, lat]}
+        doc = {"_id": 1, "location": point}
+        ring = [[9.0, lat], [11.0, lat], [11.0, 13.0], [9.0, 13.0], [9.0, lat]]
+        query = {
+            "location": {
+                "$geoWithin": {
+                    "$geometry": {"type": "Polygon", "coordinates": [ring]}
+                }
+            }
+        }
+        plain, indexed = Collection("plain"), Collection("indexed")
+        indexed.create_index([("location", "2dsphere")])
+        for col in (plain, indexed):
+            col.insert_one(doc)
+        scanned = plain.find_with_stats(query)
+        found = indexed.find_with_stats(query)
+        assert scanned.stats.stage == "COLLSCAN"
+        assert found.stats.stage == "IXSCAN"
+        assert found.documents == scanned.documents == [doc]
+
 
 class TestDeleteUpdate:
     def test_delete_many(self):

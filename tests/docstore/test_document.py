@@ -3,6 +3,9 @@
 import collections
 import datetime as dt
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.datagen import FleetConfig, FleetGenerator
 from repro.docstore.bson import ObjectId
 from repro.docstore.document import (
@@ -183,3 +186,57 @@ class TestFastCopy:
         copied = fast_copy_document(doc)
         assert copied["s"] is doc["s"]
         assert copied["nested"]["o"] is doc["nested"]["o"]
+
+
+class _TaggedDict(dict):
+    pass
+
+
+class _TaggedList(list):
+    pass
+
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4)
+    | st.binary(max_size=4)
+    | st.datetimes()
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.lists(inner, max_size=3).map(_TaggedList)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3).map(_TaggedDict),
+    max_leaves=20,
+)
+
+
+def _containers(value, out):
+    """The ids of every dict and list reachable from ``value``."""
+    if isinstance(value, dict):
+        out.add(id(value))
+        items = value.values()
+    elif isinstance(value, list):
+        out.add(id(value))
+        items = value
+    elif isinstance(value, tuple):
+        items = value
+    else:
+        return out
+    for item in items:
+        _containers(item, out)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=st.dictionaries(st.text(max_size=4), _values, max_size=6))
+def test_fast_copy_equals_deep_copy_and_shares_no_container(document):
+    copied = fast_copy_document(document)
+    assert copied == deep_copy_document(document)
+    assert list(copied) == list(document)
+    assert not _containers(document, set()) & _containers(copied, set())

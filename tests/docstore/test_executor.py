@@ -5,8 +5,10 @@ import threading
 
 import pytest
 
+from repro import reference
 from repro.docstore import executor
 from repro.docstore.collection import Collection
+from repro.docstore.index import SCAN_BOTTOM
 from repro.docstore.matcher import Matcher, matches
 from repro.errors import DocumentStoreError
 from repro.reference import reference_find
@@ -191,12 +193,24 @@ class TestScanAlwaysAdvances:
 
     @pytest.mark.parametrize("production", [True, False])
     def test_seek_that_does_not_advance_raises(self, monkeypatch, production):
-        find = Collection.find_with_stats if production else reference_find
         col = build_collection(20)
-        monkeypatch.setattr(
-            executor._BoundsChecker,
-            "check",
-            lambda self, key: ("seek", key),
-        )
+        if production:
+            # The kernel skips the keys past a field's last interval by
+            # seeking to ``prefix + (SCAN_TOP,)``; a top that no longer
+            # sorts above every key element makes that target land
+            # before the key it skips.
+            find = Collection.find_with_stats
+            monkeypatch.setattr(executor, "SCAN_TOP", SCAN_BOTTOM)
+        else:
+            find = reference_find
+            monkeypatch.setattr(
+                reference._BoundsChecker,
+                "check",
+                lambda self, key: ("seek", key),
+            )
+        query = {
+            "h": {"$gte": 5, "$lte": 15},
+            "date": {"$gte": T0, "$lte": T0 + dt.timedelta(days=10)},
+        }
         with pytest.raises(DocumentStoreError, match="cannot advance"):
-            find(col, {"h": {"$gte": 5, "$lte": 15}}, hint="h_date")
+            find(col, query, hint="h_date")

@@ -112,9 +112,7 @@ def test_chooser_matches_and_out_prunes_every_static_approach():
         order=ADAPTIVE_HILBERT_ORDER,
     )
     totals = {name: 0 for name in STATIC_NAMES + ("chooser",)}
-    with QueryService(
-        adaptive.cluster, ServiceConfig(parallel_scatter_gather=False)
-    ) as service:
+    with QueryService(adaptive.cluster, ServiceConfig()) as service:
         service.analyze_collection(adaptive.collection)
         chooser = CostBasedChooser(
             lambda: service.collection_stats(adaptive.collection),

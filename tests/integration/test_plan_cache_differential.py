@@ -48,7 +48,6 @@ from repro.workloads.queries import randomized_queries
 N_DOCS = 800
 N_DISTINCT = 100  # each replayed twice -> 200 calls per arm
 TOPOLOGY = ClusterTopology(n_shards=4, n_config_servers=1, n_routers=1)
-SEQUENTIAL = dict(parallel_scatter_gather=False)
 #: Selects a sizeable part of any generated fleet data set.
 WIDE = SpatioTemporalQuery(
     bbox=BoundingBox(22.0, 36.0, 26.0, 40.0),
@@ -94,7 +93,7 @@ def reference_frame(cluster, query):
 
 
 def run_service_arm(deployment, workload):
-    config = ServiceConfig(**SEQUENTIAL)
+    config = ServiceConfig()
     with QueryService(deployment.cluster, config) as service:
         frames = [
             frame(service.find(COLLECTION, query)) for query in workload
@@ -153,9 +152,7 @@ class TestShapeBindingAcrossConstants:
             st.to_hilbert_query(encoder).query
             for st in randomized_queries(100, seed=99)
         ]
-        with QueryService(
-            deployment.cluster, ServiceConfig(**SEQUENTIAL)
-        ) as service:
+        with QueryService(deployment.cluster, ServiceConfig()) as service:
             served = [service.find(COLLECTION, q) for q in stream]
         assert [r.cache_outcome for r in served] == ["shape"] * len(stream)
         cold = [
@@ -183,9 +180,7 @@ class TestEveryApproachBinds:
             for q in [WIDE] + randomized_queries(12, seed=11)
         ]
         expected = [reference_frame(dep.cluster, q) for q in rendered]
-        with QueryService(
-            dep.cluster, ServiceConfig(**SEQUENTIAL)
-        ) as service:
+        with QueryService(dep.cluster, ServiceConfig()) as service:
             served = [service.find(COLLECTION, q) for q in rendered]
         assert served[0].documents
         assert [r.cache_outcome for r in served] == ["shape"] * len(rendered)
@@ -217,9 +212,7 @@ class TestAnalyzedStructures:
         expected = reference_cluster_find(
             deployment.cluster, COLLECTION, query
         )
-        with QueryService(
-            deployment.cluster, ServiceConfig(**SEQUENTIAL)
-        ) as service:
+        with QueryService(deployment.cluster, ServiceConfig()) as service:
             # Twice: the second sighting is analyzed afresh, no hint.
             served = [service.find(COLLECTION, query) for _ in range(2)]
         assert expected.documents, "the case must select something"
@@ -230,7 +223,7 @@ class TestAnalyzedStructures:
 
 
 def fresh_frame(cluster, query):
-    with QueryService(cluster, ServiceConfig(**SEQUENTIAL)) as fresh:
+    with QueryService(cluster, ServiceConfig()) as fresh:
         return frame(fresh.find(COLLECTION, query))
 
 
@@ -252,9 +245,7 @@ class TestNothingToInvalidate:
 
     def test_writes_between_identical_queries(self, small):
         dep, query = small
-        with QueryService(
-            dep.cluster, ServiceConfig(**SEQUENTIAL)
-        ) as service:
+        with QueryService(dep.cluster, ServiceConfig()) as service:
             before = service.find(COLLECTION, query)
             assert before.documents
             doomed = before.documents[0]["_id"]
@@ -271,9 +262,7 @@ class TestNothingToInvalidate:
 
     def test_index_ddl_between_identical_queries(self, small):
         dep, query = small
-        with QueryService(
-            dep.cluster, ServiceConfig(**SEQUENTIAL)
-        ) as service:
+        with QueryService(dep.cluster, ServiceConfig()) as service:
             before = service.find(COLLECTION, query)
             service.create_index(
                 COLLECTION, [("date", 1)], name="date_only"
@@ -313,9 +302,7 @@ class TestNothingToInvalidate:
 
         flushed_before = flushes()
         try:
-            with QueryService(
-                dep.cluster, ServiceConfig(**SEQUENTIAL)
-            ) as service:
+            with QueryService(dep.cluster, ServiceConfig()) as service:
                 before = service.find(COLLECTION, query)
                 # Enough bytes to overflow every shard's memtable.
                 service.insert_many(

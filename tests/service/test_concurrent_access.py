@@ -11,15 +11,24 @@ no duplicates).
 
 import random
 import threading
+import time
 
 import pytest
 
+from repro.docstore.collection import Collection
 from repro.errors import QueryTimeoutError
 from repro.service import QueryService, ServiceConfig
 
 N_THREADS = 8
 OPS_PER_THREAD = 25
 BASE_DOCS = 400
+
+
+def _wait_for(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
 
 
 @pytest.fixture
@@ -222,3 +231,80 @@ class TestTimeoutLockSafety:
                 ],
             )
             assert inserted == 1
+
+
+#: The turn belongs to the thread backend, whatever the environment says.
+THREAD = ServiceConfig(executor="thread")
+
+
+class TestReadTurns:
+    """The thread backend's reads take one FIFO turn at a time."""
+
+    @staticmethod
+    def _assert_no_read_lock_leaked(service):
+        for shard_id in sorted(service._shard_locks):
+            lock = service._shard_locks[shard_id]
+            assert lock.acquire_write(timeout=2.0), (
+                "leaked read lock on %s" % shard_id
+            )
+            lock.release_write()
+
+    def test_expired_waiter_times_out_and_the_next_one_runs(
+        self, stress_cluster
+    ):
+        with QueryService(stress_cluster, THREAD) as service:
+            turn = service._turn
+            outcomes = {}
+
+            def read(name, timeout_ms):
+                try:
+                    result = service.find("t", {}, timeout_ms=timeout_ms)
+                    outcomes[name] = result
+                except QueryTimeoutError as exc:
+                    outcomes[name] = exc
+
+            # Hold the turn as a long read would; queue two reads
+            # behind it, the first with a short deadline.
+            assert turn.acquire()
+            try:
+                early = threading.Thread(target=read, args=("early", 100))
+                early.start()
+                _wait_for(lambda: len(turn._queue) == 1)
+                late = threading.Thread(target=read, args=("late", None))
+                late.start()
+                _wait_for(lambda: len(turn._queue) == 2)
+                early.join(timeout=10.0)
+                assert isinstance(outcomes["early"], QueryTimeoutError)
+                assert "late" not in outcomes  # still queued
+                time.sleep(0.1)
+            finally:
+                turn.release()
+            late.join(timeout=10.0)
+            assert len(outcomes["late"]) == BASE_DOCS
+            # The wait for the turn is queue wait.
+            assert outcomes["late"].queue_wait_ms >= 100.0
+            assert service.metrics.timed_out == 1
+            self._assert_no_read_lock_leaked(service)
+
+    def test_timeout_mid_fan_out_releases_the_turn(
+        self, stress_cluster, monkeypatch
+    ):
+        original = Collection.find_with_stats
+        shards_run = []
+
+        def slow_find(self, *args, **kwargs):
+            shards_run.append(self)
+            time.sleep(0.06)
+            return original(self, *args, **kwargs)
+
+        with QueryService(stress_cluster, THREAD) as service:
+            monkeypatch.setattr(Collection, "find_with_stats", slow_find)
+            with pytest.raises(QueryTimeoutError):
+                service.find("t", {}, timeout_ms=100)
+            monkeypatch.setattr(Collection, "find_with_stats", original)
+            # The deadline expired between two shards of the fan-out.
+            assert 0 < len(shards_run) < len(service._shard_locks)
+            assert service._turn.acquire(timeout=0)
+            service._turn.release()
+            self._assert_no_read_lock_leaked(service)
+            assert len(service.find("t", {})) == BASE_DOCS

@@ -34,7 +34,7 @@ class TestClosedLoop:
         assert payload["planOutcomes"] == {"shapeHits": 40, "misses": 0}
 
     def test_single_client_is_serial(self, seeded_cluster):
-        config = ServiceConfig(parallel_scatter_gather=False)
+        config = ServiceConfig()
         with QueryService(seeded_cluster, config) as service:
             report = LoadGenerator(service, "t", WORKLOAD).run_closed_loop(
                 clients=1, total_queries=10

@@ -1,9 +1,10 @@
-"""Reader-writer lock semantics."""
+"""Reader-writer lock and FIFO turn semantics."""
 
+import sys
 import threading
 import time
 
-from repro.service.locks import ReadWriteLock
+from repro.service.locks import FifoTurn, ReadWriteLock
 
 
 class TestSharedMode:
@@ -115,3 +116,102 @@ class TestExclusiveMode:
         rt.join(timeout=5)
         lock.release_read()
         assert reader_elapsed and reader_elapsed[0] < 1.5
+
+
+def _wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+class TestFifoTurn:
+    def _queue_waiter(self, turn, name, granted, timeout=None, results=None):
+        """Start a thread that queues for the turn, records the grant,
+        and hands the turn on; returns once it is in the queue."""
+        queued = len(turn._queue)
+
+        def waiter():
+            ok = turn.acquire(timeout=timeout)
+            if results is not None:
+                results[name] = ok
+            if ok:
+                granted.append(name)
+                turn.release()
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        _wait_until(lambda: len(turn._queue) > queued)
+        return thread
+
+    def test_grants_follow_arrival_order(self):
+        turn = FifoTurn()
+        granted = []
+        assert turn.acquire()
+        threads = [
+            self._queue_waiter(turn, name, granted) for name in "abcde"
+        ]
+        turn.release()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert granted == list("abcde")
+
+    def test_a_releasing_holder_queues_behind_the_waiter(self):
+        # The case a plain Lock gets wrong: release, then ask again at
+        # once — the thread already waiting must go first.
+        turn = FifoTurn()
+        granted = []
+        assert turn.acquire()
+        thread = self._queue_waiter(turn, "waiter", granted)
+        turn.release()
+        assert turn.acquire(timeout=5)
+        granted.append("releaser")
+        turn.release()
+        thread.join(timeout=5)
+        assert granted == ["waiter", "releaser"]
+
+    def test_an_expired_waiter_leaves_and_the_next_one_runs(self):
+        turn = FifoTurn()
+        granted, results = [], {}
+        assert turn.acquire()
+        early = self._queue_waiter(
+            turn, "early", granted, timeout=0.05, results=results
+        )
+        late = self._queue_waiter(turn, "late", granted, results=results)
+        early.join(timeout=5)
+        assert results == {"early": False}
+        turn.release()
+        late.join(timeout=5)
+        assert granted == ["late"]
+        assert not turn._queue and not turn._held
+
+    def test_stress_turns_exclude_each_other(self):
+        # More threads than cores and a tiny switch interval: a read-
+        # modify-write inside the turn loses no update only if turns
+        # never overlap.
+        turn = FifoTurn()
+        counter = [0]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+
+            def worker():
+                for _ in range(200):
+                    assert turn.acquire(timeout=10)
+                    try:
+                        value = counter[0]
+                        time.sleep(0)
+                        counter[0] = value + 1
+                    finally:
+                        turn.release()
+
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert counter[0] == 8 * 200
+        assert not turn._queue and not turn._held

@@ -51,7 +51,7 @@ class TestResultParity:
 
     def test_sequential_mode_parity(self, seeded_cluster):
         base = seeded_cluster.find("t", QUERY)
-        config = ServiceConfig(parallel_scatter_gather=False)
+        config = ServiceConfig()
         with QueryService(seeded_cluster, config) as service:
             served = service.find("t", QUERY)
         assert served.stats.as_dict() == base.stats.as_dict()

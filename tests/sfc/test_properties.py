@@ -1,6 +1,8 @@
 """Property-based tests (hypothesis) for the curve layer."""
 
-from hypothesis import given, settings
+import math
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sfc.geohash import GeoHashGrid, geohash_encode, geohash_encode_int
@@ -162,3 +164,62 @@ def test_coarsened_covering_is_superset(x0, y0, x1, y1, limit):
     for r in coarse:
         coarse_cells.update(range(r.lo, r.hi + 1))
     assert full_cells <= coarse_cells
+
+
+#: Every 2D curve, on the whole globe and on a dataset-sized domain.
+EDGE_CURVES = [
+    HilbertCurve2D.global_curve(13),
+    HilbertCurve2D(order=13, min_x=23.5, min_y=37.8, max_x=24.1, max_y=38.2),
+    ZOrderCurve2D.global_curve(13),
+    GeoHashGrid(26),
+]
+
+
+def _domain(curve):
+    if isinstance(curve, GeoHashGrid):
+        return -180.0, -90.0, 180.0, 90.0
+    return curve.min_x, curve.min_y, curve.max_x, curve.max_y
+
+
+def _near_edge(lo, hi, n, k, ulps):
+    """The grid line ``k`` of ``n`` over ``[lo, hi]``, moved ``ulps``."""
+    value = lo + k * (hi - lo) / n
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.inf if ulps > 0 else -math.inf)
+    return min(max(value, lo), hi)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    index=st.integers(min_value=0, max_value=len(EDGE_CURVES) - 1),
+    kx=st.integers(min_value=0, max_value=1 << 13),
+    ky=st.integers(min_value=0, max_value=1 << 13),
+    ux=st.integers(min_value=-2, max_value=2),
+    uy=st.integers(min_value=-2, max_value=2),
+    span=st.floats(min_value=0.0, max_value=3.0),
+    corner_is_min=st.booleans(),
+)
+# The 2dsphere miss: latitude 12.458496093749998 is one ulp below the
+# GeoHash row edge 12.45849609375.
+@example(
+    index=3, kx=4324, ky=4663, ux=0, uy=-1, span=0.5, corner_is_min=True
+)
+def test_point_on_a_cell_edge_lies_in_its_corner_boxs_covering(
+    index, kx, ky, ux, uy, span, corner_is_min
+):
+    """A point within an ulp of a cell edge, as a corner of the query
+    box: the cell its stored key names must be in the box's covering
+    (uniform floats never land there; the 2dsphere miss did)."""
+    curve = EDGE_CURVES[index]
+    min_x, min_y, max_x, max_y = _domain(curve)
+    n = curve.cells_per_side
+    x = _near_edge(min_x, max_x, n, kx, ux)
+    y = _near_edge(min_y, max_y, n, ky, uy)
+    dx = span * (max_x - min_x) / n
+    dy = span * (max_y - min_y) / n
+    if corner_is_min:
+        box = (x, y, min(x + dx, max_x), min(y + dy, max_y))
+    else:
+        box = (max(x - dx, min_x), max(y - dy, min_y), x, y)
+    key = curve.encode(x, y)
+    assert any(r.lo <= key <= r.hi for r in covering_ranges(curve, *box))
