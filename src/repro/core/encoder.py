@@ -20,6 +20,7 @@ from typing import Any, Mapping
 from repro.geo.geojson import parse_point
 from repro.geo.geometry import BoundingBox
 from repro.sfc.hilbert import HilbertCurve2D
+from repro.sfc.ranges import QuadtreeCurve
 from repro.sfc.zorder import ZOrderCurve2D
 
 __all__ = ["SpatioTemporalEncoder", "DEFAULT_HILBERT_ORDER"]
@@ -36,15 +37,16 @@ class SpatioTemporalEncoder:
     Parameters
     ----------
     curve:
-        Any 2D quadtree curve (Hilbert or Z-order).  Use the
-        constructors below rather than building one by hand.
+        A :class:`~repro.sfc.ranges.QuadtreeCurve` (Hilbert or
+        Z-order).  Use the constructors below rather than building one
+        by hand.
     location_field / index_field:
         Document fields read and written.  Defaults match the paper's
         document examples (``location`` GeoJSON point in,
         ``hilbertIndex`` long out).
     """
 
-    curve: Any
+    curve: QuadtreeCurve
     location_field: str = "location"
     index_field: str = "hilbertIndex"
 

@@ -11,8 +11,11 @@ the whole predicate interpreted on every fetched document,
 ``copy.deepcopy`` results, shards one after another.  Documents must
 come out byte-identical and ``keysExamined`` / ``docsExamined`` /
 ``seeks`` / targeted shards identical per shard — those counters are
-the paper's results.  Nothing under ``src/`` imports this module; the
-differential suites do (DESIGN.md §8).
+the paper's results.  It also holds the curve oracle: the classic
+rotate/flip Hilbert pair and a plain bit-interleave Morton pair, which
+address cells without the quadrant tables
+:class:`~repro.sfc.ranges.QuadtreeCurve` reads.  Nothing under
+``src/`` imports this module; the differential suites do (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -40,13 +43,73 @@ from repro.docstore.planner import (
     analyze_query,
     plan_query,
 )
+from repro.sfc.geohash import GeoHashGrid
+from repro.sfc.hilbert import HilbertCurve2D
+from repro.sfc.ranges import QuadtreeCurve
 
 __all__ = [
+    "reference_encode_cell",
+    "reference_decode_cell",
     "reference_target_chunks",
     "reference_index_scan",
     "reference_find",
     "reference_cluster_find",
 ]
+
+
+def _rotate(n: int, x: int, y: int, rx: int, ry: int) -> Tuple[int, int]:
+    """Rotate/flip a quadrant so the curve orientation is preserved."""
+    if ry == 0:
+        if rx == 1:
+            x = n - 1 - x
+            y = n - 1 - y
+        x, y = y, x
+    return x, y
+
+
+def reference_encode_cell(curve: QuadtreeCurve, cx: int, cy: int) -> int:
+    """``curve.encode_cell(cx, cy)`` without the quadrant tables.
+
+    Hilbert by the classic rotate/flip loop; Z-order by a plain bit
+    interleave (``cx`` on the even bits); GeoHash is Z-order with the
+    axes swapped (longitude takes the high bit of each pair).
+    """
+    if isinstance(curve, HilbertCurve2D):
+        d = 0
+        s = 1 << (curve.order - 1)
+        while s > 0:
+            rx = 1 if (cx & s) > 0 else 0
+            ry = 1 if (cy & s) > 0 else 0
+            d += s * s * ((3 * rx) ^ ry)
+            cx, cy = _rotate(s, cx, cy, rx, ry)
+            s >>= 1
+        return d
+    if isinstance(curve, GeoHashGrid):
+        cx, cy = cy, cx
+    d = 0
+    for k in range(curve.order):
+        d |= ((cx >> k) & 1) << (2 * k) | ((cy >> k) & 1) << (2 * k + 1)
+    return d
+
+
+def reference_decode_cell(curve: QuadtreeCurve, d: int) -> Tuple[int, int]:
+    """``curve.decode_cell(d)`` without the quadrant tables."""
+    x = y = 0
+    if isinstance(curve, HilbertCurve2D):
+        s = 1
+        while s < 1 << curve.order:
+            rx = 1 & (d >> 1)
+            ry = 1 & (d ^ rx)
+            x, y = _rotate(s, x, y, rx, ry)
+            x += s * rx
+            y += s * ry
+            d >>= 2
+            s <<= 1
+        return x, y
+    for k in range(curve.order):
+        x |= ((d >> (2 * k)) & 1) << k
+        y |= ((d >> (2 * k + 1)) & 1) << k
+    return (y, x) if isinstance(curve, GeoHashGrid) else (x, y)
 
 
 def reference_target_chunks(

@@ -1,4 +1,12 @@
-"""Space-filling curves: Hilbert, Z-order, GeoHash, and range covering."""
+"""Space-filling curves and their rectangle coverings.
+
+One table-driven :class:`QuadtreeCurve` addresses every 2D cell; its
+three subclasses — :class:`HilbertCurve2D`, :class:`ZOrderCurve2D` and
+:class:`GeoHashGrid` — are each a quadrant table plus a domain, and
+:func:`covering_ranges` descends any of them.  The paper-named GeoHash
+functions (bisection and base32) and the 3D Morton octree of the
+ST-Hash ablation sit beside them.
+"""
 
 from repro.sfc.geohash import (
     GEOHASH_BASE32,
@@ -9,7 +17,7 @@ from repro.sfc.geohash import (
     geohash_encode,
     geohash_encode_int,
 )
-from repro.sfc.hilbert import HilbertCurve2D, hilbert_d_to_xy, hilbert_xy_to_d
+from repro.sfc.hilbert import HilbertCurve2D
 from repro.sfc.morton3 import (
     Morton3D,
     covering_ranges_3d,
@@ -18,15 +26,12 @@ from repro.sfc.morton3 import (
 )
 from repro.sfc.ranges import (
     CurveRange,
+    QuadtreeCurve,
     RangeSet,
     covering_range_set,
     covering_ranges,
 )
-from repro.sfc.zorder import (
-    ZOrderCurve2D,
-    morton_deinterleave,
-    morton_interleave,
-)
+from repro.sfc.zorder import ZOrderCurve2D
 
 __all__ = [
     "GEOHASH_BASE32",
@@ -37,15 +42,12 @@ __all__ = [
     "geohash_encode",
     "geohash_encode_int",
     "HilbertCurve2D",
-    "hilbert_d_to_xy",
-    "hilbert_xy_to_d",
     "CurveRange",
+    "QuadtreeCurve",
     "RangeSet",
     "covering_range_set",
     "covering_ranges",
     "ZOrderCurve2D",
-    "morton_deinterleave",
-    "morton_interleave",
     "Morton3D",
     "covering_ranges_3d",
     "morton3_deinterleave",

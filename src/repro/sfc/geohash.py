@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.sfc.ranges import QuadtreeCurve
+
 __all__ = [
     "GEOHASH_BASE32",
     "geohash_encode_int",
@@ -133,101 +135,48 @@ def geohash_decode(text: str) -> Tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class GeoHashGrid:
+class GeoHashGrid(QuadtreeCurve):
     """Fixed-precision GeoHash grid used by the simulated 2dsphere index.
 
-    The grid exposes the same cell-addressing interface as the curve
-    classes so the range decomposer can produce index-scan intervals for
-    ``$geoWithin`` queries.  GeoHash *is* a Z-order curve over the
-    lon/lat bisection grid, so ``encode`` orders cells in Z-order.
+    GeoHash *is* a Z-order curve over the lon/lat bisection grid of the
+    whole globe, with longitude taking the high bit of each pair, so
+    the grid is that quadrant table on that domain: ``bits`` (even, at
+    most 64) total bits, ``bits // 2`` per dimension.
     """
 
     bits: int = 26
+
+    min_x, max_x = _LON_RANGE
+    min_y, max_y = _LAT_RANGE
 
     #: One orientation state: longitude (x) is the high bit of each pair.
     QUADRANTS = (((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)),)
 
     def __post_init__(self) -> None:
-        if self.bits <= 0 or self.bits % 2 != 0:
+        if self.bits % 2 != 0:
             raise ValueError(
                 "bits must be a positive even number, got %r" % self.bits
             )
-        if self.bits > 64:
-            raise ValueError("bits above 64 unsupported")
+        super().__post_init__()
 
     @property
-    def order(self) -> int:
+    def order(self) -> int:  # type: ignore[override]
         """Bits per dimension."""
         return self.bits // 2
-
-    @property
-    def cells_per_side(self) -> int:
-        """Number of grid cells along each dimension."""
-        return 1 << self.order
-
-    @property
-    def max_distance(self) -> int:
-        """Largest valid integer GeoHash (inclusive)."""
-        return (1 << self.bits) - 1
 
     def cell_of(self, lon: float, lat: float) -> Tuple[int, int]:
         """Grid cell ``(cx, cy)`` of a point (clamped to the globe).
 
         The GeoHash bisection itself: its midpoints are exact binary
         fractions of the globe, so a point one ulp below a cell edge
-        stays in the cell below.  (The scaled-fraction
-        :func:`~repro.sfc.ranges.grid_cell` can round it across.)
+        stays in the cell below.  (The scaled fraction of
+        :meth:`QuadtreeCurve.cell_of` can round it across.)
         :meth:`encode` and the covering's corner cells both come from
         here, so a stored key always lies in its query's covering.
         """
         for name, value in (("x", lon), ("y", lat)):
             if value != value:
                 raise ValueError("coordinate %s is NaN" % name)
-        lon = min(max(lon, _LON_RANGE[0]), _LON_RANGE[1])
-        lat = min(max(lat, _LAT_RANGE[0]), _LAT_RANGE[1])
+        lon = min(max(lon, self.min_x), self.max_x)
+        lat = min(max(lat, self.min_y), self.max_y)
         return self.decode_cell(geohash_encode_int(lon, lat, self.bits))
-
-    def encode(self, lon: float, lat: float) -> int:
-        """Integer GeoHash of the cell containing the point."""
-        return self.encode_cell(*self.cell_of(lon, lat))
-
-    def decode_cell(self, d: int) -> Tuple[int, int]:
-        """Grid cell of an integer GeoHash.
-
-        GeoHash interleaves longitude first (even string-order bits), so
-        the x coordinate comes from the *high* bit of each pair.
-        """
-        if not (0 <= d <= self.max_distance):
-            raise ValueError(
-                "value %d outside the grid [0, %d]" % (d, self.max_distance)
-            )
-        cx = cy = 0
-        for i in range(self.order):
-            pair = (d >> (2 * (self.order - 1 - i))) & 0b11
-            cx = (cx << 1) | (pair >> 1)
-            cy = (cy << 1) | (pair & 1)
-        return cx, cy
-
-    def encode_cell(self, cx: int, cy: int) -> int:
-        """Integer GeoHash of grid cell ``(cx, cy)``."""
-        n = self.cells_per_side
-        if not (0 <= cx < n and 0 <= cy < n):
-            raise ValueError(
-                "cell (%d, %d) outside the %dx%d grid" % (cx, cy, n, n)
-            )
-        d = 0
-        for i in range(self.order - 1, -1, -1):
-            d = (d << 2) | (((cx >> i) & 1) << 1) | ((cy >> i) & 1)
-        return d
-
-    def cell_bounds(self, d: int) -> Tuple[float, float, float, float]:
-        """Bounds ``(min_lon, min_lat, max_lon, max_lat)`` of a cell."""
-        return geohash_cell_bounds(d, bits=self.bits)
-
-    def cell_range_for_box(
-        self, min_x: float, min_y: float, max_x: float, max_y: float
-    ) -> Tuple[int, int, int, int]:
-        """Inclusive cell rectangle covering a box."""
-        cx0, cy0 = self.cell_of(min_x, min_y)
-        cx1, cy1 = self.cell_of(max_x, max_y)
-        return cx0, cy0, cx1, cy1

@@ -127,11 +127,14 @@ def covering_ranges_3d(
     axis-aligned cube of side ``2**m``; cubes fully inside the box emit
     one range, boundary cubes recurse.  Children are pushed in reverse
     curve order, so ranges are emitted in order and merge as they come;
-    ``max_ranges`` coarsens exactly as the 2D covering does.
+    ``max_ranges`` coarsens (and is validated) exactly as the 2D
+    covering's is.
     """
     for l, h in zip(lo, hi):
         if l > h:
             raise ValueError("empty query box")
+    if max_ranges is not None and max_ranges < 1:
+        raise ValueError("max_ranges must be at least 1, got %r" % max_ranges)
     qlo = curve.cell_of(*lo)
     qhi = curve.cell_of(*hi)
     order = curve.order
@@ -160,6 +163,6 @@ def covering_ranges_3d(
         step = 1 << (3 * (m - 1))
         for i in range(7, -1, -1):
             stack.append((d0 + i * step, m - 1))
-    if max_ranges is not None and 1 <= max_ranges < len(merged):
+    if max_ranges is not None and max_ranges < len(merged):
         merged = _coarsen(merged, max_ranges)
     return merged

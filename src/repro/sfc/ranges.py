@@ -1,32 +1,33 @@
-"""Query-rectangle → covering-range decomposition for quadtree curves.
+"""One table-driven quadtree curve, and its rectangle covering.
 
-This is the algorithm the paper times in Table 8: given the spatial
-extent of a query, find which 1D curve values (Hilbert distances,
-GeoHash cells, ...) must be searched in the index.  Consecutive values
-are merged into closed ranges; the query builder later turns length-1
-ranges into ``$in`` members and longer ones into ``$gte``/``$lte``
-clauses, exactly as Section 4.2.1 describes.
+Hilbert, Z-order and GeoHash are one quadtree whose four children are
+visited in different orders: :class:`QuadtreeCurve` reads that order
+from a subclass's ``QUADRANTS`` table.  The covering is the algorithm
+the paper times in Table 8: given the spatial extent of a query, find
+which 1D curve values (Hilbert distances, GeoHash cells, ...) must be
+searched in the index.  Consecutive values are merged into closed
+ranges; the query builder later turns length-1 ranges into ``$in``
+members and longer ones into ``$gte``/``$lte`` clauses, exactly as
+Section 4.2.1 describes.
 
 The decomposition never enumerates individual cells over the whole
-rectangle.  All three curves in :mod:`repro.sfc` are quadtree-aligned —
-the sub-curve covering distances ``[d0, d0 + 4**m)`` (with ``d0`` a
-multiple of ``4**m``) always occupies an axis-aligned square of side
-``2**m`` — so a quadrant that falls fully inside the query emits one
-range and recursion only continues along the query boundary.  Cost is
-proportional to the rectangle perimeter, not its area.
+rectangle.  The sub-curve covering distances ``[d0, d0 + 4**m)`` (with
+``d0`` a multiple of ``4**m``) always occupies an axis-aligned square
+of side ``2**m``, so a quadrant that falls fully inside the query emits
+one range and recursion only continues along the query boundary.  Cost
+is proportional to the rectangle perimeter, not its area.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Protocol, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 __all__ = [
     "CurveRange",
-    "Quadtree2DCurve",
+    "QuadtreeCurve",
     "covering_ranges",
     "covering_range_set",
-    "grid_cell",
     "RangeSet",
 ]
 
@@ -37,29 +38,144 @@ __all__ = [
 Quadrants = Tuple[Tuple[Tuple[int, int, int], ...], ...]
 
 
-class Quadtree2DCurve(Protocol):
-    """Interface shared by Hilbert, Z-order, and GeoHash grids."""
+class QuadtreeCurve:
+    """A quadtree curve of ``order`` bits per dimension over a domain.
+
+    A subclass supplies the ``QUADRANTS`` table, ``order`` (1 to 32) and
+    the domain ``min_x``, ``min_y``, ``max_x``, ``max_y``; every cell
+    address is derived here from the table, one level per lookup.  The
+    grid is ``2**order`` cells per side and curve values range over
+    ``[0, 4**order)``.
+    """
 
     QUADRANTS: Quadrants
+    #: Inverse of ``QUADRANTS``, built once per class: per state, the
+    #: ``(i, next_state)`` of the child at quadrant ``2 * dx + dy``.
+    _CHILDREN: Tuple[Tuple[Tuple[int, int], ...], ...]
+    order: int
+    min_x: float
+    min_y: float
+    max_x: float
+    max_y: float
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        children = []
+        for quadrants in cls.QUADRANTS:
+            row = [(0, 0)] * 4
+            for i, (dx, dy, nxt) in enumerate(quadrants):
+                row[2 * dx + dy] = (i, nxt)
+            children.append(tuple(row))
+        cls._CHILDREN = tuple(children)
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.order <= 32:
+            raise ValueError("order must be in 1..32, got %r" % self.order)
+        if self.min_x >= self.max_x or self.min_y >= self.max_y:
+            raise ValueError(
+                "degenerate domain [(%r, %r), (%r, %r)]"
+                % (self.min_x, self.min_y, self.max_x, self.max_y)
+            )
+
+    @classmethod
+    def global_curve(cls, order: int = 13) -> Any:
+        """The curve over its default domain, the whole globe."""
+        return cls(order=order)  # type: ignore[call-arg]
 
     @property
-    def order(self) -> int:  # bits per dimension
-        """Bits per dimension."""
-        ...
+    def cells_per_side(self) -> int:
+        """Number of grid cells along each dimension."""
+        return 1 << self.order
+
+    @property
+    def max_distance(self) -> int:
+        """Largest valid curve value (inclusive)."""
+        return (1 << (2 * self.order)) - 1
+
+    def cell_of(self, x: float, y: float) -> Tuple[int, int]:
+        """Grid cell ``(cx, cy)`` containing point ``(x, y)``.
+
+        Points outside the domain are clamped to the border cells, which
+        matches how a fixed-extent curve must treat stray coordinates;
+        the clamp happens on the float fraction, so an infinite or huge
+        coordinate clamps instead of overflowing ``int()``.  A NaN
+        coordinate has no cell and raises :class:`ValueError`.
+        """
+        n = 1 << self.order
+        fx = (x - self.min_x) / (self.max_x - self.min_x)
+        fy = (y - self.min_y) / (self.max_y - self.min_y)
+        # n is a power of two, so f * n < n whenever f < 1.
+        cx = int(fx * n) if 0.0 <= fx < 1.0 else _clamp_fraction(fx, n, "x")
+        cy = int(fy * n) if 0.0 <= fy < 1.0 else _clamp_fraction(fy, n, "y")
+        return cx, cy
+
+    def encode(self, x: float, y: float) -> int:
+        """Curve value of the cell containing ``(x, y)``.
+
+        For geographic use, ``x`` is longitude and ``y`` latitude.
+        """
+        cx, cy = self.cell_of(x, y)
+        return self.encode_cell(cx, cy)
 
     def decode_cell(self, d: int) -> Tuple[int, int]:
-        """Grid cell of a curve distance."""
-        ...
+        """Grid cell of curve value ``d``: one table lookup per level."""
+        if not 0 <= d <= self.max_distance:
+            raise ValueError(
+                "distance %d outside the curve [0, %d]" % (d, self.max_distance)
+            )
+        quadrants = self.QUADRANTS
+        cx = cy = state = 0
+        for shift in range(2 * self.order - 2, -1, -2):
+            dx, dy, state = quadrants[state][(d >> shift) & 3]
+            cx = (cx << 1) | dx
+            cy = (cy << 1) | dy
+        return cx, cy
 
     def encode_cell(self, cx: int, cy: int) -> int:
-        """Curve distance of a grid cell."""
-        ...
+        """Curve value of grid cell ``(cx, cy)``: one lookup per level."""
+        n = 1 << self.order
+        if not (0 <= cx < n and 0 <= cy < n):
+            raise ValueError(
+                "cell (%d, %d) outside the %dx%d grid" % (cx, cy, n, n)
+            )
+        children = self._CHILDREN
+        d = state = 0
+        for shift in range(self.order - 1, -1, -1):
+            i, state = children[state][
+                (((cx >> shift) & 1) << 1) | ((cy >> shift) & 1)
+            ]
+            d = (d << 2) | i
+        return d
+
+    def cell_bounds(self, d: int) -> Tuple[float, float, float, float]:
+        """Continuous bounds ``(min_x, min_y, max_x, max_y)`` of a cell."""
+        cx, cy = self.decode_cell(d)
+        n = 1 << self.order
+        wx = (self.max_x - self.min_x) / n
+        wy = (self.max_y - self.min_y) / n
+        return (
+            self.min_x + cx * wx,
+            self.min_y + cy * wy,
+            self.min_x + (cx + 1) * wx,
+            self.min_y + (cy + 1) * wy,
+        )
 
     def cell_range_for_box(
         self, min_x: float, min_y: float, max_x: float, max_y: float
     ) -> Tuple[int, int, int, int]:
-        """Inclusive cell rectangle covering a box."""
-        ...
+        """Grid-cell rectangle ``(cx0, cy0, cx1, cy1)`` covering a box.
+
+        Bounds are inclusive on both ends, clamped to the domain.
+        """
+        cx0, cy0 = self.cell_of(min_x, min_y)
+        cx1, cy1 = self.cell_of(max_x, max_y)
+        return cx0, cy0, cx1, cy1
+
+
+def _clamp_fraction(f: float, n: int, name: str) -> int:
+    if f != f:
+        raise ValueError("coordinate %s is NaN" % name)
+    return 0 if f < 0.0 else n - 1
 
 
 @dataclass(frozen=True, order=True)
@@ -140,39 +256,8 @@ class RangeSet:
         return any(r.contains(value) for r in self.ranges)
 
 
-def grid_cell(
-    x: float,
-    y: float,
-    min_x: float,
-    min_y: float,
-    max_x: float,
-    max_y: float,
-    n: int,
-) -> Tuple[int, int]:
-    """Cell ``(cx, cy)`` of point ``(x, y)`` on an ``n``-per-side grid.
-
-    Points outside the domain are clamped to the border cells, which
-    matches how a fixed-extent curve must treat stray coordinates; the
-    clamp happens on the float fraction, so an infinite or huge
-    coordinate clamps instead of overflowing ``int()``.  A NaN
-    coordinate has no cell and raises :class:`ValueError`.
-    """
-    fx = (x - min_x) / (max_x - min_x)
-    fy = (y - min_y) / (max_y - min_y)
-    # n is a power of two, so f * n < n whenever f < 1.
-    cx = int(fx * n) if 0.0 <= fx < 1.0 else _clamp_fraction(fx, n, "x")
-    cy = int(fy * n) if 0.0 <= fy < 1.0 else _clamp_fraction(fy, n, "y")
-    return cx, cy
-
-
-def _clamp_fraction(f: float, n: int, name: str) -> int:
-    if f != f:
-        raise ValueError("coordinate %s is NaN" % name)
-    return 0 if f < 0.0 else n - 1
-
-
 def covering_ranges(
-    curve: Quadtree2DCurve,
+    curve: QuadtreeCurve,
     min_x: float,
     min_y: float,
     max_x: float,
@@ -184,7 +269,8 @@ def covering_ranges(
     The result is sorted, non-overlapping, and maximal (adjacent ranges
     are merged).  When ``max_ranges`` is given, the smallest inter-range
     gaps are swallowed until the count fits, trading false positives for
-    fewer query clauses (the refinement step removes them later).
+    fewer query clauses (the refinement step removes them later); a
+    ``max_ranges`` below 1 raises :class:`ValueError`.
 
     One depth-first descent of the curve's quadtree.  Each node carries
     its square and the curve's orientation state, so a child's square
@@ -196,6 +282,8 @@ def covering_ranges(
     """
     if min_x > max_x or min_y > max_y:
         raise ValueError("empty query rectangle")
+    if max_ranges is not None and max_ranges < 1:
+        raise ValueError("max_ranges must be at least 1, got %r" % max_ranges)
     qx0, qy0, qx1, qy1 = curve.cell_range_for_box(min_x, min_y, max_x, max_y)
     quadrants = curve.QUADRANTS
     los: List[int] = []
@@ -236,7 +324,7 @@ def covering_ranges(
                 push((d0 + i * step, m, cx0, cy0, nxt))
 
     merged = [CurveRange(lo, hi) for lo, hi in zip(los, his)]
-    if max_ranges is not None and max_ranges >= 1 and len(merged) > max_ranges:
+    if max_ranges is not None and len(merged) > max_ranges:
         merged = _coarsen(merged, max_ranges)
     return merged
 
@@ -258,7 +346,7 @@ def _coarsen(ranges: List[CurveRange], limit: int) -> List[CurveRange]:
 
 
 def covering_range_set(
-    curve: Quadtree2DCurve,
+    curve: QuadtreeCurve,
     min_x: float,
     min_y: float,
     max_x: float,

@@ -166,6 +166,16 @@ class TestFind:
         assert found.stats.stage == "IXSCAN"
         assert found.documents == scanned.documents == [doc]
 
+    def test_max_geo_ranges_below_one_is_rejected(self):
+        # max_geo_ranges=0 used to mean the uncapped covering.
+        col = Collection("t")
+        col.create_index([("location", "2dsphere")])
+        col.insert_one({"location": {"type": "Point", "coordinates": [1, 1]}})
+        box = {"$geoWithin": {"$box": [[0, 0], [2, 2]]}}
+        assert len(col.find_with_stats({"location": box}).documents) == 1
+        with pytest.raises(ValueError, match="max_ranges"):
+            col.find_with_stats({"location": box}, max_geo_ranges=0)
+
 
 class TestDeleteUpdate:
     def test_delete_many(self):

@@ -4,57 +4,66 @@ import math
 
 import pytest
 
-from repro.sfc.hilbert import HilbertCurve2D, hilbert_d_to_xy, hilbert_xy_to_d
+from repro.sfc.hilbert import HilbertCurve2D
+
+
+def _curve(order):
+    side = 1 << order
+    return HilbertCurve2D(order, 0, 0, side, side)
 
 
 class TestHilbertXYToD:
     def test_order1_visits_all_four_cells(self):
-        ds = {hilbert_xy_to_d(1, x, y) for x in range(2) for y in range(2)}
+        curve = _curve(1)
+        ds = {curve.encode_cell(x, y) for x in range(2) for y in range(2)}
         assert ds == {0, 1, 2, 3}
 
     def test_order1_canonical_shape(self):
         # The order-1 Hilbert curve is the "cup": (0,0)→(0,1)→(1,1)→(1,0).
-        assert hilbert_xy_to_d(1, 0, 0) == 0
-        assert hilbert_xy_to_d(1, 0, 1) == 1
-        assert hilbert_xy_to_d(1, 1, 1) == 2
-        assert hilbert_xy_to_d(1, 1, 0) == 3
+        curve = _curve(1)
+        assert curve.encode_cell(0, 0) == 0
+        assert curve.encode_cell(0, 1) == 1
+        assert curve.encode_cell(1, 1) == 2
+        assert curve.encode_cell(1, 0) == 3
 
     def test_bijective_order3(self):
         n = 8
-        ds = sorted(
-            hilbert_xy_to_d(3, x, y) for x in range(n) for y in range(n)
-        )
+        curve = _curve(3)
+        ds = sorted(curve.encode_cell(x, y) for x in range(n) for y in range(n))
         assert ds == list(range(n * n))
 
     def test_roundtrip_order6(self):
+        curve = _curve(6)
         for d in range(0, 4096, 7):
-            x, y = hilbert_d_to_xy(6, d)
-            assert hilbert_xy_to_d(6, x, y) == d
+            x, y = curve.decode_cell(d)
+            assert curve.encode_cell(x, y) == d
 
     def test_consecutive_distances_are_adjacent_cells(self):
         # Defining property of the Hilbert curve: consecutive distances
         # map to 4-neighbour cells (Manhattan distance exactly 1).
-        prev = hilbert_d_to_xy(5, 0)
+        curve = _curve(5)
+        prev = curve.decode_cell(0)
         for d in range(1, 1024):
-            cur = hilbert_d_to_xy(5, d)
+            cur = curve.decode_cell(d)
             assert abs(cur[0] - prev[0]) + abs(cur[1] - prev[1]) == 1
             prev = cur
 
     def test_rejects_out_of_grid(self):
         with pytest.raises(ValueError):
-            hilbert_xy_to_d(3, 8, 0)
+            _curve(3).encode_cell(8, 0)
         with pytest.raises(ValueError):
-            hilbert_xy_to_d(3, 0, -1)
+            _curve(3).encode_cell(0, -1)
 
     def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            hilbert_xy_to_d(0, 0, 0)
-        with pytest.raises(ValueError):
-            hilbert_d_to_xy(-1, 0)
+        for order in (0, -1, 33):
+            with pytest.raises(ValueError):
+                HilbertCurve2D(order=order)
 
     def test_rejects_out_of_range_distance(self):
         with pytest.raises(ValueError):
-            hilbert_d_to_xy(2, 16)
+            _curve(2).decode_cell(16)
+        with pytest.raises(ValueError):
+            _curve(2).decode_cell(-1)
 
 
 class TestHilbertCurve2D:
@@ -118,18 +127,6 @@ class TestHilbertCurve2D:
     def test_degenerate_domain_rejected(self):
         with pytest.raises(ValueError):
             HilbertCurve2D(order=4, min_x=5, min_y=0, max_x=5, max_y=10)
-
-    def test_walk_covers_grid(self):
-        curve = HilbertCurve2D(order=3, min_x=0, min_y=0, max_x=8, max_y=8)
-        cells = list(curve.walk())
-        assert len(cells) == 64
-        assert len(set(cells)) == 64
-
-    def test_distances_for_box_sorted_and_unique(self):
-        curve = HilbertCurve2D(order=4, min_x=0, min_y=0, max_x=16, max_y=16)
-        ds = curve.distances_for_box(2.5, 3.5, 6.5, 9.5)
-        assert ds == sorted(set(ds))
-        assert len(ds) == 5 * 7  # cells 2..6 x 3..9
 
     def test_cell_range_for_box_inclusive(self):
         curve = HilbertCurve2D(order=4, min_x=0, min_y=0, max_x=16, max_y=16)

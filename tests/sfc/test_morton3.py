@@ -103,6 +103,13 @@ class TestCovering3D:
         assert len(full) > 4
         assert len(capped) <= 4
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_max_ranges_below_one_rejected(self, limit):
+        with pytest.raises(ValueError, match="max_ranges"):
+            covering_ranges_3d(
+                Morton3D(5), (0.1, 0.1, 0.1), (0.2, 0.9, 0.9), limit
+            )
+
     def test_empty_box_rejected(self):
         with pytest.raises(ValueError):
             covering_ranges_3d(Morton3D(3), (0.5, 0, 0), (0.4, 1, 1))

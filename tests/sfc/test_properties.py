@@ -5,17 +5,20 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sfc.geohash import GeoHashGrid, geohash_encode, geohash_encode_int
-from repro.sfc.hilbert import HilbertCurve2D, hilbert_d_to_xy, hilbert_xy_to_d
-from repro.sfc.ranges import CurveRange, _coarsen, covering_ranges
-from repro.sfc.zorder import (
-    ZOrderCurve2D,
-    morton_deinterleave,
-    morton_interleave,
+from repro.reference import reference_decode_cell, reference_encode_cell
+from repro.sfc.geohash import (
+    GeoHashGrid,
+    geohash_cell_bounds,
+    geohash_encode,
+    geohash_encode_int,
 )
+from repro.sfc.hilbert import HilbertCurve2D
+from repro.sfc.ranges import CurveRange, _coarsen, covering_ranges
+from repro.sfc.zorder import ZOrderCurve2D
 
 ORDER = 6
 SIDE = 1 << ORDER
+HILBERT = HilbertCurve2D(ORDER, 0, 0, SIDE, SIDE)
 
 coords = st.integers(min_value=0, max_value=SIDE - 1)
 lons = st.floats(min_value=-180.0, max_value=180.0, allow_nan=False)
@@ -24,21 +27,21 @@ lats = st.floats(min_value=-90.0, max_value=90.0, allow_nan=False)
 
 @given(x=coords, y=coords)
 def test_hilbert_roundtrip(x, y):
-    d = hilbert_xy_to_d(ORDER, x, y)
-    assert hilbert_d_to_xy(ORDER, d) == (x, y)
+    d = HILBERT.encode_cell(x, y)
+    assert HILBERT.decode_cell(d) == (x, y)
 
 
 @given(d=st.integers(min_value=0, max_value=SIDE * SIDE - 1))
 def test_hilbert_inverse_roundtrip(d):
-    x, y = hilbert_d_to_xy(ORDER, d)
-    assert hilbert_xy_to_d(ORDER, x, y) == d
+    x, y = HILBERT.decode_cell(d)
+    assert HILBERT.encode_cell(x, y) == d
 
 
 @given(d=st.integers(min_value=0, max_value=SIDE * SIDE - 2))
 def test_hilbert_adjacency(d):
     # Consecutive curve positions are always 4-neighbours.
-    x1, y1 = hilbert_d_to_xy(ORDER, d)
-    x2, y2 = hilbert_d_to_xy(ORDER, d + 1)
+    x1, y1 = HILBERT.decode_cell(d)
+    x2, y2 = HILBERT.decode_cell(d + 1)
     assert abs(x1 - x2) + abs(y1 - y2) == 1
 
 
@@ -47,7 +50,37 @@ def test_hilbert_adjacency(d):
     y=st.integers(min_value=0, max_value=2**20),
 )
 def test_morton_roundtrip(x, y):
-    assert morton_deinterleave(morton_interleave(x, y)) == (x, y)
+    curve = ZOrderCurve2D(order=21)
+    assert curve.decode_cell(curve.encode_cell(x, y)) == (x, y)
+
+
+def _shapes(order):
+    """The four curve shapes at one order: Hilbert on the globe (hil)
+    and on a dataset-sized domain (hil*), Z-order, and GeoHash."""
+    return [
+        HilbertCurve2D.global_curve(order),
+        HilbertCurve2D(order, 23.5, 37.7, 24.1, 38.2),
+        ZOrderCurve2D.global_curve(order),
+        GeoHashGrid(2 * order),
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    order=st.integers(min_value=1, max_value=32),
+    shape=st.integers(min_value=0, max_value=3),
+    data=st.data(),
+)
+def test_cell_addressing_matches_the_reference_encoders(order, shape, data):
+    # The table-driven addressing against the rotate/flip Hilbert and
+    # bit-interleave Morton oracles, which read no QUADRANTS table.
+    curve = _shapes(order)[shape]
+    n = curve.cells_per_side
+    cx = data.draw(st.integers(min_value=0, max_value=n - 1))
+    cy = data.draw(st.integers(min_value=0, max_value=n - 1))
+    d = data.draw(st.integers(min_value=0, max_value=curve.max_distance))
+    assert curve.encode_cell(cx, cy) == reference_encode_cell(curve, cx, cy)
+    assert curve.decode_cell(d) == reference_decode_cell(curve, d)
 
 
 @given(lon=lons, lat=lats)
@@ -88,15 +121,6 @@ COVERING_CURVES = [
 fractions = st.floats(min_value=-0.25, max_value=1.25, allow_nan=False)
 
 
-def _domain(curve):
-    return (
-        getattr(curve, "min_x", -180.0),
-        getattr(curve, "min_y", -90.0),
-        getattr(curve, "max_x", 180.0),
-        getattr(curve, "max_y", 90.0),
-    )
-
-
 def _runs(cells):
     """Maximal runs of consecutive curve values, in order."""
     out = []
@@ -118,8 +142,10 @@ def _runs(cells):
 def test_covering_matches_brute_force(curve, fx, fy, limit):
     # The covering is canonical: exactly the maximal runs of the cells
     # the rectangle intersects (clamped to the domain), and with
-    # max_ranges, those runs with the smallest gaps swallowed.
-    x0, y0, x1, y1 = _domain(curve)
+    # max_ranges, those runs with the smallest gaps swallowed.  The
+    # cells are numbered by the reference encoders: the curve's own
+    # encode_cell reads the same QUADRANTS table as the descent.
+    x0, y0, x1, y1 = curve.min_x, curve.min_y, curve.max_x, curve.max_y
     fx0, fx1 = sorted(fx)
     fy0, fy1 = sorted(fy)
     box = (
@@ -130,7 +156,7 @@ def test_covering_matches_brute_force(curve, fx, fy, limit):
     )
     cx0, cy0, cx1, cy1 = curve.cell_range_for_box(*box)
     expected = _runs(
-        curve.encode_cell(cx, cy)
+        reference_encode_cell(curve, cx, cy)
         for cx in range(cx0, cx1 + 1)
         for cy in range(cy0, cy1 + 1)
     )
@@ -175,12 +201,6 @@ EDGE_CURVES = [
 ]
 
 
-def _domain(curve):
-    if isinstance(curve, GeoHashGrid):
-        return -180.0, -90.0, 180.0, 90.0
-    return curve.min_x, curve.min_y, curve.max_x, curve.max_y
-
-
 def _near_edge(lo, hi, n, k, ulps):
     """The grid line ``k`` of ``n`` over ``[lo, hi]``, moved ``ulps``."""
     value = lo + k * (hi - lo) / n
@@ -211,7 +231,8 @@ def test_point_on_a_cell_edge_lies_in_its_corner_boxs_covering(
     box: the cell its stored key names must be in the box's covering
     (uniform floats never land there; the 2dsphere miss did)."""
     curve = EDGE_CURVES[index]
-    min_x, min_y, max_x, max_y = _domain(curve)
+    min_x, min_y = curve.min_x, curve.min_y
+    max_x, max_y = curve.max_x, curve.max_y
     n = curve.cells_per_side
     x = _near_edge(min_x, max_x, n, kx, ux)
     y = _near_edge(min_y, max_y, n, ky, uy)
@@ -223,3 +244,25 @@ def test_point_on_a_cell_edge_lies_in_its_corner_boxs_covering(
         box = (max(x - dx, min_x), max(y - dy, min_y), x, y)
     key = curve.encode(x, y)
     assert any(r.lo <= key <= r.hi for r in covering_ranges(curve, *box))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    order=st.integers(min_value=1, max_value=32),
+    kx=st.integers(min_value=0, max_value=1 << 32),
+    ky=st.integers(min_value=0, max_value=1 << 32),
+    ux=st.integers(min_value=-2, max_value=2),
+    uy=st.integers(min_value=-2, max_value=2),
+)
+def test_geohash_grid_encode_is_the_bisection(order, kx, ky, ux, uy):
+    # The 2dsphere key is the paper's GeoHash, bit for bit, also within
+    # two ulps of a cell edge, where the scaled-fraction cell of the
+    # other curves can round across.
+    grid = GeoHashGrid(2 * order)
+    n = grid.cells_per_side
+    lon = _near_edge(-180.0, 180.0, n, kx % (n + 1), ux)
+    lat = _near_edge(-90.0, 90.0, n, ky % (n + 1), uy)
+    key = grid.encode(lon, lat)
+    assert key == geohash_encode_int(lon, lat, 2 * order)
+    # On the dyadic globe the grid's bounds are the bisection's, exactly.
+    assert grid.cell_bounds(key) == geohash_cell_bounds(key, 2 * order)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.reference import reference_decode_cell, reference_encode_cell
 from repro.sfc.geohash import GeoHashGrid
 from repro.sfc.hilbert import HilbertCurve2D
 from repro.sfc.ranges import (
@@ -19,7 +20,7 @@ from repro.sfc.zorder import ZOrderCurve2D
 def brute_force_cells(curve, min_x, min_y, max_x, max_y):
     cx0, cy0, cx1, cy1 = curve.cell_range_for_box(min_x, min_y, max_x, max_y)
     return {
-        curve.encode_cell(cx, cy)
+        reference_encode_cell(curve, cx, cy)
         for cx in range(cx0, cx1 + 1)
         for cy in range(cy0, cy1 + 1)
     }
@@ -99,17 +100,19 @@ class TestCoveringExactness:
 
 
 class TestQuadrants:
-    """Each curve's ``QUADRANTS`` table is its own ``decode_cell``."""
+    """Each curve's ``QUADRANTS`` table is the reference decoder's."""
 
     @staticmethod
     def _check(curve, rng):
         def derived(d0, m):
             side = 1 << m
-            cx, cy = curve.decode_cell(d0)
+            cx, cy = reference_decode_cell(curve, d0)
             sx0, sy0 = cx & ~(side - 1), cy & ~(side - 1)
             out = []
             for i in range(4):
-                x, y = curve.decode_cell(d0 + i * (1 << (2 * (m - 1))))
+                x, y = reference_decode_cell(
+                    curve, d0 + i * (1 << (2 * (m - 1)))
+                )
                 out.append(((x - sx0) >> (m - 1), (y - sy0) >> (m - 1)))
             return out
 
@@ -190,6 +193,13 @@ class TestCoarsening:
         curve = UNIT_CURVES[0]
         coarse = covering_ranges(curve, 1.0, 1.0, 30.0, 30.0, max_ranges=1)
         assert len(coarse) == 1
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_max_ranges_below_one_rejected(self, limit):
+        # Not silently the uncapped covering: the cap can come from a
+        # caller's max_geo_ranges.
+        with pytest.raises(ValueError, match="max_ranges"):
+            covering_ranges(UNIT_CURVES[0], 1.0, 1.0, 30.0, 30.0, limit)
 
 
 class TestRangeSet:

@@ -2,42 +2,46 @@
 
 import pytest
 
-from repro.sfc.zorder import (
-    ZOrderCurve2D,
-    morton_deinterleave,
-    morton_interleave,
-)
+from repro.sfc.zorder import ZOrderCurve2D
+
+
+def _curve(order):
+    side = 1 << order
+    return ZOrderCurve2D(order, 0, 0, side, side)
 
 
 class TestMorton:
     def test_interleave_examples(self):
-        assert morton_interleave(0, 0) == 0
-        assert morton_interleave(1, 0) == 1
-        assert morton_interleave(0, 1) == 2
-        assert morton_interleave(1, 1) == 3
-        assert morton_interleave(2, 0) == 4
+        curve = _curve(2)
+        assert curve.encode_cell(0, 0) == 0
+        assert curve.encode_cell(1, 0) == 1
+        assert curve.encode_cell(0, 1) == 2
+        assert curve.encode_cell(1, 1) == 3
+        assert curve.encode_cell(2, 0) == 4
 
     def test_roundtrip(self):
+        curve = _curve(9)
         for x in range(0, 300, 7):
             for y in range(0, 300, 11):
-                assert morton_deinterleave(morton_interleave(x, y)) == (x, y)
+                assert curve.decode_cell(curve.encode_cell(x, y)) == (x, y)
 
     def test_large_values(self):
+        curve = _curve(32)
         x, y = 2**31 - 1, 2**30 + 12345
-        assert morton_deinterleave(morton_interleave(x, y)) == (x, y)
+        assert curve.decode_cell(curve.encode_cell(x, y)) == (x, y)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            morton_interleave(-1, 0)
+            _curve(4).encode_cell(-1, 0)
         with pytest.raises(ValueError):
-            morton_deinterleave(-1)
+            _curve(4).decode_cell(-1)
 
     def test_z_shape_order(self):
         # Z-order visits (0,0), (1,0), (0,1), (1,1) within each quad.
-        quad = sorted(
-            ((morton_interleave(x, y), (x, y)) for x in range(2) for y in range(2))
-        )
-        assert [c for _, c in quad] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        curve = _curve(1)
+        assert [curve.decode_cell(d) for d in range(4)] == [
+            (0, 0), (1, 0), (0, 1), (1, 1)
+        ]
 
 
 class TestZOrderCurve2D:
