@@ -2,31 +2,20 @@
 
 1. Load a skewed fleet into a hil cluster and apply the paper's
    count-balanced zones.
-2. Generate a realistic query workload (Athens-heavy, Zipf weights).
+2. Take the paper's Q^b queries as a hot workload, each weighted as if
+   it repeats ten times (as the adaptive-zones ablation does).
 3. Re-partition with workload-aware zones and compare the straggler's
    work per query.
-4. Snapshot the tuned cluster to disk and restore it, showing that the
-   metrics survive a save/load cycle.
 
 Run:  python examples/adaptive_partitioning.py
 """
 
-import datetime as dt
-import os
-import tempfile
-
 from repro.cluster.cluster import ClusterTopology
-from repro.cluster.snapshot import dump_cluster, load_cluster
 from repro.core import deploy_approach, make_approach, measure_query
-from repro.core.adaptive import configure_workload_aware_zones
+from repro.core.adaptive import WeightedQuery, configure_workload_aware_zones
 from repro.core.loader import BulkLoader
-from repro.core.zoning import configure_zones
-from repro.datagen import FleetConfig, FleetGenerator, GREECE_BBOX
-from repro.geo import BoundingBox
-from repro.workloads import WorkloadConfig, WorkloadGenerator
-
-UTC = dt.timezone.utc
-ATHENS = BoundingBox(23.45, 37.80, 24.10, 38.35)
+from repro.datagen import FleetConfig, FleetGenerator
+from repro.workloads import big_queries
 
 
 def measure_workload(deployment, workload):
@@ -43,20 +32,8 @@ def main() -> None:
     print("Loading 8,000 traces into a 8-shard hil cluster ...")
     docs = FleetGenerator(FleetConfig(n_vehicles=60)).generate_list(8000)
 
-    workload = WorkloadGenerator(
-        WorkloadConfig(
-            region=GREECE_BBOX,
-            time_from=dt.datetime(2018, 7, 1, tzinfo=UTC),
-            time_to=dt.datetime(2018, 12, 1, tzinfo=UTC),
-            hot_region=ATHENS,
-            hot_fraction=0.8,
-            weight_skew=0.7,
-            box_scale=(0.3, 0.8),
-            window_hours=(24.0 * 7, 24.0 * 60),
-            seed=11,
-        )
-    ).generate_weighted(10)
-    print("Workload: %d queries, 80%% focused on greater Athens\n" % len(workload))
+    workload = [WeightedQuery(q, weight=10.0) for q in big_queries()]
+    print("Workload: the %d Q^b queries, each weighted 10\n" % len(workload))
 
     count_zoned = deploy_approach(
         make_approach("hil"),
@@ -90,24 +67,8 @@ def main() -> None:
     print(
         "The hot region spreads over more shards, so each hot query's\n"
         "slowest node does less work — at the cost of uneven document\n"
-        "counts per shard.\n"
+        "counts per shard."
     )
-
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cluster.json")
-        dump_cluster(adaptive.cluster, path)
-        size_kb = os.path.getsize(path) / 1024
-        restored = load_cluster(path)
-        totals = restored.collection_totals("traces")
-        print(
-            "Snapshot: wrote %s (%.0f KB), restored %d documents across "
-            "%d shards" % (
-                os.path.basename(path),
-                size_kb,
-                totals["count"],
-                len(restored.shards),
-            )
-        )
 
 
 if __name__ == "__main__":

@@ -7,19 +7,20 @@ analysis.  This example reproduces that workflow:
 
 1. load a month of fleet traces into a Hilbert-sharded cluster;
 2. drill down with range queries of shrinking spatial granularity;
-3. aggregate the retrieved traces (fuel rate per vehicle, busiest
-   road types) through the aggregation pipeline.
+3. summarise the retrieved traces (fuel rate per vehicle, busiest
+   road types) in plain Python.
 
 Run:  python examples/fleet_analytics.py
 """
 
 import datetime as dt
+from collections import Counter, defaultdict
+from statistics import fmean
 
 from repro.cluster.cluster import ClusterTopology
 from repro.core import SpatioTemporalQuery, deploy_approach, make_approach
 from repro.core.loader import BulkLoader
 from repro.datagen import FleetConfig, FleetGenerator
-from repro.docstore.aggregation import run_pipeline
 from repro.geo import BoundingBox
 
 UTC = dt.timezone.utc
@@ -76,38 +77,31 @@ def main() -> None:
 
     # --- Analytics over the retrieved traces -----------------------------
     print("\nFuel analysis (top 5 vehicles by mean fuel rate):")
-    fuel = run_pipeline(
-        traces,
-        [
-            {
-                "$group": {
-                    "_id": "$vehicle_id",
-                    "traces": {"$sum": 1},
-                    "mean_fuel_lph": {"$avg": "$fuel_rate_lph"},
-                    "mean_speed": {"$avg": "$speed_kmh"},
-                }
-            },
-            {"$sort": {"mean_fuel_lph": -1}},
-            {"$limit": 5},
-        ],
+    by_vehicle = defaultdict(list)
+    for trace in traces:
+        by_vehicle[trace["vehicle_id"]].append(trace)
+    fuel = sorted(
+        (
+            (
+                fmean(t["fuel_rate_lph"] for t in rows),
+                vehicle,
+                len(rows),
+                fmean(t["speed_kmh"] for t in rows),
+            )
+            for vehicle, rows in by_vehicle.items()
+        ),
+        reverse=True,
     )
-    for row in fuel:
+    for mean_fuel, vehicle, n, mean_speed in fuel[:5]:
         print(
             "  vehicle %-4s %3d traces   %.2f l/h at %.1f km/h"
-            % (row["_id"], row["traces"], row["mean_fuel_lph"],
-               row["mean_speed"] or 0.0)
+            % (vehicle, n, mean_fuel, mean_speed)
         )
 
     print("\nTraffic by road type:")
-    roads = run_pipeline(
-        traces,
-        [
-            {"$group": {"_id": "$road.type", "n": {"$sum": 1}}},
-            {"$sort": {"n": -1}},
-        ],
-    )
-    for row in roads:
-        print("  %-12s %d" % (row["_id"], row["n"]))
+    roads = Counter(trace["road"]["type"] for trace in traces)
+    for road_type, n in roads.most_common():
+        print("  %-12s %d" % (road_type, n))
 
 
 if __name__ == "__main__":

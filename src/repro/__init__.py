@@ -7,7 +7,8 @@ Public API layers, bottom-up:
   rectangle-to-ranges covering algorithm;
 * :mod:`repro.geo` — points, boxes, polygons, GeoJSON;
 * :mod:`repro.docstore` — a MongoDB-like single-node document store
-  (B-tree indexes, query planner, aggregation, storage sizing);
+  (B-tree indexes, query planner, ``$bucketAuto``/``$project``
+  pipeline stages, storage sizing, a durable LSM engine);
 * :mod:`repro.cluster` — sharding: chunks, balancer, zones, router;
 * :mod:`repro.service` — the concurrent query-serving frontend:
   parallel scatter-gather, parameterized planning, admission
@@ -29,7 +30,6 @@ from repro.core import (
     deploy_approach,
     make_approach,
     measure_query,
-    run_workload,
 )
 from repro.service import (
     LoadGenerator,
@@ -52,6 +52,5 @@ __all__ = [
     "deploy_approach",
     "make_approach",
     "measure_query",
-    "run_workload",
     "__version__",
 ]

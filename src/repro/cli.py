@@ -211,10 +211,11 @@ def _cmd_info(_args: argparse.Namespace) -> int:
     print(
         "Reproduction of Koutroumanis & Doulkeridis, EDBT 2021.\n"
         "Subsystems: sfc (Hilbert/Z-order/GeoHash/Morton3), geo, docstore\n"
-        "(B+tree, planner, matcher, aggregation), cluster (chunks,\n"
-        "balancer, zones, router), core (approaches bslST/bslTS/hil/hil*,\n"
-        "ST-Hash, trajectories, workload-aware zones), datagen (R/S),\n"
-        "workloads (Q^s/Q^b)."
+        "(B+tree, planner, matcher, durable LSM engine, $bucketAuto and\n"
+        "$project), cluster (chunks, balancer, zones, router), service\n"
+        "(thread and process executors), core (approaches\n"
+        "bslST/bslTS/hil/hil*, ST-Hash, workload-aware zones), datagen\n"
+        "(R/S), workloads (Q^s/Q^b)."
     )
     return 0
 

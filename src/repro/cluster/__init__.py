@@ -18,12 +18,6 @@ from repro.cluster.router import (
     target_chunks,
 )
 from repro.cluster.shard import Shard, shard_key_index_name
-from repro.cluster.snapshot import (
-    cluster_from_snapshot,
-    cluster_to_snapshot,
-    dump_cluster,
-    load_cluster,
-)
 from repro.cluster.zones import Zone, ZoneSet
 
 __all__ = [
@@ -47,8 +41,4 @@ __all__ = [
     "shard_key_index_name",
     "Zone",
     "ZoneSet",
-    "cluster_from_snapshot",
-    "cluster_to_snapshot",
-    "dump_cluster",
-    "load_cluster",
 ]

@@ -654,19 +654,18 @@ class ShardedCluster:
     def aggregate(
         self, collection: str, pipeline: Sequence[Mapping[str, Any]]
     ) -> List[dict]:
-        """Scatter-gather aggregation (merge on the router).
+        """Run a pipeline over every shard's documents, on the router.
 
-        Pipelines whose first stages are shard-local ($match) run per
-        shard; the merged document stream then re-runs the pipeline on
-        the router, which is correct for the stages this store supports
-        because they are all deterministic functions of the full input.
+        Nothing runs per shard: the router gathers each shard's
+        documents, uncopied, and runs the whole pipeline over them.  The
+        pipeline's stages copy what they output, so the caller owns the
+        result.
         """
         from repro.docstore.aggregation import run_pipeline
 
-        merged: List[dict] = []
+        merged: List[Mapping[str, Any]] = []
         for shard in self.shards.values():
-            col = shard.collection(collection)
-            merged.extend(dict(d) for d in col.all_documents())
+            merged.extend(shard.collection(collection).all_documents())
         return run_pipeline(merged, pipeline)
 
     # -- introspection ---------------------------------------------------------

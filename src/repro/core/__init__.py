@@ -1,5 +1,7 @@
 """The paper's contribution: Hilbert spatio-temporal keys over a
-document store, with indexing, sharding, zoning, and benchmarking."""
+document store, with indexing, sharding, zoning, and the measurement
+protocol — plus two measured extensions, workload-aware zones (the
+paper's future work) and the ST-Hash comparator (Section 2.2)."""
 
 from repro.core.adaptive import (
     WeightedQuery,
@@ -16,23 +18,11 @@ from repro.core.approaches import (
     deploy_approach,
     make_approach,
 )
-from repro.core.archival import ArchiveResult, archive_before, restore_archive
-from repro.core.benchmark import (
-    MeasurementRun,
-    QueryMeasurement,
-    measure_query,
-    run_workload,
-)
+from repro.core.benchmark import QueryMeasurement, measure_query
 from repro.core.encoder import DEFAULT_HILBERT_ORDER, SpatioTemporalEncoder
-from repro.core.knn import KnnResult, knn
 from repro.core.loader import DEFAULT_BATCH_SIZE, BulkLoader
 from repro.core.query import HilbertQueryRendering, SpatioTemporalQuery
 from repro.core.sthash import STHashApproach, STHashEncoder
-from repro.core.trajectories import (
-    TrajectoryEncoder,
-    build_trajectory_document,
-    trajectories_from_traces,
-)
 from repro.core.zoning import (
     build_zones,
     compute_zone_boundaries,
@@ -48,10 +38,8 @@ __all__ = [
     "HilbertApproach",
     "deploy_approach",
     "make_approach",
-    "MeasurementRun",
     "QueryMeasurement",
     "measure_query",
-    "run_workload",
     "DEFAULT_HILBERT_ORDER",
     "SpatioTemporalEncoder",
     "DEFAULT_BATCH_SIZE",
@@ -64,14 +52,6 @@ __all__ = [
     "WeightedQuery",
     "configure_workload_aware_zones",
     "workload_aware_boundaries",
-    "ArchiveResult",
-    "archive_before",
-    "restore_archive",
-    "KnnResult",
-    "knn",
     "STHashApproach",
     "STHashEncoder",
-    "TrajectoryEncoder",
-    "build_trajectory_document",
-    "trajectories_from_traces",
 ]

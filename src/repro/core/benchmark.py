@@ -11,12 +11,12 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.core.approaches import Deployment
 from repro.core.query import SpatioTemporalQuery
 
-__all__ = ["QueryMeasurement", "MeasurementRun", "measure_query", "run_workload"]
+__all__ = ["QueryMeasurement", "measure_query"]
 
 DEFAULT_RUNS = 30
 DEFAULT_AVERAGE_LAST = 10
@@ -37,70 +37,6 @@ class QueryMeasurement:
     wall_time_ms: float
     decomposition_ms: float
     index_used_by_shard: Dict[str, str] = field(default_factory=dict)
-
-    def as_row(self) -> dict:
-        """The measurement as a flat report row."""
-        return {
-            "approach": self.approach,
-            "query": self.query_label,
-            "zones": self.zones,
-            "nReturned": self.n_returned,
-            "nodes": self.nodes,
-            "maxKeysExamined": self.max_keys_examined,
-            "maxDocsExamined": self.max_docs_examined,
-            "executionTimeMs": round(self.execution_time_ms, 3),
-            "wallTimeMs": round(self.wall_time_ms, 3),
-            "decompositionMs": round(self.decomposition_ms, 4),
-        }
-
-
-@dataclass
-class MeasurementRun:
-    """A batch of measurements plus context."""
-
-    dataset: str
-    measurements: List[QueryMeasurement] = field(default_factory=list)
-
-    def rows(self) -> List[dict]:
-        """All measurements as flat report rows."""
-        return [m.as_row() for m in self.measurements]
-
-    def by_query(self) -> Dict[str, List[QueryMeasurement]]:
-        """Measurements grouped by query label."""
-        grouped: Dict[str, List[QueryMeasurement]] = {}
-        for m in self.measurements:
-            grouped.setdefault(m.query_label, []).append(m)
-        return grouped
-
-    def to_csv(self) -> str:
-        """Rows as CSV text, ready for plotting tools."""
-        import csv
-        import io
-
-        rows = self.rows()
-        if not rows:
-            return ""
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-        return buffer.getvalue()
-
-    def to_markdown(self) -> str:
-        """Rows as a GitHub-flavoured markdown table."""
-        rows = self.rows()
-        if not rows:
-            return ""
-        headers = list(rows[0])
-        lines = [
-            "| " + " | ".join(headers) + " |",
-            "| " + " | ".join("---" for _ in headers) + " |",
-        ]
-        for row in rows:
-            lines.append(
-                "| " + " | ".join(str(row[h]) for h in headers) + " |"
-            )
-        return "\n".join(lines)
 
 
 def measure_query(
@@ -161,29 +97,3 @@ def measure_query(
         index_used_by_shard=stats.index_used_by_shard(),
     )
 
-
-def run_workload(
-    deployment: Deployment,
-    queries: Sequence[SpatioTemporalQuery],
-    dataset: str,
-    runs: int = DEFAULT_RUNS,
-    average_last: int = DEFAULT_AVERAGE_LAST,
-    service=None,
-) -> MeasurementRun:
-    """Measure every query of a workload against one deployment.
-
-    ``service`` routes execution through the concurrent serving
-    frontend, as in :func:`measure_query`.
-    """
-    run = MeasurementRun(dataset=dataset)
-    for query in queries:
-        run.measurements.append(
-            measure_query(
-                deployment,
-                query,
-                runs=runs,
-                average_last=average_last,
-                service=service,
-            )
-        )
-    return run

@@ -1,4 +1,4 @@
-"""Dataset generation: fleet trajectories (R) and uniform points (S)."""
+"""Dataset generation: fleet GPS traces (R) and uniform points (S)."""
 
 from repro.datagen.csv_io import (
     csv_to_documents,

@@ -1,9 +1,10 @@
 """A single-node document store modelled on MongoDB.
 
 Documents, B-tree indexes (single-field, compound, 2dsphere, hashed), a
-MongoDB-style query language and planner, an aggregation pipeline, and
-storage-size accounting — everything the paper's evaluation relies on
-from a single ``mongod``.
+MongoDB-style query language and planner, the two aggregation stages the
+reproduction uses (``$bucketAuto`` for zones, ``$project`` for find
+projections), and storage-size accounting — everything the paper's
+evaluation relies on from a single ``mongod``.
 """
 
 from repro.docstore.bson import MAXKEY, MINKEY, MaxKey, MinKey, ObjectId
@@ -19,12 +20,6 @@ from repro.docstore.index import (
     Index,
     IndexDefinition,
     IndexField,
-)
-from repro.docstore.snapshot import (
-    collection_from_snapshot,
-    collection_to_snapshot,
-    dump_collection,
-    load_collection,
 )
 from repro.docstore.storage import StorageModel
 
@@ -47,8 +42,4 @@ __all__ = [
     "IndexDefinition",
     "IndexField",
     "StorageModel",
-    "collection_from_snapshot",
-    "collection_to_snapshot",
-    "dump_collection",
-    "load_collection",
 ]

@@ -1,20 +1,28 @@
-"""Aggregation pipeline: the stages the reproduction needs.
+"""Aggregation pipeline: the two stages the reproduction uses.
 
 The paper uses one aggregation stage in anger — ``$bucketAuto``, which
 computes the even-count shard-key ranges that become zones
-(Section 4.2.4).  The pipeline here implements that stage faithfully
-(boundary semantics included) along with the everyday stages
-(``$match``, ``$group``, ``$sort``, ``$project``, ``$limit``, ``$skip``,
-``$count``) so the store is usable as a general substrate.
+(Section 4.2.4).  The pipeline implements that stage faithfully
+(boundary semantics included) plus ``$project``, which backs
+``Collection.find(projection=...)``.
+
+Stages read their input in place and copy every value they place in
+their output, so a caller owns what the pipeline returns and the
+pipeline pays no per-document copy of its input.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Callable, Dict, List, Mapping, Sequence
 
 from repro.docstore import bson
-from repro.docstore.document import MISSING, get_path, set_path
-from repro.docstore.matcher import Matcher
+from repro.docstore.document import (
+    MISSING,
+    deep_copy_document,
+    get_path,
+    set_path,
+)
 from repro.errors import AggregationError
 
 __all__ = ["run_pipeline", "evaluate_expression"]
@@ -23,9 +31,8 @@ __all__ = ["run_pipeline", "evaluate_expression"]
 def evaluate_expression(expr: Any, document: Mapping[str, Any]) -> Any:
     """Evaluate an aggregation expression against a document.
 
-    Supports field paths (``"$location.lat"``), literals, and a small
-    arithmetic/array vocabulary (``$add``, ``$subtract``, ``$multiply``,
-    ``$divide``, ``$floor``, ``$concat``).
+    Supports field paths (``"$location.lat"``), ``$literal`` and plain
+    literals, nested in documents and arrays.
     """
     if isinstance(expr, str) and expr.startswith("$"):
         value = get_path(document, expr[1:])
@@ -33,8 +40,12 @@ def evaluate_expression(expr: Any, document: Mapping[str, Any]) -> Any:
     if isinstance(expr, Mapping):
         if len(expr) == 1:
             ((op, args),) = expr.items()
+            if op == "$literal":
+                return args
             if op.startswith("$"):
-                return _evaluate_operator(op, args, document)
+                raise AggregationError(
+                    "unsupported expression operator %r" % op
+                )
         return {
             k: evaluate_expression(v, document) for k, v in expr.items()
         }
@@ -43,211 +54,12 @@ def evaluate_expression(expr: Any, document: Mapping[str, Any]) -> Any:
     return expr
 
 
-def _evaluate_operator(op: str, args: Any, document: Mapping[str, Any]) -> Any:
-    if op == "$literal":
-        return args
-    values = (
-        [evaluate_expression(a, document) for a in args]
-        if isinstance(args, (list, tuple))
-        else [evaluate_expression(args, document)]
-    )
-    if op == "$add":
-        return sum(v for v in values if v is not None)
-    if op == "$subtract":
-        _need(op, values, 2)
-        return values[0] - values[1]
-    if op == "$multiply":
-        out = 1
-        for v in values:
-            out *= v
-        return out
-    if op == "$divide":
-        _need(op, values, 2)
-        return values[0] / values[1]
-    if op == "$floor":
-        _need(op, values, 1)
-        import math
-
-        return math.floor(values[0])
-    if op == "$concat":
-        return "".join(str(v) for v in values)
-    raise AggregationError("unsupported expression operator %r" % op)
-
-
-def _need(op: str, values: Sequence[Any], count: int) -> None:
-    if len(values) != count:
-        raise AggregationError(
-            "%s expects %d operands, got %d" % (op, count, len(values))
-        )
-
-
-# -- accumulators ----------------------------------------------------------
-
-
-def _make_accumulator(spec: Mapping[str, Any]):
-    if not isinstance(spec, Mapping) or len(spec) != 1:
-        raise AggregationError("accumulator must be a single-op document")
-    ((op, expr),) = spec.items()
-    if op == "$sum":
-        return _SumAcc(expr)
-    if op == "$avg":
-        return _AvgAcc(expr)
-    if op == "$min":
-        return _MinMaxAcc(expr, want_min=True)
-    if op == "$max":
-        return _MinMaxAcc(expr, want_min=False)
-    if op == "$first":
-        return _FirstLastAcc(expr, first=True)
-    if op == "$last":
-        return _FirstLastAcc(expr, first=False)
-    if op == "$push":
-        return _PushAcc(expr)
-    if op == "$addToSet":
-        return _AddToSetAcc(expr)
-    raise AggregationError("unsupported accumulator %r" % op)
-
-
-class _SumAcc:
-    def __init__(self, expr: Any) -> None:
-        self.expr = expr
-        self.total = 0
-
-    def feed(self, doc: Mapping[str, Any]) -> None:
-        value = evaluate_expression(self.expr, doc)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            self.total += value
-
-    def result(self) -> Any:
-        return self.total
-
-
-class _AvgAcc:
-    def __init__(self, expr: Any) -> None:
-        self.expr = expr
-        self.total = 0.0
-        self.count = 0
-
-    def feed(self, doc: Mapping[str, Any]) -> None:
-        value = evaluate_expression(self.expr, doc)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            self.total += value
-            self.count += 1
-
-    def result(self) -> Any:
-        return self.total / self.count if self.count else None
-
-
-class _MinMaxAcc:
-    def __init__(self, expr: Any, want_min: bool) -> None:
-        self.expr = expr
-        self.want_min = want_min
-        self.best: Any = None
-        self.has_value = False
-
-    def feed(self, doc: Mapping[str, Any]) -> None:
-        value = evaluate_expression(self.expr, doc)
-        if value is None:
-            return
-        if not self.has_value:
-            self.best, self.has_value = value, True
-            return
-        cmp = bson.compare(value, self.best)
-        if (self.want_min and cmp < 0) or (not self.want_min and cmp > 0):
-            self.best = value
-
-    def result(self) -> Any:
-        return self.best
-
-
-class _FirstLastAcc:
-    def __init__(self, expr: Any, first: bool) -> None:
-        self.expr = expr
-        self.first = first
-        self.value: Any = None
-        self.has_value = False
-
-    def feed(self, doc: Mapping[str, Any]) -> None:
-        if self.first and self.has_value:
-            return
-        self.value = evaluate_expression(self.expr, doc)
-        self.has_value = True
-
-    def result(self) -> Any:
-        return self.value
-
-
-class _PushAcc:
-    def __init__(self, expr: Any) -> None:
-        self.expr = expr
-        self.items: List[Any] = []
-
-    def feed(self, doc: Mapping[str, Any]) -> None:
-        self.items.append(evaluate_expression(self.expr, doc))
-
-    def result(self) -> Any:
-        return self.items
-
-
-class _AddToSetAcc:
-    def __init__(self, expr: Any) -> None:
-        self.expr = expr
-        self.items: List[Any] = []
-        self._keys: set = set()
-
-    def feed(self, doc: Mapping[str, Any]) -> None:
-        value = evaluate_expression(self.expr, doc)
-        key = repr(bson.sort_key(value))
-        if key not in self._keys:
-            self._keys.add(key)
-            self.items.append(value)
-
-    def result(self) -> Any:
-        return self.items
-
-
 # -- stages -----------------------------------------------------------------
 
-
-def _stage_match(docs: List[dict], arg: Mapping[str, Any]) -> List[dict]:
-    matcher = Matcher(arg)
-    return [d for d in docs if matcher.matches(d)]
+_Docs = Sequence[Mapping[str, Any]]
 
 
-def _stage_sort(docs: List[dict], arg: Mapping[str, Any]) -> List[dict]:
-    out = list(docs)
-    for path, direction in reversed(list(arg.items())):
-        if direction not in (1, -1):
-            raise AggregationError("$sort direction must be 1 or -1")
-        out.sort(
-            key=lambda d: bson.sort_key(
-                None
-                if get_path(d, path) is MISSING
-                else get_path(d, path)
-            ),
-            reverse=direction == -1,
-        )
-    return out
-
-
-def _stage_limit(docs: List[dict], arg: Any) -> List[dict]:
-    if not isinstance(arg, int) or arg < 0:
-        raise AggregationError("$limit expects a non-negative integer")
-    return docs[:arg]
-
-
-def _stage_skip(docs: List[dict], arg: Any) -> List[dict]:
-    if not isinstance(arg, int) or arg < 0:
-        raise AggregationError("$skip expects a non-negative integer")
-    return docs[arg:]
-
-
-def _stage_count(docs: List[dict], arg: Any) -> List[dict]:
-    if not isinstance(arg, str) or not arg:
-        raise AggregationError("$count expects a field name")
-    return [{arg: len(docs)}]
-
-
-def _stage_project(docs: List[dict], arg: Mapping[str, Any]) -> List[dict]:
+def _stage_project(docs: _Docs, arg: Mapping[str, Any]) -> List[dict]:
     include = {k: v for k, v in arg.items() if k != "_id"}
     modes = {bool(v) for v in include.values() if v in (0, 1, True, False)}
     inclusion = True
@@ -259,19 +71,20 @@ def _stage_project(docs: List[dict], arg: Mapping[str, Any]) -> List[dict]:
         if inclusion:
             projected: dict = {}
             if keep_id and "_id" in doc:
-                projected["_id"] = doc["_id"]
+                projected["_id"] = copy.deepcopy(doc["_id"])
             for path, spec in include.items():
                 if spec in (1, True):
                     value = get_path(doc, path)
-                    if value is not MISSING:
-                        set_path(projected, path, value)
+                    if value is MISSING:
+                        continue
                 else:  # computed field
-                    set_path(
-                        projected, path, evaluate_expression(spec, doc)
-                    )
+                    value = evaluate_expression(spec, doc)
+                set_path(projected, path, copy.deepcopy(value))
         else:
             projected = {
-                k: v for k, v in doc.items() if k not in include
+                k: copy.deepcopy(v)
+                for k, v in doc.items()
+                if k not in include
             }
             if not keep_id:
                 projected.pop("_id", None)
@@ -279,36 +92,7 @@ def _stage_project(docs: List[dict], arg: Mapping[str, Any]) -> List[dict]:
     return out
 
 
-def _stage_group(docs: List[dict], arg: Mapping[str, Any]) -> List[dict]:
-    if "_id" not in arg:
-        raise AggregationError("$group requires an _id expression")
-    id_expr = arg["_id"]
-    groups: Dict[str, dict] = {}
-    order: List[str] = []
-    accums: Dict[str, Dict[str, Any]] = {}
-    for doc in docs:
-        gid = evaluate_expression(id_expr, doc)
-        key = repr(bson.sort_key(gid))
-        if key not in groups:
-            groups[key] = {"_id": gid}
-            order.append(key)
-            accums[key] = {
-                name: _make_accumulator(spec)
-                for name, spec in arg.items()
-                if name != "_id"
-            }
-        for acc in accums[key].values():
-            acc.feed(doc)
-    out = []
-    for key in order:
-        row = groups[key]
-        for name, acc in accums[key].items():
-            row[name] = acc.result()
-        out.append(row)
-    return out
-
-
-def _stage_bucket_auto(docs: List[dict], arg: Mapping[str, Any]) -> List[dict]:
+def _stage_bucket_auto(docs: _Docs, arg: Mapping[str, Any]) -> List[dict]:
     """Even-count bucketing, MongoDB ``$bucketAuto`` semantics.
 
     Documents are ordered by the groupBy value; bucket boundaries are
@@ -316,7 +100,7 @@ def _stage_bucket_auto(docs: List[dict], arg: Mapping[str, Any]) -> List[dict]:
     bucket which includes its max.  Buckets never split equal groupBy
     values, so skewed data can yield fewer buckets than requested —
     exactly the behaviour the paper leans on when zoning skewed Hilbert
-    values.
+    values.  Each bucket carries its document ``count``.
     """
     group_by = arg.get("groupBy")
     n_buckets = arg.get("buckets")
@@ -324,7 +108,9 @@ def _stage_bucket_auto(docs: List[dict], arg: Mapping[str, Any]) -> List[dict]:
         raise AggregationError(
             "$bucketAuto requires groupBy and a positive bucket count"
         )
-    output_spec = arg.get("output") or {"count": {"$sum": 1}}
+    unknown = sorted(set(arg) - {"groupBy", "buckets"})
+    if unknown:
+        raise AggregationError("unsupported $bucketAuto options %r" % unknown)
 
     keyed = []
     for doc in docs:
@@ -333,8 +119,8 @@ def _stage_bucket_auto(docs: List[dict], arg: Mapping[str, Any]) -> List[dict]:
             raise AggregationError(
                 "$bucketAuto groupBy produced null for %r" % (doc,)
             )
-        keyed.append((value, doc))
-    keyed.sort(key=lambda pair: bson.sort_key(pair[0]))
+        keyed.append(value)
+    keyed.sort(key=bson.sort_key)
     if not keyed:
         return []
 
@@ -345,92 +131,40 @@ def _stage_bucket_auto(docs: List[dict], arg: Mapping[str, Any]) -> List[dict]:
     while start < total:
         end = min(start + approx, total)
         # Never split a run of equal groupBy values across buckets.
-        while (
-            end < total
-            and bson.compare(keyed[end][0], keyed[end - 1][0]) == 0
-        ):
+        while end < total and bson.compare(keyed[end], keyed[end - 1]) == 0:
             end += 1
-        members = keyed[start:end]
-        accs = {
-            name: _make_accumulator(spec)
-            for name, spec in output_spec.items()
-        }
-        for _value, doc in members:
-            for acc in accs.values():
-                acc.feed(doc)
-        is_last = end >= total
-        upper = keyed[end][0] if not is_last else members[-1][0]
-        bucket = {
-            "_id": {"min": members[0][0], "max": upper},
-        }
-        for name, acc in accs.items():
-            bucket[name] = acc.result()
-        buckets.append(bucket)
+        upper = keyed[end] if end < total else keyed[end - 1]
+        buckets.append(
+            {
+                "_id": {
+                    "min": copy.deepcopy(keyed[start]),
+                    "max": copy.deepcopy(upper),
+                },
+                "count": end - start,
+            }
+        )
         start = end
     return buckets
 
 
-def _stage_unwind(docs: List[dict], arg: Any) -> List[dict]:
-    """One output document per array element (arrays of cells, tags…)."""
-    if isinstance(arg, Mapping):
-        path = arg.get("path")
-        keep_empty = bool(arg.get("preserveNullAndEmptyArrays"))
-    else:
-        path, keep_empty = arg, False
-    if not isinstance(path, str) or not path.startswith("$"):
-        raise AggregationError("$unwind expects a '$field' path")
-    field = path[1:]
-    out: List[dict] = []
-    for doc in docs:
-        value = get_path(doc, field)
-        if isinstance(value, list) and value:
-            for element in value:
-                clone = dict(doc)
-                set_path(clone, field, element)
-                out.append(clone)
-        elif keep_empty:
-            out.append(doc)
-    return out
-
-
-def _stage_add_fields(docs: List[dict], arg: Mapping[str, Any]) -> List[dict]:
-    if not isinstance(arg, Mapping) or not arg:
-        raise AggregationError("$addFields expects a non-empty document")
-    out = []
-    for doc in docs:
-        clone = dict(doc)
-        for path, expr in arg.items():
-            set_path(clone, path, evaluate_expression(expr, doc))
-        out.append(clone)
-    return out
-
-
-def _stage_sort_by_count(docs: List[dict], arg: Any) -> List[dict]:
-    grouped = _stage_group(docs, {"_id": arg, "count": {"$sum": 1}})
-    return _stage_sort(grouped, {"count": -1})
-
-
-_STAGES: Dict[str, Callable[[List[dict], Any], List[dict]]] = {
-    "$match": _stage_match,
-    "$sort": _stage_sort,
-    "$limit": _stage_limit,
-    "$skip": _stage_skip,
-    "$count": _stage_count,
+_STAGES: Dict[str, Callable[[_Docs, Any], List[dict]]] = {
     "$project": _stage_project,
-    "$group": _stage_group,
     "$bucketAuto": _stage_bucket_auto,
-    "$unwind": _stage_unwind,
-    "$addFields": _stage_add_fields,
-    "$sortByCount": _stage_sort_by_count,
 }
 
 
 def run_pipeline(
-    documents: Sequence[Mapping[str, Any]],
+    documents: _Docs,
     pipeline: Sequence[Mapping[str, Any]],
 ) -> List[dict]:
-    """Run an aggregation pipeline over in-memory documents."""
-    docs: List[dict] = [dict(d) for d in documents]
+    """Run an aggregation pipeline over in-memory documents.
+
+    ``documents`` are read, never modified or returned: an empty
+    pipeline returns copies.
+    """
+    if not pipeline:
+        return [deep_copy_document(d) for d in documents]
+    docs = documents
     for stage in pipeline:
         if not isinstance(stage, Mapping) or len(stage) != 1:
             raise AggregationError(

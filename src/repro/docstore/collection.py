@@ -16,11 +16,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.docstore.aggregation import run_pipeline
 from repro.docstore.bson import ObjectId, key_bytes
 from repro.docstore.cursor import Cursor
-from repro.docstore.document import (
-    deep_copy_document,
-    fast_copy_document,
-    get_path,
-)
+from repro.docstore.document import fast_copy_document, get_path
 from repro.docstore.executor import ExecutionStats, execute_plan
 from repro.docstore.index import Index, IndexDefinition
 from repro.docstore.matcher import Matcher
@@ -532,9 +528,8 @@ class Collection:
         }
 
     def aggregate(self, pipeline: Sequence[Mapping[str, Any]]) -> List[dict]:
-        """Run an aggregation pipeline over the collection."""
-        docs = [deep_copy_document(d) for d in self._records.values()]
-        return run_pipeline(docs, pipeline)
+        """Run a ``$project``/``$bucketAuto`` pipeline over the collection."""
+        return run_pipeline(list(self._records.values()), pipeline)
 
     # -- internal fast paths (used by the sharding layer) -------------------------
 

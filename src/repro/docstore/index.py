@@ -236,10 +236,6 @@ class Index:
         """Canonical (comparable) form of raw key values."""
         return tuple(bson.sort_key(v) for v in raw)
 
-    def storage_key(self, raw: Sequence[Any], rid: int) -> Tuple[Tuple, ...]:
-        """Canonical key plus the record-id tiebreaker."""
-        return self.canonical_key(raw) + ((RID_RANK, rid),)
-
     # -- maintenance -----------------------------------------------------------
 
     def insert_document(self, rid: int, document: Mapping[str, Any]) -> None:

@@ -1,6 +1,6 @@
 """A durable LSM storage engine beneath the document store.
 
-The paper's evaluation assumes trajectories already reside in MongoDB;
+The paper's evaluation assumes the GPS traces already reside in MongoDB;
 the reproduction likewise held every document in memory, so the system
 was read-mostly and forgot everything on crash.  This package adds the
 write path a real fleet platform needs — continuous GPS ingest that

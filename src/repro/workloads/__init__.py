@@ -1,7 +1,5 @@
 """Query workloads matching the paper's evaluation."""
 
-from repro.workloads.generator import WorkloadConfig, WorkloadGenerator
-from repro.workloads.ingest import IngestConfig, IngestReport, StreamingIngest
 from repro.workloads.queries import (
     BIG_BBOX,
     QUERY_WINDOWS,
@@ -12,11 +10,6 @@ from repro.workloads.queries import (
 )
 
 __all__ = [
-    "IngestConfig",
-    "IngestReport",
-    "StreamingIngest",
-    "WorkloadConfig",
-    "WorkloadGenerator",
     "BIG_BBOX",
     "QUERY_WINDOWS",
     "SMALL_BBOX",

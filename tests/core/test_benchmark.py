@@ -7,11 +7,7 @@ import pytest
 
 from repro.cluster.cluster import ClusterTopology
 from repro.core.approaches import deploy_approach, make_approach
-from repro.core.benchmark import (
-    MeasurementRun,
-    measure_query,
-    run_workload,
-)
+from repro.core.benchmark import measure_query
 from repro.core.loader import BulkLoader
 from repro.core.query import SpatioTemporalQuery
 from repro.geo.geometry import BoundingBox
@@ -81,35 +77,3 @@ class TestMeasureQuery:
             measure_query(deployment, make_query(), runs=0)
         with pytest.raises(ValueError):
             measure_query(deployment, make_query(), runs=2, average_last=5)
-
-    def test_as_row(self, deployment):
-        row = measure_query(
-            deployment, make_query(), runs=2, average_last=1
-        ).as_row()
-        assert set(row) >= {
-            "approach",
-            "query",
-            "nodes",
-            "maxKeysExamined",
-            "maxDocsExamined",
-            "executionTimeMs",
-        }
-
-
-class TestRunWorkload:
-    def test_measures_every_query(self, deployment):
-        queries = [make_query("Q1"), make_query("Q2")]
-        run = run_workload(
-            deployment, queries, dataset="test", runs=2, average_last=1
-        )
-        assert [m.query_label for m in run.measurements] == ["Q1", "Q2"]
-        assert run.dataset == "test"
-
-    def test_grouping(self, deployment):
-        run = MeasurementRun(dataset="d")
-        run.measurements.append(
-            measure_query(deployment, make_query("Qa"), runs=1, average_last=1)
-        )
-        grouped = run.by_query()
-        assert set(grouped) == {"Qa"}
-        assert run.rows()[0]["query"] == "Qa"

@@ -1,96 +1,6 @@
-"""Tests for the extended aggregation stages ($unwind, $addFields,
-$sortByCount) and find() projections."""
+"""Tests for find() projections and explain's rejected plans."""
 
-import pytest
-
-from repro.docstore.aggregation import run_pipeline
 from repro.docstore.collection import Collection
-from repro.errors import AggregationError
-
-
-class TestUnwind:
-    DOCS = [
-        {"_id": 1, "cells": [10, 20, 30]},
-        {"_id": 2, "cells": [40]},
-        {"_id": 3, "cells": []},
-        {"_id": 4},
-    ]
-
-    def test_one_doc_per_element(self):
-        out = run_pipeline(self.DOCS, [{"$unwind": "$cells"}])
-        assert [(d["_id"], d["cells"]) for d in out] == [
-            (1, 10),
-            (1, 20),
-            (1, 30),
-            (2, 40),
-        ]
-
-    def test_empty_and_missing_dropped_by_default(self):
-        out = run_pipeline(self.DOCS, [{"$unwind": "$cells"}])
-        assert {d["_id"] for d in out} == {1, 2}
-
-    def test_preserve_empty(self):
-        out = run_pipeline(
-            self.DOCS,
-            [
-                {
-                    "$unwind": {
-                        "path": "$cells",
-                        "preserveNullAndEmptyArrays": True,
-                    }
-                }
-            ],
-        )
-        assert {d["_id"] for d in out} == {1, 2, 3, 4}
-
-    def test_rejects_bad_path(self):
-        with pytest.raises(AggregationError):
-            run_pipeline(self.DOCS, [{"$unwind": "cells"}])
-
-    def test_unwind_then_group_counts_cells(self):
-        # The trajectory-analytics idiom: explode hilbertCells, count
-        # visits per cell.
-        out = run_pipeline(
-            [
-                {"cells": [1, 2]},
-                {"cells": [2, 3]},
-                {"cells": [2]},
-            ],
-            [
-                {"$unwind": "$cells"},
-                {"$group": {"_id": "$cells", "n": {"$sum": 1}}},
-                {"$sort": {"n": -1, "_id": 1}},
-            ],
-        )
-        assert out[0] == {"_id": 2, "n": 3}
-
-
-class TestAddFields:
-    def test_adds_computed_field(self):
-        out = run_pipeline(
-            [{"a": 2, "b": 3}],
-            [{"$addFields": {"sum": {"$add": ["$a", "$b"]}}}],
-        )
-        assert out[0]["sum"] == 5
-        assert out[0]["a"] == 2  # originals kept
-
-    def test_nested_target(self):
-        out = run_pipeline(
-            [{"a": 1}], [{"$addFields": {"meta.flag": True}}]
-        )
-        assert out[0]["meta"]["flag"] is True
-
-    def test_rejects_empty(self):
-        with pytest.raises(AggregationError):
-            run_pipeline([{}], [{"$addFields": {}}])
-
-
-class TestSortByCount:
-    def test_counts_descending(self):
-        docs = [{"k": "a"}, {"k": "b"}, {"k": "a"}, {"k": "a"}]
-        out = run_pipeline(docs, [{"$sortByCount": "$k"}])
-        assert out[0] == {"_id": "a", "count": 3}
-        assert out[1] == {"_id": "b", "count": 1}
 
 
 class TestFindProjection:

@@ -9,13 +9,15 @@ Two checks that have no twin elsewhere at the paper's deployment (the
   per-document byte-identical results and equal counter frames, on a
   first pass and on a second one that the process backend serves from
   its workers' result caches;
-* **durability** — a durable deployment closed without a checkpoint
-  and reopened from its directories answers the same queries with the
-  same documents and counter frames as before the close.
+* **durability** — a durable deployment answers the rendered workload
+  with the same cluster-level documents as an in-memory twin built
+  from the same documents, live inserts and balancer run; closed
+  without a checkpoint and reopened from its directories, it answers
+  the same queries with the same documents and counter frames as
+  before the close.
 
 The smaller synthetic-collection versions of the first check live in
-``tests/service/test_process_executor.py`` and ``test_wire.py``; the
-count-level durable-vs-memory check in ``tests/workloads/test_ingest.py``.
+``tests/service/test_process_executor.py`` and ``test_wire.py``.
 """
 
 import os
@@ -110,24 +112,53 @@ class TestBackends:
             assert executor["remoteSubqueries"] == 0
 
 
+def deploy_half_then_live(docs, durability=None):
+    """Bulk-load half the documents, insert the rest live, balance.
+
+    The initial load is one WAL batch per shard.  The second half
+    arrives live, which is what leaves the storage states the durable
+    gates need: flushes as memtables fill, splits, and migrations whose
+    tombstones recovery must honour.
+    """
+    deployment = deploy_hil(
+        n_shards=4, durability=durability, docs=docs[: N_DOCS // 2]
+    )
+    deployment.cluster.insert_many(
+        COLLECTION, map(deployment.approach.transform, docs[N_DOCS // 2 :])
+    )
+    deployment.cluster.run_balancer(COLLECTION)
+    return deployment
+
+
+def durable(tmp_path):
+    return DurabilityConfig(
+        directory=str(tmp_path), memtable_max_bytes=64 * 1024
+    )
+
+
 class TestDurableReopen:
-    def test_unchecked_close_and_reopen_answers_the_same(self, tmp_path):
+    def test_durable_and_memory_agree(self, tmp_path):
         docs = fleet_documents()
-        deployment = deploy_hil(
-            n_shards=4,
-            durability=DurabilityConfig(
-                directory=str(tmp_path), memtable_max_bytes=64 * 1024
-            ),
-            docs=docs[: N_DOCS // 2],
+        twins = [
+            deploy_half_then_live(docs),
+            deploy_half_then_live(docs, durability=durable(tmp_path)),
+        ]
+        try:
+            workload = rendered_workload(twins[0])
+            memory, on_disk = (
+                [deployment.cluster.find(COLLECTION, q).documents for q in workload]
+                for deployment in twins
+            )
+            assert any(memory)
+            assert on_disk == memory
+        finally:
+            for deployment in twins:
+                deployment.cluster.close()
+
+    def test_unchecked_close_and_reopen_answers_the_same(self, tmp_path):
+        deployment = deploy_half_then_live(
+            fleet_documents(), durability=durable(tmp_path)
         )
-        # The initial load is one WAL batch per shard.  The second half
-        # arrives live, which is what leaves the storage states this
-        # gate needs: flushes as memtables fill, splits, and migrations
-        # whose tombstones recovery must honour.
-        deployment.cluster.insert_many(
-            COLLECTION, map(deployment.approach.transform, docs[N_DOCS // 2 :])
-        )
-        deployment.cluster.run_balancer(COLLECTION)
         workload = rendered_workload(deployment)
 
         def frames(collection):

@@ -51,6 +51,10 @@ def _update():
     }
 
 
+def _projection():
+    return {"meta": 1, "seen": 1}
+
+
 def _collection(docs):
     collection = Collection("t")
     collection.create_index([("meta.x", 1)])
@@ -96,6 +100,14 @@ CASES = [
         lambda: [_filter()], id="Collection.find",
     ),
     pytest.param(
+        _collection, SEED, lambda c, q, p: list(c.find(q, projection=p)),
+        lambda: [_filter(), _projection()], id="Collection.find(projection=)",
+    ),
+    pytest.param(
+        _collection, SEED, lambda c, p: c.aggregate(p),
+        lambda: [[{"$project": _projection()}]], id="Collection.aggregate",
+    ),
+    pytest.param(
         _cluster, SEED, lambda c, ds: c.insert_many("t", ds),
         lambda: [_new_docs()], id="ShardedCluster.insert_many",
     ),
@@ -106,6 +118,15 @@ CASES = [
     pytest.param(
         _cluster, SEED, lambda c, q: c.find("t", q).documents,
         lambda: [_filter()], id="ShardedCluster.find",
+    ),
+    pytest.param(
+        _cluster, SEED, lambda c, p: c.aggregate("t", p),
+        lambda: [[{"$project": _projection()}]], id="ShardedCluster.aggregate",
+    ),
+    pytest.param(
+        _cluster, SEED, lambda c, p: c.aggregate("t", p),
+        lambda: [[{"$bucketAuto": {"groupBy": "$meta", "buckets": 3}}]],
+        id="ShardedCluster.aggregate($bucketAuto)",
     ),
     pytest.param(
         _cluster, [], lambda c, ds: BulkLoader().load(c, "t", ds),
