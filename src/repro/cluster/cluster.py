@@ -374,8 +374,9 @@ class ShardedCluster:
         Updates must not modify shard-key fields (MongoDB enforces the
         same restriction for pre-4.2 semantics this model follows).  An
         update can grow or shrink documents, so the targeted chunks'
-        counters are recounted afterwards, as :meth:`delete_many` does;
-        an oversized chunk is not split here.
+        counters are recounted afterwards, as :meth:`delete_many` does,
+        also when a shard's update raises part-way; an oversized chunk
+        is not split here.
         """
         metadata = self.catalog.get(collection)
         forbidden = set(metadata.pattern.paths)
@@ -389,13 +390,18 @@ class ShardedCluster:
         shape = analyze_query(query)
         targeting = target_chunks(metadata, shape)
         updated = 0
-        for shard_id in targeting.shard_ids:
-            updated += self.shards[shard_id].collection(collection).update_many(
-                query, update
-            )
-        if updated:
-            for chunk in targeting.chunks:
-                self._recount_chunk(metadata, chunk)
+        failed = True
+        try:
+            for shard_id in targeting.shard_ids:
+                updated += self.shards[shard_id].collection(
+                    collection
+                ).update_many(query, update)
+            failed = False
+        finally:
+            # A shard that raised may have updated documents first.
+            if updated or failed:
+                for chunk in targeting.chunks:
+                    self._recount_chunk(metadata, chunk)
         return updated
 
     # -- chunk surgery --------------------------------------------------------------

@@ -14,7 +14,8 @@ pipeline pays no per-document copy of its input.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Dict, List, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, List, Sequence
 
 from repro.docstore import bson
 from repro.docstore.document import (

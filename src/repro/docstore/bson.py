@@ -20,7 +20,8 @@ import datetime as _dt
 import os
 import struct
 import threading
-from typing import Any, Iterable, Mapping, Sequence, Tuple
+from collections.abc import Mapping
+from typing import Any, Iterable, Sequence, Tuple
 
 __all__ = [
     "ObjectId",

@@ -16,7 +16,16 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.docstore.aggregation import run_pipeline
 from repro.docstore.bson import ObjectId, key_bytes
 from repro.docstore.cursor import Cursor
-from repro.docstore.document import fast_copy_document, get_path
+from repro.docstore.document import (
+    MISSING,
+    DocumentShape,
+    _fast_copy_value,
+    copy_with_shape,
+    get_path,
+    set_path,
+    shape_of,
+    unset_path,
+)
 from repro.docstore.executor import ExecutionStats, execute_plan
 from repro.docstore.index import Index, IndexDefinition
 from repro.docstore.matcher import Matcher
@@ -87,6 +96,14 @@ class Collection:
     ) -> None:
         self.name = name
         self._records: Dict[int, dict] = {}
+        #: Each stored document's :class:`DocumentShape`, by rid: set
+        #: wherever a document enters or changes (``_insert_local``,
+        #: ``_load_local``, ``update_many``), dropped with the record,
+        #: and read by ``find_with_stats`` to copy results.
+        self._shapes: Dict[int, DocumentShape] = {}
+        #: The shape stored last; an equal new shape reuses this object,
+        #: so a collection of like documents holds one shape.
+        self._last_shape = DocumentShape()
         self._rid_counter = itertools.count()
         self._indexes: Dict[str, Index] = {}
         #: Logical content epoch: bumped by every mutating operation
@@ -157,14 +174,21 @@ class Collection:
         # A single write may come from a caller that goes on editing
         # its document: nested containers are copied too, or those
         # edits would reach the stored document behind every index.
-        doc = fast_copy_document(document)
+        doc, shape = copy_with_shape(document)
         if "_id" not in doc:
             doc["_id"] = ObjectId()
         rid = next(self._rid_counter)
         for index in self._indexes.values():
             index.insert_document(rid, doc)
         self._records[rid] = doc
+        self._shapes[rid] = self._shared(shape)
         return doc
+
+    def _shared(self, shape: DocumentShape) -> DocumentShape:
+        """``shape``, or the equal shape object stored before it."""
+        if shape != self._last_shape:
+            self._last_shape = shape
+        return self._last_shape
 
     def _load_local(self, documents: Sequence[dict]) -> None:
         """Apply many inserts to the empty in-memory structures at once.
@@ -189,6 +213,9 @@ class Collection:
         }
         self._indexes.update(built)
         self._records.update(records)
+        self._shapes.update(
+            (rid, self._shared(shape_of(doc))) for rid, doc in records.items()
+        )
 
     def _built_index(
         self, definition: IndexDefinition, records: Mapping[int, dict]
@@ -270,6 +297,7 @@ class Collection:
             for index in self._indexes.values():
                 index.remove_document(rid, doc)
             del self._records[rid]
+            del self._shapes[rid]
         if self._engine is not None and doomed:
             self._engine.apply_batch(
                 [
@@ -291,48 +319,76 @@ class Collection:
         Supports ``$set``, ``$unset``, ``$inc``, ``$mul``, ``$min``,
         ``$max``, and ``$push``; indexes are maintained through the
         change.  Returns the number of documents modified.
+
+        Two operators on one path, or on a path and its prefix, are
+        rejected before anything changes, as MongoDB rejects them.  A
+        ``$push`` onto a field that holds something other than an array
+        raises :class:`DocumentStoreError` and leaves that document
+        unchanged.  The documents updated before it stay updated, and
+        with durability on they are persisted before the error
+        propagates (as :meth:`insert_many` does).
         """
         unknown = set(update) - self._UPDATE_OPERATORS
         if unknown:
             raise DocumentStoreError(
                 "unsupported update operators %r" % sorted(unknown)
             )
+        paths = [path for fields in update.values() for path in fields]
+        for i, path in enumerate(paths):
+            for other in paths[i + 1:]:
+                if (
+                    path == other
+                    or other.startswith(path + ".")
+                    or path.startswith(other + ".")
+                ):
+                    raise DocumentStoreError(
+                        "updating %r and %r would conflict" % (path, other)
+                    )
         self._mutations += 1
         matcher = Matcher(query)
         touched = 0
         operations: List[Tuple[int, bytes, Optional[bytes]]] = []
-        for rid, doc in list(self._records.items()):
-            if not matcher.matches(doc):
-                continue
-            for index in self._indexes.values():
-                index.remove_document(rid, doc)
-            self._apply_update(doc, update)
-            for index in self._indexes.values():
-                index.insert_document(rid, doc)
-            if self._engine is not None:
-                operations.append(
-                    (OP_PUT, key_bytes([doc["_id"]]), encode_document(doc))
-                )
-            touched += 1
-        if self._engine is not None and operations:
-            self._engine.apply_batch(operations)
+        try:
+            for rid, doc in list(self._records.items()):
+                if not matcher.matches(doc):
+                    continue
+                self._check_update(doc, update)
+                for index in self._indexes.values():
+                    index.remove_document(rid, doc)
+                self._apply_update(doc, update)
+                for index in self._indexes.values():
+                    index.insert_document(rid, doc)
+                self._shapes[rid] = self._shared(shape_of(doc))
+                if self._engine is not None:
+                    operations.append(
+                        (OP_PUT, key_bytes([doc["_id"]]), encode_document(doc))
+                    )
+                touched += 1
+        finally:
+            if self._engine is not None and operations:
+                self._engine.apply_batch(operations)
         return touched
+
+    @staticmethod
+    def _check_update(doc: dict, update: Mapping[str, Any]) -> None:
+        """Raise, before anything changes, if ``update`` cannot apply."""
+        for path in update.get("$push", {}):
+            current = get_path(doc, path)
+            if current is not MISSING and not isinstance(current, list):
+                raise DocumentStoreError(
+                    "$push needs an array at %r, the document %r holds %s"
+                    % (path, doc.get("_id"), type(current).__name__)
+                )
 
     @staticmethod
     def _apply_update(doc: dict, update: Mapping[str, Any]) -> None:
         from repro.docstore import bson
-        from repro.docstore.document import (
-            MISSING,
-            _fast_copy_value,
-            get_path,
-            set_path,
-        )
 
         # Values are the caller's: every document stores its own copy.
         for path, value in update.get("$set", {}).items():
             set_path(doc, path, _fast_copy_value(value))
         for path in update.get("$unset", {}):
-            doc.pop(path, None)
+            unset_path(doc, path)
         for path, delta in update.get("$inc", {}).items():
             current = get_path(doc, path)
             base = current if isinstance(current, (int, float)) else 0
@@ -351,7 +407,7 @@ class Collection:
                 set_path(doc, path, _fast_copy_value(value))
         for path, value in update.get("$push", {}).items():
             current = get_path(doc, path)
-            if current is MISSING or not isinstance(current, list):
+            if current is MISSING:
                 current = []
             set_path(doc, path, current + [_fast_copy_value(value)])
 
@@ -440,9 +496,14 @@ class Collection:
                 max_geo_ranges=max_geo_ranges,
             )
         plan_ms = (time.perf_counter() - plan_started) * 1000.0
-        docs, stats = execute_plan(plan, self._records, matcher)
+        rids, stats = execute_plan(plan, self._records, matcher)
         stats.stage_times_ms["plan"] = plan_ms
-        return FindResult([fast_copy_document(d) for d in docs], stats, plan)
+        # Each result is copied along its stored shape: the caller owns
+        # it, and no field's type is tested again.
+        records = self._records
+        shapes = self._shapes
+        documents = [shapes[rid](records[rid]) for rid in rids]
+        return FindResult(documents, stats, plan)
 
     def hinted_bounds(self, hint: str, shape, max_geo_ranges=None):
         """``(bounds, n_bounded, exact_paths)`` for the hint, or None.
@@ -558,6 +619,7 @@ class Collection:
             doc = self._records.pop(rid, None)
             if doc is None:
                 continue
+            del self._shapes[rid]
             for index in self._indexes.values():
                 index.remove_document(rid, doc)
             if self._engine is not None:

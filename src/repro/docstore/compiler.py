@@ -41,7 +41,8 @@ propagates exactly as ``bson.compare`` would.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.docstore import bson
 from repro.docstore.document import MISSING, get_path
@@ -294,8 +295,8 @@ def _compile_order_test(op: str, arg: Any) -> Optional[_Test]:
     return test
 
 
-def _rect_contains_lonlat(region: Any):
-    """``contains_lonlat`` when the region is its own bounding box.
+def _rect_box(region: Any) -> Optional[BoundingBox]:
+    """The region's bounding box when the region is that box.
 
     True for a :class:`BoundingBox` and for a Polygon whose ring is a
     simple closed axis-aligned rectangle (4 distinct corners, 2
@@ -306,7 +307,7 @@ def _rect_contains_lonlat(region: Any):
     anything else (general polygons keep the per-point ring walk).
     """
     if isinstance(region, BoundingBox):
-        return region.contains_lonlat
+        return region
     ring = getattr(region, "ring", None)
     if ring is None or len(ring) != 5 or len(set(ring[:4])) != 4:
         return None
@@ -315,7 +316,7 @@ def _rect_contains_lonlat(region: Any):
     for a, b in zip(ring, ring[1:]):
         if a.lon != b.lon and a.lat != b.lat:
             return None
-    return region.bbox.contains_lonlat
+    return region.bbox
 
 
 def _compile_geo_test(arg: Any, intersects: bool) -> Optional[_Test]:
@@ -336,33 +337,42 @@ def _geo_test_from_region(region: Any, intersects: bool) -> _Test:
     binder (:mod:`repro.docstore.paramplan`) can parse a query's region
     once and share it between the planner shape and the compiled test.
     """
+    general = _parsed_geo_test(region, intersects)
+    rect = _rect_box(region)
+    if rect is None:
+        return general
+    min_lon, min_lat = rect.min_lon, rect.min_lat
+    max_lon, max_lat = rect.max_lon, rect.max_lat
+
+    def test(actual: Any) -> bool:
+        # The dominant stored shape — a GeoJSON Point with two in-range
+        # float coordinates — is two interval tests against the box,
+        # with no per-document ``parse_geometry`` (which allocates a
+        # validated Point).  Everything else takes the general test.
+        if type(actual) is dict and actual.get("type") == "Point":
+            coords = actual.get("coordinates")
+            if type(coords) is list and len(coords) == 2:
+                lon, lat = coords
+                if (
+                    type(lon) is float
+                    and type(lat) is float
+                    and -180.0 <= lon <= 180.0
+                    and -90.0 <= lat <= 90.0
+                ):
+                    return min_lon <= lon <= max_lon and min_lat <= lat <= max_lat
+        return general(actual)
+
+    return test
+
+
+def _parsed_geo_test(region: Any, intersects: bool) -> _Test:
+    """The geo value test for any stored value: parse, then test."""
     box = region if isinstance(region, BoundingBox) else region.bbox
     region_contains = region.contains
-    # Rectangular regions admit a parse-free branch for the dominant
-    # stored shape (a well-formed GeoJSON Point): containment is two
-    # float comparisons, so the per-document ``parse_geometry`` —
-    # which allocates a validated Point — is skipped entirely.
-    # Anything that is not exactly {type: "Point", coordinates:
-    # [number, number]} falls through to the parse-based branch.
-    box_contains_lonlat = _rect_contains_lonlat(region)
 
     def test(actual: Any) -> bool:
         if actual is MISSING:
             return False
-        if (
-            box_contains_lonlat is not None
-            and type(actual) is dict
-            and actual.get("type") == "Point"
-        ):
-            coords = actual.get("coordinates")
-            if type(coords) is list and len(coords) == 2:
-                lon, lat = coords
-                if isinstance(lon, (int, float)) and isinstance(
-                    lat, (int, float)
-                ):
-                    if -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0:
-                        return box_contains_lonlat(lon, lat)
-                    return False  # parse_point raises -> interpreter: False
         try:
             geometry = parse_geometry(actual)
         except Exception:

@@ -1,8 +1,10 @@
-"""Document helpers: dotted-path access and deep utilities.
+"""Document helpers: dotted-path access, copies and stored shapes.
 
 MongoDB addresses nested fields with dotted paths
 (``location.coordinates``); the matcher, indexes, and projections all
-share these helpers.
+share these helpers.  A :class:`DocumentShape` records where a stored
+document's mutable containers are, so that a query result is copied
+without testing every field again.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import copy
 import datetime as _dt
 from collections.abc import Mapping, MutableMapping, Sequence
-from typing import Any, Iterator, Tuple
+from typing import Any, Iterator, List, Tuple
 
 from repro.docstore.bson import ObjectId
 
@@ -18,10 +20,13 @@ __all__ = [
     "MISSING",
     "get_path",
     "set_path",
+    "unset_path",
     "has_path",
     "iter_paths",
     "deep_copy_document",
-    "fast_copy_document",
+    "DocumentShape",
+    "copy_with_shape",
+    "shape_of",
 ]
 
 
@@ -93,6 +98,31 @@ def set_path(
     current[parts[-1]] = value
 
 
+def unset_path(document: MutableMapping[str, Any], path: str) -> None:
+    """Remove the field at a dotted path; an absent path is a no-op.
+
+    As in MongoDB's ``$unset``, a path that ends at an array element
+    sets that element to ``None`` instead of shifting the array.
+    """
+    *parents, last = path.split(".")
+    current: Any = document
+    for part in parents:
+        if isinstance(current, MutableMapping):
+            current = current.get(part)
+        elif _is_index(current, part):
+            current = current[int(part)]
+        else:
+            return
+    if isinstance(current, MutableMapping):
+        current.pop(last, None)
+    elif _is_index(current, last):
+        current[int(last)] = None
+
+
+def _is_index(current: Any, part: str) -> bool:
+    return type(current) is list and part.isdigit() and int(part) < len(current)
+
+
 def iter_paths(
     document: Mapping[str, Any], prefix: str = ""
 ) -> Iterator[Tuple[str, Any]]:
@@ -123,29 +153,75 @@ _IMMUTABLE_SCALARS = (
     _dt.date,
     ObjectId,
 )
-
-
-def fast_copy_document(document: Mapping[str, Any]) -> dict:
-    """A structural copy specialized to BSON-shaped documents.
-
-    Produces a result ``==`` to :func:`deep_copy_document` for every
-    document this store holds, but only allocates for the mutable
-    containers (dicts, lists, tuples); scalars — including datetimes
-    and ObjectIds, which are immutable — are shared by reference.
-    ``copy.deepcopy``'s generic memo machinery is the single largest
-    cost of the read hot path, which is why query results are copied
-    with this instead.
-    """
-    # One C-level shallow copy, then only the (few) container values
-    # are replaced: documents are mostly flat scalars.
-    out = dict(document)
-    for key, value in out.items():
-        if type(value) not in _IMMUTABLE_SCALAR_SET:
-            out[key] = _fast_copy_value(value)
-    return out
-
-
 _IMMUTABLE_SCALAR_SET = frozenset(_IMMUTABLE_SCALARS)
+
+
+class DocumentShape(tuple):
+    """Where a stored document's mutable containers are.
+
+    A tuple of ``(key, copier)`` pairs, one per field that holds
+    anything but an immutable scalar.  ``copier`` is ``dict`` or
+    ``list`` for a container of immutable scalars, a nested
+    :class:`DocumentShape` for a plain dict that holds containers, and
+    ``_fast_copy_value`` (always safe) for everything else.  Calling a shape on the document it
+    describes returns a copy that shares no mutable container with it:
+    one C-level ``dict`` copy, then only the named fields are replaced —
+    no field's type is tested again.  Shapes compare by value, so equal
+    shapes can share one object.
+
+    A shape is true only while its document is unchanged: the
+    collection computes it wherever a document enters or changes
+    (``Collection._insert_local``, ``_load_local``, ``update_many``).
+    """
+
+    __slots__ = ()
+
+    def __call__(self, document: Mapping[str, Any]) -> dict:
+        out = dict(document)
+        for key, copier in self:
+            out[key] = copier(out[key])
+        return out
+
+
+def copy_with_shape(document: Mapping[str, Any]) -> Tuple[dict, DocumentShape]:
+    """A private copy of ``document`` and its shape, from one walk.
+
+    The copy is ``==`` to :func:`deep_copy_document` and shares no
+    mutable container with ``document``; immutable scalars (datetimes
+    and ObjectIds included) are shared by reference.
+    """
+    out = dict(document)
+    return out, _shape(out, copying=True)
+
+
+def shape_of(document: dict) -> DocumentShape:
+    """The shape of a document the store already owns (no copy)."""
+    return _shape(document, copying=False)
+
+
+def _shape(out: dict, copying: bool) -> DocumentShape:
+    # With ``copying``, ``out`` is a fresh top-level copy whose
+    # containers are replaced by copies as the walk meets them
+    # (replacing a value does not disturb the iteration).
+    entries: List[Tuple[str, Any]] = []
+    for key, value in out.items():
+        kind = type(value)
+        if kind in _IMMUTABLE_SCALAR_SET:
+            continue
+        if kind is dict:
+            if copying:
+                value = out[key] = dict(value)
+            nested = _shape(value, copying)
+            entries.append((key, nested or dict))
+        elif kind is list and _IMMUTABLE_SCALAR_SET.issuperset(map(type, value)):
+            if copying:
+                out[key] = list(value)
+            entries.append((key, list))
+        elif not isinstance(value, _IMMUTABLE_SCALARS):
+            if copying:
+                out[key] = _fast_copy_value(value)
+            entries.append((key, _fast_copy_value))
+    return DocumentShape(entries)
 
 
 def _fast_copy_value(value: Any) -> Any:

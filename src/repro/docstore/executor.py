@@ -201,23 +201,21 @@ def execute_plan(
     plan: IndexScanPlan | CollScanPlan,
     records: Mapping[int, Mapping[str, Any]],
     matcher: Matcher,
-) -> Tuple[List[Mapping[str, Any]], ExecutionStats]:
+) -> Tuple[List[int], ExecutionStats]:
     """Execute a plan against the record store and filter residually.
 
-    Returns matching documents (storage references, *not* copies — the
-    collection layer copies before handing to callers) plus stats.
+    Returns the record ids of the matching documents — the collection
+    layer copies each one before handing it to a caller — plus stats.
     Every fetched document counts in ``docsExamined`` whatever the
     residual filter still has to test.
     """
     stats = ExecutionStats()
-    out: List[Mapping[str, Any]] = []
     if isinstance(plan, CollScanPlan):
         stats.stage = "COLLSCAN"
         started = time.perf_counter()
-        for doc in records.values():
-            stats.docs_examined += 1
-            if matcher.matches(doc):
-                out.append(doc)
+        matches = matcher.matches
+        out = [rid for rid, doc in records.items() if matches(doc)]
+        stats.docs_examined = len(records)
         stats.stage_times_ms["filter"] = (
             time.perf_counter() - started
         ) * 1000.0
@@ -232,8 +230,8 @@ def execute_plan(
     matches = matcher.residual(plan.covered_paths)
     if type(matches) is CompiledPredicateList and len(matches.predicates) == 1:
         matches = matches.predicates[0]
-    fetched = [doc for doc in map(records.get, rids) if doc is not None]
-    out = [doc for doc in fetched if matches(doc)]
+    fetched = [rid for rid in rids if rid in records]
+    out = [rid for rid in fetched if matches(records[rid])]
     stats.docs_examined = len(fetched)
     stats.stage_times_ms["scan"] = (scanned - started) * 1000.0
     stats.stage_times_ms["filter"] = (

@@ -20,8 +20,9 @@ compares safely against the scan sentinels.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.docstore import bson
 from repro.docstore.btree import BPlusTree

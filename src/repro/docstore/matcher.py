@@ -14,7 +14,8 @@ compare in queries (they do in index/sort order, which is separate).
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Any, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Any, Sequence
 
 from repro.docstore import bson
 from repro.docstore.document import MISSING, get_path

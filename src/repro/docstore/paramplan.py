@@ -42,7 +42,8 @@ it emits exactly the predicate objects ``analyze_query`` +
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.docstore import bson
 from repro.docstore.compiler import (

@@ -23,13 +23,13 @@ Supported bound sources, matching the paper's workloads:
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
     FrozenSet,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,

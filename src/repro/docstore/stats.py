@@ -35,8 +35,9 @@ from __future__ import annotations
 import bisect
 import datetime as _dt
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.geo.geometry import BoundingBox
 from repro.sfc.hilbert import HilbertCurve2D

@@ -1,4 +1,4 @@
-"""Tests for dotted-path document helpers."""
+"""Tests for dotted-path document helpers, copies and stored shapes."""
 
 import collections
 import datetime as dt
@@ -10,12 +10,14 @@ from repro.datagen import FleetConfig, FleetGenerator
 from repro.docstore.bson import ObjectId
 from repro.docstore.document import (
     MISSING,
+    copy_with_shape,
     deep_copy_document,
-    fast_copy_document,
     get_path,
     has_path,
     iter_paths,
     set_path,
+    shape_of,
+    unset_path,
 )
 
 DOC = {
@@ -127,6 +129,42 @@ class TestDeepCopy:
         assert _Missing() is MISSING
 
 
+class TestUnsetPath:
+    def test_top_level_and_nested_fields_are_removed(self):
+        doc = {"a": 1, "b": {"c": 2, "d": 3}}
+        unset_path(doc, "a")
+        unset_path(doc, "b.c")
+        assert doc == {"b": {"d": 3}}
+
+    def test_array_element_becomes_none(self):
+        doc = {"arr": [1, {"x": 2}, 3]}
+        unset_path(doc, "arr.0")
+        unset_path(doc, "arr.1.x")
+        assert doc == {"arr": [None, {}, 3]}
+
+    def test_absent_paths_are_a_no_op(self):
+        doc = {"a": 1, "arr": [1], "b": {"c": 2}}
+        for path in ("z", "a.b", "b.z.y", "arr.5", "arr.x", "a.0"):
+            unset_path(doc, path)
+        assert doc == {"a": 1, "arr": [1], "b": {"c": 2}}
+
+
+def _copy_pairs(document):
+    """``(source, copy)`` for each way the store copies a document.
+
+    The insert copy (``copy_with_shape``), the result copy of what the
+    insert stored (its shape, called on it), and the result copy of a
+    document the store adopted as given (bulk load: ``shape_of``).
+    """
+    stored, shape = copy_with_shape(document)
+    adopted = dict(document)
+    return [
+        (document, stored),
+        (stored, shape(stored)),
+        (adopted, shape_of(adopted)(adopted)),
+    ]
+
+
 class TestFastCopy:
     def _fleet_document(self):
         (doc,) = FleetGenerator(FleetConfig(n_vehicles=2)).generate_list(1)
@@ -134,28 +172,57 @@ class TestFastCopy:
 
     def test_equals_deep_copy_on_the_fleet_shape(self):
         doc = self._fleet_document()
-        copied = fast_copy_document(doc)
-        assert copied == deep_copy_document(doc) == doc
-        assert list(copied) == list(doc)  # field order survives
-        assert type(copied) is dict and copied is not doc
+        for source, copied in _copy_pairs(doc):
+            assert copied == deep_copy_document(source) == doc
+            assert list(copied) == list(doc)  # field order survives
+            assert type(copied) is dict and copied is not source
 
     def test_nested_containers_are_new_objects(self):
         doc = self._fleet_document()
-        copied = fast_copy_document(doc)
-        assert copied["location"] is not doc["location"]
-        assert (
-            copied["location"]["coordinates"]
-            is not doc["location"]["coordinates"]
+        for source, copied in _copy_pairs(doc):
+            before = deep_copy_document(source)
+            assert copied["location"] is not source["location"]
+            assert (
+                copied["location"]["coordinates"]
+                is not source["location"]["coordinates"]
+            )
+            copied["location"]["coordinates"][0] = 0.0
+            copied["weather"]["added"] = True
+            assert source == before
+
+    def test_the_fleet_shape_names_only_its_containers(self):
+        stored, shape = copy_with_shape(self._fleet_document())
+        assert shape == (
+            ("location", (("coordinates", list),)),
+            ("weather", dict),
+            ("road", dict),
+            ("poi", dict),
         )
-        copied["location"]["coordinates"][0] = 0.0
-        copied["weather"]["added"] = True
-        assert doc == self._fleet_document() | {"_id": doc["_id"]}
+        assert shape_of(stored) == shape
+
+    def test_near_miss_layouts_have_different_shapes(self):
+        # A collection reuses the previous document's shape object when
+        # the next shape is equal to it, so equality must be exact.
+        doc = self._fleet_document()
+        shape = shape_of(doc)
+        assert shape_of(self._fleet_document()) == shape
+        changed = [
+            {**doc, "weather": {**doc["weather"], "gusts": [1.0]}},
+            {**doc, "extra": [1]},
+            {**doc, "road": "primary"},
+            {k: v for k, v in doc.items() if k != "poi"},
+            {**doc, "location": {"type": "Point", "coordinates": (1.0, 2.0)}},
+            {**doc, "location": {"type": "Point", "coordinates": [1.0, [2.0]]}},
+            {**doc, "poi": [doc["poi"]]},
+        ]
+        for other in changed:
+            assert shape_of(other) != shape
 
     def test_immutable_scalars_are_shared(self):
         doc = self._fleet_document()
-        copied = fast_copy_document(doc)
-        assert copied["_id"] is doc["_id"]
-        assert copied["date"] is doc["date"]
+        for source, copied in _copy_pairs(doc):
+            assert copied["_id"] is source["_id"]
+            assert copied["date"] is source["date"]
         assert isinstance(doc["date"], dt.datetime)
 
     def test_tuples_and_unknown_mutables_still_deep_copy(self):
@@ -167,13 +234,13 @@ class TestFastCopy:
                 return self.items == other.items
 
         doc = {"t": ([1, 2], {"k": [3]}), "box": Box(), "s": {1, 2}}
-        copied = fast_copy_document(doc)
-        assert copied == deep_copy_document(doc)
-        assert copied["t"][0] is not doc["t"][0]
-        assert copied["t"][1]["k"] is not doc["t"][1]["k"]
-        assert copied["box"] is not doc["box"]
-        assert copied["box"].items is not doc["box"].items
-        assert copied["s"] is not doc["s"]
+        for source, copied in _copy_pairs(doc):
+            assert copied == deep_copy_document(source)
+            assert copied["t"][0] is not source["t"][0]
+            assert copied["t"][1]["k"] is not source["t"][1]["k"]
+            assert copied["box"] is not source["box"]
+            assert copied["box"].items is not source["box"].items
+            assert copied["s"] is not source["s"]
 
     def test_scalar_subclasses_are_shared_not_copied(self):
         class Tagged(str):
@@ -183,9 +250,9 @@ class TestFastCopy:
             pass
 
         doc = {"s": Tagged("x"), "nested": {"o": Oid()}}
-        copied = fast_copy_document(doc)
-        assert copied["s"] is doc["s"]
-        assert copied["nested"]["o"] is doc["nested"]["o"]
+        for source, copied in _copy_pairs(doc):
+            assert copied["s"] is source["s"]
+            assert copied["nested"]["o"] is source["nested"]["o"]
 
 
 class _TaggedDict(dict):
@@ -236,7 +303,7 @@ def _containers(value, out):
 @settings(max_examples=300, deadline=None)
 @given(document=st.dictionaries(st.text(max_size=4), _values, max_size=6))
 def test_fast_copy_equals_deep_copy_and_shares_no_container(document):
-    copied = fast_copy_document(document)
-    assert copied == deep_copy_document(document)
-    assert list(copied) == list(document)
-    assert not _containers(document, set()) & _containers(copied, set())
+    for source, copied in _copy_pairs(document):
+        assert copied == deep_copy_document(source)
+        assert list(copied) == list(source)
+        assert not _containers(source, set()) & _containers(copied, set())

@@ -78,6 +78,7 @@ class TestIsMultikeyTracksContent:
         assert index.is_multikey()
         col.update_many({"_id": 2}, {"$set": {"tags": 7}})
         assert not index.is_multikey()
+        col.update_many({"_id": 3}, {"$unset": {"tags": ""}})
         col.update_many({"_id": 3}, {"$push": {"tags": 1}})  # [1]
         col.update_many({"_id": 3}, {"$push": {"tags": 2}})  # [1, 2]
         assert index.is_multikey()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.docstore.collection import Collection
+from repro.docstore.lsm import DurabilityConfig
 from repro.errors import DocumentStoreError
 
 
@@ -72,6 +73,58 @@ class TestPush:
         col.update_many({}, {"$push": {"tags": "a"}})
         assert col.find_one({})["tags"] == ["a"]
 
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+    def test_onto_a_non_array_raises_and_keeps_earlier_updates(
+        self, durable, tmp_path
+    ):
+        config = DurabilityConfig(directory=str(tmp_path), compaction=False)
+        col = Collection("t", durability=config if durable else None)
+        col.create_index([("n", 1)], name="n_1")
+        col.insert_many(
+            [{"_id": 1, "n": [1]}, {"_id": 2, "n": 5}, {"_id": 3, "n": [3]}]
+        )
+        with pytest.raises(DocumentStoreError, match="array"):
+            col.update_many({}, {"$set": {"seen": True}, "$push": {"n": 7}})
+        expected = [
+            {"_id": 1, "n": [1, 7], "seen": True},
+            {"_id": 2, "n": 5},  # the failing document is left as it was
+            {"_id": 3, "n": [3]},
+        ]
+        assert list(col.find({})) == expected
+        assert [d["_id"] for d in col.find_with_stats({"n": 7}, hint="n_1")] == [1]
+        assert [d["_id"] for d in col.find_with_stats({"n": 5}, hint="n_1")] == [2]
+        if durable:
+            col.close()
+            reopened = Collection("t", durability=config)
+            assert sorted(reopened.find({}), key=lambda d: d["_id"]) == expected
+            reopened.close()
+
+
+class TestUnset:
+    def test_dotted_path_removes_the_nested_field_and_its_index_key(self):
+        col = Collection("t")
+        col.create_index([("meta.x", 1)], name="mx_1")
+        col.insert_one({"_id": 1, "meta": {"x": 5, "y": 6}})
+        assert col.update_many({"_id": 1}, {"$unset": {"meta.x": ""}}) == 1
+        assert col.find_one({}) == {"_id": 1, "meta": {"y": 6}}
+        assert len(col.find_with_stats({"meta.x": 5}, hint="mx_1")) == 0
+        # A missing field indexes as null, as in MongoDB.
+        assert len(col.find_with_stats({"meta.x": None}, hint="mx_1")) == 1
+
+    def test_array_element_is_set_to_null(self):
+        col = col_with({"_id": 1, "tags": ["a", "b", "c"]})
+        col.update_many({}, {"$unset": {"tags.1": ""}})
+        assert col.find_one({})["tags"] == ["a", None, "c"]
+
+    def test_results_follow_the_shape_after_unset(self):
+        col = col_with({"_id": 1, "meta": {"x": [1, 2], "y": {"z": 1}}})
+        col.update_many({}, {"$unset": {"meta.x": "", "meta.y": ""}})
+        col.update_many({}, {"$set": {"meta.w": [3]}})
+        result = col.find_one({})
+        assert result == {"_id": 1, "meta": {"w": [3]}}
+        result["meta"]["w"].append(4)
+        assert col.find_one({}) == {"_id": 1, "meta": {"w": [3]}}
+
 
 class TestIndexMaintenance:
     def test_inc_reindexes(self):
@@ -96,6 +149,21 @@ class TestIndexMaintenance:
         doc = col.find_one({})
         assert doc["a"] == 2 and doc["b"] == 9 and doc["c"] == "x"
         assert "junk" not in doc
+
+    @pytest.mark.parametrize(
+        "update",
+        [
+            {"$set": {"n": 5}, "$push": {"n": 7}},
+            {"$set": {"meta.x": 1}, "$unset": {"meta": ""}},
+        ],
+        ids=["same-path", "prefix"],
+    )
+    def test_conflicting_paths_rejected_before_any_change(self, update):
+        col = col_with({"_id": 1, "n": [1], "meta": {"x": 0}})
+        with pytest.raises(DocumentStoreError, match="conflict"):
+            col.update_many({}, update)
+        assert col.find_one({}) == {"_id": 1, "n": [1], "meta": {"x": 0}}
+        assert len(col.find_with_stats({"_id": 1}, hint="_id_")) == 1
 
     def test_unknown_operator_rejected(self):
         col = col_with({"_id": 1})

@@ -55,6 +55,22 @@ def _projection():
     return {"meta": 1, "seen": 1}
 
 
+def _reshaping_updates():
+    # The first removes a container and leaves ``meta`` a flat dict; the
+    # second gives that flat dict a list.  A result copied by a stale
+    # stored shape would miss the first or alias the second.
+    return [{"$unset": {"meta.tags": ""}}, {"$set": {"meta.more": [1, {"d": 2}]}}]
+
+
+def _reshape_then(update, find):
+    def call(store, query, updates):
+        for each in updates:
+            update(store, query, each)
+        return find(store, query)
+
+    return call
+
+
 def _collection(docs):
     collection = Collection("t")
     collection.create_index([("meta.x", 1)])
@@ -151,6 +167,27 @@ CASES = [
     pytest.param(
         _service, SEED, lambda s, q: s.find("t", q).documents,
         lambda: [_filter()], id="QueryService.find",
+    ),
+    pytest.param(
+        _collection, SEED,
+        _reshape_then(lambda c, q, u: c.update_many(q, u),
+                      lambda c, q: list(c.find(q))),
+        lambda: [_filter(), _reshaping_updates()],
+        id="Collection.find after a shape-changing update",
+    ),
+    pytest.param(
+        _cluster, SEED,
+        _reshape_then(lambda c, q, u: c.update_many("t", q, u),
+                      lambda c, q: c.find("t", q).documents),
+        lambda: [_filter(), _reshaping_updates()],
+        id="ShardedCluster.find after a shape-changing update",
+    ),
+    pytest.param(
+        _service, SEED,
+        _reshape_then(lambda s, q, u: s.update_many("t", q, u),
+                      lambda s, q: s.find("t", q).documents),
+        lambda: [_filter(), _reshaping_updates()],
+        id="QueryService.find after a shape-changing update",
     ),
 ]
 

@@ -69,7 +69,7 @@ def test_errors_hierarchy():
     assert issubclass(errors.ShardingError, errors.ReproError)
 
 
-#: The two spellings ``benchmarks/perf`` pins (ROADMAP item 5a): the
+#: The two spellings ``benchmarks/perf`` pins (ROADMAP items 1(d) and 8(a)): the
 #: targeting-cache bypass and a wire field no worker reads.
 FAST_PATH_ALLOWED = {
     "repro.cluster.cluster.ShardedCluster.targeting_for",
