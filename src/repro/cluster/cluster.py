@@ -598,10 +598,11 @@ class ShardedCluster:
         no cache lock is ever reachable from under a shard lock.
         """
         plan_started = time.perf_counter()
+        if matcher is None:
+            # Compiled first: a malformed query raises QueryError here.
+            matcher = Matcher(query)
         if shape is None:
             shape = analyze_query(query)
-        if matcher is None:
-            matcher = Matcher(query)
         if targeting is None:
             targeting = target_chunks(self.catalog.get(collection), shape)
         plan_bounds = None

@@ -1,56 +1,67 @@
 """Predicate compilation: query documents → flat prepared closures.
 
-The tree-walking :class:`~repro.docstore.matcher.Matcher` re-interprets
-the query document for every candidate document: it re-dispatches on
-operator names, re-canonicalizes operator arguments through
-:func:`repro.docstore.bson.sort_key`, and — worst of all — re-parses
-the ``$geoWithin`` GeoJSON region *per document*.  For the paper's
-workloads (a geo predicate, a date range, and an ``$or`` of thousands
-of Hilbert ranges, filtered over thousands of fetched documents) that
-interpretation dominates query CPU.
-
-This module compiles a validated query document **once** into a flat
-list of prepared predicate closures:
+A read filters every fetched document with its query, so the query is
+compiled once (:class:`~repro.docstore.matcher.Matcher`) rather than
+walked per document.  For the paper's workloads — a geo predicate, a
+date range, and an ``$or`` of thousands of Hilbert ranges, filtered
+over thousands of fetched documents — that walk would dominate query
+CPU.  Compilation produces a flat list of prepared predicate closures:
 
 * operator arguments are canonicalized at compile time (``sort_key``
   runs once per argument, not once per document per operator);
 * ``$geoWithin``/``$geoIntersects`` regions are parsed once and their
   bounding boxes precomputed;
 * ``$in`` lists are canonicalized and sorted for bisection;
-* single-path ``$or`` interval sets reuse the matcher's compiled
-  :class:`~repro.docstore.matcher._IntervalSetPredicate`;
+* a single-path ``$or`` that :func:`~repro.docstore.planner.fold_or`
+  folds exactly becomes one bisected :class:`_IntervalSetPredicate`;
+  any other ``$or`` tests its clauses one by one;
 * predicates are ordered cheapest-first (scalar comparisons, then
   interval sets, then geometry, then sub-clauses), so documents
   failing a cheap range never pay for polygon containment.
 
-Compilation is *all or nothing*: any construct whose interpretation is
-argument-dependent in a way the compiled form cannot reproduce exactly
-— malformed ``$mod``/``$in`` arguments, unknown ``$type`` aliases,
-non-mapping ``$not`` arguments, unparseable geo regions, operator
-arguments whose canonicalization raises lazily — makes
-:func:`compile_matcher` return ``None`` and the caller keeps the
-interpreter, guaranteeing parity including lazily raised errors.
+Compiling is validating: a malformed query — ``$in``/``$nin`` without
+an array, a malformed ``$mod`` or one with divisor 0, an unknown
+``$type`` alias, ``$not`` without an operator document, an unparseable
+geo region, an argument BSON cannot encode — raises
+:class:`~repro.errors.QueryError` here, as MongoDB rejects it when it
+parses the query, before any document is tested.
 
-Raise parity on *document* values is preserved the same way the
-interpreter behaves: candidates are bracket-checked with ``type_rank``
-(a raise there skips the candidate) and then canonicalized with
-``sort_key``, whose nested ``TypeError`` on malformed stored values
-propagates exactly as ``bson.compare`` would.
+Document values follow the match language's rules (the interpreter in
+:mod:`repro.reference` states them plainly): candidates are
+bracket-checked with ``type_rank`` (a raise there skips the candidate)
+and then canonicalized with ``sort_key``, whose nested ``TypeError`` on
+malformed stored values propagates as ``bson.compare``'s would.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import datetime as _dt
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.docstore import bson
 from repro.docstore.document import MISSING, get_path
-from repro.docstore.planner import BOUND_OPS
+from repro.docstore.planner import (
+    BOUND_OPS,
+    OrFold,
+    fold_or,
+    geo_region,
+    is_operator_expression,
+    is_plain_sequence,
+)
+from repro.errors import QueryError
 from repro.geo.geojson import parse_geometry
 from repro.geo.geometry import BoundingBox, LineString, Point, Polygon
 
-__all__ = ["compile_matcher", "CompiledPredicateList", "_geo_test_from_region"]
+__all__ = [
+    "compile_query",
+    "all_of",
+    "tag_or",
+    "geo_test",
+    "candidates",
+    "TYPE_NAME_RANKS",
+]
 
 # Cost classes used to order the compiled conjunction (stable sort, so
 # same-cost predicates keep query-document order).
@@ -59,10 +70,6 @@ _COST_INTERVAL_SET = 1
 _COST_GEO = 2
 _COST_CLAUSES = 3
 
-_OK = 0  # argument canonicalized
-_UNORDERABLE = 1  # type_rank raises: no document value is comparable
-_FALLBACK = 2  # type_rank fine, sort_key raises lazily: keep interpreter
-
 _Test = Callable[[Any], bool]
 _Pred = Callable[[Mapping[str, Any]], bool]
 #: ``(cost, predicate, label, droppable)``: ``label`` is the path the
@@ -70,54 +77,120 @@ _Pred = Callable[[Mapping[str, Any]], bool]
 #: ``droppable`` is True when exact index bounds on that path prove it.
 _Tagged = Tuple[int, _Pred, str, bool]
 
+_LOGICAL = ("$and", "$or", "$nor")
 
-class CompiledPredicateList:
-    """A compiled conjunction: documents match when every closure does."""
+TYPE_NAME_RANKS = {
+    "null": bson.type_rank(None),
+    "number": bson.type_rank(0),
+    "double": bson.type_rank(0.0),
+    "int": bson.type_rank(0),
+    "long": bson.type_rank(0),
+    "string": bson.type_rank(""),
+    "object": bson.type_rank({}),
+    "array": bson.type_rank([]),
+    "bool": bson.type_rank(True),
+    "date": bson.type_rank(_dt.datetime(2020, 1, 1)),
+    "objectId": 7,
+    "binData": 6,
+}
 
-    __slots__ = ("predicates", "paths", "_droppable", "_residuals")
 
-    def __init__(self, tagged: List[_Tagged]) -> None:
-        tagged = sorted(tagged, key=lambda item: item[0])  # cheapest first
-        self.predicates = [item[1] for item in tagged]
-        self.paths = [item[2] for item in tagged]
-        self._droppable = [item[3] for item in tagged]
-        self._residuals: dict = {}
+def candidates(value: Any):
+    """The value itself plus, for arrays, each element (MongoDB's
+    any-element-matches rule)."""
+    yield value
+    if is_plain_sequence(value):
+        yield from value
 
-    def __call__(self, document: Mapping[str, Any]) -> bool:
-        for predicate in self.predicates:
+
+def all_of(predicates: List[_Pred]) -> _Pred:
+    """One document predicate that holds when every one given does."""
+    if len(predicates) == 1:
+        return predicates[0]
+
+    def conjunction(document: Mapping[str, Any]) -> bool:
+        for predicate in predicates:
             if not predicate(document):
                 return False
         return True
 
-    def residual(self, covered) -> "CompiledPredicateList":
-        """The conjunction minus predicates index bounds already proved.
+    return conjunction
 
-        ``covered`` is the set of paths whose bounds the planner found
-        exact (:attr:`IndexScanPlan.covered_paths`): every fetched
-        document satisfies the droppable predicates on those paths, so
-        FETCH evaluates only the rest.  Memoised per covered set — one
-        matcher serves every targeted shard of a query.
-        """
-        rest = self._residuals.get(covered)
-        if rest is None:
-            rest = CompiledPredicateList(
-                [
-                    (0, predicate, path, droppable)
-                    for predicate, path, droppable in zip(
-                        self.predicates, self.paths, self._droppable
-                    )
-                    if not (droppable and path in covered)
-                ]
-            )
-            self._residuals[covered] = rest
-        return rest
+
+class _IntervalSetPredicate:
+    """A single-path ``$or`` folded exactly, matched by bisection.
+
+    The Hilbert/ST-Hash query shape carries an ``$or`` with up to
+    thousands of range clauses on one field; testing them clause by
+    clause per document is quadratic in practice.  The fold sorts and
+    merges the intervals once, so a scalar costs one bisection.  An
+    array matches when an element lies in the intervals, or when its
+    per-bracket hull meets a span (:class:`~repro.docstore.planner.OrFold`).
+    """
+
+    __slots__ = ("path", "intervals", "lows", "spans")
+
+    def __init__(self, folded: OrFold) -> None:
+        self.path = folded.path
+        self.intervals = folded.intervals
+        self.lows = [iv.lo for iv in folded.intervals]
+        self.spans = folded.spans
+
+    def contains(self, canon: Tuple) -> bool:
+        """Whether a canonical key lies in one of the intervals."""
+        position = bisect_right(self.lows, canon)
+        if position == 0:
+            return False
+        iv = self.intervals[position - 1]
+        if canon == iv.lo and not iv.lo_inclusive:
+            return False
+        return canon < iv.hi or (canon == iv.hi and iv.hi_inclusive)
+
+    def hull_meets_span(self, low: Tuple, high: Tuple) -> bool:
+        """Whether a span admits a value up to ``high`` at its lower end
+        and a value from ``low`` at its upper end — what a range clause
+        asks of an array whose bracket runs from ``low`` to ``high``."""
+        position = bisect_right(self.lows, high)
+        while position:
+            position -= 1
+            iv = self.intervals[position]
+            if iv.hi < low or (iv.hi == low and not iv.hi_inclusive):
+                return False
+            if self.spans[position] and (iv.lo < high or iv.lo_inclusive):
+                return True
+        return False
+
+    def matches(self, document: Mapping[str, Any]) -> bool:
+        """Whether the document satisfies one clause of the ``$or``."""
+        value = get_path(document, self.path)
+        if value is MISSING:
+            return False
+        if not is_plain_sequence(value):
+            try:
+                return self.contains(bson.sort_key(value))
+            except TypeError:
+                return False
+        hulls: dict = {}
+        for candidate in candidates(value):
+            try:
+                canon = bson.sort_key(candidate)
+            except TypeError:
+                continue
+            if self.contains(canon):
+                return True
+            hull = hulls.setdefault(canon[0], [canon, canon])
+            if canon < hull[0]:
+                hull[0] = canon
+            elif canon > hull[1]:
+                hull[1] = canon
+        return any(self.hull_meets_span(lo, hi) for lo, hi in hulls.values())
 
 
 def _tag_path_tests(path: str, ops, tests: List[_Test]) -> _Tagged:
     """The tagged document predicate for one path's operator tests.
 
     The single construction site for path predicates: both
-    :func:`compile_matcher` and the parameterized-plan binder call it,
+    :func:`compile_query` and the parameterized-plan binder call it,
     so the droppable tag cannot drift between the two.
     """
     if len(tests) == 1 and "." not in path:
@@ -149,36 +222,34 @@ def _tag_path_tests(path: str, ops, tests: List[_Test]) -> _Tagged:
     return cost, predicate, path, BOUND_OPS.issuperset(ops)
 
 
-def _tag_interval_set(interval_set: Any) -> _Tagged:
-    """The tagged predicate for a single-path ``$or`` interval set."""
-    return _COST_INTERVAL_SET, interval_set.matches, interval_set.path, True
+def _prepare_arg(arg: Any) -> Optional[Tuple]:
+    """An operator argument's canonical key, computed once.
 
-
-def _prepare_arg(arg: Any) -> Tuple[int, Any]:
-    """Canonicalize an operator argument at compile time.
-
-    Distinguishes "outside every comparison bracket" (the interpreter's
-    ``_comparable`` is constantly False: the predicate is a constant)
-    from "bracket is fine but canonicalization raises" (the interpreter
-    raises per document whenever a candidate shares the bracket; only
-    the interpreter reproduces that, so compilation must bail).
+    None when the argument falls outside every comparison bracket
+    (``type_rank`` raises): no document value compares with it, so the
+    predicate is a constant.  An argument whose bracket is fine but
+    whose nested parts have no place in the BSON order is malformed.
     """
     try:
         bson.type_rank(arg)
     except TypeError:
-        return _UNORDERABLE, None
+        return None
     try:
-        return _OK, bson.sort_key(arg)
+        return bson.sort_key(arg)
     except TypeError:
-        return _FALLBACK, None
+        # MongoDB: the driver cannot encode the query document
+        # (bson.errors.InvalidDocument).
+        raise QueryError(
+            "operator argument %r cannot be encoded as BSON" % (arg,)
+        ) from None
 
 
 def _canon_eq(a: Tuple, b: Tuple) -> bool:
     """Equality under ``bson.compare`` (neither orders before the other).
 
-    Deliberately not ``==``: the interpreter's ``_values_equal`` uses
-    the ordering, whose ``TypeError`` on unorderable nested parts must
-    propagate here exactly as it does there.
+    Deliberately not ``==``: ``bson.compare`` uses the ordering, whose
+    ``TypeError`` on unorderable nested parts must propagate here
+    exactly as it does there.
     """
     return not a < b and not b < a
 
@@ -187,14 +258,11 @@ def _candidate_canons(actual: Any, rank: int):
     """Canonical keys of the value's match candidates that share the
     argument's comparison bracket.
 
-    Mirrors the interpreter exactly: ``type_rank`` failure or bracket
-    mismatch skips the candidate (``_comparable`` → False), after which
-    ``sort_key``'s nested ``TypeError`` on malformed stored values
+    ``type_rank`` failure or bracket mismatch skips the candidate, after
+    which ``sort_key``'s nested ``TypeError`` on malformed stored values
     propagates just as ``bson.compare`` lets it.
     """
-    from repro.docstore.matcher import _candidates
-
-    for candidate in _candidates(actual):
+    for candidate in candidates(actual):
         try:
             crank = bson.type_rank(candidate)
         except TypeError:
@@ -204,42 +272,35 @@ def _candidate_canons(actual: Any, rank: int):
         yield bson.sort_key(candidate)
 
 
-def _compile_eq_test(arg: Any, negate: bool) -> Optional[_Test]:
+def _compile_eq_test(arg: Any, negate: bool) -> _Test:
     """``$eq`` (or a plain ``path: value`` item) / ``$ne``."""
-    status, canon = _prepare_arg(arg)
-    if status == _FALLBACK:
-        return None
+    canon = _prepare_arg(arg)
     missing_matches = arg is None  # a missing field equals null only
-    rank = canon[0] if status == _OK else -1
 
     def test(actual: Any) -> bool:
         if actual is MISSING:
             hit = missing_matches
-        elif status == _UNORDERABLE:
+        elif canon is None:
             hit = False
         else:
             hit = any(
                 _canon_eq(c, canon)
-                for c in _candidate_canons(actual, rank)
+                for c in _candidate_canons(actual, canon[0])
             )
         return not hit if negate else hit
 
     return test
 
 
-def _compile_in_test(arg: Any, negate: bool) -> Optional[_Test]:
+def _compile_in_test(op: str, arg: Any) -> _Test:
     """``$in`` / ``$nin`` with a canonicalized, bisectable member list."""
-    if not isinstance(arg, Sequence) or isinstance(arg, (str, bytes)):
-        return None  # the interpreter raises QueryError lazily
+    if not is_plain_sequence(arg):
+        # MongoDB: "$in needs an array" (BadValue).
+        raise QueryError("%s needs an array, got %r" % (op, arg))
+    negate = op == "$nin"
     has_none = any(a is None for a in arg)
-    canons = []
-    for member in arg:
-        status, canon = _prepare_arg(member)
-        if status == _FALLBACK:
-            return None  # the interpreter raises per document
-        if status == _UNORDERABLE:
-            continue  # never equals any document value
-        canons.append(canon)
+    # An unorderable member never equals any document value.
+    canons = [c for c in map(_prepare_arg, arg) if c is not None]
     ranks = frozenset(c[0] for c in canons)
     canons.sort()
 
@@ -251,10 +312,8 @@ def _compile_in_test(arg: Any, negate: bool) -> Optional[_Test]:
         if actual is MISSING:
             hit = has_none
         else:
-            from repro.docstore.matcher import _candidates
-
             hit = False
-            for candidate in _candidates(actual):
+            for candidate in candidates(actual):
                 try:
                     crank = bson.type_rank(candidate)
                 except TypeError:
@@ -269,12 +328,10 @@ def _compile_in_test(arg: Any, negate: bool) -> Optional[_Test]:
     return test
 
 
-def _compile_order_test(op: str, arg: Any) -> Optional[_Test]:
+def _compile_order_test(op: str, arg: Any) -> _Test:
     """``$gt``/``$gte``/``$lt``/``$lte`` against one argument."""
-    status, canon = _prepare_arg(arg)
-    if status == _FALLBACK:
-        return None
-    if status == _UNORDERABLE:
+    canon = _prepare_arg(arg)
+    if canon is None:
         return lambda actual: False  # no candidate shares the bracket
     rank = canon[0]
     want_gt = op in ("$gt", "$gte")
@@ -319,23 +376,12 @@ def _rect_box(region: Any) -> Optional[BoundingBox]:
     return region.bbox
 
 
-def _compile_geo_test(arg: Any, intersects: bool) -> Optional[_Test]:
-    """``$geoWithin``/``$geoIntersects`` with a pre-parsed region."""
-    from repro.docstore.matcher import _geo_region
-
-    try:
-        region = _geo_region(arg)
-    except Exception:
-        return None  # the interpreter raises per matches() call
-    return _geo_test_from_region(region, intersects)
-
-
-def _geo_test_from_region(region: Any, intersects: bool) -> _Test:
+def geo_test(region: Any, intersects: bool) -> _Test:
     """The geo value test for an already-parsed region.
 
-    Split out of :func:`_compile_geo_test` so the parameterized-plan
-    binder (:mod:`repro.docstore.paramplan`) can parse a query's region
-    once and share it between the planner shape and the compiled test.
+    The parameterized-plan binder (:mod:`repro.docstore.paramplan`)
+    parses a query's region once and shares it between the planner
+    shape and this test.
     """
     general = _parsed_geo_test(region, intersects)
     rect = _rect_box(region)
@@ -392,26 +438,28 @@ def _parsed_geo_test(region: Any, intersects: bool) -> _Test:
     return test
 
 
-def _compile_mod_test(arg: Any) -> Optional[_Test]:
+def _compile_mod_test(arg: Any) -> _Test:
     try:
         divisor, remainder = arg
         d = int(divisor)
         r = int(remainder)
     except (TypeError, ValueError, OverflowError):
-        return None  # the interpreter raises per matches() call
+        # MongoDB: "malformed mod, not enough elements" (BadValue).
+        raise QueryError(
+            "malformed $mod %r: needs [divisor, remainder]" % (arg,)
+        ) from None
     if d == 0:
-        return None  # ZeroDivisionError must stay lazily raised
+        # MongoDB: "divisor cannot be 0" (BadValue).
+        raise QueryError("$mod divisor cannot be 0")
 
     def test(actual: Any) -> bool:
         if actual is MISSING:
             return False
-        from repro.docstore.matcher import _candidates
-
         return any(
             isinstance(c, (int, float))
             and not isinstance(c, bool)
             and int(c) % d == r
-            for c in _candidates(actual)
+            for c in candidates(actual)
         )
 
     return test
@@ -421,22 +469,17 @@ def _compile_size_test(arg: Any) -> _Test:
     def test(actual: Any) -> bool:
         if actual is MISSING:
             return False
-        return (
-            isinstance(actual, Sequence)
-            and not isinstance(actual, (str, bytes))
-            and len(actual) == arg
-        )
+        return is_plain_sequence(actual) and len(actual) == arg
 
     return test
 
 
-def _compile_type_test(arg: Any) -> Optional[_Test]:
-    from repro.docstore.matcher import _TYPE_NAME_RANKS
-
+def _compile_type_test(arg: Any) -> _Test:
     try:
-        rank = _TYPE_NAME_RANKS[arg]
+        rank = TYPE_NAME_RANKS[arg]
     except (KeyError, TypeError):
-        return None  # unknown alias: the interpreter raises lazily
+        # MongoDB: "unknown type name alias" (BadValue).
+        raise QueryError("unknown $type alias %r" % (arg,)) from None
 
     def test(actual: Any) -> bool:
         if actual is MISSING:
@@ -455,15 +498,11 @@ def _compile_exists_test(arg: Any) -> _Test:
     return test
 
 
-def _compile_not_test(arg: Any) -> Optional[_Test]:
+def _compile_not_test(arg: Any) -> _Test:
     if not isinstance(arg, Mapping):
-        return None  # the interpreter raises QueryError lazily
-    inner: List[_Test] = []
-    for op, op_arg in arg.items():
-        test = _compile_operator(op, op_arg)
-        if test is None:
-            return None
-        inner.append(test)
+        # MongoDB: "$not needs a regex or a document" (BadValue).
+        raise QueryError("$not needs an operator document, got %r" % (arg,))
+    inner = [_compile_operator(op, op_arg) for op, op_arg in arg.items()]
 
     def negated(actual: Any) -> bool:
         return not all(test(actual) for test in inner)
@@ -471,22 +510,20 @@ def _compile_not_test(arg: Any) -> Optional[_Test]:
     return negated
 
 
-def _compile_operator(op: str, arg: Any) -> Optional[_Test]:
-    """One operator → a prepared value test, or None → fall back."""
+def _compile_operator(op: str, arg: Any) -> _Test:
+    """One operator → a prepared value test, or QueryError."""
     if op == "$exists":
         return _compile_exists_test(arg)
     if op == "$not":
         return _compile_not_test(arg)
     if op in ("$geoWithin", "$geoIntersects"):
-        return _compile_geo_test(arg, intersects=op == "$geoIntersects")
+        return geo_test(geo_region(arg), intersects=op == "$geoIntersects")
     if op == "$eq":
         return _compile_eq_test(arg, negate=False)
     if op == "$ne":
         return _compile_eq_test(arg, negate=True)
-    if op == "$in":
-        return _compile_in_test(arg, negate=False)
-    if op == "$nin":
-        return _compile_in_test(arg, negate=True)
+    if op in ("$in", "$nin"):
+        return _compile_in_test(op, arg)
     if op in ("$gt", "$gte", "$lt", "$lte"):
         return _compile_order_test(op, arg)
     if op == "$mod":
@@ -495,106 +532,81 @@ def _compile_operator(op: str, arg: Any) -> Optional[_Test]:
         return _compile_size_test(arg)
     if op == "$type":
         return _compile_type_test(arg)
-    return None  # unsupported: the interpreter raises per call
+    raise QueryError("unsupported operator %r" % (op,))
 
 
-def _compile_path_predicate(path: str, value: Any) -> Optional[_Tagged]:
+def _compile_path_predicate(path: str, value: Any) -> _Tagged:
     """One ``path: value`` item → a tagged document predicate."""
-    from repro.docstore.matcher import is_operator_expression
-
     ops = value if is_operator_expression(value) else {"$eq": value}
-    tests: List[_Test] = []
-    for op, arg in ops.items():
-        test = _compile_operator(op, arg)
-        if test is None:
-            return None
-        tests.append(test)
+    tests = [_compile_operator(op, arg) for op, arg in ops.items()]
     return _tag_path_tests(path, ops, tests)
 
 
-def _compile_clause_list(
-    clauses: Any, compiled_ors: Mapping[int, Any]
-) -> Optional[List[_Pred]]:
+def _clause_predicates(clauses: Any) -> List[_Pred]:
     """Each clause of a logical operator → one conjunction predicate."""
-    out: List[_Pred] = []
-    for clause in clauses:
-        tagged = _compile_query(clause, compiled_ors)
-        if tagged is None:
-            return None
-        out.append(CompiledPredicateList(tagged))
-    return out
+    return [all_of(_cheapest_first(compile_query(c))) for c in clauses]
 
 
-def _compile_query(
-    query: Mapping[str, Any], compiled_ors: Mapping[int, Any]
-) -> Optional[List[_Tagged]]:
-    """A (validated) query document → its tagged top-level predicates.
+def _cheapest_first(tagged: List[_Tagged]) -> List[_Pred]:
+    return [item[1] for item in sorted(tagged, key=lambda item: item[0])]
 
-    ``$and`` clauses flatten into the list (they stay droppable);
-    anything under ``$or``/``$nor`` collapses into one undroppable
-    predicate, so nested tags never reach the residual decision.
+
+def tag_or(clauses: Any, folded: Optional[OrFold]) -> _Tagged:
+    """The tagged predicate for an ``$or`` whose fold is ``folded``.
+
+    An exact fold is one interval set on its path, droppable where the
+    planner proves the path; any other ``$or`` tests its clauses one by
+    one and is never dropped.
+    """
+    if folded is not None and folded.exact:
+        interval_set = _IntervalSetPredicate(folded)
+        return _COST_INTERVAL_SET, interval_set.matches, folded.path, True
+    clause_preds = _clause_predicates(clauses)
+
+    def any_clause(document: Mapping[str, Any]) -> bool:
+        for predicate in clause_preds:
+            if predicate(document):
+                return True
+        return False
+
+    return _COST_CLAUSES, any_clause, "$or", False
+
+
+def compile_query(query: Any) -> List[_Tagged]:
+    """A query document → its tagged top-level predicates.
+
+    Raises :class:`QueryError` for a malformed query.  ``$and`` clauses
+    flatten into the list (they stay droppable); a ``$nor``, and an
+    ``$or`` that is not one interval set, collapses into one
+    undroppable predicate, so nested tags never reach the residual
+    decision.
     """
     if not isinstance(query, Mapping):
-        return None
+        raise QueryError("query must be a document, got %r" % (query,))
     tagged: List[_Tagged] = []
     for key, value in query.items():
-        if key == "$and":
-            for clause in value:
-                sub = _compile_query(clause, compiled_ors)
-                if sub is None:
-                    return None
-                tagged.extend(sub)
-        elif key == "$or":
-            interval_set = compiled_ors.get(id(value))
-            if interval_set is not None:
-                tagged.append(_tag_interval_set(interval_set))
-                continue
-            clause_preds = _compile_clause_list(value, compiled_ors)
-            if clause_preds is None:
-                return None
+        if key in _LOGICAL:
+            if not is_plain_sequence(value):
+                raise QueryError("%s expects an array of clauses" % key)
+            if key == "$and":
+                for clause in value:
+                    tagged.extend(compile_query(clause))
+            elif key == "$or":
+                tagged.append(tag_or(value, fold_or(value)))
+            else:
+                clause_preds = _clause_predicates(value)
 
-            def any_predicate(
-                document: Mapping[str, Any], clause_preds=clause_preds
-            ) -> bool:
-                for predicate in clause_preds:
-                    if predicate(document):
-                        return True
-                return False
+                def no_clause(
+                    document: Mapping[str, Any], clause_preds=clause_preds
+                ) -> bool:
+                    for predicate in clause_preds:
+                        if predicate(document):
+                            return False
+                    return True
 
-            tagged.append((_COST_CLAUSES, any_predicate, key, False))
-        elif key == "$nor":
-            clause_preds = _compile_clause_list(value, compiled_ors)
-            if clause_preds is None:
-                return None
-
-            def none_predicate(
-                document: Mapping[str, Any], clause_preds=clause_preds
-            ) -> bool:
-                for predicate in clause_preds:
-                    if predicate(document):
-                        return False
-                return True
-
-            tagged.append((_COST_CLAUSES, none_predicate, key, False))
+                tagged.append((_COST_CLAUSES, no_clause, key, False))
+        elif key.startswith("$"):
+            raise QueryError("unsupported top-level operator %r" % key)
         else:
-            item = _compile_path_predicate(key, value)
-            if item is None:
-                return None
-            tagged.append(item)
+            tagged.append(_compile_path_predicate(key, value))
     return tagged
-
-
-def compile_matcher(
-    query: Mapping[str, Any], compiled_ors: Mapping[int, Any]
-) -> Optional[CompiledPredicateList]:
-    """Compile a validated query document, or None → use the interpreter.
-
-    ``compiled_ors`` is the matcher's ``id($or value) →
-    _IntervalSetPredicate`` table, so both execution paths share one
-    interval-set compilation and agree on which ``$or`` forms are
-    bisectable.
-    """
-    tagged = _compile_query(query, compiled_ors)
-    if tagged is None:
-        return None
-    return CompiledPredicateList(tagged)

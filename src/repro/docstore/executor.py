@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.docstore.index import SCAN_TOP
-from repro.docstore.compiler import CompiledPredicateList
 from repro.docstore.matcher import Matcher
 from repro.docstore.planner import CollScanPlan, IndexScanPlan
 from repro.errors import DocumentStoreError
@@ -225,11 +224,8 @@ def execute_plan(
     started = time.perf_counter()
     rids = run_index_scan(plan, stats)
     scanned = time.perf_counter()
-    # FETCH applies only what the index bounds have not already proved;
-    # a lone compiled predicate is called directly, not through its list.
+    # FETCH applies only what the index bounds have not already proved.
     matches = matcher.residual(plan.covered_paths)
-    if type(matches) is CompiledPredicateList and len(matches.predicates) == 1:
-        matches = matches.predicates[0]
     fetched = [rid for rid in rids if rid in records]
     out = [rid for rid in fetched if matches(records[rid])]
     stats.docs_examined = len(fetched)

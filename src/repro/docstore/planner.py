@@ -16,9 +16,10 @@ Supported bound sources, matching the paper's workloads:
 * ``$geoWithin`` on a 2dsphere field → GeoHash covering ranges computed
   by :mod:`repro.sfc.ranges` (this is what MongoDB's S2/GeoHash region
   coverer does internally);
-* a top-level ``$or`` whose every clause constrains the *same* single
-  path (the Hilbert-range pattern of Section 4.2.1) → the union of the
-  clause intervals on that path.
+* an ``$or`` whose every clause constrains the *same* single path (the
+  Hilbert-range pattern of Section 4.2.1) → the union of the clause
+  intervals on that path, folded once by :func:`fold_or` for the
+  planner, the compiled matcher and the parameterized-plan binder.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import (
     Dict,
     FrozenSet,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -43,7 +45,6 @@ from repro.docstore.index import (
     SCAN_TOP,
     Index,
 )
-from repro.docstore.matcher import is_operator_expression
 from repro.errors import PlanError, QueryError
 from repro.geo.geojson import parse_geometry
 from repro.geo.geometry import BoundingBox, Polygon
@@ -57,6 +58,11 @@ __all__ = [
     "CollScanPlan",
     "plan_query",
     "analyze_query",
+    "fold_or",
+    "OrFold",
+    "is_operator_expression",
+    "is_plain_sequence",
+    "geo_region",
     "BOUND_OPS",
     "SEEK_COST",
 ]
@@ -71,12 +77,27 @@ BOUND_OPS = frozenset(("$eq", "$in", "$gt", "$gte", "$lt", "$lte"))
 SEEK_COST = 8.0
 
 
-@dataclass(frozen=True)
-class Interval:
+def is_operator_expression(value: Any) -> bool:
+    """True when a predicate value is an operator doc like ``{$gte: 3}``."""
+    return isinstance(value, Mapping) and any(
+        isinstance(k, str) and k.startswith("$") for k in value
+    )
+
+
+def is_plain_sequence(value: Any) -> bool:
+    """An array argument: a sequence that is not a string or bytes."""
+    return type(value) is list or (
+        isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+    )
+
+
+class Interval(NamedTuple):
     """A closed/open interval over canonical key space.
 
     ``lo``/``hi`` are canonical keys (see :func:`bson.sort_key`) or the
     scan sentinels.  ``point`` intervals have equal inclusive bounds.
+    A named tuple: a ``$or`` fold builds one per merged range, and a
+    tuple is built several times faster than a frozen dataclass.
     """
 
     lo: Tuple
@@ -258,21 +279,43 @@ def _interval_contains(interval: Interval, canon: Tuple) -> bool:
 
 def _normalize_intervals(intervals: List[Interval]) -> List[Interval]:
     """Sort and merge overlapping/adjacent intervals."""
-    ivs = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
-    merged: List[Interval] = []
-    for iv in ivs:
-        if merged:
-            last = merged[-1]
-            if iv.lo < last.hi or (
-                iv.lo == last.hi and (iv.lo_inclusive or last.hi_inclusive)
-            ):
-                hi, hii = max(
-                    (last.hi, last.hi_inclusive), (iv.hi, iv.hi_inclusive)
-                )
-                merged[-1] = Interval(last.lo, hi, last.lo_inclusive, hii)
-                continue
-        merged.append(iv)
-    return merged
+    return _merge(
+        [
+            (iv.lo, not iv.lo_inclusive, iv.hi, iv.hi_inclusive, False)
+            for iv in intervals
+        ]
+    )[0]
+
+
+def _merge(items: List[Tuple]) -> Tuple[List[Interval], List[bool]]:
+    """Sort ``(lo, lo_excluded, hi, hi_inclusive, span)`` items and merge
+    overlapping or touching ones into a union of disjoint intervals.
+
+    Equal lower ends sort inclusive first, so the union keeps the end.
+    Returns the intervals and, per interval, whether any merged item
+    was a span (a range clause, not a point).
+    """
+    items.sort()
+    intervals: List[Interval] = []
+    spans: List[bool] = []
+    if not items:
+        return intervals, spans
+    rest = iter(items)
+    lo, lo_excluded, hi, hi_inclusive, span = next(rest)
+    lo_inclusive = not lo_excluded
+    for next_lo, next_excluded, next_hi, next_inclusive, next_span in rest:
+        if next_lo < hi or (next_lo == hi and (not next_excluded or hi_inclusive)):
+            if next_hi > hi or (next_hi == hi and next_inclusive):
+                hi, hi_inclusive = next_hi, next_inclusive
+            span = span or next_span
+            continue
+        intervals.append(Interval(lo, hi, lo_inclusive, hi_inclusive))
+        spans.append(span)
+        lo, hi, hi_inclusive, span = next_lo, next_hi, next_inclusive, next_span
+        lo_inclusive = not next_excluded
+    intervals.append(Interval(lo, hi, lo_inclusive, hi_inclusive))
+    spans.append(span)
+    return intervals, spans
 
 
 @dataclass
@@ -308,12 +351,11 @@ def analyze_query(query: Mapping[str, Any]) -> QueryShape:
                 for clause in value:
                     absorb(clause)
             elif key == "$or":
-                folded = _fold_or(value)
+                folded = fold_or(value)
                 if folded is None:
                     opaque_or = True
                 else:
-                    path, intervals = folded
-                    pred(path).absorb_or(intervals)
+                    pred(folded.path).absorb_or(folded.intervals)
             elif key == "$nor":
                 opaque_or = True
             elif key.startswith("$"):
@@ -346,7 +388,7 @@ def _absorb_operators(p: PathPredicate, ops: Mapping[str, Any]) -> None:
         elif op == "$lte":
             _tighten_lt(p, arg, inclusive=True)
         elif op in ("$geoWithin", "$geoIntersects"):
-            p.geo_region = _parse_geo_argument(arg)
+            p.geo_region = geo_region(arg)
         # $ne/$nin/$exists/$not/... contribute no bounds; the residual
         # matcher enforces them.
 
@@ -365,50 +407,137 @@ def _tighten_lt(p: PathPredicate, value: Any, inclusive: bool) -> None:
         p.lt_inclusive = False
 
 
-def _parse_geo_argument(arg: Any):
-    if isinstance(arg, Mapping):
-        if "$geometry" in arg:
-            return parse_geometry(arg["$geometry"])
-        if "$box" in arg:
-            lo, hi = arg["$box"]
-            return BoundingBox(lo[0], lo[1], hi[0], hi[1])
-    if isinstance(arg, (Polygon, BoundingBox)):
-        return arg
-    raise QueryError("unsupported $geoWithin argument %r" % (arg,))
+def geo_region(arg: Any) -> Any:
+    """A ``$geoWithin``/``$geoIntersects`` argument as a testable region.
 
-
-def _fold_or(
-    clauses: Sequence[Mapping[str, Any]]
-) -> Optional[Tuple[str, List[Interval]]]:
-    """Fold a single-path $or into an interval union, if possible.
-
-    This recognises exactly the query pattern the paper's Hilbert
-    approach generates: ``$or`` of ``{hilbertIndex: {$gte,$lte}}``
-    ranges plus one ``{hilbertIndex: {$in: [...]}}`` clause.
+    A Polygon ``$geometry`` or a ``$box``; anything else raises
+    :class:`QueryError`, as MongoDB rejects it when it parses the query.
     """
-    path: Optional[str] = None
-    intervals: List[Interval] = []
-    for clause in clauses:
-        if not isinstance(clause, Mapping) or len(clause) != 1:
-            return None
-        ((cpath, value),) = clause.items()
-        if cpath.startswith("$"):
-            return None
-        if path is None:
-            path = cpath
-        elif path != cpath:
-            return None
-        sub = PathPredicate(cpath)
-        if is_operator_expression(value):
-            if not BOUND_OPS.issuperset(value):
-                return None
-            _absorb_operators(sub, value)
-        else:
-            sub.eq_values.append(value)
-        intervals.extend(sub.plain_intervals())
-    if path is None or not intervals:
+    try:
+        if isinstance(arg, Mapping):
+            if "$geometry" in arg:
+                geometry = parse_geometry(arg["$geometry"])
+                if isinstance(geometry, Polygon):
+                    return geometry
+            elif "$box" in arg:
+                (lo, hi) = arg["$box"]
+                return BoundingBox(lo[0], lo[1], hi[0], hi[1])
+        elif isinstance(arg, (Polygon, BoundingBox)):
+            return arg
+    except (ValueError, TypeError, IndexError, KeyError) as exc:
+        raise QueryError("unparseable geo region %r: %s" % (arg, exc)) from None
+    raise QueryError(
+        "geo region must be a Polygon $geometry or a $box, got %r" % (arg,)
+    )
+
+
+class OrFold(NamedTuple):
+    """A single-path ``$or`` folded into merged canonical intervals."""
+
+    path: str
+    #: Sorted, disjoint: the planner's bounds on ``path``.
+    intervals: List[Interval]
+    #: Per interval: whether it absorbed a range clause.  An array
+    #: meets a range when its elements' hull does (each end may be met
+    #: by a different element); it meets a point only by an element.
+    spans: List[bool]
+    #: True when the intervals are the ``$or``'s verdict and not only a
+    #: superset of it: a value matches when one of its candidates lies
+    #: in them, or an array's per-bracket hull meets a span.
+    exact: bool
+
+
+_LOWER_OPS = {"$gte": True, "$gt": False}
+_UPPER_OPS = {"$lte": True, "$lt": False}
+#: The two operators of a one-range clause, in either order →
+#: ``(first is the lower end, lower inclusive, upper inclusive)``.
+_RANGE_FORMS = {
+    ops: (first_is_lower, lo_incl, hi_incl)
+    for lo_op, lo_incl in _LOWER_OPS.items()
+    for hi_op, hi_incl in _UPPER_OPS.items()
+    for ops, first_is_lower in (((lo_op, hi_op), True), ((hi_op, lo_op), False))
+}
+
+
+def fold_or(clauses: Any) -> Optional[OrFold]:
+    """Fold a single-path ``$or`` into an interval union, if possible.
+
+    This is the query pattern the paper's Hilbert approach generates:
+    an ``$or`` of ``{hilbertIndex: {$gte, $lte}}`` ranges plus one
+    ``{hilbertIndex: {$in: [...]}}`` clause.  Returns None when the
+    clauses name more than one path, use an operator that gives no
+    bounds, hold an argument with no place in the BSON order, or
+    contribute no interval.
+
+    A clause keeps the fold exact when it is one closed, non-empty
+    range whose ends share a type bracket, or one ``$eq``/``$in``
+    without null (null also matches a missing field).  Any other clause
+    still yields bounds — a superset, which is all bounds need — through
+    the planner's own :class:`PathPredicate` reading of it.
+    """
+    if not is_plain_sequence(clauses):
         return None
-    return path, _normalize_intervals(intervals)
+    sort_key = bson.sort_key
+    path: Optional[str] = None
+    items: List[Tuple] = []
+    exact = True
+    try:
+        for clause in clauses:
+            if not (type(clause) is dict or isinstance(clause, Mapping)):
+                return None
+            ((cpath, value),) = clause.items()  # ValueError unless one item
+            if cpath != path:
+                if path is not None:
+                    return None
+                if not isinstance(cpath, str) or cpath.startswith("$"):
+                    return None
+                path = cpath
+            if type(value) is dict and len(value) == 2:
+                # One closed range, the workloads' form: kept fast.
+                (op_a, a), (op_b, b) = value.items()
+                form = _RANGE_FORMS.get((op_a, op_b))
+            else:
+                form = None
+            if form is not None:
+                first_is_lower, lo_incl, hi_incl = form
+                if first_is_lower:
+                    lo, hi = sort_key(a), sort_key(b)
+                else:
+                    lo, hi = sort_key(b), sort_key(a)
+                items.append((lo, not lo_incl, hi, hi_incl, True))
+                if exact and (
+                    lo[0] != hi[0]
+                    or not (lo < hi or (lo == hi and lo_incl and hi_incl))
+                ):
+                    exact = False
+                continue
+            ops = value if is_operator_expression(value) else {"$eq": value}
+            if not BOUND_OPS.issuperset(ops):
+                return None
+            if len(ops) == 1:
+                ((op, arg),) = ops.items()
+                if op == "$eq" or op == "$in":
+                    points = [arg] if op == "$eq" else arg
+                    if not is_plain_sequence(points):
+                        return None
+                    for point in points:
+                        canon = sort_key(point)
+                        items.append((canon, False, canon, True, False))
+                        exact = exact and point is not None
+                    continue
+            sub = PathPredicate(cpath)
+            _absorb_operators(sub, ops)
+            for iv in sub.plain_intervals():
+                items.append(
+                    (iv.lo, not iv.lo_inclusive, iv.hi, iv.hi_inclusive, True)
+                )
+            exact = False
+    except (TypeError, ValueError):
+        return None
+    if path is None or not items:
+        return None
+    intervals, spans = _merge(items)
+    return OrFold(path, intervals, spans, exact)
 
 
 @dataclass

@@ -7,7 +7,9 @@ uncached routing that tests every chunk of the map
 (:func:`reference_target_chunks`, where production bisects the chunk
 list first), every shard planning on its own (no shared hinted
 bounds), a key-by-key bounds check with one B-tree descent per seek,
-the whole predicate interpreted on every fetched document,
+the whole predicate interpreted on every fetched document
+(:func:`reference_matches`, a tree-walking interpreter that tests every
+``$or`` clause by clause and builds nothing production builds),
 ``copy.deepcopy`` results, shards one after another.  Documents must
 come out byte-identical and ``keysExamined`` / ``docsExamined`` /
 ``seeks`` / targeted shards identical per shard — those counters are
@@ -31,18 +33,24 @@ from repro.cluster.router import (
     TargetingResult,
     shard_key_intervals,
 )
+from repro.docstore import bson
 from repro.docstore.collection import Collection, FindResult
-from repro.docstore.document import deep_copy_document
+from repro.docstore.compiler import TYPE_NAME_RANKS, candidates
+from repro.docstore.document import MISSING, deep_copy_document, get_path
 from repro.docstore.executor import ExecutionStats, _advancing
 from repro.docstore.index import SCAN_TOP
-from repro.docstore.matcher import Matcher
 from repro.docstore.planner import (
     IndexScanPlan,
     Interval,
     QueryShape,
     analyze_query,
+    geo_region,
+    is_operator_expression,
     plan_query,
 )
+from repro.errors import QueryError
+from repro.geo.geojson import parse_geometry
+from repro.geo.geometry import BoundingBox, LineString, Point, Polygon
 from repro.sfc.geohash import GeoHashGrid
 from repro.sfc.hilbert import HilbertCurve2D
 from repro.sfc.ranges import QuadtreeCurve
@@ -52,6 +60,7 @@ __all__ = [
     "reference_decode_cell",
     "reference_target_chunks",
     "reference_index_scan",
+    "reference_matches",
     "reference_find",
     "reference_cluster_find",
 ]
@@ -127,6 +136,171 @@ def reference_target_chunks(
     ]
     shard_ids = sorted({c.shard_id for c in chunks})
     return TargetingResult(chunks, shard_ids, False, intervals)
+
+
+def reference_matches(
+    query: Mapping[str, Any], document: Mapping[str, Any]
+) -> bool:
+    """Whether a document satisfies a query, by walking the query.
+
+    The match language's rules stated plainly, re-read for every
+    document: operators dispatched by name, arguments compared through
+    ``bson.compare``, geo regions parsed per document, and every
+    ``$or`` tested clause by clause — what the compiled
+    :class:`~repro.docstore.matcher.Matcher` must agree with.
+    """
+    return _match_query(query, document)
+
+
+def _comparable(a: Any, b: Any) -> bool:
+    """Whether two values fall in the same comparison bracket."""
+    try:
+        return bson.type_rank(a) == bson.type_rank(b)
+    except TypeError:
+        return False
+
+
+def _values_equal(a: Any, b: Any) -> bool:
+    if not _comparable(a, b):
+        return False
+    return bson.compare(a, b) == 0
+
+
+def _values_equal_missing(arg: Any) -> bool:
+    """Whether a missing field counts as equal to ``arg`` (null only)."""
+    return arg is None
+
+
+def _match_query(query: Mapping[str, Any], document: Mapping[str, Any]) -> bool:
+    for key, value in query.items():
+        if key == "$and":
+            if not all(_match_query(c, document) for c in value):
+                return False
+        elif key == "$or":
+            if not any(_match_query(c, document) for c in value):
+                return False
+        elif key == "$nor":
+            if any(_match_query(c, document) for c in value):
+                return False
+        elif is_operator_expression(value):
+            if not _match_operators(document, key, value):
+                return False
+        elif not _match_eq(document, key, value):
+            return False
+    return True
+
+
+def _match_eq(document: Mapping[str, Any], path: str, expected: Any) -> bool:
+    actual = get_path(document, path)
+    if actual is MISSING:
+        return expected is None
+    return any(_values_equal(c, expected) for c in candidates(actual))
+
+
+def _match_operators(
+    document: Mapping[str, Any], path: str, ops: Mapping[str, Any]
+) -> bool:
+    actual = get_path(document, path)
+    return _apply_all(actual, ops)
+
+
+def _apply_all(actual: Any, ops: Mapping[str, Any]) -> bool:
+    return all(_apply_operator(actual, op, arg) for op, arg in ops.items())
+
+
+def _apply_operator(actual: Any, op: str, arg: Any) -> bool:
+    if op == "$exists":
+        present = actual is not MISSING
+        return present == bool(arg)
+    if op == "$not":
+        if not isinstance(arg, Mapping):
+            raise QueryError("$not expects an operator document")
+        return not _apply_all(actual, arg)
+    if op in ("$geoWithin", "$geoIntersects"):
+        return _match_geo(actual, arg, intersects=op == "$geoIntersects")
+
+    if actual is MISSING:
+        # Missing fields only match null equality / $ne / $nin.
+        if op == "$eq":
+            return arg is None
+        if op == "$ne":
+            return not _values_equal_missing(arg)
+        if op == "$in":
+            return any(a is None for a in arg)
+        if op == "$nin":
+            return not any(a is None for a in arg)
+        return False
+
+    cands = list(candidates(actual))
+    if op == "$eq":
+        return any(_values_equal(c, arg) for c in cands)
+    if op == "$ne":
+        return not any(_values_equal(c, arg) for c in cands)
+    if op in ("$in", "$nin"):
+        if not isinstance(arg, Sequence) or isinstance(arg, (str, bytes)):
+            raise QueryError("%s expects an array" % op)
+        hit = any(_values_equal(c, a) for c in cands for a in arg)
+        return hit if op == "$in" else not hit
+    if op in ("$gt", "$gte", "$lt", "$lte"):
+        for c in cands:
+            if not _comparable(c, arg):
+                continue
+            cmp = bson.compare(c, arg)
+            if op == "$gt" and cmp > 0:
+                return True
+            if op == "$gte" and cmp >= 0:
+                return True
+            if op == "$lt" and cmp < 0:
+                return True
+            if op == "$lte" and cmp <= 0:
+                return True
+        return False
+    if op == "$mod":
+        divisor, remainder = arg
+        return any(
+            isinstance(c, (int, float))
+            and not isinstance(c, bool)
+            and int(c) % int(divisor) == int(remainder)
+            for c in cands
+        )
+    if op == "$size":
+        return (
+            isinstance(actual, Sequence)
+            and not isinstance(actual, (str, bytes))
+            and len(actual) == arg
+        )
+    if op == "$type":
+        try:
+            return bson.type_rank(actual) == TYPE_NAME_RANKS[arg]
+        except KeyError:
+            raise QueryError("unknown $type alias %r" % (arg,)) from None
+    raise QueryError("unsupported operator %r" % op)
+
+
+def _match_geo(actual: Any, arg: Any, intersects: bool) -> bool:
+    if actual is MISSING:
+        return False
+    region = geo_region(arg)
+    try:
+        geometry = parse_geometry(actual)
+    except Exception:
+        return False
+    if isinstance(geometry, Point):
+        return region.contains(geometry)
+    box = region if isinstance(region, BoundingBox) else region.bbox
+    if isinstance(geometry, LineString):
+        if intersects:
+            # $geoIntersects: any crossing counts.  Exact for the
+            # rectangular regions the workloads use.
+            return geometry.intersects_box(box)
+        # $geoWithin: every vertex (and hence, for rectangles, every
+        # segment) must lie inside.
+        return all(region.contains(p) for p in geometry.points)
+    if isinstance(geometry, Polygon):
+        if intersects:
+            return geometry.intersects_box(box)
+        return all(region.contains(p) for p in geometry.ring)
+    return False
 
 
 class _BoundsChecker:
@@ -248,7 +422,10 @@ def reference_find(
     # The oracle reads the collection's storage directly: going through
     # a production read method would put the code under test inside it.
     records = collection._records
-    matches = Matcher.interpreted(query).matches
+
+    def matches(document: Mapping[str, Any]) -> bool:
+        return reference_matches(query, document)
+
     plan = plan_query(
         analyze_query(query),
         list(collection._indexes.values()),

@@ -51,9 +51,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.docstore.collection import Collection
-from repro.docstore.matcher import Matcher
-from repro.docstore.paramplan import bind_plan, param_shape_key
-from repro.docstore.planner import analyze_query
+from repro.docstore.paramplan import plan_read
 from repro.errors import QueryTimeoutError, ServiceError
 from repro.service.metrics import ServiceMetrics
 from repro.service.plan_cache import exact_query_key, query_shape_key
@@ -679,8 +677,8 @@ class _WorkerHost:
                 return entry.payload, True
         memo = (id(plan.query), plan.collection, plan.hint)
         if memo not in bound:
-            bound[memo] = _plan_shape(plan)
-        shape, matcher = bound[memo]
+            bound[memo] = plan_read(plan.collection, plan.query, plan.hint)
+        shape, matcher, _outcome = bound[memo]
         result = replica.find_with_stats(
             plan.query,
             hint=plan.hint,
@@ -695,21 +693,6 @@ class _WorkerHost:
                 oldest = next(iter(self._results))
                 del self._results[oldest]
         return payload, False
-
-
-def _plan_shape(plan: PlanMessage) -> Tuple[Any, Matcher]:
-    """``(shape, matcher)`` for a subquery, planned as the service does.
-
-    An unhinted query binds its values into its parameterized shape;
-    a hinted one, or one the bind refuses, is analyzed and compiled.
-    """
-    if plan.hint is None:
-        key = param_shape_key(plan.collection, plan.query)
-        if key is not None:
-            bound = bind_plan(plan.query, key[1])
-            if bound is not None:
-                return bound
-    return analyze_query(plan.query), Matcher(plan.query)
 
 
 def _worker_main(conn, sanitize: bool) -> None:

@@ -40,9 +40,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cache import StampedLRUCache
 from repro.cluster.cluster import ShardedCluster
-from repro.docstore.matcher import Matcher
-from repro.docstore.paramplan import bind_plan, param_shape_key
-from repro.docstore.planner import analyze_query
+from repro.docstore.paramplan import plan_read
 from repro.docstore.stats import CollectionStats, analyze_collection
 from repro.errors import (
     QueryTimeoutError,
@@ -298,26 +296,7 @@ class QueryService:
         started: float,
         queue_wait_ms: float,
     ) -> ServiceFindResult:
-        bound = None
-        cache_outcome: Optional[str] = None
-        if hint is None:
-            # Bind this query's box/date/range values into its
-            # parameterized shape — no analyze_query, no compilation —
-            # and emit exactly the predicate objects the analyzed path
-            # would.  No index choice is carried from one query to the
-            # next: per-shard plan ranking depends on per-shard field
-            # statistics and on the bound values, so a replayed winner
-            # would change keysExamined/docsExamined against the
-            # reference (repro.reference).
-            param_key = param_shape_key(collection, query)
-            if param_key is not None:
-                bound = bind_plan(query, param_key[1])
-            cache_outcome = "shape" if bound is not None else "miss"
-        if bound is not None:
-            shape, matcher = bound
-        else:
-            shape = analyze_query(query)
-            matcher = Matcher(query)
+        shape, matcher, cache_outcome = plan_read(collection, query, hint)
         spec = SubquerySpec(
             collection=collection,
             query=query,

@@ -8,8 +8,8 @@ import pytest
 from repro.cluster.cluster import ClusterTopology, ShardedCluster
 from repro.cluster.zones import Zone
 from repro.docstore import bson
-from repro.docstore.matcher import matches
 from repro.errors import ShardingError
+from repro.reference import reference_matches
 
 UTC = dt.timezone.utc
 T0 = dt.datetime(2018, 7, 1, tzinfo=UTC)
@@ -139,7 +139,7 @@ class TestFind:
         docs = load_docs(cluster)
         q = {"h": {"$gte": 100, "$lte": 400}}
         result = cluster.find("t", q)
-        expected = [d for d in docs if matches(q, d)]
+        expected = [d for d in docs if reference_matches(q, d)]
         assert len(result) == len(expected)
         assert not result.stats.broadcast
 
@@ -148,7 +148,7 @@ class TestFind:
         docs = load_docs(cluster)
         q = {"date": {"$gte": T0, "$lte": T0 + dt.timedelta(hours=500)}}
         result = cluster.find("t", q)
-        expected = [d for d in docs if matches(q, d)]
+        expected = [d for d in docs if reference_matches(q, d)]
         assert len(result) == len(expected)
         assert result.stats.broadcast
 
@@ -229,7 +229,7 @@ class TestMigrationsAndZones:
         cluster.update_zones("t", self._zones(cluster))
         q = {"h": {"$gte": 250, "$lte": 750}}
         result = cluster.find("t", q)
-        expected = [d for d in docs if matches(q, d)]
+        expected = [d for d in docs if reference_matches(q, d)]
         assert len(result) == len(expected)
 
 

@@ -1,11 +1,19 @@
-"""Tests for the query matcher."""
+"""Tests for the query matcher, each verdict held to the reference
+interpreter's."""
 
 import datetime as dt
 
 import pytest
 
-from repro.docstore.matcher import Matcher, is_operator_expression, matches
+from repro.docstore.matcher import Matcher, is_operator_expression
 from repro.errors import QueryError
+from repro.reference import reference_matches
+
+
+def matches(query, document):
+    verdict = Matcher(query).matches(document)
+    assert verdict == reference_matches(query, document), (query, document)
+    return verdict
 
 UTC = dt.timezone.utc
 DOC = {

@@ -1,8 +1,9 @@
-"""Tests for the compiled single-path $or fast path in the matcher."""
+"""Tests for the one single-path $or fold and its compiled interval set."""
 
-import pytest
-
-from repro.docstore.matcher import Matcher, _compile_or_intervals, matches
+from repro.docstore.index import SCAN_TOP
+from repro.docstore.matcher import Matcher
+from repro.docstore.planner import fold_or
+from repro.reference import reference_matches
 
 
 class TestCompilation:
@@ -11,43 +12,60 @@ class TestCompilation:
             {"h": {"$gte": 1, "$lte": 5}},
             {"h": {"$gte": 10, "$lte": 20}},
         ]
-        compiled = _compile_or_intervals(clauses)
-        assert compiled is not None
-        assert compiled.path == "h"
+        folded = fold_or(clauses)
+        assert folded is not None and folded.exact
+        assert folded.path == "h"
+        assert folded.spans == [True, True]
 
     def test_compiles_in_clause(self):
-        compiled = _compile_or_intervals([{"h": {"$in": [3, 7, 9]}}])
-        assert compiled is not None
-        assert len(compiled.intervals) == 3
+        folded = fold_or([{"h": {"$in": [3, 7, 9]}}])
+        assert folded is not None and folded.exact
+        assert len(folded.intervals) == 3
+        assert folded.spans == [False, False, False]
 
     def test_rejects_multi_path(self):
-        assert _compile_or_intervals([{"a": {"$gte": 1, "$lte": 2}}, {"b": {"$gte": 1, "$lte": 2}}]) is None
+        assert fold_or([{"a": {"$gte": 1, "$lte": 2}}, {"b": {"$gte": 1, "$lte": 2}}]) is None
 
-    def test_rejects_non_operator_clause(self):
-        assert _compile_or_intervals([{"a": 5}]) is None
+    def test_non_operator_clause_is_an_exact_point(self):
+        folded = fold_or([{"a": 5}])
+        assert folded.exact
+        assert [iv.is_point for iv in folded.intervals] == [True]
 
     def test_rejects_unsupported_ops(self):
-        assert _compile_or_intervals([{"a": {"$ne": 5}}]) is None
+        assert fold_or([{"a": {"$ne": 5}}]) is None
 
     def test_rejects_half_open(self):
-        # Half-open ranges stay on the generic path.
-        assert _compile_or_intervals([{"a": {"$gte": 5}}]) is None
+        # Bounds only, no interval set: the bound runs to the scan
+        # sentinel, which admits other BSON types that the
+        # type-bracketed $gte rejects.
+        folded = fold_or([{"a": {"$gte": 5}}])
+        assert not folded.exact
+        assert folded.intervals[0].hi == SCAN_TOP
 
     def test_rejects_null_points(self):
-        assert _compile_or_intervals([{"a": {"$in": [None]}}]) is None
+        # Bounds only: null also matches a missing field, which no
+        # interval holds.
+        folded = fold_or([{"a": {"$in": [None]}}])
+        assert not folded.exact
+        assert len(folded.intervals) == 1
+
+    def test_rejects_cross_bracket_range(self):
+        folded = fold_or([{"a": {"$gte": 5, "$lte": "z"}}])
+        assert not folded.exact
+        assert len(folded.intervals) == 1
 
     def test_merges_overlaps(self):
-        compiled = _compile_or_intervals(
+        folded = fold_or(
             [
                 {"h": {"$gte": 0, "$lte": 100}},
                 {"h": {"$gte": 50, "$lte": 60}},
             ]
         )
-        assert len(compiled.intervals) == 1
+        assert len(folded.intervals) == 1
 
 
 class TestSemanticsMatchGenericPath:
-    """The fast path must agree with clause-by-clause evaluation."""
+    """The interval set must agree with clause-by-clause evaluation."""
 
     CLAUSES = [
         {"h": {"$gte": 10, "$lte": 20}},
@@ -57,7 +75,7 @@ class TestSemanticsMatchGenericPath:
     ]
 
     def generic(self, doc):
-        return any(matches(clause, doc) for clause in self.CLAUSES)
+        return any(reference_matches(clause, doc) for clause in self.CLAUSES)
 
     def test_agreement_over_domain(self):
         matcher = Matcher({"$or": self.CLAUSES})

@@ -5,6 +5,7 @@ import pytest
 from repro.docstore.collection import Collection
 from repro.docstore.index import Index, IndexDefinition
 from repro.errors import IndexError_
+from repro.reference import reference_matches
 
 
 class TestArrayMultikey:
@@ -45,6 +46,26 @@ class TestArrayMultikey:
         idx = Index(IndexDefinition.from_spec([("cells", 1), ("d", 1)]))
         idx.insert_document(1, {"cells": [10, 20], "d": 5})
         assert len(idx.tree) == 2
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the planner intersects both ends of a range on a multikey "
+    "field (ROADMAP item 20)",
+)
+def test_multikey_range_ixscan_keeps_arrays_meeting_each_end_apart():
+    # [1, 10] meets $gte 5 with 10 and $lte 6 with 1, so it matches;
+    # MongoDB never intersects the two bounds of a multikey field.  The
+    # reference shares plan_query, so only the interpreter over every
+    # record sees the missing document.
+    col = Collection("t")
+    col.create_index([("v", 1)], name="v_1")
+    col.insert_many([{"_id": 0, "v": [1, 10]}, {"_id": 1, "v": 5}])
+    query = {"v": {"$gte": 5, "$lte": 6}}
+    result = col.find_with_stats(query, hint="v_1")
+    assert result.plan.kind == "IXSCAN"
+    expected = [d for d in col.all_documents() if reference_matches(query, d)]
+    assert result.documents == expected
 
 
 class TestIsMultikeyTracksContent:

@@ -5,6 +5,7 @@ import datetime as dt
 import pytest
 
 from repro.docstore import bson
+from repro.docstore.collection import Collection
 from repro.docstore.index import Index, IndexDefinition, SCAN_BOTTOM, SCAN_TOP
 from repro.docstore.planner import (
     CollScanPlan,
@@ -205,6 +206,17 @@ class TestBounds:
         assert n_bounded == 2
         assert len(bounds[0]) == 2
         assert exact_paths == {"h", "date"}
+
+    def test_or_union_keeps_an_inclusive_end_an_exclusive_one_shares(self):
+        # (5, 8] ∪ [5, 8] is [5, 8], whichever clause comes first: the
+        # bounds prove the path, so a lost 5 would leave the results.
+        col = Collection("t")
+        col.create_index([("a", 1)], name="a_1")
+        col.insert_many([{"_id": i, "a": v} for i, v in enumerate([4, 5, 6, 9])])
+        q = {"$or": [{"a": {"$gt": 5, "$lte": 8}}, {"a": {"$gte": 5, "$lte": 8}}]}
+        result = col.find_with_stats(q, hint="a_1")
+        assert [iv.lo_inclusive for iv in result.plan.bounds[0]] == [True]
+        assert sorted(d["a"] for d in result.documents) == [5, 6]
 
     def test_geo_field_without_geo_predicate_unusable(self):
         compound, _ = _make_indexes(_docs())

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.docstore.collection import Collection
-from repro.docstore.matcher import matches
+from repro.reference import reference_matches
 
 UTC = dt.timezone.utc
 T0 = dt.datetime(2018, 7, 1, tzinfo=UTC)
@@ -91,14 +91,15 @@ def test_in_plus_range_matches_oracle(pairs, in_values, b_lo):
 @settings(max_examples=25, deadline=None)
 @given(pairs=doc_strategy, a_lo=bound, a_hi=bound)
 def test_plan_choice_never_changes_results(pairs, a_lo, a_hi):
-    """Whatever plan the optimizer picks, results equal the matcher."""
+    """Whatever plan the optimizer picks, results equal the reference
+    interpreter's."""
     if a_lo > a_hi:
         a_lo, a_hi = a_hi, a_lo
     col = build(pairs)
     col.create_index([("b", 1)], name="b_1")
     q = {"a": {"$gte": a_lo, "$lte": a_hi}, "b": {"$gte": 0}}
     auto = col.find_with_stats(q)
-    oracle = [d for d in col.all_documents() if matches(q, d)]
+    oracle = [d for d in col.all_documents() if reference_matches(q, d)]
     assert len(auto) == len(oracle)
 
 

@@ -21,7 +21,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import ClusterTopology
@@ -35,7 +35,11 @@ from repro.docstore.paramplan import bind_plan, param_shape_key
 from repro.docstore.planner import analyze_query, plan_query
 from repro.errors import PlanError
 from repro.geo.geometry import BoundingBox
-from repro.reference import reference_cluster_find, reference_find
+from repro.reference import (
+    reference_cluster_find,
+    reference_find,
+    reference_matches,
+)
 from repro.workloads.queries import QUERY_WINDOWS, SpatioTemporalQuery
 
 N_DOCS = 1_200
@@ -238,8 +242,8 @@ def _edge_queries(rng: random.Random, hilberts):
             {"hilbertIndex": {"$in": [h + 1, h + 2]}},
         ]
     }
-    # Two single-path $or s (only the top-level one compiles to an
-    # interval set) and $or + plain range: both are unioned bounds.
+    # Two single-path $or s and $or + plain range: both are unioned
+    # bounds.
     yield "two-ors", {
         "$or": h_ranges(5),
         "$and": [{"$or": h_ranges(5)}],
@@ -443,16 +447,31 @@ _query = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(values=st.lists(_stored, min_size=1, max_size=12), query=_query)
+# A range clause whose ends lie in different type brackets matches
+# nothing of either bracket, inside an $or as outside it.
+@example(
+    values=[False],
+    query={
+        "$or": [{"v": {"$gte": False, "$lte": _dt.datetime(2018, 1, 1)}}],
+        "v": False,
+    },
+)
+# Each end of an $or range may be met by a different array element.
+@example(values=[[1, 10]], query={"$or": [{"v": {"$gte": 5, "$lte": 6}}], "w": 0})
 def test_key_within_exact_bounds_implies_dropped_predicates(values, query):
     """Random stored values x random bounds: whatever the planner calls
     covered, every document the bounds admit satisfies the predicates
-    the residual dropped — and the compiled scan equals the reference.
+    the residual dropped — and the compiled scan equals the reference,
+    and the compiled matcher the reference interpreter on every
+    stored document.
     """
     col = Collection("t")
     col.create_index([("v", 1), ("w", 1)], name="v_w")
     for i, value in enumerate(values):
         col.insert_one({"_id": i, "v": value, "w": i % 3})
     matcher = Matcher(query)
+    for document in col.all_documents():
+        assert matcher.matches(document) == reference_matches(query, document)
     plan = plan_query(
         analyze_query(query), [col.get_index("v_w")], len(col)
     )
