@@ -94,8 +94,8 @@ def main() -> None:
     print(
         "\nThe thread rows share one interpreter lock (the GIL): more"
         " clients add latency, not throughput.  The process row runs shard"
-        " work outside it, and pays pickling and a pipe round-trip per"
-        " shard to do so."
+        " matching outside it, and pays a pipe round-trip per worker and"
+        " the parent's copy of each result to do so."
     )
 
 

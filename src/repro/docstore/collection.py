@@ -128,7 +128,9 @@ class Collection:
             self._engine = LSMEngine(durability)
             self._engine.recover()
             self._load_local(
-                [decode_document(raw) for _, raw in self._engine.scan()]
+                self._numbered(
+                    decode_document(raw) for _, raw in self._engine.scan()
+                )
             )
 
     @classmethod
@@ -136,18 +138,17 @@ class Collection:
         cls,
         name: str,
         definitions: Sequence[IndexDefinition],
-        documents: Iterable[Mapping[str, Any]],
+        records: Iterable[Tuple[int, Mapping[str, Any]]],
     ) -> "Collection":
         """Rebuild a read replica from a consistent snapshot.
 
-        ``definitions``/``documents`` come from
-        :meth:`index_definitions` and :meth:`all_documents` captured
-        under the same exclusion (the process-parallel executors pickle
-        both while holding the source shard's read lock).  Documents
-        are inserted in the given (rid) order, so replica rids are a
-        monotone remap of the source's: index scan order, collection
-        scan order, and every executionStats counter match the source
-        collection exactly.  Every index is built bottom-up
+        ``definitions``/``records`` come from :meth:`index_definitions`
+        and :meth:`all_records` captured under the same exclusion (the
+        process-parallel executors pickle both while holding the source
+        shard's read lock).  The replica keeps the source's record ids
+        and record order, so index scan order, collection scan order,
+        every executionStats counter and every returned rid match the
+        source collection exactly.  Every index is built bottom-up
         (:meth:`_load_local`).
         """
         replica = cls(name)
@@ -157,7 +158,9 @@ class Collection:
             replica._indexes[definition.name] = Index(
                 definition, order=replica._btree_order
             )
-        replica._load_local([own_document(d) for d in documents])
+        records = {rid: own_document(d) for rid, d in records}
+        replica._load_local(records)
+        replica._rid_counter = itertools.count(max(records, default=-1) + 1)
         # A replica starts at epoch 0 like any fresh collection; the
         # executor layer tracks the *source* epoch per snapshot.
         return replica
@@ -190,23 +193,23 @@ class Collection:
             self._last_shape = shape
         return self._last_shape
 
-    def _load_local(self, documents: Sequence[dict]) -> None:
+    def _load_local(self, records: Dict[int, dict]) -> None:
         """Apply many inserts to the empty in-memory structures at once.
 
         The bulk form of :meth:`_insert_local` behind the initial
-        load, replica sync, snapshot restore and engine recovery:
-        rids follow the given order and every index is built bottom-up
-        (:meth:`Index.build`).  The dicts are adopted, not copied —
-        each must be the collection's own and carry an ``_id``.
-        Nothing changes if an index build raises (duplicate key): the
-        built indexes replace the empty ones only once all succeeded.
+        load, replica sync and engine recovery: ``records`` maps each
+        rid to its document, in scan order, and every index is built
+        bottom-up (:meth:`Index.build`).  The dicts are adopted, not
+        copied — each must be the collection's own and carry an
+        ``_id``.  Nothing changes if an index build raises (duplicate
+        key): the built indexes replace the empty ones only once all
+        succeeded.
         """
         if self._records:
             raise DocumentStoreError(
                 "bulk build needs an empty collection, %r holds %d documents"
                 % (self.name, len(self._records))
             )
-        records = {next(self._rid_counter): doc for doc in documents}
         built = {
             name: self._built_index(index.definition, records)
             for name, index in self._indexes.items()
@@ -216,6 +219,10 @@ class Collection:
         self._shapes.update(
             (rid, self._shared(shape_of(doc))) for rid, doc in records.items()
         )
+
+    def _numbered(self, documents: Iterable[dict]) -> Dict[int, dict]:
+        """``documents`` keyed by fresh rids, in the given order."""
+        return {next(self._rid_counter): doc for doc in documents}
 
     def _built_index(
         self, definition: IndexDefinition, records: Mapping[int, dict]
@@ -235,7 +242,7 @@ class Collection:
         on, the load is one WAL batch.
         """
         self._mutations += 1
-        self._load_local(documents)
+        self._load_local(self._numbered(documents))
         if self._engine is not None:
             self._engine.apply_batch(
                 [
@@ -465,6 +472,25 @@ class Collection:
     ) -> FindResult:
         """Execute a query, returning documents + plan + stats.
 
+        :meth:`find_rids` followed by :meth:`copy_results`; the
+        arguments are :meth:`find_rids`'s.
+        """
+        rids, stats, plan = self.find_rids(
+            query, hint, max_geo_ranges, matcher, shape, plan_bounds
+        )
+        return FindResult(self.copy_results(rids), stats, plan)
+
+    def find_rids(
+        self,
+        query: Mapping[str, Any],
+        hint: Optional[str] = None,
+        max_geo_ranges: Optional[int] = None,
+        matcher: Optional[Matcher] = None,
+        shape=None,
+        plan_bounds=None,
+    ) -> Tuple[List[int], ExecutionStats, IndexScanPlan | CollScanPlan]:
+        """The match step of a query: ``(rids, stats, plan)``, no copy.
+
         Candidate plans are ranked by cost estimates (fast,
         deterministic).  ``matcher``/``shape`` accept pre-compiled
         forms of the same query (the mongos router analyses once and
@@ -498,12 +524,18 @@ class Collection:
         plan_ms = (time.perf_counter() - plan_started) * 1000.0
         rids, stats = execute_plan(plan, self._records, matcher)
         stats.stage_times_ms["plan"] = plan_ms
-        # Each result is copied along its stored shape: the caller owns
-        # it, and no field's type is tested again.
+        return rids, stats, plan
+
+    def copy_results(self, rids: Iterable[int]) -> List[dict]:
+        """Private copies of the documents stored under ``rids``.
+
+        Each is copied along its stored shape: the caller owns it, and
+        no field's type is tested again.  A rid this collection does
+        not hold raises ``KeyError``.
+        """
         records = self._records
         shapes = self._shapes
-        documents = [shapes[rid](records[rid]) for rid in rids]
-        return FindResult(documents, stats, plan)
+        return [shapes[rid](records[rid]) for rid in rids]
 
     def hinted_bounds(self, hint: str, shape, max_geo_ranges=None):
         """``(bounds, n_bounded, exact_paths)`` for the hint, or None.
@@ -683,6 +715,10 @@ class Collection:
     def all_documents(self) -> Iterable[Mapping[str, Any]]:
         """Storage view of all documents (do not mutate)."""
         return self._records.values()
+
+    def all_records(self) -> Iterable[Tuple[int, Mapping[str, Any]]]:
+        """Storage view of ``(rid, document)`` in scan order (do not mutate)."""
+        return self._records.items()
 
     def data_size(self) -> int:
         """Uncompressed BSON bytes of all documents."""

@@ -9,11 +9,11 @@ from a single-caller library into a query *server*:
 * :mod:`repro.service.executors` — the execution backends:
   :class:`ThreadedExecutor` (the caller's thread, reads taking FIFO
   turns) and :class:`ShardWorkerPool` (per-shard worker processes fed
-  shape-batched picklable plan messages, see
+  batched picklable plan messages, answering with record ids, see
   :mod:`repro.service.wire`);
-* :func:`query_shape_key` — the value-free key the process backend
-  batches subqueries on (no plan is cached: every read binds its
-  parameterized shape or is analyzed);
+* :func:`query_shape_key` — a value-free query key no read path uses
+  any more (no plan is cached: every read binds its parameterized
+  shape or is analyzed), kept for the benchmark harness;
 * :class:`ServiceMetrics` — latency percentiles, queue wait, and
   throughput for the serving path;
 * :class:`LoadGenerator` — closed-/open-loop replay of the paper's

@@ -10,30 +10,34 @@ subquery execution to an *executor*:
   shard group) is assigned to a worker *process* hosting read replicas
   of its collections.  Subqueries travel as compact picklable plan
   messages (:mod:`repro.service.wire`), queued subqueries are
-  coalesced into one batch frame per worker round-trip, and each
-  worker keeps an epoch-validated result cache so repeated subqueries
-  skip analysis, B-tree descent, and re-pickling entirely.
+  coalesced into one batch frame per worker round-trip, and the
+  worker answers each batch with one reply frame.  A worker replies
+  with record ids and counters only: the parent copies the documents
+  from its own collection, which holds them at the same epoch under
+  the shard read lock the caller keeps until the merge.
 
-Replication contract (what makes results byte-identical):
+Replication contract (what makes results identical):
 
 * The parent is authoritative.  Writes and DDL run parent-side under
   the service's exclusive shard locks and bump the collection's
   ``mutation_count`` epoch.
 * A worker replica is (re)built from a :class:`~repro.service.wire.
-  SyncFrame` snapshot captured under the shard *read* lock, documents
-  in rid order.  Rebuilding in that order remaps rids monotonically,
-  so index scan order, collection scan order, returned documents, and
-  every executionStats counter match the parent's collection exactly.
+  SyncFrame` snapshot captured under the shard *read* lock: ``(rid,
+  document)`` pairs that the replica keeps as they are, so index scan
+  order, collection scan order, the returned rids, and every
+  executionStats counter match the parent's collection exactly.
 * Every plan message carries the epoch it was targeted at; a worker
-  refuses to serve a replica (or cached result) whose epoch differs.
-  Because readers hold the shard read lock from epoch capture through
-  reply, and writers exclude readers, a shipped epoch can never be
-  stale by the time the worker executes it — the refusal is a
-  tripwire, not a retry protocol.
+  refuses to serve a replica whose epoch differs, and the parent
+  refuses a reply whose epoch differs or that names a rid its own
+  collection does not hold.  Because readers hold the shard read lock
+  from epoch capture through the copy, and writers exclude readers, a
+  shipped epoch can never be stale by the time the worker executes
+  it — the refusals are tripwires, not a retry protocol.
 
-Deadline semantics: an expired deadline abandons the in-flight
-subqueries (their replies are dropped by request id) and the service
-releases its read locks immediately.  That is safe because a remote
+Deadline semantics: an expired deadline abandons the read's queued
+and in-flight subqueries (unsent ones leave the outbox, replies are
+dropped by request id) and the service releases its read locks
+immediately.  That is safe because a remote
 subquery only touches the worker's own replica — it cannot race a
 parent-side writer that acquires the freed locks.  The threaded path
 has nothing in flight to abandon: its deadline is checked between
@@ -51,13 +55,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.docstore.collection import Collection
+from repro.docstore.executor import ExecutionStats
 from repro.docstore.paramplan import plan_read
 from repro.errors import QueryTimeoutError, ServiceError
 from repro.service.metrics import ServiceMetrics
-from repro.service.plan_cache import exact_query_key, query_shape_key
 from repro.service.wire import (
     BatchFrame,
     PlanMessage,
+    ReplyFrame,
     ResultFrame,
     ShutdownFrame,
     SubqueryRequest,
@@ -92,9 +97,6 @@ ENV_BACKEND = "REPRO_EXECUTOR_BACKEND"
 #: a worker-local lock-order sanitizer and report violations with
 #: every reply.
 ENV_WORKER_SANITIZE = "REPRO_WORKER_SANITIZE"
-
-#: Entries in each worker process's epoch-validated result cache.
-WORKER_CACHE_SIZE = 512
 
 #: Worker-side instrumentation hook, filled in by
 #: ``repro.sanitizer.instrument`` when that package is imported.  The
@@ -189,22 +191,23 @@ class _PendingReply:
     """Parent-side handle for one in-flight remote subquery."""
 
     def __init__(
-        self, client: "_WorkerClient", request_id: int, synced: bool
+        self, client: "_WorkerClient", request_id: int, epoch: int, synced: bool
     ) -> None:
         self._client = client
         self.request_id = request_id
+        #: The epoch the subquery was sent at; the reply must match it.
+        self.epoch = epoch
         #: True when this request shipped a fresh replica snapshot.
         self.synced = synced
-        #: True when the worker served its epoch-validated result cache.
-        self.cached = False
         self._event = threading.Event()
         self._frame: Optional[ResultFrame] = None
+        self._violations: Tuple[str, ...] = ()
         self._error: Optional[BaseException] = None
 
-    def deliver(self, frame: ResultFrame) -> None:
+    def deliver(self, frame: ResultFrame, violations: Tuple[str, ...]) -> None:
         """Reader-thread entry: hand the reply to the waiting caller."""
         self._frame = frame
-        self.cached = frame.cached
+        self._violations = violations
         self._event.set()
 
     def fail(self, message: str) -> None:
@@ -216,8 +219,8 @@ class _PendingReply:
         """Drop the reply when it arrives; the caller stopped waiting."""
         self._client.discard(self.request_id)
 
-    def result(self, deadline: Deadline) -> SubqueryResult:
-        """Block (deadline-bounded) for the reply and decode it."""
+    def result(self, deadline: Deadline) -> Tuple[List[int], ExecutionStats]:
+        """Block (deadline-bounded) for the reply: ``(rids, stats)``."""
         while not self._event.is_set():
             remaining = deadline.remaining()  # raises when expired
             self._event.wait(
@@ -227,14 +230,19 @@ class _PendingReply:
             raise self._error
         frame = self._frame
         assert frame is not None
-        if frame.violations:
+        if self._violations:
             raise ServiceError(
                 "worker lock-order sanitizer: %s"
-                % "; ".join(frame.violations)
+                % "; ".join(self._violations)
             )
         if frame.error is not None:
             raise decode_error(frame.error)
         assert frame.payload is not None
+        if frame.epoch != self.epoch:
+            raise ServiceError(
+                "shard worker answered at epoch %s, the query was sent "
+                "at epoch %s" % (frame.epoch, self.epoch)
+            )
         return decode_result(frame.payload)
 
 
@@ -276,8 +284,6 @@ class _WorkerClient:
         shard_id: str,
         collection: Collection,
         spec: SubquerySpec,
-        shape_key: Optional[Tuple[Any, ...]],
-        exact_key: Optional[Tuple[Any, ...]],
         stall_ms: float,
     ) -> _PendingReply:
         """Queue one subquery (and any missing snapshot) for this worker.
@@ -303,7 +309,7 @@ class _WorkerClient:
                 self._synced[key] = epoch
                 synced = True
             request_id = next(self._ids)
-            pending = _PendingReply(self, request_id, synced=synced)
+            pending = _PendingReply(self, request_id, epoch, synced)
             self._pending[request_id] = pending
             plan = PlanMessage(
                 collection=spec.collection,
@@ -311,8 +317,8 @@ class _WorkerClient:
                 hint=spec.hint,
                 max_geo_ranges=spec.max_geo_ranges,
                 fast_path=True,  # read by no worker; see PlanMessage
-                shape_key=shape_key,
-                exact_key=exact_key,
+                shape_key=None,
+                exact_key=None,
                 epoch=epoch,
                 stall_ms=stall_ms,
             )
@@ -347,9 +353,12 @@ class _WorkerClient:
                 self._fail_pending_locked(self._dead_reason)
 
     def discard(self, request_id: int) -> None:
-        """Forget a pending reply; the worker's answer will be dropped."""
+        """Withdraw a request: unsent, it never goes; sent, its reply is dropped."""
         with self._lock:
             self._pending.pop(request_id, None)
+            self._outbox = [
+                r for r in self._outbox if r.request_id != request_id
+            ]
 
     def synced_epoch(self, shard_id: str, collection: str) -> Optional[int]:
         """Last shipped epoch for a namespace (introspection/tests)."""
@@ -403,11 +412,15 @@ class _WorkerClient:
                         self._dead_reason = "shard worker process died"
                         self._fail_pending_locked(self._dead_reason)
                 return
-            if isinstance(frame, ResultFrame):
+            if isinstance(frame, ReplyFrame):
                 with self._lock:
-                    pending = self._pending.pop(frame.request_id, None)
-                if pending is not None:
-                    pending.deliver(frame)
+                    waiters = [
+                        (self._pending.pop(result.request_id, None), result)
+                        for result in frame.results
+                    ]
+                for pending, result in waiters:
+                    if pending is not None:
+                        pending.deliver(result, frame.violations)
 
     def _fail_pending_locked(self, reason: str) -> None:
         for pending in self._pending.values():
@@ -489,59 +502,61 @@ class ShardWorkerPool:
 
         The ``fn`` the cluster hands over is ignored: subqueries run
         in the worker processes from the plan message, not through the
-        parent-side closure.  Results are decoded into objects with
-        the same ``documents``/``stats`` attributes ``run_shard``
+        parent-side closure.  Each worker returns record ids; the
+        parent copies those documents from its own collection, along
+        their stored shapes as the threaded path does, into objects
+        with the ``documents``/``stats`` attributes ``run_shard``
         returns, so the cluster's merge path is untouched.
         """
-        shape_key = query_shape_key(
-            spec.collection,
-            spec.shape if spec.shape is not None else spec.query,
-        )
-        exact_key = exact_query_key(spec.collection, spec.query)
 
         def mapper(fn, shard_ids):
             del fn  # executed remotely from the plan message
-            ids = list(shard_ids)
-            pendings: List[Tuple[str, _PendingReply]] = []
+            pendings: List[Tuple[str, Collection, _PendingReply]] = []
             touched: List[_WorkerClient] = []
-            for shard_id in ids:
-                deadline.remaining()  # raises when expired
-                client: _WorkerClient = self._clients[shard_id]
-                col = self.cluster.shards[shard_id].collection(
-                    spec.collection
-                )
-                pending = client.enqueue(
-                    shard_id,
-                    col,
-                    spec,
-                    shape_key,
-                    exact_key,
-                    self.debug_stall_ms.get(shard_id, 0.0),
-                )
-                pendings.append((shard_id, pending))
-                if client not in touched:
-                    touched.append(client)
-            for client in touched:
-                client.flush()
             out = []
             try:
-                for shard_id, pending in pendings:
-                    result = pending.result(deadline)
-                    out.append((shard_id, result))
+                for shard_id in shard_ids:
+                    deadline.remaining()  # raises when expired
+                    client: _WorkerClient = self._clients[shard_id]
+                    col = self.cluster.shards[shard_id].collection(
+                        spec.collection
+                    )
+                    pending = client.enqueue(
+                        shard_id,
+                        col,
+                        spec,
+                        self.debug_stall_ms.get(shard_id, 0.0),
+                    )
+                    pendings.append((shard_id, col, pending))
+                    if client not in touched:
+                        touched.append(client)
+                for client in touched:
+                    client.flush()
+                for shard_id, col, pending in pendings:
+                    rids, stats = pending.result(deadline)
+                    try:
+                        documents = col.copy_results(rids)
+                    except KeyError as exc:
+                        raise ServiceError(
+                            "shard worker returned record id %s, which "
+                            "%s/%s does not hold"
+                            % (exc, shard_id, spec.collection)
+                        ) from None
+                    out.append((shard_id, SubqueryResult(documents, stats)))
             except BaseException:
-                # Abandon the fan-out: replies still in flight are
-                # dropped by request id.  Unlike the threaded path no
-                # drain is needed before the caller releases its read
-                # locks — remote subqueries only touch worker-local
-                # replicas and cannot race a parent-side writer.
-                for _shard_id, pending in pendings:
+                # Abandon the fan-out, queued or in flight: unsent
+                # requests leave the outbox and replies still to come
+                # are dropped by request id.  Unlike the threaded path
+                # no drain is needed before the caller releases its
+                # read locks — remote subqueries only touch
+                # worker-local replicas and cannot race a parent-side
+                # writer.
+                for _shard_id, _col, pending in pendings:
                     pending.abandon()
                 raise
             if self.metrics is not None:
-                for _shard_id, pending in pendings:
-                    self.metrics.record_remote(
-                        cached=pending.cached, synced=pending.synced
-                    )
+                for _shard_id, _col, pending in pendings:
+                    self.metrics.record_remote(synced=pending.synced)
             return out
 
         return mapper
@@ -555,21 +570,11 @@ class ShardWorkerPool:
 # -- worker-process side -------------------------------------------------------
 
 
-class _CachedResult:
-    """One epoch-stamped entry of a worker's result cache."""
-
-    __slots__ = ("epoch", "payload")
-
-    def __init__(self, epoch: int, payload: bytes) -> None:
-        self.epoch = epoch
-        self.payload = payload
-
-
 class _WorkerHost:
-    """The worker process's state: replicas, caches, and one mutex.
+    """The worker process's state: replicas and one mutex.
 
-    The event loop is single-threaded, but all replica and cache state
-    is still guarded by ``_lock``: the lock *is* the worker's declared
+    The event loop is single-threaded, but all replica state is still
+    guarded by ``_lock``: the lock *is* the worker's declared
     topology (nothing may nest under it), the static lockgraph checks
     that claim on this source, and ``REPRO_WORKER_SANITIZE`` swaps in
     an instrumented wrapper so the claim is also checked at runtime —
@@ -581,9 +586,6 @@ class _WorkerHost:
         self._lock = threading.Lock()
         self._replicas: Dict[Tuple[str, str], Collection] = {}
         self._epochs: Dict[Tuple[str, str], int] = {}
-        #: Result LRU: dicts preserve insertion order, and hits
-        #: re-insert their entry, so eviction pops the real LRU head.
-        self._results: Dict[Tuple[Any, ...], _CachedResult] = {}
         self._sanitizer = None
 
     def violations(self) -> Tuple[str, ...]:
@@ -595,7 +597,7 @@ class _WorkerHost:
             for v in self._sanitizer.violations()
         )
 
-    def handle_batch(self, frame: BatchFrame):
+    def handle_batch(self, frame: BatchFrame) -> ReplyFrame:
         """Apply syncs, then serve each request in arrival order.
 
         One frame is one pickle, so the shard requests of one query
@@ -606,8 +608,10 @@ class _WorkerHost:
             with self._lock:
                 self._apply_sync_locked(sync)
         bound: Dict[tuple, tuple] = {}
-        for request in frame.requests:
-            yield self._serve(request, bound)
+        results = tuple(
+            self._serve(request, bound) for request in frame.requests
+        )
+        return ReplyFrame(results=results, violations=self.violations())
 
     def _serve(
         self,
@@ -619,27 +623,22 @@ class _WorkerHost:
             time.sleep(plan.stall_ms / 1000.0)
         try:
             with self._lock:
-                payload, cached = self._execute_locked(
+                payload, epoch = self._execute_locked(
                     request.shard_id, plan, bound
                 )
         except Exception as exc:
             return ResultFrame(
-                request_id=request.request_id,
-                error=encode_error(exc),
-                violations=self.violations(),
+                request_id=request.request_id, error=encode_error(exc)
             )
         return ResultFrame(
-            request_id=request.request_id,
-            payload=payload,
-            cached=cached,
-            violations=self.violations(),
+            request_id=request.request_id, payload=payload, epoch=epoch
         )
 
     def _apply_sync_locked(self, sync: SyncFrame) -> None:
-        definitions, documents = load_sync_payload(sync.payload)
+        definitions, records = load_sync_payload(sync.payload)
         key = (sync.shard_id, sync.collection)
         self._replicas[key] = Collection.from_snapshot(
-            sync.collection, definitions, documents
+            sync.collection, definitions, records
         )
         self._epochs[key] = sync.epoch
 
@@ -648,51 +647,29 @@ class _WorkerHost:
         shard_id: str,
         plan: PlanMessage,
         bound: Dict[tuple, tuple],
-    ) -> Tuple[bytes, bool]:
+    ) -> Tuple[bytes, int]:
+        """The encoded ``(rids, counters)`` and the epoch they ran at."""
         key = (shard_id, plan.collection)
         replica = self._replicas.get(key)
-        if replica is None or self._epochs.get(key) != plan.epoch:
+        epoch = self._epochs.get(key)
+        if replica is None or epoch != plan.epoch:
             raise ServiceError(
                 "worker replica for %s/%s is stale (have epoch %s, "
                 "need %s)"
-                % (shard_id, plan.collection, self._epochs.get(key),
-                   plan.epoch)
+                % (shard_id, plan.collection, epoch, plan.epoch)
             )
-        cache_key = None
-        if plan.exact_key is not None:
-            cache_key = (
-                shard_id,
-                plan.collection,
-                plan.exact_key,
-                plan.hint,
-                plan.max_geo_ranges,
-            )
-            entry = self._results.get(cache_key)
-            if entry is not None and entry.epoch == plan.epoch:
-                # Sound by construction: replica content only changes
-                # through epoch-bumping sync frames, so an epoch match
-                # means re-execution would produce these exact bytes.
-                del self._results[cache_key]
-                self._results[cache_key] = entry
-                return entry.payload, True
         memo = (id(plan.query), plan.collection, plan.hint)
         if memo not in bound:
             bound[memo] = plan_read(plan.collection, plan.query, plan.hint)
         shape, matcher, _outcome = bound[memo]
-        result = replica.find_with_stats(
+        rids, stats, _plan = replica.find_rids(
             plan.query,
             hint=plan.hint,
             max_geo_ranges=plan.max_geo_ranges,
             matcher=matcher,
             shape=shape,
         )
-        payload = encode_result(result.documents, result.stats)
-        if cache_key is not None:
-            self._results[cache_key] = _CachedResult(plan.epoch, payload)
-            while len(self._results) > WORKER_CACHE_SIZE:
-                oldest = next(iter(self._results))
-                del self._results[oldest]
-        return payload, False
+        return encode_result(rids, stats), epoch
 
 
 def _worker_main(conn, sanitize: bool) -> None:
@@ -713,8 +690,7 @@ def _worker_main(conn, sanitize: bool) -> None:
             break
         if isinstance(frame, BatchFrame):
             try:
-                for reply in host.handle_batch(frame):
-                    conn.send(reply)
+                conn.send(host.handle_batch(frame))
             except (BrokenPipeError, OSError):
                 break
     try:

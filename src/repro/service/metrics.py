@@ -56,8 +56,8 @@ class MetricsSnapshot:
     #: Hit/miss counters of the read-path caches (targeting, range
     #: decomposition, ...), keyed by cache name.
     caches: Dict[str, Dict] = field(default_factory=dict)
-    #: Process-executor counters: subqueries shipped to shard workers,
-    #: worker-side result-cache hits, and replica snapshot syncs.
+    #: Process-executor counters: subqueries shipped to shard workers
+    #: and replica snapshot syncs ("remoteCacheHits" is always 0).
     executor: Dict[str, int] = field(default_factory=dict)
     #: How served queries were planned: values bound into the
     #: parameterized shape ("shapeHits"), or full analysis +
@@ -113,7 +113,6 @@ class ServiceMetrics:
         self.timed_out = 0
         self.writes = 0
         self.remote_subqueries = 0
-        self.remote_cache_hits = 0
         self.replica_syncs = 0
         self.shape_hits = 0
         self.plan_misses = 0
@@ -163,17 +162,14 @@ class ServiceMetrics:
         with self._lock:
             self.writes += 1
 
-    def record_remote(self, cached: bool, synced: bool) -> None:
+    def record_remote(self, synced: bool) -> None:
         """Record one subquery served by a shard worker process.
 
-        ``cached`` marks a worker-side result-cache hit (the reply
-        bytes were resent without re-executing the plan); ``synced``
-        marks a request whose batch carried a replica snapshot.
+        ``synced`` marks a request whose batch carried a replica
+        snapshot.
         """
         with self._lock:
             self.remote_subqueries += 1
-            if cached:
-                self.remote_cache_hits += 1
             if synced:
                 self.replica_syncs += 1
 
@@ -201,7 +197,6 @@ class ServiceMetrics:
             self.timed_out = 0
             self.writes = 0
             self.remote_subqueries = 0
-            self.remote_cache_hits = 0
             self.replica_syncs = 0
             self.shape_hits = 0
             self.plan_misses = 0
@@ -251,7 +246,9 @@ class ServiceMetrics:
                 caches=dict(caches or {}),
                 executor={
                     "remoteSubqueries": self.remote_subqueries,
-                    "remoteCacheHits": self.remote_cache_hits,
+                    # No worker caches results; the key stays for the
+                    # benchmark harness until ROADMAP item 1(d).
+                    "remoteCacheHits": 0,
                     "replicaSyncs": self.replica_syncs,
                 },
                 plan_outcomes={

@@ -5,11 +5,9 @@ plans every read from the query itself (bind the parameterized shape,
 or analyze it), so there is no plan cache to fill, evict or invalidate
 — DESIGN.md §8 records the measurements and the counter-parity bug
 that retired the three stores this module used to hold.  What is left
-are the two key functions the process backend
-(:mod:`repro.service.executors`) batches and addresses on:
-:func:`query_shape_key` groups subqueries that share a plan shape,
-:func:`exact_query_key` addresses a worker's epoch-validated result
-cache.
+are two key functions no read path calls any more — the worker result
+cache :func:`exact_query_key` addressed is gone too.  The benchmark
+harness still times both, so they go with ROADMAP item 1(d).
 """
 
 from __future__ import annotations

@@ -3,30 +3,28 @@
 The :class:`~repro.service.executors.ShardWorkerPool` ships per-shard
 subqueries to worker processes over pipes.  Everything that crosses
 the process boundary is defined here, in one place, so the round-trip
-property — decode(encode(x)) reproduces x byte-for-byte — can be
-tested exhaustively against the differential query corpus:
+property — decode(encode(x)) reproduces x exactly — can be tested
+against the differential query corpus:
 
-* :class:`PlanMessage` — one compiled subquery: the raw query document
-  plus its two query keys (the exact key addresses the worker-side
-  result cache) and the replica epoch it must execute against;
+* :class:`PlanMessage` — one subquery: the raw query document and the
+  replica epoch it must execute against;
 * :class:`BatchFrame` — what one pipe write carries: any replica
   snapshots the worker is missing (:class:`SyncFrame`), then the
   queued subqueries in arrival order, so one round-trip carries every
   coalesced query;
-* :class:`ResultFrame` — one subquery's reply: an encoded
-  (documents, counters) payload on success, a pickled exception on
-  failure;
+* :class:`ReplyFrame` — the worker's one answer to a batch: a
+  :class:`ResultFrame` per request, in order.  A result carries record
+  ids, not documents: the parent holds the same documents at the same
+  epoch and copies them from its own store;
 * ``encode_stats``/``decode_stats`` — the counter frame: a
   :class:`~repro.docstore.executor.ExecutionStats` flattened to a
   plain tuple and rebuilt field-for-field, so the service's merged
   statistics are identical to the threaded path's.
 
-Snapshot payloads (``SyncFrame.payload``) and result payloads are
-pre-pickled ``bytes``, not live objects: a snapshot must be captured
-*while the parent holds the shard read lock* (a writer may mutate the
-documents in place the moment the lock drops), and a reply payload
-kept as bytes lets the worker's epoch-validated result cache resend
-the identical encoding without re-pickling.
+Snapshot payloads (``SyncFrame.payload``) are pre-pickled ``bytes``,
+not live objects: a snapshot must be captured *while the parent holds
+the shard read lock* (a writer may mutate the documents in place the
+moment the lock drops).
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ __all__ = [
     "BatchFrame",
     "ShutdownFrame",
     "ResultFrame",
+    "ReplyFrame",
     "SubqueryResult",
     "encode_stats",
     "decode_stats",
@@ -64,23 +63,18 @@ WIRE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 class PlanMessage:
     """One shard subquery, compact enough to pickle per request.
 
-    ``shape_key``/``exact_key`` come from the query key functions
-    (:func:`repro.service.plan_cache.query_shape_key` /
-    :func:`~repro.service.plan_cache.exact_query_key`): the exact key
-    addresses the worker's epoch-validated result cache; the worker
-    does not read the shape key.  ``epoch`` is the source collection's
-    ``mutation_count`` at send time, read under the shard read lock —
-    the worker refuses to serve a cached result (or a stale replica)
-    whose epoch does not match.
+    ``epoch`` is the source collection's ``mutation_count`` at send
+    time, read under the shard read lock — the worker refuses to serve
+    a replica whose epoch does not match.
     """
 
     collection: str
     query: Mapping[str, Any]
     hint: Optional[str]
     max_geo_ranges: Optional[int]
-    #: Always True and read by no worker: there is one execution path.
-    #: The benchmark harness builds this message by keyword, so the
-    #: field goes with ROADMAP item 1(d), not before.
+    #: ``fast_path`` is always True and the two keys always None; no
+    #: worker reads them.  The benchmark harness builds this message by
+    #: keyword, so the fields go with ROADMAP item 1(d), not before.
     fast_path: bool
     shape_key: Optional[Tuple[Any, ...]]
     exact_key: Optional[Tuple[Any, ...]]
@@ -104,10 +98,9 @@ class SyncFrame:
     """A full replica snapshot for one ``(shard, collection)``.
 
     ``payload`` is produced by :func:`make_sync_payload` under the
-    shard read lock: index definitions plus every document in rid
-    order.  Rebuilding the replica in that order remaps rids
-    monotonically, which preserves index scan order, collection scan
-    order, and therefore every result list and counter byte-for-byte.
+    shard read lock: index definitions plus every ``(rid, document)``
+    in scan order.  The replica keeps those rids, so every rid list
+    and counter it returns is the source collection's.
     """
 
     shard_id: str
@@ -131,27 +124,40 @@ class ShutdownFrame:
 
 @dataclass(frozen=True)
 class ResultFrame:
-    """One subquery reply.
+    """One subquery's reply.
 
     Exactly one of ``payload`` (success, see :func:`encode_result`)
     and ``error`` (a pickled exception, see :func:`encode_error`) is
-    set.  ``cached``/``synced`` feed the parent's executor metrics;
-    ``violations`` carries worker-side lock-order sanitizer findings
-    when ``REPRO_WORKER_SANITIZE`` instrumentation is on (empty means
-    clean, the parent raises on anything else).
+    set.  ``epoch`` is the replica epoch the subquery ran at; the
+    parent refuses a reply whose epoch is not the one it sent.
     """
 
     request_id: int
     payload: Optional[bytes] = None
     error: Optional[bytes] = None
-    cached: bool = False
-    synced: bool = False
+    epoch: Optional[int] = None
+
+
+@dataclass(frozen=True)
+class ReplyFrame:
+    """One pipe write back: a result per request of one batch, in order.
+
+    ``violations`` carries worker-side lock-order sanitizer findings
+    when ``REPRO_WORKER_SANITIZE`` instrumentation is on (empty means
+    clean, the parent raises on anything else).
+    """
+
+    results: Tuple[ResultFrame, ...]
     violations: Tuple[str, ...] = ()
 
 
 @dataclass
 class SubqueryResult:
-    """The decoded reply: what ``run_shard`` returns on the threaded path."""
+    """A remote subquery's documents, copied by the parent, and counters.
+
+    What ``run_shard`` returns on the threaded path, as far as the
+    cluster's merge reads it.
+    """
 
     documents: List[dict]
     stats: ExecutionStats
@@ -191,17 +197,15 @@ def decode_stats(frame: Tuple[Any, ...]) -> ExecutionStats:
 # -- result frames -------------------------------------------------------------
 
 
-def encode_result(documents: List[dict], stats: ExecutionStats) -> bytes:
-    """Pickle a subquery result into one reply payload."""
-    return pickle.dumps(
-        (documents, encode_stats(stats)), protocol=WIRE_PROTOCOL
-    )
+def encode_result(rids: List[Any], stats: ExecutionStats) -> bytes:
+    """Pickle a subquery's record ids and counters into one payload."""
+    return pickle.dumps((rids, encode_stats(stats)), protocol=WIRE_PROTOCOL)
 
 
-def decode_result(payload: bytes) -> SubqueryResult:
-    """The inverse of :func:`encode_result`."""
-    documents, stats_frame = pickle.loads(payload)
-    return SubqueryResult(documents=documents, stats=decode_stats(stats_frame))
+def decode_result(payload: bytes) -> Tuple[List[Any], ExecutionStats]:
+    """The inverse of :func:`encode_result`: ``(rids, stats)``."""
+    rids, stats_frame = pickle.loads(payload)
+    return rids, decode_stats(stats_frame)
 
 
 def encode_error(exc: BaseException) -> bytes:
@@ -237,20 +241,22 @@ def make_sync_payload(collection) -> bytes:
 
     Must be called while the caller holds the shard's read lock: the
     documents are pickled *now*, so an in-place update racing after
-    lock release cannot leak into the frame.  Documents are captured
-    in ``all_documents()`` (rid) order — the rebuild contract
+    lock release cannot leak into the frame.  Documents travel as
+    ``all_records()`` ``(rid, document)`` pairs — the rebuild contract
     :class:`SyncFrame` documents.
     """
     return pickle.dumps(
         (
             collection.index_definitions(),
-            list(collection.all_documents()),
+            list(collection.all_records()),
         ),
         protocol=WIRE_PROTOCOL,
     )
 
 
-def load_sync_payload(payload: bytes) -> Tuple[List[Any], List[dict]]:
-    """``(index_definitions, documents)`` from a snapshot payload."""
-    definitions, documents = pickle.loads(payload)
-    return definitions, documents
+def load_sync_payload(
+    payload: bytes,
+) -> Tuple[List[Any], List[Tuple[int, dict]]]:
+    """``(index_definitions, [(rid, document), ...])`` from a snapshot."""
+    definitions, records = pickle.loads(payload)
+    return definitions, records

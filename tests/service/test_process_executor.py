@@ -16,7 +16,7 @@ import pytest
 from repro.errors import QueryTimeoutError, ServiceError
 from repro.service import QueryService, ServiceConfig
 from repro.service import executors
-from repro.service.wire import WIRE_PROTOCOL
+from repro.service.wire import WIRE_PROTOCOL, decode_result, encode_result
 
 TARGETED = {"k": {"$gte": 1000, "$lt": 5000}}
 BROADCAST = {"group": 3}
@@ -38,11 +38,10 @@ def process_config(**overrides):
 def canonical_docs(documents):
     """Per-document canonical pickles.
 
-    Whole-list pickles differ across backends for a reason that is not
-    a parity break: the parent's seeded documents share interned
-    string objects, so the pickler's memo folds them, while documents
-    rebuilt from a wire snapshot share per-shard copies.  Encoding
-    each document alone removes the memo from the comparison.
+    Both backends copy results from the parent's own store, but parity
+    is still defined per document: a whole-list pickle also encodes
+    which objects the documents share (the pickler's memo), which is
+    not part of a result.
     """
     return [pickle.dumps(d, protocol=WIRE_PROTOCOL) for d in documents]
 
@@ -163,33 +162,6 @@ class TestReplicaSync:
                 cluster.shards
             ) + 1
 
-    def test_repeated_query_hits_worker_result_cache(self, cluster_factory):
-        cluster = cluster_factory()
-        with QueryService(cluster, process_config()) as service:
-            results = [service.find("t", TARGETED) for _ in range(4)]
-            first = canonical_docs(results[0].documents)
-            for later in results[1:]:
-                assert canonical_docs(later.documents) == first
-                assert later.stats.as_dict() == results[0].stats.as_dict()
-            executor = service.metrics_snapshot().as_dict()["executor"]
-            # Query 1 misses and fills; the identical queries 2+ hit.
-            assert executor["remoteCacheHits"] > 0
-            assert executor["remoteSubqueries"] >= executor["remoteCacheHits"]
-
-    def test_writes_invalidate_worker_result_cache(self, cluster_factory):
-        cluster = cluster_factory()
-        with QueryService(cluster, process_config()) as service:
-            for _ in range(3):
-                before = service.find("t", TARGETED)
-            service.insert_one(
-                "t", {"_id": 50_000, "k": 2500, "group": 1}
-            )
-            after = service.find("t", TARGETED)
-            assert len(after.documents) == len(before.documents) + 1
-            assert any(
-                d["_id"] == 50_000 for d in after.documents
-            )
-
 
 class TestDeadlinesAndAdmission:
     """The PR-1 leak class, reconstructed in the process topology."""
@@ -239,6 +211,48 @@ class TestDeadlinesAndAdmission:
             )
             assert again.stats.as_dict() == expected.stats.as_dict()
 
+    def test_deadline_expiring_mid_enqueue_abandons_what_was_queued(
+        self, cluster_factory
+    ):
+        # The deadline expires between two enqueues: the request queued
+        # first must leave both the pending table and the outbox, or the
+        # next query's flush would run it on the worker for nobody.
+        cluster = cluster_factory()
+        with QueryService(cluster, process_config()) as service:
+            expected = service.find("t", {})
+            pool = service._worker_pool
+            shard_ids = sorted(cluster.shards)
+            client = pool.client_for(shard_ids[0])
+            before = set(client._pending)
+
+            class SecondCallExpires(executors.Deadline):
+                calls = 0
+
+                def remaining(self):
+                    self.calls += 1
+                    if self.calls == 2:
+                        raise QueryTimeoutError("query exceeded its deadline")
+                    return None
+
+            spec = executors.SubquerySpec(
+                collection="t", query={}, hint=None, max_geo_ranges=None
+            )
+            mapper = pool.shard_mapper(spec, SecondCallExpires(None))
+            with pytest.raises(QueryTimeoutError):
+                mapper(None, shard_ids)
+            assert set(client._pending) <= before
+            assert client._outbox == []
+            remote = service.metrics_snapshot().executor["remoteSubqueries"]
+            again = service.find("t", {})
+            assert canonical_docs(again.documents) == canonical_docs(
+                expected.documents
+            )
+            assert again.stats.as_dict() == expected.stats.as_dict()
+            assert (
+                service.metrics_snapshot().executor["remoteSubqueries"]
+                == remote + len(shard_ids)
+            )
+
     def test_deadline_expired_before_dispatch(self, cluster_factory):
         cluster = cluster_factory()
         with QueryService(cluster, process_config()) as service:
@@ -247,6 +261,45 @@ class TestDeadlinesAndAdmission:
                 service.find("t", TARGETED, timeout_ms=0.0)
             # Pool still serves.
             assert service.find("t", TARGETED).documents
+
+
+class TestReplyTripwires:
+    """A reply the parent cannot trust fails the query loudly.
+
+    Workers are forked after the patch, so they run the forged
+    ``_execute_locked``.
+    """
+
+    def forge(self, monkeypatch, forged):
+        original = executors._WorkerHost._execute_locked
+
+        def execute_locked(host, shard_id, plan, bound):
+            payload, epoch = original(host, shard_id, plan, bound)
+            return forged(payload, epoch)
+
+        monkeypatch.setattr(
+            executors._WorkerHost, "_execute_locked", execute_locked
+        )
+
+    def test_reply_at_another_epoch_is_refused(
+        self, cluster_factory, monkeypatch
+    ):
+        self.forge(monkeypatch, lambda payload, epoch: (payload, epoch + 1))
+        with QueryService(cluster_factory(), process_config()) as service:
+            with pytest.raises(ServiceError, match="epoch"):
+                service.find("t", TARGETED)
+
+    def test_reply_naming_an_unknown_rid_is_refused(
+        self, cluster_factory, monkeypatch
+    ):
+        def forged(payload, epoch):
+            _rids, stats = decode_result(payload)
+            return encode_result([10**9], stats), epoch
+
+        self.forge(monkeypatch, forged)
+        with QueryService(cluster_factory(), process_config()) as service:
+            with pytest.raises(ServiceError, match="record id 1000000000"):
+                service.find("t", TARGETED)
 
 
 class TestWorkerLifecycle:

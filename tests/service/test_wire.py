@@ -2,10 +2,11 @@
 
 Everything that crosses the worker-process boundary must decode back
 to exactly what was encoded: plan messages for every query shape the
-differential suite exercises, result payloads (including empty result
-sets), counter frames field-for-field, error frames, and replica
-snapshots — including snapshots taken after deletes, where tombstoned
-documents must not leak into the frame.
+differential suite exercises, result payloads (record ids, including
+empty result sets), reply frames, counter frames field-for-field,
+error frames, and replica snapshots — ``(rid, document)`` pairs,
+including snapshots taken after deletes, where tombstoned documents
+must not leak into the frame and the gaps they leave must survive.
 """
 
 import datetime as _dt
@@ -23,6 +24,7 @@ from repro.service.wire import (
     WIRE_PROTOCOL,
     BatchFrame,
     PlanMessage,
+    ReplyFrame,
     ResultFrame,
     ShutdownFrame,
     SubqueryRequest,
@@ -202,30 +204,36 @@ class TestCounterFrames:
 
 class TestResultFrames:
     def test_documents_roundtrip_byte_identical(self):
+        # Workers send rids; the codec still takes any list (the
+        # benchmark harness times it on documents), so both kinds
+        # must come back exactly.
         col = _loaded_collection()
-        result = col.find_with_stats({"k": {"$gte": 3, "$lt": 9}})
-        clone = decode_result(encode_result(result.documents, result.stats))
-        assert clone.documents == result.documents
-        for sent, received in zip(result.documents, clone.documents):
+        query = {"k": {"$gte": 3, "$lt": 9}}
+        rids, stats, _plan = col.find_rids(query)
+        assert decode_result(encode_result(rids, stats)) == (rids, stats)
+        result = col.find_with_stats(query)
+        documents, clone_stats = decode_result(
+            encode_result(result.documents, result.stats)
+        )
+        assert documents == result.documents
+        for sent, received in zip(result.documents, documents):
             assert pickle.dumps(received, protocol=WIRE_PROTOCOL) == (
                 pickle.dumps(sent, protocol=WIRE_PROTOCOL)
             )
-        assert clone.stats == result.stats
+        assert clone_stats == result.stats
 
     def test_empty_result_roundtrips(self):
         col = _loaded_collection()
-        result = col.find_with_stats({"k": 99})
-        assert result.documents == []
-        clone = decode_result(encode_result(result.documents, result.stats))
-        assert clone.documents == []
-        assert clone.stats == result.stats
+        rids, stats, _plan = col.find_rids({"k": 99})
+        assert rids == []
+        assert decode_result(encode_result(rids, stats)) == ([], stats)
 
     def test_result_frame_flags_roundtrip(self):
-        frame = ResultFrame(
-            request_id=9,
-            payload=b"payload",
-            cached=True,
-            synced=True,
+        frame = ReplyFrame(
+            results=(
+                ResultFrame(request_id=9, payload=b"payload", epoch=4),
+                ResultFrame(request_id=10, error=b"error"),
+            ),
             violations=("lock-order: bad",),
         )
         assert pickle.loads(pickle.dumps(frame, protocol=WIRE_PROTOCOL)) == (
@@ -254,8 +262,9 @@ class TestErrorFrames:
 class TestSnapshotPayloads:
     def test_snapshot_rebuild_is_byte_identical(self):
         col = _loaded_collection()
-        definitions, documents = load_sync_payload(make_sync_payload(col))
-        replica = Collection.from_snapshot("t", definitions, documents)
+        definitions, records = load_sync_payload(make_sync_payload(col))
+        assert records == list(col.all_records())
+        replica = Collection.from_snapshot("t", definitions, records)
         assert [d.name for d in replica.index_definitions()] == [
             d.name for d in col.index_definitions()
         ]
@@ -268,17 +277,23 @@ class TestSnapshotPayloads:
                     received, protocol=WIRE_PROTOCOL
                 ) == pickle.dumps(sent, protocol=WIRE_PROTOCOL)
             assert _counters(theirs.stats) == _counters(mine.stats)
+            assert replica.find_rids(query)[0] == col.find_rids(query)[0]
 
     def test_tombstoned_documents_stay_out_of_the_frame(self):
         col = _loaded_collection()
         deleted = col.delete_many({"group": 1})
         assert deleted > 0
-        definitions, documents = load_sync_payload(make_sync_payload(col))
-        assert len(documents) == col.count_documents()
-        assert all(doc["group"] != 1 for doc in documents)
-        replica = Collection.from_snapshot("t", definitions, documents)
+        definitions, records = load_sync_payload(make_sync_payload(col))
+        assert len(records) == col.count_documents()
+        assert all(doc["group"] != 1 for _rid, doc in records)
+        # The deletes leave gaps in the rids, and the frame keeps them.
+        assert [rid for rid, _doc in records] == [
+            i for i in range(120) if i % 3 != 1
+        ]
+        replica = Collection.from_snapshot("t", definitions, records)
         for query in ({"group": 1}, {"k": {"$gte": 0}}, {}):
             mine = col.find_with_stats(query)
             theirs = replica.find_with_stats(query)
             assert theirs.documents == mine.documents
             assert _counters(theirs.stats) == _counters(mine.stats)
+            assert replica.find_rids(query)[0] == col.find_rids(query)[0]
