@@ -8,8 +8,7 @@ reports and records each ``src/repro`` code object they enter:
   ``--trace 0`` and ``--trace 1``;
 * the figure scripts, ``pytest benchmarks/ --benchmark-only
   --ignore=benchmarks/perf`` at ``REPRO_BENCH_RECORDS=2000``;
-* ``python -m repro encode | generate R/S | compare | info | stats
-  analyze traces``.
+* ``python -m repro encode | generate R/S | compare | info``.
 
 It then prints, per module, the public functions and methods (names
 without a leading underscore, in public classes) that no entry point
@@ -69,7 +68,6 @@ def entry_points(out_dir: str) -> List[List[str]]:
         ["generate", "--dataset", "S", "--records", "500", "--out", s_csv],
         ["compare", "--records", "2000"],
         ["info"],
-        ["stats", "analyze", "traces"],
     ):
         runs.append(["-m", "repro"] + args)
     return runs

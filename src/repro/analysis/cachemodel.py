@@ -1,10 +1,9 @@
 """Static dataflow over cache-coherence effects (the stale-cache model).
 
-PR 4 grew a web of derived-state caches — the targeting cache, the
-Hilbert range-decomposition memo, later the statistics catalog — each kept
+A derived-state cache — today the router's targeting memo — is kept
 coherent with its source of truth by a *version token*: a monotonic
-counter (``metadata_version``, the storage epoch) bumped on every
-mutation of the state the cached values derive from.  A missing bump,
+counter (``metadata_version``) bumped on every mutation of the state
+the cached values derive from.  A missing bump,
 a key built from the wrong version, or a bump published before the
 mutation it covers does not crash: it silently serves wrong query
 results.  This module extracts the vocabulary those bugs are made of,

@@ -1,7 +1,7 @@
-"""One bounded, stamp-validated LRU: the store behind every in-process memo.
+"""One bounded, stamp-validated LRU: the store behind the in-process memo.
 
-Two memos sit on the read path — the router's targeting decisions and
-the service's statistics catalog — and both are instances of
+One memo sits on the read path — the router's targeting decisions
+(``ShardedCluster.targeting_cache``) — and it is an instance of
 :class:`StampedLRUCache`.  An entry is stored with a *stamp* (the
 ``metadata_version`` the value was derived under) and a lookup returns
 it only when the caller's stamp equals the stored one.  A mismatch is
@@ -34,8 +34,8 @@ class StampedLRUCache:
     Counters (``stats()``): ``hits`` and ``misses`` add up to the
     lookups; ``stale`` counts the misses that found the key under
     another stamp; ``evictions`` counts entries the bound pushed out.
-    ``clear()`` drops the entries and keeps the counters.  Cached values
-    are shared between callers and must be treated as read-only.
+    Cached values are shared between callers and must be treated as
+    read-only.
     """
 
     def __init__(self, max_entries: int = 256) -> None:
@@ -74,11 +74,6 @@ class StampedLRUCache:
             while len(self._entries) > self._max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (counters keep accumulating)."""
-        with self._lock:
-            self._entries.clear()
 
     def stats(self) -> dict:
         """``entries / hits / misses / stale / evictions``."""

@@ -8,18 +8,60 @@ Small utilities a downstream user reaches for first:
 * ``compare`` — deploy the four approaches on generated data and print
   the paper's four metrics for a query;
 * ``info`` — version and system inventory.
+
+Arguments are checked as they are parsed: an out-of-range coordinate,
+order, count or window, or an unreadable timestamp, ends in argparse's
+usage line and exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import math
 import sys
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 __all__ = ["main", "build_parser"]
 
 _UTC = _dt.timezone.utc
+
+
+def _bounded(
+    convert: Callable[[str], Any], low: float, high: float = math.inf
+) -> Callable[[str], Any]:
+    """An argparse ``type=`` that converts and checks ``low <= v <= high``.
+
+    NaN fails the comparison, so it is rejected with the range.
+    """
+
+    def parse(text: str) -> Any:
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "invalid %s value: %r" % (convert.__name__, text)
+            ) from None
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                "%r is not in [%s, %s]" % (text, low, high)
+            )
+        return value
+
+    return parse
+
+
+def _timestamp(text: str) -> _dt.datetime:
+    """An ISO timestamp; naive ones are read as UTC."""
+    try:
+        stamp = _dt.datetime.fromisoformat(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid ISO timestamp: %r" % text
+        ) from None
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=_UTC)
+    return stamp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,48 +78,38 @@ def build_parser() -> argparse.ArgumentParser:
     encode = sub.add_parser(
         "encode", help="encode a (lon, lat[, time]) point on every curve"
     )
-    encode.add_argument("lon", type=float)
-    encode.add_argument("lat", type=float)
+    encode.add_argument("lon", type=_bounded(float, -180.0, 180.0))
+    encode.add_argument("lat", type=_bounded(float, -90.0, 90.0))
     encode.add_argument(
         "--time",
+        type=_timestamp,
         default="2018-08-01T12:00:00",
         help="ISO timestamp for the ST-Hash encoding",
     )
-    encode.add_argument("--order", type=int, default=13)
+    encode.add_argument("--order", type=_bounded(int, 1, 32), default=13)
 
     generate = sub.add_parser(
         "generate", help="write a data set to CSV (paper Appendix A.1 format)"
     )
     generate.add_argument("--dataset", choices=("R", "S"), default="R")
-    generate.add_argument("--records", type=int, default=10_000)
+    generate.add_argument("--records", type=_bounded(int, 0), default=10_000)
     generate.add_argument("--out", required=True)
 
     compare = sub.add_parser(
         "compare", help="run the four approaches on one query and compare"
     )
-    compare.add_argument("--records", type=int, default=8_000)
-    compare.add_argument("--shards", type=int, default=8)
+    compare.add_argument("--records", type=_bounded(int, 1), default=8_000)
+    compare.add_argument("--shards", type=_bounded(int, 1), default=8)
     compare.add_argument(
         "--query", choices=("small", "big"), default="big",
         help="which of the paper's query boxes to use",
     )
     compare.add_argument(
-        "--window", type=int, default=7, help="temporal window in days"
+        "--window",
+        type=_bounded(int, 0),
+        default=7,
+        help="temporal window in days",
     )
-
-    stats = sub.add_parser(
-        "stats", help="statistics catalog operations (ANALYZE)"
-    )
-    stats_sub = stats.add_subparsers(dest="stats_command", required=True)
-    analyze = stats_sub.add_parser(
-        "analyze",
-        help="deploy generated data and run the ANALYZE pass",
-    )
-    analyze.add_argument("collection")
-    analyze.add_argument("--records", type=int, default=2_000)
-    analyze.add_argument("--shards", type=int, default=4)
-    analyze.add_argument("--buckets", type=int, default=32)
-    analyze.add_argument("--sketch-order", type=int, default=10)
 
     sub.add_parser("info", help="version and system inventory")
     return parser
@@ -88,9 +120,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     from repro.core.sthash import STHashEncoder
     from repro.sfc.geohash import geohash_encode
 
-    stamp = _dt.datetime.fromisoformat(args.time)
-    if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=_UTC)
+    stamp = args.time
     hilbert = SpatioTemporalEncoder.hilbert_global(args.order)
     zorder = SpatioTemporalEncoder.zorder_global(args.order)
     sthash = STHashEncoder()
@@ -164,46 +194,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.cluster.cluster import ClusterTopology
-    from repro.core.approaches import (
-        COLLECTION,
-        deploy_approach,
-        make_approach,
-    )
-    from repro.datagen.vehicles import FleetConfig, FleetGenerator, GREECE_BBOX
-    from repro.service import QueryService, ServiceConfig
-
-    docs = FleetGenerator(
-        FleetConfig(n_vehicles=max(20, args.records // 300))
-    ).generate_list(args.records)
-    deployment = deploy_approach(
-        make_approach("bslST", dataset_bbox=GREECE_BBOX),
-        docs,
-        topology=ClusterTopology(n_shards=args.shards),
-        chunk_max_bytes=64 * 1024,
-    )
-    if args.collection != COLLECTION:
-        print(
-            "unknown collection %r (the demo deployment shards %r)"
-            % (args.collection, COLLECTION),
-            file=sys.stderr,
-        )
-        return 2
-    with QueryService(deployment.cluster, ServiceConfig()) as service:
-        stats = service.analyze_collection(
-            args.collection,
-            histogram_buckets=args.buckets,
-            sketch_order=args.sketch_order,
-        )
-        payload = stats.as_dict()
-        payload["catalog"] = service.stats_catalog.stats()
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
 def _cmd_info(_args: argparse.Namespace) -> int:
     import repro
 
@@ -227,7 +217,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "encode": _cmd_encode,
         "generate": _cmd_generate,
         "compare": _cmd_compare,
-        "stats": _cmd_stats,
         "info": _cmd_info,
     }
     return handlers[args.command](args)

@@ -13,7 +13,6 @@ from repro.cluster.metrics import ClusterQueryStats
 from repro.cluster.router import (
     LexBoxChecker,
     TargetingResult,
-    lex_range_intersects_box,
     shard_key_intervals,
     target_chunks,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "ClusterQueryStats",
     "LexBoxChecker",
     "TargetingResult",
-    "lex_range_intersects_box",
     "shard_key_intervals",
     "target_chunks",
     "Shard",

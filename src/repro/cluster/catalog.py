@@ -171,7 +171,3 @@ class ConfigCatalog:
 
     def __contains__(self, name: str) -> bool:
         return name in self._collections
-
-    def list_collections(self) -> List[str]:
-        """Names of all sharded collections."""
-        return list(self._collections)

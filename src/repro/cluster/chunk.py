@@ -54,11 +54,6 @@ class ShardKeyPattern:
         """The shard-key dotted paths, in order."""
         return tuple(path for path, _ in self.fields)
 
-    @property
-    def is_hashed(self) -> bool:
-        """Whether any field is hashed."""
-        return any(kind == "hashed" for _, kind in self.fields)
-
     def __len__(self) -> int:
         return len(self.fields)
 

@@ -26,7 +26,6 @@ from repro.docstore.planner import Interval, QueryShape
 
 __all__ = [
     "shard_key_intervals",
-    "lex_range_intersects_box",
     "LexBoxChecker",
     "target_chunks",
     "target_chunks_cached",
@@ -158,15 +157,6 @@ class LexBoxChecker:
             return False
 
         return recurse(0, True, True)
-
-
-def lex_range_intersects_box(
-    intervals: Sequence[Sequence[Interval]],
-    lo: KeyBound,
-    hi: KeyBound,
-) -> bool:
-    """One-shot convenience wrapper around :class:`LexBoxChecker`."""
-    return LexBoxChecker(intervals).intersects(lo, hi)
 
 
 def target_chunks(

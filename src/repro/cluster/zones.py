@@ -78,10 +78,6 @@ class ZoneSet:
                 return zone
         return None
 
-    def overlapping_zones(self, lo: KeyBound, hi: KeyBound) -> List[Zone]:
-        """Every zone overlapping a key range."""
-        return [z for z in self._zones if z.overlaps_range(lo, hi)]
-
     def boundaries(self) -> List[KeyBound]:
         """All distinct zone edge keys, sorted (split targets)."""
         edges = set()

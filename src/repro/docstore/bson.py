@@ -82,21 +82,10 @@ class ObjectId:
         oid._bytes = raw
         return oid
 
-    @classmethod
-    def from_hex(cls, text: str) -> "ObjectId":
-        """Parse a 24-character hex string."""
-        return cls.from_bytes(bytes.fromhex(text))
-
     @property
     def binary(self) -> bytes:
         """The raw 12 bytes."""
         return self._bytes
-
-    @property
-    def generation_time(self) -> _dt.datetime:
-        """The embedded creation timestamp (UTC)."""
-        ts = struct.unpack(">I", self._bytes[:4])[0]
-        return _dt.datetime.fromtimestamp(ts, _dt.timezone.utc)
 
     def __str__(self) -> str:
         return self._bytes.hex()

@@ -330,21 +330,6 @@ class BPlusTree:
                 yield entry
                 cursor.advance()
 
-    def count_range(
-        self,
-        lo: Any,
-        hi: Any,
-        lo_inclusive: bool = True,
-        hi_inclusive: bool = True,
-    ) -> int:
-        """Number of entries with lo ≤/< key ≤/< hi (used for costing)."""
-        return sum(
-            1
-            for _ in self.scan_ranges(
-                [(lo, hi, lo_inclusive, hi_inclusive)]
-            )
-        )
-
     def validate(self) -> None:
         """Check structural invariants; raises AssertionError on damage.
 

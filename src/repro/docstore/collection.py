@@ -448,10 +448,6 @@ class Collection:
         del self._indexes[name]
         self._mutations += 1
 
-    def list_indexes(self) -> List[str]:
-        """Names of all indexes, ``_id_`` included."""
-        return list(self._indexes)
-
     def get_index(self, name: str) -> Index:
         """The live index object for a name."""
         try:
@@ -567,12 +563,6 @@ class Collection:
             documents = run_pipeline(documents, [{"$project": projection}])
         return Cursor(documents)
 
-    def find_one(
-        self, query: Mapping[str, Any] | None = None
-    ) -> Optional[dict]:
-        """The first matching document, or None."""
-        return self.find(query).first()
-
     def count_documents(self, query: Mapping[str, Any] | None = None) -> int:
         """Number of documents matching the query."""
         if not query:
@@ -675,13 +665,6 @@ class Collection:
         """Whether writes go through the WAL + LSM engine."""
         return self._engine is not None
 
-    @property
-    def storage_epoch(self) -> int:
-        """Bumped by every flush/compaction; 0 without durability."""
-        if self._engine is None:
-            return 0
-        return self._engine.storage_epoch
-
     def checkpoint(self) -> None:
         """Flush the memtable so the WAL can be truncated (durable only)."""
         if self._engine is not None:
@@ -779,7 +762,6 @@ class Collection:
                 "walSegments": engine.wal_segments,
                 "memtableBytes": engine.memtable_bytes,
                 "tombstoneBytes": engine.tombstone_bytes,
-                "storageEpoch": engine.storage_epoch,
                 "flushes": engine.flushes,
                 "compactions": engine.compactions,
             }

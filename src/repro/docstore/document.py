@@ -21,7 +21,6 @@ __all__ = [
     "get_path",
     "set_path",
     "unset_path",
-    "has_path",
     "iter_paths",
     "deep_copy_document",
     "DocumentShape",
@@ -76,11 +75,6 @@ def get_path(document: Mapping[str, Any], path: str) -> Any:
         else:
             return MISSING
     return current
-
-
-def has_path(document: Mapping[str, Any], path: str) -> bool:
-    """True when the dotted path resolves to any value (even ``None``)."""
-    return get_path(document, path) is not MISSING
 
 
 def set_path(

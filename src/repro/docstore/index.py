@@ -120,13 +120,6 @@ class IndexDefinition:
         """The indexed dotted paths, in declaration order."""
         return tuple(f.path for f in self.fields)
 
-    def field_kind(self, path: str) -> Optional[Any]:
-        """The kind of a path in this index, or None."""
-        for f in self.fields:
-            if f.path == path:
-                return f.kind
-        return None
-
 
 class Index:
     """A live index: definition + B+tree + maintenance statistics."""
@@ -323,11 +316,6 @@ class Index:
     def grid(self) -> GeoHashGrid:
         """The GeoHash grid backing 2dsphere fields."""
         return self._grid
-
-    def raw_key_of(self, rid: int) -> Optional[Tuple[Any, ...]]:
-        """First raw key tuple of a record (its only one unless multikey)."""
-        raws = self._raw_keys.get(rid)
-        return raws[0] if raws else None
 
     def is_multikey(self) -> bool:
         """Whether any entry came from an array expansion."""

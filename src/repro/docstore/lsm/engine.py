@@ -67,7 +67,6 @@ from repro.docstore.lsm.sstable import (
     write_sstable,
 )
 from repro.docstore.lsm.wal import (
-    OP_DELETE,
     OP_PUT,
     SYNC_BATCH,
     WalRecord,
@@ -130,7 +129,6 @@ class _EngineStats:
     memtable_bytes: int = 0
     memtable_tombstone_bytes: int = 0
     wal_segments: int = 0
-    storage_epoch: int = 0
     compactions: int = 0
     flushes: int = 0
     extra: Dict[str, int] = field(default_factory=dict)
@@ -161,7 +159,6 @@ class LSMEngine:
         self._next_file = 0
         self._opened = False
         self._closed = False
-        self._storage_epoch = 0
         self._flushes = 0
         self._compactions = 0
         self._compactor: Optional[threading.Thread] = None
@@ -374,10 +371,6 @@ class LSMEngine:
         """Durably store one key."""
         self.apply_batch([(OP_PUT, key, value)])
 
-    def delete_one(self, key: bytes) -> None:
-        """Durably tombstone one key."""
-        self.apply_batch([(OP_DELETE, key, None)])
-
     def checkpoint(self) -> None:
         """Flush the memtable (if dirty) so the WAL can be truncated."""
         self._ensure_open()
@@ -432,7 +425,6 @@ class LSMEngine:
                     # new manifest is durable on disk.
                     self._write_manifest_locked(self._runs + [run])
                     self._runs.append(run)
-                    self._storage_epoch += 1
                     self._flushes += 1
                     self._compact_cond.notify_all()
             except BaseException:
@@ -571,7 +563,6 @@ class LSMEngine:
             new_runs = keep_before + [merged] + keep_after
             self._write_manifest_locked(new_runs)
             self._runs = new_runs
-            self._storage_epoch += 1
             self._compactions += 1
         for run in inputs:
             # Unlink without closing: a get()/scan() that snapshotted
@@ -583,12 +574,6 @@ class LSMEngine:
 
     # -- introspection -----------------------------------------------------------
 
-    @property
-    def storage_epoch(self) -> int:
-        """Bumped by every flush and compaction."""
-        with self._manifest_lock:
-            return self._storage_epoch
-
     def stats(self) -> _EngineStats:
         """A consistent-enough snapshot for accounting and tests."""
         with self._write_lock:
@@ -598,7 +583,6 @@ class LSMEngine:
             wal_segments = len(self._wal_segments)
             with self._manifest_lock:
                 runs = list(self._runs)
-                epoch = self._storage_epoch
                 flushes = self._flushes
                 compactions = self._compactions
         return _EngineStats(
@@ -610,7 +594,6 @@ class LSMEngine:
             memtable_bytes=memtable_bytes,
             memtable_tombstone_bytes=memtable_tombstones,
             wal_segments=wal_segments,
-            storage_epoch=epoch,
             flushes=flushes,
             compactions=compactions,
         )

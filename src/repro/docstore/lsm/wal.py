@@ -33,7 +33,7 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.errors import DocumentStoreError
 
@@ -246,18 +246,6 @@ class WriteAheadLog:
                 self._sync_cond.notify_all()
 
     # -- lifecycle ---------------------------------------------------------------
-
-    @property
-    def durable_lsn(self) -> int:
-        """The highest LSN an fsync is known to cover."""
-        with self._lock:
-            return self._durable_lsn
-
-    @property
-    def written_lsn(self) -> int:
-        """The highest LSN appended so far."""
-        with self._lock:
-            return self._written_lsn
 
     def close(self) -> None:
         """Drain the syncer, fsync the tail, and close the file."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 __all__ = ["Point", "BoundingBox", "Polygon", "LineString", "haversine_km"]
 
@@ -29,10 +29,6 @@ class Point:
             raise ValueError("longitude %r out of range" % self.lon)
         if not (-90.0 <= self.lat <= 90.0):
             raise ValueError("latitude %r out of range" % self.lat)
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """The point as a ``(lon, lat)`` tuple."""
-        return (self.lon, self.lat)
 
 
 def haversine_km(a: Point, b: Point) -> float:
@@ -66,18 +62,6 @@ class BoundingBox:
                 "min_lat %r > max_lat %r" % (self.min_lat, self.max_lat)
             )
 
-    @classmethod
-    def from_corners(
-        cls, lower: Sequence[float], upper: Sequence[float]
-    ) -> "BoundingBox":
-        """Build from the paper's ``[(lon, lat), (lon, lat)]`` notation."""
-        return cls(lower[0], lower[1], upper[0], upper[1])
-
-    @classmethod
-    def world(cls) -> "BoundingBox":
-        """The whole-globe box."""
-        return cls(-180.0, -90.0, 180.0, 90.0)
-
     @property
     def width(self) -> float:
         """Longitudinal extent in degrees."""
@@ -88,37 +72,15 @@ class BoundingBox:
         """Latitudinal extent in degrees."""
         return self.max_lat - self.min_lat
 
-    @property
-    def center(self) -> Point:
-        """The box's central point."""
-        return Point(
-            (self.min_lon + self.max_lon) / 2,
-            (self.min_lat + self.max_lat) / 2,
-        )
-
     def area_deg2(self) -> float:
         """Area in squared degrees (used for relative comparisons)."""
         return self.width * self.height
-
-    def area_km2(self) -> float:
-        """Approximate surface area in km² (spherical rectangle)."""
-        lat1 = math.radians(self.min_lat)
-        lat2 = math.radians(self.max_lat)
-        dlon = math.radians(self.width)
-        return _EARTH_RADIUS_KM**2 * dlon * abs(math.sin(lat2) - math.sin(lat1))
 
     def contains(self, point: Point) -> bool:
         """Whether a point lies inside (borders inclusive)."""
         return (
             self.min_lon <= point.lon <= self.max_lon
             and self.min_lat <= point.lat <= self.max_lat
-        )
-
-    def contains_lonlat(self, lon: float, lat: float) -> bool:
-        """Whether a raw (lon, lat) pair lies inside."""
-        return (
-            self.min_lon <= lon <= self.max_lon
-            and self.min_lat <= lat <= self.max_lat
         )
 
     def intersects(self, other: "BoundingBox") -> bool:
@@ -128,26 +90,6 @@ class BoundingBox:
             or other.min_lon > self.max_lon
             or other.max_lat < self.min_lat
             or other.min_lat > self.max_lat
-        )
-
-    def intersection(self, other: "BoundingBox") -> "BoundingBox | None":
-        """The overlapping box, or None when disjoint."""
-        if not self.intersects(other):
-            return None
-        return BoundingBox(
-            max(self.min_lon, other.min_lon),
-            max(self.min_lat, other.min_lat),
-            min(self.max_lon, other.max_lon),
-            min(self.max_lat, other.max_lat),
-        )
-
-    def expanded(self, margin: float) -> "BoundingBox":
-        """Grow the box by ``margin`` degrees on every side (clamped)."""
-        return BoundingBox(
-            max(-180.0, self.min_lon - margin),
-            max(-90.0, self.min_lat - margin),
-            min(180.0, self.max_lon + margin),
-            min(90.0, self.max_lat + margin),
         )
 
     def corners(self) -> Tuple[Point, Point, Point, Point]:
@@ -269,10 +211,6 @@ class LineString:
     def segments(self) -> Iterable[Tuple[Point, Point]]:
         """Consecutive point pairs forming the segments."""
         return zip(self.points, self.points[1:])
-
-    def length_km(self) -> float:
-        """Total great-circle length in kilometres."""
-        return sum(haversine_km(a, b) for a, b in self.segments())
 
     def sample(self, max_step_deg: float) -> List[Point]:
         """Points along the line no farther than ``max_step_deg`` apart

@@ -22,7 +22,6 @@ from repro.sanitizer.cachetrace import (
     CACHE_INSTRUMENTED_PATHS,
     CacheTracer,
     CacheViolation,
-    instrument_stats_catalog,
     instrument_targeting_cache,
     trace_cache,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "cross_validate_fs",
     "instrument_lsm_engine",
     "instrument_query_service",
-    "instrument_stats_catalog",
     "instrument_targeting_cache",
     "instrument_worker_host",
     "lsm_fs_modules",

@@ -30,13 +30,11 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.cache import StampedLRUCache
 from repro.cluster.cluster import ShardedCluster
-from repro.service.service import QueryService
 
 __all__ = [
     "CACHE_INSTRUMENTED_PATHS",
     "CacheTracer",
     "CacheViolation",
-    "instrument_stats_catalog",
     "instrument_targeting_cache",
     "trace_cache",
 ]
@@ -49,7 +47,6 @@ CACHE_INSTRUMENTED_PATHS = (
     "src/repro/cluster/router.py",
     "src/repro/cluster/cluster.py",
     "src/repro/service/service.py",
-    "src/repro/docstore/stats.py",
 )
 
 
@@ -241,19 +238,6 @@ def trace_cache(
     cache.put = traced_put  # type: ignore[method-assign]
 
 
-def _advance_metadata_on_bump(
-    cluster: ShardedCluster, tracer: CacheTracer
-) -> None:
-    """Advance ``"metadata"`` inside ``_bump_metadata_version``."""
-    orig_bump = cluster._bump_metadata_version
-
-    def traced_bump():  # type: ignore[no-untyped-def]
-        tracer.advance("metadata")
-        return orig_bump()
-
-    cluster._bump_metadata_version = traced_bump  # type: ignore[method-assign]
-
-
 def instrument_targeting_cache(
     cluster: ShardedCluster,
     tracer: CacheTracer,
@@ -268,44 +252,11 @@ def instrument_targeting_cache(
     live version as its stamp.
     """
     trace_cache(cluster.targeting_cache, tracer, label, "CC003")
-    _advance_metadata_on_bump(cluster, tracer)
-    return tracer
+    orig_bump = cluster._bump_metadata_version
 
+    def traced_bump():  # type: ignore[no-untyped-def]
+        tracer.advance("metadata")
+        return orig_bump()
 
-def instrument_stats_catalog(
-    service: QueryService,
-    tracer: CacheTracer,
-    label: str = "stats-catalog",
-) -> CacheTracer:
-    """Wire a service's statistics catalog into a tracer.
-
-    ``"metadata"`` governs every catalog entry: it advances inside the
-    cluster's ``_bump_metadata_version`` (splits, moves, zones, DDL) —
-    the version the catalog is stamped with.  Fills are stamped with a
-    *derivation-time* snapshot taken when ``analyze_collection``
-    starts: a catalog built from data read before a concurrent bump
-    then carries the old vector, exactly as the version stamp captured
-    at the top of the ANALYZE pass demands (the CC002 discipline).  A
-    stale hit can therefore only mean the read path's stamp validation
-    failed — the CC001 family.
-
-    Composes with :func:`instrument_targeting_cache` on the same
-    tracer: the shared ``"metadata"`` domain then advances more than
-    once per mutation, which is harmless — generations only ever need
-    to be monotonic.
-    """
-    orig_analyze = service.analyze_collection
-    #: collection → generation vector at the start of its ANALYZE.
-    deriving: Dict[Hashable, Dict[str, int]] = {}
-
-    def traced_analyze(collection, **kwargs):  # type: ignore[no-untyped-def]
-        deriving[collection] = tracer.snapshot()
-        try:
-            return orig_analyze(collection, **kwargs)
-        finally:
-            deriving.pop(collection, None)
-
-    service.analyze_collection = traced_analyze  # type: ignore[method-assign]
-    trace_cache(service.stats_catalog, tracer, label, "CC001", deriving.get)
-    _advance_metadata_on_bump(service.cluster, tracer)
+    cluster._bump_metadata_version = traced_bump  # type: ignore[method-assign]
     return tracer

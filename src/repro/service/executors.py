@@ -493,10 +493,6 @@ class ShardWorkerPool:
         """The distinct worker clients (instrumentation/tests)."""
         return list(self._workers)
 
-    def client_for(self, shard_id: str) -> _WorkerClient:
-        """The client owning a shard (introspection/tests)."""
-        return self._clients[shard_id]
-
     def shard_mapper(self, spec: SubquerySpec, deadline: Deadline):
         """The fan-out hook passed to :meth:`ShardedCluster.find`.
 

@@ -38,10 +38,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.cache import StampedLRUCache
 from repro.cluster.cluster import ShardedCluster
 from repro.docstore.paramplan import plan_read
-from repro.docstore.stats import CollectionStats, analyze_collection
 from repro.errors import (
     QueryTimeoutError,
     ServiceError,
@@ -183,11 +181,6 @@ class QueryService:
         #: interpreter from one client to the next.
         self._turn = FifoTurn()
         self._closed = False
-        #: ANALYZE output per collection, stamped with the
-        #: ``metadata_version`` captured before the scan; reads pass
-        #: the live version, so a split, migration, zone change or DDL
-        #: retires an entry and nothing else does.
-        self.stats_catalog = StampedLRUCache()
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -215,7 +208,6 @@ class QueryService:
             "rangeDecomposition": dict.fromkeys(
                 ("entries", "hits", "misses", "stale", "evictions"), 0
             ),
-            "statsCatalog": self.stats_catalog.stats(),
         }
         return self.metrics.snapshot(caches=caches)
 
@@ -512,41 +504,4 @@ class QueryService:
         """Drop an index from every shard under exclusive access."""
         self._run_exclusive(
             lambda: self.cluster.drop_index(collection, name)
-        )
-
-    # -- statistics (ANALYZE) --------------------------------------------------
-
-    def analyze_collection(
-        self,
-        collection: str,
-        *,
-        histogram_buckets: int = 32,
-        sketch_order: int = 10,
-    ) -> CollectionStats:
-        """Rebuild the statistics catalog for one collection.
-
-        The scan runs under the exclusive section so it sees a frozen
-        chunk map; the version stamp is still captured before any data
-        is read, so the entry self-identifies as stale if built
-        against a version that moved.  The catalog is filled after the
-        shard locks are released: its lock never nests under them.
-        """
-        stats = self._run_exclusive(
-            lambda: analyze_collection(  # the module's ANALYZE pass
-                self.cluster,
-                collection,
-                histogram_buckets=histogram_buckets,
-                sketch_order=sketch_order,
-            )
-        )
-        self.stats_catalog.put(collection, stats, stamp=stats.metadata_version)
-        return stats
-
-    def collection_stats(
-        self, collection: str
-    ) -> Optional[CollectionStats]:
-        """The catalog entry for a collection, or None when absent
-        or built under an older ``metadata_version``."""
-        return self.stats_catalog.get(
-            collection, stamp=self.cluster.metadata_version
         )

@@ -1,9 +1,9 @@
 """Bug class 4: a statistics catalog that survives a chunk split.
 
-The shipped catalog (a :class:`repro.cache.StampedLRUCache` on the
-query service) stamps every ANALYZE result with the
-``metadata_version`` in force when the pass started and rejects reads
-whose stamp no longer matches the live version.  The
+The catalog the query service shipped until it was deleted with the
+cost-based chooser (a :class:`repro.cache.StampedLRUCache`) stamped
+every ANALYZE result with the ``metadata_version`` in force when the
+pass started and rejected reads whose stamp no longer matched.  The
 historical bug cached the ANALYZE output under the bare collection
 name: nothing in the key, the read path, or the mutation sites ever
 retired an entry, so the first chunk split left the cost model

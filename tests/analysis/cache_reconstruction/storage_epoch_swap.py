@@ -1,8 +1,8 @@
 """Bug class 3: storage epoch bumped before the state swap is visible.
 
-The PR-5 contract bumps ``_storage_epoch`` *after* a flush or
-compaction publishes its new structures.  The historical bug bumped
-first: a reader missing on the new epoch between the bump and the
+The LSM engine's ``_storage_epoch`` (deleted since: nothing cached by
+it) was bumped *after* a flush or compaction published its new
+structures.  The historical bug bumped first: a reader missing on the new epoch between the bump and the
 swap fills its cache from the old structures and keeps serving them
 under the new epoch's key, where nothing ever evicts them — CC004
 statically, a stale hit under the ``storage`` domain at runtime.

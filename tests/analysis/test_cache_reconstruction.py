@@ -22,7 +22,6 @@ from repro.docstore import bson
 from repro.sanitizer import (
     CacheTracer,
     cross_validate_cache,
-    instrument_stats_catalog,
     instrument_targeting_cache,
     trace_cache,
 )
@@ -516,7 +515,7 @@ class TestShippedCaches:
         cluster.shard_collection("t", [("k", 1)])
         with QueryService(cluster) as service:
             instrument_targeting_cache(cluster, tracer)
-            instrument_stats_catalog(service, tracer)
+            cache = cluster.targeting_cache
             rng = random.Random(11)
             docs = [
                 {
@@ -529,11 +528,11 @@ class TestShippedCaches:
             ]
             service.insert_many("t", docs)
             service.create_index("t", [("v", 1)], name="v_idx")
-            service.analyze_collection("t")
             for _ in range(3):
                 service.find("t", {"k": {"$gte": 10, "$lt": 600}})
                 service.find("t", {"v": 2})
-                assert service.collection_stats("t") is not None
+            hits = cache.stats()["hits"]
+            assert hits > 0
             pattern = cluster.catalog.get("t").pattern
             mid = (bson.sort_key(500),)
             low, high = sorted(cluster.shards)
@@ -544,14 +543,17 @@ class TestShippedCaches:
                     Zone("high", mid, pattern.global_max(), high),
                 ],
             )
-            # The zone change bumped the metadata version: the catalog
-            # must refuse its stamp, and a re-ANALYZE restamps it.
-            assert service.collection_stats("t") is None
-            service.analyze_collection("t")
-            for _ in range(3):
+            # The zone change bumped the metadata version: the next
+            # lookup of each query is stale, and its refill serves the
+            # lookups after it.
+            stale = cache.stats()["stale"]
+            service.find("t", {"k": {"$gte": 10, "$lt": 600}})
+            service.find("t", {"v": 2})
+            assert cache.stats()["stale"] == stale + 2
+            for _ in range(2):
                 service.find("t", {"k": {"$gte": 10, "$lt": 600}})
                 service.find("t", {"v": 2})
-                assert service.collection_stats("t") is not None
+            assert cache.stats()["hits"] == hits + 4
             service.drop_index("t", "v_idx")
             for _ in range(2):
                 service.find("t", {"v": 2})

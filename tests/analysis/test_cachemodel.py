@@ -212,9 +212,7 @@ class TestShippedModel:
         }
         assert ("target_chunks_cached", "read", True) in ops
         assert ("target_chunks_cached", "fill", True) in ops
-        assert ("QueryService.analyze_collection", "fill", True) in ops
-        assert ("QueryService.collection_stats", "read", True) in ops
         assert "ShardedCluster.metadata_version" in model.tokens
         token = model.tokens["ShardedCluster.metadata_version"]
         assert token.governed_fields == {"chunks", "shard_id"}
-        assert "LSMEngine._storage_epoch" in model.tokens
+        assert "LSMEngine._storage_epoch" not in model.tokens

@@ -208,29 +208,24 @@ def src_graph(shipped):
     return shipped[1].callgraph
 
 
-class TestRealTreeStatsScope:
-    """The dependent walk covers the statistics subsystem: editing the
-    ANALYZE pass must re-run analysis on everything that consumes the
-    catalog — the service that stamps and serves it, the chooser that
-    prices plans from it, the load generator that reports plan
-    outcomes, and the stats CLI."""
+class TestRealTreeCacheScope:
+    """The dependent walk covers the cache primitive: editing
+    ``StampedLRUCache`` must re-run analysis on everything that builds
+    or reads the targeting memo — the router, the cluster that owns
+    it, the service that routes through it, and the CLI."""
 
-    def test_stats_edit_pulls_in_catalog_consumers(self, src_graph):
-        scope = dependent_modules(
-            ["src/repro/docstore/stats.py"], src_graph
-        )
+    def test_cache_edit_pulls_in_targeting_consumers(self, src_graph):
+        scope = dependent_modules(["src/repro/cache.py"], src_graph)
+        assert "src/repro/cluster/router.py" in scope
+        assert "src/repro/cluster/cluster.py" in scope
         assert "src/repro/service/service.py" in scope
-        assert "src/repro/core/chooser.py" in scope
         assert "src/repro/cli.py" in scope
-        assert "src/repro/service/loadgen.py" in scope
 
-    def test_chooser_is_a_leaf_of_the_src_graph(self, src_graph):
-        # The chooser's consumers are benchmarks and tests, outside
-        # the src tree: editing it re-analyzes only itself.
-        scope = dependent_modules(
-            ["src/repro/core/chooser.py"], src_graph
-        )
-        assert scope == {"src/repro/core/chooser.py"}
+    def test_cli_is_a_leaf_of_the_src_graph(self, src_graph):
+        # The CLI's consumers are ``python -m repro`` and tests:
+        # editing it re-analyzes only itself.
+        scope = dependent_modules(["src/repro/cli.py"], src_graph)
+        assert scope == {"src/repro/cli.py"}
 
 
 class TestRealTreeExecutorScope:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.analysis.checker import run_analysis
 from repro.docstore.lsm import DurabilityConfig, LSMEngine
+from repro.docstore.lsm.wal import OP_DELETE
 from repro.sanitizer import (
     LSM_FS_PATHS,
     FsTracer,
@@ -241,7 +242,7 @@ class TestShippedEngine:
         for i in range(60):
             engine.put_one(b"key-%04d" % i, b"value-%04d" % i * 4)
         for i in range(0, 30, 3):
-            engine.delete_one(b"key-%04d" % i)
+            engine.apply_batch([(OP_DELETE, b"key-%04d" % i, None)])
         engine.checkpoint()
         while engine.compact_now():
             pass

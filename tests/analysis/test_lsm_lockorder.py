@@ -15,6 +15,7 @@ import pytest
 from repro.analysis.checker import run_analysis
 from repro.analysis.lockgraph import build_lock_order_graph
 from repro.docstore.lsm import DurabilityConfig, LSMEngine
+from repro.docstore.lsm.wal import OP_DELETE
 from repro.sanitizer import (
     LSM_INSTRUMENTED_KEYS,
     LockOrderSanitizer,
@@ -101,7 +102,7 @@ class TestShippedEngine:
         for i in range(120):
             engine.put_one(b"key-%04d" % i, b"value-%04d" % i * 8)
         for i in range(0, 60, 3):
-            engine.delete_one(b"key-%04d" % i)
+            engine.apply_batch([(OP_DELETE, b"key-%04d" % i, None)])
         engine.checkpoint()
         assert engine.get(b"key-0001") is not None
         assert engine.get(b"key-0000") is None

@@ -18,11 +18,11 @@ class TestShardKeyPattern:
         p = ShardKeyPattern.from_spec([("hilbertIndex", 1), ("date", 1)])
         assert p.paths == ("hilbertIndex", "date")
         assert len(p) == 2
-        assert not p.is_hashed
+        assert p.fields == (("hilbertIndex", 1), ("date", 1))
 
     def test_hashed_pattern(self):
         p = ShardKeyPattern.from_spec([("vehicle", "hashed")])
-        assert p.is_hashed
+        assert p.fields == (("vehicle", "hashed"),)
 
     def test_rejects_empty(self):
         with pytest.raises(ShardingError):

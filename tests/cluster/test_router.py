@@ -12,7 +12,6 @@ from repro.cluster.chunk import Chunk, ShardKeyPattern
 from repro.cluster.router import (
     LexBoxChecker,
     _target_from_intervals,
-    lex_range_intersects_box,
     shard_key_intervals,
     target_chunks,
 )
@@ -39,26 +38,26 @@ def key2(a, b):
 
 class TestLexIntersect1D:
     def test_inside(self):
-        assert lex_range_intersects_box([[iv(5, 7)]], key1(0), key1(10))
+        assert LexBoxChecker([[iv(5, 7)]]).intersects(key1(0), key1(10))
 
     def test_disjoint_below(self):
-        assert not lex_range_intersects_box([[iv(5, 7)]], key1(8), key1(10))
+        assert not LexBoxChecker([[iv(5, 7)]]).intersects(key1(8), key1(10))
 
     def test_disjoint_above(self):
-        assert not lex_range_intersects_box([[iv(5, 7)]], key1(0), key1(5))
+        assert not LexBoxChecker([[iv(5, 7)]]).intersects(key1(0), key1(5))
 
     def test_touching_lower_bound_inclusive(self):
         # Chunk [5, 10): value 5 is inside.
-        assert lex_range_intersects_box([[iv(5, 5)]], key1(5), key1(10))
+        assert LexBoxChecker([[iv(5, 5)]]).intersects(key1(5), key1(10))
 
     def test_touching_upper_bound_exclusive(self):
         # Chunk [0, 5): value 5 is NOT inside.
-        assert not lex_range_intersects_box([[iv(5, 5)]], key1(0), key1(5))
+        assert not LexBoxChecker([[iv(5, 5)]]).intersects(key1(0), key1(5))
 
     def test_multiple_intervals(self):
         box = [[iv(1, 2), iv(8, 9)]]
-        assert lex_range_intersects_box(box, key1(7), key1(10))
-        assert not lex_range_intersects_box(box, key1(3), key1(7))
+        assert LexBoxChecker(box).intersects(key1(7), key1(10))
+        assert not LexBoxChecker(box).intersects(key1(3), key1(7))
 
 
 class TestLexIntersect2D:
@@ -68,7 +67,7 @@ class TestLexIntersect2D:
         lo = key2(5, T0)
         hi = key2(7, T0)
         box = [[iv(6, 6)], [iv(T0 + dt.timedelta(days=50), T0 + dt.timedelta(days=60))]]
-        assert lex_range_intersects_box(box, lo, hi)
+        assert LexBoxChecker(box).intersects(lo, hi)
 
     def test_boundary_first_field_consults_second(self):
         # Chunk [(5, T0+10d), (6, MINKEY)): first field pinned to 5, so
@@ -77,8 +76,8 @@ class TestLexIntersect2D:
         hi = (bson.sort_key(6), bson.sort_key(bson.MINKEY))
         inside = [[iv(5, 5)], [iv(T0 + dt.timedelta(days=20), T0 + dt.timedelta(days=30))]]
         outside = [[iv(5, 5)], [iv(T0, T0 + dt.timedelta(days=5))]]
-        assert lex_range_intersects_box(inside, lo, hi)
-        assert not lex_range_intersects_box(outside, lo, hi)
+        assert LexBoxChecker(inside).intersects(lo, hi)
+        assert not LexBoxChecker(outside).intersects(lo, hi)
 
     def test_exhaustive_against_oracle(self):
         # Small discrete universe: keys (a, b) with a, b in 0..3.
@@ -101,7 +100,7 @@ class TestLexIntersect2D:
                     and any(i.lo <= k[1] <= i.hi for i in intervals[1])
                     for k in universe
                 )
-                got = lex_range_intersects_box(intervals, lo, hi)
+                got = LexBoxChecker(intervals).intersects(lo, hi)
                 # The checker is exact-or-conservative: it may say True
                 # for an empty discrete gap, never False for a hit.
                 if truth:

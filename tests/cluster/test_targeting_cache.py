@@ -208,7 +208,7 @@ class TestTargetingUnderChurn:
 
     def test_repeated_query_across_bumps_leaves_one_entry(self):
         cluster = build_cluster()
-        cluster.targeting_cache.clear()
+        assert cluster.targeting_cache.stats()["entries"] == 0
         for _ in range(5):
             cached_targeting(cluster, self.QUERY)
             cluster._bump_metadata_version()

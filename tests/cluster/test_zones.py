@@ -61,11 +61,6 @@ class TestZoneSet:
         assert zs.zone_for_range(key(8), key(12)) is None  # straddles
         assert zs.zone_for_range(key(25), key(30)) is None  # outside
 
-    def test_overlapping_zones(self):
-        zs = ZoneSet([zone("a", 0, 10), zone("b", 10, 20)])
-        names = [z.name for z in zs.overlapping_zones(key(5), key(15))]
-        assert names == ["a", "b"]
-
     def test_boundaries_sorted_unique(self):
         zs = ZoneSet([zone("a", 0, 10), zone("b", 10, 20)])
         assert zs.boundaries() == [key(0), key(10), key(20)]

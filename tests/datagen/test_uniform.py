@@ -10,6 +10,7 @@ from repro.datagen.uniform import (
 )
 from repro.datagen.vehicles import GREECE_BBOX
 from repro.docstore.bson import bson_document_size
+from repro.geo.geometry import Point
 
 
 def gen(n=1000, **kwargs):
@@ -26,7 +27,7 @@ class TestUniformGenerator:
     def test_inside_paper_mbr(self):
         for doc in gen(1000):
             lon, lat = doc["location"]["coordinates"]
-            assert S_BBOX.contains_lonlat(lon, lat)
+            assert S_BBOX.contains(Point(lon, lat))
 
     def test_mbr_is_small_fraction_of_r(self):
         # Section 5.1: S's MBR is ~1.54% of R's MBR area.

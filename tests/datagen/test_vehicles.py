@@ -9,6 +9,7 @@ from repro.datagen.vehicles import (
     FleetGenerator,
 )
 from repro.docstore.bson import bson_document_size
+from repro.geo.geometry import Point
 from repro.workloads.queries import BIG_BBOX, SMALL_BBOX
 
 
@@ -34,7 +35,7 @@ class TestFleetGenerator:
     def test_all_points_inside_paper_mbr(self):
         for doc in gen(1500):
             lon, lat = doc["location"]["coordinates"]
-            assert GREECE_BBOX.contains_lonlat(lon, lat)
+            assert GREECE_BBOX.contains(Point(lon, lat))
 
     def test_timestamps_inside_paper_span(self):
         for doc in gen(1500):
@@ -61,7 +62,7 @@ class TestFleetGenerator:
         in_big = sum(
             1
             for d in docs
-            if BIG_BBOX.contains_lonlat(*d["location"]["coordinates"])
+            if BIG_BBOX.contains(Point(*d["location"]["coordinates"]))
         )
         # A box of the same size in the empty south-west.
         from repro.geo.geometry import BoundingBox
@@ -70,7 +71,7 @@ class TestFleetGenerator:
         in_empty = sum(
             1
             for d in docs
-            if empty_box.contains_lonlat(*d["location"]["coordinates"])
+            if empty_box.contains(Point(*d["location"]["coordinates"]))
         )
         assert in_big > 20 * max(1, in_empty)
 
@@ -79,7 +80,7 @@ class TestFleetGenerator:
         in_small = sum(
             1
             for d in docs
-            if SMALL_BBOX.contains_lonlat(*d["location"]["coordinates"])
+            if SMALL_BBOX.contains(Point(*d["location"]["coordinates"]))
         )
         assert 0 < in_small < len(docs) * 0.01
 

@@ -3,10 +3,10 @@
 Covers the PR's integration contract: ``durability=`` mounts the LSM
 engine without disturbing the default in-memory behaviour, writes
 survive close-and-reopen, storage events carry the collection name up
-through the database, a flush leaves the query service's statistics
-catalog standing (it is stamped by ``metadata_version`` alone, so the
-storage engine cannot change what the chooser sees), and the
-storage-size model accounts for tombstones.
+through the database, a flush leaves the router's targeting memo
+standing (it is stamped by ``metadata_version`` alone, so the storage
+engine cannot change a routing decision), and the storage-size model
+accounts for tombstones.
 """
 
 import datetime as dt
@@ -14,14 +14,11 @@ import datetime as dt
 import pytest
 
 from repro.cluster.cluster import ClusterTopology, ShardedCluster
-from repro.core.chooser import CostBasedChooser
-from repro.core.query import SpatioTemporalQuery
 from repro.docstore.collection import Collection
 from repro.docstore.database import Database
 from repro.docstore.lsm import DurabilityConfig
 from repro.docstore.storage import StorageModel, collection_data_size
 from repro.errors import DocumentStoreError
-from repro.geo.geometry import BoundingBox
 from repro.service import QueryService, ServiceConfig
 
 
@@ -141,6 +138,10 @@ def fleet_docs(start, stop, pad=""):
     ]
 
 
+#: A shard-key range the service targets (and memoizes) on every run.
+QUERY = {"x": {"$gte": 5, "$lt": 40}}
+
+
 class TestServiceCacheEpoch:
     @staticmethod
     def _cluster(durability=None):
@@ -151,7 +152,7 @@ class TestServiceCacheEpoch:
         cluster.insert_many("traces", fleet_docs(0, 10))
         return cluster
 
-    def test_flush_keeps_statistics_catalog(self, tmp_path):
+    def test_flush_keeps_targeting_fresh(self, tmp_path):
         cluster = self._cluster(
             DurabilityConfig(
                 directory=str(tmp_path),
@@ -162,20 +163,22 @@ class TestServiceCacheEpoch:
         flushes = total_flushes(cluster, "traces")
         config = ServiceConfig(max_workers=2)
         with QueryService(cluster, config) as service:
-            stats = service.analyze_collection("traces")
+            service.find("traces", QUERY)
             version = cluster.metadata_version
             # Pad documents force memtable overflow -> flush events on
             # every shard, but no split: the stamp still matches, so
-            # the catalog entry stands until an explicit re-ANALYZE.
+            # the targeting entry stands.
             cluster.insert_many("traces", fleet_docs(10, 60, pad="p" * 200))
             assert total_flushes(cluster, "traces") > flushes
             assert cluster.metadata_version == version
-            assert service.collection_stats("traces") is stats
-            assert service.stats_catalog.stats()["stale"] == 0
+            service.find("traces", QUERY)
+            counters = cluster.targeting_cache.stats()
+            assert counters["hits"] == 1
+            assert counters["stale"] == 0
         cluster.close()
 
-    def test_memory_and_durable_catalogs_agree(self, tmp_path):
-        """Same inserts plus a forced flush: same catalog, same choice."""
+    def test_memory_and_durable_targeting_agree(self, tmp_path):
+        """Same inserts plus a forced flush: same results, same counters."""
         memory = self._cluster()
         durable_cluster = self._cluster(
             DurabilityConfig(
@@ -184,28 +187,19 @@ class TestServiceCacheEpoch:
                 compaction=False,
             )
         )
-        query = SpatioTemporalQuery(
-            bbox=BoundingBox(22.0, 38.0, 22.2, 38.1),
-            time_from=dt.datetime(2018, 7, 1, tzinfo=dt.timezone.utc),
-            time_to=dt.datetime(2018, 7, 2, tzinfo=dt.timezone.utc),
-        )
         seen = []
         for cluster in (memory, durable_cluster):
             with QueryService(cluster, ServiceConfig(max_workers=2)) as service:
-                service.analyze_collection("traces")
+                service.find("traces", QUERY)
                 cluster.insert_many("traces", fleet_docs(10, 60, pad="p" * 200))
                 for shard in cluster.shards.values():
                     shard.collection("traces").checkpoint()
-                stats = service.collection_stats("traces")
-                assert stats is not None
-                chooser = CostBasedChooser(
-                    lambda: service.collection_stats("traces")
-                )
-                decision = chooser.choose(query)
-                assert decision.used_stats
-                assert chooser.fallbacks == 0
-                seen.append((stats.as_dict(), decision))
+                result = service.find("traces", QUERY)
+                xs = sorted(doc["x"] for doc in result.documents)
+                seen.append((xs, cluster.targeting_cache.stats()))
         assert seen[0] == seen[1]
+        assert seen[0][0] == list(range(5, 40))
+        assert seen[0][1]["hits"] == 1
         durable_cluster.close()
 
 

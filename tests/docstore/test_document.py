@@ -13,7 +13,6 @@ from repro.docstore.document import (
     copy_with_shape,
     deep_copy_document,
     get_path,
-    has_path,
     iter_paths,
     set_path,
     shape_of,
@@ -65,15 +64,6 @@ class TestGetPath:
 
     def test_dotted_key_is_a_path_not_a_field_name(self):
         assert get_path({"a.b": 1}, "a.b") is MISSING
-
-
-class TestHasPath:
-    def test_present(self):
-        assert has_path(DOC, "b.d.e")
-        assert has_path(DOC, "nul")
-
-    def test_absent(self):
-        assert not has_path(DOC, "b.d.zzz")
 
 
 class TestSetPath:

@@ -30,9 +30,7 @@ class TestDefinition:
     def test_from_spec_list(self):
         d = IndexDefinition.from_spec([("location", "2dsphere"), ("date", 1)])
         assert d.paths == ("location", "date")
-        assert d.field_kind("location") == GEOSPHERE
-        assert d.field_kind("date") == 1
-        assert d.field_kind("zzz") is None
+        assert [f.kind for f in d.fields] == [GEOSPHERE, 1]
 
     def test_from_spec_mapping(self):
         d = IndexDefinition.from_spec({"a": 1, "b": -1})
@@ -153,12 +151,6 @@ class TestMaintenance:
         idx.insert_document(1, {"v": 5})
         idx.insert_document(2, {"v": 5})
         assert len(idx) == 2
-
-    def test_raw_key_of(self):
-        idx = Index(IndexDefinition.from_spec([("v", 1)]))
-        idx.insert_document(1, {"v": 5})
-        assert idx.raw_key_of(1) == (5,)
-        assert idx.raw_key_of(99) is None
 
     def test_iter_storage_keys_sorted(self):
         idx = Index(IndexDefinition.from_spec([("v", 1)]))

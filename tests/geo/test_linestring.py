@@ -24,10 +24,6 @@ class TestLineString:
         l = line((0, 0), (10, 5), (3, -2))
         assert l.bbox == BoundingBox(0, -2, 10, 5)
 
-    def test_length(self):
-        l = line((23.0, 38.0), (24.0, 38.0))
-        assert 80 < l.length_km() < 95  # ~88 km at that latitude
-
     def test_sample_density(self):
         l = line((0, 0), (1, 0))
         samples = l.sample(0.1)

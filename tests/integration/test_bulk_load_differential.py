@@ -115,8 +115,8 @@ def validate_trees(cluster):
     cluster.validate(COLLECTION)
     for shard in cluster.shards.values():
         collection = shard.collection(COLLECTION)
-        for name in collection.list_indexes():
-            collection.get_index(name).tree.validate()
+        for definition in collection.index_definitions():
+            collection.get_index(definition.name).tree.validate()
 
 
 def assert_same_deployment(bulk, live):
@@ -201,8 +201,8 @@ def test_durable_bulk_load_matches_and_recovers(dataset, tmp_path):
                 )
             recovered += len(collection)
             assert frames(collection) == before[name], name
-            for index_name in collection.list_indexes():
-                collection.get_index(index_name).tree.validate()
+            for definition in collection.index_definitions():
+                collection.get_index(definition.name).tree.validate()
         finally:
             database.close()
     assert recovered == len(docs)

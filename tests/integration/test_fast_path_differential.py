@@ -326,9 +326,9 @@ class TestResidualFilter:
         hilberts = self._hilberts(seeded)
         first_shard = next(iter(cluster.shards.values()))
         hints = [None] + [
-            name
-            for name in first_shard.collection(COLLECTION).list_indexes()
-            if name not in ("_id_", "veh_speed_date")
+            d.name
+            for d in first_shard.collection(COLLECTION).index_definitions()
+            if d.name not in ("_id_", "veh_speed_date")
         ]
         bound_arms = matched = 0
         for _round in range(6):
@@ -377,9 +377,9 @@ class TestResidualFilter:
 
         def multikey():
             return any(
-                shard.collection(COLLECTION).get_index(name).is_multikey()
+                shard.collection(COLLECTION).get_index(d.name).is_multikey()
                 for shard in cluster.shards.values()
-                for name in shard.collection(COLLECTION).list_indexes()
+                for d in shard.collection(COLLECTION).index_definitions()
             )
 
         for query in queries:

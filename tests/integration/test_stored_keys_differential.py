@@ -49,11 +49,9 @@ def test_stored_keys_match_the_reference_encoders(dataset, name):
         expected = sorted(
             sort_key(reference_key(approach, doc)) for doc in stored_docs
         )
-        for index_name in collection.list_indexes():
-            paths = [
-                f.path
-                for f in collection.get_index(index_name).definition.fields
-            ]
+        for definition in collection.index_definitions():
+            index_name = definition.name
+            paths = [f.path for f in definition.fields]
             if field not in paths:
                 continue
             position = paths.index(field)

@@ -12,11 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.cluster import ClusterTopology, ShardedCluster
-from repro.sanitizer import (
-    CacheTracer,
-    instrument_stats_catalog,
-    instrument_targeting_cache,
-)
+from repro.cluster.router import target_chunks_cached
+from repro.docstore.planner import analyze_query
+from repro.sanitizer import CacheTracer, instrument_targeting_cache
 from repro.service.service import QueryService
 
 
@@ -131,36 +129,47 @@ class TestInstrumentation:
         service.cluster._bump_metadata_version()
         assert tracer.generation("metadata") == before + 1
 
-    def test_stats_catalog_roundtrip_is_clean(self, service):
-        tracer = instrument_stats_catalog(service, CacheTracer())
+    def test_targeting_roundtrip_is_clean(self, service):
+        """A DDL bump makes the next lookup stale; the re-lookup refills."""
+        tracer = instrument_targeting_cache(service.cluster, CacheTracer())
+        cache = service.cluster.targeting_cache
         service.insert_many(
             "t", [{"_id": i, "k": i, "v": i % 3} for i in range(20)]
         )
-        service.analyze_collection("t")
-        assert service.collection_stats("t") is not None
+        query = {"k": {"$gte": 0, "$lt": 10}}
+        service.find("t", query)
+        service.find("t", query)
+        assert cache.stats()["hits"] == 1
         before = tracer.generation("metadata")
         service.create_index("t", [("v", 1)], name="v_idx")
         assert tracer.generation("metadata") > before
-        assert service.collection_stats("t") is None  # stamp moved
-        service.analyze_collection("t")
-        assert service.collection_stats("t") is not None
+        service.find("t", query)
+        assert cache.stats()["stale"] == 1  # stamp moved
+        service.find("t", query)
+        assert cache.stats()["hits"] == 2
         tracer.assert_clean()
 
     def test_broken_invalidation_would_be_caught(self, service):
-        """Read the catalog with a stale version stamp: the tracer trips.
+        """Look up targeting with a stale version stamp: the tracer trips.
 
         This is the tracer's reason to exist — it advances the domain
-        inside the metadata bump, independently of the catalog's own
+        inside the metadata bump, independently of the cache's own
         stamp check, so a reader that validates against the version it
         remembered (not the live one) turns the next hit stale.
         """
-        tracer = instrument_stats_catalog(service, CacheTracer())
+        tracer = instrument_targeting_cache(service.cluster, CacheTracer())
         service.insert_many(
             "t", [{"_id": i, "k": i, "v": i % 3} for i in range(20)]
         )
-        service.analyze_collection("t")
+        query = {"k": {"$gte": 0, "$lt": 10}}
+        service.find("t", query)
         remembered = service.cluster.metadata_version
         service.create_index("t", [("v", 1)], name="v_idx")
-        assert service.stats_catalog.get("t", remembered) is not None
+        target_chunks_cached(
+            service.cluster.catalog.get("t"),
+            analyze_query(query),
+            service.cluster.targeting_cache,
+            remembered,
+        )
         assert tracer.violations(), "stale stamp check must surface"
-        assert {v.family for v in tracer.violations()} == {"CC001"}
+        assert {v.family for v in tracer.violations()} == {"CC003"}

@@ -11,7 +11,6 @@ from repro.sanitizer import (
     CacheTracer,
     LockOrderSanitizer,
     instrument_query_service,
-    instrument_stats_catalog,
     instrument_targeting_cache,
 )
 from repro.service.service import QueryService
@@ -67,9 +66,9 @@ def lock_order_sanitizer(monkeypatch):
 def cache_epoch_tracer(monkeypatch):
     """Run every service test under the cache epoch tracer.
 
-    Each QueryService constructed during the test gets its targeting
-    cache and statistics catalog wired into one :class:`CacheTracer`;
-    teardown fails the test if any cache served a hit whose fill
+    Each QueryService constructed during the test gets its cluster's
+    targeting cache wired into one :class:`CacheTracer`; teardown
+    fails the test if the cache served a hit whose fill
     predates a governing mutation — the runtime half of the
     CC001–CC004 rules, checked across the whole suite's workloads for
     free.
@@ -80,7 +79,6 @@ def cache_epoch_tracer(monkeypatch):
     def instrumented_init(self, *args, **kwargs):
         original_init(self, *args, **kwargs)
         instrument_targeting_cache(self.cluster, tracer)
-        instrument_stats_catalog(self, tracer)
 
     monkeypatch.setattr(QueryService, "__init__", instrumented_init)
     yield tracer

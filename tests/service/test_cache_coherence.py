@@ -102,13 +102,12 @@ class TestTargetingUnderInterleavedMutations:
 
 class TestOneCounterVocabulary:
     def test_every_cache_reports_the_same_counters(self, seeded_cluster):
-        """Targeting, range and catalog memos: one primitive, one vocabulary."""
+        """The targeting memo and the all-zero range key: one vocabulary."""
         with QueryService(seeded_cluster) as service:
             service.find("t", {"k": {"$gte": 0, "$lt": 2_000}})
-            service.analyze_collection("t")
-            assert service.collection_stats("t") is not None
+            service.find("t", {"k": {"$gte": 0, "$lt": 2_000}})
             caches = service.metrics_snapshot().caches
-        assert set(caches) == {"targeting", "rangeDecomposition", "statsCatalog"}
+        assert set(caches) == {"targeting", "rangeDecomposition"}
         for counters in caches.values():
             assert set(counters) == {
                 "entries",
@@ -118,4 +117,4 @@ class TestOneCounterVocabulary:
                 "evictions",
             }
             assert counters["stale"] <= counters["misses"]
-        assert caches["statsCatalog"]["hits"] == 1
+        assert caches["targeting"]["hits"] == 1

@@ -135,7 +135,7 @@ class TestReplicaSync:
             service.find("t", {})
             pool = service._worker_pool
             synced = {
-                shard_id: pool.client_for(shard_id).synced_epoch(
+                shard_id: pool._clients[shard_id].synced_epoch(
                     shard_id, "t"
                 )
                 for shard_id in cluster.shards
@@ -144,7 +144,7 @@ class TestReplicaSync:
             service.insert_one("t", {"_id": 99_999, "k": 1, "group": 0})
             service.find("t", {})
             resynced = {
-                shard_id: pool.client_for(shard_id).synced_epoch(
+                shard_id: pool._clients[shard_id].synced_epoch(
                     shard_id, "t"
                 )
                 for shard_id in cluster.shards
@@ -222,7 +222,7 @@ class TestDeadlinesAndAdmission:
             expected = service.find("t", {})
             pool = service._worker_pool
             shard_ids = sorted(cluster.shards)
-            client = pool.client_for(shard_ids[0])
+            client = pool._clients[shard_ids[0]]
             before = set(client._pending)
 
             class SecondCallExpires(executors.Deadline):
@@ -310,7 +310,7 @@ class TestWorkerLifecycle:
         shard_id = sorted(cluster.shards)[0]
         with QueryService(cluster, process_config()) as service:
             expected = service.find("t", TARGETED)
-            client = service._worker_pool.client_for(shard_id)
+            client = service._worker_pool._clients[shard_id]
             old_proc = client._proc
             old_proc.terminate()
             old_proc.join(timeout=5.0)

@@ -1,8 +1,7 @@
 """The cache primitive as a state machine, plus a thread hammer.
 
 :class:`repro.cache.StampedLRUCache` is the store behind the targeting
-memo, the range-decomposition memo and the statistics catalog, so its
-contract is checked once, here: random ``get`` / ``put`` / ``clear``
+memo, so its contract is checked once, here: random ``get`` / ``put``
 sequences with stamps over a small bound, against a plain-list model
 kept in least-recently-used order.
 """
@@ -67,11 +66,6 @@ class StampedLRUMachine(RuleBasedStateMachine):
         while len(self.model) > BOUND:
             self.model.pop(0)  # the least recently used entry goes
             self.expected["evictions"] += 1
-
-    @rule()
-    def clear(self):
-        self.cache.clear()
-        self.model = []
 
     @invariant()
     def counters_and_order_match_the_model(self):

@@ -19,6 +19,34 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate"])
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["encode", "200", "100"], "argument lon"),
+            (["encode", "nan", "37"], "argument lon"),
+            (["encode", "23", "37", "--order", "0"], "argument --order"),
+            (["encode", "23", "37", "--time", "garbage"], "argument --time"),
+            (["compare", "--shards", "0"], "argument --shards"),
+            (["compare", "--window", "-2"], "argument --window"),
+            (["generate", "--records", "-5", "--out", "x.csv"],
+             "argument --records"),
+        ],
+    )
+    def test_bad_argument_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert "error: %s:" % flag in err
+
+    def test_naive_time_is_utc(self):
+        args = build_parser().parse_args(
+            ["encode", "23.7", "37.9", "--time", "2018-08-01T12:00:00"]
+        )
+        assert args.time.tzinfo is not None
+        assert args.time.utcoffset().total_seconds() == 0
+
 
 class TestCommands:
     def test_info(self, capsys):
@@ -57,29 +85,3 @@ class TestCommands:
         out = capsys.readouterr().out
         for name in ("bslST", "bslTS", "hil", "hilstar"):
             assert name in out
-
-    def test_stats_analyze_smoke(self, capsys):
-        import json
-
-        assert main(
-            ["stats", "analyze", "traces", "--records", "400",
-             "--shards", "2"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["collection"] == "traces"
-        assert payload["totalDocs"] == 400
-        assert payload["timeHistogram"]["total"] == 400
-        assert payload["cellSketch"]["cells"] > 0
-        assert payload["catalog"] == {
-            "entries": 1,
-            "hits": 0,
-            "misses": 0,
-            "stale": 0,
-            "evictions": 0,
-        }
-
-    def test_stats_analyze_unknown_collection(self, capsys):
-        assert main(
-            ["stats", "analyze", "nope", "--records", "200",
-             "--shards", "2"]
-        ) == 2

@@ -171,3 +171,64 @@ def test_no_module_imports_a_higher_layer():
                 if _layer_of(name) > _layer_of(importer)
             ]
     assert violations == []
+
+
+#: Surface deleted because nothing in ``src/`` called it (DESIGN.md §11
+#: and §13): the per-query chooser and its statistics, and the names
+#: only their own unit tests reached.  Module -> attribute paths.
+DELETED = {
+    "repro.core.chooser": [],
+    "repro.docstore.stats": [],
+    "repro.cache": ["StampedLRUCache.clear"],
+    "repro.cluster.catalog": ["ConfigCatalog.list_collections"],
+    "repro.cluster.chunk": ["ShardKeyPattern.is_hashed"],
+    "repro.cluster.router": ["lex_range_intersects_box"],
+    "repro.cluster.zones": ["ZoneSet.overlapping_zones"],
+    "repro.docstore.bson": ["ObjectId.from_hex", "ObjectId.generation_time"],
+    "repro.docstore.btree": ["BPlusTree.count_range"],
+    "repro.docstore.collection": [
+        "Collection.find_one",
+        "Collection.list_indexes",
+        "Collection.storage_epoch",
+    ],
+    "repro.docstore.document": ["has_path"],
+    "repro.docstore.index": ["IndexDefinition.field_kind", "Index.raw_key_of"],
+    "repro.docstore.lsm.engine": ["LSMEngine.delete_one", "LSMEngine.storage_epoch"],
+    "repro.docstore.lsm.wal": [
+        "WriteAheadLog.durable_lsn",
+        "WriteAheadLog.written_lsn",
+    ],
+    "repro.geo.geometry": [
+        "Point.as_tuple",
+        "BoundingBox.from_corners",
+        "BoundingBox.world",
+        "BoundingBox.center",
+        "BoundingBox.area_km2",
+        "BoundingBox.contains_lonlat",
+        "BoundingBox.intersection",
+        "BoundingBox.expanded",
+        "LineString.length_km",
+    ],
+    "repro.sanitizer": ["instrument_stats_catalog"],
+    "repro.service.executors": ["ShardWorkerPool.client_for"],
+    "repro.service.service": [
+        "QueryService.analyze_collection",
+        "QueryService.collection_stats",
+    ],
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(DELETED))
+def test_deleted_surface_stays_deleted(module_name):
+    paths = DELETED[module_name]
+    if not paths:
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module_name)
+        return
+    module = importlib.import_module(module_name)
+    for path in paths:
+        owner = module
+        *parents, leaf = path.split(".")
+        for part in parents:
+            owner = getattr(owner, part)
+        assert not hasattr(owner, leaf), "%s.%s is back" % (module_name, path)
