@@ -4,8 +4,7 @@ Deploys the paper's *hil* approach, wraps the cluster in a
 :class:`~repro.service.QueryService`, and serves a randomized
 Q^s/Q^b-style stream closed-loop — at 1, 2 and 4 clients on the
 thread executor and at 2 clients on the worker-process executor —
-printing achieved q/s, p50/p95/p99 latency and how the service planned
-the queries (values bound into the parameterized shape, or analyzed).
+printing achieved q/s and p50/p95/p99 latency.
 
 Every number is real CPU work on this machine: no literal repeats
 inside a measured pass, so nothing is answered from a result cache.
@@ -42,18 +41,14 @@ def run_mode(deployment, workload, label, clients, **overrides) -> None:
         report = LoadGenerator(service, COLLECTION, workload).run_closed_loop(
             clients=clients, total_queries=len(workload)
         )
-    outcomes = report.plan_outcomes
     print(
         "  %-22s %7.1f q/s   p50=%5.2fms  p95=%5.2fms  p99=%5.2fms"
-        "   planned: %d bound, %d analyzed"
         % (
             label,
             report.achieved_qps,
             report.p50_latency_ms,
             report.p95_latency_ms,
             report.p99_latency_ms,
-            outcomes["shapeHits"],
-            outcomes["misses"],
         )
     )
 

@@ -11,7 +11,7 @@ Public API layers, bottom-up:
   pipeline stages, storage sizing, a durable LSM engine);
 * :mod:`repro.cluster` — sharding: chunks, balancer, zones, router;
 * :mod:`repro.service` — the concurrent query-serving frontend:
-  parallel scatter-gather, parameterized planning, admission
+  parallel scatter-gather, one-walk query planning, admission
   control, load generation;
 * :mod:`repro.core` — the paper's contribution: Hilbert-keyed
   spatio-temporal indexing/sharding, the four evaluated approaches,

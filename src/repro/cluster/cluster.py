@@ -61,8 +61,7 @@ from repro.cluster.zones import Zone, ZoneSet
 from repro.docstore.bson import bson_document_size
 from repro.docstore.collection import own_document
 from repro.docstore.lsm import DurabilityConfig
-from repro.docstore.matcher import Matcher
-from repro.docstore.planner import analyze_query
+from repro.docstore.matcher import parse_query
 from repro.docstore.storage import StorageModel
 from repro.errors import ShardingError
 
@@ -351,7 +350,9 @@ class ShardedCluster:
         keys, so every deleted document sat in a targeted chunk.
         """
         metadata = self.catalog.get(collection)
-        shape = analyze_query(query)
+        # Parsing validates: a malformed query raises QueryError before
+        # any shard is touched.
+        shape, _matcher = parse_query(query)
         targeting = target_chunks(metadata, shape)
         deleted = 0
         for shard_id in targeting.shard_ids:
@@ -387,7 +388,8 @@ class ShardedCluster:
                     "update would modify shard-key fields %r"
                     % sorted(touched & forbidden)
                 )
-        shape = analyze_query(query)
+        # Parsing validates, as in delete_many.
+        shape, _matcher = parse_query(query)
         targeting = target_chunks(metadata, shape)
         updated = 0
         failed = True
@@ -558,7 +560,7 @@ class ShardedCluster:
         if shape is None:
             if query is None:
                 raise ShardingError("targeting needs a query or a shape")
-            shape = analyze_query(query)
+            shape, _matcher = parse_query(query)
         if fast_path:
             return target_chunks_cached(
                 metadata, shape, self.targeting_cache, self.metadata_version
@@ -590,19 +592,17 @@ class ShardedCluster:
         matches in wall-clock shape.
 
         ``shape``/``matcher``/``targeting`` accept precomputed plan
-        pieces (the service binds or analyzes them once per query),
-        which must correspond to the same ``query``.  Missing targeting
+        pieces (the service parses the query once), which must
+        correspond to the same ``query``.  Missing targeting
         is routed afresh with :func:`target_chunks`: the targeting memo
         is the service's, consulted by :meth:`targeting_for` *before*
         it takes the shard read locks this method then runs under, so
         no cache lock is ever reachable from under a shard lock.
         """
         plan_started = time.perf_counter()
-        if matcher is None:
-            # Compiled first: a malformed query raises QueryError here.
-            matcher = Matcher(query)
-        if shape is None:
-            shape = analyze_query(query)
+        if shape is None or matcher is None:
+            # A malformed query raises QueryError here.
+            shape, matcher = parse_query(query)
         if targeting is None:
             targeting = target_chunks(self.catalog.get(collection), shape)
         plan_bounds = None

@@ -41,10 +41,6 @@ class Zone:
         """Whether the chunk range [lo, hi) lies fully inside the zone."""
         return self.min_key <= lo and hi <= self.max_key
 
-    def overlaps_range(self, lo: KeyBound, hi: KeyBound) -> bool:
-        """Whether the zone overlaps a chunk range at all."""
-        return lo < self.max_key and self.min_key < hi
-
 
 class ZoneSet:
     """A validated, ordered set of non-overlapping zones."""

@@ -50,8 +50,8 @@ def measure_query(
 
     When ``service`` (a :class:`repro.service.QueryService` over the
     deployment's cluster) is given, execution goes through the
-    concurrent serving frontend — parallel scatter-gather, plan
-    binding, admission control — instead of the sequential library
+    concurrent serving frontend — parallel scatter-gather, query
+    parsing, admission control — instead of the sequential library
     path.  The reported metrics are identical by construction;
     wall-clock then reflects the serving path.
 

@@ -28,11 +28,10 @@ from repro.docstore.document import (
 )
 from repro.docstore.executor import ExecutionStats, execute_plan
 from repro.docstore.index import Index, IndexDefinition
-from repro.docstore.matcher import Matcher
+from repro.docstore.matcher import Matcher, parse_query
 from repro.docstore.planner import (
     CollScanPlan,
     IndexScanPlan,
-    analyze_query,
     plan_query,
 )
 from repro.docstore.lsm import (
@@ -362,6 +361,9 @@ class Collection:
                 self._check_update(doc, update)
                 for index in self._indexes.values():
                     index.remove_document(rid, doc)
+                # Updated on a private copy: a bulk load adopts its
+                # caller's containers, which two documents may share.
+                doc = self._records[rid] = copy_with_shape(doc)[0]
                 self._apply_update(doc, update)
                 for index in self._indexes.values():
                     index.insert_document(rid, doc)
@@ -497,10 +499,8 @@ class Collection:
         shard.
         """
         plan_started = time.perf_counter()
-        if matcher is None:
-            matcher = Matcher(query)
-        if shape is None:
-            shape = analyze_query(query)
+        if shape is None or matcher is None:
+            shape, matcher = parse_query(query)
         if (
             plan_bounds is not None
             and hint is not None
@@ -581,9 +581,10 @@ class Collection:
         """
         from repro.docstore.planner import plan_candidates
 
-        matcher = Matcher(query)
-        result = self.find_with_stats(query, hint=hint, matcher=matcher)
-        shape = analyze_query(query)
+        shape, matcher = parse_query(query)
+        result = self.find_with_stats(
+            query, hint=hint, matcher=matcher, shape=shape
+        )
         winner = result.plan.describe()
         # MongoDB's FETCH `filter`: what is left once the winning
         # plan's exact bounds have proved their paths.

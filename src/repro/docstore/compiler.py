@@ -1,4 +1,5 @@
-"""Predicate compilation: query documents → flat prepared closures.
+"""Query compilation: one walk from a query document to the planner's
+shape and flat prepared predicate closures.
 
 A read filters every fetched document with its query, so the query is
 compiled once (:class:`~repro.docstore.matcher.Matcher`) rather than
@@ -19,6 +20,16 @@ CPU.  Compilation produces a flat list of prepared predicate closures:
   interval sets, then geometry, then sub-clauses), so documents
   failing a cheap range never pay for polygon containment.
 
+The same walk builds the planner's
+:class:`~repro.docstore.planner.QueryShape`: each path's operators,
+once compiled, are absorbed into its
+:class:`~repro.docstore.planner.PathPredicate` (a geo region is
+parsed once for both), and each ``$or`` is folded once for the
+interval-set predicate and the index bounds.  A read parses its query
+once (:func:`~repro.docstore.matcher.parse_query`);
+:func:`~repro.docstore.planner.analyze_query` is the independent
+shape oracle the differential tests compare against.
+
 Compiling is validating: a malformed query — ``$in``/``$nin`` without
 an array, a malformed ``$mod`` or one with divisor 0, an unknown
 ``$type`` alias, ``$not`` without an operator document, an unparseable
@@ -38,13 +49,16 @@ from __future__ import annotations
 import datetime as _dt
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.docstore import bson
 from repro.docstore.document import MISSING, get_path
 from repro.docstore.planner import (
     BOUND_OPS,
     OrFold,
+    PathPredicate,
+    QueryShape,
+    _absorb_operators,
     fold_or,
     geo_region,
     is_operator_expression,
@@ -187,12 +201,7 @@ class _IntervalSetPredicate:
 
 
 def _tag_path_tests(path: str, ops, tests: List[_Test]) -> _Tagged:
-    """The tagged document predicate for one path's operator tests.
-
-    The single construction site for path predicates: both
-    :func:`compile_query` and the parameterized-plan binder call it,
-    so the droppable tag cannot drift between the two.
-    """
+    """The tagged document predicate for one path's operator tests."""
     if len(tests) == 1 and "." not in path:
         only = tests[0]
 
@@ -379,9 +388,8 @@ def _rect_box(region: Any) -> Optional[BoundingBox]:
 def geo_test(region: Any, intersects: bool) -> _Test:
     """The geo value test for an already-parsed region.
 
-    The parameterized-plan binder (:mod:`repro.docstore.paramplan`)
-    parses a query's region once and shares it between the planner
-    shape and this test.
+    :func:`compile_query` parses a query's region once and shares it
+    between the planner shape and this test.
     """
     general = _parsed_geo_test(region, intersects)
     rect = _rect_box(region)
@@ -535,16 +543,18 @@ def _compile_operator(op: str, arg: Any) -> _Test:
     raise QueryError("unsupported operator %r" % (op,))
 
 
-def _compile_path_predicate(path: str, value: Any) -> _Tagged:
-    """One ``path: value`` item → a tagged document predicate."""
-    ops = value if is_operator_expression(value) else {"$eq": value}
-    tests = [_compile_operator(op, arg) for op, arg in ops.items()]
-    return _tag_path_tests(path, ops, tests)
-
-
 def _clause_predicates(clauses: Any) -> List[_Pred]:
-    """Each clause of a logical operator → one conjunction predicate."""
-    return [all_of(_cheapest_first(compile_query(c))) for c in clauses]
+    """Each clause of a logical operator → one conjunction predicate.
+
+    The clauses are compiled without a shape: the planner reads a
+    ``$or`` only through its fold, and a ``$nor`` not at all.
+    """
+    out: List[_Pred] = []
+    for clause in clauses:
+        tagged: List[_Tagged] = []
+        _walk(clause, tagged, None)
+        out.append(all_of(_cheapest_first(tagged)))
+    return out
 
 
 def _cheapest_first(tagged: List[_Tagged]) -> List[_Pred]:
@@ -572,27 +582,57 @@ def tag_or(clauses: Any, folded: Optional[OrFold]) -> _Tagged:
     return _COST_CLAUSES, any_clause, "$or", False
 
 
-def compile_query(query: Any) -> List[_Tagged]:
-    """A query document → its tagged top-level predicates.
+def compile_query(query: Any) -> Tuple[QueryShape, List[_Tagged]]:
+    """A query document → its planner shape and tagged top-level
+    predicates, in one walk.
 
-    Raises :class:`QueryError` for a malformed query.  ``$and`` clauses
-    flatten into the list (they stay droppable); a ``$nor``, and an
-    ``$or`` that is not one interval set, collapses into one
-    undroppable predicate, so nested tags never reach the residual
-    decision.
+    Raises :class:`QueryError` for a malformed query.  Each item is
+    compiled (and so validated) before the shape absorbs it.  ``$and``
+    clauses flatten into both (their predicates stay droppable); a
+    ``$nor``, and an ``$or`` that is not one interval set, collapses
+    into one undroppable predicate, so nested tags never reach the
+    residual decision.  An ``$or`` that does not fold, and a ``$nor``,
+    mark the shape ``opaque_or``.
+    """
+    predicates: Dict[str, PathPredicate] = {}
+    tagged: List[_Tagged] = []
+    opaque_or = _walk(query, tagged, predicates)
+    shape = QueryShape(
+        predicates=predicates, residual_query=query, opaque_or=opaque_or
+    )
+    return shape, tagged
+
+
+def _walk(
+    query: Any,
+    tagged: List[_Tagged],
+    predicates: Optional[Dict[str, PathPredicate]],
+) -> bool:
+    """Compile ``query`` into ``tagged`` and, unless ``predicates`` is
+    None, absorb it into those path predicates.
+
+    Returns whether an ``$or`` that does not fold, or a ``$nor``, was
+    met.
     """
     if not isinstance(query, Mapping):
         raise QueryError("query must be a document, got %r" % (query,))
-    tagged: List[_Tagged] = []
+    opaque_or = False
     for key, value in query.items():
         if key in _LOGICAL:
             if not is_plain_sequence(value):
                 raise QueryError("%s expects an array of clauses" % key)
             if key == "$and":
                 for clause in value:
-                    tagged.extend(compile_query(clause))
+                    opaque_or = _walk(clause, tagged, predicates) or opaque_or
             elif key == "$or":
-                tagged.append(tag_or(value, fold_or(value)))
+                folded = fold_or(value)
+                tagged.append(tag_or(value, folded))
+                if folded is None:
+                    opaque_or = True
+                elif predicates is not None:
+                    _path_predicate(predicates, folded.path).absorb_or(
+                        folded.intervals
+                    )
             else:
                 clause_preds = _clause_predicates(value)
 
@@ -605,8 +645,32 @@ def compile_query(query: Any) -> List[_Tagged]:
                     return True
 
                 tagged.append((_COST_CLAUSES, no_clause, key, False))
+                opaque_or = True
         elif key.startswith("$"):
             raise QueryError("unsupported top-level operator %r" % key)
         else:
-            tagged.append(_compile_path_predicate(key, value))
-    return tagged
+            ops = value if is_operator_expression(value) else {"$eq": value}
+            tests: List[_Test] = []
+            region = None
+            for op, arg in ops.items():
+                if op in ("$geoWithin", "$geoIntersects"):
+                    # Parsed once, for the test and for the shape.
+                    region = geo_region(arg)
+                    tests.append(geo_test(region, op == "$geoIntersects"))
+                else:
+                    tests.append(_compile_operator(op, arg))
+            tagged.append(_tag_path_tests(key, ops, tests))
+            if predicates is not None:
+                _absorb_operators(
+                    _path_predicate(predicates, key), ops, region
+                )
+    return opaque_or
+
+
+def _path_predicate(
+    predicates: Dict[str, PathPredicate], path: str
+) -> PathPredicate:
+    predicate = predicates.get(path)
+    if predicate is None:
+        predicate = predicates[path] = PathPredicate(path)
+    return predicate

@@ -70,8 +70,3 @@ class Cursor:
     def to_list(self) -> List[dict]:
         """Materialize the results as a list."""
         return self._materialize()
-
-    def first(self) -> Optional[dict]:
-        """The first result, or None."""
-        docs = self._materialize()
-        return docs[0] if docs else None

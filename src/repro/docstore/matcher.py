@@ -12,19 +12,21 @@ compare in queries (they do in index/sort order, which is separate).
 
 A :class:`Matcher` is the query compiled once
 (:mod:`repro.docstore.compiler`); a malformed query raises
-:class:`~repro.errors.QueryError` when the matcher is built.  The
-tree-walking interpreter that states the same rules plainly is the
-differential oracle in :mod:`repro.reference`.
+:class:`~repro.errors.QueryError` when the matcher is built.
+:func:`parse_query` is how a read parses its query: one walk yields
+both the planner's shape and the matcher.  The tree-walking
+interpreter that states the same rules plainly is the differential
+oracle in :mod:`repro.reference`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, FrozenSet, List, Mapping
+from typing import Any, Callable, FrozenSet, List, Mapping, Tuple
 
 from repro.docstore.compiler import _Tagged, all_of, compile_query
-from repro.docstore.planner import is_operator_expression
+from repro.docstore.planner import QueryShape, is_operator_expression
 
-__all__ = ["matches", "Matcher", "is_operator_expression"]
+__all__ = ["matches", "Matcher", "parse_query", "is_operator_expression"]
 
 
 class Matcher:
@@ -37,14 +39,10 @@ class Matcher:
     __slots__ = ("predicates", "paths", "_droppable", "_residuals")
 
     def __init__(self, query: Mapping[str, Any]) -> None:
-        self._adopt(compile_query(query))
+        self._adopt(compile_query(query)[1])
 
     @classmethod
-    def from_tagged(cls, tagged: List[_Tagged]) -> "Matcher":
-        """A matcher over predicates the parameterized-plan binder
-        (:mod:`repro.docstore.paramplan`) compiled while binding: the
-        same construction sites :meth:`__init__` reaches, so the
-        predicates are the ones it would have built."""
+    def _from_tagged(cls, tagged: List[_Tagged]) -> "Matcher":
         self = cls.__new__(cls)
         self._adopt(tagged)
         return self
@@ -89,6 +87,16 @@ class Matcher:
     def residual_paths(self, covered: FrozenSet[str]) -> list:
         """Sorted paths (or logical operators) :meth:`residual` tests."""
         return sorted({self.paths[i] for i in self._kept(covered)})
+
+
+def parse_query(query: Mapping[str, Any]) -> Tuple[QueryShape, Matcher]:
+    """``(shape, matcher)`` for a query, from one compiling walk.
+
+    Raises :class:`~repro.errors.QueryError` for a malformed query
+    before the planner sees any of it.
+    """
+    shape, tagged = compile_query(query)
+    return shape, Matcher._from_tagged(tagged)
 
 
 def matches(query: Mapping[str, Any], document: Mapping[str, Any]) -> bool:

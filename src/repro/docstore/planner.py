@@ -18,8 +18,13 @@ Supported bound sources, matching the paper's workloads:
   coverer does internally);
 * an ``$or`` whose every clause constrains the *same* single path (the
   Hilbert-range pattern of Section 4.2.1) → the union of the clause
-  intervals on that path, folded once by :func:`fold_or` for the
-  planner, the compiled matcher and the parameterized-plan binder.
+  intervals on that path, folded once by :func:`fold_or` for both the
+  planner and the compiled matcher.
+
+A read builds its :class:`QueryShape` in the compiler's one walk
+(:func:`~repro.docstore.compiler.compile_query`); :func:`analyze_query`
+walks the query on its own and is the shape oracle the differential
+tests compare that walk against.
 """
 
 from __future__ import annotations
@@ -335,7 +340,12 @@ class QueryShape:
 
 
 def analyze_query(query: Mapping[str, Any]) -> QueryShape:
-    """Extract per-path predicates from a query document."""
+    """Extract per-path predicates from a query document.
+
+    The independent reference for the shape
+    :func:`~repro.docstore.compiler.compile_query` builds while it
+    compiles; no read path calls it.
+    """
     predicates: Dict[str, PathPredicate] = {}
     opaque_or = False
 
@@ -371,7 +381,11 @@ def analyze_query(query: Mapping[str, Any]) -> QueryShape:
     )
 
 
-def _absorb_operators(p: PathPredicate, ops: Mapping[str, Any]) -> None:
+def _absorb_operators(
+    p: PathPredicate, ops: Mapping[str, Any], region: Any = None
+) -> None:
+    """Record one path's operators; ``region`` is the already-parsed
+    region of its geo operator, parsed here when None."""
     for op, arg in ops.items():
         if op in BOUND_OPS:
             p.n_bound_ops += 1
@@ -388,7 +402,7 @@ def _absorb_operators(p: PathPredicate, ops: Mapping[str, Any]) -> None:
         elif op == "$lte":
             _tighten_lt(p, arg, inclusive=True)
         elif op in ("$geoWithin", "$geoIntersects"):
-            p.geo_region = geo_region(arg)
+            p.geo_region = geo_region(arg) if region is None else region
         # $ne/$nin/$exists/$not/... contribute no bounds; the residual
         # matcher enforces them.
 

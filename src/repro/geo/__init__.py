@@ -15,7 +15,6 @@ from repro.geo.geometry import (
     LineString,
     Point,
     Polygon,
-    haversine_km,
 )
 
 __all__ = [
@@ -31,5 +30,4 @@ __all__ = [
     "LineString",
     "Point",
     "Polygon",
-    "haversine_km",
 ]

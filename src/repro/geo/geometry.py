@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
-__all__ = ["Point", "BoundingBox", "Polygon", "LineString", "haversine_km"]
-
-_EARTH_RADIUS_KM = 6371.0088
+__all__ = ["Point", "BoundingBox", "Polygon", "LineString"]
 
 
 @dataclass(frozen=True, order=True)
@@ -29,18 +27,6 @@ class Point:
             raise ValueError("longitude %r out of range" % self.lon)
         if not (-90.0 <= self.lat <= 90.0):
             raise ValueError("latitude %r out of range" % self.lat)
-
-
-def haversine_km(a: Point, b: Point) -> float:
-    """Great-circle distance between two points in kilometres."""
-    phi1, phi2 = math.radians(a.lat), math.radians(b.lat)
-    dphi = phi2 - phi1
-    dlmb = math.radians(b.lon - a.lon)
-    h = (
-        math.sin(dphi / 2) ** 2
-        + math.cos(phi1) * math.cos(phi2) * math.sin(dlmb / 2) ** 2
-    )
-    return 2 * _EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
 @dataclass(frozen=True)

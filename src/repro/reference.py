@@ -1,8 +1,8 @@
 """The paper-faithful reference read path — the differential oracle.
 
-Production reads take one path (:meth:`ShardedCluster.find`: bind or
-analyze, compile, one leaf-run index scan, residual filter, structural
-copy).  This module answers the same query the slow, obvious way:
+Production reads take one path (:meth:`ShardedCluster.find`: one walk
+that compiles the query and builds its shape, one leaf-run index scan,
+residual filter, structural copy).  This module answers the same query the slow, obvious way:
 uncached routing that tests every chunk of the map
 (:func:`reference_target_chunks`, where production bisects the chunk
 list first), every shard planning on its own (no shared hinted

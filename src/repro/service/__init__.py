@@ -12,8 +12,8 @@ from a single-caller library into a query *server*:
   batched picklable plan messages, answering with record ids, see
   :mod:`repro.service.wire`);
 * :func:`query_shape_key` — a value-free query key no read path uses
-  any more (no plan is cached: every read binds its parameterized
-  shape or is analyzed), kept for the benchmark harness;
+  any more (no plan is cached: every read is parsed afresh in one
+  walk), kept for the benchmark harness;
 * :class:`ServiceMetrics` — latency percentiles, queue wait, and
   throughput for the serving path;
 * :class:`LoadGenerator` — closed-/open-loop replay of the paper's

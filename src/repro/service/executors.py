@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.docstore.collection import Collection
 from repro.docstore.executor import ExecutionStats
-from repro.docstore.paramplan import plan_read
+from repro.docstore.matcher import parse_query
 from repro.errors import QueryTimeoutError, ServiceError
 from repro.service.metrics import ServiceMetrics
 from repro.service.wire import (
@@ -146,17 +146,15 @@ class Deadline:
 class SubquerySpec:
     """Everything an executor needs to run one query's shard fan-out.
 
-    ``hint`` is the caller's explicit hint (or None) and ``shape``
-    the already-analyzed query shape — the same objects
-    the service hands to :meth:`ShardedCluster.find`, so both backends
-    execute the identical plan.
+    ``hint`` is the caller's explicit hint (or None) — the same
+    objects the service hands to :meth:`ShardedCluster.find`, so both
+    backends execute the identical plan.
     """
 
     collection: str
     query: Mapping[str, Any]
     hint: Optional[str]
     max_geo_ranges: Optional[int]
-    shape: Any = None
 
 
 class ThreadedExecutor:
@@ -597,22 +595,22 @@ class _WorkerHost:
         """Apply syncs, then serve each request in arrival order.
 
         One frame is one pickle, so the shard requests of one query
-        share its query object: each distinct object is planned once
-        per frame, in ``bound``.
+        share its query object: each distinct object is parsed once
+        per frame, in ``parsed``.
         """
         for sync in frame.syncs:
             with self._lock:
                 self._apply_sync_locked(sync)
-        bound: Dict[tuple, tuple] = {}
+        parsed: Dict[int, tuple] = {}
         results = tuple(
-            self._serve(request, bound) for request in frame.requests
+            self._serve(request, parsed) for request in frame.requests
         )
         return ReplyFrame(results=results, violations=self.violations())
 
     def _serve(
         self,
         request: SubqueryRequest,
-        bound: Dict[tuple, tuple],
+        parsed: Dict[int, tuple],
     ) -> ResultFrame:
         plan = request.plan
         if plan.stall_ms > 0.0:
@@ -620,7 +618,7 @@ class _WorkerHost:
         try:
             with self._lock:
                 payload, epoch = self._execute_locked(
-                    request.shard_id, plan, bound
+                    request.shard_id, plan, parsed
                 )
         except Exception as exc:
             return ResultFrame(
@@ -642,7 +640,7 @@ class _WorkerHost:
         self,
         shard_id: str,
         plan: PlanMessage,
-        bound: Dict[tuple, tuple],
+        parsed: Dict[int, tuple],
     ) -> Tuple[bytes, int]:
         """The encoded ``(rids, counters)`` and the epoch they ran at."""
         key = (shard_id, plan.collection)
@@ -654,10 +652,10 @@ class _WorkerHost:
                 "need %s)"
                 % (shard_id, plan.collection, epoch, plan.epoch)
             )
-        memo = (id(plan.query), plan.collection, plan.hint)
-        if memo not in bound:
-            bound[memo] = plan_read(plan.collection, plan.query, plan.hint)
-        shape, matcher, _outcome = bound[memo]
+        pair = parsed.get(id(plan.query))
+        if pair is None:
+            pair = parsed[id(plan.query)] = parse_query(plan.query)
+        shape, matcher = pair
         rids, stats, _plan = replica.find_rids(
             plan.query,
             hint=plan.hint,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.core.query import SpatioTemporalQuery
@@ -77,12 +77,6 @@ class LoadReport:
     mean_queue_wait_ms: float
     rejected_at_generator: int = 0
     executor: str = "thread"
-    #: How the service planned the queries it served over this
-    #: generator's lifetime: "shapeHits" (values bound into the
-    #: parameterized shape), "misses" (full analysis + compilation).
-    #: Cumulative over the service, so warmup passes issued through
-    #: the same service are included.
-    plan_outcomes: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         """The report as a JSON-ready mapping."""
@@ -103,7 +97,6 @@ class LoadReport:
             "p95LatencyMs": round(self.p95_latency_ms, 3),
             "p99LatencyMs": round(self.p99_latency_ms, 3),
             "meanQueueWaitMs": round(self.mean_queue_wait_ms, 3),
-            "planOutcomes": self.plan_outcomes,
         }
 
 
@@ -218,9 +211,6 @@ class LoadGenerator:
             ),
             rejected_at_generator=tally.rejected_at_generator,
             executor=self.service.executor_backend,
-            plan_outcomes=dict(
-                self.service.metrics_snapshot().plan_outcomes
-            ),
         )
 
     # -- closed loop -----------------------------------------------------------

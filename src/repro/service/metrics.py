@@ -59,10 +59,6 @@ class MetricsSnapshot:
     #: Process-executor counters: subqueries shipped to shard workers
     #: and replica snapshot syncs ("remoteCacheHits" is always 0).
     executor: Dict[str, int] = field(default_factory=dict)
-    #: How served queries were planned: values bound into the
-    #: parameterized shape ("shapeHits"), or full analysis +
-    #: compilation ("misses").
-    plan_outcomes: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         """The snapshot as a JSON-ready mapping."""
@@ -85,7 +81,6 @@ class MetricsSnapshot:
             },
             "caches": self.caches,
             "executor": self.executor,
-            "planOutcomes": self.plan_outcomes,
         }
 
 
@@ -114,8 +109,6 @@ class ServiceMetrics:
         self.writes = 0
         self.remote_subqueries = 0
         self.replica_syncs = 0
-        self.shape_hits = 0
-        self.plan_misses = 0
         self._first_at: float | None = None
         self._last_at: float | None = None
 
@@ -124,15 +117,12 @@ class ServiceMetrics:
         latency_ms: float,
         queue_wait_ms: float,
         stage_times: Dict[str, float] | None = None,
-        cache_outcome: str | None = None,
     ) -> None:
         """Record one successfully served read query.
 
         ``stage_times`` carries the per-stage wall-clock breakdown
         (plan/scan/filter/merge) the execution layer measured; it
-        accumulates into the snapshot's stage totals.  ``cache_outcome``
-        is ``"shape"`` (bound) or ``"miss"`` (analyzed); None — hinted
-        and interpreter reads — leaves the outcome counters untouched.
+        accumulates into the snapshot's stage totals.
         """
         now = time.perf_counter()
         with self._lock:
@@ -148,10 +138,6 @@ class ServiceMetrics:
                     self._stage_totals_ms[stage] = (
                         self._stage_totals_ms.get(stage, 0.0) + ms
                     )
-            if cache_outcome == "shape":
-                self.shape_hits += 1
-            elif cache_outcome == "miss":
-                self.plan_misses += 1
             self.completed += 1
             if self._first_at is None:
                 self._first_at = now
@@ -198,8 +184,6 @@ class ServiceMetrics:
             self.writes = 0
             self.remote_subqueries = 0
             self.replica_syncs = 0
-            self.shape_hits = 0
-            self.plan_misses = 0
             self._first_at = None
             self._last_at = None
 
@@ -250,9 +234,5 @@ class ServiceMetrics:
                     # benchmark harness until ROADMAP item 1(d).
                     "remoteCacheHits": 0,
                     "replicaSyncs": self.replica_syncs,
-                },
-                plan_outcomes={
-                    "shapeHits": self.shape_hits,
-                    "misses": self.plan_misses,
                 },
             )

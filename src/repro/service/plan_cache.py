@@ -1,8 +1,8 @@
 """Hashable keys for queries: by value-free shape, and by exact document.
 
 Nothing here stores a plan.  :class:`~repro.service.service.QueryService`
-plans every read from the query itself (bind the parameterized shape,
-or analyze it), so there is no plan cache to fill, evict or invalidate
+plans every read from the query itself, in one walk
+(:func:`~repro.docstore.matcher.parse_query`), so there is no plan cache to fill, evict or invalidate
 — DESIGN.md §8 records the measurements and the counter-parity bug
 that retired the three stores this module used to hold.  What is left
 are two key functions no read path calls any more — the worker result

@@ -21,10 +21,10 @@ executor.  :class:`QueryService` adds exactly that layer:
   ``metadata_version`` after lock acquisition, so a migration sliding
   between targeting and execution cannot strand a query on stale
   routing.
-* **One planning path** — a read binds its parameterized shape
-  (:mod:`repro.docstore.paramplan`) or, when the structure is not
-  parameterizable, is analyzed; nothing is stored between queries, so
-  nothing needs invalidating (DESIGN.md §8).
+* **One planning path** — a read parses its query once
+  (:func:`~repro.docstore.matcher.parse_query`) into the planner's
+  shape and the compiled matcher; nothing is stored between queries,
+  so nothing needs invalidating (DESIGN.md §8).
 * **Admission control** — a bounded wait queue and a concurrency
   limit; requests beyond both fail fast with
   :class:`~repro.errors.ServiceOverloadedError`, and a per-query
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import ShardedCluster
-from repro.docstore.paramplan import plan_read
+from repro.docstore.matcher import parse_query
 from repro.errors import (
     QueryTimeoutError,
     ServiceError,
@@ -115,7 +115,6 @@ class ServiceFindResult:
         latency_ms: float,
         queue_wait_ms: float,
         hint_used: Optional[str],
-        cache_outcome: Optional[str] = None,
     ) -> None:
         self.documents = documents
         self.stats = stats
@@ -123,11 +122,9 @@ class ServiceFindResult:
         self.queue_wait_ms = queue_wait_ms
         #: The caller's explicit ``hint=``; the service never adds one.
         self.hint_used = hint_used
-        #: How the query was planned: ``"shape"`` (values bound into
-        #: its parameterized shape), ``"miss"`` (analyzed: the
-        #: structure is not parameterizable, or the bind refused these
-        #: values); None for hinted reads.
-        self.cache_outcome = cache_outcome
+        #: Vestigial, always None: every read is parsed the same way.
+        #: The benchmark harness reads it until ROADMAP item 1(d).
+        self.cache_outcome: Optional[str] = None
 
     def __iter__(self):
         return iter(self.documents)
@@ -248,7 +245,7 @@ class QueryService:
         """Serve one read query through the concurrent frontend.
 
         Admission, queueing, the read's turn (thread backend), per-shard
-        read locks, plan binding, scatter-gather, and metrics wrap the same
+        read locks, query parsing, scatter-gather, and metrics wrap the same
         execution :meth:`ShardedCluster.find` performs; documents and
         cluster statistics are identical to the library path.
         """
@@ -288,13 +285,12 @@ class QueryService:
         started: float,
         queue_wait_ms: float,
     ) -> ServiceFindResult:
-        shape, matcher, cache_outcome = plan_read(collection, query, hint)
+        shape, matcher = parse_query(query)
         spec = SubquerySpec(
             collection=collection,
             query=query,
             hint=hint,
             max_geo_ranges=max_geo_ranges,
-            shape=shape,
         )
         # The turn is taken before any shard read lock, so no read
         # ever waits for it under one.
@@ -352,7 +348,6 @@ class QueryService:
             latency_ms,
             queue_wait_ms,
             stage_times=result.stats.stage_times_ms,
-            cache_outcome=cache_outcome,
         )
         return ServiceFindResult(
             documents=result.documents,
@@ -360,7 +355,6 @@ class QueryService:
             latency_ms=latency_ms,
             queue_wait_ms=queue_wait_ms,
             hint_used=hint,
-            cache_outcome=cache_outcome,
         )
 
     def _read_lock_targeted_shards(

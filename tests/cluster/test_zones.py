@@ -33,13 +33,6 @@ class TestZone:
         assert not z.covers_range(key(5), key(15))
         assert not z.covers_range(key(15), key(25))
 
-    def test_overlaps_range(self):
-        z = zone("z", 10, 20)
-        assert z.overlaps_range(key(15), key(25))
-        assert z.overlaps_range(key(5), key(11))
-        assert not z.overlaps_range(key(20), key(30))
-        assert not z.overlaps_range(key(0), key(10))
-
 
 class TestZoneSet:
     def test_ordered_iteration(self):

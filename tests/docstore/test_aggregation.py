@@ -156,4 +156,4 @@ class TestCollectionAggregate:
         col.insert_one({"a": {"b": 1}})
         out = col.aggregate([{"$project": {"a": 1}}])
         out[0]["a"]["b"] = 999
-        assert col.find({}).first()["a"]["b"] == 1
+        assert col.find({}).to_list()[0]["a"]["b"] == 1

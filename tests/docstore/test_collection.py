@@ -108,7 +108,7 @@ class TestBulkLoad:
         assert [rid for rid, _ in replica.all_records()] == [0, 1, 3, 4]
         assert list(replica.all_records()) == list(source.all_records())
         replica.update_many({"_id": 1}, {"$set": {"b": "changed"}})
-        assert source.find({"_id": 1}).first()["b"] == "x1"
+        assert source.find({"_id": 1}).to_list()[0]["b"] == "x1"
         # New rids continue after the largest kept one.
         replica.insert_one({"_id": 9})
         assert [rid for rid, _ in replica.all_records()][-1] == 5
@@ -118,9 +118,9 @@ class TestFind:
     def test_find_returns_copies(self):
         col = Collection("t")
         col.insert_one({"_id": 1, "a": {"b": 1}})
-        found = col.find({"_id": 1}).first()
+        found = col.find({"_id": 1}).to_list()[0]
         found["a"]["b"] = 999
-        assert col.find({"_id": 1}).first()["a"]["b"] == 1
+        assert col.find({"_id": 1}).to_list()[0]["a"]["b"] == 1
 
     def test_find_by_id_uses_id_index(self):
         col = Collection("t")
@@ -150,7 +150,7 @@ class TestFind:
 
     def test_find_one_none_when_empty(self):
         col = Collection("t")
-        assert col.find({"a": 1}).first() is None
+        assert col.find({"a": 1}).to_list() == []
 
     def test_2dsphere_finds_a_point_one_ulp_below_a_cell_edge(self):
         # 12.45849609375 is a GeoHash row edge; the point sits one ulp
@@ -235,7 +235,7 @@ class TestDeleteUpdate:
         col = Collection("t")
         col.insert_one({"i": 1, "junk": "x"})
         col.update_many({}, {"$unset": {"junk": ""}})
-        assert "junk" not in col.find({}).first()
+        assert "junk" not in col.find({}).to_list()[0]
 
     def test_unknown_update_operator_rejected(self):
         col = Collection("t")

@@ -54,7 +54,6 @@ class TestCursorEdgeCases:
 
         cursor = Cursor([])
         assert cursor.to_list() == []
-        assert cursor.first() is None
         assert len(cursor) == 0
 
     def test_negative_modifiers_rejected(self):

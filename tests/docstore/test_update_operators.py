@@ -17,61 +17,61 @@ class TestIncMul:
     def test_inc(self):
         col = col_with({"_id": 1, "n": 10})
         col.update_many({}, {"$inc": {"n": 5}})
-        assert col.find({}).first()["n"] == 15
+        assert col.find({}).to_list()[0]["n"] == 15
 
     def test_inc_negative(self):
         col = col_with({"_id": 1, "n": 10})
         col.update_many({}, {"$inc": {"n": -3}})
-        assert col.find({}).first()["n"] == 7
+        assert col.find({}).to_list()[0]["n"] == 7
 
     def test_inc_missing_starts_at_zero(self):
         col = col_with({"_id": 1})
         col.update_many({}, {"$inc": {"n": 4}})
-        assert col.find({}).first()["n"] == 4
+        assert col.find({}).to_list()[0]["n"] == 4
 
     def test_mul(self):
         col = col_with({"_id": 1, "n": 6})
         col.update_many({}, {"$mul": {"n": 2}})
-        assert col.find({}).first()["n"] == 12
+        assert col.find({}).to_list()[0]["n"] == 12
 
     def test_inc_nested_path(self):
         col = col_with({"_id": 1, "stats": {"hits": 1}})
         col.update_many({}, {"$inc": {"stats.hits": 1}})
-        assert col.find({}).first()["stats"]["hits"] == 2
+        assert col.find({}).to_list()[0]["stats"]["hits"] == 2
 
 
 class TestMinMax:
     def test_min_lowers(self):
         col = col_with({"_id": 1, "n": 10})
         col.update_many({}, {"$min": {"n": 5}})
-        assert col.find({}).first()["n"] == 5
+        assert col.find({}).to_list()[0]["n"] == 5
 
     def test_min_keeps_lower(self):
         col = col_with({"_id": 1, "n": 3})
         col.update_many({}, {"$min": {"n": 5}})
-        assert col.find({}).first()["n"] == 3
+        assert col.find({}).to_list()[0]["n"] == 3
 
     def test_max_raises(self):
         col = col_with({"_id": 1, "n": 10})
         col.update_many({}, {"$max": {"n": 20}})
-        assert col.find({}).first()["n"] == 20
+        assert col.find({}).to_list()[0]["n"] == 20
 
     def test_min_on_missing_sets(self):
         col = col_with({"_id": 1})
         col.update_many({}, {"$min": {"n": 5}})
-        assert col.find({}).first()["n"] == 5
+        assert col.find({}).to_list()[0]["n"] == 5
 
 
 class TestPush:
     def test_appends(self):
         col = col_with({"_id": 1, "tags": ["a"]})
         col.update_many({}, {"$push": {"tags": "b"}})
-        assert col.find({}).first()["tags"] == ["a", "b"]
+        assert col.find({}).to_list()[0]["tags"] == ["a", "b"]
 
     def test_creates_array(self):
         col = col_with({"_id": 1})
         col.update_many({}, {"$push": {"tags": "a"}})
-        assert col.find({}).first()["tags"] == ["a"]
+        assert col.find({}).to_list()[0]["tags"] == ["a"]
 
     @pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
     def test_onto_a_non_array_raises_and_keeps_earlier_updates(
@@ -106,7 +106,7 @@ class TestUnset:
         col.create_index([("meta.x", 1)], name="mx_1")
         col.insert_one({"_id": 1, "meta": {"x": 5, "y": 6}})
         assert col.update_many({"_id": 1}, {"$unset": {"meta.x": ""}}) == 1
-        assert col.find({}).first() == {"_id": 1, "meta": {"y": 6}}
+        assert col.find({}).to_list()[0] == {"_id": 1, "meta": {"y": 6}}
         assert len(col.find_with_stats({"meta.x": 5}, hint="mx_1")) == 0
         # A missing field indexes as null, as in MongoDB.
         assert len(col.find_with_stats({"meta.x": None}, hint="mx_1")) == 1
@@ -114,16 +114,16 @@ class TestUnset:
     def test_array_element_is_set_to_null(self):
         col = col_with({"_id": 1, "tags": ["a", "b", "c"]})
         col.update_many({}, {"$unset": {"tags.1": ""}})
-        assert col.find({}).first()["tags"] == ["a", None, "c"]
+        assert col.find({}).to_list()[0]["tags"] == ["a", None, "c"]
 
     def test_results_follow_the_shape_after_unset(self):
         col = col_with({"_id": 1, "meta": {"x": [1, 2], "y": {"z": 1}}})
         col.update_many({}, {"$unset": {"meta.x": "", "meta.y": ""}})
         col.update_many({}, {"$set": {"meta.w": [3]}})
-        result = col.find({}).first()
+        result = col.find({}).to_list()[0]
         assert result == {"_id": 1, "meta": {"w": [3]}}
         result["meta"]["w"].append(4)
-        assert col.find({}).first() == {"_id": 1, "meta": {"w": [3]}}
+        assert col.find({}).to_list()[0] == {"_id": 1, "meta": {"w": [3]}}
 
 
 class TestIndexMaintenance:
@@ -146,7 +146,7 @@ class TestIndexMaintenance:
                 "$unset": {"junk": ""},
             },
         )
-        doc = col.find({}).first()
+        doc = col.find({}).to_list()[0]
         assert doc["a"] == 2 and doc["b"] == 9 and doc["c"] == "x"
         assert "junk" not in doc
 
@@ -162,7 +162,7 @@ class TestIndexMaintenance:
         col = col_with({"_id": 1, "n": [1], "meta": {"x": 0}})
         with pytest.raises(DocumentStoreError, match="conflict"):
             col.update_many({}, update)
-        assert col.find({}).first() == {"_id": 1, "n": [1], "meta": {"x": 0}}
+        assert col.find({}).to_list()[0] == {"_id": 1, "n": [1], "meta": {"x": 0}}
         assert len(col.find_with_stats({"_id": 1}, hint="_id_")) == 1
 
     def test_unknown_operator_rejected(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.geo.geometry import BoundingBox, Point, Polygon, haversine_km
+from repro.geo.geometry import BoundingBox, Point, Polygon
 
 
 class TestPoint:
@@ -20,21 +20,6 @@ class TestPoint:
 
     def test_ordering_is_lexicographic(self):
         assert Point(1.0, 2.0) < Point(1.0, 3.0) < Point(2.0, 0.0)
-
-
-class TestHaversine:
-    def test_zero_distance(self):
-        p = Point(23.7, 37.9)
-        assert haversine_km(p, p) == 0.0
-
-    def test_athens_thessaloniki(self):
-        # Real-world distance is ~300 km.
-        d = haversine_km(Point(23.7275, 37.9838), Point(22.9444, 40.6401))
-        assert 290 < d < 310
-
-    def test_symmetry(self):
-        a, b = Point(0.0, 0.0), Point(10.0, 10.0)
-        assert haversine_km(a, b) == pytest.approx(haversine_km(b, a))
 
 
 class TestBoundingBox:

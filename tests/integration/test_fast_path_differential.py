@@ -11,9 +11,12 @@ shard): the production path is a pure performance transform with no
 observable semantic surface.
 
 :class:`TestResidualFilter` widens that to three arms — reference,
-compiled, shape-bound — over the query forms the residual FETCH
-filter's exactness rule turns on: the compiled arms drop the predicates
-exact index bounds already prove, the reference never does.
+library, and the library handed the one walk's pre-parsed shape and
+matcher — over the query forms the residual FETCH filter's exactness
+rule turns on: the compiled arms drop the predicates exact index
+bounds already prove, the reference never does.  Every query of every
+test here is also checked against the shape and matcher oracles
+(:func:`assert_one_walk_matches_reference`).
 """
 
 import datetime as _dt
@@ -30,17 +33,15 @@ from repro.datagen import FleetConfig, FleetGenerator
 from repro.datagen.datasets import GREECE_BBOX
 from repro.docstore.collection import Collection
 from repro.docstore.executor import ExecutionStats, run_index_scan
-from repro.docstore.matcher import Matcher
-from repro.docstore.paramplan import bind_plan, param_shape_key
-from repro.docstore.planner import analyze_query, plan_query
+from repro.docstore.matcher import parse_query
+from repro.docstore.planner import plan_query
 from repro.errors import PlanError
 from repro.geo.geometry import BoundingBox
-from repro.reference import (
-    reference_cluster_find,
-    reference_find,
-    reference_matches,
-)
+from repro.reference import reference_cluster_find, reference_find
 from repro.workloads.queries import QUERY_WINDOWS, SpatioTemporalQuery
+from tests.integration.test_plan_cache_differential import (
+    assert_one_walk_matches_reference,
+)
 
 N_DOCS = 1_200
 TOPOLOGY = ClusterTopology(n_shards=6)
@@ -125,6 +126,7 @@ def _assert_identical(deployment, query):
         )
         assert rendering.range_set == ranges, query.label
         assert rendering.query == rendered, query.label
+    assert_one_walk_matches_reference(rendered)
     fast = deployment.cluster.find(COLLECTION, rendered)
     slow = reference_cluster_find(deployment.cluster, COLLECTION, rendered)
     assert fast.documents == slow.documents, query.label
@@ -155,31 +157,28 @@ class TestCompiledVsInterpreter:
 
 
 def _three_way(cluster, query, hint=None, label=""):
-    """Reference vs compiled vs shape-bound on one raw query document.
+    """Reference vs library vs pre-parsed on one raw query document.
 
-    Returns the reference's result and whether the shape-bound arm ran
-    (the binder refuses structures outside its parameterizable subset).
+    Returns the reference's result, or None where the hint is unusable.
     """
+    assert_one_walk_matches_reference(query)
     try:
         slow = reference_cluster_find(cluster, COLLECTION, query, hint=hint)
     except PlanError:
         with pytest.raises(PlanError):
             cluster.find(COLLECTION, query, hint=hint)
-        return None, False
-    arms = [cluster.find(COLLECTION, query, hint=hint)]
-    key = param_shape_key(COLLECTION, query)
-    bound = bind_plan(query, key[1]) if key is not None else None
-    if bound is not None:
-        shape, matcher = bound
-        arms.append(
-            cluster.find(
-                COLLECTION, query, hint=hint, shape=shape, matcher=matcher
-            )
-        )
+        return None
+    shape, matcher = parse_query(query)
+    arms = [
+        cluster.find(COLLECTION, query, hint=hint),
+        cluster.find(
+            COLLECTION, query, hint=hint, shape=shape, matcher=matcher
+        ),
+    ]
     for arm in arms:
         assert arm.documents == slow.documents, (label, query)
         assert arm.stats.as_dict() == slow.stats.as_dict(), (label, query)
-    return slow, bound is not None
+    return slow
 
 
 def _edge_queries(rng: random.Random, hilberts):
@@ -330,16 +329,14 @@ class TestResidualFilter:
             for d in first_shard.collection(COLLECTION).index_definitions()
             if d.name not in ("_id_", "veh_speed_date")
         ]
-        bound_arms = matched = 0
+        matched = 0
         for _round in range(6):
             for label, query in _edge_queries(rng, hilberts):
                 for hint in hints:
-                    slow, bound = _three_way(cluster, query, hint, label)
-                    bound_arms += bound
+                    slow = _three_way(cluster, query, hint, label)
                     matched += bool(slow and slow.documents)
-        # The differential must have driven the binder and non-empty
-        # result sets, not only refusals and misses.
-        assert bound_arms > 50
+        # The differential must have driven non-empty result sets, not
+        # only unusable hints and empty answers.
         assert matched > 50
 
     def test_hinted_prefix_excluding_the_path_keeps_its_predicate(
@@ -356,7 +353,7 @@ class TestResidualFilter:
                 "vehicle_id": rng.randrange(30),
                 "date": {"$gte": a, "$lte": a + _dt.timedelta(days=9)},
             }
-            slow, _ = _three_way(cluster, query, "veh_speed_date", "prefix")
+            slow = _three_way(cluster, query, "veh_speed_date", "prefix")
             shard = cluster.shards[slow.stats.targeted_shards[0]]
             plan = shard.collection(COLLECTION).find_with_stats(
                 query, hint="veh_speed_date"
@@ -469,12 +466,9 @@ def test_key_within_exact_bounds_implies_dropped_predicates(values, query):
     col.create_index([("v", 1), ("w", 1)], name="v_w")
     for i, value in enumerate(values):
         col.insert_one({"_id": i, "v": value, "w": i % 3})
-    matcher = Matcher(query)
-    for document in col.all_documents():
-        assert matcher.matches(document) == reference_matches(query, document)
-    plan = plan_query(
-        analyze_query(query), [col.get_index("v_w")], len(col)
-    )
+    assert_one_walk_matches_reference(query, col.all_documents())
+    shape, matcher = parse_query(query)
+    plan = plan_query(shape, [col.get_index("v_w")], len(col))
     if plan.kind == "IXSCAN":
         residual = matcher.residual(plan.covered_paths)
         records = {i: d for i, d in enumerate(col.all_documents())}

@@ -1,27 +1,27 @@
-"""Differential testing of the service's one planning path.
+"""Differential testing of the one walk that plans every read.
 
-A service read binds its query's values into the parameterized shape
-(or analyzes the query when the structure is not parameterizable);
-nothing is carried from one query to the next.  Binding is a pure
-performance transform: it must produce exactly what full analysis +
-compilation produces.  ~200 randomized calls run through three arms
-over the same deployed cluster —
+A read parses its query once: ``parse_query`` compiles the matcher and
+builds the planner's shape in the same walk, and nothing is carried
+from one query to the next.  The walk is a pure performance transform,
+so it must produce exactly what the independent oracles produce:
 
-* **reference** — ``repro.reference.reference_cluster_find`` (the
-  paper-faithful interpreter, uncached);
-* **service** — the default configuration: every call binds;
-* **library** — ``ShardedCluster.find``, which analyzes and compiles
-  each query without binding.
+* its shape equals ``analyze_query``'s path by path — eq/in values,
+  range ends with their inclusivity, ``$or`` intervals, the bound
+  operator count, the geo region — and in ``opaque_or``
+  (:func:`assert_one_walk_matches_reference`);
+* its matcher agrees with ``reference_matches``, the paper-faithful
+  interpreter, on every document it is shown.
 
-Every arm must return byte-identical documents AND identical execution
-counters (``keysExamined``/``docsExamined``, per shard) for every
-query, and the outcome counters must show the service arm bound every
-call (the differential covered what it claims to).  The remaining
-classes pin what having no plan store buys: non-parameterizable
-structures are analyzed and still match the reference, a shape's
-first-ever query binds, and nothing a write, DDL or storage flush does
-between two identical queries can make the second one differ from a
-fresh service's answer.
+~200 randomized calls also run through three arms over the same
+deployed cluster — **reference** (``reference_cluster_find``,
+uncached), **service** (the default configuration) and **library**
+(``ShardedCluster.find``) — which must return byte-identical documents
+and identical execution counters (``keysExamined``/``docsExamined``,
+per shard).  The remaining classes drive every rendered query of the
+four approaches and structures the planner cannot bound through the
+same checks, and pin what having no plan store buys: nothing a write,
+DDL or storage flush does between two identical queries can make the
+second one differ from a fresh service's answer.
 """
 
 import datetime as dt
@@ -40,10 +40,54 @@ from repro.core.query import SpatioTemporalQuery
 from repro.datagen import FleetConfig, FleetGenerator
 from repro.datagen.datasets import ReproScale, load_r_dataset
 from repro.docstore.lsm import DurabilityConfig
+from repro.docstore.matcher import parse_query
+from repro.docstore.planner import analyze_query
 from repro.geo import BoundingBox
-from repro.reference import reference_cluster_find
+from repro.reference import reference_cluster_find, reference_matches
 from repro.service import QueryService, ServiceConfig
-from repro.workloads.queries import randomized_queries
+from repro.workloads.queries import (
+    big_queries,
+    randomized_queries,
+    small_queries,
+)
+
+#: Everything a :class:`~repro.docstore.planner.PathPredicate` asserts.
+PREDICATE_FIELDS = (
+    "eq_values",
+    "in_values",
+    "gt",
+    "gt_inclusive",
+    "lt",
+    "lt_inclusive",
+    "or_intervals",
+    "n_bound_ops",
+    "geo_region",
+)
+
+
+def assert_one_walk_matches_reference(query, documents=()):
+    """``parse_query(query)`` against the independent oracles.
+
+    The shape must equal ``analyze_query``'s path by path, and the
+    matcher must agree with ``reference_matches`` on each document.
+    Values are compared by identity first: both walks read the same
+    query objects, and a NaN bound equals only itself.
+    """
+    shape, matcher = parse_query(query)
+    oracle = analyze_query(query)
+    assert shape.opaque_or == oracle.opaque_or, query
+    assert shape.predicates.keys() == oracle.predicates.keys(), query
+    for path, got in shape.predicates.items():
+        want = oracle.predicates[path]
+        for name in PREDICATE_FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a is b or a == b, (path, name, query)
+    for document in documents:
+        assert matcher.matches(document) == reference_matches(
+            query, document
+        ), (query, document)
+    return shape
+
 
 N_DOCS = 800
 N_DISTINCT = 100  # each replayed twice -> 200 calls per arm
@@ -93,13 +137,18 @@ def reference_frame(cluster, query):
 
 
 def run_service_arm(deployment, workload):
-    config = ServiceConfig()
-    with QueryService(deployment.cluster, config) as service:
+    with QueryService(deployment.cluster, ServiceConfig()) as service:
         frames = [
             frame(service.find(COLLECTION, query)) for query in workload
         ]
-        outcomes = dict(service.metrics_snapshot().plan_outcomes)
-    return frames, outcomes
+        completed = service.metrics_snapshot().completed
+    return frames, completed
+
+
+def sample(cluster, step=8):
+    """Every ``step``-th stored document, in ``_id`` order."""
+    documents = reference_cluster_find(cluster, COLLECTION, {}).documents
+    return sorted(documents, key=lambda d: d["_id"])[::step]
 
 
 class TestThreeWayDifferential:
@@ -130,22 +179,29 @@ class TestThreeWayDifferential:
                     "%s arm: counters diverged on call %d" % (name, i)
                 )
 
-    def test_each_arm_exercised_its_path(self, arm_results, workload):
-        _, service = arm_results["service"]
-        # The service arm bound every call, first sightings included.
-        assert service == {"shapeHits": len(workload), "misses": 0}
+    def test_each_arm_exercised_its_path(
+        self, arm_results, deployment, workload
+    ):
+        _, completed = arm_results["service"]
+        assert completed == len(workload)
+        documents = sample(deployment.cluster)
+        for query in workload:
+            shape = assert_one_walk_matches_reference(query, documents)
+            # The walk folded the Hilbert $or into the shape's bounds
+            # and parsed the region: the differential covered both.
+            assert shape.predicate("hilbertIndex").or_intervals, query
+            assert shape.predicate("location").geo_region is not None
 
 
 class TestShapeBindingAcrossConstants:
     def test_fresh_constants_bind_without_divergence(
         self, deployment
     ):
-        """Never-repeated constants must bind and match the library path.
+        """Never-repeated constants parse to the reference's shape and
+        serve what the library path serves.
 
         The module workload replays each query twice; this drives 100
-        distinct literals through a fresh service — its very first
-        query already binds — and compares against analysis +
-        compilation without binding.
+        distinct literals through a fresh service.
         """
         encoder = deployment.approach.encoder
         stream = [
@@ -154,7 +210,8 @@ class TestShapeBindingAcrossConstants:
         ]
         with QueryService(deployment.cluster, ServiceConfig()) as service:
             served = [service.find(COLLECTION, q) for q in stream]
-        assert [r.cache_outcome for r in served] == ["shape"] * len(stream)
+        for query in stream:
+            assert_one_walk_matches_reference(query)
         cold = [
             frame(deployment.cluster.find(COLLECTION, q)) for q in stream
         ]
@@ -177,13 +234,18 @@ class TestEveryApproachBinds:
         )
         rendered = [
             dep.approach.render_query(q)[0]
-            for q in [WIDE] + randomized_queries(12, seed=11)
+            for q in [WIDE]
+            + small_queries()
+            + big_queries()
+            + randomized_queries(12, seed=11)
         ]
+        documents = sample(dep.cluster)
+        for query in rendered:
+            assert_one_walk_matches_reference(query, documents)
         expected = [reference_frame(dep.cluster, q) for q in rendered]
         with QueryService(dep.cluster, ServiceConfig()) as service:
             served = [service.find(COLLECTION, q) for q in rendered]
         assert served[0].documents
-        assert [r.cache_outcome for r in served] == ["shape"] * len(rendered)
         assert [frame(r) for r in served] == expected
 
 
@@ -213,11 +275,14 @@ class TestAnalyzedStructures:
             deployment.cluster, COLLECTION, query
         )
         with QueryService(deployment.cluster, ServiceConfig()) as service:
-            # Twice: the second sighting is analyzed afresh, no hint.
+            # Twice: the second sighting is parsed afresh, no hint.
             served = [service.find(COLLECTION, query) for _ in range(2)]
         assert expected.documents, "the case must select something"
+        shape = assert_one_walk_matches_reference(
+            query, sample(deployment.cluster)
+        )
+        assert shape.opaque_or == (label == "multi-path-or")
         for result in served:
-            assert result.cache_outcome == "miss"
             assert result.hint_used is None
             assert frame(result) == frame(expected)
 
@@ -256,7 +321,6 @@ class TestNothingToInvalidate:
             ]
             service.insert_many(COLLECTION, clones)
             after = service.find(COLLECTION, query)
-        assert after.cache_outcome == "shape"
         assert len(after.documents) == len(before.documents) - 1 + len(clones)
         assert frame(after) == fresh_frame(dep.cluster, query)
 

@@ -16,7 +16,7 @@ covers exactly the stored records.
 import contextlib
 import datetime as dt
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.chunk import ShardKeyPattern
@@ -120,6 +120,12 @@ def _range_key(bound):
 @given(
     loaded=_batches,
     operations=st.lists(_operations, max_size=8),
+)
+# Two bulk-loaded documents share one nested dict; updating it in one
+# of them must leave the other, and the other's shape, untouched.
+@example(
+    loaded=(lambda meta: [{"meta": meta}, {"meta": meta, "a": None}])({}),
+    operations=[("update", [0, 0], {"$set": {"meta.a": []}})],
 )
 def test_find_results_follow_the_stored_shape(loaded, operations):
     shards = [Shard("a"), Shard("b")]

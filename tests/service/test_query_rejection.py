@@ -1,4 +1,5 @@
-"""A malformed query is rejected when it is built, on every read path.
+"""A malformed query is rejected when it is built, on every read path
+and every write path that takes a query.
 
 MongoDB rejects each form below when it parses the query, before any
 document is read: the verdict cannot depend on whether the collection
@@ -47,6 +48,16 @@ MALFORMED = [
     pytest.param({"$gte": {"x": {1, 2}}, "$lte": 5}, id="bound-not-bson"),
 ]
 
+#: Malformed at the top level rather than under a field.
+MALFORMED_TOP = [
+    pytest.param({"$and": [5]}, id="and-clause-not-a-document"),
+    pytest.param({"$and": 5}, id="and-not-an-array"),
+    pytest.param({"$or": [{"k": 1}, 5]}, id="or-clause-not-a-document"),
+    pytest.param({"$nor": [{"group": {"$in": 10}}]}, id="nor-clause-malformed"),
+]
+
+UPDATE = {"$set": {"touched": True}}
+
 # Empty collection; present on no document; present on every document.
 TARGETS = [("e", "group"), ("t", "ghost"), ("t", "group")]
 TARGET_IDS = ["empty-collection", "missing-field", "present-field"]
@@ -94,3 +105,48 @@ class TestRejectedWhenBuilt:
         for query in _queries(field, ops):
             with pytest.raises(QueryError):
                 service.find(name, query)
+
+    def test_cluster_writes(self, cluster, ops, name, field):
+        for query in _queries(field, ops):
+            with pytest.raises(QueryError):
+                cluster.delete_many(name, query)
+            with pytest.raises(QueryError):
+                cluster.update_many(name, query, UPDATE)
+            with pytest.raises(QueryError):
+                cluster.targeting_for(name, query)
+
+    def test_service_writes(self, service, ops, name, field):
+        for query in _queries(field, ops):
+            with pytest.raises(QueryError):
+                service.delete_many(name, query)
+            with pytest.raises(QueryError):
+                service.update_many(name, query, UPDATE)
+
+
+@pytest.mark.parametrize("query", MALFORMED_TOP)
+@pytest.mark.parametrize("name", ["e", "t"])
+class TestTopLevelRejectedWhenBuilt:
+    def test_cluster(self, cluster, query, name):
+        for call in (
+            lambda: cluster.find(name, query),
+            lambda: cluster.targeting_for(name, query),
+            lambda: cluster.delete_many(name, query),
+            lambda: cluster.update_many(name, query, UPDATE),
+        ):
+            with pytest.raises(QueryError):
+                call()
+
+    def test_service(self, service, query, name):
+        for call in (
+            lambda: service.find(name, query),
+            lambda: service.delete_many(name, query),
+            lambda: service.update_many(name, query, UPDATE),
+        ):
+            with pytest.raises(QueryError):
+                call()
+
+
+def test_nothing_was_written(cluster):
+    # Every write above was refused before it reached a shard.
+    assert cluster.count_documents("t", {"touched": True}) == 0
+    assert cluster.count_documents("t", {}) == 60

@@ -174,8 +174,9 @@ def test_no_module_imports_a_higher_layer():
 
 
 #: Surface deleted because nothing in ``src/`` called it (DESIGN.md §11
-#: and §13): the per-query chooser and its statistics, and the names
-#: only their own unit tests reached.  Module -> attribute paths.
+#: and §13): the per-query chooser and its statistics, the names only
+#: their own unit tests reached, and the parameterized-plan binder the
+#: one compiling walk replaced.  Module -> attribute paths.
 DELETED = {
     "repro.core.chooser": [],
     "repro.docstore.stats": [],
@@ -183,9 +184,10 @@ DELETED = {
     "repro.cluster.catalog": ["ConfigCatalog.list_collections"],
     "repro.cluster.chunk": ["ShardKeyPattern.is_hashed"],
     "repro.cluster.router": ["lex_range_intersects_box"],
-    "repro.cluster.zones": ["ZoneSet.overlapping_zones"],
+    "repro.cluster.zones": ["ZoneSet.overlapping_zones", "Zone.overlaps_range"],
     "repro.docstore.bson": ["ObjectId.from_hex", "ObjectId.generation_time"],
     "repro.docstore.btree": ["BPlusTree.count_range"],
+    "repro.docstore.cursor": ["Cursor.first"],
     "repro.docstore.collection": [
         "Collection.find_one",
         "Collection.list_indexes",
@@ -193,6 +195,8 @@ DELETED = {
     ],
     "repro.docstore.document": ["has_path"],
     "repro.docstore.index": ["IndexDefinition.field_kind", "Index.raw_key_of"],
+    "repro.docstore.matcher": ["Matcher.from_tagged"],
+    "repro.docstore.paramplan": ["plan_read", "_bind_ops_slot", "_GEO_OPS"],
     "repro.docstore.lsm.engine": ["LSMEngine.delete_one", "LSMEngine.storage_epoch"],
     "repro.docstore.lsm.wal": [
         "WriteAheadLog.durable_lsn",
@@ -208,9 +212,14 @@ DELETED = {
         "BoundingBox.intersection",
         "BoundingBox.expanded",
         "LineString.length_km",
+        "haversine_km",
     ],
+    "repro.geo": ["haversine_km"],
     "repro.sanitizer": ["instrument_stats_catalog"],
-    "repro.service.executors": ["ShardWorkerPool.client_for"],
+    "repro.service.executors": [
+        "ShardWorkerPool.client_for",
+        "SubquerySpec.shape",
+    ],
     "repro.service.service": [
         "QueryService.analyze_collection",
         "QueryService.collection_stats",
