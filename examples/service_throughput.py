@@ -32,8 +32,8 @@ def run_mode(deployment, workload, label, clients, **overrides) -> None:
         deployment.approach, randomized_queries(20, seed=1)
     )
     with QueryService(deployment.cluster, ServiceConfig(**overrides)) as service:
-        # Worker spawn and replica sync (process executor) stay outside
-        # the measured pass.
+        # Worker forks (process executor) stay outside the measured
+        # pass.
         LoadGenerator(service, COLLECTION, warm_up).run_closed_loop(
             clients=clients, total_queries=len(warm_up)
         )

@@ -20,8 +20,8 @@ frame the child's threads enter.  The child runs inside a temporary
 copy of ``src/`` and ``benchmarks/``, so the result files it writes
 never touch the checkout.  Blind spot: frames entered in *other*
 processes are not seen, so the process-backend shard workers of
-``proc_mixed`` (``Collection.from_snapshot`` and the worker loop in
-``repro.service.executors``) show as unreached.  Check the worker side
+``proc_mixed`` (the worker loop in ``repro.service.executors``) show
+as unreached.  Check the worker side
 before deleting anything the census reports.
 
 Takes a few minutes.  Usage::

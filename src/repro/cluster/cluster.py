@@ -352,12 +352,12 @@ class ShardedCluster:
         metadata = self.catalog.get(collection)
         # Parsing validates: a malformed query raises QueryError before
         # any shard is touched.
-        shape, _matcher = parse_query(query)
+        shape, matcher = parse_query(query)
         targeting = target_chunks(metadata, shape)
         deleted = 0
         for shard_id in targeting.shard_ids:
             deleted += self.shards[shard_id].collection(collection).delete_many(
-                query
+                query, matcher=matcher
             )
         if deleted:
             for chunk in targeting.chunks:
@@ -389,7 +389,7 @@ class ShardedCluster:
                     % sorted(touched & forbidden)
                 )
         # Parsing validates, as in delete_many.
-        shape, _matcher = parse_query(query)
+        shape, matcher = parse_query(query)
         targeting = target_chunks(metadata, shape)
         updated = 0
         failed = True
@@ -397,7 +397,7 @@ class ShardedCluster:
             for shard_id in targeting.shard_ids:
                 updated += self.shards[shard_id].collection(
                     collection
-                ).update_many(query, update)
+                ).update_many(query, update, matcher=matcher)
             failed = False
         finally:
             # A shard that raised may have updated documents first.
@@ -584,12 +584,13 @@ class ShardedCluster:
         ``map`` semantics — ``shard_mapper(fn, shard_ids)`` returning
         the results of ``fn`` per shard id, in any order.  The default
         visits shards sequentially; :class:`repro.service.QueryService`
-        passes a thread-pool mapper so per-shard subqueries run
-        concurrently.  Merged documents and statistics are identical
-        either way: results are reassembled in targeting order, and the
-        modelled execution time is already *max over shards* (the cost
-        model's reading of Section 5), which a parallel fan-out now
-        matches in wall-clock shape.
+        passes its executor's mapper: the thread backend's runs the
+        shards one after another in the caller's thread, the process
+        backend's sends them to its shard workers.  Merged documents
+        and statistics are identical either way: results are
+        reassembled in targeting order, and the modelled execution
+        time is *max over shards* (the cost model's reading of
+        Section 5) whatever the fan-out.
 
         ``shape``/``matcher``/``targeting`` accept precomputed plan
         pieces (the service parses the query once), which must

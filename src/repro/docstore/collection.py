@@ -72,7 +72,7 @@ def own_document(document: Mapping[str, Any]) -> dict:
     absent).
 
     Nested containers stay shared with the caller: the bulk paths
-    (initial load, replica sync) take over documents their caller is
+    (initial load, engine recovery) take over documents their caller is
     done with, and copying every nested field of a whole data set would
     hold it in memory twice.  Single writes copy deeper
     (:meth:`Collection._insert_local`).
@@ -106,10 +106,10 @@ class Collection:
         self._rid_counter = itertools.count()
         self._indexes: Dict[str, Index] = {}
         #: Logical content epoch: bumped by every mutating operation
-        #: (writes, migration moves, index DDL).  Replication layers —
-        #: the process-parallel shard executors — compare it against
-        #: the epoch of their last shipped snapshot to decide whether a
-        #: replica must re-sync before serving a read.
+        #: (writes, migration moves, index DDL).  The process-parallel
+        #: shard executors compare it against the epoch a worker was
+        #: forked at to decide whether to fork a fresh one before it
+        #: serves a read.
         self._mutations = 0
         self._btree_order = btree_order
         self.storage_model = storage_model or StorageModel()
@@ -131,38 +131,6 @@ class Collection:
                     decode_document(raw) for _, raw in self._engine.scan()
                 )
             )
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        name: str,
-        definitions: Sequence[IndexDefinition],
-        records: Iterable[Tuple[int, Mapping[str, Any]]],
-    ) -> "Collection":
-        """Rebuild a read replica from a consistent snapshot.
-
-        ``definitions``/``records`` come from :meth:`index_definitions`
-        and :meth:`all_records` captured under the same exclusion (the
-        process-parallel executors pickle both while holding the source
-        shard's read lock).  The replica keeps the source's record ids
-        and record order, so index scan order, collection scan order,
-        every executionStats counter and every returned rid match the
-        source collection exactly.  Every index is built bottom-up
-        (:meth:`_load_local`).
-        """
-        replica = cls(name)
-        for definition in definitions:
-            if definition.name in replica._indexes:
-                continue  # _id_ is built by the constructor
-            replica._indexes[definition.name] = Index(
-                definition, order=replica._btree_order
-            )
-        records = {rid: own_document(d) for rid, d in records}
-        replica._load_local(records)
-        replica._rid_counter = itertools.count(max(records, default=-1) + 1)
-        # A replica starts at epoch 0 like any fresh collection; the
-        # executor layer tracks the *source* epoch per snapshot.
-        return replica
 
     # -- writes ---------------------------------------------------------------
 
@@ -196,7 +164,7 @@ class Collection:
         """Apply many inserts to the empty in-memory structures at once.
 
         The bulk form of :meth:`_insert_local` behind the initial
-        load, replica sync and engine recovery: ``records`` maps each
+        load and engine recovery: ``records`` maps each
         rid to its document, in scan order, and every index is built
         bottom-up (:meth:`Index.build`).  The dicts are adopted, not
         copied — each must be the collection's own and carry an
@@ -290,10 +258,17 @@ class Collection:
             self._engine.apply_batch(operations)
         return ids
 
-    def delete_many(self, query: Mapping[str, Any]) -> int:
-        """Delete matching documents; returns the count."""
+    def delete_many(
+        self, query: Mapping[str, Any], matcher: Optional[Matcher] = None
+    ) -> int:
+        """Delete matching documents; returns the count.
+
+        ``matcher`` is the query compiled already (the router parses
+        once for every targeted shard).
+        """
         self._mutations += 1
-        matcher = Matcher(query)
+        if matcher is None:
+            matcher = Matcher(query)
         doomed = [
             (rid, doc)
             for rid, doc in self._records.items()
@@ -318,7 +293,10 @@ class Collection:
     }
 
     def update_many(
-        self, query: Mapping[str, Any], update: Mapping[str, Any]
+        self,
+        query: Mapping[str, Any],
+        update: Mapping[str, Any],
+        matcher: Optional[Matcher] = None,
     ) -> int:
         """Apply an update document to matching documents.
 
@@ -332,7 +310,8 @@ class Collection:
         raises :class:`DocumentStoreError` and leaves that document
         unchanged.  The documents updated before it stay updated, and
         with durability on they are persisted before the error
-        propagates (as :meth:`insert_many` does).
+        propagates (as :meth:`insert_many` does).  ``matcher`` is the
+        query compiled already, as :meth:`delete_many` takes it.
         """
         unknown = set(update) - self._UPDATE_OPERATORS
         if unknown:
@@ -351,7 +330,8 @@ class Collection:
                         "updating %r and %r would conflict" % (path, other)
                     )
         self._mutations += 1
-        matcher = Matcher(query)
+        if matcher is None:
+            matcher = Matcher(query)
         touched = 0
         operations: List[Tuple[int, bytes, Optional[bytes]]] = []
         try:
@@ -687,22 +667,16 @@ class Collection:
         return self._mutations
 
     def index_definitions(self) -> List[IndexDefinition]:
-        """Picklable definitions of every index, ``_id_`` included.
+        """The definitions of every index, ``_id_`` included.
 
-        Snapshot-sync replication ships these instead of the live
-        :class:`Index` objects: a replica rebuilds each B-tree from the
-        definition plus the document stream, which keeps the wire frame
-        small and the rebuild deterministic.
+        Index definitions are catalog state, not WAL records: a durable
+        collection reopened from its directory re-declares them.
         """
         return [index.definition for index in self._indexes.values()]
 
     def all_documents(self) -> Iterable[Mapping[str, Any]]:
         """Storage view of all documents (do not mutate)."""
         return self._records.values()
-
-    def all_records(self) -> Iterable[Tuple[int, Mapping[str, Any]]]:
-        """Storage view of ``(rid, document)`` in scan order (do not mutate)."""
-        return self._records.items()
 
     def data_size(self) -> int:
         """Uncompressed BSON bytes of all documents."""

@@ -7,7 +7,8 @@ appear in the paper's document examples and both are accepted here.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from typing import Any
 
 from repro.geo.geometry import BoundingBox, LineString, Point, Polygon
 

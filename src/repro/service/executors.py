@@ -7,27 +7,35 @@ subquery execution to an *executor*:
   one after another, directly against the cluster's collections; the
   service hands reads their turns in arrival order.
 * :class:`ShardWorkerPool` — process-parallel serving: each shard (or
-  shard group) is assigned to a worker *process* hosting read replicas
-  of its collections.  Subqueries travel as compact picklable plan
-  messages (:mod:`repro.service.wire`), queued subqueries are
-  coalesced into one batch frame per worker round-trip, and the
-  worker answers each batch with one reply frame.  A worker replies
-  with record ids and counters only: the parent copies the documents
-  from its own collection, which holds them at the same epoch under
-  the shard read lock the caller keeps until the merge.
+  shard group) is assigned to a worker *process*, a fork of the parent
+  that serves its shards' collections as they were at the fork.
+  Subqueries travel as compact picklable plan messages
+  (:mod:`repro.service.wire`), queued subqueries are coalesced into
+  one batch frame per worker round-trip, and the worker answers each
+  batch with one reply frame.  A worker replies with record ids and
+  counters only: the parent copies the documents from its own
+  collection, which holds them at the same epoch under the shard read
+  lock the caller keeps until the merge.
 
 Replication contract (what makes results identical):
 
 * The parent is authoritative.  Writes and DDL run parent-side under
   the service's exclusive shard locks and bump the collection's
   ``mutation_count`` epoch.
-* A worker replica is (re)built from a :class:`~repro.service.wire.
-  SyncFrame` snapshot captured under the shard *read* lock: ``(rid,
-  document)`` pairs that the replica keeps as they are, so index scan
-  order, collection scan order, the returned rids, and every
-  executionStats counter match the parent's collection exactly.
+* A fork is the sync.  A worker is forked with the parent's live
+  collections of its shards; it inherits them copy-on-write, rids,
+  indexes and all, so every rid and counter it returns is the
+  parent's.  The client records each hosted collection's epoch at the
+  fork, and an enqueue that finds the epoch moved (or the collection
+  new) retires the worker and forks a fresh one.
+* The fork is safe because it runs while the caller holds a shard read
+  lock and every write takes *all* shard write locks: no hosted
+  collection is mid-write at the fork.  (An epoch check after the fork
+  could not replace that: ``delete_many`` bumps the epoch before it
+  mutates.)  Shard-scoped writes would first have to make the fork
+  take every hosted shard's read lock.
 * Every plan message carries the epoch it was targeted at; a worker
-  refuses to serve a replica whose epoch differs, and the parent
+  refuses to serve a collection whose epoch differs, and the parent
   refuses a reply whose epoch differs or that names a rid its own
   collection does not hold.  Because readers hold the shard read lock
   from epoch capture through the copy, and writers exclude readers, a
@@ -37,9 +45,9 @@ Replication contract (what makes results identical):
 Deadline semantics: an expired deadline abandons the read's queued
 and in-flight subqueries (unsent ones leave the outbox, replies are
 dropped by request id) and the service releases its read locks
-immediately.  That is safe because a remote
-subquery only touches the worker's own replica — it cannot race a
-parent-side writer that acquires the freed locks.  The threaded path
+immediately.  That is safe because a remote subquery only touches the
+worker's own copy-on-write image — it cannot race a parent-side
+writer that acquires the freed locks.  The threaded path
 has nothing in flight to abandon: its deadline is checked between
 shards in the caller's own thread.
 """
@@ -67,17 +75,15 @@ from repro.service.wire import (
     ShutdownFrame,
     SubqueryRequest,
     SubqueryResult,
-    SyncFrame,
     decode_error,
     decode_result,
     encode_error,
     encode_result,
-    load_sync_payload,
-    make_sync_payload,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import ShardedCluster
+    from repro.cluster.shard import Shard
     from repro.service.service import ServiceConfig
 
 __all__ = [
@@ -189,14 +195,16 @@ class _PendingReply:
     """Parent-side handle for one in-flight remote subquery."""
 
     def __init__(
-        self, client: "_WorkerClient", request_id: int, epoch: int, synced: bool
+        self, client: "_WorkerClient", request_id: int, epoch: int, forked: bool
     ) -> None:
         self._client = client
         self.request_id = request_id
         #: The epoch the subquery was sent at; the reply must match it.
         self.epoch = epoch
-        #: True when this request shipped a fresh replica snapshot.
-        self.synced = synced
+        #: True when this request forked the worker that serves it.
+        self.forked = forked
+        #: The pipe the request went out on; None while it is queued.
+        self.sent_on: Any = None
         self._event = threading.Event()
         self._frame: Optional[ResultFrame] = None
         self._violations: Tuple[str, ...] = ()
@@ -247,28 +255,35 @@ class _PendingReply:
 class _WorkerClient:
     """Parent-side endpoint of one worker process.
 
-    All shared state — the request outbox, queued sync frames, the
-    pending-reply table, and the pipe's send side — is guarded by one
-    mutex (``_lock``).  Callers enqueue while holding their shard read
+    All shared state — the request outbox, the pending-reply table, the
+    hosted epochs, and the pipe's send side — is guarded by one mutex
+    (``_lock``).  Callers enqueue while holding their shard read
     locks, establishing the shard-lock → client-lock order the static
     lockgraph models; nothing is ever acquired *under* the client
-    lock, so the hierarchy stays acyclic.  The reply-reader thread and
-    the worker process both start lazily on first use, which lets the
+    lock, so the hierarchy stays acyclic.  The worker process and its
+    reply-reader thread start lazily on first use, which lets the
     sanitizer swap ``_lock`` for an instrumented wrapper right after
-    construction.
+    construction, and again whenever a hosted collection's epoch moved.
     """
 
-    def __init__(self, ctx, worker_index: int, sanitize: bool) -> None:
+    def __init__(
+        self,
+        ctx,
+        worker_index: int,
+        sanitize: bool,
+        shards: Mapping[str, "Shard"],
+    ) -> None:
         self.worker_index = worker_index
         self._lock = threading.Lock()
         self._ctx = ctx
         self._sanitize = sanitize
+        #: The shards this worker serves, by id.
+        self._shards = shards
         self._ids = itertools.count()
         self._pending: Dict[int, _PendingReply] = {}
         self._outbox: List[SubqueryRequest] = []
-        self._sync_outbox: Dict[Tuple[str, str], SyncFrame] = {}
-        #: Last epoch shipped per (shard, collection).
-        self._synced: Dict[Tuple[str, str], int] = {}
+        #: Each hosted (shard, collection)'s epoch at the worker's fork.
+        self._epochs: Dict[Tuple[str, str], int] = {}
         self._conn = None
         self._proc = None
         self._reader: Optional[threading.Thread] = None
@@ -284,30 +299,23 @@ class _WorkerClient:
         spec: SubquerySpec,
         stall_ms: float,
     ) -> _PendingReply:
-        """Queue one subquery (and any missing snapshot) for this worker.
+        """Queue one subquery for this worker, forking a fresh one first
+        when the live one holds the collection at another epoch.
 
-        The caller must hold ``shard_id``'s read lock: the epoch is
-        read and the snapshot pickled *here*, so no writer can slide
-        between epoch capture and payload capture.
+        The caller must hold ``shard_id``'s read lock: the epoch is read
+        and any fork taken *here*, while no writer can be mid-write in
+        any collection the fork copies (every write holds every shard's
+        write lock).
         """
         epoch = collection.mutation_count
         with self._lock:
             if self._closed:
                 raise ServiceError("shard worker pool is shut down")
-            self._ensure_worker_locked()
-            key = (shard_id, spec.collection)
-            synced = False
-            if self._synced.get(key) != epoch:
-                self._sync_outbox[key] = SyncFrame(
-                    shard_id=shard_id,
-                    collection=spec.collection,
-                    epoch=epoch,
-                    payload=make_sync_payload(collection),
-                )
-                self._synced[key] = epoch
-                synced = True
+            forked = self._ensure_worker_locked(
+                (shard_id, spec.collection), epoch
+            )
             request_id = next(self._ids)
-            pending = _PendingReply(self, request_id, epoch, synced)
+            pending = _PendingReply(self, request_id, epoch, forked)
             self._pending[request_id] = pending
             plan = PlanMessage(
                 collection=spec.collection,
@@ -332,20 +340,22 @@ class _WorkerClient:
 
         Whoever flushes first drains the *whole* outbox — including
         requests other threads enqueued since — so concurrent queries
-        coalesce into one round-trip and a queued sync frame can never
-        be overtaken by a request that depends on it.
+        coalesce into one round-trip.
         """
         with self._lock:
-            if self._dead_reason is not None or self._conn is None:
+            conn = self._conn
+            if self._dead_reason is not None or conn is None:
                 return
-            if not self._outbox and not self._sync_outbox:
+            if not self._outbox:
                 return
-            syncs = tuple(self._sync_outbox.values())
-            self._sync_outbox.clear()
-            frame = BatchFrame(syncs=syncs, requests=tuple(self._outbox))
+            requests = tuple(self._outbox)
             self._outbox = []
+            for request in requests:
+                pending = self._pending.get(request.request_id)
+                if pending is not None:
+                    pending.sent_on = conn
             try:
-                self._conn.send(frame)
+                conn.send(BatchFrame(requests=requests))
             except (BrokenPipeError, OSError):
                 self._dead_reason = "shard worker process died mid-send"
                 self._fail_pending_locked(self._dead_reason)
@@ -358,58 +368,92 @@ class _WorkerClient:
                 r for r in self._outbox if r.request_id != request_id
             ]
 
-    def synced_epoch(self, shard_id: str, collection: str) -> Optional[int]:
-        """Last shipped epoch for a namespace (introspection/tests)."""
-        with self._lock:
-            return self._synced.get((shard_id, collection))
-
     # -- worker lifecycle ------------------------------------------------------
 
-    def _ensure_worker_locked(self) -> None:
-        """Spawn (or respawn after death) the worker process."""
+    def _ensure_worker_locked(self, key: Tuple[str, str], epoch: int) -> bool:
+        """Fork a worker unless the live one holds ``key`` at ``epoch``.
+
+        Returns True when it forked.  The worker it replaces — dead, or
+        holding a stale or missing copy of the collection — is retired
+        first.
+        """
         if (
             self._proc is not None
             and self._dead_reason is None
+            and self._epochs.get(key) == epoch
             and self._proc.is_alive()
         ):
-            return
+            return False
         if self._sanitize and worker_instrumenter is None:
             raise ServiceError(
                 "%s is set but no worker instrumenter is registered; "
                 "import repro.sanitizer before spawning shard workers"
                 % ENV_WORKER_SANITIZE
             )
-        self._dead_reason = None
-        self._synced.clear()
+        self._retire_locked()
+        hosted = {
+            (shard_id, name): shard.collection(name)
+            for shard_id, shard in self._shards.items()
+            for name in shard.database.list_collections()
+        }
+        self._epochs = {
+            namespace: collection.mutation_count
+            for namespace, collection in hosted.items()
+        }
         parent_conn, child_conn = self._ctx.Pipe()
-        self._conn = parent_conn
-        self._proc = self._ctx.Process(
+        # A fork context: the collections reach the child as its
+        # copy-on-write image, not as a pickle.
+        proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._sanitize),
+            args=(child_conn, hosted, self._sanitize),
             daemon=True,
             name="repro-shard-worker-%d" % self.worker_index,
         )
-        self._proc.start()
+        proc.start()
         child_conn.close()
+        self._conn = parent_conn
+        self._proc = proc
+        self._dead_reason = None
         self._reader = threading.Thread(
             target=self._reader_main,
-            args=(parent_conn,),
+            args=(parent_conn, proc),
             daemon=True,
             name="repro-worker-reader-%d" % self.worker_index,
         )
         self._reader.start()
+        return True
 
-    def _reader_main(self, conn) -> None:
-        """Dispatch reply frames to their pending waiters until EOF."""
+    def _retire_locked(self) -> None:
+        """Ask the live worker to exit once it has answered its batches.
+
+        The worker serves the frames before the shutdown in order, at
+        the epochs they were checked against.  Its reader thread then
+        reads EOF, fails whatever went unanswered, closes the pipe and
+        reaps the process — outside this lock.  Requests still in the
+        outbox go to the next worker.
+        """
+        conn = self._conn
+        if conn is None:
+            return
+        self._conn = self._proc = None
+        if self._dead_reason is None:
+            try:
+                conn.send(ShutdownFrame())
+            except (BrokenPipeError, OSError):
+                pass
+
+    def _reader_main(self, conn, proc) -> None:
+        """Dispatch reply frames to their pending waiters until EOF.
+
+        At EOF the worker is gone (retired, shut down or dead): fail
+        what it was sent and did not answer — everything, when it was
+        the live worker — then close the pipe and reap the process.
+        """
         while True:
             try:
                 frame = conn.recv()
             except (EOFError, OSError):
-                with self._lock:
-                    if conn is self._conn:
-                        self._dead_reason = "shard worker process died"
-                        self._fail_pending_locked(self._dead_reason)
-                return
+                break
             if isinstance(frame, ReplyFrame):
                 with self._lock:
                     waiters = [
@@ -419,46 +463,49 @@ class _WorkerClient:
                 for pending, result in waiters:
                     if pending is not None:
                         pending.deliver(result, frame.violations)
+        with self._lock:
+            if conn is self._conn:
+                self._dead_reason = "shard worker process died"
+                self._fail_pending_locked(self._dead_reason)
+            else:
+                self._fail_pending_locked("shard worker process died", conn)
+        conn.close()
+        proc.join()
 
-    def _fail_pending_locked(self, reason: str) -> None:
-        for pending in self._pending.values():
-            pending.fail(reason)
-        self._pending.clear()
+    def _fail_pending_locked(self, reason: str, sent_on: Any = None) -> None:
+        """Fail every waiter, or only those whose request went on ``sent_on``."""
+        for request_id, pending in list(self._pending.items()):
+            if sent_on is None or pending.sent_on is sent_on:
+                pending.fail(reason)
+                del self._pending[request_id]
 
     def close(self) -> None:
         """Stop the worker process and fail anything still in flight."""
         with self._lock:
             self._closed = True
-            conn = self._conn
             proc = self._proc
+            reader = self._reader
             self._fail_pending_locked("shard worker pool is shut down")
-            if conn is not None and self._dead_reason is None:
-                try:
-                    conn.send(ShutdownFrame())
-                except (BrokenPipeError, OSError):
-                    pass
+            self._retire_locked()
             self._dead_reason = "shard worker pool is shut down"
         if proc is not None:
             proc.join(timeout=5.0)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=5.0)
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
+        if reader is not None:
+            reader.join(timeout=5.0)
 
 
 class ShardWorkerPool:
     """Process-parallel backend: shard groups served by worker processes.
 
     Shards are assigned round-robin over ``executor_workers`` (default
-    ``max_workers``) worker processes; each worker hosts replicas for
-    its shards only, so the pool's lock topology per process is: the
-    parent's shard read lock (already held by the caller) → that
-    worker's client mutex, and *inside* a worker a single host mutex
-    with nothing nested under it.
+    ``max_workers``) worker processes; each worker serves its shards
+    only, so the pool's lock topology per process is: the parent's
+    shard read lock (already held by the caller) → that worker's
+    client mutex, and *inside* a worker a single host mutex with
+    nothing nested under it.
     """
 
     name = "process"
@@ -479,13 +526,20 @@ class ShardWorkerPool:
         workers = max(1, min(workers, len(cluster.shards)))
         sanitize = os.environ.get(ENV_WORKER_SANITIZE, "") not in ("", "0")
         ctx = multiprocessing.get_context("fork")
+        shard_ids = sorted(cluster.shards)
         self._workers: List[_WorkerClient] = [
-            _WorkerClient(ctx, index, sanitize)
+            _WorkerClient(
+                ctx,
+                index,
+                sanitize,
+                {s: cluster.shards[s] for s in shard_ids[index::workers]},
+            )
             for index in range(workers)
         ]
-        self._clients: Dict[str, _WorkerClient] = {}
-        for index, shard_id in enumerate(sorted(cluster.shards)):
-            self._clients[shard_id] = self._workers[index % workers]
+        self._clients: Dict[str, _WorkerClient] = {
+            shard_id: self._workers[index % workers]
+            for index, shard_id in enumerate(shard_ids)
+        }
 
     def clients(self) -> List[_WorkerClient]:
         """The distinct worker clients (instrumentation/tests)."""
@@ -542,15 +596,15 @@ class ShardWorkerPool:
                 # requests leave the outbox and replies still to come
                 # are dropped by request id.  Unlike the threaded path
                 # no drain is needed before the caller releases its
-                # read locks — remote subqueries only touch
-                # worker-local replicas and cannot race a parent-side
-                # writer.
+                # read locks — remote subqueries only touch the
+                # workers' own copy-on-write images and cannot race a
+                # parent-side writer.
                 for _shard_id, _col, pending in pendings:
                     pending.abandon()
                 raise
             if self.metrics is not None:
                 for _shard_id, _col, pending in pendings:
-                    self.metrics.record_remote(synced=pending.synced)
+                    self.metrics.record_remote(forked=pending.forked)
             return out
 
         return mapper
@@ -565,21 +619,21 @@ class ShardWorkerPool:
 
 
 class _WorkerHost:
-    """The worker process's state: replicas and one mutex.
+    """The worker process's state: the collections it serves, one mutex.
 
-    The event loop is single-threaded, but all replica state is still
-    guarded by ``_lock``: the lock *is* the worker's declared
-    topology (nothing may nest under it), the static lockgraph checks
-    that claim on this source, and ``REPRO_WORKER_SANITIZE`` swaps in
-    an instrumented wrapper so the claim is also checked at runtime —
-    any future worker-side thread that violates it trips both oracles
-    instead of corrupting a replica silently.
+    The collections are the parent's, inherited through the fork and
+    only ever read here.  The event loop is single-threaded, but the
+    serving state is still guarded by ``_lock``: the lock *is* the
+    worker's declared topology (nothing may nest under it), the static
+    lockgraph checks that claim on this source, and
+    ``REPRO_WORKER_SANITIZE`` swaps in an instrumented wrapper so the
+    claim is also checked at runtime — any future worker-side thread
+    that violates it trips both oracles.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, hosted: Mapping[Tuple[str, str], Collection]) -> None:
         self._lock = threading.Lock()
-        self._replicas: Dict[Tuple[str, str], Collection] = {}
-        self._epochs: Dict[Tuple[str, str], int] = {}
+        self._hosted = hosted
         self._sanitizer = None
 
     def violations(self) -> Tuple[str, ...]:
@@ -592,15 +646,12 @@ class _WorkerHost:
         )
 
     def handle_batch(self, frame: BatchFrame) -> ReplyFrame:
-        """Apply syncs, then serve each request in arrival order.
+        """Serve each request in arrival order.
 
         One frame is one pickle, so the shard requests of one query
         share its query object: each distinct object is parsed once
         per frame, in ``parsed``.
         """
-        for sync in frame.syncs:
-            with self._lock:
-                self._apply_sync_locked(sync)
         parsed: Dict[int, tuple] = {}
         results = tuple(
             self._serve(request, parsed) for request in frame.requests
@@ -628,14 +679,6 @@ class _WorkerHost:
             request_id=request.request_id, payload=payload, epoch=epoch
         )
 
-    def _apply_sync_locked(self, sync: SyncFrame) -> None:
-        definitions, records = load_sync_payload(sync.payload)
-        key = (sync.shard_id, sync.collection)
-        self._replicas[key] = Collection.from_snapshot(
-            sync.collection, definitions, records
-        )
-        self._epochs[key] = sync.epoch
-
     def _execute_locked(
         self,
         shard_id: str,
@@ -643,20 +686,18 @@ class _WorkerHost:
         parsed: Dict[int, tuple],
     ) -> Tuple[bytes, int]:
         """The encoded ``(rids, counters)`` and the epoch they ran at."""
-        key = (shard_id, plan.collection)
-        replica = self._replicas.get(key)
-        epoch = self._epochs.get(key)
-        if replica is None or epoch != plan.epoch:
+        collection = self._hosted.get((shard_id, plan.collection))
+        epoch = None if collection is None else collection.mutation_count
+        if collection is None or epoch != plan.epoch:
             raise ServiceError(
-                "worker replica for %s/%s is stale (have epoch %s, "
-                "need %s)"
+                "worker copy of %s/%s is stale (have epoch %s, need %s)"
                 % (shard_id, plan.collection, epoch, plan.epoch)
             )
         pair = parsed.get(id(plan.query))
         if pair is None:
             pair = parsed[id(plan.query)] = parse_query(plan.query)
         shape, matcher = pair
-        rids, stats, _plan = replica.find_rids(
+        rids, stats, _plan = collection.find_rids(
             plan.query,
             hint=plan.hint,
             max_geo_ranges=plan.max_geo_ranges,
@@ -666,9 +707,11 @@ class _WorkerHost:
         return encode_result(rids, stats), epoch
 
 
-def _worker_main(conn, sanitize: bool) -> None:
+def _worker_main(
+    conn, hosted: Mapping[Tuple[str, str], Collection], sanitize: bool
+) -> None:
     """The worker process's event loop: recv frames, send replies."""
-    host = _WorkerHost()
+    host = _WorkerHost(hosted)
     if sanitize:
         # Registered by repro.sanitizer.instrument in the parent and
         # inherited through fork; _ensure_worker_locked refused to

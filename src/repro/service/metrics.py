@@ -57,7 +57,7 @@ class MetricsSnapshot:
     #: decomposition, ...), keyed by cache name.
     caches: Dict[str, Dict] = field(default_factory=dict)
     #: Process-executor counters: subqueries shipped to shard workers
-    #: and replica snapshot syncs ("remoteCacheHits" is always 0).
+    #: and worker forks ("replicaSyncs"; "remoteCacheHits" is always 0).
     executor: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -108,7 +108,7 @@ class ServiceMetrics:
         self.timed_out = 0
         self.writes = 0
         self.remote_subqueries = 0
-        self.replica_syncs = 0
+        self.worker_forks = 0
         self._first_at: float | None = None
         self._last_at: float | None = None
 
@@ -148,16 +148,15 @@ class ServiceMetrics:
         with self._lock:
             self.writes += 1
 
-    def record_remote(self, synced: bool) -> None:
+    def record_remote(self, forked: bool) -> None:
         """Record one subquery served by a shard worker process.
 
-        ``synced`` marks a request whose batch carried a replica
-        snapshot.
+        ``forked`` marks a request that forked the worker serving it.
         """
         with self._lock:
             self.remote_subqueries += 1
-            if synced:
-                self.replica_syncs += 1
+            if forked:
+                self.worker_forks += 1
 
     def record_rejection(self) -> None:
         """Record an admission-control rejection (backpressure)."""
@@ -183,7 +182,7 @@ class ServiceMetrics:
             self.timed_out = 0
             self.writes = 0
             self.remote_subqueries = 0
-            self.replica_syncs = 0
+            self.worker_forks = 0
             self._first_at = None
             self._last_at = None
 
@@ -233,6 +232,8 @@ class ServiceMetrics:
                     # No worker caches results; the key stays for the
                     # benchmark harness until ROADMAP item 1(d).
                     "remoteCacheHits": 0,
-                    "replicaSyncs": self.replica_syncs,
+                    # Worker forks: a fork is the replica sync.  The
+                    # benchmark harness reads the key by this name.
+                    "replicaSyncs": self.worker_forks,
                 },
             )

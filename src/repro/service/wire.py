@@ -7,10 +7,9 @@ property — decode(encode(x)) reproduces x exactly — can be tested
 against the differential query corpus:
 
 * :class:`PlanMessage` — one subquery: the raw query document and the
-  replica epoch it must execute against;
-* :class:`BatchFrame` — what one pipe write carries: any replica
-  snapshots the worker is missing (:class:`SyncFrame`), then the
-  queued subqueries in arrival order, so one round-trip carries every
+  collection epoch it must execute against;
+* :class:`BatchFrame` — what one pipe write carries: the queued
+  subqueries in arrival order, so one round-trip carries every
   coalesced query;
 * :class:`ReplyFrame` — the worker's one answer to a batch: a
   :class:`ResultFrame` per request, in order.  A result carries record
@@ -21,10 +20,8 @@ against the differential query corpus:
   plain tuple and rebuilt field-for-field, so the service's merged
   statistics are identical to the threaded path's.
 
-Snapshot payloads (``SyncFrame.payload``) are pre-pickled ``bytes``,
-not live objects: a snapshot must be captured *while the parent holds
-the shard read lock* (a writer may mutate the documents in place the
-moment the lock drops).
+No document crosses the wire: a worker is forked with the collections
+it serves (:mod:`repro.service.executors`).
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from repro.docstore.executor import ExecutionStats
 __all__ = [
     "PlanMessage",
     "SubqueryRequest",
-    "SyncFrame",
     "BatchFrame",
     "ShutdownFrame",
     "ResultFrame",
@@ -50,8 +46,6 @@ __all__ = [
     "decode_result",
     "encode_error",
     "decode_error",
-    "make_sync_payload",
-    "load_sync_payload",
 ]
 
 #: One protocol for every frame; bumping pickle's default must not
@@ -65,7 +59,7 @@ class PlanMessage:
 
     ``epoch`` is the source collection's ``mutation_count`` at send
     time, read under the shard read lock — the worker refuses to serve
-    a replica whose epoch does not match.
+    a collection whose epoch does not match.
     """
 
     collection: str
@@ -94,26 +88,9 @@ class SubqueryRequest:
 
 
 @dataclass(frozen=True)
-class SyncFrame:
-    """A full replica snapshot for one ``(shard, collection)``.
-
-    ``payload`` is produced by :func:`make_sync_payload` under the
-    shard read lock: index definitions plus every ``(rid, document)``
-    in scan order.  The replica keeps those rids, so every rid list
-    and counter it returns is the source collection's.
-    """
-
-    shard_id: str
-    collection: str
-    epoch: int
-    payload: bytes
-
-
-@dataclass(frozen=True)
 class BatchFrame:
-    """One pipe write: missing snapshots first, then the requests."""
+    """One pipe write: the queued requests, in arrival order."""
 
-    syncs: Tuple[SyncFrame, ...]
     requests: Tuple[SubqueryRequest, ...]
 
 
@@ -128,7 +105,7 @@ class ResultFrame:
 
     Exactly one of ``payload`` (success, see :func:`encode_result`)
     and ``error`` (a pickled exception, see :func:`encode_error`) is
-    set.  ``epoch`` is the replica epoch the subquery ran at; the
+    set.  ``epoch`` is the collection epoch the subquery ran at; the
     parent refuses a reply whose epoch is not the one it sent.
     """
 
@@ -231,32 +208,3 @@ def encode_error(exc: BaseException) -> bytes:
 def decode_error(blob: bytes) -> BaseException:
     """The inverse of :func:`encode_error`."""
     return pickle.loads(blob)
-
-
-# -- replica snapshots ---------------------------------------------------------
-
-
-def make_sync_payload(collection) -> bytes:
-    """Snapshot a live :class:`~repro.docstore.collection.Collection`.
-
-    Must be called while the caller holds the shard's read lock: the
-    documents are pickled *now*, so an in-place update racing after
-    lock release cannot leak into the frame.  Documents travel as
-    ``all_records()`` ``(rid, document)`` pairs — the rebuild contract
-    :class:`SyncFrame` documents.
-    """
-    return pickle.dumps(
-        (
-            collection.index_definitions(),
-            list(collection.all_records()),
-        ),
-        protocol=WIRE_PROTOCOL,
-    )
-
-
-def load_sync_payload(
-    payload: bytes,
-) -> Tuple[List[Any], List[Tuple[int, dict]]]:
-    """``(index_definitions, [(rid, document), ...])`` from a snapshot."""
-    definitions, records = pickle.loads(payload)
-    return definitions, records

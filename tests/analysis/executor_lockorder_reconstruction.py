@@ -23,8 +23,8 @@ A reader thread in ``serve`` and a maintenance thread in
 on the other's.  LK001 finds the cycle statically; the runtime
 sanitizer finds it from a single-threaded, sequential execution of
 both paths, because the observed acquisition graph is cumulative.
-The shipped code avoids it by capturing the snapshot under the shard
-read lock *before* touching the client lock.
+The shipped code avoids it: it forks a worker under the shard read
+lock, taken *before* the client lock.
 """
 
 from __future__ import annotations

@@ -174,6 +174,27 @@ class TestFind:
         assert "nodes" in d and "maxKeysExamined" in d
 
 
+class TestWrites:
+    def test_a_write_compiles_its_query_once(self, monkeypatch):
+        # The router parses the query to target it and hands the
+        # compiled matcher to every targeted shard.
+        from repro.docstore import collection as collection_module
+
+        cluster = make_cluster()
+        docs = load_docs(cluster)
+        cluster.run_balancer("t")
+        query = {"date": {"$lt": T0 + dt.timedelta(hours=700)}}
+        expected = sum(reference_matches(query, d) for d in docs)
+
+        def compile_again(query):
+            raise AssertionError("a shard compiled the query again")
+
+        monkeypatch.setattr(collection_module, "Matcher", compile_again)
+        assert cluster.update_many("t", query, {"$set": {"pad": "y"}}) == expected
+        assert cluster.delete_many("t", query) == expected
+        assert cluster.count_documents("t", {}) == len(docs) - expected
+
+
 class TestMigrationsAndZones:
     def _zones(self, cluster):
         pattern = cluster.catalog.get("t").pattern

@@ -97,22 +97,6 @@ class TestBulkLoad:
         with pytest.raises(DocumentStoreError):
             col.bulk_load([{"_id": 2}])
 
-    def test_from_snapshot_copies_its_documents(self):
-        source = Collection("t")
-        source.insert_many(self.docs(5))
-        source.delete_many({"_id": 2})  # leaves a rid gap
-        replica = Collection.from_snapshot(
-            "t", source.index_definitions(), source.all_records()
-        )
-        # The replica keeps the source's rids, gap included.
-        assert [rid for rid, _ in replica.all_records()] == [0, 1, 3, 4]
-        assert list(replica.all_records()) == list(source.all_records())
-        replica.update_many({"_id": 1}, {"$set": {"b": "changed"}})
-        assert source.find({"_id": 1}).to_list()[0]["b"] == "x1"
-        # New rids continue after the largest kept one.
-        replica.insert_one({"_id": 9})
-        assert [rid for rid, _ in replica.all_records()][-1] == 5
-
 
 class TestFind:
     def test_find_returns_copies(self):

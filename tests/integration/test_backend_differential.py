@@ -14,12 +14,15 @@ Two checks that have no twin elsewhere at the paper's deployment (the
   from the same documents, live inserts and balancer run; closed
   without a checkpoint and reopened from its directories, it answers
   the same queries with the same documents and counter frames as
-  before the close.
+  before the close — also after the process backend's forked workers,
+  which inherit the engines' files, have served it and been forked
+  afresh after a write.
 
 The smaller synthetic-collection versions of the first check live in
 ``tests/service/test_process_executor.py`` and ``test_wire.py``.
 """
 
+import multiprocessing
 import os
 import pickle
 
@@ -115,7 +118,8 @@ class TestBackends:
             assert first["remoteSubqueries"] > 0
             assert executor["remoteSubqueries"] == 2 * first["remoteSubqueries"]
             assert executor["remoteCacheHits"] == 0
-            assert executor["replicaSyncs"] <= len(deployment.cluster.shards)
+            # Nothing was written: each worker was forked once.
+            assert executor["replicaSyncs"] == config.executor_workers
         else:
             assert executor["remoteSubqueries"] == 0
 
@@ -168,30 +172,15 @@ class TestDurableReopen:
             fleet_documents(), durability=durable(tmp_path)
         )
         workload = rendered_workload(deployment)
-
-        def frames(collection):
-            return [
-                (result.documents, result.stats.as_dict())
-                for result in map(collection.find_with_stats, workload)
-            ]
-
         # A fresh cluster cannot re-derive the old chunk routing, and
         # index definitions are catalog state, not WAL records — so the
         # comparison runs where the data lives, one shard database at a
         # time, with the shard's own index definitions re-declared.
-        before = {}
-        definitions = {}
         flushed = unflushed = 0
         try:
+            before, definitions = shard_frames(deployment, workload)
             for shard in deployment.cluster.shards.values():
-                collection = shard.collection(COLLECTION)
-                before[shard.database.name] = frames(collection)
-                definitions[shard.database.name] = [
-                    d
-                    for d in collection.index_definitions()
-                    if d.name != "_id_"
-                ]
-                stats = collection.engine.stats()
+                stats = shard.collection(COLLECTION).engine.stats()
                 flushed += stats.flushes
                 unflushed += stats.memtable_entries
         finally:
@@ -202,25 +191,97 @@ class TestDurableReopen:
         # balancer's migrations that is still only in the WAL.
         assert flushed and unflushed
         assert sum(len(docs) for f in before.values() for docs, _ in f) > 0
+        recovered = reopen(tmp_path, definitions, workload)
+        for name, (_count, frames) in recovered.items():
+            assert frames == before[name], name
+        assert sum(count for count, _frames in recovered.values()) == N_DOCS
 
-        recovered_total = 0
-        for name in sorted(os.listdir(tmp_path)):
-            database = Database(
-                name,
-                durability=DurabilityConfig(
-                    directory=str(tmp_path / name)
-                ),
-            )
-            try:
-                collection = database.collection(COLLECTION)
-                for definition in definitions[name]:
-                    collection.create_index(
-                        [(f.path, f.kind) for f in definition.fields],
-                        name=definition.name,
-                        geohash_bits=definition.geohash_bits,
-                    )
-                recovered_total += len(collection)
-                assert frames(collection) == before[name], name
-            finally:
-                database.close()
-        assert recovered_total == N_DOCS
+    def test_process_workers_leave_the_engine_alone(self, tmp_path):
+        # Workers are forks: each inherits the engines' open files and
+        # compactor state.  Serve through them, write a batch (the next
+        # read forks afresh), then close without a checkpoint: what
+        # recovery reads back must be what the parent wrote.
+        docs = fleet_documents()
+        deployment = deploy_half_then_live(
+            docs[:-LATE_DOCS], durability=durable(tmp_path)
+        )
+        workload = rendered_workload(deployment)
+        config = ServiceConfig(executor="process", executor_workers=2)
+        try:
+            with QueryService(deployment.cluster, config) as service:
+
+                def serve():
+                    served = [
+                        canonical(service.find(COLLECTION, query))
+                        for query in workload
+                    ]
+                    assert served == [
+                        canonical(deployment.cluster.find(COLLECTION, query))
+                        for query in workload
+                    ]
+                    return service.metrics_snapshot().executor["replicaSyncs"]
+
+                forks = serve()
+                assert forks > 0
+                service.insert_many(
+                    COLLECTION,
+                    map(deployment.approach.transform, docs[-LATE_DOCS:]),
+                )
+                assert serve() > forks
+            for child in multiprocessing.active_children():
+                child.join(timeout=10.0)
+            before, definitions = shard_frames(deployment, workload)
+        finally:
+            deployment.cluster.close()
+        recovered = reopen(tmp_path, definitions, workload)
+        for name, (_count, frames) in recovered.items():
+            assert frames == before[name], name
+        assert sum(count for count, _frames in recovered.values()) == N_DOCS
+
+
+#: Documents the process-backend durability test inserts through the
+#: service, after its workers have forked.
+LATE_DOCS = 100
+
+
+def frames_of(collection, workload):
+    """Shard-level documents and counter frames, query by query."""
+    return [
+        (result.documents, result.stats.as_dict())
+        for result in map(collection.find_with_stats, workload)
+    ]
+
+
+def shard_frames(deployment, workload):
+    """Each shard database's frames and its index definitions, by name."""
+    before = {}
+    definitions = {}
+    for shard in deployment.cluster.shards.values():
+        collection = shard.collection(COLLECTION)
+        before[shard.database.name] = frames_of(collection, workload)
+        definitions[shard.database.name] = [
+            d for d in collection.index_definitions() if d.name != "_id_"
+        ]
+    return before, definitions
+
+
+def reopen(directory, definitions, workload):
+    """Each shard database reopened from ``directory``: its document
+    count and frames, by name, with its index definitions re-declared."""
+    recovered = {}
+    for name in sorted(os.listdir(directory)):
+        database = Database(
+            name, durability=DurabilityConfig(directory=str(directory / name))
+        )
+        try:
+            collection = database.collection(COLLECTION)
+            for definition in definitions[name]:
+                collection.create_index(
+                    [(f.path, f.kind) for f in definition.fields],
+                    name=definition.name,
+                    geohash_bits=definition.geohash_bits,
+                )
+            recovered[name] = (len(collection), frames_of(collection, workload))
+        finally:
+            database.close()
+    return recovered

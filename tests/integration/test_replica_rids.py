@@ -1,28 +1,34 @@
-"""A snapshot replica keeps its source's record ids.
+"""A shard worker answers with its parent's record ids.
 
 The process backend's workers answer with record ids, and the parent
 copies those rids' documents out of its own collection.  That is only
-right if a replica rebuilt from a sync payload holds every document
-under the rid its source holds it under, in the same scan order.  Rids
-have gaps once documents leave — deletes, and chunk migrations that
-move a key range to the other shard — so a replica that renumbered its
-documents would answer with rids that name other documents, or none.
+right if the worker holds every document under the rid the parent
+holds it under, in the same scan order.  Rids have gaps once documents
+leave — deletes, and chunk migrations that move a key range to the
+other shard — so a worker that renumbered its documents would answer
+with rids that name other documents, or none.
 
 This property runs random insert, delete, update and migrate sequences
-over two shards' collections, then, for each shard, rebuilds a replica
-through ``make_sync_payload`` → ``Collection.from_snapshot`` and checks
-random queries: the replica's rids and counters are the source's, and
-the source's ``copy_results`` of those rids equals its own
-``find_with_stats`` documents and shares no container with its store.
+over two shards' collections, in two halves.  After each half, one
+real worker client (a forked process hosting both shards; the second
+half's writes make it fork afresh) answers random queries: its rids
+and counters are the parent's, and the parent's ``copy_results`` of
+those rids equals its own ``find_with_stats`` documents and shares no
+container with its store.  With ``REPRO_WORKER_SANITIZE=1`` the worker
+runs its own lock-order sanitizer.
 """
+
+import multiprocessing
+import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+# Registers the worker instrumenter for REPRO_WORKER_SANITIZE=1.
+import repro.sanitizer  # noqa: F401
 from repro.cluster.chunk import ShardKeyPattern
 from repro.cluster.shard import Shard, shard_key_index_name
-from repro.docstore.collection import Collection
-from repro.service.wire import load_sync_payload, make_sync_payload
+from repro.service import executors
 
 PATTERN = ShardKeyPattern.from_spec([("k", 1)])
 INDEX = shard_key_index_name(PATTERN)
@@ -77,43 +83,48 @@ def _containers(value, out):
     return out
 
 
-def _replica(source: Collection) -> Collection:
-    definitions, records = load_sync_payload(make_sync_payload(source))
-    return Collection.from_snapshot(source.name, definitions, records)
+def _worker(shards):
+    sanitize = os.environ.get(executors.ENV_WORKER_SANITIZE, "") not in (
+        "",
+        "0",
+    )
+    return executors._WorkerClient(
+        multiprocessing.get_context("fork"),
+        0,
+        sanitize,
+        {shard.shard_id: shard for shard in shards},
+    )
 
 
-def _check(source: Collection, queries) -> None:
-    replica = _replica(source)
-    assert [rid for rid, _doc in replica.all_records()] == [
-        rid for rid, _doc in source.all_records()
-    ]
-    owned: set = set()
-    for doc in source.all_documents():
-        _containers(doc, owned)
-    for query, hint in queries:
-        expected = source.find_with_stats(query, hint=hint)
-        rids, stats, _plan = replica.find_rids(query, hint=hint)
-        mine, mine_stats, _plan = source.find_rids(query, hint=hint)
-        assert rids == mine
-        assert _counters(stats) == _counters(mine_stats)
-        assert _counters(stats) == _counters(expected.stats)
-        documents = source.copy_results(rids)
-        assert documents == expected.documents
-        for doc in documents:
-            assert not _containers(doc, set()) & owned
+def _check(client, shards, queries) -> None:
+    # ``{}`` first: a collection scan returns the rids in scan order.
+    for query, hint in [({}, None)] + queries:
+        spec = executors.SubquerySpec(
+            collection="t", query=query, hint=hint, max_geo_ranges=None
+        )
+        pendings = [
+            (shard, client.enqueue(shard.shard_id, shard.collection("t"), spec, 0.0))
+            for shard in shards
+        ]
+        client.flush()
+        for shard, pending in pendings:
+            source = shard.collection("t")
+            rids, stats = pending.result(executors.Deadline(10_000.0))
+            mine, mine_stats, _plan = source.find_rids(query, hint=hint)
+            expected = source.find_with_stats(query, hint=hint)
+            assert rids == mine
+            assert _counters(stats) == _counters(mine_stats)
+            assert _counters(stats) == _counters(expected.stats)
+            owned: set = set()
+            for doc in source.all_documents():
+                _containers(doc, owned)
+            documents = source.copy_results(rids)
+            assert documents == expected.documents
+            for doc in documents:
+                assert not _containers(doc, set()) & owned
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    operations=st.lists(_operations, max_size=8),
-    queries=st.lists(_queries, min_size=1, max_size=4),
-)
-def test_replica_answers_with_the_source_rids(operations, queries):
-    shards = [Shard("a"), Shard("b")]
-    for shard in shards:
-        shard.collection("t").create_index([("k", 1)], name=INDEX)
-        shard.collection("t").create_index([("g", 1)], name="g_1")
-    ids = iter(range(10**6))
+def _apply(shards, operations, ids) -> None:
     for operation in operations:
         kind, *args = operation
         if kind == "insert":
@@ -141,5 +152,26 @@ def test_replica_answers_with_the_source_rids(operations, queries):
                 PATTERN.extract_canonical({"k": hi + 1}),
             )
             shards[1 - source].receive_documents("t", moving)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    first=st.lists(_operations, max_size=6),
+    second=st.lists(_operations, max_size=6),
+    queries=st.lists(_queries, min_size=1, max_size=4),
+)
+def test_replica_answers_with_the_source_rids(first, second, queries):
+    shards = [Shard("a"), Shard("b")]
     for shard in shards:
-        _check(shard.collection("t"), queries)
+        shard.collection("t").create_index([("k", 1)], name=INDEX)
+        shard.collection("t").create_index([("g", 1)], name="g_1")
+    ids = iter(range(10**6))
+    client = _worker(shards)
+    try:
+        # No reader holds a lock here: nothing runs while the worker
+        # forks, which is what a shard read lock guarantees the service.
+        for operations in (first, second):
+            _apply(shards, operations, ids)
+            _check(client, shards, queries)
+    finally:
+        client.close()

@@ -8,8 +8,10 @@ that stalls mid-subquery must produce a clean ``QueryTimeoutError`` —
 not a leaked read lock, a poisoned pool, or an orphaned worker.
 """
 
+import multiprocessing
 import os
 import pickle
+import time
 
 import pytest
 
@@ -103,7 +105,7 @@ class TestBackendParity:
             process_cluster, process_config()
         ) as process:
             for service in (threaded, process):
-                service.find("t", TARGETED)  # populate replicas
+                service.find("t", TARGETED)  # fork the workers
                 service.insert_many(
                     "t",
                     [
@@ -128,39 +130,150 @@ class TestBackendParity:
             assert service.count_documents("t", TARGETED) == expected
 
 
-class TestReplicaSync:
-    def test_writes_bump_epochs_and_resync_replicas(self, cluster_factory):
-        cluster = cluster_factory()
-        with QueryService(cluster, process_config()) as service:
-            service.find("t", {})
-            pool = service._worker_pool
-            synced = {
-                shard_id: pool._clients[shard_id].synced_epoch(
-                    shard_id, "t"
-                )
-                for shard_id in cluster.shards
+def _insert_one(service):
+    service.insert_one("t", {"_id": 99_999, "k": 1, "group": 0})
+
+
+def _delete_many(service):
+    assert service.delete_many("t", {"k": {"$gte": 2_000, "$lt": 2_300}})
+
+
+def _update_many(service):
+    assert service.update_many(
+        "t", {"k": {"$lt": 700}}, {"$inc": {"counter": 1}}
+    )
+
+
+def _index_ddl(service):
+    service.create_index("t", [("group", 1)], name="group_1")
+    service.drop_index("t", "group_1")
+
+
+def _migration(service):
+    # One narrow key range outgrows its 4 KiB chunk: the insert splits
+    # it and relieves the donor shard by moving the new chunk away.
+    service.insert_many(
+        "t",
+        [
+            {"_id": 20_000 + i, "k": 9_990 + i % 5, "group": i, "pad": "y" * 64}
+            for i in range(80)
+        ],
+    )
+
+
+WRITES = {
+    "insert_one": _insert_one,
+    "delete_many": _delete_many,
+    "update_many": _update_many,
+    "index_ddl": _index_ddl,
+    "migration": _migration,
+}
+
+
+class TestWorkerForks:
+    """A worker is a fork of the parent at the epoch it serves.
+
+    After a write, the next read forks afresh exactly the workers that
+    host a shard the write changed, and answers as the thread backend
+    does.
+    """
+
+    @pytest.mark.parametrize("kind", sorted(WRITES))
+    def test_write_reforks(self, cluster_factory, kind):
+        threaded_cluster = cluster_factory()
+        process_cluster = cluster_factory()
+        with QueryService(
+            threaded_cluster, ServiceConfig(executor="thread")
+        ) as threaded, QueryService(
+            process_cluster, process_config(executor_workers=2)
+        ) as process:
+            pool = process._worker_pool
+            process.find("t", {})
+            pids = {c: c._proc.pid for c in pool.clients()}
+            epochs = {
+                shard_id: shard.collection("t").mutation_count
+                for shard_id, shard in process_cluster.shards.items()
             }
-            assert all(epoch is not None for epoch in synced.values())
-            service.insert_one("t", {"_id": 99_999, "k": 1, "group": 0})
-            service.find("t", {})
-            resynced = {
-                shard_id: pool._clients[shard_id].synced_epoch(
-                    shard_id, "t"
-                )
-                for shard_id in cluster.shards
-            }
-            # The insert targeted one shard; that shard's replica must
-            # have advanced, the others must not have re-shipped.
-            advanced = [
+            forks = process.metrics_snapshot().executor["replicaSyncs"]
+            assert forks == len(pool.clients())
+            version = process_cluster.metadata_version
+            for service in (threaded, process):
+                WRITES[kind](service)
+            changed = {
                 shard_id
-                for shard_id in synced
-                if resynced[shard_id] > synced[shard_id]
-            ]
-            assert len(advanced) == 1
-            snapshot = service.metrics_snapshot().as_dict()
-            assert snapshot["executor"]["replicaSyncs"] >= len(
-                cluster.shards
-            ) + 1
+                for shard_id, shard in process_cluster.shards.items()
+                if shard.collection("t").mutation_count != epochs[shard_id]
+            }
+            assert changed
+            if kind == "migration":
+                assert process_cluster.metadata_version != version
+                assert len(changed) >= 2  # the donor and the recipient
+            for query in QUERIES:
+                mine = threaded.find("t", query)
+                theirs = process.find("t", query)
+                assert canonical_docs(theirs.documents) == canonical_docs(
+                    mine.documents
+                )
+                assert theirs.stats.as_dict() == mine.stats.as_dict()
+            reforked = {c for c in pool.clients() if c._proc.pid != pids[c]}
+            assert reforked == {pool._clients[s] for s in changed}
+            assert (
+                process.metrics_snapshot().executor["replicaSyncs"]
+                == forks + len(reforked)
+            )
+
+    def test_retire_answers_what_was_sent(self, cluster_factory):
+        # A request in flight on a worker that the next enqueue retires
+        # is answered by the old worker, at the epoch it was sent at.
+        # Under the service this is a read of an unchanged shard, sent
+        # just before another read finds a shard of the same worker
+        # changed by a write that committed before either took a lock.
+        cluster = cluster_factory()
+        with QueryService(
+            cluster, process_config(executor_workers=1)
+        ) as service:
+            service.find("t", {})
+            first_id, second_id = sorted(cluster.shards)[:2]
+            client = service._worker_pool._clients[first_id]
+            assert service._worker_pool._clients[second_id] is client
+            spec = executors.SubquerySpec(
+                collection="t", query={}, hint=None, max_geo_ranges=None
+            )
+            first = cluster.shards[first_id].collection("t")
+            second = cluster.shards[second_id].collection("t")
+            sent = client.enqueue(first_id, first, spec, 300.0)
+            client.flush()
+            old = client._proc
+            second.update_many({}, {"$inc": {"counter": 1}})
+            queued = client.enqueue(second_id, second, spec, 0.0)
+            client.flush()
+            assert client._proc is not old
+            deadline = executors.Deadline(10_000.0)
+            assert sent.result(deadline)[0] == first.find_rids({})[0]
+            assert queued.result(deadline)[0] == second.find_rids({})[0]
+
+    def test_retired_workers_are_reaped(self, cluster_factory):
+        cluster = cluster_factory()
+        others = set(multiprocessing.active_children())
+        with QueryService(
+            cluster, process_config(executor_workers=2)
+        ) as service:
+            workers = len(service._worker_pool.clients())
+            for round_ in range(20):
+                service.insert_one(
+                    "t", {"_id": 50_000 + round_, "k": round_ * 499}
+                )
+                assert service.find("t", {"_id": 50_000 + round_}).documents
+            # Each retired worker exits once it has read its shutdown
+            # frame, and its reader thread reaps it.
+            deadline = time.monotonic() + 10.0
+            while True:
+                mine = set(multiprocessing.active_children()) - others
+                if len(mine) <= workers:
+                    break
+                assert time.monotonic() < deadline, mine
+                time.sleep(0.05)
+            assert service.metrics_snapshot().executor["replicaSyncs"] > 20
 
 
 class TestDeadlinesAndAdmission:
@@ -170,7 +283,7 @@ class TestDeadlinesAndAdmission:
         cluster = cluster_factory()
         shard_id = sorted(cluster.shards)[0]
         with QueryService(cluster, process_config()) as service:
-            service.find("t", {})  # spawn workers, sync replicas
+            service.find("t", {})  # fork the workers
             pool = service._worker_pool
             pool.debug_stall_ms[shard_id] = 1_000.0
             with pytest.raises(QueryTimeoutError):
@@ -318,8 +431,8 @@ class TestWorkerLifecycle:
             # The next query may observe the corpse mid-flight (the
             # reader thread fails its pendings with ServiceError) or
             # already find it dead and respawn transparently; either
-            # way the one *after* must be served by a fresh worker
-            # with a freshly synced replica.
+            # way the one *after* must be served by a freshly forked
+            # worker.
             try:
                 first = service.find("t", TARGETED)
             except ServiceError:

@@ -4,9 +4,8 @@ Everything that crosses the worker-process boundary must decode back
 to exactly what was encoded: plan messages for every query shape the
 differential suite exercises, result payloads (record ids, including
 empty result sets), reply frames, counter frames field-for-field,
-error frames, and replica snapshots — ``(rid, document)`` pairs,
-including snapshots taken after deletes, where tombstoned documents
-must not leak into the frame and the gaps they leave must survive.
+and error frames.  No document crosses the wire: workers are forked
+with the collections they serve.
 """
 
 import datetime as _dt
@@ -28,15 +27,12 @@ from repro.service.wire import (
     ResultFrame,
     ShutdownFrame,
     SubqueryRequest,
-    SyncFrame,
     decode_error,
     decode_result,
     decode_stats,
     encode_error,
     encode_result,
     encode_stats,
-    load_sync_payload,
-    make_sync_payload,
 )
 from repro.workloads.queries import SpatioTemporalQuery, all_queries
 
@@ -144,20 +140,10 @@ class TestPlanMessageRoundTrip:
         later = SubqueryRequest(
             request_id=4, shard_id="shard02", plan=request.plan
         )
-        frame = BatchFrame(
-            syncs=(
-                SyncFrame(
-                    shard_id="shard01",
-                    collection="t",
-                    epoch=0,
-                    payload=b"opaque",
-                ),
-            ),
-            requests=(request, later),
-        )
+        frame = BatchFrame(requests=(request, later))
         clone = pickle.loads(pickle.dumps(frame, protocol=WIRE_PROTOCOL))
         assert clone == frame
-        # Requests travel flat, in arrival order, after the syncs.
+        # Requests travel flat, in arrival order.
         assert [r.request_id for r in clone.requests] == [3, 4]
         shutdown = ShutdownFrame()
         assert isinstance(
@@ -257,43 +243,3 @@ class TestErrorFrames:
         err = decode_error(encode_error(Weird(1, 2)))
         assert isinstance(err, RuntimeError)
         assert "Weird" in str(err) or "1/2" in str(err)
-
-
-class TestSnapshotPayloads:
-    def test_snapshot_rebuild_is_byte_identical(self):
-        col = _loaded_collection()
-        definitions, records = load_sync_payload(make_sync_payload(col))
-        assert records == list(col.all_records())
-        replica = Collection.from_snapshot("t", definitions, records)
-        assert [d.name for d in replica.index_definitions()] == [
-            d.name for d in col.index_definitions()
-        ]
-        for query in ({"k": 4}, {"k": {"$gte": 3, "$lt": 9}}, {}):
-            mine = col.find_with_stats(query)
-            theirs = replica.find_with_stats(query)
-            assert theirs.documents == mine.documents
-            for sent, received in zip(mine.documents, theirs.documents):
-                assert pickle.dumps(
-                    received, protocol=WIRE_PROTOCOL
-                ) == pickle.dumps(sent, protocol=WIRE_PROTOCOL)
-            assert _counters(theirs.stats) == _counters(mine.stats)
-            assert replica.find_rids(query)[0] == col.find_rids(query)[0]
-
-    def test_tombstoned_documents_stay_out_of_the_frame(self):
-        col = _loaded_collection()
-        deleted = col.delete_many({"group": 1})
-        assert deleted > 0
-        definitions, records = load_sync_payload(make_sync_payload(col))
-        assert len(records) == col.count_documents()
-        assert all(doc["group"] != 1 for _rid, doc in records)
-        # The deletes leave gaps in the rids, and the frame keeps them.
-        assert [rid for rid, _doc in records] == [
-            i for i in range(120) if i % 3 != 1
-        ]
-        replica = Collection.from_snapshot("t", definitions, records)
-        for query in ({"group": 1}, {"k": {"$gte": 0}}, {}):
-            mine = col.find_with_stats(query)
-            theirs = replica.find_with_stats(query)
-            assert theirs.documents == mine.documents
-            assert _counters(theirs.stats) == _counters(mine.stats)
-            assert replica.find_rids(query)[0] == col.find_rids(query)[0]

@@ -175,8 +175,9 @@ def test_no_module_imports_a_higher_layer():
 
 #: Surface deleted because nothing in ``src/`` called it (DESIGN.md §11
 #: and §13): the per-query chooser and its statistics, the names only
-#: their own unit tests reached, and the parameterized-plan binder the
-#: one compiling walk replaced.  Module -> attribute paths.
+#: their own unit tests reached, the parameterized-plan binder the
+#: one compiling walk replaced, and the replica snapshots a forked
+#: worker replaced (DESIGN.md §10).  Module -> attribute paths.
 DELETED = {
     "repro.core.chooser": [],
     "repro.docstore.stats": [],
@@ -192,6 +193,8 @@ DELETED = {
         "Collection.find_one",
         "Collection.list_indexes",
         "Collection.storage_epoch",
+        "Collection.from_snapshot",
+        "Collection.all_records",
     ],
     "repro.docstore.document": ["has_path"],
     "repro.docstore.index": ["IndexDefinition.field_kind", "Index.raw_key_of"],
@@ -219,6 +222,13 @@ DELETED = {
     "repro.service.executors": [
         "ShardWorkerPool.client_for",
         "SubquerySpec.shape",
+        "_WorkerClient.synced_epoch",
+        "_WorkerHost._apply_sync_locked",
+    ],
+    "repro.service.wire": [
+        "SyncFrame",
+        "make_sync_payload",
+        "load_sync_payload",
     ],
     "repro.service.service": [
         "QueryService.analyze_collection",
