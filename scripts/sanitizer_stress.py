@@ -2,7 +2,7 @@
 """Closed-loop stress under the runtime lock-order sanitizer.
 
 Drives a :class:`LoadGenerator` (plus a writer mix) against a
-:class:`QueryService` whose shard locks are instrumented, then
+:class:`QueryService` whose locks are instrumented, then
 cross-validates the observed acquisition graph against the static
 lock-order graph of ``src``.  Exits non-zero when the sanitizer
 records any violation or the two graphs disagree — this is the CI
@@ -69,7 +69,7 @@ def build_workload(n_queries: int) -> list:
     for _ in range(n_queries):
         lo = rng.randrange(0, 90_000)
         workload.append({"k": {"$gte": lo, "$lt": lo + 5_000}})
-    workload.append({})  # broadcast: acquires every shard lock
+    workload.append({})  # broadcast: fans out to every shard
     return workload
 
 
@@ -93,7 +93,7 @@ def main(argv: list | None = None) -> int:
         report = generator.run_closed_loop(
             clients=args.clients, total_queries=args.queries
         )
-        # Writer mix: the write path walks every shard write lock.
+        # Writer mix: each write holds the service lock exclusively.
         service.insert_many(
             "t",
             [

@@ -2,8 +2,8 @@
 
 The per-module checker (LD) judges one function at a time,
 which is exactly why the PR-1 lock leak needed a human: the acquire
-lived in ``_read_lock_targeted_shards`` and the release in
-``_execute_read``.  This module builds the call graph those rules need:
+lived in a read-locking helper and the release in its caller.  This
+module builds the call graph those rules need:
 
 * a **symbol table** of every function, method, nested closure, and
   lambda, keyed by its dotted symbol

@@ -2,16 +2,15 @@
 
 This is the layer the PR-2 checkers were missing: LD001/LD002 judge one
 function at a time, while the bugs that actually bit the service cross
-function boundaries — a read lock acquired in
-``_read_lock_targeted_shards`` and released in ``_execute_read``, a
-``Future.result()`` that blocks while locks taken three frames up are
+function boundaries — a read lock acquired in one helper and released
+in its caller, a ``Future.result()`` that blocks while locks taken three frames up are
 still held.  The analysis here:
 
 1. discovers every lock-like object in the project (a **lock
    registry**: ``threading.Lock``/``RLock``/``Condition``/
    ``Semaphore``/``ReadWriteLock`` attributes, class-level locks,
-   function-local locks, and *collections* of locks such as
-   ``self._shard_locks``), each with a stable dotted key;
+   function-local locks, and *collections* of locks such as a dict of
+   per-shard locks), each with a stable dotted key;
 2. simulates each function's statements in order, tracking the set of
    held locks through ``with`` blocks, bare ``acquire*``/``release*``
    calls, try/finally unwinds, and calls whose callees *escape* locks

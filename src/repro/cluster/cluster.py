@@ -551,8 +551,8 @@ class ShardedCluster:
 
         Exposes mongos targeting (which shards must participate and
         whether the operation broadcasts) to callers that need it ahead
-        of execution — the :mod:`repro.service` frontend acquires its
-        per-shard locks from this before fanning out.  Pass ``shape``
+        of execution — the :mod:`repro.service` frontend routes each
+        read with this, under its lock, before fanning out.  Pass ``shape``
         to reuse an already-analyzed query; ``fast_path=False`` skips
         the targeting cache.
         """
@@ -596,9 +596,8 @@ class ShardedCluster:
         pieces (the service parses the query once), which must
         correspond to the same ``query``.  Missing targeting
         is routed afresh with :func:`target_chunks`: the targeting memo
-        is the service's, consulted by :meth:`targeting_for` *before*
-        it takes the shard read locks this method then runs under, so
-        no cache lock is ever reachable from under a shard lock.
+        is the service's, consulted through :meth:`targeting_for` under
+        the service lock, and its lock is a leaf that nests nothing.
         """
         plan_started = time.perf_counter()
         if shape is None or matcher is None:

@@ -55,9 +55,8 @@ from repro.sanitizer.instrument import (
     LSM_INSTRUMENTED_KEYS,
     LSM_MANIFEST_LOCK_KEY,
     LSM_WRITE_LOCK_KEY,
-    SHARD_LOCKS_KEY,
+    SERVICE_LOCK_KEY,
     TARGETING_CACHE_LOCK_KEY,
-    TURN_LOCK_KEY,
     WAL_LOCK_KEY,
     WORKER_HOST_LOCK_KEY,
     instrument_lsm_engine,
@@ -87,12 +86,11 @@ __all__ = [
     "LockOrderSanitizer",
     "MUTATING_OPS",
     "ObservedEdge",
-    "SHARD_LOCKS_KEY",
+    "SERVICE_LOCK_KEY",
     "SanitizedLock",
     "SanitizedReadWriteLock",
     "SanitizerViolation",
     "TARGETING_CACHE_LOCK_KEY",
-    "TURN_LOCK_KEY",
     "WAL_LOCK_KEY",
     "WORKER_HOST_LOCK_KEY",
     "cross_validate",

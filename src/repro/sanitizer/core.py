@@ -4,9 +4,9 @@ Detection is lockdep-style: every acquisition adds ``held → acquired``
 edges to a process-wide graph, so a cycle is caught as soon as two
 code paths have *ever* used conflicting orders — no actual deadlock or
 adversarial thread timing is required.  Within one lock collection
-(the per-shard RW locks) members are ranked, and acquisitions must
-walk ranks upward; a descending acquisition is an inversion even
-before any opposing thread exists.
+(such as the worker clients' locks) members are ranked, and
+acquisitions must walk ranks upward; a descending acquisition is an
+inversion even before any opposing thread exists.
 """
 
 from __future__ import annotations

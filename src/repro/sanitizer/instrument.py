@@ -1,11 +1,10 @@
 """Swap a QueryService's (or LSM engine's) locks for sanitized ones.
 
-The per-shard RW locks are the service's deadlock surface: they are
-the only locks acquired in multiples, across functions, under
-concurrency.  Instrumenting them keys every wrapper with the *static*
-registry symbol of the collection and ranks members by sorted shard
-id — the same order the service itself must acquire them in — so the
-observed graph lines up key-for-key with the analyzer's.
+The service's one reader-writer lock is held across functions, under
+concurrency, while the targeting memo's lock and (on the process
+backend) the worker clients' locks are taken under it.  Instrumenting
+each with the *static* registry symbol of its attribute makes the
+observed graph line up key-for-key with the analyzer's.
 
 The LSM engine adds a second surface (PR-5): writer threads nest
 ``_write_lock`` → ``_manifest_lock`` / WAL lock while a background
@@ -25,9 +24,8 @@ from repro.service import executors
 from repro.service.service import QueryService
 
 __all__ = [
-    "SHARD_LOCKS_KEY",
+    "SERVICE_LOCK_KEY",
     "TARGETING_CACHE_LOCK_KEY",
-    "TURN_LOCK_KEY",
     "EXECUTOR_CLIENT_LOCK_KEY",
     "WORKER_HOST_LOCK_KEY",
     "LSM_WRITE_LOCK_KEY",
@@ -43,9 +41,8 @@ __all__ = [
 #: The static lock-registry symbols of the instrumented locks; each
 #: must match what :mod:`repro.analysis.lockgraph` derives from the
 #: source, or cross-validation would compare disjoint graphs.
-SHARD_LOCKS_KEY = "repro.service.service.QueryService._shard_locks"
+SERVICE_LOCK_KEY = "repro.service.service.QueryService._lock"
 TARGETING_CACHE_LOCK_KEY = "repro.cache.StampedLRUCache._lock"
-TURN_LOCK_KEY = "repro.service.locks.FifoTurn._cond"
 EXECUTOR_CLIENT_LOCK_KEY = "repro.service.executors._WorkerClient._lock"
 WORKER_HOST_LOCK_KEY = "repro.service.executors._WorkerHost._lock"
 LSM_WRITE_LOCK_KEY = "repro.docstore.lsm.engine.LSMEngine._write_lock"
@@ -55,9 +52,8 @@ WAL_LOCK_KEY = "repro.docstore.lsm.wal.WriteAheadLog._lock"
 #: Every key :func:`instrument_query_service` can wire up — the set to
 #: hand :func:`~repro.sanitizer.crossval.cross_validate`.
 INSTRUMENTED_KEYS = (
-    SHARD_LOCKS_KEY,
+    SERVICE_LOCK_KEY,
     TARGETING_CACHE_LOCK_KEY,
-    TURN_LOCK_KEY,
     EXECUTOR_CLIENT_LOCK_KEY,
 )
 
@@ -74,26 +70,18 @@ def instrument_query_service(
 ) -> QueryService:
     """Replace the service's locks with sanitized wrappers.
 
-    Covers the per-shard RW locks, the lock of the cluster's
-    targeting memo (a :class:`~repro.cache.StampedLRUCache`), whose
-    contract is to never nest inside a shard lock, and the lock under
-    the reads' FIFO turn (:class:`~repro.service.locks.FifoTurn`), which
-    is taken before any shard lock and released after all of them —
-    instrumenting both makes any regression of either contract an
+    Covers the service's reader-writer lock and the lock of the
+    cluster's targeting memo (a :class:`~repro.cache.StampedLRUCache`),
+    which a read takes under the service lock and which nests nothing
+    itself — instrumenting both makes any regression of that order an
     observed edge the static graph must explain.
 
     Must run before the service is used — swapping a lock someone
     already holds would split its waiters across two objects.
     """
-    for rank, shard_id in enumerate(sorted(service._shard_locks)):
-        service._shard_locks[shard_id] = SanitizedReadWriteLock(
-            sanitizer, SHARD_LOCKS_KEY, rank
-        )
+    service._lock = SanitizedReadWriteLock(sanitizer, SERVICE_LOCK_KEY)
     service.cluster.targeting_cache._lock = SanitizedLock(
         sanitizer, TARGETING_CACHE_LOCK_KEY
-    )
-    service._turn._cond = threading.Condition(
-        SanitizedLock(sanitizer, TURN_LOCK_KEY)
     )
     if service._worker_pool is not None:
         # The process backend's parent-side topology: per-worker client

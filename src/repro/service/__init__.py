@@ -4,11 +4,11 @@ Everything above :mod:`repro.cluster` that turns the sharded cluster
 from a single-caller library into a query *server*:
 
 * :class:`QueryService` — scatter-gather over an executor backend,
-  per-shard reader-writer locking, admission control with bounded
+  one FIFO reader-writer lock, admission control with bounded
   queueing and deadlines;
 * :mod:`repro.service.executors` — the execution backends:
-  :class:`ThreadedExecutor` (the caller's thread, reads taking FIFO
-  turns) and :class:`ShardWorkerPool` (per-shard worker processes fed
+  :class:`ThreadedExecutor` (the caller's thread, reads taking turns
+  in arrival order) and :class:`ShardWorkerPool` (per-shard worker processes fed
   batched picklable plan messages, answering with record ids, see
   :mod:`repro.service.wire`);
 * :func:`query_shape_key` — a value-free query key no read path uses

@@ -5,7 +5,8 @@ subquery execution to an *executor*:
 
 * :class:`ThreadedExecutor` — subqueries run in the calling thread,
   one after another, directly against the cluster's collections; the
-  service hands reads their turns in arrival order.
+  service's reads hold its lock exclusively, one at a time in arrival
+  order.
 * :class:`ShardWorkerPool` — process-parallel serving: each shard (or
   shard group) is assigned to a worker *process*, a fork of the parent
   that serves its shards' collections as they were at the fork.
@@ -14,13 +15,13 @@ subquery execution to an *executor*:
   one batch frame per worker round-trip, and the worker answers each
   batch with one reply frame.  A worker replies with record ids and
   counters only: the parent copies the documents from its own
-  collection, which holds them at the same epoch under the shard read
-  lock the caller keeps until the merge.
+  collection, which holds them at the same epoch under the service
+  lock the caller keeps, shared, until the merge.
 
 Replication contract (what makes results identical):
 
 * The parent is authoritative.  Writes and DDL run parent-side under
-  the service's exclusive shard locks and bump the collection's
+  the service lock, held exclusively, and bump the collection's
   ``mutation_count`` epoch.
 * A fork is the sync.  A worker is forked with the parent's live
   collections of its shards; it inherits them copy-on-write, rids,
@@ -28,26 +29,26 @@ Replication contract (what makes results identical):
   parent's.  The client records each hosted collection's epoch at the
   fork, and an enqueue that finds the epoch moved (or the collection
   new) retires the worker and forks a fresh one.
-* The fork is safe because it runs while the caller holds a shard read
-  lock and every write takes *all* shard write locks: no hosted
+* The fork invariant: a worker is forked under the service lock held
+  shared, and every write holds it exclusively, so no hosted
   collection is mid-write at the fork.  (An epoch check after the fork
   could not replace that: ``delete_many`` bumps the epoch before it
   mutates.)  Shard-scoped writes would first have to make the fork
-  take every hosted shard's read lock.
+  lock every shard the worker hosts.
 * Every plan message carries the epoch it was targeted at; a worker
   refuses to serve a collection whose epoch differs, and the parent
   refuses a reply whose epoch differs or that names a rid its own
-  collection does not hold.  Because readers hold the shard read lock
+  collection does not hold.  Because readers hold the service lock
   from epoch capture through the copy, and writers exclude readers, a
   shipped epoch can never be stale by the time the worker executes
   it — the refusals are tripwires, not a retry protocol.
 
 Deadline semantics: an expired deadline abandons the read's queued
 and in-flight subqueries (unsent ones leave the outbox, replies are
-dropped by request id) and the service releases its read locks
+dropped by request id) and the service releases its hold of the lock
 immediately.  That is safe because a remote subquery only touches the
 worker's own copy-on-write image — it cannot race a parent-side
-writer that acquires the freed locks.  The threaded path
+writer that acquires the freed lock.  The threaded path
 has nothing in flight to abandon: its deadline is checked between
 shards in the caller's own thread.
 """
@@ -169,10 +170,10 @@ class ThreadedExecutor:
     Under the GIL a pool of threads buys no parallelism, only hand-offs.
     A read's subqueries run one after another, in targeting order, in
     the thread that called :meth:`QueryService.find` — which holds the
-    service's FIFO turn, so concurrent reads take turns in arrival
+    service lock exclusively, so concurrent reads take turns in arrival
     order.  An expired deadline stops the fan-out between two shards;
     nothing else is running on the read's behalf, so the caller can
-    release its read locks at once.
+    release the lock at once.
     """
 
     name = "thread"
@@ -257,9 +258,9 @@ class _WorkerClient:
 
     All shared state — the request outbox, the pending-reply table, the
     hosted epochs, and the pipe's send side — is guarded by one mutex
-    (``_lock``).  Callers enqueue while holding their shard read
-    locks, establishing the shard-lock → client-lock order the static
-    lockgraph models; nothing is ever acquired *under* the client
+    (``_lock``).  Callers enqueue while holding the service lock
+    shared, establishing the service-lock → client-lock order the
+    static lockgraph models; nothing is ever acquired *under* the client
     lock, so the hierarchy stays acyclic.  The worker process and its
     reply-reader thread start lazily on first use, which lets the
     sanitizer swap ``_lock`` for an instrumented wrapper right after
@@ -290,7 +291,7 @@ class _WorkerClient:
         self._dead_reason: Optional[str] = None
         self._closed = False
 
-    # -- request path (caller holds the shard read lock) -----------------------
+    # -- request path (caller holds the service lock shared) ------------------
 
     def enqueue(
         self,
@@ -302,10 +303,10 @@ class _WorkerClient:
         """Queue one subquery for this worker, forking a fresh one first
         when the live one holds the collection at another epoch.
 
-        The caller must hold ``shard_id``'s read lock: the epoch is read
+        The caller must hold the service lock shared: the epoch is read
         and any fork taken *here*, while no writer can be mid-write in
-        any collection the fork copies (every write holds every shard's
-        write lock).
+        any collection the fork copies (every write holds the service
+        lock exclusively).
         """
         epoch = collection.mutation_count
         with self._lock:
@@ -503,8 +504,8 @@ class ShardWorkerPool:
     Shards are assigned round-robin over ``executor_workers`` (default
     ``max_workers``) worker processes; each worker serves its shards
     only, so the pool's lock topology per process is: the parent's
-    shard read lock (already held by the caller) → that worker's
-    client mutex, and *inside* a worker a single host mutex with
+    service lock (held shared by the caller) → that worker's client
+    mutex, and *inside* a worker a single host mutex with
     nothing nested under it.
     """
 
@@ -595,8 +596,8 @@ class ShardWorkerPool:
                 # Abandon the fan-out, queued or in flight: unsent
                 # requests leave the outbox and replies still to come
                 # are dropped by request id.  Unlike the threaded path
-                # no drain is needed before the caller releases its
-                # read locks — remote subqueries only touch the
+                # no drain is needed before the caller releases the
+                # service lock — remote subqueries only touch the
                 # workers' own copy-on-write images and cannot race a
                 # parent-side writer.
                 for _shard_id, _col, pending in pendings:

@@ -8,19 +8,17 @@ executor.  :class:`QueryService` adds exactly that layer:
 
 * **Scatter-gather** — per-shard subqueries run on an executor
   backend (:mod:`repro.service.executors`): in the caller's thread by
-  default, reads taking turns in arrival order through one
-  :class:`~repro.service.locks.FifoTurn`, or on per-shard worker
-  *processes* when ``ServiceConfig.executor`` selects the ``process``
-  backend; merged documents and
-  :class:`~repro.cluster.metrics.ClusterQueryStats` are identical to
-  the sequential path.
-* **Reader-writer locking** — per-shard shared/exclusive locks let any
-  number of reads proceed concurrently while inserts, updates, and
-  deletes (whose chunk splits and migrations can touch any shard) take
-  exclusive access.  Read targeting is validated against the cluster's
-  ``metadata_version`` after lock acquisition, so a migration sliding
-  between targeting and execution cannot strand a query on stale
-  routing.
+  default, or on per-shard worker *processes* when
+  ``ServiceConfig.executor`` selects the ``process`` backend; merged
+  documents and :class:`~repro.cluster.metrics.ClusterQueryStats` are
+  identical to the sequential path.
+* **One reader-writer lock** — one FIFO
+  :class:`~repro.service.locks.ReadWriteLock` per service.  Inserts,
+  updates, deletes and DDL (whose chunk splits and migrations can touch
+  any shard) hold it exclusively; a read holds it from targeting
+  through the merge, so routing cannot move under a read.  Process
+  backend reads share it and overlap; thread backend reads take it
+  exclusively, one at a time in arrival order.
 * **One planning path** — a read parses its query once
   (:func:`~repro.docstore.matcher.parse_query`) into the planner's
   shape and the compiled matcher; nothing is stored between queries,
@@ -36,7 +34,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import ShardedCluster
 from repro.docstore.matcher import parse_query
@@ -52,7 +50,7 @@ from repro.service.executors import (
     ThreadedExecutor,
     resolve_backend,
 )
-from repro.service.locks import FifoTurn, ReadWriteLock
+from repro.service.locks import ReadWriteLock
 from repro.service.metrics import ServiceMetrics
 
 __all__ = ["ServiceConfig", "ServiceFindResult", "QueryService"]
@@ -170,13 +168,12 @@ class QueryService:
         )
         #: Requests actually executing; waiting here is "queue wait".
         self._slots = threading.Semaphore(limit)
-        self._shard_locks: Dict[str, ReadWriteLock] = {
-            shard_id: ReadWriteLock() for shard_id in cluster.shards
-        }
-        #: The thread backend's reads run one at a time, in arrival
-        #: order: under the GIL, taking turns is what hands the
+        #: Writes hold it exclusively; reads hold it from targeting
+        #: through the merge — shared on the process backend, whose
+        #: reads overlap, exclusive on the thread backend, where under
+        #: the GIL taking turns in arrival order is what hands the
         #: interpreter from one client to the next.
-        self._turn = FifoTurn()
+        self._lock = ReadWriteLock()
         self._closed = False
 
     # -- lifecycle -------------------------------------------------------------
@@ -226,11 +223,9 @@ class QueryService:
     def _acquire_slot(self, deadline: Deadline) -> float:
         """Wait for an execution slot; returns queue wait in ms."""
         started = time.perf_counter()
-        while True:
-            remaining = deadline.remaining()  # raises when expired
-            timeout = 0.05 if remaining is None else min(remaining, 0.05)
-            if self._slots.acquire(timeout=timeout):
-                return (time.perf_counter() - started) * 1000.0
+        if not self._slots.acquire(timeout=deadline.remaining()):
+            raise QueryTimeoutError("timed out waiting for an execution slot")
+        return (time.perf_counter() - started) * 1000.0
 
     # -- read path -------------------------------------------------------------
 
@@ -244,8 +239,8 @@ class QueryService:
     ) -> ServiceFindResult:
         """Serve one read query through the concurrent frontend.
 
-        Admission, queueing, the read's turn (thread backend), per-shard
-        read locks, query parsing, scatter-gather, and metrics wrap the same
+        Admission, queueing, the service lock, query parsing, targeting,
+        scatter-gather, and metrics wrap the same
         execution :meth:`ShardedCluster.find` performs; documents and
         cluster statistics are identical to the library path.
         """
@@ -292,57 +287,57 @@ class QueryService:
             hint=hint,
             max_geo_ranges=max_geo_ranges,
         )
-        # The turn is taken before any shard read lock, so no read
-        # ever waits for it under one.
+        waited = time.perf_counter()
         threaded = self._threaded is not None
         if threaded:
-            waited = time.perf_counter()
-            if not self._turn.acquire(timeout=deadline.remaining()):
-                raise QueryTimeoutError("timed out waiting for its turn")
-            queue_wait_ms += (time.perf_counter() - waited) * 1000.0
+            acquired = self._lock.acquire_write(timeout=deadline.remaining())
+        else:
+            acquired = self._lock.acquire_read(timeout=deadline.remaining())
+        if not acquired:
+            raise QueryTimeoutError("timed out waiting for the service lock")
+        queue_wait_ms += (time.perf_counter() - waited) * 1000.0
         try:
-            locks, targeting = self._read_lock_targeted_shards(
-                collection, query, deadline, shape=shape
+            # Routing cannot move while the lock is held: every chunk
+            # split, migration and DDL runs under it exclusively.
+            targeting = self.cluster.targeting_for(
+                collection, query, shape=shape
             )
-            try:
-                # The two branches differ only in which executor builds
-                # the mapper; they are spelled out (rather than
-                # dispatched via a shared variable) so the static
-                # lockgraph resolves each closure and models its lock
-                # footprint under the held read locks.
-                if self._worker_pool is not None:
-                    result = self.cluster.find(
-                        collection,
-                        query,
-                        hint=hint,
-                        max_geo_ranges=max_geo_ranges,
-                        shard_mapper=self._worker_pool.shard_mapper(
-                            spec, deadline
-                        ),
-                        shape=shape,
-                        matcher=matcher,
-                        targeting=targeting,
-                    )
-                else:
-                    assert self._threaded is not None
-                    result = self.cluster.find(
-                        collection,
-                        query,
-                        hint=hint,
-                        max_geo_ranges=max_geo_ranges,
-                        shard_mapper=self._threaded.shard_mapper(
-                            spec, deadline
-                        ),
-                        shape=shape,
-                        matcher=matcher,
-                        targeting=targeting,
-                    )
-            finally:
-                for lock in locks:
-                    lock.release_read()
+            # The two branches differ only in which executor builds the
+            # mapper; they are spelled out (rather than dispatched via
+            # a shared variable) so the static lockgraph resolves each
+            # closure and models its lock footprint under the held lock.
+            if self._worker_pool is not None:
+                result = self.cluster.find(
+                    collection,
+                    query,
+                    hint=hint,
+                    max_geo_ranges=max_geo_ranges,
+                    shard_mapper=self._worker_pool.shard_mapper(
+                        spec, deadline
+                    ),
+                    shape=shape,
+                    matcher=matcher,
+                    targeting=targeting,
+                )
+            else:
+                assert self._threaded is not None
+                result = self.cluster.find(
+                    collection,
+                    query,
+                    hint=hint,
+                    max_geo_ranges=max_geo_ranges,
+                    shard_mapper=self._threaded.shard_mapper(
+                        spec, deadline
+                    ),
+                    shape=shape,
+                    matcher=matcher,
+                    targeting=targeting,
+                )
         finally:
             if threaded:
-                self._turn.release()
+                self._lock.release_write()
+            else:
+                self._lock.release_read()
         latency_ms = (time.perf_counter() - started) * 1000.0
         self.metrics.record_query(
             latency_ms,
@@ -356,53 +351,6 @@ class QueryService:
             queue_wait_ms=queue_wait_ms,
             hint_used=hint,
         )
-
-    def _read_lock_targeted_shards(
-        self,
-        collection: str,
-        query: Mapping[str, Any],
-        deadline: Deadline,
-        shape=None,
-    ) -> Tuple[List[ReadWriteLock], Any]:
-        """Shared-lock the shards a query targets, consistently.
-
-        Targeting runs before any lock is held, so a concurrent write
-        could split or migrate chunks in between.  The loop re-checks
-        the cluster's ``metadata_version`` once the locks are held and
-        retries when routing moved underneath it.  Returns the held
-        locks *and* the validated targeting, which the caller passes
-        into :meth:`ShardedCluster.find` — so the targeting memo's lock
-        is only ever taken here, before any shard lock is held.
-        """
-        for _attempt in range(16):
-            version = self.cluster.metadata_version
-            targeting = self.cluster.targeting_for(
-                collection, query, shape=shape
-            )
-            acquired: List[ReadWriteLock] = []
-            ok = True
-            try:
-                for shard_id in sorted(targeting.shard_ids):
-                    lock = self._shard_locks[shard_id]
-                    if not lock.acquire_read(timeout=deadline.remaining()):
-                        ok = False
-                        break
-                    acquired.append(lock)
-            except BaseException:
-                # deadline.remaining() raises QueryTimeoutError mid-loop;
-                # locks already acquired must not leak past this frame.
-                for lock in acquired:
-                    lock.release_read()
-                raise
-            if ok and self.cluster.metadata_version == version:
-                return acquired, targeting
-            for lock in acquired:
-                lock.release_read()
-            if not ok:
-                raise QueryTimeoutError(
-                    "timed out waiting for shard read locks"
-                )
-        raise ServiceError("routing metadata kept changing during targeting")
 
     # -- convenience reads -----------------------------------------------------
 
@@ -418,27 +366,19 @@ class QueryService:
     # -- write path ------------------------------------------------------------
 
     def _run_exclusive(self, fn):
-        """Run a cluster mutation holding every shard's write lock.
+        """Run a cluster mutation holding the service lock exclusively.
 
         Writes take exclusive access to the whole cluster: an insert
         can split a chunk and migrate it to *any* shard, and updates
-        and deletes rewrite chunk statistics, so per-shard write locks
-        are acquired on all shards (in sorted order, making the
-        acquisition deadlock-free against concurrent multi-shard
-        readers, which sort identically).
+        and deletes rewrite chunk statistics.
         """
         self._admit()
         try:
-            acquired: List[Tuple[str, ReadWriteLock]] = []
-            for shard_id in sorted(self._shard_locks):
-                lock = self._shard_locks[shard_id]
-                lock.acquire_write()
-                acquired.append((shard_id, lock))
+            self._lock.acquire_write()
             try:
                 out = fn()
             finally:
-                for _shard_id, lock in reversed(acquired):
-                    lock.release_write()
+                self._lock.release_write()
             self.metrics.record_write()
             return out
         finally:

@@ -58,7 +58,7 @@ class PlanMessage:
     """One shard subquery, compact enough to pickle per request.
 
     ``epoch`` is the source collection's ``mutation_count`` at send
-    time, read under the shard read lock — the worker refuses to serve
+    time, read under the service lock — the worker refuses to serve
     a collection whose epoch does not match.
     """
 

@@ -3,17 +3,17 @@ quiet on the fixed one — including a reconstruction of the actual PR-1
 timeout-path lock leak."""
 
 
-# A faithful reconstruction of _read_lock_targeted_shards *before* the
+# A faithful reconstruction of the service's per-shard read locking before the
 # PR-1 review fix: deadline.remaining() can raise QueryTimeoutError
 # mid-loop, and the already-acquired read locks leak because the only
 # releases are on the straight-line path.
 PRE_FIX_PR1_LEAK = """
 class QueryService:
-    def _read_lock_targeted_shards(self, collection, query, deadline):
+    def _read_lock_shards(self, collection, query, deadline):
         acquired = []
         ok = True
         for shard_id in sorted(self._targeting(collection, query)):
-            lock = self._shard_locks[shard_id]
+            lock = self._locks_by_shard[shard_id]
             if not lock.acquire_read(timeout=deadline.remaining()):
                 ok = False
                 break
@@ -29,12 +29,12 @@ class QueryService:
 # a try whose BaseException handler releases what was acquired.
 POST_FIX_PR1 = """
 class QueryService:
-    def _read_lock_targeted_shards(self, collection, query, deadline):
+    def _read_lock_shards(self, collection, query, deadline):
         acquired = []
         ok = True
         try:
             for shard_id in sorted(self._targeting(collection, query)):
-                lock = self._shard_locks[shard_id]
+                lock = self._locks_by_shard[shard_id]
                 if not lock.acquire_read(timeout=deadline.remaining()):
                     ok = False
                     break

@@ -412,5 +412,5 @@ class TestBaselineHygiene:
             out=out,
         )
         assert code == 0, out.getvalue()
-        assert "baseline rewritten: 10 entries" in out.getvalue()
+        assert "baseline rewritten: 9 entries" in out.getvalue()
         assert Baseline.load(copy).entries == Baseline.load(BASELINE).entries

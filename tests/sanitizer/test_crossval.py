@@ -11,7 +11,8 @@ from repro.analysis.lockgraph import build_lock_order_graph
 from repro.cluster.cluster import ClusterTopology, ShardedCluster
 from repro.sanitizer import (
     EXECUTOR_CLIENT_LOCK_KEY,
-    SHARD_LOCKS_KEY,
+    SERVICE_LOCK_KEY,
+    TARGETING_CACHE_LOCK_KEY,
     LockOrderSanitizer,
     SanitizedLock,
     cross_validate,
@@ -216,18 +217,22 @@ class TestServiceWorkload:
             )
             service.delete_many("t", {"group": 3})
         assert san.violations() == []
-        # The workload walks the shard locks in sorted order, so the
-        # only runtime edge is the ordered self-edge — which the static
-        # graph must (and does) explain.
-        report = cross_validate(shipped_graph, san, [SHARD_LOCKS_KEY])
+        # A read targets under the service lock, so the memo's lock
+        # nests under it — an edge the static graph must explain, and
+        # one the workload must actually have exercised.
+        report = cross_validate(
+            shipped_graph, san, [SERVICE_LOCK_KEY, TARGETING_CACHE_LOCK_KEY]
+        )
         assert report.ok, report.render()
-        assert san.observed_edges() != set()
+        assert (SERVICE_LOCK_KEY, TARGETING_CACHE_LOCK_KEY) in {
+            (edge.src, edge.dst) for edge in san.observed_edges()
+        }
 
     def test_process_backend_workload_matches_static_graph(
         self, shipped_graph
     ):
-        # The new parent-side topology: the serving path nests each
-        # worker client's lock under the shard read locks, never the
+        # The parent-side topology: the serving path nests each
+        # worker client's lock under the service lock, never the
         # other way around, and never client under client.  The same
         # workload as above, run on the process backend, must observe
         # exactly edges the shipped-src graph explains.
@@ -243,11 +248,11 @@ class TestServiceWorkload:
             service.delete_many("t", {"group": 3})
         assert san.violations() == []
         report = cross_validate(
-            shipped_graph, san, [SHARD_LOCKS_KEY, EXECUTOR_CLIENT_LOCK_KEY]
+            shipped_graph, san, [SERVICE_LOCK_KEY, EXECUTOR_CLIENT_LOCK_KEY]
         )
         assert report.ok, report.render()
         # The defining edge of the process topology must actually have
         # been exercised, not vacuously absent.
-        assert (SHARD_LOCKS_KEY, EXECUTOR_CLIENT_LOCK_KEY) in {
+        assert (SERVICE_LOCK_KEY, EXECUTOR_CLIENT_LOCK_KEY) in {
             (edge.src, edge.dst) for edge in san.observed_edges()
         }

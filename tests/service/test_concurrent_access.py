@@ -176,32 +176,33 @@ class TestConcurrentMixedWorkload:
         assert not mismatches
 
 
+def _assert_lock_not_leaked(service):
+    """The service lock is write-acquirable: no read leaked its hold."""
+    assert service._lock.acquire_write(timeout=2.0), "leaked read hold"
+    service._lock.release_write()
+
+
 class TestTimeoutLockSafety:
     def test_timed_out_query_releases_read_locks(self, stress_cluster):
-        """A query timing out mid lock-acquisition must leak no locks.
+        """A query timing out while it waits for the lock must leak none.
 
-        A writer parks on the last shard (sorted order) so a broadcast
-        read acquires every earlier shard's read lock, then times out
-        waiting for the blocked one.  Afterwards every shard must be
+        A writer holds the service lock, so a broadcast read queues
+        behind it and times out.  Afterwards the lock must be
         write-acquirable and a real write must complete — a leaked read
-        lock would deadlock the service permanently.
+        hold would deadlock the service permanently.
         """
         with QueryService(
             stress_cluster, ServiceConfig(max_workers=4)
         ) as service:
-            shard_ids = sorted(service._shard_locks)
-            blocker = service._shard_locks[shard_ids[-1]]
+            lock = service._lock
             parked = threading.Event()
             unpark = threading.Event()
 
             def writer():
-                # Park on a dedicated thread: acquiring the last lock
-                # from the query thread itself would be an artificial
-                # rank inversion, not the scenario under test.
-                blocker.acquire_write()
+                lock.acquire_write()
                 parked.set()
                 unpark.wait(timeout=30.0)
-                blocker.release_write()
+                lock.release_write()
 
             thread = threading.Thread(target=writer)
             thread.start()
@@ -212,12 +213,7 @@ class TestTimeoutLockSafety:
             finally:
                 unpark.set()
                 thread.join(timeout=10.0)
-            for shard_id in shard_ids:
-                lock = service._shard_locks[shard_id]
-                assert lock.acquire_write(timeout=2.0), (
-                    "leaked read lock on %s" % shard_id
-                )
-                lock.release_write()
+            _assert_lock_not_leaked(service)
             inserted = service.insert_many(
                 "t",
                 [
@@ -233,27 +229,19 @@ class TestTimeoutLockSafety:
             assert inserted == 1
 
 
-#: The turn belongs to the thread backend, whatever the environment says.
+#: Reads take turns on the thread backend, whatever the environment says.
 THREAD = ServiceConfig(executor="thread")
 
 
 class TestReadTurns:
-    """The thread backend's reads take one FIFO turn at a time."""
-
-    @staticmethod
-    def _assert_no_read_lock_leaked(service):
-        for shard_id in sorted(service._shard_locks):
-            lock = service._shard_locks[shard_id]
-            assert lock.acquire_write(timeout=2.0), (
-                "leaked read lock on %s" % shard_id
-            )
-            lock.release_write()
+    """The thread backend's reads hold the service lock one at a time,
+    in arrival order."""
 
     def test_expired_waiter_times_out_and_the_next_one_runs(
         self, stress_cluster
     ):
         with QueryService(stress_cluster, THREAD) as service:
-            turn = service._turn
+            lock = service._lock
             outcomes = {}
 
             def read(name, timeout_ms):
@@ -263,28 +251,28 @@ class TestReadTurns:
                 except QueryTimeoutError as exc:
                     outcomes[name] = exc
 
-            # Hold the turn as a long read would; queue two reads
+            # Hold the lock as a long read would; queue two reads
             # behind it, the first with a short deadline.
-            assert turn.acquire()
+            assert lock.acquire_write()
             try:
                 early = threading.Thread(target=read, args=("early", 100))
                 early.start()
-                _wait_for(lambda: len(turn._queue) == 1)
+                _wait_for(lambda: len(lock._queue) == 1)
                 late = threading.Thread(target=read, args=("late", None))
                 late.start()
-                _wait_for(lambda: len(turn._queue) == 2)
+                _wait_for(lambda: len(lock._queue) == 2)
                 early.join(timeout=10.0)
                 assert isinstance(outcomes["early"], QueryTimeoutError)
                 assert "late" not in outcomes  # still queued
                 time.sleep(0.1)
             finally:
-                turn.release()
+                lock.release_write()
             late.join(timeout=10.0)
             assert len(outcomes["late"]) == BASE_DOCS
-            # The wait for the turn is queue wait.
+            # The wait for the lock is queue wait.
             assert outcomes["late"].queue_wait_ms >= 100.0
             assert service.metrics.timed_out == 1
-            self._assert_no_read_lock_leaked(service)
+            _assert_lock_not_leaked(service)
 
     def test_timeout_mid_fan_out_releases_the_turn(
         self, stress_cluster, monkeypatch
@@ -303,8 +291,43 @@ class TestReadTurns:
                 service.find("t", {}, timeout_ms=100)
             monkeypatch.setattr(Collection, "find_with_stats", original)
             # The deadline expired between two shards of the fan-out.
-            assert 0 < len(shards_run) < len(service._shard_locks)
-            assert service._turn.acquire(timeout=0)
-            service._turn.release()
-            self._assert_no_read_lock_leaked(service)
+            assert 0 < len(shards_run) < len(stress_cluster.shards)
+            _assert_lock_not_leaked(service)
             assert len(service.find("t", {})) == BASE_DOCS
+
+    def test_a_read_queued_behind_a_write_goes_before_the_next_write(
+        self, stress_cluster
+    ):
+        # Burst ingest against one reader: the writer's thread releases
+        # the lock and writes again at once.  The read that queued
+        # during the first write must be served first, so it does not
+        # see the second write's document.
+        with QueryService(stress_cluster, THREAD) as service:
+            entered = threading.Event()
+            proceed = threading.Event()
+            outcomes = {}
+
+            def hold():
+                entered.set()
+                assert proceed.wait(timeout=10.0)
+
+            def writes():
+                service._run_exclusive(hold)
+                service.insert_one(
+                    "t", {"_id": 10**6, "k": 1, "group": 0, "counter": 0}
+                )
+
+            def read():
+                outcomes["read"] = service.find("t", {})
+
+            writer = threading.Thread(target=writes)
+            writer.start()
+            assert entered.wait(timeout=10.0)
+            reader = threading.Thread(target=read)
+            reader.start()
+            _wait_for(lambda: len(service._lock._queue) == 1)
+            proceed.set()
+            writer.join(timeout=10.0)
+            reader.join(timeout=10.0)
+            assert len(outcomes["read"]) == BASE_DOCS
+            assert len(service.find("t", {})) == BASE_DOCS + 1

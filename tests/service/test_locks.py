@@ -1,10 +1,10 @@
-"""Reader-writer lock and FIFO turn semantics."""
+"""Reader-writer lock semantics: shared, exclusive, in arrival order."""
 
 import sys
 import threading
 import time
 
-from repro.service.locks import FifoTurn, ReadWriteLock
+from repro.service.locks import ReadWriteLock
 
 
 class TestSharedMode:
@@ -14,9 +14,12 @@ class TestSharedMode:
         barrier = threading.Barrier(4)
 
         def reader():
-            with lock.read_locked():
+            assert lock.acquire_read(timeout=5)
+            try:
                 barrier.wait(timeout=5)  # all 4 inside simultaneously
                 inside.append(1)
+            finally:
+                lock.release_read()
 
         threads = [threading.Thread(target=reader) for _ in range(4)]
         for t in threads:
@@ -76,7 +79,7 @@ class TestExclusiveMode:
         t.start()
         writer_started.wait(timeout=2)
         time.sleep(0.05)  # writer is now parked, waiting
-        # Writer preference: a new reader cannot sneak in.
+        # Arrival order: a new reader cannot overtake the queued writer.
         assert lock.acquire_read(timeout=0.05) is False
         lock.release_read()
         t.join()
@@ -125,33 +128,37 @@ def _wait_until(predicate, timeout=5.0):
         time.sleep(0.001)
 
 
-class TestFifoTurn:
-    def _queue_waiter(self, turn, name, granted, timeout=None, results=None):
-        """Start a thread that queues for the turn, records the grant,
-        and hands the turn on; returns once it is in the queue."""
-        queued = len(turn._queue)
+class TestFifoOrder:
+    def _queue_waiter(
+        self, lock, name, granted, timeout=None, results=None, shared=False
+    ):
+        """Start a thread that queues for the lock, records the grant,
+        and releases; returns once it is in the queue."""
+        queued = len(lock._queue)
+        acquire = lock.acquire_read if shared else lock.acquire_write
+        release = lock.release_read if shared else lock.release_write
 
         def waiter():
-            ok = turn.acquire(timeout=timeout)
+            ok = acquire(timeout=timeout)
             if results is not None:
                 results[name] = ok
             if ok:
                 granted.append(name)
-                turn.release()
+                release()
 
         thread = threading.Thread(target=waiter)
         thread.start()
-        _wait_until(lambda: len(turn._queue) > queued)
+        _wait_until(lambda: len(lock._queue) > queued)
         return thread
 
     def test_grants_follow_arrival_order(self):
-        turn = FifoTurn()
+        lock = ReadWriteLock()
         granted = []
-        assert turn.acquire()
+        assert lock.acquire_write()
         threads = [
-            self._queue_waiter(turn, name, granted) for name in "abcde"
+            self._queue_waiter(lock, name, granted) for name in "abcde"
         ]
-        turn.release()
+        lock.release_write()
         for thread in threads:
             thread.join(timeout=5)
         assert granted == list("abcde")
@@ -159,53 +166,112 @@ class TestFifoTurn:
     def test_a_releasing_holder_queues_behind_the_waiter(self):
         # The case a plain Lock gets wrong: release, then ask again at
         # once — the thread already waiting must go first.
-        turn = FifoTurn()
+        lock = ReadWriteLock()
         granted = []
-        assert turn.acquire()
-        thread = self._queue_waiter(turn, "waiter", granted)
-        turn.release()
-        assert turn.acquire(timeout=5)
+        assert lock.acquire_write()
+        thread = self._queue_waiter(lock, "waiter", granted)
+        lock.release_write()
+        assert lock.acquire_write(timeout=5)
         granted.append("releaser")
-        turn.release()
+        lock.release_write()
         thread.join(timeout=5)
         assert granted == ["waiter", "releaser"]
 
+    def test_a_rewriting_writer_queues_behind_the_reader(self):
+        # Burst ingest against one reader: a writer holds the lock, a
+        # reader queues, and the writer releases and asks again at
+        # once.  A writer-preferring lock lets the writer back in
+        # before the reader it woke can run.
+        lock = ReadWriteLock()
+        granted = []
+        assert lock.acquire_write()
+        thread = self._queue_waiter(lock, "reader", granted, shared=True)
+        lock.release_write()
+        assert lock.acquire_write(timeout=5)
+        granted.append("writer")
+        lock.release_write()
+        thread.join(timeout=5)
+        assert granted == ["reader", "writer"]
+
+    def test_shared_heads_are_granted_together(self):
+        # Three readers queued behind a writer enter together; the
+        # writer queued after them waits for all three to leave.
+        lock = ReadWriteLock()
+        assert lock.acquire_write()
+        inside = threading.Barrier(3)
+        order = []
+
+        def reader(name):
+            assert lock.acquire_read(timeout=5)
+            try:
+                inside.wait(timeout=5)  # all three hold it at once
+                order.append(name)
+            finally:
+                lock.release_read()
+
+        readers = []
+        for name in "abc":
+            readers.append(threading.Thread(target=reader, args=(name,)))
+            readers[-1].start()
+            _wait_until(lambda n=len(readers): len(lock._queue) == n)
+        writer = self._queue_waiter(lock, "writer", order)
+        lock.release_write()
+        for thread in readers + [writer]:
+            thread.join(timeout=5)
+        assert sorted(order[:3]) == list("abc")
+        assert order[3:] == ["writer"]
+        assert not lock._queue and not lock._readers and not lock._writer
+
     def test_an_expired_waiter_leaves_and_the_next_one_runs(self):
-        turn = FifoTurn()
+        lock = ReadWriteLock()
         granted, results = [], {}
-        assert turn.acquire()
+        assert lock.acquire_write()
         early = self._queue_waiter(
-            turn, "early", granted, timeout=0.05, results=results
+            lock, "early", granted, timeout=0.05, results=results
         )
-        late = self._queue_waiter(turn, "late", granted, results=results)
+        late = self._queue_waiter(lock, "late", granted, results=results)
         early.join(timeout=5)
         assert results == {"early": False}
-        turn.release()
+        lock.release_write()
         late.join(timeout=5)
         assert granted == ["late"]
-        assert not turn._queue and not turn._held
+        assert not lock._queue and not lock._writer
 
     def test_stress_turns_exclude_each_other(self):
         # More threads than cores and a tiny switch interval: a read-
-        # modify-write inside the turn loses no update only if turns
-        # never overlap.
-        turn = FifoTurn()
+        # modify-write under the exclusive lock loses no update only if
+        # exclusive holds never overlap — with each other or with the
+        # shared holds that check the counter stays still.
+        lock = ReadWriteLock()
         counter = [0]
+        torn = []
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
 
-            def worker():
+            def writer():
                 for _ in range(200):
-                    assert turn.acquire(timeout=10)
+                    assert lock.acquire_write(timeout=10)
                     try:
                         value = counter[0]
                         time.sleep(0)
                         counter[0] = value + 1
                     finally:
-                        turn.release()
+                        lock.release_write()
 
-            threads = [threading.Thread(target=worker) for _ in range(8)]
+            def reader():
+                for _ in range(200):
+                    assert lock.acquire_read(timeout=10)
+                    try:
+                        value = counter[0]
+                        time.sleep(0)
+                        if counter[0] != value:
+                            torn.append(value)
+                    finally:
+                        lock.release_read()
+
+            threads = [threading.Thread(target=writer) for _ in range(8)]
+            threads += [threading.Thread(target=reader) for _ in range(2)]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -214,4 +280,5 @@ class TestFifoTurn:
         finally:
             sys.setswitchinterval(previous)
         assert counter[0] == 8 * 200
-        assert not turn._queue and not turn._held
+        assert not torn
+        assert not lock._queue and not lock._readers and not lock._writer

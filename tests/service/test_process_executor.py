@@ -288,11 +288,11 @@ class TestDeadlinesAndAdmission:
             pool.debug_stall_ms[shard_id] = 1_000.0
             with pytest.raises(QueryTimeoutError):
                 service.find("t", {}, timeout_ms=100)
-            # The shard read lock must have been released on the
-            # timeout path: a writer can take it promptly.
-            lock = service._shard_locks[shard_id]
-            assert lock.acquire_write(timeout=2.0)
-            lock.release_write()
+            # The read's hold of the service lock must have been
+            # released on the timeout path: a writer can take it
+            # promptly.
+            assert service._lock.acquire_write(timeout=2.0)
+            service._lock.release_write()
             # The worker was abandoned, not leaked: once the stall is
             # lifted the same pool serves the next query with the same
             # (still-alive) worker processes.

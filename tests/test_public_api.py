@@ -176,8 +176,9 @@ def test_no_module_imports_a_higher_layer():
 #: Surface deleted because nothing in ``src/`` called it (DESIGN.md §11
 #: and §13): the per-query chooser and its statistics, the names only
 #: their own unit tests reached, the parameterized-plan binder the
-#: one compiling walk replaced, and the replica snapshots a forked
-#: worker replaced (DESIGN.md §10).  Module -> attribute paths.
+#: one compiling walk replaced, the replica snapshots a forked
+#: worker replaced, and the shard locks and read turn the service's
+#: one lock replaced (DESIGN.md §10).  Module -> attribute paths.
 DELETED = {
     "repro.core.chooser": [],
     "repro.docstore.stats": [],
@@ -218,7 +219,12 @@ DELETED = {
         "haversine_km",
     ],
     "repro.geo": ["haversine_km"],
-    "repro.sanitizer": ["instrument_stats_catalog"],
+    "repro.sanitizer": [
+        "instrument_stats_catalog",
+        "SHARD_LOCKS_KEY",
+        "TURN_LOCK_KEY",
+    ],
+    "repro.sanitizer.instrument": ["SHARD_LOCKS_KEY", "TURN_LOCK_KEY"],
     "repro.service.executors": [
         "ShardWorkerPool.client_for",
         "SubquerySpec.shape",
@@ -233,6 +239,12 @@ DELETED = {
     "repro.service.service": [
         "QueryService.analyze_collection",
         "QueryService.collection_stats",
+        "QueryService._read_lock_targeted_shards",
+    ],
+    "repro.service.locks": [
+        "FifoTurn",
+        "ReadWriteLock.read_locked",
+        "ReadWriteLock.write_locked",
     ],
 }
 
