@@ -65,8 +65,9 @@ def main() -> None:
     workload = render_workload(
         deployment.approach, randomized_queries(N_QUERIES, seed=2)
     )
-    # One library-path pass first, so every row below starts from the
-    # same range-decomposition and targeting cache state.
+    # One library-path pass first, so the first row below does not pay
+    # the process's one-time warm-up (nothing is memoized between
+    # queries, so every row after it starts from the same state).
     for query in workload:
         deployment.cluster.find(COLLECTION, query)
     print("Serving %d randomized queries per row (closed loop):" % N_QUERIES)

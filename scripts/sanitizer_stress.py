@@ -8,9 +8,16 @@ lock-order graph of ``src``.  Exits non-zero when the sanitizer
 records any violation or the two graphs disagree — this is the CI
 job that keeps the analyzer honest against running code.
 
+Run it on the process backend (``REPRO_EXECUTOR_BACKEND=process``):
+there a read nests each worker client's lock under the service lock.
+On the thread backend the service lock nests no instrumented lock, the
+observed graph is empty, and the run stops with a harness error rather
+than pass vacuously.
+
 Usage::
 
-    PYTHONPATH=src python scripts/sanitizer_stress.py [--clients 8]
+    REPRO_EXECUTOR_BACKEND=process PYTHONPATH=src
+        python scripts/sanitizer_stress.py [--clients 8]
         [--queries 400] [--shards 8] [--docs 2000]
 """
 

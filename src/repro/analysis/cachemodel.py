@@ -1,6 +1,6 @@
 """Static dataflow over cache-coherence effects (the stale-cache model).
 
-A derived-state cache — today the router's targeting memo — is kept
+A derived-state cache — a memo of routing decisions, say — is kept
 coherent with its source of truth by a *version token*: a monotonic
 counter (``metadata_version``) bumped on every mutation of the state
 the cached values derive from.  A missing bump,
@@ -22,10 +22,10 @@ The model discovers two kinds of declaration:
   methods (``del``/``clear``/``pop`` on the store).  A method that is
   both read and fill marks the cache *pure-memo* (keys capture the
   full input); a read method that compares the got entry against
-  other state is *stamp-validated* (:class:`repro.cache.StampedLRUCache`,
-  the store behind every shipped memo).  A version reaches a read or
-  fill either in its key tuple or as an argument — the primitive's
-  ``stamp=``.
+  other state is *stamp-validated* (a stamped LRU such as the
+  ``StampedLRUCache`` the reconstruction fixtures use; the shipped
+  tree holds no cache).  A version reaches a read or fill either in
+  its key tuple or as an argument — the primitive's ``stamp=``.
 
 Per function, the model records an ordered
 :class:`~repro.analysis.effects.Effect`

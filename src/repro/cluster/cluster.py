@@ -45,17 +45,12 @@ from typing import (
     Tuple,
 )
 
-from repro.cache import StampedLRUCache
 from repro.cluster.balancer import Balancer
 from repro.cluster.catalog import CollectionMetadata, ConfigCatalog
 from repro.cluster.chunk import Chunk, KeyBound, ShardKeyPattern
 from repro.cluster.cost_model import DEFAULT_COST_MODEL, CostModel
 from repro.cluster.metrics import ClusterQueryStats
-from repro.cluster.router import (
-    TargetingResult,
-    target_chunks,
-    target_chunks_cached,
-)
+from repro.cluster.router import TargetingResult, target_chunks
 from repro.cluster.shard import Shard, shard_key_index_name
 from repro.cluster.zones import Zone, ZoneSet
 from repro.docstore.bson import bson_document_size
@@ -134,17 +129,13 @@ class ShardedCluster:
             shard_ids=list(self.shards),
             migrate=self._migrate_chunk,
         )
-        #: Monotonic counter bumped on any routing-relevant metadata
-        #: change (chunk split/migration, DDL, zones).  Concurrent
-        #: callers — the :mod:`repro.service` frontend — read it to
-        #: validate that targeting computed before lock acquisition is
-        #: still current.
+        #: Routing-change counter: bumped on every routing-relevant
+        #: metadata change (chunk split/migration, DDL, zones).  Nothing
+        #: in the read path reads it — every read routes from the live
+        #: chunk map — but the benchmark's
+        #: ``cluster.metadata_version_bumps`` row and the tests count
+        #: routing changes with it.
         self.metadata_version = 0
-        #: Routing-decision memo for the read path, keyed by
-        #: (collection, interval box) and stamped with
-        #: ``metadata_version``: after any bump above, a lookup misses
-        #: as stale and its refill replaces the entry in place.
-        self.targeting_cache = StampedLRUCache()
 
     def _bump_metadata_version(self) -> None:
         self.metadata_version += 1
@@ -552,19 +543,16 @@ class ShardedCluster:
         Exposes mongos targeting (which shards must participate and
         whether the operation broadcasts) to callers that need it ahead
         of execution — the :mod:`repro.service` frontend routes each
-        read with this, under its lock, before fanning out.  Pass ``shape``
-        to reuse an already-analyzed query; ``fast_path=False`` skips
-        the targeting cache.
+        read with this, under its lock, before fanning out.  Every call
+        walks the live chunk map.  Pass ``shape`` to reuse an
+        already-analyzed query; ``fast_path`` is accepted and ignored
+        (the perf harness still passes it; ROADMAP item 1(d)).
         """
         metadata = self.catalog.get(collection)
         if shape is None:
             if query is None:
                 raise ShardingError("targeting needs a query or a shape")
             shape, _matcher = parse_query(query)
-        if fast_path:
-            return target_chunks_cached(
-                metadata, shape, self.targeting_cache, self.metadata_version
-            )
         return target_chunks(metadata, shape)
 
     def find(
@@ -594,10 +582,8 @@ class ShardedCluster:
 
         ``shape``/``matcher``/``targeting`` accept precomputed plan
         pieces (the service parses the query once), which must
-        correspond to the same ``query``.  Missing targeting
-        is routed afresh with :func:`target_chunks`: the targeting memo
-        is the service's, consulted through :meth:`targeting_for` under
-        the service lock, and its lock is a leaf that nests nothing.
+        correspond to the same ``query``.  Missing targeting is routed
+        with :func:`target_chunks`, as :meth:`targeting_for` does.
         """
         plan_started = time.perf_counter()
         if shape is None or matcher is None:

@@ -16,9 +16,8 @@ baseline's weakness.
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.cache import StampedLRUCache
 from repro.cluster.catalog import CollectionMetadata
 from repro.cluster.chunk import Chunk, KeyBound, ShardKeyPattern
 from repro.docstore.index import hashed_value
@@ -28,8 +27,6 @@ __all__ = [
     "shard_key_intervals",
     "LexBoxChecker",
     "target_chunks",
-    "target_chunks_cached",
-    "targeting_cache_key",
     "TargetingResult",
 ]
 
@@ -193,63 +190,3 @@ def _target_from_intervals(
     return TargetingResult(
         chunks=chunks, shard_ids=shard_ids, broadcast=False, intervals=intervals
     )
-
-
-def targeting_cache_key(
-    collection: str,
-    intervals: Optional[List[List[Interval]]],
-) -> Optional[Tuple]:
-    """Hashable identity of a routing decision, or None if uncacheable.
-
-    The key binds the collection and the shard-key interval box the
-    query constrains; the ``metadata_version`` the decision was derived
-    under is the entry's *stamp*, not part of the key, so a split,
-    migration, DDL or zone change makes the next lookup a stale miss
-    whose refill replaces the entry in place.  Canonical bounds are
-    tuples of scalars and therefore hashable; exotic values that are
-    not simply make the decision uncacheable.
-    """
-    if intervals is None:
-        parts: Optional[Tuple] = None
-    else:
-        parts = tuple(
-            tuple(
-                (iv.lo, iv.hi, iv.lo_inclusive, iv.hi_inclusive)
-                for iv in ivs
-            )
-            for ivs in intervals
-        )
-    key = (collection, parts)
-    try:
-        hash(key)
-    except TypeError:
-        return None
-    return key
-
-
-def target_chunks_cached(
-    metadata: CollectionMetadata,
-    shape: QueryShape,
-    cache: StampedLRUCache,
-    metadata_version: int,
-) -> TargetingResult:
-    """:func:`target_chunks` memoized in ``cache``, stamped with the version.
-
-    ``metadata_version`` must be read before ``metadata.chunks`` is:
-    a split sliding in between then stamps the stale decision with the
-    old version, and no later lookup accepts it.  Interval extraction
-    always runs (it is cheap and yields the key); the chunk bisection and
-    intersection tests are what a hit skips.  Cached
-    :class:`TargetingResult` objects are shared between callers and
-    must be treated as read-only.
-    """
-    intervals = shard_key_intervals(metadata.pattern, shape)
-    key = targeting_cache_key(metadata.name, intervals)
-    if key is not None:
-        cached = cache.get(key, stamp=metadata_version)
-        if cached is not None:
-            return cached
-    result = _target_from_intervals(metadata, intervals)
-    if key is not None:
-        cache.put(key, result, stamp=metadata_version)
-    return result

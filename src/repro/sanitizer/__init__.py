@@ -22,7 +22,6 @@ from repro.sanitizer.cachetrace import (
     CACHE_INSTRUMENTED_PATHS,
     CacheTracer,
     CacheViolation,
-    instrument_targeting_cache,
     trace_cache,
 )
 from repro.sanitizer.core import (
@@ -56,7 +55,6 @@ from repro.sanitizer.instrument import (
     LSM_MANIFEST_LOCK_KEY,
     LSM_WRITE_LOCK_KEY,
     SERVICE_LOCK_KEY,
-    TARGETING_CACHE_LOCK_KEY,
     WAL_LOCK_KEY,
     WORKER_HOST_LOCK_KEY,
     instrument_lsm_engine,
@@ -90,7 +88,6 @@ __all__ = [
     "SanitizedLock",
     "SanitizedReadWriteLock",
     "SanitizerViolation",
-    "TARGETING_CACHE_LOCK_KEY",
     "WAL_LOCK_KEY",
     "WORKER_HOST_LOCK_KEY",
     "cross_validate",
@@ -98,7 +95,6 @@ __all__ = [
     "cross_validate_fs",
     "instrument_lsm_engine",
     "instrument_query_service",
-    "instrument_targeting_cache",
     "instrument_worker_host",
     "lsm_fs_modules",
     "sweep_crash_boundaries",

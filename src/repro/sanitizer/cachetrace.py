@@ -5,9 +5,11 @@ rules CC001–CC006) proves invalidation discipline over every path the
 call graph admits; this module is its runtime counterpart.  A
 :class:`CacheTracer` keeps one monotonically increasing *generation*
 per invalidation **domain** (``"metadata"`` for chunk topology and
-DDL — the one domain the shipped caches are governed by — and any
-other name a test declares, such as ``"ddl"`` or ``"storage"`` in the
-reconstruction fixtures).  Every cache fill is stamped
+DDL, and any other name a test declares, such as ``"ddl"`` or
+``"storage"`` in the reconstruction fixtures).  The shipped tree holds
+no cache, so what the tracer observes are the cache-coherence
+reconstruction fixtures (``tests/analysis/cache_reconstruction``).
+Every cache fill is stamped
 with the generation vector in force at fill time — or, via the ``at=``
 snapshot, at *derivation* time, which is what catches keys computed
 from a different version than the data they guard (CC002).  Every hit
@@ -26,24 +28,22 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
-
-from repro.cache import StampedLRUCache
-from repro.cluster.cluster import ShardedCluster
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "CACHE_INSTRUMENTED_PATHS",
     "CacheTracer",
     "CacheViolation",
-    "instrument_targeting_cache",
     "trace_cache",
 ]
 
-#: The source files whose caches the tracer can observe — the scope
-#: handed to :func:`~repro.sanitizer.crossval.cross_validate_cache` so
-#: static CC findings outside the traced surface are not demanded back.
+#: The default scope of :func:`~repro.sanitizer.crossval.cross_validate_cache`:
+#: the modules that own and read the routing state.  They hold no cache
+#: (every read routes from the live chunk map), so the trace of a
+#: shipped workload is empty and any CC001–CC004 finding here fails
+#: cross-validation unless justified — a memo put back without its
+#: invalidation discipline shows up that way.
 CACHE_INSTRUMENTED_PATHS = (
-    "src/repro/cache.py",
     "src/repro/cluster/router.py",
     "src/repro/cluster/cluster.py",
     "src/repro/service/service.py",
@@ -202,20 +202,21 @@ class CacheTracer:
             )
 
 
-# -- instrumentation of the shipped caches -----------------------------------
+# -- instrumentation ---------------------------------------------------------
 
 
 def trace_cache(
-    cache: StampedLRUCache,
+    cache: Any,
     tracer: CacheTracer,
     label: str,
     family: str,
     at: Optional[Callable[[Hashable], Optional[Dict[str, int]]]] = None,
 ) -> None:
-    """Wire one :class:`~repro.cache.StampedLRUCache` into a tracer.
+    """Wire one stamped cache into a tracer.
 
-    Every ``put`` stamps the entry with the ``"metadata"`` generation
-    (the one domain the stamped memos are governed by) — or, when
+    ``cache`` is any object with the stamped interface ``get(key,
+    stamp=None)`` / ``put(key, value, stamp=None)``.  Every ``put``
+    stamps the entry with the ``"metadata"`` generation — or, when
     ``at(key)`` returns a snapshot, with the generation in force when
     the value's derivation started — and every hit rechecks that
     stamp, reporting a lagging one as a stale hit of ``family``.
@@ -234,29 +235,5 @@ def trace_cache(
         tracer.record_fill(label, key, ("metadata",), at=snapshot)
         orig_put(key, value, stamp)
 
-    cache.get = traced_get  # type: ignore[method-assign]
-    cache.put = traced_put  # type: ignore[method-assign]
-
-
-def instrument_targeting_cache(
-    cluster: ShardedCluster,
-    tracer: CacheTracer,
-    label: str = "targeting",
-) -> CacheTracer:
-    """Wire the cluster's targeting memo into a tracer.
-
-    The ``"metadata"`` domain advances inside
-    ``_bump_metadata_version`` — the same event that moves every
-    entry's stamp out of date — so a later *hit* of an entry filled
-    before the bump can only mean a read path that failed to pass the
-    live version as its stamp.
-    """
-    trace_cache(cluster.targeting_cache, tracer, label, "CC003")
-    orig_bump = cluster._bump_metadata_version
-
-    def traced_bump():  # type: ignore[no-untyped-def]
-        tracer.advance("metadata")
-        return orig_bump()
-
-    cluster._bump_metadata_version = traced_bump  # type: ignore[method-assign]
-    return tracer
+    cache.get = traced_get
+    cache.put = traced_put

@@ -1,10 +1,11 @@
 """Swap a QueryService's (or LSM engine's) locks for sanitized ones.
 
 The service's one reader-writer lock is held across functions, under
-concurrency, while the targeting memo's lock and (on the process
-backend) the worker clients' locks are taken under it.  Instrumenting
-each with the *static* registry symbol of its attribute makes the
-observed graph line up key-for-key with the analyzer's.
+concurrency, while (on the process backend) the worker clients' locks
+are taken under it; on the thread backend it nests no instrumented
+lock.  Instrumenting each with the *static* registry symbol of its
+attribute makes the observed graph line up key-for-key with the
+analyzer's.
 
 The LSM engine adds a second surface (PR-5): writer threads nest
 ``_write_lock`` → ``_manifest_lock`` / WAL lock while a background
@@ -25,7 +26,6 @@ from repro.service.service import QueryService
 
 __all__ = [
     "SERVICE_LOCK_KEY",
-    "TARGETING_CACHE_LOCK_KEY",
     "EXECUTOR_CLIENT_LOCK_KEY",
     "WORKER_HOST_LOCK_KEY",
     "LSM_WRITE_LOCK_KEY",
@@ -42,7 +42,6 @@ __all__ = [
 #: must match what :mod:`repro.analysis.lockgraph` derives from the
 #: source, or cross-validation would compare disjoint graphs.
 SERVICE_LOCK_KEY = "repro.service.service.QueryService._lock"
-TARGETING_CACHE_LOCK_KEY = "repro.cache.StampedLRUCache._lock"
 EXECUTOR_CLIENT_LOCK_KEY = "repro.service.executors._WorkerClient._lock"
 WORKER_HOST_LOCK_KEY = "repro.service.executors._WorkerHost._lock"
 LSM_WRITE_LOCK_KEY = "repro.docstore.lsm.engine.LSMEngine._write_lock"
@@ -53,7 +52,6 @@ WAL_LOCK_KEY = "repro.docstore.lsm.wal.WriteAheadLog._lock"
 #: hand :func:`~repro.sanitizer.crossval.cross_validate`.
 INSTRUMENTED_KEYS = (
     SERVICE_LOCK_KEY,
-    TARGETING_CACHE_LOCK_KEY,
     EXECUTOR_CLIENT_LOCK_KEY,
 )
 
@@ -70,19 +68,13 @@ def instrument_query_service(
 ) -> QueryService:
     """Replace the service's locks with sanitized wrappers.
 
-    Covers the service's reader-writer lock and the lock of the
-    cluster's targeting memo (a :class:`~repro.cache.StampedLRUCache`),
-    which a read takes under the service lock and which nests nothing
-    itself — instrumenting both makes any regression of that order an
-    observed edge the static graph must explain.
+    Covers the service's reader-writer lock and, on the process
+    backend, the worker clients' locks a read takes under it.
 
     Must run before the service is used — swapping a lock someone
     already holds would split its waiters across two objects.
     """
     service._lock = SanitizedReadWriteLock(sanitizer, SERVICE_LOCK_KEY)
-    service.cluster.targeting_cache._lock = SanitizedLock(
-        sanitizer, TARGETING_CACHE_LOCK_KEY
-    )
     if service._worker_pool is not None:
         # The process backend's parent-side topology: per-worker client
         # locks, ranked by worker index (the pool never nests them, so

@@ -228,11 +228,8 @@ class _PendingReply:
 
     def result(self, deadline: Deadline) -> Tuple[List[int], ExecutionStats]:
         """Block (deadline-bounded) for the reply: ``(rids, stats)``."""
-        while not self._event.is_set():
-            remaining = deadline.remaining()  # raises when expired
-            self._event.wait(
-                0.05 if remaining is None else min(remaining, 0.05)
-            )
+        if not self._event.wait(timeout=deadline.remaining()):
+            raise QueryTimeoutError("query exceeded its deadline")
         if self._error is not None:
             raise self._error
         frame = self._frame

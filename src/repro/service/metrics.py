@@ -53,8 +53,8 @@ class MetricsSnapshot:
     #: Cumulative wall-clock per pipeline stage (plan/scan/filter/
     #: merge) across every recorded query.
     stage_totals_ms: Dict[str, float] = field(default_factory=dict)
-    #: Hit/miss counters of the read-path caches (targeting, range
-    #: decomposition, ...), keyed by cache name.
+    #: Hit/miss counters keyed by cache name; the service reports two
+    #: all-zero entries (``targeting``, ``rangeDecomposition``).
     caches: Dict[str, Dict] = field(default_factory=dict)
     #: Process-executor counters: subqueries shipped to shard workers
     #: and worker forks ("replicaSyncs"; "remoteCacheHits" is always 0).
@@ -191,8 +191,8 @@ class ServiceMetrics:
     ) -> MetricsSnapshot:
         """Summarize everything recorded so far.
 
-        ``caches`` takes per-cache counter mappings (e.g. the
-        targeting cache) to surface in the snapshot.
+        ``caches`` takes per-cache counter mappings to surface in the
+        snapshot.
         """
         with self._lock:
             # Sorted once here; percentile()'s own sort of an ordered

@@ -195,13 +195,16 @@ class QueryService:
     # -- metrics ---------------------------------------------------------------
 
     def metrics_snapshot(self):
-        """A metrics snapshot bundling every read-path cache's counters."""
+        """A metrics snapshot; ``caches`` holds two all-zero entries.
+
+        The read path memoizes nothing.  The ``targeting`` and
+        ``rangeDecomposition`` keys stay, every counter 0, because the
+        perf harness reads them; they go with ROADMAP item 1(d).
+        """
+        counters = ("entries", "hits", "misses", "stale", "evictions")
         caches = {
-            "targeting": self.cluster.targeting_cache.stats(),
-            # No such memo; the all-zero key goes with ROADMAP item 1(d).
-            "rangeDecomposition": dict.fromkeys(
-                ("entries", "hits", "misses", "stale", "evictions"), 0
-            ),
+            name: dict.fromkeys(counters, 0)
+            for name in ("targeting", "rangeDecomposition")
         }
         return self.metrics.snapshot(caches=caches)
 

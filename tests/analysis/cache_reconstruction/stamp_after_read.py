@@ -1,9 +1,10 @@
-"""Bug class 5: the shipped primitive stamped with a version read too late.
+"""Bug class 5: the stamped primitive stamped with a version read too late.
 
-The shipped router reads ``metadata_version`` *before* the chunk map
-and hands it to :class:`repro.cache.StampedLRUCache` as the entry's
-``stamp=``: a split sliding in between files the stale decision under
-the old stamp, which no later lookup accepts.  The bug reads the chunk
+The router's targeting memo (deleted since: every read now routes
+from the live chunk map) read ``metadata_version`` *before* the chunk
+map and handed it to :class:`~.stamped.StampedLRUCache` as the entry's
+``stamp=``: a split sliding in between filed the stale decision under
+the old stamp, which no later lookup accepted.  The bug reads the chunk
 map first and the version afterwards — a mutation in that window files
 pre-split routing under the *new* stamp, where every lookup at that
 version hits it.  The stamp is the fill's version, so this is CC002
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.cache import StampedLRUCache
+from tests.analysis.cache_reconstruction.stamped import StampedLRUCache
 
 
 class Topology:

@@ -1,13 +1,16 @@
-"""One bounded, stamp-validated LRU: the store behind the in-process memo.
+"""One bounded, stamp-validated LRU: the stamped cache the CC fixtures use.
 
-One memo sits on the read path — the router's targeting decisions
-(``ShardedCluster.targeting_cache``) — and it is an instance of
-:class:`StampedLRUCache`.  An entry is stored with a *stamp* (the
-``metadata_version`` the value was derived under) and a lookup returns
-it only when the caller's stamp equals the stored one.  A mismatch is
-a miss, counted once more as ``stale``, and the entry stays where it
-is until a ``put`` under the same key replaces it in place or the LRU
-ages it out.
+An entry is stored with a *stamp* (the version the value was derived
+under) and a lookup returns it only when the caller's stamp equals the
+stored one.  A mismatch is a miss, counted once more as ``stale``, and
+the entry stays where it is until a ``put`` under the same key
+replaces it in place or the LRU ages it out.
+
+The shipped tree memoizes nothing; this primitive lives beside the
+cache-coherence reconstruction fixtures so that the static model
+(which recognises it by its bare class name) and the runtime tracer
+still have a stamped cache to check — ``stamp_after_read.py`` routes
+through it, and ``tests/test_cache.py`` pins its contract.
 
 The lock is a leaf: no method calls out while holding it, and callers
 compute a missing value *between* ``get`` and ``put``, never under the

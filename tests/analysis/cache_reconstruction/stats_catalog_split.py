@@ -1,7 +1,7 @@
 """Bug class 4: a statistics catalog that survives a chunk split.
 
 The catalog the query service shipped until it was deleted with the
-cost-based chooser (a :class:`repro.cache.StampedLRUCache`) stamped
+cost-based chooser (a ``StampedLRUCache``, now :mod:`.stamped`) stamped
 every ANALYZE result with the ``metadata_version`` in force when the
 pass started and rejected reads whose stamp no longer matched.  The
 historical bug cached the ANALYZE output under the bare collection

@@ -1,8 +1,10 @@
 """Bug class 2: targeting key built from a version fresher than its data.
 
-The shipped router captures ``metadata_version`` *before* deriving a
-routing decision, so a concurrent split bumps the version and the
-stale derivation lands under the old key where nothing reads it.  The
+The router's targeting memo (deleted since: every read now routes
+from the live chunk map) captured ``metadata_version`` *before*
+deriving a routing decision, so a concurrent split bumped the version
+and the stale derivation landed under the old key where nothing read
+it.  The
 historical bug read the chunk map first and captured the version
 afterwards: a mutation sliding into that window stores pre-split
 routing under the *new* version's key — CC002 statically, a stale hit

@@ -3,29 +3,19 @@
 Tentpole of the cache-coherence PR: each reconstructed invalidation
 bug must be caught *statically* (a CC finding on the fixture) and *at
 runtime* (the epoch tracer observing a stale hit of the same family),
-the two verdicts must cross-validate, and the shipped caches — traced
-the same way under a real workload — must come out clean against the
-real static model.
+the two verdicts must cross-validate, and the shipped tree — which
+holds no cache — must carry no cache-coherence finding the trace
+would have to explain.
 """
 
 from __future__ import annotations
 
-import random
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.checker import run_analysis
-from repro.cluster.cluster import ClusterTopology, ShardedCluster
-from repro.cluster.zones import Zone
-from repro.docstore import bson
-from repro.sanitizer import (
-    CacheTracer,
-    cross_validate_cache,
-    instrument_targeting_cache,
-    trace_cache,
-)
-from repro.service.service import QueryService
+from repro.sanitizer import CacheTracer, cross_validate_cache, trace_cache
 from tests.analysis.cache_reconstruction import (
     plan_cache_ddl,
     stamp_after_read,
@@ -36,8 +26,8 @@ from tests.analysis.cache_reconstruction import (
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).with_name("cache_reconstruction")
-#: The shipped cache primitive, analyzed beside fixtures that use it.
-PRIMITIVE = "src/repro/cache.py"
+#: The stamped cache primitive, analyzed beside the fixture that uses it.
+PRIMITIVE = "tests/analysis/cache_reconstruction/stamped.py"
 
 
 def analyze(name, *extra):
@@ -504,68 +494,17 @@ class TestStampAfterRead:
 
 
 class TestShippedCaches:
-    """The shipped tree, traced under a real workload, validates clean."""
-
-    @staticmethod
-    def _workload(tracer):
-        cluster = ShardedCluster(
-            topology=ClusterTopology(n_shards=2),
-            chunk_max_bytes=2 * 1024,
-        )
-        cluster.shard_collection("t", [("k", 1)])
-        with QueryService(cluster) as service:
-            instrument_targeting_cache(cluster, tracer)
-            cache = cluster.targeting_cache
-            rng = random.Random(11)
-            docs = [
-                {
-                    "_id": i,
-                    "k": rng.randrange(0, 1000),
-                    "v": i % 5,
-                    "pad": "x" * 64,
-                }
-                for i in range(300)
-            ]
-            service.insert_many("t", docs)
-            service.create_index("t", [("v", 1)], name="v_idx")
-            for _ in range(3):
-                service.find("t", {"k": {"$gte": 10, "$lt": 600}})
-                service.find("t", {"v": 2})
-            hits = cache.stats()["hits"]
-            assert hits > 0
-            pattern = cluster.catalog.get("t").pattern
-            mid = (bson.sort_key(500),)
-            low, high = sorted(cluster.shards)
-            cluster.update_zones(
-                "t",
-                [
-                    Zone("low", pattern.global_min(), mid, low),
-                    Zone("high", mid, pattern.global_max(), high),
-                ],
-            )
-            # The zone change bumped the metadata version: the next
-            # lookup of each query is stale, and its refill serves the
-            # lookups after it.
-            stale = cache.stats()["stale"]
-            service.find("t", {"k": {"$gte": 10, "$lt": 600}})
-            service.find("t", {"v": 2})
-            assert cache.stats()["stale"] == stale + 2
-            for _ in range(2):
-                service.find("t", {"k": {"$gte": 10, "$lt": 600}})
-                service.find("t", {"v": 2})
-            assert cache.stats()["hits"] == hits + 4
-            service.drop_index("t", "v_idx")
-            for _ in range(2):
-                service.find("t", {"v": 2})
+    """The shipped tree holds no cache, and its static model agrees."""
 
     def test_shipped_tree_cross_validates_clean(self, shipped_findings):
-        tracer = CacheTracer()
-        self._workload(tracer)
-        tracer.assert_clean()
         findings = shipped_findings("CC")
         # The only finding the shipped tree carries is the justified
         # CC006 sharing note, which has no runtime shape and is out of
         # cross-validation scope by design.
         assert {f.rule_id for f in findings} <= {"CC006"}
-        report = cross_validate_cache(findings, tracer.violations())
+        # Every read routes from the live chunk map: no shipped code
+        # path fills a cache, so the trace of any workload is empty,
+        # and the default scope (the routing modules) holds no
+        # CC001-CC004 finding that would then go unmanifested.
+        report = cross_validate_cache(findings, [])
         assert report.ok, report.render()

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from repro.analysis.cachemodel import build_cache_model
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+STAMPED = "tests/analysis/cache_reconstruction/stamped.py"
+STAMP_AFTER_READ = "tests/analysis/cache_reconstruction/stamp_after_read.py"
 
 
 def build(parse_modules, sources):
@@ -188,31 +194,42 @@ class TestInlining:
 
 
 class TestShippedModel:
-    """Anchor the discovery results on the real tree."""
+    """Anchor the discovery results on the real tree and the primitive."""
 
-    def test_shipped_caches_tokens_and_governance(self, shipped):
+    def test_shipped_caches_tokens_and_governance(self, shipped, parse_modules):
         _findings, context = shipped
         model = context.cache_model
-        primitive = model.caches["repro.cache.StampedLRUCache"]
+        # Every read routes from the live chunk map: no cache class on
+        # the read path (the one discovered "cache" is the epoch
+        # tracer's bookkeeping), and the routing token governs nothing
+        # a cache reads.
+        read_path = ("repro.cluster.", "repro.docstore.", "repro.service.")
+        assert not [s for s in model.caches if s.startswith(read_path)]
+        assert "StampedLRUCache" not in {c.name for c in model.caches.values()}
+        assert "ShardedCluster.metadata_version" in model.tokens
+        assert not model.tokens["ShardedCluster.metadata_version"].governed_fields
+        assert "LSMEngine._storage_epoch" not in model.tokens
+        # The stamped primitive, beside the fixture that routes through it.
+        fixture_model = build(
+            parse_modules,
+            {
+                path: (REPO_ROOT / path).read_text(encoding="utf-8")
+                for path in (STAMPED, STAMP_AFTER_READ)
+            },
+        )
+        primitive = fixture_model.caches[
+            "tests.analysis.cache_reconstruction.stamped.StampedLRUCache"
+        ]
         assert primitive.read_methods == {"get"}
         assert primitive.fill_methods == {"put"}
         assert primitive.stamp_validated
-        # The memos are uses of the primitive, not classes.
-        cache_names = {c.name for c in model.caches.values()}
-        assert not {
-            "TargetingCache",
-            "RangeDecompositionCache",
-            "StatsCatalogCache",
-        } & cache_names
         ops = {
             (summary.info.qual, effect.kind, effect.keyed)
-            for summary in model.summaries.values()
+            for summary in fixture_model.summaries.values()
             for effect in summary.effects
             if effect.target == "StampedLRUCache"
         }
-        assert ("target_chunks_cached", "read", True) in ops
-        assert ("target_chunks_cached", "fill", True) in ops
-        assert "ShardedCluster.metadata_version" in model.tokens
-        token = model.tokens["ShardedCluster.metadata_version"]
-        assert token.governed_fields == {"chunks", "shard_id"}
-        assert "LSMEngine._storage_epoch" not in model.tokens
+        assert ("Topology.route", "read", True) in ops
+        assert ("Topology.route", "fill", True) in ops
+        token = fixture_model.tokens["Topology.metadata_version"]
+        assert token.governed_fields == {"chunk_map"}

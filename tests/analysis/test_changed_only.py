@@ -209,14 +209,13 @@ def src_graph(shipped):
 
 
 class TestRealTreeCacheScope:
-    """The dependent walk covers the cache primitive: editing
-    ``StampedLRUCache`` must re-run analysis on everything that builds
-    or reads the targeting memo — the router, the cluster that owns
-    it, the service that routes through it, and the CLI."""
+    """The dependent walk on the shipped tree's routing path: editing
+    the router must re-run analysis on everything that routes through
+    it — the cluster, the service, and the CLI — while the CLI itself
+    is a leaf."""
 
-    def test_cache_edit_pulls_in_targeting_consumers(self, src_graph):
-        scope = dependent_modules(["src/repro/cache.py"], src_graph)
-        assert "src/repro/cluster/router.py" in scope
+    def test_router_edit_pulls_in_targeting_consumers(self, src_graph):
+        scope = dependent_modules(["src/repro/cluster/router.py"], src_graph)
         assert "src/repro/cluster/cluster.py" in scope
         assert "src/repro/service/service.py" in scope
         assert "src/repro/cli.py" in scope

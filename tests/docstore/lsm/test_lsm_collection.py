@@ -3,10 +3,9 @@
 Covers the PR's integration contract: ``durability=`` mounts the LSM
 engine without disturbing the default in-memory behaviour, writes
 survive close-and-reopen, storage events carry the collection name up
-through the database, a flush leaves the router's targeting memo
-standing (it is stamped by ``metadata_version`` alone, so the storage
-engine cannot change a routing decision), and the storage-size model
-accounts for tombstones.
+through the database, a flush leaves routing untouched (it bumps no
+``metadata_version``: the storage engine cannot change a routing
+decision), and the storage-size model accounts for tombstones.
 """
 
 import datetime as dt
@@ -138,7 +137,7 @@ def fleet_docs(start, stop, pad=""):
     ]
 
 
-#: A shard-key range the service targets (and memoizes) on every run.
+#: A shard-key range the service targets on every run.
 QUERY = {"x": {"$gte": 5, "$lt": 40}}
 
 
@@ -165,20 +164,18 @@ class TestServiceCacheEpoch:
         with QueryService(cluster, config) as service:
             service.find("traces", QUERY)
             version = cluster.metadata_version
+            targeted = cluster.targeting_for("traces", QUERY).shard_ids
             # Pad documents force memtable overflow -> flush events on
-            # every shard, but no split: the stamp still matches, so
-            # the targeting entry stands.
+            # every shard, but no split: routing does not move.
             cluster.insert_many("traces", fleet_docs(10, 60, pad="p" * 200))
             assert total_flushes(cluster, "traces") > flushes
             assert cluster.metadata_version == version
-            service.find("traces", QUERY)
-            counters = cluster.targeting_cache.stats()
-            assert counters["hits"] == 1
-            assert counters["stale"] == 0
+            result = service.find("traces", QUERY)
+            assert result.stats.targeted_shards == targeted
         cluster.close()
 
     def test_memory_and_durable_targeting_agree(self, tmp_path):
-        """Same inserts plus a forced flush: same results, same counters."""
+        """Same inserts plus a forced flush: same results, same routing."""
         memory = self._cluster()
         durable_cluster = self._cluster(
             DurabilityConfig(
@@ -196,10 +193,9 @@ class TestServiceCacheEpoch:
                     shard.collection("traces").checkpoint()
                 result = service.find("traces", QUERY)
                 xs = sorted(doc["x"] for doc in result.documents)
-                seen.append((xs, cluster.targeting_cache.stats()))
+                seen.append((xs, result.stats.targeted_shards))
         assert seen[0] == seen[1]
         assert seen[0][0] == list(range(5, 40))
-        assert seen[0][1]["hits"] == 1
         durable_cluster.close()
 
 

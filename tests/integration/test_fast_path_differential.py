@@ -2,9 +2,9 @@
 
 Hundreds of randomized spatio-temporal queries run twice over the same
 deployed cluster — once through ``ShardedCluster.find`` (compiled
-matchers, shared hinted bounds, targeting/decomposition memos, one
-persistent cursor) and once through ``reference_cluster_find`` (the
-paper-faithful interpreter, uncached, one descent per seek).  Every
+matchers, shared hinted bounds, bisected chunk routing, one persistent
+cursor) and once through ``reference_cluster_find`` (the
+paper-faithful interpreter, every chunk tested, one descent per seek).  Every
 query must produce byte-identical documents AND identical execution
 counters (``keysExamined``, ``docsExamined``, ``nReturned``, per
 shard): the production path is a pure performance transform with no

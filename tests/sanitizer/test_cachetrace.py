@@ -1,21 +1,19 @@
 """Mechanics of the cache epoch tracer.
 
 The reconstruction suite (``tests/analysis/test_cache_reconstruction``)
-proves the tracer catches the three CC bug classes end to end; this
+proves the tracer catches the five CC bug classes end to end; this
 module pins the primitives those tests lean on — the generation
-vector, fill stamps, derivation-time snapshots, hit rechecks — and
-smoke-tests the shipped-cache instrumentation hooks.
+vector, fill stamps, derivation-time snapshots, hit rechecks.  The
+shipped tree holds no cache, so there is no shipped hook to smoke-test;
+``trace_cache`` is exercised through the stamped primitive in the
+reconstruction suite.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster.cluster import ClusterTopology, ShardedCluster
-from repro.cluster.router import target_chunks_cached
-from repro.docstore.planner import analyze_query
-from repro.sanitizer import CacheTracer, instrument_targeting_cache
-from repro.service.service import QueryService
+from repro.sanitizer import CacheTracer
 
 
 class TestGenerationVector:
@@ -100,76 +98,3 @@ class TestFillsAndHits:
         tracer.check_hit("c", "k2", ("metadata",))
         with pytest.raises(AssertionError, match="2 stale hit"):
             tracer.assert_clean()
-
-
-@pytest.fixture
-def service():
-    cluster = ShardedCluster(
-        topology=ClusterTopology(n_shards=2), chunk_max_bytes=4 * 1024
-    )
-    cluster.shard_collection("t", [("k", 1)])
-    with QueryService(cluster) as svc:
-        yield svc
-
-
-class TestInstrumentation:
-    def test_targeting_cache_fills_and_rechecks(self, service):
-        tracer = instrument_targeting_cache(service.cluster, CacheTracer())
-        service.insert_many(
-            "t", [{"_id": i, "k": i} for i in range(20)]
-        )
-        service.find("t", {"k": {"$gte": 0, "$lt": 10}})
-        service.find("t", {"k": {"$gte": 0, "$lt": 10}})
-        assert service.cluster.targeting_cache.stats()["hits"] > 0
-        tracer.assert_clean()
-
-    def test_targeting_bump_advances_metadata_domain(self, service):
-        tracer = instrument_targeting_cache(service.cluster, CacheTracer())
-        before = tracer.generation("metadata")
-        service.cluster._bump_metadata_version()
-        assert tracer.generation("metadata") == before + 1
-
-    def test_targeting_roundtrip_is_clean(self, service):
-        """A DDL bump makes the next lookup stale; the re-lookup refills."""
-        tracer = instrument_targeting_cache(service.cluster, CacheTracer())
-        cache = service.cluster.targeting_cache
-        service.insert_many(
-            "t", [{"_id": i, "k": i, "v": i % 3} for i in range(20)]
-        )
-        query = {"k": {"$gte": 0, "$lt": 10}}
-        service.find("t", query)
-        service.find("t", query)
-        assert cache.stats()["hits"] == 1
-        before = tracer.generation("metadata")
-        service.create_index("t", [("v", 1)], name="v_idx")
-        assert tracer.generation("metadata") > before
-        service.find("t", query)
-        assert cache.stats()["stale"] == 1  # stamp moved
-        service.find("t", query)
-        assert cache.stats()["hits"] == 2
-        tracer.assert_clean()
-
-    def test_broken_invalidation_would_be_caught(self, service):
-        """Look up targeting with a stale version stamp: the tracer trips.
-
-        This is the tracer's reason to exist — it advances the domain
-        inside the metadata bump, independently of the cache's own
-        stamp check, so a reader that validates against the version it
-        remembered (not the live one) turns the next hit stale.
-        """
-        tracer = instrument_targeting_cache(service.cluster, CacheTracer())
-        service.insert_many(
-            "t", [{"_id": i, "k": i, "v": i % 3} for i in range(20)]
-        )
-        query = {"k": {"$gte": 0, "$lt": 10}}
-        service.find("t", query)
-        remembered = service.cluster.metadata_version
-        service.create_index("t", [("v", 1)], name="v_idx")
-        target_chunks_cached(
-            service.cluster.catalog.get("t"),
-            analyze_query(query),
-            service.cluster.targeting_cache,
-            remembered,
-        )
-        assert tracer.violations(), "stale stamp check must surface"
-        assert {v.family for v in tracer.violations()} == {"CC003"}

@@ -11,8 +11,8 @@ from repro.analysis.lockgraph import build_lock_order_graph
 from repro.cluster.cluster import ClusterTopology, ShardedCluster
 from repro.sanitizer import (
     EXECUTOR_CLIENT_LOCK_KEY,
+    INSTRUMENTED_KEYS,
     SERVICE_LOCK_KEY,
-    TARGETING_CACHE_LOCK_KEY,
     LockOrderSanitizer,
     SanitizedLock,
     cross_validate,
@@ -208,7 +208,8 @@ class TestServiceWorkload:
 
     def test_workload_matches_static_graph(self, shipped_graph):
         san = LockOrderSanitizer()
-        with QueryService(self._small_cluster()) as service:
+        config = ServiceConfig(executor="thread")
+        with QueryService(self._small_cluster(), config) as service:
             instrument_query_service(service, san)
             for lo in range(0, 8_000, 1_000):
                 service.find("t", {"k": {"$gte": lo, "$lt": lo + 1_500}})
@@ -217,16 +218,13 @@ class TestServiceWorkload:
             )
             service.delete_many("t", {"group": 3})
         assert san.violations() == []
-        # A read targets under the service lock, so the memo's lock
-        # nests under it — an edge the static graph must explain, and
-        # one the workload must actually have exercised.
-        report = cross_validate(
-            shipped_graph, san, [SERVICE_LOCK_KEY, TARGETING_CACHE_LOCK_KEY]
-        )
+        # On the thread backend a read routes and fans out under the
+        # service lock alone: it nests no other instrumented lock, so
+        # the observed graph is empty and still cross-validates clean
+        # (no static cycle among the instrumented keys goes missing).
+        assert not san.observed_edges()
+        report = cross_validate(shipped_graph, san, INSTRUMENTED_KEYS)
         assert report.ok, report.render()
-        assert (SERVICE_LOCK_KEY, TARGETING_CACHE_LOCK_KEY) in {
-            (edge.src, edge.dst) for edge in san.observed_edges()
-        }
 
     def test_process_backend_workload_matches_static_graph(
         self, shipped_graph

@@ -7,12 +7,7 @@ import random
 import pytest
 
 from repro.cluster.cluster import ClusterTopology, ShardedCluster
-from repro.sanitizer import (
-    CacheTracer,
-    LockOrderSanitizer,
-    instrument_query_service,
-    instrument_targeting_cache,
-)
+from repro.sanitizer import LockOrderSanitizer, instrument_query_service
 from repro.service.service import QueryService
 
 
@@ -44,7 +39,7 @@ def build_seeded_cluster(
 def lock_order_sanitizer(monkeypatch):
     """Run every service test under the runtime lock-order sanitizer.
 
-    Each QueryService constructed during the test gets its shard locks
+    Each QueryService constructed during the test gets its locks
     swapped for instrumented wrappers, and teardown fails the test if
     the accumulated acquisition graph recorded any violation — a
     lock-order cycle would surface here even if the interleaving that
@@ -60,29 +55,6 @@ def lock_order_sanitizer(monkeypatch):
     monkeypatch.setattr(QueryService, "__init__", instrumented_init)
     yield sanitizer
     sanitizer.assert_clean()
-
-
-@pytest.fixture(autouse=True)
-def cache_epoch_tracer(monkeypatch):
-    """Run every service test under the cache epoch tracer.
-
-    Each QueryService constructed during the test gets its cluster's
-    targeting cache wired into one :class:`CacheTracer`; teardown
-    fails the test if the cache served a hit whose fill
-    predates a governing mutation — the runtime half of the
-    CC001–CC004 rules, checked across the whole suite's workloads for
-    free.
-    """
-    tracer = CacheTracer()
-    original_init = QueryService.__init__
-
-    def instrumented_init(self, *args, **kwargs):
-        original_init(self, *args, **kwargs)
-        instrument_targeting_cache(self.cluster, tracer)
-
-    monkeypatch.setattr(QueryService, "__init__", instrumented_init)
-    yield tracer
-    tracer.assert_clean()
 
 
 @pytest.fixture

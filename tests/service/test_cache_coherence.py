@@ -1,17 +1,19 @@
-"""Cache coherence of the live service, checked by the epoch tracer.
+"""Routing coherence of the live service across metadata changes.
 
-Drive the targeting memo through interleaved chunk splits and zone
-updates, with the autouse ``cache_epoch_tracer`` fixture
-(tests/service/conftest.py) recording every fill and hit.
-Correctness here means two things at once: answers stay right, and
-the tracer's teardown ``assert_clean`` finds no hit whose fill
-predates a governing mutation.
+The service routes every read from the live chunk map, under its lock;
+nothing memoizes a routing decision.  Interleave reads with chunk
+splits and zone updates and check two things after each mutation: the
+answer stays right, and the read visited exactly the shards the
+current chunk map names (:func:`~repro.reference.reference_target_chunks`,
+which tests every chunk).
 """
 
 from __future__ import annotations
 
-from repro.docstore import bson
 from repro.cluster.zones import Zone
+from repro.docstore import bson
+from repro.docstore.planner import analyze_query
+from repro.reference import reference_target_chunks
 from repro.service.service import QueryService
 
 
@@ -19,16 +21,21 @@ def mid_key(value):
     return (bson.sort_key(value),)
 
 
+def current_shards(cluster, query):
+    """The shards the live chunk map routes ``query`` to."""
+    return reference_target_chunks(
+        cluster.catalog.get("t"), analyze_query(query)
+    ).shard_ids
+
+
 class TestTargetingUnderInterleavedMutations:
-    def test_split_and_zone_updates_between_reads(
-        self, seeded_cluster, cache_epoch_tracer
-    ):
+    def test_split_and_zone_updates_between_reads(self, seeded_cluster):
         """Interleave range reads with splits and two zone layouts.
 
-        Every metadata mutation bumps ``metadata_version``; because
-        targeting entries are stamped with the version, each
-        post-mutation read must miss as stale, retarget, and refill —
-        never hit a pre-mutation entry.
+        Every metadata mutation bumps ``metadata_version``; each
+        post-mutation read must route by the new chunk map — same
+        documents, and the shards that map names, never the ones an
+        earlier read visited.
         """
         cluster = seeded_cluster
         query = {"k": {"$gte": 100, "$lt": 7_000}}
@@ -49,19 +56,25 @@ class TestTargetingUnderInterleavedMutations:
                 ],
             ]
             for layout in layouts:
-                # Warm the cache at the current version...
+                # Reads at the current version...
                 for _ in range(2):
                     got = sorted(
                         d["_id"] for d in service.find("t", query)
                     )
                     assert got == expected
-                # ...then mutate the routing metadata underneath it.
+                # ...then mutate the routing metadata between reads.
                 cluster.update_zones("t", layout)
-                got = sorted(d["_id"] for d in service.find("t", query))
-                assert got == expected
+                result = service.find("t", query)
+                assert sorted(d["_id"] for d in result) == expected
+                assert result.stats.targeted_shards == current_shards(
+                    cluster, query
+                )
+                assert result.stats.targeted_shards == sorted(
+                    zone.shard_id for zone in layout
+                )
             # Writes force chunk splits (chunk_max_bytes is tiny),
             # interleaved with reads that would be wrong if targeting
-            # served a pre-split routing decision.
+            # used a pre-split routing decision.
             versions = {cluster.metadata_version}
             for i in range(3):
                 service.insert_many(
@@ -78,43 +91,31 @@ class TestTargetingUnderInterleavedMutations:
                     ],
                 )
                 versions.add(cluster.metadata_version)
-                got = service.find(
-                    "t", {"k": {"$gte": 3_000, "$lt": 3_500}}
-                )
+                split_query = {"k": {"$gte": 3_000, "$lt": 3_500}}
+                got = service.find("t", split_query)
                 by_id = {d["_id"] for d in got}
                 assert all(
                     10_000 + 100 * n in by_id for n in range(i + 1)
                 )
+                assert got.stats.targeted_shards == current_shards(
+                    cluster, split_query
+                )
             assert len(versions) > 1, "splits must bump the version"
-        # Teardown: cache_epoch_tracer.assert_clean() is the verdict.
-
-    def test_cache_serves_hits_between_mutations(
-        self, seeded_cluster, cache_epoch_tracer
-    ):
-        """The point of the cache: repeats at a stable version hit."""
-        cluster = seeded_cluster
-        with QueryService(cluster) as service:
-            for _ in range(4):
-                service.find("t", {"k": {"$gte": 0, "$lt": 2_000}})
-            stats = cluster.targeting_cache.stats()
-            assert stats["hits"] >= 3
 
 
 class TestOneCounterVocabulary:
     def test_every_cache_reports_the_same_counters(self, seeded_cluster):
-        """The targeting memo and the all-zero range key: one vocabulary."""
+        """Two all-zero entries in one vocabulary: nothing is memoized."""
         with QueryService(seeded_cluster) as service:
             service.find("t", {"k": {"$gte": 0, "$lt": 2_000}})
             service.find("t", {"k": {"$gte": 0, "$lt": 2_000}})
             caches = service.metrics_snapshot().caches
         assert set(caches) == {"targeting", "rangeDecomposition"}
         for counters in caches.values():
-            assert set(counters) == {
-                "entries",
-                "hits",
-                "misses",
-                "stale",
-                "evictions",
+            assert counters == {
+                "entries": 0,
+                "hits": 0,
+                "misses": 0,
+                "stale": 0,
+                "evictions": 0,
             }
-            assert counters["stale"] <= counters["misses"]
-        assert caches["targeting"]["hits"] == 1

@@ -1,7 +1,8 @@
 """The cache primitive as a state machine, plus a thread hammer.
 
-:class:`repro.cache.StampedLRUCache` is the store behind the targeting
-memo, so its contract is checked once, here: random ``get`` / ``put``
+``StampedLRUCache`` (``tests/analysis/cache_reconstruction/stamped.py``)
+is the stamped cache the cache-coherence fixtures route through, so
+its contract is checked once, here: random ``get`` / ``put``
 sequences with stamps over a small bound, against a plain-list model
 kept in least-recently-used order.
 """
@@ -16,7 +17,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.cache import StampedLRUCache
+from tests.analysis.cache_reconstruction.stamped import StampedLRUCache
 
 BOUND = 3
 KEYS = st.sampled_from("abcde")

@@ -129,7 +129,6 @@ def test_production_imports_leave_the_reference_module_out():
 #: lower layer (``service.executors`` included) may import them.
 LAYERS = {
     "repro.errors": 0,
-    "repro.cache": 0,
     "repro.geo": 1,
     "repro.sfc": 1,
     "repro.docstore": 2,
@@ -177,15 +176,21 @@ def test_no_module_imports_a_higher_layer():
 #: and §13): the per-query chooser and its statistics, the names only
 #: their own unit tests reached, the parameterized-plan binder the
 #: one compiling walk replaced, the replica snapshots a forked
-#: worker replaced, and the shard locks and read turn the service's
-#: one lock replaced (DESIGN.md §10).  Module -> attribute paths.
+#: worker replaced, the shard locks and read turn the service's
+#: one lock replaced (DESIGN.md §10), and the targeting memo every
+#: read now routes around (DESIGN.md §8).  Module -> attribute paths.
 DELETED = {
     "repro.core.chooser": [],
     "repro.docstore.stats": [],
-    "repro.cache": ["StampedLRUCache.clear"],
+    "repro.cache": [],
     "repro.cluster.catalog": ["ConfigCatalog.list_collections"],
+    "repro.cluster.cluster": ["ShardedCluster.targeting_cache"],
     "repro.cluster.chunk": ["ShardKeyPattern.is_hashed"],
-    "repro.cluster.router": ["lex_range_intersects_box"],
+    "repro.cluster.router": [
+        "lex_range_intersects_box",
+        "target_chunks_cached",
+        "targeting_cache_key",
+    ],
     "repro.cluster.zones": ["ZoneSet.overlapping_zones", "Zone.overlaps_range"],
     "repro.docstore.bson": ["ObjectId.from_hex", "ObjectId.generation_time"],
     "repro.docstore.btree": ["BPlusTree.count_range"],
@@ -221,10 +226,17 @@ DELETED = {
     "repro.geo": ["haversine_km"],
     "repro.sanitizer": [
         "instrument_stats_catalog",
+        "instrument_targeting_cache",
         "SHARD_LOCKS_KEY",
         "TURN_LOCK_KEY",
+        "TARGETING_CACHE_LOCK_KEY",
     ],
-    "repro.sanitizer.instrument": ["SHARD_LOCKS_KEY", "TURN_LOCK_KEY"],
+    "repro.sanitizer.cachetrace": ["instrument_targeting_cache"],
+    "repro.sanitizer.instrument": [
+        "SHARD_LOCKS_KEY",
+        "TURN_LOCK_KEY",
+        "TARGETING_CACHE_LOCK_KEY",
+    ],
     "repro.service.executors": [
         "ShardWorkerPool.client_for",
         "SubquerySpec.shape",
@@ -263,3 +275,12 @@ def test_deleted_surface_stays_deleted(module_name):
         for part in parents:
             owner = getattr(owner, part)
         assert not hasattr(owner, leaf), "%s.%s is back" % (module_name, path)
+
+
+def test_deleted_cluster_attributes_stay_deleted():
+    # Instance attributes: the class-level check above cannot see them.
+    from repro.cluster.cluster import ClusterTopology, ShardedCluster
+
+    cluster = ShardedCluster(topology=ClusterTopology(n_shards=1))
+    for path in DELETED["repro.cluster.cluster"]:
+        assert not hasattr(cluster, path.split(".")[-1]), "%s is back" % path
