@@ -89,9 +89,10 @@ def main() -> None:
     )
     print(
         "\nThe thread rows share one interpreter lock (the GIL): more"
-        " clients add latency, not throughput.  The process row runs shard"
-        " matching outside it, and pays a pipe round-trip per worker and"
-        " the parent's copy of each result to do so."
+        " clients add latency, not throughput.  The process row runs each"
+        " whole read (parsing, routing, shard matching) on one worker"
+        " outside it, and pays a pipe round trip per read and the parent's"
+        " copy of each result to do so."
     )
 
 

@@ -55,12 +55,18 @@ from repro.cluster.shard import Shard, shard_key_index_name
 from repro.cluster.zones import Zone, ZoneSet
 from repro.docstore.bson import bson_document_size
 from repro.docstore.collection import own_document
+from repro.docstore.executor import ExecutionStats
 from repro.docstore.lsm import DurabilityConfig
 from repro.docstore.matcher import parse_query
 from repro.docstore.storage import StorageModel
 from repro.errors import ShardingError
 
-__all__ = ["ClusterTopology", "ClusterFindResult", "ShardedCluster"]
+__all__ = [
+    "ClusterTopology",
+    "ClusterMatch",
+    "ClusterFindResult",
+    "ShardedCluster",
+]
 
 DEFAULT_CHUNK_MAX_BYTES = 64 * 1024  # scaled-down stand-in for 64 MB
 
@@ -98,6 +104,27 @@ class ClusterFindResult:
         return len(self.documents)
 
 
+class ClusterMatch:
+    """A read's routing and each targeted shard's match, uncopied.
+
+    ``matches`` holds one ``(rids, stats)`` pair per shard of
+    ``shard_ids``, in targeting order; ``plan_ms`` is the time spent
+    parsing, targeting and building hinted bounds.
+    """
+
+    def __init__(
+        self,
+        shard_ids: List[str],
+        broadcast: bool,
+        matches: List[Tuple[List[int], ExecutionStats]],
+        plan_ms: float,
+    ) -> None:
+        self.shard_ids = shard_ids
+        self.broadcast = broadcast
+        self.matches = matches
+        self.plan_ms = plan_ms
+
+
 class ShardedCluster:
     """A MongoDB-like sharded cluster in one process."""
 
@@ -130,11 +157,10 @@ class ShardedCluster:
             migrate=self._migrate_chunk,
         )
         #: Routing-change counter: bumped on every routing-relevant
-        #: metadata change (chunk split/migration, DDL, zones).  Nothing
-        #: in the read path reads it — every read routes from the live
-        #: chunk map — but the benchmark's
-        #: ``cluster.metadata_version_bumps`` row and the tests count
-        #: routing changes with it.
+        #: metadata change (chunk split/migration, DDL, zones).  Every
+        #: read routes from the live chunk map; the counter is the
+        #: routing half of :meth:`read_epoch`, which tells a process
+        #: worker's forked chunk map from the live one.
         self.metadata_version = 0
 
     def _bump_metadata_version(self) -> None:
@@ -555,7 +581,25 @@ class ShardedCluster:
             shape, _matcher = parse_query(query)
         return target_chunks(metadata, shape)
 
-    def find(
+    def read_epoch(self, collection: str) -> Tuple[Any, ...]:
+        """The state a read of ``collection`` sees, as one comparable value.
+
+        ``(metadata_version, each shard's mutation_count of the
+        collection)``, in shard order, with None for a shard that has
+        never held it.  Routing moves the first part and content or DDL
+        the second; looking a collection up does not create it.  The
+        process backend ships a read at this epoch to a worker that
+        routes with its own forked copy of the chunk map.
+        """
+        return (
+            self.metadata_version,
+            tuple(
+                shard.database.mutation_count(collection)
+                for shard in self.shards.values()
+            ),
+        )
+
+    def match(
         self,
         collection: str,
         query: Mapping[str, Any],
@@ -565,29 +609,22 @@ class ShardedCluster:
         shape=None,
         matcher=None,
         targeting: Optional[TargetingResult] = None,
-    ) -> ClusterFindResult:
-        """Route, execute on targeted shards, merge, and account time.
+    ) -> ClusterMatch:
+        """The plan-and-match step of a read: route it, then run the
+        match step on each targeted shard, in targeting order.
 
-        ``shard_mapper`` is the parallel fan-out hook: a callable with
-        ``map`` semantics — ``shard_mapper(fn, shard_ids)`` returning
-        the results of ``fn`` per shard id, in any order.  The default
-        visits shards sequentially; :class:`repro.service.QueryService`
-        passes its executor's mapper: the thread backend's runs the
-        shards one after another in the caller's thread, the process
-        backend's sends them to its shard workers.  Merged documents
-        and statistics are identical either way: results are
-        reassembled in targeting order, and the modelled execution
-        time is *max over shards* (the cost model's reading of
-        Section 5) whatever the fan-out.
-
-        ``shape``/``matcher``/``targeting`` accept precomputed plan
-        pieces (the service parses the query once), which must
-        correspond to the same ``query``.  Missing targeting is routed
-        with :func:`target_chunks`, as :meth:`targeting_for` does.
+        Parses the query (a malformed one raises QueryError here),
+        targets it against the live chunk map and builds hinted bounds
+        once.  Nothing is copied: each shard answers ``(rids, stats)``
+        and :meth:`merge` copies and merges.  ``shard_mapper`` is the
+        fan-out hook, with ``map`` semantics —
+        ``shard_mapper(fn, shard_ids)`` returns ``fn``'s result per
+        shard id, in order; the default visits the shards one after
+        another.  ``shape``/``matcher``/``targeting`` accept
+        precomputed plan pieces of the same ``query``.
         """
         plan_started = time.perf_counter()
         if shape is None or matcher is None:
-            # A malformed query raises QueryError here.
             shape, matcher = parse_query(query)
         if targeting is None:
             targeting = target_chunks(self.catalog.get(collection), shape)
@@ -601,14 +638,10 @@ class ShardedCluster:
                 hint, shape, max_geo_ranges
             )
         plan_ms = (time.perf_counter() - plan_started) * 1000.0
-        stats = ClusterQueryStats(
-            targeted_shards=list(targeting.shard_ids),
-            broadcast=targeting.broadcast,
-        )
 
-        def run_shard(shard_id: str):
+        def match_shard(shard_id: str):
             col = self.shards[shard_id].collection(collection)
-            result = col.find_with_stats(
+            rids, stats, _plan = col.find_rids(
                 query,
                 hint=hint,
                 max_geo_ranges=max_geo_ranges,
@@ -616,29 +649,84 @@ class ShardedCluster:
                 shape=shape,
                 plan_bounds=plan_bounds,
             )
-            return shard_id, result
+            return rids, stats
 
         if shard_mapper is None:
-            pairs = [run_shard(s) for s in targeting.shard_ids]
+            matches = [match_shard(s) for s in targeting.shard_ids]
         else:
-            pairs = list(shard_mapper(run_shard, targeting.shard_ids))
+            matches = list(shard_mapper(match_shard, targeting.shard_ids))
+        return ClusterMatch(
+            list(targeting.shard_ids), targeting.broadcast, matches, plan_ms
+        )
+
+    def merge(self, collection: str, match: ClusterMatch) -> ClusterFindResult:
+        """The copy-and-merge step of a read, on this process's store.
+
+        Copies each shard's rids out of its collection, concatenates
+        the documents in targeting order and merges the counters; the
+        modelled execution time is *max over shards* (the cost model's
+        reading of Section 5).  A rid a shard does not hold raises
+        ``KeyError``.
+        """
+        copies = [
+            self.shards[shard_id].collection(collection).copy_results(rids)
+            for shard_id, (rids, _stats) in zip(match.shard_ids, match.matches)
+        ]
         merge_started = time.perf_counter()
-        by_shard = dict(pairs)
+        stats = ClusterQueryStats(
+            targeted_shards=list(match.shard_ids), broadcast=match.broadcast
+        )
         documents: List[dict] = []
-        for shard_id in targeting.shard_ids:
-            result = by_shard[shard_id]
-            stats.per_shard[shard_id] = result.stats
-            documents.extend(result.documents)
+        for shard_id, (_rids, shard_stats), copied in zip(
+            match.shard_ids, match.matches, copies
+        ):
+            stats.per_shard[shard_id] = shard_stats
+            documents.extend(copied)
         stats.execution_time_ms = self.cost_model.query_time_ms(
             stats.per_shard
         )
         merge_ms = (time.perf_counter() - merge_started) * 1000.0
-        stage_totals = {"plan": plan_ms, "merge": merge_ms}
+        stage_totals = {"plan": match.plan_ms, "merge": merge_ms}
         for shard_stats in stats.per_shard.values():
             for stage, ms in shard_stats.stage_times_ms.items():
                 stage_totals[stage] = stage_totals.get(stage, 0.0) + ms
         stats.stage_times_ms = stage_totals
         return ClusterFindResult(documents, stats)
+
+    def find(
+        self,
+        collection: str,
+        query: Mapping[str, Any],
+        hint: Optional[str] = None,
+        max_geo_ranges: Optional[int] = None,
+        shard_mapper: Optional[Callable] = None,
+        shape=None,
+        matcher=None,
+        targeting: Optional[TargetingResult] = None,
+    ) -> ClusterFindResult:
+        """Route, execute on targeted shards, merge, and account time:
+        :meth:`match`, then :meth:`merge`; the arguments are
+        :meth:`match`'s.
+
+        :class:`repro.service.QueryService`'s thread backend passes
+        its mapper, which runs the shards one after another in the
+        caller's thread; its process backend ships the whole
+        :meth:`match` to a worker and calls :meth:`merge` on the reply.
+        Merged documents and statistics are identical either way.
+        """
+        return self.merge(
+            collection,
+            self.match(
+                collection,
+                query,
+                hint,
+                max_geo_ranges,
+                shard_mapper,
+                shape,
+                matcher,
+                targeting,
+            ),
+        )
 
     def count_documents(self, collection: str, query: Mapping[str, Any]) -> int:
         """Number of matching documents cluster-wide."""

@@ -72,6 +72,12 @@ class Database:
         for collection in list(self._collections.values()):
             collection.close()
 
+    def mutation_count(self, name: str) -> Optional[int]:
+        """A collection's ``mutation_count``, or None when it does not
+        exist — looked up without creating it."""
+        existing = self._collections.get(name)
+        return None if existing is None else existing.mutation_count
+
     def list_collections(self) -> List[str]:
         """Names of the existing collections."""
         return list(self._collections)

@@ -80,7 +80,7 @@ def instrument_query_service(
         # locks, ranked by worker index (the pool never nests them, so
         # any observed client→client edge is itself a violation worth
         # surfacing).  Clients lazily spawn their process/reader thread
-        # on first enqueue, so swapping here is race-free.
+        # on the first read, so swapping here is race-free.
         for rank, client in enumerate(service._worker_pool.clients()):
             client._lock = SanitizedLock(
                 sanitizer, EXECUTOR_CLIENT_LOCK_KEY, rank

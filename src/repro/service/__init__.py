@@ -8,8 +8,9 @@ from a single-caller library into a query *server*:
   queueing and deadlines;
 * :mod:`repro.service.executors` — the execution backends:
   :class:`ThreadedExecutor` (the caller's thread, reads taking turns
-  in arrival order) and :class:`ShardWorkerPool` (per-shard worker processes fed
-  batched picklable plan messages, answering with record ids, see
+  in arrival order) and :class:`ShardWorkerPool` (worker processes,
+  forks of the whole cluster, each serving whole reads from one
+  picklable plan message and answering with record ids, see
   :mod:`repro.service.wire`);
 * :func:`query_shape_key` — a value-free query key no read path uses
   any more (no plan is cached: every read is parsed afresh in one

@@ -1,56 +1,57 @@
-"""Execution backends for the query service's shard fan-out.
+"""Execution backends for the query service's reads.
 
-:class:`~repro.service.service.QueryService` delegates per-shard
-subquery execution to an *executor*:
+:class:`~repro.service.service.QueryService` delegates a read's shard
+work to an *executor*:
 
 * :class:`ThreadedExecutor` — subqueries run in the calling thread,
   one after another, directly against the cluster's collections; the
   service's reads hold its lock exclusively, one at a time in arrival
   order.
-* :class:`ShardWorkerPool` — process-parallel serving: each shard (or
-  shard group) is assigned to a worker *process*, a fork of the parent
-  that serves its shards' collections as they were at the fork.
-  Subqueries travel as compact picklable plan messages
-  (:mod:`repro.service.wire`), queued subqueries are coalesced into
-  one batch frame per worker round-trip, and the worker answers each
-  batch with one reply frame.  A worker replies with record ids and
-  counters only: the parent copies the documents from its own
-  collection, which holds them at the same epoch under the service
-  lock the caller keeps, shared, until the merge.
+* :class:`ShardWorkerPool` — process-parallel serving: each read goes
+  whole to one worker *process*, a fork of the parent that holds the
+  whole cluster — every shard's collections and the chunk map — as it
+  was at the fork.  The worker parses the read once, routes it on its
+  forked chunk map, runs the match step on each targeted shard in
+  targeting order and answers with the routing and one ``(rids,
+  counters)`` payload per shard (:mod:`repro.service.wire`).  The
+  parent neither parses nor routes: it copies the documents from its
+  own store, which holds them at the same epoch under the service lock
+  the caller keeps, shared, until the merge.  Parallelism comes from
+  reads running side by side on different workers, not from splitting
+  one read.
 
 Replication contract (what makes results identical):
 
 * The parent is authoritative.  Writes and DDL run parent-side under
-  the service lock, held exclusively, and bump the collection's
-  ``mutation_count`` epoch.
-* A fork is the sync.  A worker is forked with the parent's live
-  collections of its shards; it inherits them copy-on-write, rids,
-  indexes and all, so every rid and counter it returns is the
-  parent's.  The client records each hosted collection's epoch at the
-  fork, and an enqueue that finds the epoch moved (or the collection
-  new) retires the worker and forks a fresh one.
+  the service lock, held exclusively, and move the collection's read
+  epoch (:meth:`~repro.cluster.cluster.ShardedCluster.read_epoch`:
+  ``metadata_version`` for routing, each shard's ``mutation_count``
+  for content and DDL).
+* A fork is the sync.  A worker inherits the parent's live cluster
+  copy-on-write, rids, indexes, chunk map and all, so every rid, shard
+  id and counter it returns is the parent's.  The client records every
+  collection's read epoch at the fork; a read that finds any worker
+  behind its epoch forks every such worker afresh before it is sent.
 * The fork invariant: a worker is forked under the service lock held
-  shared, and every write holds it exclusively, so no hosted
-  collection is mid-write at the fork.  (An epoch check after the fork
-  could not replace that: ``delete_many`` bumps the epoch before it
-  mutates.)  Shard-scoped writes would first have to make the fork
-  lock every shard the worker hosts.
-* Every plan message carries the epoch it was targeted at; a worker
-  refuses to serve a collection whose epoch differs, and the parent
-  refuses a reply whose epoch differs or that names a rid its own
-  collection does not hold.  Because readers hold the service lock
-  from epoch capture through the copy, and writers exclude readers, a
-  shipped epoch can never be stale by the time the worker executes
-  it — the refusals are tripwires, not a retry protocol.
+  shared, and every write holds it exclusively, so no collection and
+  no chunk map is mid-write at the fork.  (An epoch check after the
+  fork could not replace that: ``delete_many`` bumps the epoch before
+  it mutates.)
+* Every plan message carries the read epoch it was sent at; a worker
+  refuses a read at any epoch but its own, and the parent refuses a
+  reply at another epoch or one that names a rid its own collection
+  does not hold.  Because readers hold the service lock from epoch
+  capture through the copy, and writers exclude readers, a shipped
+  epoch can never be stale by the time the worker executes it — the
+  refusals are tripwires, not a retry protocol.
 
-Deadline semantics: an expired deadline abandons the read's queued
-and in-flight subqueries (unsent ones leave the outbox, replies are
-dropped by request id) and the service releases its hold of the lock
-immediately.  That is safe because a remote subquery only touches the
-worker's own copy-on-write image — it cannot race a parent-side
-writer that acquires the freed lock.  The threaded path
-has nothing in flight to abandon: its deadline is checked between
-shards in the caller's own thread.
+Deadline semantics: an expired deadline abandons the read (its reply
+is dropped by request id) and the service releases its hold of the
+lock immediately.  That is safe because a worker only touches its own
+copy-on-write image — it cannot race a parent-side writer that
+acquires the freed lock.  The threaded path has nothing in flight to
+abandon: its deadline is checked between shards in the caller's own
+thread.
 """
 
 from __future__ import annotations
@@ -61,21 +62,17 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.docstore.collection import Collection
-from repro.docstore.executor import ExecutionStats
-from repro.docstore.matcher import parse_query
+from repro.cluster.cluster import ClusterFindResult, ClusterMatch
 from repro.errors import QueryTimeoutError, ServiceError
 from repro.service.metrics import ServiceMetrics
 from repro.service.wire import (
-    BatchFrame,
     PlanMessage,
-    ReplyFrame,
+    ReadRequest,
     ResultFrame,
     ShutdownFrame,
-    SubqueryRequest,
-    SubqueryResult,
     decode_error,
     decode_result,
     encode_error,
@@ -84,7 +81,6 @@ from repro.service.wire import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.cluster import ShardedCluster
-    from repro.cluster.shard import Shard
     from repro.service.service import ServiceConfig
 
 __all__ = [
@@ -151,7 +147,7 @@ class Deadline:
 
 @dataclass(frozen=True)
 class SubquerySpec:
-    """Everything an executor needs to run one query's shard fan-out.
+    """Everything an executor needs to run one read.
 
     ``hint`` is the caller's explicit hint (or None) — the same
     objects the service hands to :meth:`ShardedCluster.find`, so both
@@ -193,28 +189,24 @@ class ThreadedExecutor:
 
 
 class _PendingReply:
-    """Parent-side handle for one in-flight remote subquery."""
+    """Parent-side handle for one read in flight on a worker."""
 
     def __init__(
-        self, client: "_WorkerClient", request_id: int, epoch: int, forked: bool
+        self, client: "_WorkerClient", request_id: int, epoch: Any, sent_on: Any
     ) -> None:
         self._client = client
         self.request_id = request_id
-        #: The epoch the subquery was sent at; the reply must match it.
+        #: The read epoch the read was sent at; the reply must match it.
         self.epoch = epoch
-        #: True when this request forked the worker that serves it.
-        self.forked = forked
-        #: The pipe the request went out on; None while it is queued.
-        self.sent_on: Any = None
+        #: The pipe the request went out on.
+        self.sent_on = sent_on
         self._event = threading.Event()
         self._frame: Optional[ResultFrame] = None
-        self._violations: Tuple[str, ...] = ()
         self._error: Optional[BaseException] = None
 
-    def deliver(self, frame: ResultFrame, violations: Tuple[str, ...]) -> None:
+    def deliver(self, frame: ResultFrame) -> None:
         """Reader-thread entry: hand the reply to the waiting caller."""
         self._frame = frame
-        self._violations = violations
         self._event.set()
 
     def fail(self, message: str) -> None:
@@ -226,42 +218,47 @@ class _PendingReply:
         """Drop the reply when it arrives; the caller stopped waiting."""
         self._client.discard(self.request_id)
 
-    def result(self, deadline: Deadline) -> Tuple[List[int], ExecutionStats]:
-        """Block (deadline-bounded) for the reply: ``(rids, stats)``."""
+    def result(self, deadline: Deadline) -> ClusterMatch:
+        """Block (deadline-bounded) for the reply, decoded."""
         if not self._event.wait(timeout=deadline.remaining()):
             raise QueryTimeoutError("query exceeded its deadline")
         if self._error is not None:
             raise self._error
         frame = self._frame
         assert frame is not None
-        if self._violations:
+        if frame.violations:
             raise ServiceError(
-                "worker lock-order sanitizer: %s"
-                % "; ".join(self._violations)
+                "worker lock-order sanitizer: %s" % "; ".join(frame.violations)
             )
         if frame.error is not None:
             raise decode_error(frame.error)
-        assert frame.payload is not None
         if frame.epoch != self.epoch:
             raise ServiceError(
-                "shard worker answered at epoch %s, the query was sent "
+                "shard worker answered at epoch %s, the read was sent "
                 "at epoch %s" % (frame.epoch, self.epoch)
             )
-        return decode_result(frame.payload)
+        return ClusterMatch(
+            list(frame.shard_ids),
+            frame.broadcast,
+            [decode_result(payload) for payload in frame.payloads],
+            frame.plan_ms,
+        )
 
 
 class _WorkerClient:
     """Parent-side endpoint of one worker process.
 
-    All shared state — the request outbox, the pending-reply table, the
-    hosted epochs, and the pipe's send side — is guarded by one mutex
-    (``_lock``).  Callers enqueue while holding the service lock
+    All shared state — the pending-reply table, the epochs recorded at
+    the fork, and the pipe's send side — is guarded by one mutex
+    (``_lock``).  Callers sync and send while holding the service lock
     shared, establishing the service-lock → client-lock order the
-    static lockgraph models; nothing is ever acquired *under* the client
-    lock, so the hierarchy stays acyclic.  The worker process and its
-    reply-reader thread start lazily on first use, which lets the
-    sanitizer swap ``_lock`` for an instrumented wrapper right after
-    construction, and again whenever a hosted collection's epoch moved.
+    static lockgraph models; nothing is ever acquired *under* the
+    client lock, and no caller holds two client locks, so the hierarchy
+    stays acyclic.  The worker process and its reply-reader thread
+    start lazily on first use, which lets the sanitizer swap ``_lock``
+    for an instrumented wrapper right after construction, and again
+    whenever a read finds the worker behind its epoch.  The reader
+    thread is the only code that reaps a worker process.
     """
 
     def __init__(
@@ -269,19 +266,19 @@ class _WorkerClient:
         ctx,
         worker_index: int,
         sanitize: bool,
-        shards: Mapping[str, "Shard"],
+        cluster: "ShardedCluster",
     ) -> None:
         self.worker_index = worker_index
         self._lock = threading.Lock()
         self._ctx = ctx
         self._sanitize = sanitize
-        #: The shards this worker serves, by id.
-        self._shards = shards
+        self._cluster = cluster
         self._ids = itertools.count()
         self._pending: Dict[int, _PendingReply] = {}
-        self._outbox: List[SubqueryRequest] = []
-        #: Each hosted (shard, collection)'s epoch at the worker's fork.
-        self._epochs: Dict[Tuple[str, str], int] = {}
+        #: Each collection's read epoch at the worker's fork; a
+        #: collection no shard held then has ``_blank_epoch``.
+        self._epochs: Dict[str, Any] = {}
+        self._blank_epoch: Any = None
         self._conn = None
         self._proc = None
         self._reader: Optional[threading.Thread] = None
@@ -290,120 +287,89 @@ class _WorkerClient:
 
     # -- request path (caller holds the service lock shared) ------------------
 
-    def enqueue(
-        self,
-        shard_id: str,
-        collection: Collection,
-        spec: SubquerySpec,
-        stall_ms: float,
-    ) -> _PendingReply:
-        """Queue one subquery for this worker, forking a fresh one first
-        when the live one holds the collection at another epoch.
+    def in_flight(self) -> int:
+        """Reads sent to this worker and not yet answered or abandoned."""
+        return len(self._pending)
 
-        The caller must hold the service lock shared: the epoch is read
-        and any fork taken *here*, while no writer can be mid-write in
-        any collection the fork copies (every write holds the service
-        lock exclusively).
+    def sync(self, collection: str, epoch: Any) -> bool:
+        """Fork a fresh worker unless the live one serves ``collection``
+        at ``epoch``; True when it forked.
+
+        The caller must hold the service lock shared: the fork is taken
+        *here*, while no writer can be mid-write anywhere in the
+        cluster the fork copies (every write holds the service lock
+        exclusively).  The worker it replaces — dead, or behind the
+        epoch — is retired first.
         """
-        epoch = collection.mutation_count
         with self._lock:
             if self._closed:
                 raise ServiceError("shard worker pool is shut down")
-            forked = self._ensure_worker_locked(
-                (shard_id, spec.collection), epoch
-            )
-            request_id = next(self._ids)
-            pending = _PendingReply(self, request_id, epoch, forked)
-            self._pending[request_id] = pending
-            plan = PlanMessage(
-                collection=spec.collection,
-                query=spec.query,
-                hint=spec.hint,
-                max_geo_ranges=spec.max_geo_ranges,
-                fast_path=True,  # read by no worker; see PlanMessage
-                shape_key=None,
-                exact_key=None,
-                epoch=epoch,
-                stall_ms=stall_ms,
-            )
-            self._outbox.append(
-                SubqueryRequest(
-                    request_id=request_id, shard_id=shard_id, plan=plan
+            if (
+                self._proc is not None
+                and self._dead_reason is None
+                and self._epochs.get(collection, self._blank_epoch) == epoch
+                # The sentinel turns readable when the process exits;
+                # unlike is_alive() this does not reap it.
+                and not wait([self._proc.sentinel], 0)
+            ):
+                return False
+            if self._sanitize and worker_instrumenter is None:
+                raise ServiceError(
+                    "%s is set but no worker instrumenter is registered; "
+                    "import repro.sanitizer before spawning shard workers"
+                    % ENV_WORKER_SANITIZE
                 )
-            )
-        return pending
+            self._retire_locked()
+            self._fork_locked()
+            return True
 
-    def flush(self) -> None:
-        """Send everything queued as one batch frame, in arrival order.
-
-        Whoever flushes first drains the *whole* outbox — including
-        requests other threads enqueued since — so concurrent queries
-        coalesce into one round-trip.
-        """
+    def submit(self, plan: PlanMessage) -> _PendingReply:
+        """Send one read to the live worker; the reply comes back on
+        the returned handle."""
         with self._lock:
+            if self._closed:
+                raise ServiceError("shard worker pool is shut down")
             conn = self._conn
-            if self._dead_reason is not None or conn is None:
-                return
-            if not self._outbox:
-                return
-            requests = tuple(self._outbox)
-            self._outbox = []
-            for request in requests:
-                pending = self._pending.get(request.request_id)
-                if pending is not None:
-                    pending.sent_on = conn
+            if conn is None or self._dead_reason is not None:
+                raise ServiceError(
+                    self._dead_reason or "no shard worker process is running"
+                )
+            request_id = next(self._ids)
+            pending = _PendingReply(self, request_id, plan.epoch, conn)
+            self._pending[request_id] = pending
             try:
-                conn.send(BatchFrame(requests=requests))
+                conn.send(ReadRequest(request_id=request_id, plan=plan))
             except (BrokenPipeError, OSError):
                 self._dead_reason = "shard worker process died mid-send"
                 self._fail_pending_locked(self._dead_reason)
+        return pending
 
     def discard(self, request_id: int) -> None:
-        """Withdraw a request: unsent, it never goes; sent, its reply is dropped."""
+        """Withdraw a read: its reply, when it comes, is dropped."""
         with self._lock:
             self._pending.pop(request_id, None)
-            self._outbox = [
-                r for r in self._outbox if r.request_id != request_id
-            ]
 
     # -- worker lifecycle ------------------------------------------------------
 
-    def _ensure_worker_locked(self, key: Tuple[str, str], epoch: int) -> bool:
-        """Fork a worker unless the live one holds ``key`` at ``epoch``.
-
-        Returns True when it forked.  The worker it replaces — dead, or
-        holding a stale or missing copy of the collection — is retired
-        first.
-        """
-        if (
-            self._proc is not None
-            and self._dead_reason is None
-            and self._epochs.get(key) == epoch
-            and self._proc.is_alive()
-        ):
-            return False
-        if self._sanitize and worker_instrumenter is None:
-            raise ServiceError(
-                "%s is set but no worker instrumenter is registered; "
-                "import repro.sanitizer before spawning shard workers"
-                % ENV_WORKER_SANITIZE
-            )
-        self._retire_locked()
-        hosted = {
-            (shard_id, name): shard.collection(name)
-            for shard_id, shard in self._shards.items()
+    def _fork_locked(self) -> None:
+        """Fork a worker holding the cluster as it is now."""
+        cluster = self._cluster
+        names = {
+            name
+            for shard in cluster.shards.values()
             for name in shard.database.list_collections()
         }
-        self._epochs = {
-            namespace: collection.mutation_count
-            for namespace, collection in hosted.items()
-        }
+        self._epochs = {name: cluster.read_epoch(name) for name in names}
+        self._blank_epoch = (
+            cluster.metadata_version,
+            (None,) * len(cluster.shards),
+        )
         parent_conn, child_conn = self._ctx.Pipe()
-        # A fork context: the collections reach the child as its
+        # A fork context: the cluster reaches the child as its
         # copy-on-write image, not as a pickle.
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, hosted, self._sanitize),
+            args=(child_conn, cluster, self._sanitize),
             daemon=True,
             name="repro-shard-worker-%d" % self.worker_index,
         )
@@ -419,16 +385,14 @@ class _WorkerClient:
             name="repro-worker-reader-%d" % self.worker_index,
         )
         self._reader.start()
-        return True
 
     def _retire_locked(self) -> None:
-        """Ask the live worker to exit once it has answered its batches.
+        """Ask the live worker to exit once it has answered its reads.
 
-        The worker serves the frames before the shutdown in order, at
+        The worker serves the requests before the shutdown in order, at
         the epochs they were checked against.  Its reader thread then
         reads EOF, fails whatever went unanswered, closes the pipe and
-        reaps the process — outside this lock.  Requests still in the
-        outbox go to the next worker.
+        reaps the process — outside this lock.
         """
         conn = self._conn
         if conn is None:
@@ -452,15 +416,11 @@ class _WorkerClient:
                 frame = conn.recv()
             except (EOFError, OSError):
                 break
-            if isinstance(frame, ReplyFrame):
+            if isinstance(frame, ResultFrame):
                 with self._lock:
-                    waiters = [
-                        (self._pending.pop(result.request_id, None), result)
-                        for result in frame.results
-                    ]
-                for pending, result in waiters:
-                    if pending is not None:
-                        pending.deliver(result, frame.violations)
+                    pending = self._pending.pop(frame.request_id, None)
+                if pending is not None:
+                    pending.deliver(frame)
         with self._lock:
             if conn is self._conn:
                 self._dead_reason = "shard worker process died"
@@ -486,23 +446,22 @@ class _WorkerClient:
             self._fail_pending_locked("shard worker pool is shut down")
             self._retire_locked()
             self._dead_reason = "shard worker pool is shut down"
-        if proc is not None:
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
+        # The reader thread reaps the worker once it has exited.
+        if proc is not None and not wait([proc.sentinel], 5.0):
+            proc.terminate()
         if reader is not None:
             reader.join(timeout=5.0)
 
 
 class ShardWorkerPool:
-    """Process-parallel backend: shard groups served by worker processes.
+    """Process-parallel backend: whole reads served by worker processes.
 
-    Shards are assigned round-robin over ``executor_workers`` (default
-    ``max_workers``) worker processes; each worker serves its shards
-    only, so the pool's lock topology per process is: the parent's
-    service lock (held shared by the caller) → that worker's client
-    mutex, and *inside* a worker a single host mutex with
+    ``executor_workers`` (default ``max_workers``, at most one per
+    shard) worker processes, each a fork of the whole cluster.  A read
+    goes to the worker with the fewest reads in flight, the lowest
+    index on ties.  The lock topology per process is: the parent's
+    service lock (held shared by the caller) → one worker client's
+    mutex at a time, and *inside* a worker a single host mutex with
     nothing nested under it.
     """
 
@@ -517,95 +476,69 @@ class ShardWorkerPool:
         self.cluster = cluster
         self.config = config
         self.metrics = metrics
-        #: Test hook (satellite: stalled-worker coverage): per-shard
-        #: artificial delay injected into each plan message.
+        #: Test hook (stalled-worker coverage): per-shard artificial
+        #: delay the worker sleeps before matching that shard.
         self.debug_stall_ms: Dict[str, float] = {}
         workers = config.executor_workers or config.max_workers
         workers = max(1, min(workers, len(cluster.shards)))
         sanitize = os.environ.get(ENV_WORKER_SANITIZE, "") not in ("", "0")
         ctx = multiprocessing.get_context("fork")
-        shard_ids = sorted(cluster.shards)
         self._workers: List[_WorkerClient] = [
-            _WorkerClient(
-                ctx,
-                index,
-                sanitize,
-                {s: cluster.shards[s] for s in shard_ids[index::workers]},
-            )
+            _WorkerClient(ctx, index, sanitize, cluster)
             for index in range(workers)
         ]
-        self._clients: Dict[str, _WorkerClient] = {
-            shard_id: self._workers[index % workers]
-            for index, shard_id in enumerate(shard_ids)
-        }
 
     def clients(self) -> List[_WorkerClient]:
-        """The distinct worker clients (instrumentation/tests)."""
+        """The worker clients, by index (instrumentation/tests)."""
         return list(self._workers)
 
-    def shard_mapper(self, spec: SubquerySpec, deadline: Deadline):
-        """The fan-out hook passed to :meth:`ShardedCluster.find`.
+    def find(self, spec: SubquerySpec, deadline: Deadline) -> ClusterFindResult:
+        """Serve one read on one worker; the caller holds the service
+        lock shared from before this call until it returns.
 
-        The ``fn`` the cluster hands over is ignored: subqueries run
-        in the worker processes from the plan message, not through the
-        parent-side closure.  Each worker returns record ids; the
-        parent copies those documents from its own collection, along
-        their stored shapes as the threaded path does, into objects
-        with the ``documents``/``stats`` attributes ``run_shard``
-        returns, so the cluster's merge path is untouched.
+        Forks every worker that is behind the read's epoch, sends the
+        read to the least busy one, and copies and merges its reply
+        from the parent's own store, as the threaded path does.
         """
-
-        def mapper(fn, shard_ids):
-            del fn  # executed remotely from the plan message
-            pendings: List[Tuple[str, Collection, _PendingReply]] = []
-            touched: List[_WorkerClient] = []
-            out = []
-            try:
-                for shard_id in shard_ids:
-                    deadline.remaining()  # raises when expired
-                    client: _WorkerClient = self._clients[shard_id]
-                    col = self.cluster.shards[shard_id].collection(
-                        spec.collection
-                    )
-                    pending = client.enqueue(
-                        shard_id,
-                        col,
-                        spec,
-                        self.debug_stall_ms.get(shard_id, 0.0),
-                    )
-                    pendings.append((shard_id, col, pending))
-                    if client not in touched:
-                        touched.append(client)
-                for client in touched:
-                    client.flush()
-                for shard_id, col, pending in pendings:
-                    rids, stats = pending.result(deadline)
-                    try:
-                        documents = col.copy_results(rids)
-                    except KeyError as exc:
-                        raise ServiceError(
-                            "shard worker returned record id %s, which "
-                            "%s/%s does not hold"
-                            % (exc, shard_id, spec.collection)
-                        ) from None
-                    out.append((shard_id, SubqueryResult(documents, stats)))
-            except BaseException:
-                # Abandon the fan-out, queued or in flight: unsent
-                # requests leave the outbox and replies still to come
-                # are dropped by request id.  Unlike the threaded path
-                # no drain is needed before the caller releases the
-                # service lock — remote subqueries only touch the
-                # workers' own copy-on-write images and cannot race a
-                # parent-side writer.
-                for _shard_id, _col, pending in pendings:
-                    pending.abandon()
-                raise
-            if self.metrics is not None:
-                for _shard_id, _col, pending in pendings:
-                    self.metrics.record_remote(forked=pending.forked)
-            return out
-
-        return mapper
+        epoch = self.cluster.read_epoch(spec.collection)
+        forks = sum(
+            client.sync(spec.collection, epoch) for client in self._workers
+        )
+        if forks and self.metrics is not None:
+            self.metrics.record_forks(forks)
+        deadline.remaining()  # raises when expired
+        client = min(self._workers, key=_WorkerClient.in_flight)
+        pending = client.submit(
+            PlanMessage(
+                collection=spec.collection,
+                query=spec.query,
+                hint=spec.hint,
+                max_geo_ranges=spec.max_geo_ranges,
+                fast_path=True,  # read by no worker; see PlanMessage
+                shape_key=None,
+                exact_key=None,
+                epoch=epoch,
+                stall_ms=dict(self.debug_stall_ms),
+            )
+        )
+        if self.metrics is not None:
+            self.metrics.record_remote()
+        try:
+            match = pending.result(deadline)
+        except BaseException:
+            # The reply, if it ever comes, is dropped by request id.
+            # Unlike the threaded path nothing needs draining before
+            # the caller releases the service lock: the worker only
+            # touches its own copy-on-write image.
+            pending.abandon()
+            raise
+        try:
+            return self.cluster.merge(spec.collection, match)
+        except KeyError as exc:
+            raise ServiceError(
+                "shard worker returned record id %s, which the targeted "
+                "shard's %s does not hold" % (exc, spec.collection)
+            ) from None
 
     def shutdown(self) -> None:
         """Stop every worker process."""
@@ -617,10 +550,10 @@ class ShardWorkerPool:
 
 
 class _WorkerHost:
-    """The worker process's state: the collections it serves, one mutex.
+    """The worker process's state: the forked cluster, one mutex.
 
-    The collections are the parent's, inherited through the fork and
-    only ever read here.  The event loop is single-threaded, but the
+    The cluster is the parent's, inherited through the fork and only
+    ever read here.  The event loop is single-threaded, but the
     serving state is still guarded by ``_lock``: the lock *is* the
     worker's declared topology (nothing may nest under it), the static
     lockgraph checks that claim on this source, and
@@ -629,9 +562,9 @@ class _WorkerHost:
     that violates it trips both oracles.
     """
 
-    def __init__(self, hosted: Mapping[Tuple[str, str], Collection]) -> None:
+    def __init__(self, cluster: "ShardedCluster") -> None:
         self._lock = threading.Lock()
-        self._hosted = hosted
+        self._cluster = cluster
         self._sanitizer = None
 
     def violations(self) -> Tuple[str, ...]:
@@ -643,77 +576,62 @@ class _WorkerHost:
             for v in self._sanitizer.violations()
         )
 
-    def handle_batch(self, frame: BatchFrame) -> ReplyFrame:
-        """Serve each request in arrival order.
-
-        One frame is one pickle, so the shard requests of one query
-        share its query object: each distinct object is parsed once
-        per frame, in ``parsed``.
-        """
-        parsed: Dict[int, tuple] = {}
-        results = tuple(
-            self._serve(request, parsed) for request in frame.requests
-        )
-        return ReplyFrame(results=results, violations=self.violations())
-
-    def _serve(
-        self,
-        request: SubqueryRequest,
-        parsed: Dict[int, tuple],
-    ) -> ResultFrame:
+    def serve(self, request: ReadRequest) -> ResultFrame:
+        """Answer one read: its routing and a payload per shard, or
+        the error it raised (a malformed query's QueryError included).
+        A stalled read (the test hook) sleeps each targeted shard's
+        stall after matching, outside the lock."""
         plan = request.plan
-        if plan.stall_ms > 0.0:
-            time.sleep(plan.stall_ms / 1000.0)
         try:
             with self._lock:
-                payload, epoch = self._execute_locked(
-                    request.shard_id, plan, parsed
-                )
+                match, epoch = self._execute_locked(plan)
         except Exception as exc:
             return ResultFrame(
-                request_id=request.request_id, error=encode_error(exc)
+                request_id=request.request_id,
+                error=encode_error(exc),
+                violations=self.violations(),
+            )
+        if plan.stall_ms:
+            time.sleep(
+                sum(plan.stall_ms.get(s, 0.0) for s in match.shard_ids)
+                / 1000.0
             )
         return ResultFrame(
-            request_id=request.request_id, payload=payload, epoch=epoch
+            request_id=request.request_id,
+            shard_ids=tuple(match.shard_ids),
+            broadcast=match.broadcast,
+            payloads=tuple(
+                encode_result(rids, stats) for rids, stats in match.matches
+            ),
+            plan_ms=match.plan_ms,
+            epoch=epoch,
+            violations=self.violations(),
         )
 
-    def _execute_locked(
-        self,
-        shard_id: str,
-        plan: PlanMessage,
-        parsed: Dict[int, tuple],
-    ) -> Tuple[bytes, int]:
-        """The encoded ``(rids, counters)`` and the epoch they ran at."""
-        collection = self._hosted.get((shard_id, plan.collection))
-        epoch = None if collection is None else collection.mutation_count
-        if collection is None or epoch != plan.epoch:
+    def _execute_locked(self, plan: PlanMessage) -> Tuple[ClusterMatch, Any]:
+        """The read's plan-and-match step and the epoch it ran at."""
+        epoch = self._cluster.read_epoch(plan.collection)
+        if epoch != plan.epoch:
             raise ServiceError(
-                "worker copy of %s/%s is stale (have epoch %s, need %s)"
-                % (shard_id, plan.collection, epoch, plan.epoch)
+                "worker copy of %s is stale (have epoch %s, need %s)"
+                % (plan.collection, epoch, plan.epoch)
             )
-        pair = parsed.get(id(plan.query))
-        if pair is None:
-            pair = parsed[id(plan.query)] = parse_query(plan.query)
-        shape, matcher = pair
-        rids, stats, _plan = collection.find_rids(
+        match = self._cluster.match(
+            plan.collection,
             plan.query,
             hint=plan.hint,
             max_geo_ranges=plan.max_geo_ranges,
-            matcher=matcher,
-            shape=shape,
         )
-        return encode_result(rids, stats), epoch
+        return match, epoch
 
 
-def _worker_main(
-    conn, hosted: Mapping[Tuple[str, str], Collection], sanitize: bool
-) -> None:
-    """The worker process's event loop: recv frames, send replies."""
-    host = _WorkerHost(hosted)
+def _worker_main(conn, cluster: "ShardedCluster", sanitize: bool) -> None:
+    """The worker process's event loop: recv reads, send replies."""
+    host = _WorkerHost(cluster)
     if sanitize:
         # Registered by repro.sanitizer.instrument in the parent and
-        # inherited through fork; _ensure_worker_locked refused to
-        # spawn if it was missing.
+        # inherited through fork; sync() refused to spawn if it was
+        # missing.
         assert worker_instrumenter is not None
         worker_instrumenter(host)
     while True:
@@ -723,9 +641,9 @@ def _worker_main(
             break
         if isinstance(frame, ShutdownFrame):
             break
-        if isinstance(frame, BatchFrame):
+        if isinstance(frame, ReadRequest):
             try:
-                conn.send(host.handle_batch(frame))
+                conn.send(host.serve(frame))
             except (BrokenPipeError, OSError):
                 break
     try:

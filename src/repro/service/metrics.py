@@ -148,15 +148,15 @@ class ServiceMetrics:
         with self._lock:
             self.writes += 1
 
-    def record_remote(self, forked: bool) -> None:
-        """Record one subquery served by a shard worker process.
-
-        ``forked`` marks a request that forked the worker serving it.
-        """
+    def record_remote(self) -> None:
+        """Record one read shipped to a shard worker process."""
         with self._lock:
             self.remote_subqueries += 1
-            if forked:
-                self.worker_forks += 1
+
+    def record_forks(self, forks: int) -> None:
+        """Record ``forks`` worker processes forked afresh."""
+        with self._lock:
+            self.worker_forks += forks
 
     def record_rejection(self) -> None:
         """Record an admission-control rejection (backpressure)."""

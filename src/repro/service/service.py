@@ -6,23 +6,27 @@ mongos is a *server* — many clients in flight at once, per-shard
 subqueries dispatched concurrently, bounded queues in front of the
 executor.  :class:`QueryService` adds exactly that layer:
 
-* **Scatter-gather** — per-shard subqueries run on an executor
-  backend (:mod:`repro.service.executors`): in the caller's thread by
-  default, or on per-shard worker *processes* when
-  ``ServiceConfig.executor`` selects the ``process`` backend; merged
-  documents and :class:`~repro.cluster.metrics.ClusterQueryStats` are
-  identical to the sequential path.
+* **Scatter-gather** — a read's shard work runs on an executor
+  backend (:mod:`repro.service.executors`): per-shard subqueries in
+  the caller's thread by default, or the whole read on one worker
+  *process* when ``ServiceConfig.executor`` selects the ``process``
+  backend; merged documents and
+  :class:`~repro.cluster.metrics.ClusterQueryStats` are identical to
+  the sequential path.
 * **One reader-writer lock** — one FIFO
   :class:`~repro.service.locks.ReadWriteLock` per service.  Inserts,
   updates, deletes and DDL (whose chunk splits and migrations can touch
-  any shard) hold it exclusively; a read holds it from targeting
-  through the merge, so routing cannot move under a read.  Process
-  backend reads share it and overlap; thread backend reads take it
-  exclusively, one at a time in arrival order.
+  any shard) hold it exclusively; a read holds it from targeting (on
+  the process backend, from reading the epoch it ships) through the
+  merge, so routing cannot move under a read.  Process backend reads
+  share it and overlap; thread backend reads take it exclusively, one
+  at a time in arrival order.
 * **One planning path** — a read parses its query once
   (:func:`~repro.docstore.matcher.parse_query`) into the planner's
-  shape and the compiled matcher; nothing is stored between queries,
-  so nothing needs invalidating (DESIGN.md §8).
+  shape and the compiled matcher — in the caller's thread, or on the
+  process backend in the worker that serves it, which also routes it;
+  nothing is stored between queries, so nothing needs invalidating
+  (DESIGN.md §8).
 * **Admission control** — a bounded wait queue and a concurrency
   limit; requests beyond both fail fast with
   :class:`~repro.errors.ServiceOverloadedError`, and a per-query
@@ -70,14 +74,14 @@ class ServiceConfig:
     max_queue_depth: int = 16
     #: Default per-query deadline; None means no deadline.
     default_timeout_ms: Optional[float] = None
-    #: Execution backend for the shard fan-out: ``"thread"`` (in the
-    #: caller's thread), ``"process"`` (the :class:`ShardWorkerPool`
-    #: of per-shard worker processes), or ``"auto"`` (consult the
+    #: Execution backend for reads: ``"thread"`` (shard subqueries in
+    #: the caller's thread), ``"process"`` (the :class:`ShardWorkerPool`
+    #: of worker processes, each serving whole reads), or ``"auto"`` (consult the
     #: ``REPRO_EXECUTOR_BACKEND`` environment variable, defaulting to
     #: ``"thread"``).
     executor: str = "auto"
-    #: Worker *processes* for the process backend (shards are assigned
-    #: round-robin); defaults to ``max_workers``.
+    #: Worker *processes* for the process backend (at most one per
+    #: shard); defaults to ``max_workers``.
     executor_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -149,9 +153,9 @@ class QueryService:
         self.cluster = cluster
         self.config = config or ServiceConfig()
         self.metrics = ServiceMetrics()
-        # The shard fan-out backend.  Exactly one of the typed
-        # attributes is populated; call sites branch on it explicitly
-        # so the static lockgraph resolves each mapper unambiguously.
+        # The read backend.  Exactly one of the typed attributes is
+        # populated; call sites branch on it explicitly so the static
+        # lockgraph resolves each backend's calls unambiguously.
         self.executor_backend = resolve_backend(self.config.executor)
         self._threaded: Optional[ThreadedExecutor] = None
         self._worker_pool: Optional[ShardWorkerPool] = None
@@ -283,15 +287,17 @@ class QueryService:
         started: float,
         queue_wait_ms: float,
     ) -> ServiceFindResult:
-        shape, matcher = parse_query(query)
         spec = SubquerySpec(
             collection=collection,
             query=query,
             hint=hint,
             max_geo_ranges=max_geo_ranges,
         )
-        waited = time.perf_counter()
         threaded = self._threaded is not None
+        if threaded:
+            # A process worker parses and routes the read on its fork.
+            shape, matcher = parse_query(query)
+        waited = time.perf_counter()
         if threaded:
             acquired = self._lock.acquire_write(timeout=deadline.remaining())
         else:
@@ -300,30 +306,20 @@ class QueryService:
             raise QueryTimeoutError("timed out waiting for the service lock")
         queue_wait_ms += (time.perf_counter() - waited) * 1000.0
         try:
-            # Routing cannot move while the lock is held: every chunk
-            # split, migration and DDL runs under it exclusively.
-            targeting = self.cluster.targeting_for(
-                collection, query, shape=shape
-            )
-            # The two branches differ only in which executor builds the
-            # mapper; they are spelled out (rather than dispatched via
-            # a shared variable) so the static lockgraph resolves each
-            # closure and models its lock footprint under the held lock.
+            # The two branches are spelled out (rather than dispatched
+            # via a shared variable) so the static lockgraph resolves
+            # each backend's calls and models their lock footprint
+            # under the held lock.
             if self._worker_pool is not None:
-                result = self.cluster.find(
-                    collection,
-                    query,
-                    hint=hint,
-                    max_geo_ranges=max_geo_ranges,
-                    shard_mapper=self._worker_pool.shard_mapper(
-                        spec, deadline
-                    ),
-                    shape=shape,
-                    matcher=matcher,
-                    targeting=targeting,
-                )
+                result = self._worker_pool.find(spec, deadline)
             else:
                 assert self._threaded is not None
+                # Routing cannot move while the lock is held: every
+                # chunk split, migration and DDL runs under it
+                # exclusively.
+                targeting = self.cluster.targeting_for(
+                    collection, query, shape=shape
+                )
                 result = self.cluster.find(
                     collection,
                     query,

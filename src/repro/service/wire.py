@@ -1,45 +1,43 @@
-"""Picklable wire frames for the process-parallel shard executors.
+"""Picklable wire frames for the process-parallel executor.
 
-The :class:`~repro.service.executors.ShardWorkerPool` ships per-shard
-subqueries to worker processes over pipes.  Everything that crosses
-the process boundary is defined here, in one place, so the round-trip
-property — decode(encode(x)) reproduces x exactly — can be tested
-against the differential query corpus:
+The :class:`~repro.service.executors.ShardWorkerPool` ships whole reads
+to worker processes over pipes.  Everything that crosses the process
+boundary is defined here, in one place, so the round-trip property —
+decode(encode(x)) reproduces x exactly — can be tested against the
+differential query corpus:
 
-* :class:`PlanMessage` — one subquery: the raw query document and the
-  collection epoch it must execute against;
-* :class:`BatchFrame` — what one pipe write carries: the queued
-  subqueries in arrival order, so one round-trip carries every
-  coalesced query;
-* :class:`ReplyFrame` — the worker's one answer to a batch: a
-  :class:`ResultFrame` per request, in order.  A result carries record
-  ids, not documents: the parent holds the same documents at the same
+* :class:`PlanMessage` — one read: the raw query document and the read
+  epoch (:meth:`~repro.cluster.cluster.ShardedCluster.read_epoch`) it
+  must execute at;
+* :class:`ReadRequest` — what one pipe write carries: a plan message
+  and the request id its reply answers;
+* :class:`ResultFrame` — the worker's one answer to a read: the shards
+  it targeted, the broadcast flag, one :func:`encode_result` payload
+  per targeted shard and the plan time.  A payload carries record ids,
+  not documents: the parent holds the same documents at the same
   epoch and copies them from its own store;
 * ``encode_stats``/``decode_stats`` — the counter frame: a
   :class:`~repro.docstore.executor.ExecutionStats` flattened to a
   plain tuple and rebuilt field-for-field, so the service's merged
   statistics are identical to the threaded path's.
 
-No document crosses the wire: a worker is forked with the collections
-it serves (:mod:`repro.service.executors`).
+No document crosses the wire: a worker is a fork of the whole cluster
+(:mod:`repro.service.executors`).
 """
 
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, List, Mapping, Optional, Tuple
 
 from repro.docstore.executor import ExecutionStats
 
 __all__ = [
     "PlanMessage",
-    "SubqueryRequest",
-    "BatchFrame",
+    "ReadRequest",
     "ShutdownFrame",
     "ResultFrame",
-    "ReplyFrame",
-    "SubqueryResult",
     "encode_stats",
     "decode_stats",
     "encode_result",
@@ -55,11 +53,11 @@ WIRE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 @dataclass(frozen=True)
 class PlanMessage:
-    """One shard subquery, compact enough to pickle per request.
+    """One read, compact enough to pickle per request.
 
-    ``epoch`` is the source collection's ``mutation_count`` at send
-    time, read under the service lock — the worker refuses to serve
-    a collection whose epoch does not match.
+    ``epoch`` is the collection's read epoch at send time, read under
+    the service lock — the worker refuses to serve a read whose epoch
+    is not its own.
     """
 
     collection: str
@@ -72,72 +70,49 @@ class PlanMessage:
     fast_path: bool
     shape_key: Optional[Tuple[Any, ...]]
     exact_key: Optional[Tuple[Any, ...]]
-    epoch: int
-    #: Test hook: the worker sleeps this long *before* executing, to
-    #: reconstruct the stalled-worker/deadline-expiry leak class.
-    stall_ms: float = 0.0
+    epoch: Any
+    #: Test hook, per shard id: the worker sleeps this long for each
+    #: targeted shard before it replies, to reconstruct the
+    #: stalled-worker / deadline-expiry leak class.
+    stall_ms: Mapping[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
-class SubqueryRequest:
-    """A :class:`PlanMessage` addressed to one shard, with a reply id."""
+class ReadRequest:
+    """A :class:`PlanMessage` with the id its reply answers."""
 
     request_id: int
-    shard_id: str
     plan: PlanMessage
 
 
 @dataclass(frozen=True)
-class BatchFrame:
-    """One pipe write: the queued requests, in arrival order."""
-
-    requests: Tuple[SubqueryRequest, ...]
-
-
-@dataclass(frozen=True)
 class ShutdownFrame:
-    """Ask the worker to acknowledge (with its sanitizer state) and exit."""
+    """Ask the worker to exit once it has answered what it was sent."""
 
 
 @dataclass(frozen=True)
 class ResultFrame:
-    """One subquery's reply.
+    """One read's reply.
 
-    Exactly one of ``payload`` (success, see :func:`encode_result`)
-    and ``error`` (a pickled exception, see :func:`encode_error`) is
-    set.  ``epoch`` is the collection epoch the subquery ran at; the
-    parent refuses a reply whose epoch is not the one it sent.
-    """
-
-    request_id: int
-    payload: Optional[bytes] = None
-    error: Optional[bytes] = None
-    epoch: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class ReplyFrame:
-    """One pipe write back: a result per request of one batch, in order.
-
-    ``violations`` carries worker-side lock-order sanitizer findings
-    when ``REPRO_WORKER_SANITIZE`` instrumentation is on (empty means
+    Either ``error`` (a pickled exception, see :func:`encode_error`) is
+    set, or the read's routing — ``shard_ids`` and ``broadcast`` — and
+    one ``payloads`` entry (see :func:`encode_result`) per targeted
+    shard, in targeting order, with the worker's ``plan_ms``.
+    ``epoch`` is the read epoch the read ran at; the parent refuses a
+    reply whose epoch is not the one it sent.  ``violations`` carries
+    worker-side lock-order sanitizer findings when
+    ``REPRO_WORKER_SANITIZE`` instrumentation is on (empty means
     clean, the parent raises on anything else).
     """
 
-    results: Tuple[ResultFrame, ...]
+    request_id: int
+    shard_ids: Tuple[str, ...] = ()
+    broadcast: bool = False
+    payloads: Tuple[bytes, ...] = ()
+    plan_ms: float = 0.0
+    error: Optional[bytes] = None
+    epoch: Any = None
     violations: Tuple[str, ...] = ()
-
-
-@dataclass
-class SubqueryResult:
-    """A remote subquery's documents, copied by the parent, and counters.
-
-    What ``run_shard`` returns on the threaded path, as far as the
-    cluster's merge reads it.
-    """
-
-    documents: List[dict]
-    stats: ExecutionStats
 
 
 # -- counter frames ------------------------------------------------------------
@@ -175,7 +150,7 @@ def decode_stats(frame: Tuple[Any, ...]) -> ExecutionStats:
 
 
 def encode_result(rids: List[Any], stats: ExecutionStats) -> bytes:
-    """Pickle a subquery's record ids and counters into one payload."""
+    """Pickle one shard's record ids and counters into one payload."""
     return pickle.dumps((rids, encode_stats(stats)), protocol=WIRE_PROTOCOL)
 
 

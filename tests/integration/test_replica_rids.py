@@ -1,21 +1,24 @@
-"""A shard worker answers with its parent's record ids.
+"""A worker answers with its parent's routing and record ids.
 
-The process backend's workers answer with record ids, and the parent
-copies those rids' documents out of its own collection.  That is only
-right if the worker holds every document under the rid the parent
-holds it under, in the same scan order.  Rids have gaps once documents
-leave — deletes, and chunk migrations that move a key range to the
-other shard — so a worker that renumbered its documents would answer
-with rids that name other documents, or none.
+The process backend's workers serve whole reads: each routes the read
+on its forked chunk map and answers, per targeted shard, with record
+ids, and the parent copies those rids' documents out of its own
+collections.  That is only right if the worker holds the parent's
+chunk map and every document under the rid the parent holds it under,
+in the same scan order.  Rids have gaps once documents leave —
+deletes, and chunk migrations that move a key range to the other
+shard — so a worker that renumbered its documents would answer with
+rids that name other documents, or none.
 
 This property runs random insert, delete, update and migrate sequences
-over two shards' collections, in two halves.  After each half, one
-real worker client (a forked process hosting both shards; the second
-half's writes make it fork afresh) answers random queries: its rids
-and counters are the parent's, and the parent's ``copy_results`` of
-those rids equals its own ``find_with_stats`` documents and shares no
-container with its store.  With ``REPRO_WORKER_SANITIZE=1`` the worker
-runs its own lock-order sanitizer.
+over a two-shard cluster, in two halves.  After each half, one real
+worker client (a forked process holding the whole cluster; the second
+half's writes make it fork afresh) answers random queries: its
+targeted shards, rids and counters are the parent's, and the parent's
+``copy_results`` of those rids equals its own ``find_with_stats``
+documents and shares no container with its store.  With
+``REPRO_WORKER_SANITIZE=1`` the worker runs its own lock-order
+sanitizer.
 """
 
 import multiprocessing
@@ -27,14 +30,15 @@ from hypothesis import strategies as st
 # Registers the worker instrumenter for REPRO_WORKER_SANITIZE=1.
 import repro.sanitizer  # noqa: F401
 from repro.cluster.chunk import ShardKeyPattern
-from repro.cluster.shard import Shard, shard_key_index_name
+from repro.cluster.cluster import ClusterTopology, ShardedCluster
+from repro.cluster.shard import shard_key_index_name
 from repro.service import executors
+from repro.service.wire import PlanMessage
 
 PATTERN = ShardKeyPattern.from_spec([("k", 1)])
 INDEX = shard_key_index_name(PATTERN)
 
 _ranges = st.tuples(st.integers(0, 9), st.integers(0, 9)).map(sorted)
-_shards = st.integers(0, 1)
 _bodies = st.lists(
     st.fixed_dictionaries(
         {"k": st.integers(0, 9), "g": st.integers(0, 3)},
@@ -43,10 +47,10 @@ _bodies = st.lists(
     max_size=12,
 )
 _operations = st.one_of(
-    st.tuples(st.just("insert"), _shards, _bodies),
-    st.tuples(st.just("delete"), _shards, _ranges),
+    st.tuples(st.just("insert"), _bodies),
+    st.tuples(st.just("delete"), _ranges),
     st.tuples(st.just("update"), _ranges, st.integers(0, 3)),
-    st.tuples(st.just("migrate"), _shards, _ranges),
+    st.tuples(st.just("migrate"), st.integers(0, 9)),
 )
 _queries = st.one_of(
     st.just(({}, None)),
@@ -83,33 +87,37 @@ def _containers(value, out):
     return out
 
 
-def _worker(shards):
+def _worker(cluster):
     sanitize = os.environ.get(executors.ENV_WORKER_SANITIZE, "") not in (
         "",
         "0",
     )
     return executors._WorkerClient(
-        multiprocessing.get_context("fork"),
-        0,
-        sanitize,
-        {shard.shard_id: shard for shard in shards},
+        multiprocessing.get_context("fork"), 0, sanitize, cluster
     )
 
 
-def _check(client, shards, queries) -> None:
+def _check(client, cluster, queries) -> None:
     # ``{}`` first: a collection scan returns the rids in scan order.
     for query, hint in [({}, None)] + queries:
-        spec = executors.SubquerySpec(
-            collection="t", query=query, hint=hint, max_geo_ranges=None
+        epoch = cluster.read_epoch("t")
+        client.sync("t", epoch)
+        pending = client.submit(
+            PlanMessage(
+                collection="t",
+                query=query,
+                hint=hint,
+                max_geo_ranges=None,
+                fast_path=True,
+                shape_key=None,
+                exact_key=None,
+                epoch=epoch,
+            )
         )
-        pendings = [
-            (shard, client.enqueue(shard.shard_id, shard.collection("t"), spec, 0.0))
-            for shard in shards
-        ]
-        client.flush()
-        for shard, pending in pendings:
-            source = shard.collection("t")
-            rids, stats = pending.result(executors.Deadline(10_000.0))
+        match = pending.result(executors.Deadline(10_000.0))
+        assert match.shard_ids == cluster.targeting_for("t", query).shard_ids
+        for shard_id, (rids, stats) in zip(match.shard_ids, match.matches):
+            source = cluster.shards[shard_id].collection("t")
             mine, mine_stats, _plan = source.find_rids(query, hint=hint)
             expected = source.find_with_stats(query, hint=hint)
             assert rids == mine
@@ -124,34 +132,26 @@ def _check(client, shards, queries) -> None:
                 assert not _containers(doc, set()) & owned
 
 
-def _apply(shards, operations, ids) -> None:
+def _apply(cluster, operations, ids) -> None:
+    metadata = cluster.catalog.get("t")
     for operation in operations:
         kind, *args = operation
         if kind == "insert":
-            shard, bodies = args
-            shards[shard].collection("t").insert_many(
-                [{**body, "_id": next(ids)} for body in bodies]
-            )
+            (bodies,) = args
+            cluster.insert_many("t", [{**body, "_id": next(ids)} for body in bodies])
         elif kind == "delete":
-            shard, (lo, hi) = args
-            shards[shard].collection("t").delete_many(
-                {"k": {"$gte": lo, "$lte": hi}}
-            )
+            ((lo, hi),) = args
+            cluster.delete_many("t", {"k": {"$gte": lo, "$lte": hi}})
         elif kind == "update":
             (lo, hi), g = args
-            for shard in shards:
-                shard.collection("t").update_many(
-                    {"k": {"$gte": lo, "$lte": hi}}, {"$set": {"g": g}}
-                )
-        else:
-            source, (lo, hi) = args
-            moving = shards[source].extract_documents_in_range(
-                "t",
-                PATTERN,
-                PATTERN.extract_canonical({"k": lo}),
-                PATTERN.extract_canonical({"k": hi + 1}),
+            cluster.update_many(
+                "t", {"k": {"$gte": lo, "$lte": hi}}, {"$set": {"g": g}}
             )
-            shards[1 - source].receive_documents("t", moving)
+        else:
+            (k,) = args
+            chunk = metadata.chunk_for_key(PATTERN.extract_canonical({"k": k}))
+            other = next(s for s in sorted(cluster.shards) if s != chunk.shard_id)
+            cluster._migrate_chunk(metadata, chunk, other)
 
 
 @settings(max_examples=120, deadline=None)
@@ -161,17 +161,20 @@ def _apply(shards, operations, ids) -> None:
     queries=st.lists(_queries, min_size=1, max_size=4),
 )
 def test_replica_answers_with_the_source_rids(first, second, queries):
-    shards = [Shard("a"), Shard("b")]
-    for shard in shards:
-        shard.collection("t").create_index([("k", 1)], name=INDEX)
-        shard.collection("t").create_index([("g", 1)], name="g_1")
+    # Small chunks, so inserts split them and relieve one shard by
+    # migrating to the other.
+    cluster = ShardedCluster(
+        topology=ClusterTopology(n_shards=2), chunk_max_bytes=512
+    )
+    cluster.shard_collection("t", [("k", 1)])
+    cluster.create_index("t", [("g", 1)], name="g_1")
     ids = iter(range(10**6))
-    client = _worker(shards)
+    client = _worker(cluster)
     try:
         # No reader holds a lock here: nothing runs while the worker
-        # forks, which is what a shard read lock guarantees the service.
+        # forks, which is what the service lock guarantees the service.
         for operations in (first, second):
-            _apply(shards, operations, ids)
-            _check(client, shards, queries)
+            _apply(cluster, operations, ids)
+            _check(client, cluster, queries)
     finally:
         client.close()

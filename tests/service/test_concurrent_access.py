@@ -277,19 +277,19 @@ class TestReadTurns:
     def test_timeout_mid_fan_out_releases_the_turn(
         self, stress_cluster, monkeypatch
     ):
-        original = Collection.find_with_stats
+        original = Collection.find_rids
         shards_run = []
 
-        def slow_find(self, *args, **kwargs):
+        def slow_match(self, *args, **kwargs):
             shards_run.append(self)
             time.sleep(0.06)
             return original(self, *args, **kwargs)
 
         with QueryService(stress_cluster, THREAD) as service:
-            monkeypatch.setattr(Collection, "find_with_stats", slow_find)
+            monkeypatch.setattr(Collection, "find_rids", slow_match)
             with pytest.raises(QueryTimeoutError):
                 service.find("t", {}, timeout_ms=100)
-            monkeypatch.setattr(Collection, "find_with_stats", original)
+            monkeypatch.setattr(Collection, "find_rids", original)
             # The deadline expired between two shards of the fan-out.
             assert 0 < len(shards_run) < len(stress_cluster.shards)
             _assert_lock_not_leaked(service)

@@ -1,24 +1,31 @@
 """The process executor backend: parity, deadlines, worker lifecycle.
 
-Satellite of the process-parallel serving PR: the admission-control
-and deadline-expiry guarantees QueryService makes must survive the
-move from a thread pool to per-shard worker processes.  In particular
-the PR-1 leak class is reconstructed in the new topology: a worker
-that stalls mid-subquery must produce a clean ``QueryTimeoutError`` —
-not a leaked read lock, a poisoned pool, or an orphaned worker.
+The admission-control and deadline-expiry guarantees QueryService
+makes must survive the move from the caller's thread to worker
+processes that each serve whole reads.  In particular the PR-1 leak
+class is reconstructed in this topology: a worker that stalls
+mid-read must produce a clean ``QueryTimeoutError`` — not a leaked
+read lock, a poisoned pool, or an orphaned worker.  A worker routes
+each read on its own forked chunk map, so a routing change between two
+reads must reach it too.
 """
 
 import multiprocessing
 import os
 import pickle
 import time
+from multiprocessing.connection import wait
 
 import pytest
 
+from repro.cluster.cluster import ClusterMatch
+from repro.cluster.zones import Zone
+from repro.docstore.matcher import parse_query
 from repro.errors import QueryTimeoutError, ServiceError
+from repro.reference import reference_target_chunks
 from repro.service import QueryService, ServiceConfig
 from repro.service import executors
-from repro.service.wire import WIRE_PROTOCOL, decode_result, encode_result
+from repro.service.wire import WIRE_PROTOCOL, PlanMessage
 
 TARGETED = {"k": {"$gte": 1000, "$lt": 5000}}
 BROADCAST = {"group": 3}
@@ -173,9 +180,10 @@ WRITES = {
 class TestWorkerForks:
     """A worker is a fork of the parent at the epoch it serves.
 
-    After a write, the next read forks afresh exactly the workers that
-    host a shard the write changed, and answers as the thread backend
-    does.
+    After a write, the next read forks every worker afresh at once (a
+    worker serves every shard, and the write moved the read epoch), no
+    later read forks again, and every read answers as the thread
+    backend does.
     """
 
     @pytest.mark.parametrize("kind", sorted(WRITES))
@@ -216,41 +224,54 @@ class TestWorkerForks:
                 )
                 assert theirs.stats.as_dict() == mine.stats.as_dict()
             reforked = {c for c in pool.clients() if c._proc.pid != pids[c]}
-            assert reforked == {pool._clients[s] for s in changed}
+            assert reforked == set(pool.clients())
             assert (
                 process.metrics_snapshot().executor["replicaSyncs"]
                 == forks + len(reforked)
             )
 
     def test_retire_answers_what_was_sent(self, cluster_factory):
-        # A request in flight on a worker that the next enqueue retires
+        # A read in flight on a worker that the next read's fork retires
         # is answered by the old worker, at the epoch it was sent at.
-        # Under the service this is a read of an unchanged shard, sent
-        # just before another read finds a shard of the same worker
-        # changed by a write that committed before either took a lock.
+        # Under the service this is a read that was sent just before
+        # another read found the epoch moved by a write that committed
+        # before either took a lock.
         cluster = cluster_factory()
         with QueryService(
             cluster, process_config(executor_workers=1)
         ) as service:
             service.find("t", {})
             first_id, second_id = sorted(cluster.shards)[:2]
-            client = service._worker_pool._clients[first_id]
-            assert service._worker_pool._clients[second_id] is client
-            spec = executors.SubquerySpec(
-                collection="t", query={}, hint=None, max_geo_ranges=None
+            (client,) = service._worker_pool.clients()
+            before = cluster.match("t", {})
+            sent = client.submit(
+                PlanMessage(
+                    collection="t",
+                    query={},
+                    hint=None,
+                    max_geo_ranges=None,
+                    fast_path=True,
+                    shape_key=None,
+                    exact_key=None,
+                    epoch=cluster.read_epoch("t"),
+                    stall_ms={first_id: 300.0},
+                )
             )
-            first = cluster.shards[first_id].collection("t")
-            second = cluster.shards[second_id].collection("t")
-            sent = client.enqueue(first_id, first, spec, 300.0)
-            client.flush()
             old = client._proc
-            second.update_many({}, {"$inc": {"counter": 1}})
-            queued = client.enqueue(second_id, second, spec, 0.0)
-            client.flush()
+            cluster.shards[second_id].collection("t").update_many(
+                {}, {"$inc": {"counter": 1}}
+            )
+            assert client.sync("t", cluster.read_epoch("t"))
             assert client._proc is not old
-            deadline = executors.Deadline(10_000.0)
-            assert sent.result(deadline)[0] == first.find_rids({})[0]
-            assert queued.result(deadline)[0] == second.find_rids({})[0]
+            match = sent.result(executors.Deadline(10_000.0))
+            assert match.shard_ids == before.shard_ids
+            assert [rids for rids, _stats in match.matches] == [
+                rids for rids, _stats in before.matches
+            ]
+            after = service.find("t", {})
+            assert canonical_docs(after.documents) == canonical_docs(
+                cluster.find("t", {}).documents
+            )
 
     def test_retired_workers_are_reaped(self, cluster_factory):
         cluster = cluster_factory()
@@ -327,44 +348,47 @@ class TestDeadlinesAndAdmission:
     def test_deadline_expiring_mid_enqueue_abandons_what_was_queued(
         self, cluster_factory
     ):
-        # The deadline expires between two enqueues: the request queued
-        # first must leave both the pending table and the outbox, or the
-        # next query's flush would run it on the worker for nobody.
+        # The deadline expires after the read has forked the workers
+        # behind its epoch and before it is sent: nothing may be left
+        # pending or shipped, or a worker would run it for nobody.
         cluster = cluster_factory()
         with QueryService(cluster, process_config()) as service:
-            expected = service.find("t", {})
+            service.find("t", {})  # fork the workers
             pool = service._worker_pool
-            shard_ids = sorted(cluster.shards)
-            client = pool._clients[shard_ids[0]]
-            before = set(client._pending)
+            # A write: the read below finds every worker behind.
+            service.insert_one("t", {"_id": 99_999, "k": 1, "group": 0})
+            expected = cluster.find("t", {})
+            snapshot = service.metrics_snapshot().executor
+            procs = [client._proc for client in pool.clients()]
 
-            class SecondCallExpires(executors.Deadline):
-                calls = 0
-
+            class FirstCallExpires(executors.Deadline):
                 def remaining(self):
-                    self.calls += 1
-                    if self.calls == 2:
-                        raise QueryTimeoutError("query exceeded its deadline")
-                    return None
+                    raise QueryTimeoutError("query exceeded its deadline")
 
             spec = executors.SubquerySpec(
                 collection="t", query={}, hint=None, max_geo_ranges=None
             )
-            mapper = pool.shard_mapper(spec, SecondCallExpires(None))
             with pytest.raises(QueryTimeoutError):
-                mapper(None, shard_ids)
-            assert set(client._pending) <= before
-            assert client._outbox == []
-            remote = service.metrics_snapshot().executor["remoteSubqueries"]
+                pool.find(spec, FirstCallExpires(None))
+            # The read paid for the forks, and shipped nothing.
+            assert all(
+                client._proc is not proc
+                for client, proc in zip(pool.clients(), procs)
+            )
+            assert all(client.in_flight() == 0 for client in pool.clients())
+            shipped = service.metrics_snapshot().executor
+            assert shipped["remoteSubqueries"] == snapshot["remoteSubqueries"]
+            assert shipped["replicaSyncs"] == (
+                snapshot["replicaSyncs"] + len(pool.clients())
+            )
             again = service.find("t", {})
             assert canonical_docs(again.documents) == canonical_docs(
                 expected.documents
             )
             assert again.stats.as_dict() == expected.stats.as_dict()
-            assert (
-                service.metrics_snapshot().executor["remoteSubqueries"]
-                == remote + len(shard_ids)
-            )
+            after = service.metrics_snapshot().executor
+            assert after["remoteSubqueries"] == shipped["remoteSubqueries"] + 1
+            assert after["replicaSyncs"] == shipped["replicaSyncs"]
 
     def test_deadline_expired_before_dispatch(self, cluster_factory):
         cluster = cluster_factory()
@@ -386,9 +410,9 @@ class TestReplyTripwires:
     def forge(self, monkeypatch, forged):
         original = executors._WorkerHost._execute_locked
 
-        def execute_locked(host, shard_id, plan, bound):
-            payload, epoch = original(host, shard_id, plan, bound)
-            return forged(payload, epoch)
+        def execute_locked(host, plan):
+            match, epoch = original(host, plan)
+            return forged(match, epoch)
 
         monkeypatch.setattr(
             executors._WorkerHost, "_execute_locked", execute_locked
@@ -397,7 +421,10 @@ class TestReplyTripwires:
     def test_reply_at_another_epoch_is_refused(
         self, cluster_factory, monkeypatch
     ):
-        self.forge(monkeypatch, lambda payload, epoch: (payload, epoch + 1))
+        self.forge(
+            monkeypatch,
+            lambda match, epoch: (match, (epoch[0] + 1, epoch[1])),
+        )
         with QueryService(cluster_factory(), process_config()) as service:
             with pytest.raises(ServiceError, match="epoch"):
                 service.find("t", TARGETED)
@@ -405,9 +432,17 @@ class TestReplyTripwires:
     def test_reply_naming_an_unknown_rid_is_refused(
         self, cluster_factory, monkeypatch
     ):
-        def forged(payload, epoch):
-            _rids, stats = decode_result(payload)
-            return encode_result([10**9], stats), epoch
+        def forged(match, epoch):
+            (_rids, stats), *rest = match.matches
+            return (
+                ClusterMatch(
+                    match.shard_ids,
+                    match.broadcast,
+                    [([10**9], stats)] + rest,
+                    match.plan_ms,
+                ),
+                epoch,
+            )
 
         self.forge(monkeypatch, forged)
         with QueryService(cluster_factory(), process_config()) as service:
@@ -415,33 +450,137 @@ class TestReplyTripwires:
                 service.find("t", TARGETED)
 
 
+    def test_worker_refuses_a_read_at_another_epoch(self, cluster_factory):
+        cluster = cluster_factory()
+        with QueryService(cluster, process_config()) as service:
+            service.find("t", TARGETED)  # fork the workers
+            client = service._worker_pool.clients()[0]
+            epoch = cluster.read_epoch("t")
+            pending = client.submit(
+                PlanMessage(
+                    collection="t",
+                    query=TARGETED,
+                    hint=None,
+                    max_geo_ranges=None,
+                    fast_path=True,
+                    shape_key=None,
+                    exact_key=None,
+                    epoch=(epoch[0] + 1, epoch[1]),
+                )
+            )
+            with pytest.raises(ServiceError, match="stale"):
+                pending.result(executors.Deadline(10_000.0))
+            assert service.find("t", TARGETED).documents
+
+
+def _zone_update(cluster):
+    pattern = cluster.catalog.get("t").pattern
+    cluster.update_zones(
+        "t",
+        [
+            Zone(
+                "hot",
+                pattern.extract_canonical({"k": 2_000}),
+                pattern.extract_canonical({"k": 4_000}),
+                sorted(cluster.shards)[-1],
+            )
+        ],
+    )
+
+
+def _chunk_at(cluster, k):
+    metadata = cluster.catalog.get("t")
+    return metadata, metadata.chunk_for_key(
+        metadata.pattern.extract_canonical({"k": k})
+    )
+
+
+def _chunk_split(cluster):
+    cluster._split_chunk(*_chunk_at(cluster, 3_000))
+
+
+def _pile_chunks(cluster):
+    # Splits without relief leave the shard owning k=3000 with three
+    # chunks more than the others: a balancer round has work to do.
+    for k in (3_000, 3_000, 3_000):
+        cluster._split_chunk(*_chunk_at(cluster, k))
+
+
+def _balancer_migration(cluster):
+    assert cluster.run_balancer("t") > 0
+
+
+#: Per routing change: what runs before the first read, and the change
+#: that runs between the two reads.
+ROUTING_CHANGES = {
+    "zone_update": (None, _zone_update),
+    "chunk_split": (None, _chunk_split),
+    "balancer_migration": (_pile_chunks, _balancer_migration),
+}
+
+
+class TestRoutingChangesBetweenReads:
+    """A worker routes on its forked chunk map: a routing change
+    between two reads must fork it afresh, and the second read must
+    target what the parent's live chunk map targets."""
+
+    @pytest.mark.parametrize("kind", sorted(ROUTING_CHANGES))
+    def test_second_read_routes_on_the_live_chunk_map(
+        self, cluster_factory, kind
+    ):
+        prepare, change = ROUTING_CHANGES[kind]
+        cluster = cluster_factory()
+        cluster.auto_balance = False
+        if prepare is not None:
+            prepare(cluster)
+        queries = [TARGETED, {"k": 3_000}, {"k": {"$gte": 2_500, "$lt": 3_500}}]
+        with QueryService(
+            cluster, process_config(executor_workers=2)
+        ) as service:
+            for query in queries:
+                service.find("t", query)
+            forks = service.metrics_snapshot().executor["replicaSyncs"]
+            version = cluster.metadata_version
+            service._run_exclusive(lambda: change(cluster))
+            assert cluster.metadata_version != version
+            metadata = cluster.catalog.get("t")
+            for query in queries:
+                served = service.find("t", query)
+                expected = reference_target_chunks(
+                    metadata, parse_query(query)[0]
+                )
+                assert served.stats.targeted_shards == expected.shard_ids
+                library = cluster.find("t", query)
+                assert canonical_docs(served.documents) == canonical_docs(
+                    library.documents
+                )
+                assert served.stats.as_dict() == library.stats.as_dict()
+            assert (
+                service.metrics_snapshot().executor["replicaSyncs"] > forks
+            )
+
+
 class TestWorkerLifecycle:
     def test_dead_worker_is_respawned_with_a_fresh_replica(
         self, cluster_factory
     ):
         cluster = cluster_factory()
-        shard_id = sorted(cluster.shards)[0]
         with QueryService(cluster, process_config()) as service:
             expected = service.find("t", TARGETED)
-            client = service._worker_pool._clients[shard_id]
+            # Reads one at a time all go to the first worker: the
+            # fewest in flight, the lowest index on ties.
+            client = service._worker_pool.clients()[0]
             old_proc = client._proc
             old_proc.terminate()
-            old_proc.join(timeout=5.0)
-            assert not old_proc.is_alive()
-            # The next query may observe the corpse mid-flight (the
-            # reader thread fails its pendings with ServiceError) or
-            # already find it dead and respawn transparently; either
-            # way the one *after* must be served by a freshly forked
-            # worker.
-            try:
-                first = service.find("t", TARGETED)
-            except ServiceError:
-                first = service.find("t", TARGETED)
-            assert canonical_docs(first.documents) == canonical_docs(
+            # Wait for the exit without reaping: the client's reader
+            # thread is the one that reaps its worker.
+            assert wait([old_proc.sentinel], 5.0)
+            served = service.find("t", TARGETED)
+            assert canonical_docs(served.documents) == canonical_docs(
                 expected.documents
             )
             assert client._proc is not old_proc
-            assert client._proc.is_alive()
+            assert not wait([client._proc.sentinel], 0)
 
     def test_shutdown_terminates_workers(self, cluster_factory):
         cluster = cluster_factory()

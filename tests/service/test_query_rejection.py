@@ -146,6 +146,35 @@ class TestTopLevelRejectedWhenBuilt:
                 call()
 
 
+@pytest.mark.parametrize(
+    "query",
+    [pytest.param({"group": p.values[0]}, id=p.id) for p in MALFORMED]
+    + MALFORMED_TOP,
+)
+class TestSameErrorOnBothBackends:
+    def test_service_raises_what_the_library_raises(
+        self, cluster, service, query
+    ):
+        # The process backend parses the query in the worker that
+        # serves it: the exception that comes back must be the one the
+        # library path (and so the thread backend) raises, and the
+        # worker must go on serving.
+        good = {"k": {"$gte": 0}}
+        expected = cluster.find("t", good).documents
+        with pytest.raises(QueryError) as library:
+            cluster.find("t", query)
+        assert service.find("t", good).documents == expected
+        pool = service._worker_pool
+        procs = None if pool is None else [c._proc for c in pool.clients()]
+        with pytest.raises(QueryError) as served:
+            service.find("t", query)
+        assert type(served.value) is type(library.value)
+        assert str(served.value) == str(library.value)
+        assert service.find("t", good).documents == expected
+        if pool is not None:
+            assert [c._proc for c in pool.clients()] == procs
+
+
 def test_nothing_was_written(cluster):
     # Every write above was refused before it reached a shard.
     assert cluster.count_documents("t", {"touched": True}) == 0

@@ -2,10 +2,10 @@
 
 Everything that crosses the worker-process boundary must decode back
 to exactly what was encoded: plan messages for every query shape the
-differential suite exercises, result payloads (record ids, including
-empty result sets), reply frames, counter frames field-for-field,
-and error frames.  No document crosses the wire: workers are forked
-with the collections they serve.
+differential suite exercises, read requests, result payloads (record
+ids, including empty result sets), result frames, counter frames
+field-for-field, and error frames.  No document crosses the wire:
+workers are forks of the whole cluster.
 """
 
 import datetime as _dt
@@ -21,12 +21,10 @@ from repro.geo.geometry import BoundingBox
 from repro.service.plan_cache import exact_query_key, query_shape_key
 from repro.service.wire import (
     WIRE_PROTOCOL,
-    BatchFrame,
     PlanMessage,
-    ReplyFrame,
+    ReadRequest,
     ResultFrame,
     ShutdownFrame,
-    SubqueryRequest,
     decode_error,
     decode_result,
     decode_stats,
@@ -121,11 +119,10 @@ class TestPlanMessageRoundTrip:
             if plan.exact_key is not None:
                 assert hash(clone.exact_key) == hash(plan.exact_key)
 
-    def test_batch_frame_roundtrips(self):
+    def test_read_request_roundtrips(self):
         query = {"k": {"$gte": 1}}
-        request = SubqueryRequest(
+        request = ReadRequest(
             request_id=3,
-            shard_id="shard01",
             plan=PlanMessage(
                 collection="t",
                 query=query,
@@ -134,17 +131,14 @@ class TestPlanMessageRoundTrip:
                 fast_path=True,
                 shape_key=query_shape_key("t", query),
                 exact_key=exact_query_key("t", query),
-                epoch=0,
+                epoch=(4, (2, None, 0)),
+                stall_ms={"shard01": 5.0},
             ),
         )
-        later = SubqueryRequest(
-            request_id=4, shard_id="shard02", plan=request.plan
-        )
-        frame = BatchFrame(requests=(request, later))
-        clone = pickle.loads(pickle.dumps(frame, protocol=WIRE_PROTOCOL))
-        assert clone == frame
-        # Requests travel flat, in arrival order.
-        assert [r.request_id for r in clone.requests] == [3, 4]
+        clone = pickle.loads(pickle.dumps(request, protocol=WIRE_PROTOCOL))
+        assert clone == request
+        # The read epoch travels as one comparable value.
+        assert clone.plan.epoch == (4, (2, None, 0))
         shutdown = ShutdownFrame()
         assert isinstance(
             pickle.loads(pickle.dumps(shutdown, protocol=WIRE_PROTOCOL)),
@@ -215,16 +209,27 @@ class TestResultFrames:
         assert decode_result(encode_result(rids, stats)) == ([], stats)
 
     def test_result_frame_flags_roundtrip(self):
-        frame = ReplyFrame(
-            results=(
-                ResultFrame(request_id=9, payload=b"payload", epoch=4),
-                ResultFrame(request_id=10, error=b"error"),
-            ),
+        col = _loaded_collection()
+        rids, stats, _plan = col.find_rids({"k": 4})
+        answered = ResultFrame(
+            request_id=9,
+            shard_ids=("shard00", "shard02"),
+            broadcast=True,
+            payloads=(encode_result(rids, stats), encode_result([], stats)),
+            plan_ms=0.25,
+            epoch=(1, (3, 3)),
             violations=("lock-order: bad",),
         )
-        assert pickle.loads(pickle.dumps(frame, protocol=WIRE_PROTOCOL)) == (
-            frame
-        )
+        failed = ResultFrame(request_id=10, error=b"error")
+        for frame in (answered, failed):
+            assert pickle.loads(
+                pickle.dumps(frame, protocol=WIRE_PROTOCOL)
+            ) == frame
+        clone = pickle.loads(pickle.dumps(answered, protocol=WIRE_PROTOCOL))
+        assert [decode_result(p) for p in clone.payloads] == [
+            (rids, stats),
+            ([], stats),
+        ]
 
 
 class TestErrorFrames:

@@ -239,14 +239,22 @@ DELETED = {
     ],
     "repro.service.executors": [
         "ShardWorkerPool.client_for",
+        "ShardWorkerPool.shard_mapper",
         "SubquerySpec.shape",
         "_WorkerClient.synced_epoch",
+        "_WorkerClient.enqueue",
+        "_WorkerClient.flush",
         "_WorkerHost._apply_sync_locked",
+        "_WorkerHost.handle_batch",
     ],
     "repro.service.wire": [
         "SyncFrame",
         "make_sync_payload",
         "load_sync_payload",
+        "BatchFrame",
+        "ReplyFrame",
+        "SubqueryRequest",
+        "SubqueryResult",
     ],
     "repro.service.service": [
         "QueryService.analyze_collection",
